@@ -50,6 +50,7 @@ from .halfspaces import (
     ak_feasibility,
     ak_point,
     ak_system,
+    anchor_unique,
     fm_feasible,
     gl_invariance_check,
     helly_audit,

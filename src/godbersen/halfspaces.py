@@ -3,11 +3,17 @@ construction.
 
 For a polytope K with facet normals u, the anchor system collects the
 halfspaces  a . u <= n/(n+1) h_K(u) - 1/(n+1) h_K(-u).  Any point of the
-(always nonempty) intersection certifies the support inequality
-h_{-K+a}(u) <= n h_{K-a}(u) at every facet normal, which is the exact input
-the first-mixed-volume bound needs.  Feasibility is decided by Fourier-Motzkin
-elimination, which stays in Q, needs no pivoting rules, and reads off
-uniqueness for free.
+intersection certifies the support inequality h_{-K+a}(u) <= n h_{K-a}(u) at
+every facet normal, which is the exact input the first-mixed-volume bound
+needs.  The centroid c always lies in it: at a = c the row for u reads
+h_{K0}(-u) <= n h_{K0}(u) for the centered body K0 = K - c, which is the
+inclusion -K0 in nK0 that ``tightness_profile`` checks row by row.  So the
+anchor point is that witness, checked, never searched for.  The region is the
+single point {c} exactly when the rows tight at c positively span R^n.
+
+Fourier-Motzkin elimination stays in Q, needs no pivoting rules, and reads off
+uniqueness for free.  It serves the Helly audit, generic systems, and the
+uniqueness test on the tight rows alone.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from .errors import (
     ZeroDirection,
 )
 from .geometry import Polytope, support, transform
+from .inclusion import TightnessProfile, tightness_profile
 from .linalg import det
 from .rationals import Point, Rat, Vector, as_rat, as_vector, dot, is_zero_vector
 
@@ -192,23 +199,30 @@ def ak_system(K: Polytope) -> System:
     return make_system(n, rows)
 
 
-def ak_feasibility(K: Polytope) -> FeasibilityResult:
-    """Solve the anchor system and validate the witness exactly.
+def anchor_unique(profile: TightnessProfile) -> bool:
+    """True iff the anchor region is the single point {c}.
 
-    Infeasibility or a witness failing the support inequality
-    h_{-K}(u) + (n+1) a . u <= n h_K(u) at any facet normal indicates a bug,
-    never a property of the input body.
+    The region is a polyhedron containing c, so it is {c} iff no d != 0 has
+    u . d <= 0 on every row tight at c, i.e. iff the tight normals positively
+    span R^n.  That needs at least n+1 of them; given that many, FM decides
+    the homogeneous system of the tight rows, and its ``unique`` flag is exact.
     """
-    res = fm_feasible(ak_system(K))
-    if not res.feasible:
-        raise TheoremViolation("anchor system infeasible; this must never happen")
-    a = res.witness
-    n = K.dim
-    for f in K.facets:
-        lhs = support(K, tuple(-c for c in f.normal)) + (n + 1) * dot(f.normal, a)
-        if lhs > n * f.offset:
-            raise TheoremViolation("anchor witness fails the support inequality")
-    return res
+    tight = [e.normal for e in profile.entries if e.tight]
+    n = len(profile.entries[0].normal)
+    if len(tight) < n + 1:
+        return False
+    return fm_feasible(make_system(n, [(u, 0) for u in tight])).unique
+
+
+def ak_feasibility(K: Polytope) -> FeasibilityResult:
+    """The centroid as anchor witness, with exact uniqueness.
+
+    The witness is checked by the exact row comparison of
+    ``tightness_profile``, which raises TheoremViolation if the support
+    inequality h_{-K}(u) + (n+1) c . u <= n h_K(u) fails at any facet normal;
+    that would be a bug, never a property of the input body.
+    """
+    return FeasibilityResult(True, K.centroid, anchor_unique(tightness_profile(K)))
 
 
 def ak_point(K: Polytope) -> Point:
@@ -245,9 +259,9 @@ def helly_audit(system: System, cap: int | None = None) -> bool:
 
 
 def gl_invariance_check(K: Polytope, mat) -> bool:
-    """Feasibility of the anchor system is invariant under invertible maps.
+    """The anchor construction is equivariant under invertible linear maps.
 
-    Checks that K and its image share feasibility status and that the mapped
+    Checks that K and its image agree on uniqueness and that the mapped
     witness A a satisfies the image's anchor system (the image's facet normals
     are the inverse-transpose images of K's, up to positive scale, so the two
     systems correspond row by row).
@@ -256,11 +270,8 @@ def gl_invariance_check(K: Polytope, mat) -> bool:
     if det(a) == 0:
         raise SingularMatrix("invariance check needs an invertible matrix")
     image = transform(K, a)
-    res_k = fm_feasible(ak_system(K))
-    res_img = fm_feasible(ak_system(image))
-    ok = res_k.feasible == res_img.feasible
-    if ok and res_k.feasible:
-        mapped = tuple(sum(a[r][c] * res_k.witness[c] for c in range(K.dim))
-                       for r in range(K.dim))
-        ok = ak_system(image).contains(mapped)
-    return ok
+    res_k = ak_feasibility(K)
+    res_img = ak_feasibility(image)
+    mapped = tuple(sum(a[r][c] * res_k.witness[c] for c in range(K.dim))
+                   for r in range(K.dim))
+    return res_k.unique == res_img.unique and ak_system(image).contains(mapped)

@@ -144,16 +144,6 @@ def solve_linear(mat: Matrix, rhs) -> Vector:
     return tuple(a[i][n] / a[i][i] for i in range(n))
 
 
-def mat_vec(mat: Matrix, v) -> Vector:
-    return tuple(sum((r[j] * v[j] for j in range(len(v))), Fraction(0)) for r in mat)
-
-
-def identity(n: int) -> Matrix:
-    return tuple(
-        tuple(Fraction(1) if i == j else Fraction(0) for j in range(n)) for i in range(n)
-    )
-
-
 def affine_rank(points) -> int:
     """Dimension of the affine hull of a point set."""
     if len(points) < 2:

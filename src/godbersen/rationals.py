@@ -56,21 +56,5 @@ def dot(u, v) -> Rat:
     return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
 
-def vec_add(u, v) -> Vector:
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_sub(u, v) -> Vector:
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_scale(u, c: Rat) -> Vector:
-    return tuple(a * c for a in u)
-
-
-def vec_neg(u) -> Vector:
-    return tuple(-a for a in u)
-
-
 def is_zero_vector(u) -> bool:
     return all(a == 0 for a in u)

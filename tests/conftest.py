@@ -3,9 +3,11 @@
 The acceptance corpus is 300 seeded random polytopes (100 each in dimensions
 2, 3, 4; 80 generic hulls plus 20 origin-symmetric per dimension).  Heavy
 per-body results (reports, anchor points, tightness, moments) are computed
-once per session and shared by the acceptance criteria.
+once per session and shared by the acceptance criteria.  Each body also keeps
+the time its report took, so criterion 2 can bound the report phase alone.
 """
 
+import time
 from dataclasses import dataclass
 
 import pytest
@@ -47,6 +49,7 @@ class BodyResult:
     spec: GenSpec
     body: Polytope
     report: GodbersenReport
+    report_seconds: float
     anchor: FeasibilityResult
     inclusion_ok: bool
     tightness: TightnessProfile
@@ -62,10 +65,14 @@ def corpus() -> list[tuple[GenSpec, Polytope]]:
 def corpus_results(corpus) -> list[BodyResult]:
     results = []
     for spec, body in corpus:
+        t0 = time.monotonic()
+        report = godbersen_report(body)
+        report_seconds = time.monotonic() - t0
         results.append(BodyResult(
             spec=spec,
             body=body,
-            report=godbersen_report(body),
+            report=report,
+            report_seconds=report_seconds,
             anchor=ak_feasibility(body),
             inclusion_ok=inclusion_in_nK(body),
             tightness=tightness_profile(body),

@@ -36,10 +36,10 @@ def _report(num: int, text: str) -> None:
 
 
 @pytest.fixture(scope="module")
-def all_reports(corpus):
-    t0 = time.monotonic()
-    reports = [godbersen_report(body) for _, body in corpus]
-    return reports, time.monotonic() - t0
+def all_reports(corpus_results):
+    """The corpus reports and the total time they took to compute."""
+    reports = [r.report for r in corpus_results]
+    return reports, sum(r.report_seconds for r in corpus_results)
 
 
 def test_criterion_1_simplex_equality(simplices):

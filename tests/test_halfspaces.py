@@ -5,13 +5,16 @@ import pytest
 
 from godbersen import (
     CombinatorialBlowup,
+    GenSpec,
     SingularMatrix,
     ZeroDirection,
     ak_feasibility,
     ak_point,
     ak_system,
+    anchor_unique,
     build_hull,
     fm_feasible,
+    generate,
     gl_invariance_check,
     helly_audit,
     make_system,
@@ -19,6 +22,7 @@ from godbersen import (
     reflect,
     standard_simplex,
     support,
+    tightness_profile,
     translate,
     unit_cube,
 )
@@ -28,6 +32,8 @@ from tests.test_geometry import TRIANGLE, random_polytope
 
 CENTERED_SQUARE = [(F(-1, 2), F(-1, 2)), (F(1, 2), F(-1, 2)),
                    (F(-1, 2), F(1, 2)), (F(1, 2), F(1, 2))]
+# one row (the base) is tight at the centroid, so the anchor is not unique
+SQUARE_PYRAMID = [(0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 0), (1, 1, 2)]
 
 
 class TestSystemTypes:
@@ -157,6 +163,40 @@ class TestAkPoint:
                 a = ak_point(body)
                 shifted = translate(body, tuple(-c for c in a))
                 assert mv_first(reflect(shifted), shifted) <= dim * body.volume
+
+
+def _fm_reference_bodies():
+    bodies = [standard_simplex(n) for n in (2, 3, 4, 5)]
+    bodies += [build_hull(TRIANGLE), build_hull(CENTERED_SQUARE),
+               build_hull(SQUARE_PYRAMID)]
+    for dim, vertex_count in ((2, 7), (3, 6)):
+        for seed in range(6):
+            bodies.append(generate(GenSpec("random_hull", dim, vertex_count,
+                                           seed=700 + seed,
+                                           denominator_bound=3)))
+            bodies.append(generate(GenSpec("random_symmetric", dim, dim + 1,
+                                           seed=800 + seed,
+                                           denominator_bound=3)))
+    return bodies
+
+
+class TestAkAgainstFullFM:
+    """Fourier-Motzkin on the full anchor system is the reference route for
+    the centroid witness and the tight-row uniqueness rule."""
+
+    @pytest.mark.parametrize("body", _fm_reference_bodies(),
+                             ids=lambda b: f"n{b.dim}v{len(b.vertices)}")
+    def test_unique_and_witness_match_fm(self, body):
+        system = ak_system(body)
+        res = ak_feasibility(body)
+        assert res.feasible and res.witness == body.centroid
+        assert system.contains(res.witness)
+        assert res.unique == fm_feasible(system).unique
+
+    def test_square_pyramid_has_one_tight_row(self):
+        profile = tightness_profile(build_hull(SQUARE_PYRAMID))
+        assert [e.normal for e in profile.entries if e.tight] == [(0, 0, -1)]
+        assert not anchor_unique(profile)
 
 
 class TestHelly:

@@ -118,6 +118,16 @@ class TestCli:
         assert data == {"feasible": True, "witness": ["1/3", "1/3"],
                         "unique": True}
 
+    def test_ak_witness_is_centroid(self, tmp_path, capsys):
+        # the anchor region of this pyramid is not a point; the witness is
+        # its centroid, not a point picked by a solver
+        pyramid = [(0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 0), (1, 1, 2)]
+        path = self._write_body(tmp_path, pyramid)
+        assert main(["ak", "--input", str(path)]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data == {"feasible": True, "witness": ["1", "1", "1/2"],
+                        "unique": False}
+
     def test_helly(self, tmp_path, capsys):
         s = ak_system(build_hull(TRIANGLE))
         path = tmp_path / "sys.json"
