@@ -101,6 +101,9 @@ def _load_specs(path, base_seed: int) -> list[GenSpec]:
     raw = data["specs"] if isinstance(data, dict) else data
     specs = []
     for i, row in enumerate(raw):
+        unknown = set(row) - {"kind", "dim", "vertex_count", "seed", "denominator_bound"}
+        if unknown:
+            raise ValueError(f"spec row {i} has unknown keys {sorted(unknown)}")
         seed = row.get("seed")
         if seed is None:
             seed = base_seed * 1_000_003 + i
@@ -109,9 +112,7 @@ def _load_specs(path, base_seed: int) -> list[GenSpec]:
             dim=int(row["dim"]),
             vertex_count=row.get("vertex_count"),
             seed=int(seed),
-            denominator_bound=int(
-                row.get("denominator_bound",
-                        row.get("coordinate_denominator_bound", 1))),
+            denominator_bound=int(row.get("denominator_bound", 1)),
         ))
     return specs
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import factorial
+from math import factorial, lcm
 
 from .errors import DegenerateInput, DimensionMismatch, SingularMatrix, ZeroDirection
 from .linalg import (
@@ -204,6 +204,26 @@ def _simplex_int_volume(pts, simplex, d: int) -> int:
     return abs(int_det(rows))
 
 
+def _scaled_sum_volumes(S: Polytope, K: Polytope, L: Polytope) -> list[Fraction]:
+    """Vol(K + tL) for t = 1..n+1, where S = K + L.
+
+    K + tL has the face lattice of S, and each vertex of S is p_i + q_j for
+    one vertex pair; S's fan with p_i + q_j moved to p_i + t q_j triangulates it.
+    """
+    n, m = S.dim, lcm(K._int_scale, L._int_scale)
+    ps = [tuple(c * (m // K._int_scale) for c in p) for p in K._int_vertices]
+    qs = [tuple(c * (m // L._int_scale) for c in q) for q in L._int_vertices]
+    pair = {tuple(a + b for a, b in zip(p, q)): (p, q) for p in ps for q in qs}
+    up = m // S._int_scale
+    summands = [pair[tuple(c * up for c in v)] for v in S._int_vertices]
+    vols = []
+    for t in range(1, n + 2):
+        pts = [tuple(a + t * b for a, b in zip(p, q)) for p, q in summands]
+        raw = sum(_simplex_int_volume(pts, s, n) for s in S._simplices)
+        vols.append(Fraction(raw, factorial(n) * m ** n))
+    return vols
+
+
 def _assemble(dim: int, vertices: tuple[Point, ...],
               facet_specs: list[tuple[tuple[int, ...], Fraction, tuple[int, ...]]]) -> Polytope:
     """Build a Polytope from sorted vertices and facet (normal, offset, ids).
@@ -301,8 +321,8 @@ def support(K: Polytope, w) -> Rat:
     return max(dot(v, p) for p in K.vertices)
 
 
-def _argmax_face(K: Polytope, w) -> list[int]:
-    vals = [dot(w, p) for p in K.vertices]
+def _argmax_face(K: Polytope, w: tuple[int, ...]) -> list[int]:
+    vals = [_idot(w, p) for p in K._int_vertices]
     best = max(vals)
     return [i for i, x in enumerate(vals) if x == best]
 
@@ -422,7 +442,7 @@ def minkowski_sum(K: Polytope, L) -> Polytope:
 
     dirs = sorted(set(K.edge_directions()) | set(L.edge_directions()))
     seen_lines: set = set()
-    facets: dict[tuple[int, ...], tuple[Fraction, list[Point]]] = {}
+    facets: dict[tuple[int, ...], Fraction] = {}
     for combo in combinations(dirs, n - 1):
         w = normal_to_span(list(combo), n)
         if all(c == 0 for c in w):
@@ -440,16 +460,14 @@ def minkowski_sum(K: Polytope, L) -> Polytope:
                      for i in face_l[1:]]
             if int_rank(rows) != n - 1:
                 continue
-            offset = dot(cand, K.vertices[face_k[0]]) + dot(cand, L.vertices[face_l[0]])
-            pts = {tuple(x + y for x, y in zip(K.vertices[i], L.vertices[j]))
-                   for i in face_k for j in face_l}
-            facets[cand] = (offset, sorted(pts))
+            facets[cand] = (dot(cand, K.vertices[face_k[0]])
+                            + dot(cand, L.vertices[face_l[0]]))
 
     sums = sorted({tuple(x + y for x, y in zip(u, v))
                    for u in K.vertices for v in L.vertices})
     facet_list = sorted(facets.items())
     incident: list[list[int]] = [[] for _ in sums]
-    for fi, (w, (offset, _)) in enumerate(facet_list):
+    for fi, (w, offset) in enumerate(facet_list):
         for i, p in enumerate(sums):
             val = dot(w, p)
             if val > offset:
@@ -466,7 +484,7 @@ def minkowski_sum(K: Polytope, L) -> Polytope:
             old_to_new[i] = len(vertices)
             vertices.append(p)
     specs = []
-    for fi, (w, (offset, _)) in enumerate(facet_list):
+    for fi, (w, offset) in enumerate(facet_list):
         vids = tuple(sorted(old_to_new[i] for i in range(len(sums))
                             if fi in incident[i] and i in old_to_new))
         specs.append((w, offset, vids))

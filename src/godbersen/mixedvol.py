@@ -6,8 +6,10 @@ comes from the facet formula
     V(K[1], T[n-1]) = (1/n) * sum over facets F of T of h_K(w_F) * mu_F,
 
 while the full coefficient profile comes from exact volumes of K + t L at
-t = 1..n+1 and an exact Vandermonde solve.  The profile's second coefficient
-must reproduce the facet formula exactly; that cross-check runs on every call.
+t = 1..n+1, all taken from one Minkowski sum K + L (K + tL has the same face
+lattice for every t > 0), and an exact Vandermonde solve.  The profile's second
+coefficient must reproduce the facet formula exactly; that cross-check runs on
+every call.
 """
 
 from __future__ import annotations
@@ -17,9 +19,9 @@ from fractions import Fraction
 from math import comb
 
 from .errors import DimensionMismatch, TheoremViolation
-from .geometry import Polytope, minkowski_sum, reflect, support, volume
+from .geometry import Polytope, _scaled_sum_volumes, minkowski_sum, reflect, support
 from .linalg import solve_linear
-from .rationals import Rat, as_vector, dot
+from .rationals import Rat
 
 
 @dataclass(frozen=True)
@@ -29,13 +31,6 @@ class MixedVolumeProfile:
 
     n: int
     coeffs: tuple[Rat, ...]
-
-    def mixed(self, j: int) -> Rat:
-        """V(K[n-j], L[j])."""
-        return self.coeffs[j]
-
-    def reversed(self) -> "MixedVolumeProfile":
-        return MixedVolumeProfile(self.n, tuple(reversed(self.coeffs)))
 
 
 @dataclass(frozen=True)
@@ -65,47 +60,31 @@ class GodbersenReport:
         raise KeyError(j)
 
 
-def _support_any(body, w) -> Rat:
-    if isinstance(body, Polytope):
-        return support(body, w)
-    return dot(as_vector(w), body)
-
-
-def mv_first(K, T: Polytope) -> Rat:
-    """V(K[1], T[n-1]) by the facet formula; K may be a polytope or a point."""
-    if isinstance(K, Polytope) and K.dim != T.dim:
+def mv_first(K: Polytope, T: Polytope) -> Rat:
+    """V(K[1], T[n-1]) by the facet formula."""
+    if K.dim != T.dim:
         raise DimensionMismatch("mixed volume needs equal dimensions")
-    if not isinstance(K, Polytope) and len(K) != T.dim:
-        raise DimensionMismatch("point length does not match the body")
     acc = Fraction(0)
     for f in T.facets:
-        acc += _support_any(K, f.normal) * f.measure
+        acc += support(K, f.normal) * f.measure
     return acc / T.dim
 
 
-def _scale_second(L, t: int):
-    if isinstance(L, Polytope):
-        from .geometry import scale
-
-        return scale(L, t)
-    return tuple(Fraction(c) * t for c in L)
-
-
-def mv_profile(K: Polytope, L) -> MixedVolumeProfile:
+def mv_profile(K: Polytope, L: Polytope) -> MixedVolumeProfile:
     """All coefficients V(K[n-j], L[j]) by interpolation of Vol(K + tL).
 
-    Volumes are evaluated exactly at t = 1..n+1 (every summand there is
-    full-dimensional even for a degenerate L) and the Vandermonde system is
-    solved exactly.  L may be a polytope or a single point.
+    Volumes at t = 1..n+1 come from one sum K + L, on its triangulation with
+    each vertex p_i + q_j moved to p_i + t q_j; the Vandermonde system is
+    solved exactly.
     """
     n = K.dim
-    if isinstance(L, Polytope) and L.dim != n:
+    if L.dim != n:
         raise DimensionMismatch("mixed volume needs equal dimensions")
-    if not isinstance(L, Polytope):
-        L = as_vector(L, n)
-    nodes = list(range(1, n + 2))
-    vols = [volume(minkowski_sum(K, _scale_second(L, t))) for t in nodes]
-    vmat = tuple(tuple(Fraction(t ** j) for j in range(n + 1)) for t in nodes)
+    total = minkowski_sum(K, L)
+    vols = _scaled_sum_volumes(total, K, L)
+    if vols[0] != total.volume:
+        raise TheoremViolation("moved triangulation disagrees with Vol(K + L)")
+    vmat = tuple(tuple(Fraction(t ** j) for j in range(n + 1)) for t in range(1, n + 2))
     c = solve_linear(vmat, vols)
     coeffs = tuple(c[j] / comb(n, j) for j in range(n + 1))
     for j, m in enumerate(coeffs):
@@ -113,7 +92,7 @@ def mv_profile(K: Polytope, L) -> MixedVolumeProfile:
             raise TheoremViolation(f"negative mixed volume m_{j} = {m}")
     if coeffs[0] != K.volume:
         raise TheoremViolation("profile endpoint m_0 disagrees with Vol(K)")
-    if isinstance(L, Polytope) and coeffs[n] != L.volume:
+    if coeffs[n] != L.volume:
         raise TheoremViolation("profile endpoint m_n disagrees with Vol(L)")
     first = mv_first(L, K)
     if coeffs[1] != first:

@@ -16,9 +16,11 @@ from godbersen import (
     minkowski_sum,
     reflect,
     scale,
+    standard_simplex,
     support,
     transform,
     translate,
+    unit_cube,
     volume,
 )
 from godbersen.rationals import dot
@@ -266,6 +268,18 @@ class TestVolumeAndCentroid:
         total = sum((f.offset - dot(f.normal, c)) * f.measure
                     for f in hexagon.facets)
         assert total / hexagon.dim == hexagon.volume
+
+    def test_minkowski_relation(self, corpus):
+        # sum over facets of mu_F * w_F vanishes for every closed polytope
+        tri = build_hull(TRIANGLE)
+        bodies = [body for _, body in corpus]
+        bodies += [standard_simplex(n) for n in (2, 3, 4)]
+        bodies += [unit_cube(n) for n in (2, 3, 4)]
+        bodies += [minkowski_sum(tri, reflect(tri)),
+                   minkowski_sum(unit_cube(3), reflect(standard_simplex(3)))]
+        for body in bodies:
+            for c in range(body.dim):
+                assert sum(f.measure * f.normal[c] for f in body.facets) == 0
 
     def test_triangle_centroid(self):
         assert build_hull(TRIANGLE).centroid == (F(1, 3), F(1, 3))

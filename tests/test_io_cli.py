@@ -194,6 +194,18 @@ class TestCli:
         assert lines[1].endswith("ratio_float")
         assert lines[2].endswith("0.5")
 
+    def test_sweep_rejects_unknown_spec_key(self, tmp_path, capsys):
+        spec = tmp_path / "specs.json"
+        spec.write_text(json.dumps({"specs": [
+            {"kind": "simplex", "dim": 2},
+            {"kind": "random_hull", "dim": 2, "vertex_count": 6,
+             "coordinate_denominator_bound": 3},
+        ]}))
+        out = tmp_path / "out.csv"
+        assert main(["sweep", "--spec", str(spec), "--out", str(out)]) == 1
+        assert "'coordinate_denominator_bound'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_sweep_jobs_match_serial(self, tmp_path, capsys):
         spec = tmp_path / "specs.json"
         spec.write_text(json.dumps({"specs": [
