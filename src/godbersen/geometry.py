@@ -204,15 +204,23 @@ def _simplex_int_volume(pts, simplex, d: int) -> int:
     return abs(int_det(rows))
 
 
+def _common_lattice(K: Polytope, L: Polytope):
+    """(m, ps, qs): the vertices of K and L as integer points c standing for
+    c / m, with m = lcm of their lattice scales."""
+    m = lcm(K._int_scale, L._int_scale)
+    ps = [tuple(c * (m // K._int_scale) for c in p) for p in K._int_vertices]
+    qs = [tuple(c * (m // L._int_scale) for c in q) for q in L._int_vertices]
+    return m, ps, qs
+
+
 def _scaled_sum_volumes(S: Polytope, K: Polytope, L: Polytope) -> list[Fraction]:
     """Vol(K + tL) for t = 1..n+1, where S = K + L.
 
     K + tL has the face lattice of S, and each vertex of S is p_i + q_j for
     one vertex pair; S's fan with p_i + q_j moved to p_i + t q_j triangulates it.
     """
-    n, m = S.dim, lcm(K._int_scale, L._int_scale)
-    ps = [tuple(c * (m // K._int_scale) for c in p) for p in K._int_vertices]
-    qs = [tuple(c * (m // L._int_scale) for c in q) for q in L._int_vertices]
+    n = S.dim
+    m, ps, qs = _common_lattice(K, L)
     pair = {tuple(a + b for a, b in zip(p, q)): (p, q) for p in ps for q in qs}
     up = m // S._int_scale
     summands = [pair[tuple(c * up for c in v)] for v in S._int_vertices]
@@ -440,9 +448,11 @@ def minkowski_sum(K: Polytope, L) -> Polytope:
     if n == 1:
         return build_hull([(u[0] + v[0],) for u in K.vertices for v in L.vertices])
 
+    # Offsets and incidence run on the common lattice of both summands.
+    m, ps, qs = _common_lattice(K, L)
     dirs = sorted(set(K.edge_directions()) | set(L.edge_directions()))
     seen_lines: set = set()
-    facets: dict[tuple[int, ...], Fraction] = {}
+    facets: dict[tuple[int, ...], int] = {}
     for combo in combinations(dirs, n - 1):
         w = normal_to_span(list(combo), n)
         if all(c == 0 for c in w):
@@ -460,16 +470,14 @@ def minkowski_sum(K: Polytope, L) -> Polytope:
                      for i in face_l[1:]]
             if int_rank(rows) != n - 1:
                 continue
-            facets[cand] = (dot(cand, K.vertices[face_k[0]])
-                            + dot(cand, L.vertices[face_l[0]]))
+            facets[cand] = _idot(cand, ps[face_k[0]]) + _idot(cand, qs[face_l[0]])
 
-    sums = sorted({tuple(x + y for x, y in zip(u, v))
-                   for u in K.vertices for v in L.vertices})
+    sums = sorted({tuple(x + y for x, y in zip(p, q)) for p in ps for q in qs})
     facet_list = sorted(facets.items())
     incident: list[list[int]] = [[] for _ in sums]
     for fi, (w, offset) in enumerate(facet_list):
         for i, p in enumerate(sums):
-            val = dot(w, p)
+            val = _idot(w, p)
             if val > offset:
                 raise DegenerateInput("sum point escapes a claimed facet")
             if val == offset:
@@ -482,12 +490,12 @@ def minkowski_sum(K: Polytope, L) -> Polytope:
         normals = [facet_list[fi][0] for fi in incident[i]]
         if int_rank(normals) == n:
             old_to_new[i] = len(vertices)
-            vertices.append(p)
+            vertices.append(tuple(Fraction(c, m) for c in p))
     specs = []
     for fi, (w, offset) in enumerate(facet_list):
         vids = tuple(sorted(old_to_new[i] for i in range(len(sums))
                             if fi in incident[i] and i in old_to_new))
-        specs.append((w, offset, vids))
+        specs.append((w, Fraction(offset, m), vids))
     return _assemble(n, tuple(vertices), specs)
 
 

@@ -6,11 +6,20 @@ the scaled coordinate t = x . w.  Between consecutive vertex levels V is a
 polynomial of degree <= n, so s is piecewise polynomial of degree <= n-1 and
 integrates exactly to Vol(K).
 
-V(t) is evaluated through the precomputed simplicial decomposition: the
-fraction of a simplex below a hyperplane that misses its vertices has an exact
-rational recursion in the signed vertex heights (the classic cut-volume
-recursion, checked by the 1- and 2-dimensional closed forms).  Each piece is
-then recovered by exact Lagrange interpolation on interior rational nodes.
+V(t) is summed over the precomputed simplicial decomposition.  The fraction of
+a simplex below the level t follows the cut-volume recursion over its vertices
+below (heights H_i) and above (heights H_j) the level,
+
+    F[i][j] = ((H_j - t) F[i-1][j] + (t - H_i) F[i][j-1]) / (H_j - H_i),
+
+with F[i][0] = 1 and F[0][j] = 0.  On an open interval between consecutive
+vertex levels no vertex changes side, the factors H_j - t and t - H_i are
+linear in t and the divisors H_j - H_i are positive constants, so one run of
+the recursion over polynomials gives the exact piece (the density of a linear
+image of a simplex is a spline in the vertex heights; Curry & Schoenberg 1966).
+Only simplices straddling the interval contribute to s; the others add a
+constant to V.  The recursion runs on integer heights, with the constant
+divisors cleared, and Fractions are formed once per coefficient.
 """
 
 from __future__ import annotations
@@ -18,19 +27,13 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, prod
 
 from .errors import DimensionMismatch, ZeroDirection
-from .geometry import Polytope, _simplex_int_volume
-from .polynomials import (
-    Poly,
-    definite_integral,
-    derivative,
-    evaluate,
-    interpolate,
-    mul,
-)
-from .rationals import Rat, Vector, as_vector, dot, is_zero_vector
+from .geometry import Polytope, _idot, _simplex_int_volume
+from .linalg import scale_to_integers
+from .polynomials import Poly, add, definite_integral, evaluate, mul
+from .rationals import Rat, Vector, as_vector, is_zero_vector
 
 
 @dataclass(frozen=True)
@@ -73,28 +76,39 @@ class SectionProfile:
         return self.breakpoints[0], self.breakpoints[-1]
 
 
-def _cut_fraction(heights: list[Fraction]) -> Fraction:
-    """Volume fraction of a simplex on the <=0 side of a linear functional.
+def _times_linear(p: list[int], c0: int, c1: int) -> list[int]:
+    """Integer polynomial p(T) * (c0 + c1 T), low degree first."""
+    out = [c0 * a for a in p] + [0]
+    for k, a in enumerate(p):
+        out[k + 1] += c1 * a
+    return out
 
-    ``heights`` are the functional's (nonzero) values at the vertices.  The
-    recursion F[i][j] over i processed negatives and j processed positives,
-    F[i][0] = 1 and F[0][j] = 0, with
-    F[i][j] = (g_j F[i-1][j] + h_i F[i][j-1]) / (g_j + h_i),
-    yields the fraction at F[p][q].
+
+def _cut_polynomial(below: list[int], above: list[int]) -> tuple[list[int], int]:
+    """Fraction of a simplex under the level T, as (G, D) with value G(T) / D.
+
+    ``below`` and ``above`` are the integer heights of the vertices under and
+    over an open interval of levels that contains T.  G[i][j] is F[i][j]
+    times the product of d_ab = H_b - H_a over a <= i, b <= j, which turns
+    the cut-volume recursion into integer polynomial steps
+
+        G[i][j] = (H_j - T) G[i-1][j] prod_{b<j} d_ib
+                  + (T - H_i) G[i][j-1] prod_{a<i} d_aj.
     """
-    neg = [-v for v in heights if v < 0]
-    pos = [v for v in heights if v > 0]
-    if not neg:
-        return Fraction(0)
-    if not pos:
-        return Fraction(1)
-    row = [Fraction(1)] + [Fraction(0)] * len(pos)
-    for h in neg:
-        new = [Fraction(1)] * (len(pos) + 1)
-        for j, g in enumerate(pos, start=1):
-            new[j] = (g * row[j] + h * new[j - 1]) / (g + h)
+    q = len(above)
+    row: list[list[int]] = [[1]] + [[] for _ in range(q)]
+    col = [1] * q  # prod_{a<i} d_aj for each j
+    for hi in below:
+        new = [[1]] + [[] for _ in range(q)]
+        along = 1  # prod_{b<j} d_ib
+        for j, hj in enumerate(above):
+            new[j + 1] = add(_times_linear(row[j + 1], along * hj, -along),
+                             _times_linear(new[j], -col[j] * hi, col[j]))
+            d = hj - hi
+            along *= d
+            col[j] *= d
         row = new
-    return row[-1]
+    return row[q], prod(col)
 
 
 def section_profile(K: Polytope, w) -> SectionProfile:
@@ -109,27 +123,38 @@ def section_profile(K: Polytope, w) -> SectionProfile:
     if is_zero_vector(v):
         raise ZeroDirection("section direction must be nonzero")
     n = K.dim
-    levels = [dot(v, p) for p in K.vertices]
-    breakpoints = sorted(set(levels))
+    # With w = W / m and the vertices P / m_v, the integer heights are
+    # H = W . P = M (x . w) for M = m m_v (``level_scale``); level t is T / M.
+    (iw,), m = scale_to_integers([v])
+    level_scale = m * K._int_scale
+    heights = [_idot(iw, p) for p in K._int_vertices]
+    levels = sorted(set(heights))
 
-    nfact = factorial(n)
-    spow = K._int_scale ** n
     simplex_data = []
     for s in K._simplices:
-        vol = Fraction(_simplex_int_volume(K._int_vertices, s, n), nfact * spow)
+        vol = _simplex_int_volume(K._int_vertices, s, n)
         if vol != 0:
-            simplex_data.append((vol, [levels[i] for i in s]))
+            hs = [heights[i] for i in s]
+            simplex_data.append((vol, min(hs), max(hs), hs))
 
-    def cumulative(t: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for vol, hs in simplex_data:
-            acc += vol * _cut_fraction([h - t for h in hs])
-        return acc
-
+    # On an interval, V(t) = A(M t) / (den n! m_v^n) + const, where A / den
+    # sums the straddling cut polynomials weighted by the integer simplex
+    # volumes; so s(t) = M A'(M t) / (den n! m_v^n).
+    unit = factorial(n) * K._int_scale ** n
     pieces = []
-    for lo, hi in zip(breakpoints, breakpoints[1:]):
-        span = hi - lo
-        nodes = [lo + span * Fraction(j, n + 2) for j in range(1, n + 2)]
-        values = [cumulative(t) for t in nodes]
-        pieces.append(tuple(derivative(interpolate(nodes, values))))
-    return SectionProfile(v, tuple(breakpoints), tuple(pieces))
+    for lo, hi in zip(levels, levels[1:]):
+        acc: list[int] = []
+        den = 1
+        for vol, low, high, hs in simplex_data:
+            if low > lo or high < hi:
+                continue
+            poly, d = _cut_polynomial([h for h in hs if h <= lo],
+                                      [h for h in hs if h >= hi])
+            g = gcd(den, d)
+            acc = add([a * (d // g) for a in acc],
+                      [vol * (den // g) * c for c in poly])
+            den *= d // g
+        pieces.append(tuple(Fraction(k * c * level_scale ** k, den * unit)
+                            for k, c in enumerate(acc) if k))
+    breakpoints = tuple(Fraction(h, level_scale) for h in levels)
+    return SectionProfile(v, breakpoints, tuple(pieces))

@@ -17,8 +17,9 @@ from pathlib import Path
 
 from .errors import GodbersenError, TheoremViolation
 from .generators import GenSpec, generate
+from .geometry import Polytope
 from .halfspaces import anchor_unique
-from .inclusion import directional_moment, tightness_profile
+from .inclusion import center_at_centroid, directional_moment, tightness_profile
 from .concave import slice_root_concavity
 from .mixedvol import godbersen_report
 from .rationals import Rat, format_rational
@@ -67,7 +68,8 @@ def check_body(body_id: str, spec: GenSpec) -> tuple[list[SweepRow], list[str]]:
     """All per-body checks; returns (rows, observations).
 
     Recoverable generation failures become a single error row; violated
-    theorems propagate and abort the sweep.
+    theorems propagate, prefixed with the body id and spec, and abort the
+    sweep.
     """
     try:
         body = generate(spec)
@@ -75,7 +77,14 @@ def check_body(body_id: str, spec: GenSpec) -> tuple[list[SweepRow], list[str]]:
         row = SweepRow(body_id, spec.dim, 0, 0, None, 0, False, False, False,
                        f"{type(err).__name__}: {err}")
         return [row], []
+    try:
+        return _check_generated(body_id, spec, body)
+    except TheoremViolation as err:
+        raise TheoremViolation(f"{body_id} {spec}: {err}") from err
 
+
+def _check_generated(body_id: str, spec: GenSpec,
+                     body: Polytope) -> tuple[list[SweepRow], list[str]]:
     observations: list[str] = []
     report = godbersen_report(body)
     # One pass over the centered body's facets gives the tight count and,
@@ -84,8 +93,11 @@ def check_body(body_id: str, spec: GenSpec) -> tuple[list[SweepRow], list[str]]:
     tight = tightness_profile(body)
     ak_unique = anchor_unique(tight)
     inclusion_ok = True
+    # Translation keeps the facet normals, so the centered body's facets give
+    # the same directions.
+    k0 = center_at_centroid(body)
     moment_zero = all(
-        directional_moment(body, f.normal) == 0 for f in body.facets)
+        directional_moment(k0, f.normal, center=False) == 0 for f in k0.facets)
 
     rng = random.Random(spec.seed ^ 0x5EED5EED)
     for _ in range(ROOT_CONCAVITY_DIRECTIONS):

@@ -1,12 +1,76 @@
 import random
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
 
-from godbersen import ZeroDirection, build_hull, section_profile, standard_simplex, unit_cube
-from godbersen.polynomials import evaluate
-from godbersen.sections import _cut_fraction
+from godbersen import (
+    SectionProfile,
+    ZeroDirection,
+    build_hull,
+    center_at_centroid,
+    generate,
+    section_profile,
+    standard_simplex,
+    unit_cube,
+)
+from godbersen.geometry import _simplex_int_volume
+from godbersen.polynomials import derivative, evaluate, interpolate
+from godbersen.rationals import as_vector, dot
+from godbersen.sweep import ROOT_CONCAVITY_DIRECTIONS, _random_direction
+from tests.conftest import corpus_specs
 from tests.test_geometry import random_polytope
+
+
+def _cut_fraction(heights: list[F]) -> F:
+    """Volume fraction of a simplex on the <=0 side of a linear functional.
+
+    ``heights`` are the functional's (nonzero) values at the vertices.  The
+    recursion F[i][j] over i processed negatives and j processed positives,
+    F[i][0] = 1 and F[0][j] = 0, with
+    F[i][j] = (g_j F[i-1][j] + h_i F[i][j-1]) / (g_j + h_i),
+    yields the fraction at F[p][q].
+    """
+    neg = [-v for v in heights if v < 0]
+    pos = [v for v in heights if v > 0]
+    if not neg:
+        return F(0)
+    if not pos:
+        return F(1)
+    row = [F(1)] + [F(0)] * len(pos)
+    for h in neg:
+        new = [F(1)] * (len(pos) + 1)
+        for j, g in enumerate(pos, start=1):
+            new[j] = (g * row[j] + h * new[j - 1]) / (g + h)
+        row = new
+    return row[-1]
+
+
+def _reference_profile(K, w) -> SectionProfile:
+    """The profile by sampling: the cumulative volume at n+1 interior nodes
+    of each interval, summed over all simplices with ``_cut_fraction``, then
+    Lagrange-interpolated and differentiated."""
+    v = as_vector(w)
+    n = K.dim
+    levels = [dot(v, p) for p in K.vertices]
+    breakpoints = sorted(set(levels))
+    simplex_data = []
+    for s in K._simplices:
+        vol = F(_simplex_int_volume(K._int_vertices, s, n),
+                factorial(n) * K._int_scale ** n)
+        if vol != 0:
+            simplex_data.append((vol, [levels[i] for i in s]))
+
+    def cumulative(t):
+        return sum((vol * _cut_fraction([h - t for h in hs])
+                    for vol, hs in simplex_data), F(0))
+
+    pieces = []
+    for lo, hi in zip(breakpoints, breakpoints[1:]):
+        nodes = [lo + (hi - lo) * F(j, n + 2) for j in range(1, n + 2)]
+        values = [cumulative(t) for t in nodes]
+        pieces.append(tuple(derivative(interpolate(nodes, values))))
+    return SectionProfile(v, tuple(breakpoints), tuple(pieces))
 
 
 def test_cube_profile_is_constant_one():
@@ -45,6 +109,40 @@ def test_cut_fraction_closed_forms():
     assert _cut_fraction([F(-1), F(-1), F(2)]) == 1 - F(4, 9)
     assert _cut_fraction([F(1), F(2)]) == 0
     assert _cut_fraction([F(-1), F(-2)]) == 1
+
+
+def test_profile_matches_reference_on_corpus_sample():
+    # the directions check_body uses: every facet normal of the centered body
+    # and the root-concavity directions of its spec
+    pick = random.Random(31)
+    sample = [spec for dim in (2, 3, 4) for spec in pick.sample(
+        [s for s in corpus_specs() if s.dim == dim], 3)]
+    pairs = 0
+    for spec in sample:
+        k0 = center_at_centroid(generate(spec))
+        rng = random.Random(spec.seed ^ 0x5EED5EED)
+        directions = [f.normal for f in k0.facets] + [
+            _random_direction(rng, k0.dim)
+            for _ in range(ROOT_CONCAVITY_DIRECTIONS)]
+        for w in directions:
+            assert section_profile(k0, w) == _reference_profile(k0, w), (spec, w)
+            pairs += 1
+    assert pairs > 100
+
+
+@pytest.mark.parametrize("body, w", [
+    (build_hull([(F(-2, 3),), (F(5, 2),)]), (F(-3, 7),)),
+    (unit_cube(3), (1, 0, 0)),
+    (unit_cube(3), (0, 1, 0)),
+    (unit_cube(3), (0, 0, 1)),
+    (build_hull([(0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 0), (1, 1, 2)]),
+     (1, F(2, 3), F(-1, 2))),
+    (unit_cube(4), (1, F(2, 3), F(-1, 2), 3)),
+], ids=["segment", "cube-x", "cube-y", "cube-z", "pyramid-rational",
+        "cube4-rational"])
+def test_profile_matches_reference_on_special_bodies(body, w):
+    # a segment, whole facets tied at one level, and rational directions
+    assert section_profile(body, w) == _reference_profile(body, w)
 
 
 def test_integral_equals_volume_and_moment_identity():
