@@ -125,7 +125,9 @@ def _cmd_sweep(args) -> int:
     print(f"bodies={summary.bodies} rows={summary.rows} "
           f"errors={summary.errors} observations={len(summary.observations)} "
           f"violations={summary.violations}")
-    return 0
+    for message in summary.violation_messages:
+        print(f"THEOREM VIOLATION: {message}", file=sys.stderr)
+    return 2 if summary.violations else 0
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -8,11 +8,16 @@ exactly the weight that turns ``support * mu`` sums into surface-area-measure
 integrals.
 
 Hull facets of raw point sets are enumerated by brute force over d-subsets
-with exact orientation tests (fine at input scale).  Minkowski sums avoid the
-combinatorial blowup of hulling all pairwise vertex sums: every facet normal
-of ``K + L`` is orthogonal to n-1 independent edge directions of the two
-summands, so candidate normals are enumerated from edge-direction subsets and
-verified exactly.
+with exact orientation tests (fine at input scale).  Minkowski sums take
+candidate normals from (n-1)-subsets of the summands' edge directions and
+verify each exactly, which avoids hulling all pairwise vertex sums.
+
+Everything else follows from the vertex-facet incidence, which fixes the face
+lattice: a point is a vertex iff its facets' normals have rank n, and the
+facets of a face are its maximal proper intersections with facets.  Each
+facet's pulling triangulation, coned from a vertex off it, gives the facet's
+measure (cone volume = measure * height / n); the cones from vertex 0 give
+the fan, volume and centroid.  That is one integer determinant per simplex.
 """
 
 from __future__ import annotations
@@ -177,25 +182,22 @@ def _hull_facets_int(pts: list[tuple[int, ...]], d: int):
     return sorted((w, b, ids) for (w, b), ids in found.items())
 
 
-def _triangulate_points(pts: list[tuple[int, ...]], d: int) -> list[tuple[int, ...]]:
-    """Exact simplicial decomposition of conv(pts), as point-index tuples.
+def _pulling_fan(face: frozenset, cands) -> list[tuple[int, ...]]:
+    """Pulling triangulation of a face, as vertex-id tuples.
 
-    Pyramid fan from pts[0] over the facets not containing it; each facet is
-    triangulated recursively in the coordinate projection that drops the
-    largest normal component.
+    ``face`` holds the face's vertex ids and ``cands`` sets whose
+    intersections with it include its facets (the facets' vertex sets do).
+    Its facets are the inclusion-maximal proper intersections; the face is
+    coned from its lowest id over those that miss it.
     """
-    if d == 1:
-        xs = [p[0] for p in pts]
-        return [(xs.index(min(xs)), xs.index(max(xs)))]
-    simplices = []
-    for w, b, ids in _hull_facets_int(pts, d):
-        if 0 in ids:
-            continue
-        k = max(range(d), key=lambda i: abs(w[i]))
-        sub = [tuple(pts[i][c] for c in range(d) if c != k) for i in ids]
-        for s in _triangulate_points(sub, d - 1):
-            simplices.append((0,) + tuple(ids[i] for i in s))
-    return simplices
+    if len(face) == 1:
+        return [tuple(face)]
+    subs = {face & c for c in cands}
+    subs.discard(face)
+    top = min(face)
+    return [(top,) + s
+            for g in subs if top not in g and not any(g < h for h in subs)
+            for s in _pulling_fan(g, subs)]
 
 
 def _simplex_int_volume(pts, simplex, d: int) -> int:
@@ -236,45 +238,58 @@ def _assemble(dim: int, vertices: tuple[Point, ...],
               facet_specs: list[tuple[tuple[int, ...], Fraction, tuple[int, ...]]]) -> Polytope:
     """Build a Polytope from sorted vertices and facet (normal, offset, ids).
 
-    Computes scaled facet measures, a fan triangulation, exact volume and
-    centroid.  Callers guarantee the data describes a genuine full-dimensional
-    polytope with irredundant vertices.
+    Each facet's pulling triangulation is coned from vertex 0, or from the
+    lowest vertex off the facet when 0 is on it.  A cone's integer volume over
+    its integer height gives the facet's scaled measure, and the cones from
+    vertex 0 are the body's fan.  Callers guarantee the data describes a
+    genuine full-dimensional polytope with irredundant vertices.
     """
     ipts, mult = scale_to_integers(vertices)
     facet_specs = sorted(facet_specs)
+    faces = [frozenset(vids) for _, _, vids in facet_specs]
+    unit = factorial(dim - 1) * mult ** (dim - 1)
     facets = []
     fan: list[tuple[int, ...]] = []
-    fact = factorial(dim - 1) if dim > 1 else 1
-    for w, b, vids in facet_specs:
-        if dim == 1:
-            measure = Fraction(1)
-        else:
-            k = max(range(dim), key=lambda i: abs(w[i]))
-            sub = [tuple(ipts[i][c] for c in range(dim) if c != k) for i in vids]
-            tri = _triangulate_points(sub, dim - 1)
-            raw = sum(_simplex_int_volume(sub, s, dim - 1) for s in tri)
-            measure = Fraction(raw, fact * mult ** (dim - 1) * abs(w[k]))
-            if 0 not in vids:
-                fan.extend((0,) + tuple(vids[i] for i in s) for s in tri)
-        facets.append(Facet(w, b, measure, vids))
-    if dim == 1:
-        fan = [(0, len(vertices) - 1)]
-    total = Fraction(0)
-    cx = [Fraction(0)] * dim
-    nfact = factorial(dim)
-    scale_pow = mult ** dim
-    for s in fan:
-        v = Fraction(_simplex_int_volume(ipts, s, dim), nfact * scale_pow)
-        if v == 0:
-            continue
-        total += v
-        for c in range(dim):
-            cx[c] += v * sum(vertices[i][c] for i in s)
+    dets: list[int] = []
+    for (w, b, vids), face in zip(facet_specs, faces):
+        apex = next(i for i in range(len(vertices)) if i not in face)
+        cones = [(apex,) + s for s in _pulling_fan(face, faces)]
+        raw = [_simplex_int_volume(ipts, s, dim) for s in cones]
+        height = _idot(w, ipts[vids[0]]) - _idot(w, ipts[apex])
+        facets.append(Facet(w, b, Fraction(sum(raw), unit * height), vids))
+        if apex == 0:
+            fan += cones
+            dets += raw
+    total = sum(dets)
     if total <= 0:
         raise DegenerateInput("assembled polytope has zero volume")
-    centroid = tuple(x / (total * (dim + 1)) for x in cx)
-    return Polytope(dim, vertices, tuple(facets), total, centroid, tuple(fan),
-                    ipts, mult)
+    centroid = tuple(
+        Fraction(sum(d * sum(ipts[i][c] for i in s) for s, d in zip(fan, dets)),
+                 total * (dim + 1) * mult)
+        for c in range(dim))
+    return Polytope(dim, vertices, tuple(facets),
+                    Fraction(total, factorial(dim) * mult ** dim), centroid,
+                    tuple(fan), ipts, mult)
+
+
+def _from_lattice(ipts: list[tuple[int, ...]], mult: int, raw_facets) -> Polytope:
+    """Polytope of the integer points c / mult, given their hull's facets.
+
+    ``raw_facets`` holds (normal, offset on the lattice, ids of the points on
+    the facet).  A point is a vertex iff the normals of its facets have rank
+    n; the others are dropped and the facet ids remapped.
+    """
+    n = len(ipts[0])
+    normals: list[list[tuple[int, ...]]] = [[] for _ in ipts]
+    for w, _, ids in raw_facets:
+        for i in ids:
+            normals[i].append(w)
+    keep = [i for i, ws in enumerate(normals) if len(ws) >= n and int_rank(ws) == n]
+    new = {old: k for k, old in enumerate(keep)}
+    vertices = tuple(tuple(Fraction(c, mult) for c in ipts[i]) for i in keep)
+    specs = [(w, Fraction(b, mult), tuple(new[i] for i in ids if i in new))
+             for w, b, ids in raw_facets]
+    return _assemble(n, vertices, specs)
 
 
 def build_hull(points) -> Polytope:
@@ -294,29 +309,7 @@ def build_hull(points) -> Polytope:
     if len(uniq) < n + 1 or affine_rank(uniq) < n:
         raise DegenerateInput(f"points do not span R^{n}")
     ipts, mult = scale_to_integers(uniq)
-    raw_facets = _hull_facets_int(ipts, n)
-    incident: list[list[int]] = [[] for _ in uniq]
-    for fi, (w, b, ids) in enumerate(raw_facets):
-        for i in ids:
-            incident[i].append(fi)
-    is_vertex = []
-    for i in range(len(uniq)):
-        if len(incident[i]) < n:
-            is_vertex.append(False)
-            continue
-        normals = [raw_facets[fi][0] for fi in incident[i]]
-        is_vertex.append(int_rank(normals) == n)
-    old_to_new = {}
-    vertices = []
-    for i, keep in enumerate(is_vertex):
-        if keep:
-            old_to_new[i] = len(vertices)
-            vertices.append(uniq[i])
-    specs = []
-    for w, b, ids in raw_facets:
-        vids = tuple(sorted(old_to_new[i] for i in ids if i in old_to_new))
-        specs.append((w, Fraction(b, mult), vids))
-    return _assemble(n, tuple(vertices), specs)
+    return _from_lattice(ipts, mult, _hull_facets_int(ipts, n))
 
 
 def support(K: Polytope, w) -> Rat:
@@ -355,9 +348,10 @@ def _edge_pairs(K: Polytope) -> list[tuple[int, int]]:
 def transform(K: Polytope, mat=None, shift=None) -> Polytope:
     """Image of K under x -> A x + t for invertible rational A.
 
-    Positive multiples of the identity take a fast path that reuses all the
-    cached structure; any other invertible map remaps vertices and facet
-    normals (inverse-transpose rule) and reassembles measures exactly.
+    Nonzero multiples of the identity, reflections included, take a fast path
+    that carries over all the cached structure; any other invertible map
+    remaps vertices and facet normals (inverse-transpose rule) and
+    reassembles measures exactly.
     """
     n = K.dim
     a: Matrix | None = None
@@ -369,18 +363,24 @@ def transform(K: Polytope, mat=None, shift=None) -> Polytope:
     if len(t) != n:
         raise DimensionMismatch("translation length does not match the body")
 
-    c = _positive_scalar_matrix(a, n)
+    c = _scalar_matrix(a, n)
     if c is not None:
-        vertices = tuple(tuple(c * x + s for x, s in zip(p, t)) for p in K.vertices)
-        ipts, mult = scale_to_integers(vertices)
-        facets = tuple(
-            Facet(f.normal, c * f.offset + dot(f.normal, t),
-                  f.measure * c ** (n - 1), f.vertex_ids)
-            for f in K.facets)
-        volume = K.volume * c ** n
-        centroid = tuple(c * x + s for x, s in zip(K.centroid, t))
-        return Polytope(n, vertices, facets, volume, centroid, K._simplices,
-                        ipts, mult)
+        # x -> c x + t keeps the face lattice; c < 0 maps vertex i to V-1-i
+        # and flips the normals.
+        r, last = abs(c), len(K.vertices) - 1
+        new = (lambda i: i) if c > 0 else (lambda i: last - i)
+        vertices = tuple(tuple(c * x + s for x, s in zip(K.vertices[new(i)], t))
+                         for i in range(last + 1))
+        facets = []
+        for f in K.facets:
+            w = f.normal if c > 0 else tuple(-x for x in f.normal)
+            facets.append(Facet(w, r * f.offset + dot(w, t), f.measure * r ** (n - 1),
+                                tuple(sorted(map(new, f.vertex_ids)))))
+        facets.sort(key=lambda f: f.normal)
+        return Polytope(n, vertices, tuple(facets), K.volume * r ** n,
+                        tuple(c * x + s for x, s in zip(K.centroid, t)),
+                        tuple(tuple(map(new, s)) for s in K._simplices),
+                        *scale_to_integers(vertices))
 
     if a is None:
         a = tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n))
@@ -403,18 +403,14 @@ def transform(K: Polytope, mat=None, shift=None) -> Polytope:
     return _assemble(n, vertices, specs)
 
 
-def _positive_scalar_matrix(a, n: int):
-    """Return c when the matrix is c*I with c > 0 (None matrix means I)."""
+def _scalar_matrix(a, n: int):
+    """Return c when the matrix is c*I with c != 0 (None matrix means I)."""
     if a is None:
         return Fraction(1)
     c = a[0][0]
-    if c <= 0:
+    if any(a[i][j] != (c if i == j else 0) for i in range(n) for j in range(n)):
         return None
-    for i in range(n):
-        for j in range(n):
-            if a[i][j] != (c if i == j else 0):
-                return None
-    return c
+    return c or None
 
 
 def translate(K: Polytope, t) -> Polytope:
@@ -432,16 +428,14 @@ def reflect(K: Polytope) -> Polytope:
     return scale(K, -1)
 
 
-def minkowski_sum(K: Polytope, L) -> Polytope:
-    """Minkowski sum; the second argument may be a polytope or a single point.
+def minkowski_sum(K: Polytope, L: Polytope) -> Polytope:
+    """Minkowski sum of two polytopes of the same dimension.
 
     Equals the hull of all pairwise vertex sums.  Facet normals are found from
     (n-1)-subsets of the summands' edge directions (every facet of a sum is
     spanned by edges of the summands), which sidesteps hulling the quadratic
     point cloud; each candidate is verified exactly.
     """
-    if not isinstance(L, Polytope):
-        return translate(K, as_vector(L, K.dim))
     n = K.dim
     if L.dim != n:
         raise DimensionMismatch(f"cannot add bodies of dim {K.dim} and {L.dim}")
@@ -473,30 +467,13 @@ def minkowski_sum(K: Polytope, L) -> Polytope:
             facets[cand] = _idot(cand, ps[face_k[0]]) + _idot(cand, qs[face_l[0]])
 
     sums = sorted({tuple(x + y for x, y in zip(p, q)) for p in ps for q in qs})
-    facet_list = sorted(facets.items())
-    incident: list[list[int]] = [[] for _ in sums]
-    for fi, (w, offset) in enumerate(facet_list):
-        for i, p in enumerate(sums):
-            val = _idot(w, p)
-            if val > offset:
-                raise DegenerateInput("sum point escapes a claimed facet")
-            if val == offset:
-                incident[i].append(fi)
-    old_to_new = {}
-    vertices: list[Point] = []
-    for i, p in enumerate(sums):
-        if len(incident[i]) < n:
-            continue
-        normals = [facet_list[fi][0] for fi in incident[i]]
-        if int_rank(normals) == n:
-            old_to_new[i] = len(vertices)
-            vertices.append(tuple(Fraction(c, m) for c in p))
-    specs = []
-    for fi, (w, offset) in enumerate(facet_list):
-        vids = tuple(sorted(old_to_new[i] for i in range(len(sums))
-                            if fi in incident[i] and i in old_to_new))
-        specs.append((w, Fraction(offset, m), vids))
-    return _assemble(n, tuple(vertices), specs)
+    raw_facets = []
+    for w, offset in sorted(facets.items()):
+        vals = [_idot(w, p) for p in sums]
+        if max(vals) > offset:
+            raise DegenerateInput("sum point escapes a claimed facet")
+        raw_facets.append((w, offset, tuple(i for i, v in enumerate(vals) if v == offset)))
+    return _from_lattice(sums, m, raw_facets)
 
 
 def volume(K: Polytope) -> Rat:

@@ -1,8 +1,9 @@
 """Corpus sweeps: run every check over generated bodies and emit a CSV.
 
-One row per (body, j).  Proven statements are asserted and abort the sweep via
-TheoremViolation; ratios for middle j (the open cases) are reported, and an
-exceedance there is recorded as an observation without failing the run.
+One row per (body, j).  Proven statements are asserted; a body that raises
+TheoremViolation is counted and left out, and the sweep goes on.  Ratios for
+middle j (the open cases) are reported, and an exceedance there is recorded
+as an observation without failing the run.
 Output is fully deterministic: identical specs produce byte-identical CSV,
 whatever the worker count, because rows are sorted before writing.
 """
@@ -12,7 +13,7 @@ from __future__ import annotations
 import csv
 import random
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .errors import GodbersenError, TheoremViolation
@@ -22,6 +23,7 @@ from .halfspaces import anchor_unique
 from .inclusion import center_at_centroid, directional_moment, tightness_profile
 from .concave import slice_root_concavity
 from .mixedvol import godbersen_report
+from .polyio import polytope_to_dict, save_json
 from .rationals import Rat, format_rational
 
 CSV_VERSION = "godbersen-sweep-v1"
@@ -50,7 +52,11 @@ class SweepSummary:
     rows: int
     errors: int
     observations: tuple[str, ...]
-    violations: int = 0
+    violation_messages: tuple[str, ...] = ()
+
+    @property
+    def violations(self) -> int:
+        return len(self.violation_messages)
 
 
 def _bool(x: bool) -> str:
@@ -68,8 +74,7 @@ def check_body(body_id: str, spec: GenSpec) -> tuple[list[SweepRow], list[str]]:
     """All per-body checks; returns (rows, observations).
 
     Recoverable generation failures become a single error row; violated
-    theorems propagate, prefixed with the body id and spec, and abort the
-    sweep.
+    theorems propagate, prefixed with the body id and spec.
     """
     try:
         body = generate(spec)
@@ -122,7 +127,11 @@ def _check_generated(body_id: str, spec: GenSpec,
 
 
 def _worker(item: tuple[str, GenSpec]):
-    return check_body(*item)
+    """check_body's (rows, observations), and a violation's message or ""."""
+    try:
+        return check_body(*item), ""
+    except TheoremViolation as err:
+        return ([], []), str(err)
 
 
 def sweep(specs: list[GenSpec], out, jobs: int = 1,
@@ -131,25 +140,31 @@ def sweep(specs: list[GenSpec], out, jobs: int = 1,
 
     Bodies are processed independently (optionally in parallel); rows are
     sorted by (body_id, j) before writing so output never depends on worker
-    scheduling.
+    scheduling.  A violating body leaves ``<out>.violation-<body_id>.json``
+    (id, spec, message and vertices; it loads as a polytope file).
     """
     items = [(f"{i:04d}-{s.kind}-n{s.dim}", s) for i, s in enumerate(specs)]
-    results = []
     if jobs > 1 and len(items) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_worker, items))
     else:
-        results = [check_body(bid, s) for bid, s in items]
+        results = [_worker(item) for item in items]
 
+    path = Path(out)
     rows: list[SweepRow] = []
     observations: list[str] = []
-    for body_rows, body_obs in results:
+    violations: list[str] = []
+    for (body_id, spec), ((body_rows, body_obs), message) in zip(items, results):
         rows.extend(body_rows)
         observations.extend(body_obs)
+        if message:
+            violations.append(message)
+            save_json(f"{path}.violation-{body_id}.json",
+                      {"body_id": body_id, "spec": asdict(spec), "message": message,
+                       **polytope_to_dict(generate(spec))})
     rows.sort(key=lambda r: (r.body_id, r.j))
 
     columns = list(COLUMNS) + (["ratio_float"] if floats else [])
-    path = Path(out)
     with path.open("w", newline="") as fh:
         fh.write(f"# {CSV_VERSION} columns={','.join(columns)}\n")
         writer = csv.writer(fh, lineterminator="\n")
@@ -167,4 +182,5 @@ def sweep(specs: list[GenSpec], out, jobs: int = 1,
             writer.writerow(record)
 
     errors = sum(1 for r in rows if r.error)
-    return SweepSummary(len(items), len(rows), errors, tuple(observations))
+    return SweepSummary(len(items), len(rows), errors, tuple(observations),
+                        tuple(violations))

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction as F
 from itertools import combinations
+from math import factorial
 
 import pytest
 
@@ -12,6 +13,7 @@ from godbersen import (
     build_hull,
     centroid,
     contains_point,
+    cross_polytope,
     includes,
     minkowski_sum,
     reflect,
@@ -23,7 +25,11 @@ from godbersen import (
     unit_cube,
     volume,
 )
+from godbersen import geometry
+from godbersen.geometry import Facet, Polytope, _hull_facets_int, _simplex_int_volume
+from godbersen.linalg import scale_to_integers
 from godbersen.rationals import dot
+from godbersen.sections import section_profile
 
 TRIANGLE = [(0, 0), (1, 0), (0, 1)]
 SQUARE = [(0, 0), (1, 0), (0, 1), (1, 1)]
@@ -208,11 +214,6 @@ class TestMinkowskiSum:
         assert set(hexagon.vertices) == {tuple(map(F, p)) for p in hex_vertices}
         assert hexagon.volume == 3
 
-    def test_point_summand_translates(self):
-        tri = build_hull(TRIANGLE)
-        moved = minkowski_sum(tri, (F(2), F(-1)))
-        assert moved == translate(tri, (2, -1))
-
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             minkowski_sum(build_hull(SQUARE), build_hull(
@@ -365,3 +366,148 @@ class TestEdges:
     def test_simplex_edges_complete_graph(self):
         s = build_hull([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
         assert sorted(s.edges()) == sorted(combinations(range(4), 2))
+
+
+# The facet re-hull route that the incidence route replaced.  Each facet is
+# hulled again by brute force in the coordinate projection that drops its
+# largest normal component, triangulated there by recursive pulling, and
+# measured as the projected area over |w_k|.  Kept as the oracle of
+# ``geometry._assemble``.
+
+def _triangulate_points(pts, d):
+    """Pulling triangulation of conv(pts) from pts[0], as index tuples."""
+    if d == 1:
+        xs = [p[0] for p in pts]
+        return [(xs.index(min(xs)), xs.index(max(xs)))]
+    simplices = []
+    for w, b, ids in _hull_facets_int(pts, d):
+        if 0 in ids:
+            continue
+        k = max(range(d), key=lambda i: abs(w[i]))
+        sub = [tuple(pts[i][c] for c in range(d) if c != k) for i in ids]
+        for s in _triangulate_points(sub, d - 1):
+            simplices.append((0,) + tuple(ids[i] for i in s))
+    return simplices
+
+
+def rehull_assemble(dim, vertices, facet_specs):
+    ipts, mult = scale_to_integers(vertices)
+    facets = []
+    fan = []
+    fact = factorial(dim - 1)
+    for w, b, vids in sorted(facet_specs):
+        k = max(range(dim), key=lambda i: abs(w[i]))
+        sub = [tuple(ipts[i][c] for c in range(dim) if c != k) for i in vids]
+        tri = _triangulate_points(sub, dim - 1)
+        raw = sum(_simplex_int_volume(sub, s, dim - 1) for s in tri)
+        facets.append(Facet(w, b, F(raw, fact * mult ** (dim - 1) * abs(w[k])), vids))
+        if 0 not in vids:
+            fan.extend((0,) + tuple(vids[i] for i in s) for s in tri)
+    total = F(0)
+    cx = [F(0)] * dim
+    for s in fan:
+        v = F(_simplex_int_volume(ipts, s, dim), factorial(dim) * mult ** dim)
+        total += v
+        for c in range(dim):
+            cx[c] += v * sum(vertices[i][c] for i in s)
+    centroid = tuple(x / (total * (dim + 1)) for x in cx)
+    return Polytope(dim, vertices, tuple(facets), total, centroid, tuple(fan),
+                    ipts, mult)
+
+
+def facet_data(body):
+    return [(f.normal, f.offset, f.vertex_ids, f.measure) for f in body.facets]
+
+
+def simplex_set(body):
+    return {frozenset(s) for s in body._simplices}
+
+
+def assert_matches_rehull(body):
+    specs = [(f.normal, f.offset, f.vertex_ids) for f in body.facets]
+    old = rehull_assemble(body.dim, body.vertices, specs)
+    assert old.vertices == body.vertices
+    assert facet_data(old) == facet_data(body)
+    assert old.volume == body.volume
+    assert old.centroid == body.centroid
+    assert simplex_set(old) == simplex_set(body)
+    assert len(old._simplices) == len(body._simplices)
+
+
+def oracle_bodies(corpus, step):
+    """Seeded corpus bodies, their K + (-K) and K + next sums, and the
+    standard bodies."""
+    picked = [body for _, body in corpus[::step]]
+    nexts = [body for _, body in corpus[1::step]]
+    bodies = list(picked)
+    for body, nxt in zip(picked, nexts):
+        bodies.append(minkowski_sum(body, reflect(body)))
+        if nxt.dim == body.dim:
+            bodies.append(minkowski_sum(body, nxt))
+    for n in (2, 3, 4):
+        bodies += [unit_cube(n), cross_polytope(n), standard_simplex(n)]
+    return bodies
+
+
+class TestIncidenceAssembly:
+    def test_matches_facet_rehull(self, corpus):
+        for body in oracle_bodies(corpus, 20):
+            assert_matches_rehull(body)
+
+    def test_interval(self):
+        seg = build_hull([(F(-1, 2),), (3,), (1,)])
+        assert seg.vertices == ((F(-1, 2),), (F(3),))
+        assert [f.measure for f in seg.facets] == [1, 1]
+        assert seg.volume == F(7, 2) and seg.centroid == (F(5, 4),)
+
+
+class TestReflect:
+    def test_matches_rebuilt_hull(self, corpus):
+        bodies = [body for _, body in corpus[::15]]
+        bodies += [unit_cube(3), cross_polytope(3), standard_simplex(4)]
+        for body in bodies:
+            neg = reflect(body)
+            rebuilt = build_hull([tuple(-c for c in v) for v in body.vertices])
+            assert neg.vertices == rebuilt.vertices
+            assert facet_data(neg) == facet_data(rebuilt)
+            assert neg.volume == rebuilt.volume == body.volume
+            assert neg.centroid == rebuilt.centroid
+            n = body.dim
+            raw = sum(_simplex_int_volume(neg._int_vertices, s, n)
+                      for s in neg._simplices)
+            assert F(raw, factorial(n) * neg._int_scale ** n) == body.volume
+            for f in neg.facets:
+                assert section_profile(neg, f.normal) == \
+                    section_profile(rebuilt, f.normal)
+
+    def test_scalar_path_with_shift(self):
+        body = random_polytope(random.Random(11), 3, 7)
+        shift = (F(1, 2), F(-3), F(2, 7))
+        image = transform(body, [[-2, 0, 0], [0, -2, 0], [0, 0, -2]], shift)
+        rebuilt = build_hull([tuple(-2 * c + s for c, s in zip(v, shift))
+                              for v in body.vertices])
+        assert image.vertices == rebuilt.vertices
+        assert facet_data(image) == facet_data(rebuilt)
+        assert image.volume == 8 * body.volume
+        assert image.centroid == rebuilt.centroid
+
+    def test_no_solve_and_no_assembly(self, monkeypatch):
+        body = random_polytope(random.Random(12), 3, 7)
+        calls = []
+
+        def counting(name, fn):
+            def wrapped(*args):
+                calls.append(name)
+                return fn(*args)
+            return wrapped
+
+        monkeypatch.setattr(geometry, "solve_linear",
+                            counting("solve_linear", geometry.solve_linear))
+        monkeypatch.setattr(geometry, "_assemble",
+                            counting("_assemble", geometry._assemble))
+        reflect(body)
+        scale(body, -1)
+        assert calls == []
+        # the general path still solves and assembles
+        transform(body, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+        assert "solve_linear" in calls and "_assemble" in calls
