@@ -127,11 +127,12 @@ def _check_generated(body_id: str, spec: GenSpec,
 
 
 def _worker(item: tuple[str, GenSpec]):
-    """check_body's (rows, observations), and a violation's message or ""."""
+    """check_body's rows and observations, and a violation's message or ""."""
     try:
-        return check_body(*item), ""
+        rows, observations = check_body(*item)
     except TheoremViolation as err:
-        return ([], []), str(err)
+        return [], [], str(err)
+    return rows, observations, ""
 
 
 def sweep(specs: list[GenSpec], out, jobs: int = 1,
@@ -154,7 +155,7 @@ def sweep(specs: list[GenSpec], out, jobs: int = 1,
     rows: list[SweepRow] = []
     observations: list[str] = []
     violations: list[str] = []
-    for (body_id, spec), ((body_rows, body_obs), message) in zip(items, results):
+    for (body_id, spec), (body_rows, body_obs, message) in zip(items, results):
         rows.extend(body_rows)
         observations.extend(body_obs)
         if message:

@@ -63,9 +63,8 @@ def unimodular(draw, n):
 @st.composite
 def rational_matrix(draw, n):
     entry = st.builds(F, st.integers(-3, 3), st.integers(1, 3))
-    mat = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
-                        min_size=n, max_size=n).filter(lambda m: det(m) != 0))
-    return mat
+    return draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                         min_size=n, max_size=n).filter(lambda m: det(m) != 0))
 
 
 @st.composite
