@@ -107,10 +107,11 @@ def _load_specs(path, base_seed: int) -> list[GenSpec]:
         seed = row.get("seed")
         if seed is None:
             seed = base_seed * 1_000_003 + i
+        vertex_count = row.get("vertex_count")
         specs.append(GenSpec(
             kind=row["kind"],
             dim=int(row["dim"]),
-            vertex_count=row.get("vertex_count"),
+            vertex_count=None if vertex_count is None else int(vertex_count),
             seed=int(seed),
             denominator_bound=int(row.get("denominator_bound", 1)),
         ))

@@ -13,11 +13,14 @@ candidate normals from (n-1)-subsets of the summands' edge directions and
 verify each exactly, which avoids hulling all pairwise vertex sums.
 
 Everything else follows from the vertex-facet incidence, which fixes the face
-lattice: a point is a vertex iff its facets' normals have rank n, and the
-facets of a face are its maximal proper intersections with facets.  Each
-facet's pulling triangulation, coned from a vertex off it, gives the facet's
-measure (cone volume = measure * height / n); the cones from vertex 0 give
-the fan, volume and centroid.  That is one integer determinant per simplex.
+lattice: the smallest face through some points is the intersection of the
+facets containing them (Ziegler, Lectures on Polytopes, 2.2).  So a point is
+a vertex iff its facets share no other point, two vertices span an edge iff
+their common facets share no other vertex, and the facets of a face are its
+maximal proper intersections with facets.  Each facet's pulling
+triangulation, coned from a vertex off it, gives the facet's measure (cone
+volume = measure * height / n); the cones from vertex 0 give the fan, volume
+and centroid.  That is one integer determinant per simplex.
 """
 
 from __future__ import annotations
@@ -276,15 +279,18 @@ def _from_lattice(ipts: list[tuple[int, ...]], mult: int, raw_facets) -> Polytop
     """Polytope of the integer points c / mult, given their hull's facets.
 
     ``raw_facets`` holds (normal, offset on the lattice, ids of the points on
-    the facet).  A point is a vertex iff the normals of its facets have rank
-    n; the others are dropped and the facet ids remapped.
+    the facet).  The points are distinct and include every vertex of their
+    hull, so a point is a vertex iff its (at least n) facets share no other
+    point; the others are dropped and the facet ids remapped.
     """
     n = len(ipts[0])
-    normals: list[list[tuple[int, ...]]] = [[] for _ in ipts]
-    for w, _, ids in raw_facets:
+    through: list[list[frozenset]] = [[] for _ in ipts]
+    for _, _, ids in raw_facets:
+        face = frozenset(ids)
         for i in ids:
-            normals[i].append(w)
-    keep = [i for i, ws in enumerate(normals) if len(ws) >= n and int_rank(ws) == n]
+            through[i].append(face)
+    keep = [i for i, fs in enumerate(through)
+            if len(fs) >= n and frozenset.intersection(*fs) == {i}]
     new = {old: k for k, old in enumerate(keep)}
     vertices = tuple(tuple(Fraction(c, mult) for c in ipts[i]) for i in keep)
     specs = [(w, Fraction(b, mult), tuple(new[i] for i in ids if i in new))
@@ -329,18 +335,13 @@ def _argmax_face(K: Polytope, w: tuple[int, ...]) -> list[int]:
 
 
 def _edge_pairs(K: Polytope) -> list[tuple[int, int]]:
-    n = K.dim
-    incident = [set() for _ in K.vertices]
-    for fi, f in enumerate(K.facets):
-        for v in f.vertex_ids:
-            incident[v].add(fi)
+    """Vertex pairs whose (at least n-1) common facets share no other vertex."""
+    faces = [frozenset(f.vertex_ids) for f in K.facets]
+    everything = frozenset(range(len(K.vertices)))
     pairs = []
     for i, j in combinations(range(len(K.vertices)), 2):
-        common = incident[i] & incident[j]
-        if len(common) < n - 1:
-            continue
-        normals = [K.facets[fi].normal for fi in common]
-        if int_rank(normals) == n - 1:
+        common = [f for f in faces if i in f and j in f]
+        if len(common) >= K.dim - 1 and everything.intersection(*common) == {i, j}:
             pairs.append((i, j))
     return pairs
 

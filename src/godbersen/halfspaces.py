@@ -11,9 +11,10 @@ inclusion -K0 in nK0 that ``tightness_profile`` checks row by row.  So the
 anchor point is that witness, checked, never searched for.  The region is the
 single point {c} exactly when the rows tight at c positively span R^n.
 
-Fourier-Motzkin elimination stays in Q, needs no pivoting rules, and reads off
-uniqueness for free.  It serves the Helly audit, generic systems, and the
-uniqueness test on the tight rows alone.
+Fourier-Motzkin elimination runs on primitive integer rows with a rational
+right-hand side, needs no pivoting rules, and reads off uniqueness for free.
+It serves the Helly audit, generic systems, and the uniqueness test on the
+tight rows alone.
 """
 
 from __future__ import annotations
@@ -85,14 +86,14 @@ def make_system(dim: int, rows) -> System:
     return System(dim, tuple(HalfSpace(as_vector(w, dim), as_rat(b)) for w, b in rows))
 
 
-_Row = tuple[tuple[Fraction, ...], Fraction]
+_Row = tuple[tuple[int, ...], Fraction]
 
 
 def _canonical_rows(rows) -> tuple[list[_Row], bool]:
     """Scale rows to coprime-integer coefficients, drop duplicates and rows
     dominated by an identical-coefficient row with smaller rhs.  Constant rows
     are consumed here; a violated one makes the system infeasible."""
-    best: dict[tuple[Fraction, ...], Fraction] = {}
+    best: dict[tuple[int, ...], Fraction] = {}
     for coeffs, rhs in rows:
         if all(c == 0 for c in coeffs):
             if rhs < 0:
@@ -105,7 +106,7 @@ def _canonical_rows(rows) -> tuple[list[_Row], bool]:
         g = 0
         for c in ints:
             g = gcd(g, abs(c))
-        key = tuple(Fraction(c, g) for c in ints)
+        key = tuple(c // g for c in ints)
         scaled = rhs * mult / g
         if key not in best or scaled < best[key]:
             best[key] = scaled
@@ -141,8 +142,7 @@ def fm_feasible(system: System) -> FeasibilityResult:
     feasible region is a single point exactly when every interval collapses.
     """
     n = system.dim
-    base = [(tuple(Fraction(c) for c in h.normal), Fraction(h.rhs))
-            for h in system.halfspaces]
+    base = [(h.normal, Fraction(h.rhs)) for h in system.halfspaces]
     stage, ok = _canonical_rows(base)
     stages: list[list[_Row]] = [stage]
     for k in range(n - 1, 0, -1):

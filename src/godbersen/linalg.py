@@ -1,9 +1,10 @@
 """Exact linear algebra on integer and rational matrices.
 
-Hull enumeration and facet normals run on integer-rescaled coordinates, so
-the hot paths here are pure-integer (Bareiss determinants, cofactor normals).
-Rational Gaussian elimination is kept for the small dense solves
-(interpolation systems, invertibility checks).
+Every rank, determinant and solve runs through one fraction-free kernel,
+``_echelon``: Bareiss elimination on integer rows, whose every entry is an
+integer minor of the input, so each division is exact (Bareiss 1968).
+Rational input is scaled to integers first; Fractions appear only in that
+scaling and in the rational results handed back.
 """
 
 from __future__ import annotations
@@ -39,54 +40,59 @@ def primitive(vec) -> tuple[int, ...]:
     return tuple(c // g for c in vec)
 
 
-def int_det(rows: list[list[int]]) -> int:
-    """Bareiss fraction-free determinant of a square integer matrix."""
+def _echelon(rows) -> tuple[list[list[int]], list[int], int]:
+    """Bareiss row echelon form of an integer matrix.
+
+    Returns (rows, pivot columns, sign of the row swaps).  A column with no
+    nonzero entry at or below the current row is skipped.  After the k-th
+    pivot, every entry below it is a (k+1)-minor of the input, so the
+    division by the previous pivot is exact; the last pivot of a square
+    nonsingular matrix is its determinant up to the sign.
+    """
     a = [list(r) for r in rows]
-    n = len(a)
-    if n == 0:
-        return 1
+    m = len(a)
+    width = len(a[0]) if a else 0
+    pivots: list[int] = []
     sign = 1
     prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
+    r = 0
+    for c in range(width):
+        if r == m:
+            break
+        if a[r][c] == 0:
+            for i in range(r + 1, m):
+                if a[i][c] != 0:
+                    a[r], a[i] = a[i], a[r]
                     sign = -sign
                     break
             else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+                continue
+        top = a[r]
+        p = top[c]
+        for i in range(r + 1, m):
+            row = a[i]
+            f = row[c]
+            for j in range(c + 1, width):
+                row[j] = (row[j] * p - f * top[j]) // prev
+            row[c] = 0
+        prev = p
+        pivots.append(c)
+        r += 1
+    return a, pivots, sign
+
+
+def int_det(rows: list[list[int]]) -> int:
+    """Determinant of a square integer matrix."""
+    n = len(rows)
+    if n == 0:
+        return 1
+    a, pivots, sign = _echelon(rows)
+    return sign * a[n - 1][n - 1] if len(pivots) == n else 0
 
 
 def int_rank(rows) -> int:
-    """Rank of an integer (or rational) matrix via exact elimination."""
-    a = [[Fraction(c) for c in r] for r in rows]
-    if not a:
-        return 0
-    m, n = len(a), len(a[0])
-    rank = 0
-    col = 0
-    while rank < m and col < n:
-        piv = next((i for i in range(rank, m) if a[i][col] != 0), None)
-        if piv is None:
-            col += 1
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        inv = 1 / a[rank][col]
-        for i in range(rank + 1, m):
-            if a[i][col] != 0:
-                f = a[i][col] * inv
-                for j in range(col, n):
-                    a[i][j] -= f * a[rank][j]
-        rank += 1
-        col += 1
-    return rank
+    """Rank of an integer matrix."""
+    return len(_echelon(rows)[1])
 
 
 def normal_to_span(rows: list[tuple[int, ...]], n: int) -> tuple[int, ...]:
@@ -105,49 +111,33 @@ def normal_to_span(rows: list[tuple[int, ...]], n: int) -> tuple[int, ...]:
 
 def det(mat: Matrix) -> Rat:
     """Exact determinant of a square rational matrix."""
-    a = [[Fraction(c) for c in r] for r in mat]
-    n = len(a)
-    sign = 1
-    result = Fraction(1)
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        result *= a[k][k]
-        inv = 1 / a[k][k]
-        for i in range(k + 1, n):
-            if a[i][k] != 0:
-                f = a[i][k] * inv
-                for j in range(k, n):
-                    a[i][j] -= f * a[k][j]
-    return sign * result
+    ints, mult = scale_to_integers(mat)
+    return Fraction(int_det(ints), mult ** len(ints))
 
 
 def solve_linear(mat: Matrix, rhs) -> Vector:
-    """Solve a square rational system exactly; raises SingularMatrix."""
+    """Solve a square rational system exactly; raises SingularMatrix.
+
+    Back-substitution stays in integers: with D the last pivot, D x is
+    integral (Cramer's rule), so each division by a pivot is exact.
+    """
     n = len(rhs)
-    a = [[Fraction(c) for c in row] + [Fraction(rhs[i])] for i, row in enumerate(mat)]
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k] != 0), None)
-        if piv is None:
-            raise SingularMatrix("linear system is singular")
-        a[k], a[piv] = a[piv], a[k]
-        inv = 1 / a[k][k]
-        for i in range(n):
-            if i != k and a[i][k] != 0:
-                f = a[i][k] * inv
-                for j in range(k, n + 1):
-                    a[i][j] -= f * a[k][j]
-    return tuple(a[i][n] / a[i][i] for i in range(n))
+    ints, _ = scale_to_integers([tuple(row) + (b,) for row, b in zip(mat, rhs)])
+    a, pivots, _ = _echelon(ints)
+    if pivots != list(range(n)):
+        raise SingularMatrix("linear system is singular")
+    d = a[n - 1][n - 1] if n else 1
+    y = [0] * n
+    for i in reversed(range(n)):
+        row = a[i]
+        y[i] = (d * row[n] - sum(row[j] * y[j] for j in range(i + 1, n))) // row[i]
+    return tuple(Fraction(v, d) for v in y)
 
 
 def affine_rank(points) -> int:
     """Dimension of the affine hull of a point set."""
     if len(points) < 2:
         return 0
-    base = points[0]
-    rows = [[c - b for c, b in zip(p, base)] for p in points[1:]]
-    return int_rank(rows)
+    ints, _ = scale_to_integers(points)
+    base = ints[0]
+    return int_rank([[c - b for c, b in zip(p, base)] for p in ints[1:]])

@@ -10,6 +10,12 @@ t = 1..n+1, all taken from one Minkowski sum K + L (K + tL has the same face
 lattice for every t > 0), and an exact Vandermonde solve.  The profile's second
 coefficient must reproduce the facet formula exactly; that cross-check runs on
 every call.
+
+Three more exact identities are asserted on every profile for free: it is
+log-concave, m_j^2 >= m_{j-1} m_{j+1} (Aleksandrov-Fenchel; Schneider, Convex
+Bodies, 7.3); for the pair (K, -K) it is palindromic, m_j = m_{n-j}; and its
+binomial sum Vol(K - K) obeys Rogers-Shephard, at most C(2n, n) Vol K with
+equality exactly for simplices (Rogers & Shephard 1957).
 """
 
 from __future__ import annotations
@@ -90,6 +96,9 @@ def mv_profile(K: Polytope, L: Polytope) -> MixedVolumeProfile:
     for j, m in enumerate(coeffs):
         if m < 0:
             raise TheoremViolation(f"negative mixed volume m_{j} = {m}")
+    for j in range(1, n):
+        if coeffs[j] ** 2 < coeffs[j - 1] * coeffs[j + 1]:
+            raise TheoremViolation(f"profile is not log-concave at m_{j}")
     if coeffs[0] != K.volume:
         raise TheoremViolation("profile endpoint m_0 disagrees with Vol(K)")
     if coeffs[n] != L.volume:
@@ -113,11 +122,22 @@ def godbersen_report(K: Polytope) -> GodbersenReport:
     reported but never asserted (open conjecture).  Each row also checks the
     n^min(j, n-j) bound and the lambda-grid bound
     lambda^j (1-lambda)^(n-j) mixed <= Vol K at lambda in {1/10..9/10, j/n};
-    the grid can falsify but never certify the continuous statement.
+    the grid can falsify but never certify the continuous statement.  The
+    profile must be palindromic and meet Rogers-Shephard, with equality
+    exactly when K is a simplex; a failure raises.
     """
     n = K.dim
     vol = K.volume
+    is_simplex = len(K.vertices) == n + 1
     profile = mv_profile(K, reflect(K))
+    if profile.coeffs != profile.coeffs[::-1]:
+        raise TheoremViolation("the (K, -K) profile is not palindromic")
+    difference = sum(comb(n, j) * m for j, m in enumerate(profile.coeffs))
+    rs_bound = comb(2 * n, n) * vol
+    if difference > rs_bound or (difference == rs_bound) != is_simplex:
+        raise TheoremViolation(
+            f"Vol(K - K) = {difference} against the Rogers-Shephard bound "
+            f"{rs_bound}: equality must hold exactly for simplices")
     entries = []
     for j in range(1, n):
         mixed = profile.coeffs[n - j]
@@ -137,4 +157,4 @@ def godbersen_report(K: Polytope) -> GodbersenReport:
             lam ** j * (1 - lam) ** (n - j) * mixed <= vol for lam in lambdas)
         entries.append(GodbersenEntry(j, mixed, binom, ratio, bound, nmin_ok,
                                       artstein_ok))
-    return GodbersenReport(n, vol, tuple(entries), len(K.vertices) == n + 1)
+    return GodbersenReport(n, vol, tuple(entries), is_simplex)

@@ -41,19 +41,11 @@ def mul(p: Poly, q: Poly) -> Poly:
     return trim(out)
 
 
-def scale(p: Poly, c: Rat) -> Poly:
-    return trim([a * c for a in p])
-
-
 def evaluate(p: Poly, t: Rat) -> Fraction:
     acc = Fraction(0)
     for c in reversed(p):
         acc = acc * t + c
     return acc
-
-
-def derivative(p: Poly) -> Poly:
-    return trim([c * i for i, c in enumerate(p)][1:])
 
 
 def antiderivative(p: Poly) -> Poly:
@@ -70,20 +62,3 @@ def power(p: Poly, k: int) -> Poly:
     for _ in range(k):
         out = mul(out, p)
     return out
-
-
-def interpolate(nodes, values) -> Poly:
-    """Exact Lagrange interpolation through distinct rational nodes."""
-    assert len(nodes) == len(values)
-    result: Poly = []
-    for i, (xi, yi) in enumerate(zip(nodes, values)):
-        if yi == 0:
-            continue
-        basis: Poly = [Fraction(yi)]
-        for j, xj in enumerate(nodes):
-            if j == i:
-                continue
-            basis = mul(basis, [Fraction(-xj), Fraction(1)])
-            basis = scale(basis, Fraction(1, 1) / (Fraction(xi) - Fraction(xj)))
-        result = add(result, basis)
-    return result

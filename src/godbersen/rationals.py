@@ -22,11 +22,11 @@ _RAT_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 
 def parse_rational(text: str) -> Rat:
-    """Parse ``"p/q"`` or ``"k"``; decimals and exponents are rejected."""
-    s = text.strip()
-    if not _RAT_RE.match(s):
+    """Parse ``"p/q"`` or ``"k"``; decimals, exponents and anything that is
+    not a string (a JSON number, say) are rejected."""
+    if not isinstance(text, str) or not _RAT_RE.match(text.strip()):
         raise ValueError(f"not a rational literal: {text!r}")
-    return Fraction(s)
+    return Fraction(text.strip())
 
 
 def format_rational(x: Rat) -> str:

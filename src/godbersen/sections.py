@@ -32,7 +32,7 @@ from math import factorial, gcd, prod
 from .errors import DimensionMismatch, ZeroDirection
 from .geometry import Polytope, _idot, _simplex_int_volume
 from .linalg import scale_to_integers
-from .polynomials import Poly, add, definite_integral, evaluate, mul
+from .polynomials import add, definite_integral, evaluate
 from .rationals import Rat, Vector, as_vector, is_zero_vector
 
 
@@ -64,9 +64,8 @@ class SectionProfile:
 
     def moment(self) -> Fraction:
         """Integral of t * s(t) over the support."""
-        ramp: Poly = [Fraction(0), Fraction(1)]
         return sum(
-            (definite_integral(mul(ramp, list(p)),
+            (definite_integral([Fraction(0), *p],
                                self.breakpoints[i], self.breakpoints[i + 1])
              for i, p in enumerate(self.pieces)),
             Fraction(0),

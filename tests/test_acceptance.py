@@ -4,6 +4,7 @@ lines stream; the suite shares one session corpus of 300 seeded random bodies
 (dimensions 2, 3, 4) plus the standard simplices.
 """
 
+import hashlib
 import json
 import random
 import time
@@ -29,6 +30,12 @@ from godbersen import (
     translate,
 )
 from godbersen.cli import main
+
+
+# sha256 of "j mixed ratio" lines over every entry of the 300 corpus reports,
+# in corpus order.  Recorded from the Fraction-elimination kernel; any change
+# to the exact kernel must reproduce it.
+REPORT_DIGEST = "1323f82c9423da0f16b5b353bfa17fa24026fb739afeb6e18a849a04b85bc8a6"
 
 
 def _report(num: int, text: str) -> None:
@@ -246,3 +253,14 @@ def test_criterion_11_sweep_determinism(tmp_path):
                  "--seed", "42"]) == 0
     assert out1.read_bytes() == out2.read_bytes()
     _report(11, "repeated sweep --seed 42 produced byte-identical CSV")
+
+
+def test_criterion_12_report_digest(all_reports):
+    reports, _ = all_reports
+    digest = hashlib.sha256()
+    for rep in reports:
+        for e in rep.entries:
+            digest.update(f"{e.j} {e.mixed} {e.ratio}\n".encode())
+    assert digest.hexdigest() == REPORT_DIGEST
+    _report(12, "the 300 corpus reports hash to the recorded (j, mixed, ratio) "
+                "digest")

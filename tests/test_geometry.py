@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction as F
-from itertools import combinations
+from itertools import combinations, product
 from math import factorial
 
 import pytest
@@ -14,6 +14,7 @@ from godbersen import (
     centroid,
     contains_point,
     cross_polytope,
+    generate,
     includes,
     minkowski_sum,
     reflect,
@@ -30,6 +31,8 @@ from godbersen.geometry import Facet, Polytope, _hull_facets_int, _simplex_int_v
 from godbersen.linalg import scale_to_integers
 from godbersen.rationals import dot
 from godbersen.sections import section_profile
+from tests.conftest import corpus_specs
+from tests.test_linalg import fraction_rank
 
 TRIANGLE = [(0, 0), (1, 0), (0, 1)]
 SQUARE = [(0, 0), (1, 0), (0, 1), (1, 1)]
@@ -367,6 +370,27 @@ class TestEdges:
         s = build_hull([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
         assert sorted(s.edges()) == sorted(combinations(range(4), 2))
 
+    def test_square_diagonals_in_dim_5(self):
+        # Up to dim 4, two vertices on n-1 common facets always span an edge.
+        # In square x octahedron, square x {v} is a 2-face on the 4 facets
+        # square x (facet through v), so its diagonals share n-1 facets but
+        # are no edges.
+        octahedron = [tuple(s * (k == j) for k in range(3))
+                      for j in range(3) for s in (1, -1)]
+        pts = [p + q for p in SQUARE for q in octahedron]
+        normals = [tuple(s * (k == j) for k in range(5))
+                   for j in (0, 1) for s in (1, -1)]
+        normals += [(0, 0) + signs for signs in product((1, -1), repeat=3)]
+        raw = []
+        for w in normals:
+            vals = [sum(x * y for x, y in zip(w, p)) for p in pts]
+            top = max(vals)
+            raw.append((w, top, tuple(i for i, v in enumerate(vals) if v == top)))
+        body = geometry._from_lattice(pts, 1, raw)
+        assert len(body.vertices) == 24
+        assert len(body.edges()) == 4 * 6 + 4 * 12
+        assert body.edges() == rank_edges(body)
+
 
 # The facet re-hull route that the incidence route replaced.  Each facet is
 # hulled again by brute force in the coordinate projection that drops its
@@ -434,11 +458,12 @@ def assert_matches_rehull(body):
     assert len(old._simplices) == len(body._simplices)
 
 
-def oracle_bodies(corpus, step):
-    """Seeded corpus bodies, their K + (-K) and K + next sums, and the
-    standard bodies."""
-    picked = [body for _, body in corpus[::step]]
-    nexts = [body for _, body in corpus[1::step]]
+def oracle_bodies(step):
+    """Every step-th corpus body, its K + (-K) and K + next sums, and the
+    standard bodies, all built afresh."""
+    specs = corpus_specs()
+    picked = [generate(spec) for spec in specs[::step]]
+    nexts = [generate(spec) for spec in specs[1::step]]
     bodies = list(picked)
     for body, nxt in zip(picked, nexts):
         bodies.append(minkowski_sum(body, reflect(body)))
@@ -449,10 +474,74 @@ def oracle_bodies(corpus, step):
     return bodies
 
 
+# The rank rules that the incidence rules of ``_from_lattice`` and
+# ``_edge_pairs`` replaced, kept as their oracles: a candidate point is a
+# vertex iff the normals of its facets have rank n, and two vertices span an
+# edge iff the normals of their common facets have rank n - 1.
+
+def rank_vertices(ipts, raw_facets):
+    n = len(ipts[0])
+    normals = [[] for _ in ipts]
+    for w, _, ids in raw_facets:
+        for i in ids:
+            normals[i].append(w)
+    return [i for i, ws in enumerate(normals)
+            if len(ws) >= n and fraction_rank(ws) == n]
+
+
+def rank_edges(body):
+    n = body.dim
+    incident = [set() for _ in body.vertices]
+    for fi, f in enumerate(body.facets):
+        for v in f.vertex_ids:
+            incident[v].add(fi)
+    pairs = []
+    for i, j in combinations(range(len(body.vertices)), 2):
+        common = incident[i] & incident[j]
+        if len(common) >= n - 1 and \
+                fraction_rank([body.facets[fi].normal for fi in common]) == n - 1:
+            pairs.append((i, j))
+    return pairs
+
+
+def lattice_calls(monkeypatch, build):
+    """Run ``build`` and return each ``_from_lattice`` call it made, as
+    (candidate points, lattice scale, raw facets, resulting body)."""
+    calls = []
+    from_lattice = geometry._from_lattice
+
+    def recording(ipts, mult, raw_facets):
+        body = from_lattice(ipts, mult, raw_facets)
+        calls.append((ipts, mult, raw_facets, body))
+        return body
+
+    monkeypatch.setattr(geometry, "_from_lattice", recording)
+    build()
+    return calls
+
+
+def assert_matches_rank_rules(calls):
+    for ipts, mult, raw_facets, body in calls:
+        kept = rank_vertices(ipts, raw_facets)
+        assert body.vertices == tuple(tuple(F(c, mult) for c in ipts[i])
+                                      for i in kept)
+        assert body.edges() == rank_edges(body)
+
+
 class TestIncidenceAssembly:
-    def test_matches_facet_rehull(self, corpus):
-        for body in oracle_bodies(corpus, 20):
+    def test_matches_facet_rehull(self):
+        for body in oracle_bodies(20):
             assert_matches_rehull(body)
+
+    def test_matches_rank_rules(self, monkeypatch):
+        # sum candidates are all pairwise vertex sums, some of them inside
+        # faces, where the two rules could part
+        calls = lattice_calls(monkeypatch, lambda: oracle_bodies(20))
+        assert len(calls) > 50
+        on_faces = sum(len({i for *_, ids in raw for i in ids}) - len(body.vertices)
+                       for _, _, raw, body in calls)
+        assert on_faces > 40
+        assert_matches_rank_rules(calls)
 
     def test_interval(self):
         seg = build_hull([(F(-1, 2),), (3,), (1,)])

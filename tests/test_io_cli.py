@@ -152,6 +152,36 @@ class TestCli:
     def test_missing_file_is_an_error(self, capsys):
         assert main(["verify", "--input", "/nonexistent.json"]) == 1
 
+    @pytest.mark.parametrize("command, extra", [
+        ("verify", []), ("ak", []), ("moment", ["--w", "1,0"]), ("helly", []),
+    ])
+    def test_json_numbers_are_an_error(self, tmp_path, capsys, command, extra):
+        # the wire format is strings only
+        path = tmp_path / "in.json"
+        if command == "helly":
+            data = {"dim": 2, "rows": [{"w": [1, 0], "beta": 1}]}
+        else:
+            data = {"dim": 2, "vertices": [[0, 0], [1, 0], [0, 1]]}
+        path.write_text(json.dumps(data))
+        assert main([command, "--input", str(path)] + extra) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: not a rational literal")
+        assert "Traceback" not in err
+
+    def test_sweep_vertex_count_string(self, tmp_path, capsys):
+        # vertex_count converts with int(), as dim and seed do
+        spec = tmp_path / "specs.json"
+        outs = []
+        for count in (6, "6", "six"):
+            spec.write_text(json.dumps([{"kind": "random_hull", "dim": 2,
+                                         "vertex_count": count, "seed": 5}]))
+            outs.append(tmp_path / f"{count}-{len(outs)}.csv")
+            code = main(["sweep", "--spec", str(spec), "--out", str(outs[-1])])
+            assert code == (1 if count == "six" else 0)
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_sweep_empty_specs(self, tmp_path, capsys):
         spec = tmp_path / "specs.json"
         spec.write_text(json.dumps({"specs": []}))

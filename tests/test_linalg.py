@@ -16,6 +16,135 @@ from godbersen.linalg import (
 )
 
 
+# The Fraction elimination routes that the Bareiss kernel replaced, kept as
+# oracles.
+
+def fraction_rank(rows) -> int:
+    a = [[Fraction(c) for c in r] for r in rows]
+    if not a:
+        return 0
+    m, n = len(a), len(a[0])
+    rank = 0
+    col = 0
+    while rank < m and col < n:
+        piv = next((i for i in range(rank, m) if a[i][col] != 0), None)
+        if piv is None:
+            col += 1
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        inv = 1 / a[rank][col]
+        for i in range(rank + 1, m):
+            if a[i][col] != 0:
+                f = a[i][col] * inv
+                for j in range(col, n):
+                    a[i][j] -= f * a[rank][j]
+        rank += 1
+        col += 1
+    return rank
+
+
+def fraction_det(mat) -> Fraction:
+    a = [[Fraction(c) for c in r] for r in mat]
+    n = len(a)
+    sign = 1
+    result = Fraction(1)
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        result *= a[k][k]
+        inv = 1 / a[k][k]
+        for i in range(k + 1, n):
+            if a[i][k] != 0:
+                f = a[i][k] * inv
+                for j in range(k, n):
+                    a[i][j] -= f * a[k][j]
+    return sign * result
+
+
+def gauss_jordan_solve(mat, rhs):
+    n = len(rhs)
+    a = [[Fraction(c) for c in row] + [Fraction(rhs[i])] for i, row in enumerate(mat)]
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k] != 0), None)
+        if piv is None:
+            raise SingularMatrix("linear system is singular")
+        a[k], a[piv] = a[piv], a[k]
+        inv = 1 / a[k][k]
+        for i in range(n):
+            if i != k and a[i][k] != 0:
+                f = a[i][k] * inv
+                for j in range(k, n + 1):
+                    a[i][j] -= f * a[k][j]
+    return tuple(a[i][n] / a[i][i] for i in range(n))
+
+
+def random_matrix(rng, m, n, rational):
+    """Small entries, often zero, so pivots are missing; some matrices get a
+    zero column, and a random low-rank factorization makes some of them
+    rank-deficient."""
+    def entry():
+        if rng.random() < 0.3:
+            return 0
+        num = rng.randint(-7, 7)
+        return Fraction(num, rng.randint(1, 6)) if rational else num
+
+    if n and m > 1 and rng.random() < 0.3:
+        k = rng.randint(0, min(m, n) - 1)
+        left = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(m)]
+        right = [[entry() for _ in range(n)] for _ in range(k)]
+        mat = [[sum((left[i][t] * right[t][j] for t in range(k)), 0)
+                 for j in range(n)] for i in range(m)]
+    else:
+        mat = [[entry() for _ in range(n)] for _ in range(m)]
+    if n and rng.random() < 0.2:
+        zero = rng.randrange(n)
+        for row in mat:
+            row[zero] = 0
+    return mat
+
+
+def test_kernel_matches_fraction_oracles():
+    rng = random.Random(7)
+    singular = 0
+    for trial in range(1500):
+        m, n = rng.randint(0, 6), rng.randint(0, 6)
+        mat = random_matrix(rng, m, n, rational=False)
+        if m:
+            assert int_rank(mat) == fraction_rank(mat), mat
+        if m == n:
+            assert int_det(mat) == fraction_det(mat), mat
+        square = random_matrix(rng, n, n, rational=trial % 2 == 1)
+        rhs = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n)]
+        assert det(square) == fraction_det(square), square
+        assert affine_rank([tuple(r) for r in square]) == \
+            (fraction_rank([[c - b for c, b in zip(r, square[0])]
+                            for r in square[1:]]) if n > 1 else 0)
+        try:
+            expected = gauss_jordan_solve(square, rhs)
+        except SingularMatrix:
+            singular += 1
+            with pytest.raises(SingularMatrix):
+                solve_linear(square, rhs)
+        else:
+            assert solve_linear(square, rhs) == expected, (square, rhs)
+    assert singular > 100
+
+
+def test_kernel_edge_shapes():
+    assert int_rank([]) == fraction_rank([]) == 0
+    assert int_rank([[], []]) == fraction_rank([[], []]) == 0
+    assert int_rank([[0, 0, 0], [0, 0, 0]]) == 0
+    assert int_rank([[0, 0, 5], [0, 3, 1]]) == 2
+    assert int_det([]) == 1 and det(()) == 1
+    assert solve_linear((), ()) == ()
+    with pytest.raises(SingularMatrix):
+        solve_linear(((0, 1), (0, 2)), (1, 2))
+
+
 def test_int_det_known_values():
     assert int_det([[1, 3, 5], [2, 0, 4], [4, 2, 7]]) == 18
     assert int_det([[2, 1, 3, 0], [1, 0, 2, 3], [3, 2, 0, 1], [2, 0, 1, 3]]) == -24

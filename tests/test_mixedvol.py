@@ -6,6 +6,7 @@ import pytest
 
 from godbersen import (
     DimensionMismatch,
+    TheoremViolation,
     build_hull,
     cross_polytope,
     godbersen_report,
@@ -151,3 +152,50 @@ class TestGodbersenReport:
                 assert rep.entry(dim - 1).ratio <= 1
                 if rep.entry(1).ratio == 1:
                     assert len(body.vertices) == dim + 1
+
+
+class TestProfileIdentities:
+    def test_rogers_shephard_equality_on_simplices(self):
+        for n in (2, 3, 4, 5):
+            body = standard_simplex(n)
+            prof = mv_profile(body, reflect(body))
+            assert sum(comb(n, j) * m for j, m in enumerate(prof.coeffs)) == \
+                comb(2 * n, n) * body.volume
+            assert godbersen_report(body).is_simplex
+
+    def test_cube_is_strict(self):
+        cube = unit_cube(3)
+        prof = mv_profile(cube, reflect(cube))
+        assert prof.coeffs == (1, 1, 1, 1)
+        assert minkowski_sum(cube, reflect(cube)).volume == 8 < comb(6, 3)
+        assert not godbersen_report(cube).is_simplex
+
+    def test_log_concavity_violation_raises(self, monkeypatch):
+        solve = mixedvol.solve_linear
+
+        def bumped(mat, rhs):
+            c = list(solve(mat, rhs))
+            c[2] = 5 * comb(3, 2)  # m_2 = 5 > m_1^2 / m_0 = 1
+            return tuple(c)
+
+        monkeypatch.setattr(mixedvol, "solve_linear", bumped)
+        cube = unit_cube(3)
+        with pytest.raises(TheoremViolation, match="log-concave"):
+            mv_profile(cube, reflect(cube))
+
+    def test_palindrome_violation_raises(self, monkeypatch):
+        monkeypatch.setattr(mixedvol, "mv_profile", lambda K, L: (
+            mixedvol.MixedVolumeProfile(3, (F(1), F(1), F(2), F(1)))))
+        with pytest.raises(TheoremViolation, match="palindromic"):
+            godbersen_report(unit_cube(3))
+
+    @pytest.mark.parametrize("body, coeffs", [
+        (unit_cube(4), (1, 1, 100, 1, 1)),  # above C(8,4) Vol K = 70
+        (build_hull(SQUARE), (1, 2, 1)),  # equality for a square
+        (build_hull(TRIANGLE), (F(1, 2), F(1, 2), F(1, 2))),  # strict for a simplex
+    ], ids=["above-bound", "equality-non-simplex", "strict-simplex"])
+    def test_rogers_shephard_violation_raises(self, monkeypatch, body, coeffs):
+        monkeypatch.setattr(mixedvol, "mv_profile", lambda K, L: (
+            mixedvol.MixedVolumeProfile(K.dim, tuple(map(F, coeffs)))))
+        with pytest.raises(TheoremViolation, match="Rogers-Shephard"):
+            godbersen_report(body)

@@ -1,19 +1,9 @@
-import random
 from fractions import Fraction
 
 from hypothesis import given
 from hypothesis import strategies as st
 
-from godbersen.polynomials import (
-    add,
-    antiderivative,
-    definite_integral,
-    derivative,
-    evaluate,
-    interpolate,
-    mul,
-    power,
-)
+from godbersen.polynomials import add, definite_integral, evaluate, mul, power
 
 rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=12)
@@ -26,13 +16,6 @@ def test_ring_operations_agree_with_evaluation(p, q, x):
     assert evaluate(mul(p, q), x) == evaluate(p, x) * evaluate(q, x)
 
 
-@given(polys)
-def test_derivative_of_antiderivative(p):
-    from godbersen.polynomials import trim
-
-    assert derivative(antiderivative(p)) == trim(list(p))
-
-
 def test_definite_integral_oracle():
     # integral of 1 + 2t + 3t^2 over [1, 2] = [t + t^2 + t^3] = 14 - 3
     p = [Fraction(1), Fraction(2), Fraction(3)]
@@ -42,15 +25,3 @@ def test_definite_integral_oracle():
 def test_power():
     assert power([Fraction(1), Fraction(1)], 3) == [
         Fraction(1), Fraction(3), Fraction(3), Fraction(1)]
-
-
-def test_interpolation_reproduces_polynomials():
-    rng = random.Random(9)
-    for deg in range(5):
-        coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-                  for _ in range(deg + 1)]
-        nodes = [Fraction(i, 3) for i in range(deg + 1)]
-        values = [evaluate(coeffs, x) for x in nodes]
-        from godbersen.polynomials import trim
-
-        assert interpolate(nodes, values) == trim(coeffs)

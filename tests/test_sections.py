@@ -3,6 +3,8 @@ from fractions import Fraction as F
 from math import factorial
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from godbersen import (
     SectionProfile,
@@ -15,7 +17,7 @@ from godbersen import (
     unit_cube,
 )
 from godbersen.geometry import _simplex_int_volume
-from godbersen.polynomials import derivative, evaluate, interpolate
+from godbersen.polynomials import add, antiderivative, evaluate, mul, trim
 from godbersen.rationals import as_vector, dot
 from godbersen.sweep import ROOT_CONCAVITY_DIRECTIONS, _random_direction
 from tests.conftest import corpus_specs
@@ -44,6 +46,46 @@ def _cut_fraction(heights: list[F]) -> F:
             new[j] = (g * row[j] + h * new[j - 1]) / (g + h)
         row = new
     return row[-1]
+
+
+# Lagrange interpolation and differentiation, used only by the reference
+# profile below.
+
+def derivative(p):
+    return trim([c * i for i, c in enumerate(p)][1:])
+
+
+def interpolate(nodes, values):
+    """Exact Lagrange interpolation through distinct rational nodes."""
+    assert len(nodes) == len(values)
+    result = []
+    for i, (xi, yi) in enumerate(zip(nodes, values)):
+        if yi == 0:
+            continue
+        basis = [F(yi)]
+        for j, xj in enumerate(nodes):
+            if j == i:
+                continue
+            basis = mul(basis, [F(-xj), F(1)])
+            basis = [c / (F(xi) - F(xj)) for c in basis]
+        result = add(result, basis)
+    return result
+
+
+@given(st.lists(st.fractions(min_value=F(-50), max_value=F(50),
+                             max_denominator=12), max_size=5))
+def test_derivative_of_antiderivative(p):
+    assert derivative(antiderivative(p)) == trim(list(p))
+
+
+def test_interpolation_reproduces_polynomials():
+    rng = random.Random(9)
+    for deg in range(5):
+        coeffs = [F(rng.randint(-9, 9), rng.randint(1, 4))
+                  for _ in range(deg + 1)]
+        nodes = [F(i, 3) for i in range(deg + 1)]
+        values = [evaluate(coeffs, x) for x in nodes]
+        assert interpolate(nodes, values) == trim(coeffs)
 
 
 def _reference_profile(K, w) -> SectionProfile:
