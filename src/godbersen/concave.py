@@ -6,10 +6,14 @@ The central fact: for any integer m >= 2 and concave f : [0,1] -> [0, inf),
 
     integral_0^1 (r - 1/(m+1)) f^{m-1}(r) dr >= 0,
 
-with equality exactly when f(1) = 0 and f is linear.  On each knot interval f
-is linear, so the integrand is a degree-m polynomial and the integral is
-computed in closed form over Q; every exact assertion here is root-free.
-n-th roots appear only inside the tolerance-based floating checks.
+with equality exactly when f(1) = 0 and f is linear.  On a knot piece [k1, k2]
+of width h, f runs linearly from v1 to v2, and r = k1 + h s with the Beta
+integrals integral_0^1 (1-s)^a s^b ds = a! b! / (a+b+1)! gives the power sum
+
+    h / (m (m+1)) * sum_{i=0}^{m-1} v1^(m-1-i) v2^i ((m+1) k1 - 1 + (i+1) h),
+
+with no slope division.  Every exact assertion here is root-free; n-th roots
+appear only inside the tolerance-based floating checks.
 """
 
 from __future__ import annotations
@@ -17,14 +21,17 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import DimensionMismatch, InvalidM, LemmaViolation, NotConcave
 from .geometry import Polytope, minkowski_sum, volume
-from .polynomials import definite_integral, mul, power
 from .rationals import Rat, as_rat, as_vector
 from .sections import section_profile
 
 CONCAVITY_TOL = 1e-9
+ROOT_SAMPLES = 33
+MAX_EXTRA_KNOTS = 6
+DENOMINATOR_BOUND = 8
 
 
 @dataclass(frozen=True)
@@ -62,7 +69,6 @@ class PLConcave:
                                       zip(self.knots[1:], self.values[1:])):
             if x <= k2:
                 return v1 + (v2 - v1) * (x - k1) / (k2 - k1)
-        return self.values[-1]
 
     def is_linear(self) -> bool:
         """Single slope across all of [0,1]."""
@@ -92,17 +98,21 @@ class BrunnMinkowskiResult:
 
 
 def godbersen_integral(f: PLConcave, m: int) -> Rat:
-    """Exact value of integral_0^1 (r - 1/(m+1)) f^{m-1}(r) dr for m >= 2."""
+    """Exact value of integral_0^1 (r - 1/(m+1)) f^{m-1}(r) dr for m >= 2:
+    the power sums of the module docstring on knots and values scaled to
+    integers by one common denominator D, over m (m+1) D^(m+1)."""
     if m < 2:
         raise InvalidM(f"exponent must be an integer >= 2, got {m}")
-    shift = [-Fraction(1, m + 1), Fraction(1)]
-    total = Fraction(0)
-    for (k1, v1), (k2, v2) in zip(zip(f.knots, f.values),
-                                  zip(f.knots[1:], f.values[1:])):
-        slope = (v2 - v1) / (k2 - k1)
-        line = [v1 - slope * k1, slope]
-        total += definite_integral(mul(shift, power(line, m - 1)), k1, k2)
-    return total
+    den = lcm(*(x.denominator for x in f.knots + f.values))
+    ks = [k.numerator * (den // k.denominator) for k in f.knots]
+    vs = [v.numerator * (den // v.denominator) for v in f.values]
+    total = 0
+    for k1, k2, v1, v2 in zip(ks, ks[1:], vs, vs[1:]):
+        h = k2 - k1
+        base = (m + 1) * k1 - den + h
+        total += h * sum(v1 ** (m - 1 - i) * v2 ** i * (base + i * h)
+                         for i in range(m))
+    return Fraction(total, m * (m + 1) * den ** (m + 1))
 
 
 def godbersen_integral_check(f: PLConcave, m: int) -> IntegralCheckResult:
@@ -123,24 +133,20 @@ def godbersen_integral_check(f: PLConcave, m: int) -> IntegralCheckResult:
     return IntegralCheckResult(value, True, equality, characterized)
 
 
-def random_concave(rng: random.Random, max_extra_knots: int = 6,
-                   denominator_bound: int = 8) -> PLConcave:
+def random_concave(rng: random.Random) -> PLConcave:
     """Seeded random nonnegative concave PL function on [0,1].
 
-    Recipe: sample up to ``max_extra_knots`` interior rational knots, sample
+    Recipe: sample up to ``MAX_EXTRA_KNOTS`` interior rational knots, sample
     one rational slope per interval, sort the slopes in decreasing order,
     integrate to values, then shift so the minimum value is exactly 0.
     """
-    while True:
-        extra = rng.randint(0, max_extra_knots)
-        interior = {Fraction(rng.randint(1, denominator_bound * 4),
-                             denominator_bound * 4 + 1)
-                    for _ in range(extra)}
-        knots = sorted({Fraction(0), Fraction(1)} | interior)
-        if len(knots) >= 2:
-            break
+    extra = rng.randint(0, MAX_EXTRA_KNOTS)
+    interior = {Fraction(rng.randint(1, DENOMINATOR_BOUND * 4),
+                         DENOMINATOR_BOUND * 4 + 1)
+                for _ in range(extra)}
+    knots = sorted({Fraction(0), Fraction(1)} | interior)
     slopes = sorted(
-        (Fraction(rng.randint(-24, 24), rng.randint(1, denominator_bound))
+        (Fraction(rng.randint(-24, 24), rng.randint(1, DENOMINATOR_BOUND))
          for _ in range(len(knots) - 1)),
         reverse=True,
     )
@@ -151,16 +157,14 @@ def random_concave(rng: random.Random, max_extra_knots: int = 6,
     return PLConcave(tuple(knots), tuple(v - low for v in values))
 
 
-def slice_root_concavity(K: Polytope, w, samples: int = 33) -> bool:
+def slice_root_concavity(K: Polytope, w) -> bool:
     """Concavity of the (n-1)-st root of the section profile along w.
 
     For n = 2 the profile itself must be concave and the slopes of its linear
     pieces are compared exactly.  For n >= 3 the root is evaluated in floating
-    point on an equispaced grid and midpoint concavity is required within a
-    relative tolerance of 1e-9.
+    point on an equispaced grid of ``ROOT_SAMPLES`` points and midpoint
+    concavity is required within a relative tolerance of 1e-9.
     """
-    if samples < 3:
-        raise ValueError("need at least 3 sample points")
     prof = section_profile(K, as_vector(w))
     n = K.dim
     if n == 2:
@@ -175,14 +179,14 @@ def slice_root_concavity(K: Polytope, w, samples: int = 33) -> bool:
     span = hi - lo
     root = Fraction(1, n - 1)
     vals = []
-    for i in range(samples):
-        t = lo + span * Fraction(i, samples - 1)
+    for i in range(ROOT_SAMPLES):
+        t = lo + span * Fraction(i, ROOT_SAMPLES - 1)
         s = prof.value(t)
         vals.append(float(s) ** float(root) if s > 0 else 0.0)
     scale = max(vals) if max(vals) > 0 else 1.0
     tol = CONCAVITY_TOL * scale
     return all(vals[i] >= (vals[i - 1] + vals[i + 1]) / 2 - tol
-               for i in range(1, samples - 1))
+               for i in range(1, ROOT_SAMPLES - 1))
 
 
 def bm_check(K: Polytope, L: Polytope) -> BrunnMinkowskiResult:
@@ -199,26 +203,16 @@ def bm_check(K: Polytope, L: Polytope) -> BrunnMinkowskiResult:
 def bridge_inequality(K: Polytope, w) -> Rat:
     """The profile-form inequality behind the inclusion proof.
 
-    For the centered body, substituting the normalized section root
-    f(r) = s(lo + r * width)^(1/(n-1)) turns the moment identity into
-    integral_0^1 (r - 1/(n+1)) f^{n-1}(r) dr >= 0, and f^{n-1} is the exact
-    piecewise-polynomial profile, so the value is computed root-free.  Returns
-    the exact integral (nonnegative for centered bodies).
+    For the centered body with support [lo, hi] and wid = hi - lo, the
+    normalized section root f(r) = s(lo + r wid)^(1/(n-1)) turns the moment
+    identity into integral_0^1 (r - 1/(n+1)) f^{n-1}(r) dr >= 0.  With
+    t = lo + r wid that is (integral t s - (lo + wid/(n+1)) integral s) / wid^2,
+    exact and root-free from the profile's own moments.  Returns the exact
+    integral (nonnegative for centered bodies).
     """
     from .inclusion import center_at_centroid
 
-    k0 = center_at_centroid(K)
-    prof = section_profile(k0, as_vector(w))
+    prof = section_profile(center_at_centroid(K), as_vector(w))
     lo, hi = prof.support_interval()
     wid = hi - lo
-    n = K.dim
-    total = Fraction(0)
-    shift = [-Fraction(1, n + 1), Fraction(1)]
-    for i, piece in enumerate(prof.pieces):
-        a, b = prof.breakpoints[i], prof.breakpoints[i + 1]
-        # substitute t = lo + r*wid; dr = dt/wid, r = (t-lo)/wid
-        r_of_t = [Fraction(-lo, wid), Fraction(1, wid)]
-        integrand = mul([shift[0] + shift[1] * r_of_t[0], shift[1] * r_of_t[1]],
-                        list(piece))
-        total += definite_integral(integrand, a, b) / wid
-    return total
+    return (prof.moment() - (lo + wid / (K.dim + 1)) * prof.integral()) / wid ** 2

@@ -325,7 +325,8 @@ def support(K: Polytope, w) -> Rat:
         raise DimensionMismatch(f"direction has length {len(v)}, body has dim {K.dim}")
     if is_zero_vector(v):
         raise ZeroDirection("support direction must be nonzero")
-    return max(dot(v, p) for p in K.vertices)
+    (iw,), m = scale_to_integers([v])
+    return Fraction(max(_idot(iw, p) for p in K._int_vertices), m * K._int_scale)
 
 
 def _argmax_face(K: Polytope, w: tuple[int, ...]) -> list[int]:

@@ -27,9 +27,21 @@ def polytope_to_dict(K: Polytope) -> dict:
     }
 
 
+def _checked(data, kind, what: str):
+    """``data``, or ValueError when it is not an instance of ``kind``."""
+    if not isinstance(data, kind):
+        raise ValueError(f"unexpected {type(data).__name__} for {what}")
+    return data
+
+
+def _vector(data, what: str) -> tuple:
+    return tuple(parse_rational(c) for c in _checked(data, list, what))
+
+
 def polytope_from_dict(data: dict) -> Polytope:
-    dim = int(data["dim"])
-    vertices = [tuple(parse_rational(c) for c in p) for p in data["vertices"]]
+    data = _checked(data, dict, "a polytope file")
+    dim = int(_checked(data["dim"], (int, str), "dim"))
+    vertices = [_vector(p, "a vertex") for p in _checked(data["vertices"], list, "vertices")]
     if any(len(p) != dim for p in vertices):
         raise ValueError("vertex length disagrees with the declared dimension")
     return build_hull(vertices)
@@ -47,9 +59,10 @@ def system_to_dict(s: System) -> dict:
 
 
 def system_from_dict(data: dict) -> System:
-    dim = int(data["dim"])
-    rows = [(tuple(parse_rational(c) for c in r["w"]), parse_rational(r["beta"]))
-            for r in data["rows"]]
+    data = _checked(data, dict, "a system file")
+    dim = int(_checked(data["dim"], (int, str), "dim"))
+    rows = [(_vector(_checked(r, dict, "a row")["w"], "a normal"), parse_rational(r["beta"]))
+            for r in _checked(data["rows"], list, "rows")]
     return make_system(dim, rows)
 
 
@@ -61,10 +74,8 @@ def plconcave_to_dict(f: PLConcave) -> dict:
 
 
 def plconcave_from_dict(data: dict) -> PLConcave:
-    return PLConcave(
-        tuple(parse_rational(k) for k in data["knots"]),
-        tuple(parse_rational(v) for v in data["values"]),
-    )
+    data = _checked(data, dict, "a concave-function file")
+    return PLConcave(_vector(data["knots"], "knots"), _vector(data["values"], "values"))
 
 
 def report_to_dict(report: GodbersenReport) -> dict:

@@ -1,8 +1,7 @@
 """Dense univariate polynomials with exact rational coefficients.
 
 Coefficient lists are low-degree-first: [c0, c1, c2] is c0 + c1*t + c2*t^2.
-Used for section profiles and the concave-function integrals, where every
-integration must stay in Q.
+Used for section profiles, where every integration must stay in Q.
 """
 
 from __future__ import annotations
@@ -29,18 +28,6 @@ def add(p: Poly, q: Poly) -> Poly:
     return trim(out)
 
 
-def mul(p: Poly, q: Poly) -> Poly:
-    if not p or not q:
-        return []
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a == 0:
-            continue
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return trim(out)
-
-
 def evaluate(p: Poly, t: Rat) -> Fraction:
     acc = Fraction(0)
     for c in reversed(p):
@@ -55,10 +42,3 @@ def antiderivative(p: Poly) -> Poly:
 def definite_integral(p: Poly, lo: Rat, hi: Rat) -> Fraction:
     prim = antiderivative(p)
     return evaluate(prim, hi) - evaluate(prim, lo)
-
-
-def power(p: Poly, k: int) -> Poly:
-    out: Poly = [Fraction(1)]
-    for _ in range(k):
-        out = mul(out, p)
-    return out

@@ -18,12 +18,12 @@ Vector = tuple[Rat, ...]
 Point = tuple[Rat, ...]
 Matrix = tuple[tuple[Rat, ...], ...]
 
-_RAT_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+_RAT_RE = re.compile(r"^[+-]?\d+(/\d*[1-9]\d*)?$")
 
 
 def parse_rational(text: str) -> Rat:
-    """Parse ``"p/q"`` or ``"k"``; decimals, exponents and anything that is
-    not a string (a JSON number, say) are rejected."""
+    """Parse ``"p/q"`` or ``"k"``; decimals, exponents, a zero denominator and
+    anything that is not a string (a JSON number, say) raise ValueError."""
     if not isinstance(text, str) or not _RAT_RE.match(text.strip()):
         raise ValueError(f"not a rational literal: {text!r}")
     return Fraction(text.strip())

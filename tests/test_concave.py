@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction as F
@@ -13,23 +14,68 @@ from godbersen import (
     bm_check,
     bridge_inequality,
     build_hull,
+    center_at_centroid,
     godbersen_integral,
     godbersen_integral_check,
     random_concave,
     reflect,
     scale,
+    section_profile,
     slice_root_concavity,
     standard_simplex,
     translate,
     unit_cube,
 )
+from godbersen.polynomials import definite_integral
+from godbersen.rationals import as_vector
 from tests.test_geometry import TRIANGLE, SQUARE, random_polytope
+from tests.test_polynomials import mul, power
 
 LINEAR_DOWN = PLConcave((F(0), F(1)), (F(1), F(0)))       # 1 - r
 CONSTANT_ONE = PLConcave((F(0), F(1)), (F(1), F(1)))
 LINEAR_UP = PLConcave((F(0), F(1)), (F(0), F(1)))         # r
 TENT = PLConcave((F(0), F(1, 2), F(1)), (F(0), F(1), F(1)))  # min(2r, 1)
 ZERO = PLConcave((F(0), F(1)), (F(0), F(0)))
+PLATEAU = PLConcave((F(0), F(1, 4), F(2, 3), F(1)),          # flat middle piece
+                    (F(0), F(1), F(1), F(1, 2)))
+
+# sha256 of "m value" lines of godbersen_integral over _seeded_concave() and
+# m = 2..8, in that order.  Recorded from the polynomial-expansion route.
+INTEGRAL_DIGEST = "a2dcfc80073f0f257692bb65d5d86381871b1253192dbd9db186608a67036fec"
+
+
+def _integral_by_expansion(f: PLConcave, m: int) -> F:
+    """Reference route: on each piece f = alpha + beta r, expand
+    (r - 1/(m+1)) (alpha + beta r)^(m-1) and integrate the polynomial."""
+    shift = [-F(1, m + 1), F(1)]
+    total = F(0)
+    for (k1, v1), (k2, v2) in zip(zip(f.knots, f.values),
+                                  zip(f.knots[1:], f.values[1:])):
+        slope = (v2 - v1) / (k2 - k1)
+        line = [v1 - slope * k1, slope]
+        total += definite_integral(mul(shift, power(line, m - 1)), k1, k2)
+    return total
+
+
+def _bridge_by_substitution(K, w) -> F:
+    """Reference route: substitute r = (t - lo) / wid into r - 1/(n+1) and
+    integrate its product with each profile piece."""
+    prof = section_profile(center_at_centroid(K), as_vector(w))
+    lo, hi = prof.support_interval()
+    wid = hi - lo
+    total = F(0)
+    for i, piece in enumerate(prof.pieces):
+        a, b = prof.breakpoints[i], prof.breakpoints[i + 1]
+        integrand = mul([-lo / wid - F(1, K.dim + 1), 1 / wid], list(piece))
+        total += definite_integral(integrand, a, b) / wid
+    return total
+
+
+def _seeded_concave() -> list[PLConcave]:
+    """200 seeded random functions, then the named ones, flat pieces included."""
+    rng = random.Random(68)
+    return ([random_concave(rng) for _ in range(200)]
+            + [ZERO, CONSTANT_ONE, TENT, PLATEAU])
 
 
 class TestPLConcave:
@@ -65,6 +111,23 @@ class TestGodbersenIntegral:
         # piece [0,1/2]: integral (r - 1/3) 2r dr = 2[r^3/3 - r^2/6] = 0
         # piece [1/2,1]: integral (r - 1/3) dr = [r^2/2 - r/3] = 1/6 + 1/24
         assert godbersen_integral(TENT, 2) == F(0) + F(1, 6) + F(1, 24) == F(5, 24)
+
+    def test_flat_interior_piece(self):
+        # pieces (r - 1/3) 4r on [0,1/4], (r - 1/3) on [1/4,2/3] and
+        # (r - 1/3)(2 - 3r/2) on [2/3,1]
+        assert godbersen_integral(PLATEAU, 2) == F(-1, 48) + F(5, 96) + F(13, 108)
+
+    def test_closed_form_equals_expansion(self):
+        for f in _seeded_concave():
+            for m in range(2, 9):
+                assert godbersen_integral(f, m) == _integral_by_expansion(f, m)
+
+    def test_values_match_recorded_digest(self):
+        digest = hashlib.sha256()
+        for f in _seeded_concave():
+            for m in range(2, 9):
+                digest.update(f"{m} {godbersen_integral(f, m)}\n".encode())
+        assert digest.hexdigest() == INTEGRAL_DIGEST
 
     def test_invalid_m(self):
         with pytest.raises(InvalidM):
@@ -185,6 +248,18 @@ class TestBridgeInequality:
                         continue
                     assert bridge_inequality(body, w) >= 0
 
+    def test_profile_moments_equal_substitution(self, corpus):
+        rng = random.Random(69)
+        for _, body in corpus[::10]:
+            dirs = [f.normal for f in body.facets]
+            while len(dirs) < len(body.facets) + 2:
+                w = tuple(F(rng.randint(-5, 5), rng.randint(1, 3))
+                          for _ in range(body.dim))
+                if any(w):
+                    dirs.append(w)
+            for w in dirs:
+                assert bridge_inequality(body, w) == _bridge_by_substitution(body, w)
+
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2 ** 63 - 1), st.integers(2, 8))
@@ -193,3 +268,4 @@ def test_random_concave_is_valid_and_inequality_holds(seed, m):
     assert min(f.values) == 0
     res = godbersen_integral_check(f, m)
     assert res.value >= 0
+    assert res.value == _integral_by_expansion(f, m)

@@ -168,6 +168,31 @@ class TestCli:
         assert err.startswith("error: not a rational literal")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command, data, extra", [
+        ("verify", {"dim": 2, "vertices": [["1/0", "0"], ["1", "0"], ["0", "1"]]}, []),
+        ("ak", {"dim": 2, "vertices": [["0", "0"], ["1", "1/0"], ["0", "1"]]}, []),
+        ("moment", {"dim": 2, "vertices": [["0", "0"], ["1", "0"], ["0", "1/0"]]},
+         ["--w", "1,0"]),
+        ("moment", {"dim": 2, "vertices": [["0", "0"], ["1", "0"], ["0", "1"]]},
+         ["--w", "1/0,1"]),
+        ("helly", {"dim": 2, "rows": [{"w": ["1", "0"], "beta": "1/0"}]}, []),
+        ("verify", [], []),
+        ("helly", [], []),
+        ("verify", {"dim": 2, "vertices": [1, 2]}, []),
+        ("ak", {"dim": 2, "vertices": ["00", "10", "01"]}, []),
+        ("helly", {"dim": 2, "rows": [{"w": "10", "beta": "1"}]}, []),
+        ("helly", {"dim": 2, "rows": [["1", "0"]]}, []),
+        ("verify", {"dim": [2], "vertices": [["0", "0"], ["1", "0"], ["0", "1"]]}, []),
+    ])
+    def test_malformed_files_are_an_error(self, tmp_path, capsys, command, data,
+                                          extra):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(data))
+        assert main([command, "--input", str(path)] + extra) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
     def test_sweep_vertex_count_string(self, tmp_path, capsys):
         # vertex_count converts with int(), as dim and seed do
         spec = tmp_path / "specs.json"

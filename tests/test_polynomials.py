@@ -3,7 +3,29 @@ from fractions import Fraction
 from hypothesis import given
 from hypothesis import strategies as st
 
-from godbersen.polynomials import add, definite_integral, evaluate, mul, power
+from godbersen.polynomials import Poly, add, definite_integral, evaluate, trim
+
+
+# Polynomial products, used only by the reference routes in the tests.
+
+def mul(p: Poly, q: Poly) -> Poly:
+    if not p or not q:
+        return []
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if a == 0:
+            continue
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return trim(out)
+
+
+def power(p: Poly, k: int) -> Poly:
+    out: Poly = [Fraction(1)]
+    for _ in range(k):
+        out = mul(out, p)
+    return out
+
 
 rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=12)

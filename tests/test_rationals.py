@@ -19,7 +19,7 @@ def test_parse_basic():
     assert parse_rational(" 2/6 ") == Fraction(1, 3)
 
 
-@pytest.mark.parametrize("bad", ["1.5", "1e3", "", "a/b", "1/2/3", "1 / 2"])
+@pytest.mark.parametrize("bad", ["1.5", "1e3", "", "a/b", "1/2/3", "1 / 2", "1/0", "-2/00"])
 def test_parse_rejects_non_rationals(bad):
     with pytest.raises(ValueError):
         parse_rational(bad)

@@ -17,11 +17,12 @@ from godbersen import (
     unit_cube,
 )
 from godbersen.geometry import _simplex_int_volume
-from godbersen.polynomials import add, antiderivative, evaluate, mul, trim
+from godbersen.polynomials import add, antiderivative, evaluate, trim
 from godbersen.rationals import as_vector, dot
 from godbersen.sweep import ROOT_CONCAVITY_DIRECTIONS, _random_direction
 from tests.conftest import corpus_specs
 from tests.test_geometry import random_polytope
+from tests.test_polynomials import mul
 
 
 def _cut_fraction(heights: list[F]) -> F:
