@@ -24,6 +24,7 @@ from .halfspaces import ak_feasibility, helly_audit, fm_feasible
 from .inclusion import directional_moment
 from .mixedvol import godbersen_report
 from .polyio import (
+    _checked,
     load_json,
     polytope_from_dict,
     polytope_to_dict,
@@ -77,9 +78,11 @@ def _cmd_ak(args) -> int:
 def _cmd_helly(args) -> int:
     system = system_from_dict(load_json(args.input))
     ok = helly_audit(system)
+    # a non-vacuous audit has already checked full feasibility against ok
+    vacuous = len(system.halfspaces) <= system.dim
     print(json.dumps({
         "all_subsystems_feasible": ok,
-        "full_system_feasible": fm_feasible(system).feasible,
+        "full_system_feasible": fm_feasible(system).feasible if vacuous else ok,
     }, indent=2))
     return 0
 
@@ -100,7 +103,8 @@ def _load_specs(path, base_seed: int) -> list[GenSpec]:
     data = load_json(path)
     raw = data["specs"] if isinstance(data, dict) else data
     specs = []
-    for i, row in enumerate(raw):
+    for i, row in enumerate(_checked(raw, list, "the spec list")):
+        _checked(row, dict, f"spec row {i}")
         unknown = set(row) - {"kind", "dim", "vertex_count", "seed", "denominator_bound"}
         if unknown:
             raise ValueError(f"spec row {i} has unknown keys {sorted(unknown)}")

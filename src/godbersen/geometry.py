@@ -25,11 +25,18 @@ and centroid.  That is one integer determinant per simplex.
 
 from __future__ import annotations
 
+import os
 from fractions import Fraction
 from itertools import combinations
-from math import factorial, lcm
+from math import comb, factorial, lcm
 
-from .errors import DegenerateInput, DimensionMismatch, SingularMatrix, ZeroDirection
+from .errors import (
+    CombinatorialBlowup,
+    DegenerateInput,
+    DimensionMismatch,
+    SingularMatrix,
+    ZeroDirection,
+)
 from .linalg import (
     affine_rank,
     det,
@@ -134,6 +141,20 @@ def _lex_positive(vec: tuple[int, ...]) -> tuple[int, ...]:
 
 def _idot(u, v) -> int:
     return sum(a * b for a, b in zip(u, v))
+
+
+SUBSET_CAP_ENV = "GODBERSEN_SUBSET_CAP"
+DEFAULT_SUBSET_CAP = 200_000
+
+
+def check_subset_cap(total: int, what: str, cap: int | None = None) -> None:
+    """Raise CombinatorialBlowup before a brute-force enumeration of ``total``
+    subsets that exceeds the cap (``GODBERSEN_SUBSET_CAP``, default 200000)."""
+    if cap is None:
+        cap = int(os.environ.get(SUBSET_CAP_ENV, DEFAULT_SUBSET_CAP))
+    if total > cap:
+        raise CombinatorialBlowup(
+            f"{what}: {total} subsets exceed the cap of {cap}; raise {SUBSET_CAP_ENV}")
 
 
 def _hull_facets_int(pts: list[tuple[int, ...]], d: int):
@@ -301,6 +322,9 @@ def _from_lattice(ipts: list[tuple[int, ...]], mult: int, raw_facets) -> Polytop
 def build_hull(points) -> Polytope:
     """Convex hull of rational points; must affinely span the ambient space.
 
+    Facets are enumerated over all n-subsets of the distinct points, so more
+    than ``GODBERSEN_SUBSET_CAP`` of them raises CombinatorialBlowup first.
+
     Redundant input points are dropped; the result carries the full facet
     structure with outward coprime-integer normals, exact offsets and scaled
     measures, facets ordered lexicographically by normal.
@@ -312,6 +336,7 @@ def build_hull(points) -> Polytope:
     if any(len(p) != n for p in pts):
         raise DimensionMismatch("points of mixed dimension")
     uniq: list[Point] = sorted(set(pts))
+    check_subset_cap(comb(len(uniq), n), f"hull of {len(uniq)} points in R^{n}")
     if len(uniq) < n + 1 or affine_rank(uniq) < n:
         raise DegenerateInput(f"points do not span R^{n}")
     ipts, mult = scale_to_integers(uniq)

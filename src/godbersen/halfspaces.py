@@ -13,33 +13,34 @@ single point {c} exactly when the rows tight at c positively span R^n.
 
 Fourier-Motzkin elimination runs on primitive integer rows with a rational
 right-hand side, needs no pivoting rules, and reads off uniqueness for free.
-It serves the Helly audit, generic systems, and the uniqueness test on the
-tight rows alone.
+It serves generic systems, the uniqueness test on the tight rows alone, and
+the full-system side of the Helly audit.
+
+The Helly audit decides each (n+1)-row subsystem Aa <= b by a Farkas
+certificate instead (Schrijver, *Theory of Linear and Integer Programming*,
+section 7.3).  The cofactor vector lam_i = (-1)^i det(A without row i) spans
+the left kernel of A whenever rank A = n, so the subsystem is infeasible iff
+lam or -lam is componentwise >= 0 with that sign giving lam . b < 0.  When
+lam = 0, rank A < n and FM decides the subsystem.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd, lcm
 
 from .errors import (
-    CombinatorialBlowup,
     DimensionMismatch,
     SingularMatrix,
     TheoremViolation,
     ZeroDirection,
 )
-from .geometry import Polytope, support, transform
+from .geometry import Polytope, check_subset_cap, support, transform
 from .inclusion import TightnessProfile, tightness_profile
-from .linalg import det
+from .linalg import det, int_det, scale_to_integers
 from .rationals import Point, Rat, Vector, as_rat, as_vector, dot, is_zero_vector
-
-SUBSET_CAP_ENV = "GODBERSEN_SUBSET_CAP"
-DEFAULT_SUBSET_CAP = 200_000
-
 
 @dataclass(frozen=True)
 class HalfSpace:
@@ -230,26 +231,64 @@ def ak_point(K: Polytope) -> Point:
     return ak_feasibility(K).witness
 
 
+def _integer_rows(system: System) -> list[_Row]:
+    """Each row as an integer normal, its rhs scaled by the same positive
+    multiplier."""
+    rows = []
+    for h in system.halfspaces:
+        (normal,), mult = scale_to_integers([h.normal])
+        rows.append((normal, Fraction(h.rhs) * mult))
+    return rows
+
+
+def _farkas_infeasible(rows: list[_Row]) -> bool | None:
+    """Decide n+1 integer rows a . w <= b in R^n by their Farkas certificate.
+
+    True if infeasible, False if feasible, None if rank < n (no certificate:
+    the cofactor vector lam is zero).  A nonzero lam spans the left kernel,
+    so the rows are infeasible iff some y = t lam >= 0 has y . b < 0.  Once
+    lam has entries of both signs no such y exists, and the remaining
+    cofactors are not needed.
+    """
+    normals = [w for w, _ in rows]
+    lam = []
+    pos = neg = False
+    for i in range(len(rows)):
+        d = int_det(normals[:i] + normals[i + 1:])
+        c = -d if i % 2 else d
+        pos |= c > 0
+        neg |= c < 0
+        if pos and neg:
+            return False
+        lam.append(c)
+    if not (pos or neg):
+        return None
+    lam_b = sum(c * b for c, (_, b) in zip(lam, rows))
+    return lam_b < 0 if pos else lam_b > 0
+
+
 def helly_audit(system: System, cap: int | None = None) -> bool:
     """Check every (dim+1)-subset of halfspaces for feasibility.
 
-    Vacuously true when there are fewer than dim+1 halfspaces.  Otherwise the
-    outcome must agree with full-system feasibility (Helly's theorem for a
-    finite family of convex sets), so any disagreement raises.
+    Each subset is decided by its Farkas cofactor certificate
+    (``_farkas_infeasible``); a rank-deficient subset, which has none, falls
+    back to Fourier-Motzkin.  Vacuously true when there are fewer than dim+1
+    halfspaces.  Otherwise the outcome must agree with full-system
+    feasibility by Fourier-Motzkin (Helly's theorem for a finite family of
+    convex sets), so any disagreement raises.
     """
     n = system.dim
     rows = system.halfspaces
     if len(rows) < n + 1:
         return True
-    if cap is None:
-        cap = int(os.environ.get(SUBSET_CAP_ENV, DEFAULT_SUBSET_CAP))
-    total = comb(len(rows), n + 1)
-    if total > cap:
-        raise CombinatorialBlowup(
-            f"{total} subsets exceed the cap of {cap}; raise {SUBSET_CAP_ENV}")
+    check_subset_cap(comb(len(rows), n + 1), "Helly audit", cap)
+    ints = _integer_rows(system)
     all_ok = True
-    for subset in combinations(rows, n + 1):
-        if not fm_feasible(System(n, subset)).feasible:
+    for subset in combinations(range(len(rows)), n + 1):
+        infeasible = _farkas_infeasible([ints[i] for i in subset])
+        if infeasible is None:
+            infeasible = not fm_feasible(System(n, tuple(rows[i] for i in subset))).feasible
+        if infeasible:
             all_ok = False
             break
     full = fm_feasible(system).feasible

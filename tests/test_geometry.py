@@ -6,6 +6,7 @@ from math import factorial
 import pytest
 
 from godbersen import (
+    CombinatorialBlowup,
     DegenerateInput,
     DimensionMismatch,
     SingularMatrix,
@@ -111,6 +112,21 @@ class TestBuildHull:
             build_hull([(0, 0), (1, 0), (2, 0)])
         with pytest.raises(DegenerateInput):
             build_hull([(0, 0), (1, 1)])
+
+    def test_subset_cap_raises_before_enumerating(self, monkeypatch):
+        # C(108, 3) = 204,156 triples exceed the default cap of 200,000
+        monkeypatch.delenv("GODBERSEN_SUBSET_CAP", raising=False)
+        curve = [(t, t * t, t ** 3) for t in range(108)]
+        with pytest.raises(CombinatorialBlowup, match="GODBERSEN_SUBSET_CAP"):
+            build_hull(curve)
+
+    def test_subset_cap_env_override(self, monkeypatch):
+        # the square's 4 points give C(4, 2) = 6 pairs
+        monkeypatch.setenv("GODBERSEN_SUBSET_CAP", "5")
+        with pytest.raises(CombinatorialBlowup):
+            build_hull(SQUARE)
+        monkeypatch.setenv("GODBERSEN_SUBSET_CAP", "6")
+        assert len(build_hull(SQUARE).facets) == 4
 
     def test_every_vertex_on_n_facets(self):
         rng = random.Random(1)

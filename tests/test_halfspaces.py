@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 
@@ -26,7 +27,9 @@ from godbersen import (
     translate,
     unit_cube,
 )
-from godbersen.halfspaces import HalfSpace
+from godbersen import halfspaces
+from godbersen.halfspaces import HalfSpace, _farkas_infeasible, _integer_rows
+from godbersen.linalg import int_rank
 from godbersen.rationals import dot
 from tests.test_geometry import TRIANGLE, random_polytope
 
@@ -256,6 +259,132 @@ class TestHelly:
                 system = ak_system(body)
                 if len(system.halfspaces) <= 12:
                     assert helly_audit(system)
+
+
+def _check_certificates(system) -> int:
+    """Assert the Farkas verdict equals Fourier-Motzkin on every
+    (n+1)-subset; None exactly when the normals have rank < n.  Returns the
+    number of rank-deficient subsets."""
+    n = system.dim
+    ints = _integer_rows(system)
+    fallbacks = 0
+    for subset in combinations(range(len(ints)), n + 1):
+        verdict = _farkas_infeasible([ints[i] for i in subset])
+        rank = int_rank([ints[i][0] for i in subset])
+        if verdict is None:
+            assert rank < n
+            fallbacks += 1
+            continue
+        assert rank == n
+        sub = halfspaces.System(n, tuple(system.halfspaces[i] for i in subset))
+        assert verdict == (not fm_feasible(sub).feasible), subset
+    return fallbacks
+
+
+def _random_rows(rng, dim, count, normals=None):
+    rows = []
+    while len(rows) < count:
+        if normals:
+            w = rng.choice(normals)
+        else:
+            w = tuple(F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(dim))
+        if any(w):
+            rows.append((w, F(rng.randint(-5, 5), rng.randint(1, 3))))
+    return rows
+
+
+class TestFarkasCertificate:
+    """Fourier-Motzkin on each subset is the oracle for the certificate."""
+
+    def test_criterion_6_bodies(self, corpus):
+        fallbacks = audited = 0
+        for _, body in corpus:
+            if body.dim > 3 or len(body.facets) > 12:
+                continue
+            fallbacks += _check_certificates(ak_system(body))
+            audited += 1
+        assert audited == 200
+        # all on the dim-3 origin-symmetric bodies, where +-u, +-v span a
+        # plane; recorded count over 17,302 subsets
+        assert fallbacks == 237
+
+    def test_cube_has_rank_deficient_subsets(self):
+        # {+-e1, +-e2} and the like: 3 of the 15 subsets have rank 2
+        assert _check_certificates(ak_system(unit_cube(3))) == 3
+
+    def test_random_rational_systems(self):
+        rng = random.Random(91)
+        infeasible = fallbacks = 0
+        for _ in range(150):
+            dim = rng.choice((1, 2, 3))
+            system = make_system(dim, _random_rows(rng, dim, rng.randint(dim + 1, 7)))
+            fallbacks += _check_certificates(system)
+            infeasible += not fm_feasible(system).feasible
+        assert infeasible > 20 and fallbacks > 0
+
+    def test_duplicate_normals(self):
+        rng = random.Random(92)
+        for dim in (2, 3):
+            pool = [tuple(F(rng.randint(-2, 2)) for _ in range(dim)) for _ in range(3)]
+            pool = [w for w in pool if any(w)]
+            pool += [tuple(k * c for c in w) for w in pool for k in (2, -1)]
+            fallbacks = infeasible = 0
+            for _ in range(30):
+                system = make_system(dim, _random_rows(rng, dim, 6, pool))
+                fallbacks += _check_certificates(system)
+                infeasible += not fm_feasible(system).feasible
+            assert fallbacks > 0 and infeasible > 0
+
+    @pytest.mark.parametrize("rows", [
+        # lam = (-1, -1, 0) <= 0 and lam . b = 1 > 0
+        [((1, 0), 0), ((-1, 0), -1), ((0, 1), 0)],
+        # lam = (1, 1, 0) >= 0 and lam . b = -1 < 0
+        [((-1, 0), -1), ((1, 0), 0), ((0, 1), 0)],
+        # x >= 1, y >= 1, x + y <= 1: lam = (1, 1, 1), lam . b = -1
+        [((-1, 0), -1), ((0, -1), -1), ((1, 1), 1)],
+    ])
+    def test_infeasible_by_certificate(self, rows):
+        ints = _integer_rows(make_system(2, rows))
+        assert _farkas_infeasible(ints) is True
+        assert not helly_audit(make_system(2, rows))
+
+    def test_feasible_by_certificate(self):
+        # the same rows with room: lam . b has the wrong sign, or lam is mixed
+        for rows in ([((1, 0), 1), ((-1, 0), 0), ((0, 1), 0)],
+                     [((-1, 0), -1), ((0, -1), -1), ((1, 1), 2)],
+                     [((1, 0), 0), ((0, 1), 0), ((1, 1), 0)]):
+            assert _farkas_infeasible(_integer_rows(make_system(2, rows))) is False
+
+    def test_rank_deficient_infeasible_subset(self):
+        # in R^3, x <= 0, x >= 1, y <= 0, y >= 0 has rank 2: no certificate,
+        # and only the fallback sees that it is infeasible
+        s = make_system(3, [((1, 0, 0), 0), ((-1, 0, 0), -1),
+                            ((0, 1, 0), 0), ((0, -1, 0), 0)])
+        assert _farkas_infeasible(_integer_rows(s)) is None
+        assert not helly_audit(s)
+
+
+class TestHellyCallCounts:
+    @pytest.fixture
+    def fm_calls(self, monkeypatch):
+        calls = []
+
+        def counting_fm(system):
+            calls.append(system)
+            return fm_feasible(system)
+
+        monkeypatch.setattr(halfspaces, "fm_feasible", counting_fm)
+        return calls
+
+    def test_dim_2_body_runs_fm_once(self, fm_calls):
+        system = ak_system(random_polytope(random.Random(93), 2, 8))
+        assert len(system.halfspaces) >= 5
+        assert helly_audit(system)
+        assert len(fm_calls) == 1 and fm_calls[0] is system
+
+    def test_cube_runs_fm_on_its_fallback_subsets(self, fm_calls):
+        assert helly_audit(ak_system(unit_cube(3)))
+        assert len(fm_calls) == 1 + 3
 
 
 class TestGLInvariance:

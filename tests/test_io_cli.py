@@ -136,6 +136,23 @@ class TestCli:
         data = json.loads(capsys.readouterr().out)
         assert data["all_subsystems_feasible"] and data["full_system_feasible"]
 
+    @pytest.mark.parametrize("rows, verdicts", [
+        ([(["1", "0"], "1"), (["0", "1"], "1"), (["-1", "-1"], "0")], ("true", "true")),
+        ([(["1", "0"], "0"), (["-1", "0"], "-1"), (["0", "1"], "0")], ("false", "false")),
+        # fewer than n+1 rows: vacuous audit, infeasible system
+        ([(["1", "0"], "0"), (["-1", "0"], "-1")], ("true", "false")),
+    ])
+    def test_helly_output(self, tmp_path, capsys, rows, verdicts):
+        path = tmp_path / "sys.json"
+        path.write_text(json.dumps(
+            {"dim": 2, "rows": [{"w": w, "beta": b} for w, b in rows]}))
+        assert main(["helly", "--input", str(path)]) == 0
+        assert capsys.readouterr().out == (
+            "{\n"
+            f'  "all_subsystems_feasible": {verdicts[0]},\n'
+            f'  "full_system_feasible": {verdicts[1]}\n'
+            "}\n")
+
     def test_moment(self, tmp_path, capsys):
         path = self._write_body(tmp_path, TRIANGLE)
         assert main(["moment", "--input", str(path), "--w", "1,0"]) == 0
@@ -192,6 +209,25 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "Traceback" not in err
+
+    def test_too_many_points_is_an_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("GODBERSEN_SUBSET_CAP", raising=False)
+        path = tmp_path / "in.json"
+        curve = [[str(t), str(t * t), str(t ** 3)] for t in range(108)]
+        path.write_text(json.dumps({"dim": 3, "vertices": curve}))
+        assert main(["verify", "--input", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "GODBERSEN_SUBSET_CAP" in err
+
+    @pytest.mark.parametrize("data", [[1], {"specs": 3}, ["x"]])
+    def test_malformed_spec_files_are_an_error(self, tmp_path, capsys, data):
+        spec = tmp_path / "specs.json"
+        spec.write_text(json.dumps(data))
+        out = tmp_path / "out.csv"
+        assert main(["sweep", "--spec", str(spec), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not out.exists()
 
     def test_sweep_vertex_count_string(self, tmp_path, capsys):
         # vertex_count converts with int(), as dim and seed do
