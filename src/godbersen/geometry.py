@@ -10,7 +10,11 @@ integrals.
 Hull facets of raw point sets are enumerated by brute force over d-subsets
 with exact orientation tests (fine at input scale).  Minkowski sums take
 candidate normals from (n-1)-subsets of the summands' edge directions and
-verify each exactly, which avoids hulling all pairwise vertex sums.
+verify each exactly, which avoids hulling all pairwise vertex sums.  Both
+get every candidate normal from one exterior-product pass,
+``linalg.span_normals``: the subsets are walked depth first and each
+prefix's minors are extended by Laplace expansion, so a prefix shared by
+many subsets is expanded once.
 
 Everything else follows from the vertex-facet incidence, which fixes the face
 lattice: the smallest face through some points is the intersection of the
@@ -29,6 +33,7 @@ import os
 from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial, lcm
+from operator import mul
 
 from .errors import (
     CombinatorialBlowup,
@@ -42,10 +47,10 @@ from .linalg import (
     det,
     int_det,
     int_rank,
-    normal_to_span,
     primitive,
     scale_to_integers,
     solve_linear,
+    span_normals,
 )
 from .rationals import Matrix, Point, Rat, as_rat, as_vector, dot, is_zero_vector
 
@@ -140,7 +145,7 @@ def _lex_positive(vec: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _idot(u, v) -> int:
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 SUBSET_CAP_ENV = "GODBERSEN_SUBSET_CAP"
@@ -162,9 +167,10 @@ def _hull_facets_int(pts: list[tuple[int, ...]], d: int):
 
     Brute force over d-subsets with exact orientation tests; coplanar subsets
     merge because facets are keyed by the coprime-integer normal and offset.
-    Assumes the points affinely span R^d.
+    The subsets are taken one lowest point at a time, so each base point's
+    normals come from one ``span_normals`` pass over the differences to the
+    points after it.  Assumes the points affinely span R^d.
     """
-    m = len(pts)
     if d == 1:
         xs = [p[0] for p in pts]
         lo, hi = min(xs), max(xs)
@@ -174,35 +180,34 @@ def _hull_facets_int(pts: list[tuple[int, ...]], d: int):
                 ((1,), hi, tuple(i for i, x in enumerate(xs) if x == hi))]
     tested: set = set()
     found: dict = {}
-    for subset in combinations(range(m), d):
-        base = pts[subset[0]]
-        rows = [tuple(pts[i][c] - base[c] for c in range(d)) for i in subset[1:]]
-        w = normal_to_span(rows, d)
-        if all(c == 0 for c in w):
-            continue
-        b = _idot(w, base)
-        key = (w, b) if _lex_positive(w) == w else (tuple(-c for c in w), -b)
-        if key in tested:
-            continue
-        tested.add(key)
-        above = below = False
-        for p in pts:
-            s = _idot(w, p) - b
-            if s > 0:
-                above = True
-            elif s < 0:
-                below = True
+    for i, base in enumerate(pts):
+        rows = [tuple(a - b for a, b in zip(p, base)) for p in pts[i + 1:]]
+        for w in span_normals(rows, d):
+            if not any(w):
+                continue
+            b = _idot(w, base)
+            key = (w, b) if _lex_positive(w) == w else (tuple(-c for c in w), -b)
+            if key in tested:
+                continue
+            tested.add(key)
+            above = below = False
+            for p in pts:
+                s = _idot(w, p) - b
+                if s > 0:
+                    above = True
+                elif s < 0:
+                    below = True
+                if above and below:
+                    break
             if above and below:
-                break
-        if above and below:
-            continue
-        if not above and not below:
-            raise DegenerateInput("points do not span the ambient space")
-        if above:
-            w = tuple(-c for c in w)
-            b = -b
-        ids = tuple(i for i, p in enumerate(pts) if _idot(w, p) == b)
-        found[(w, b)] = ids
+                continue
+            if not above and not below:
+                raise DegenerateInput("points do not span the ambient space")
+            if above:
+                w = tuple(-c for c in w)
+                b = -b
+            ids = tuple(i for i, p in enumerate(pts) if _idot(w, p) == b)
+            found[(w, b)] = ids
     return sorted((w, b, ids) for (w, b), ids in found.items())
 
 
@@ -354,12 +359,6 @@ def support(K: Polytope, w) -> Rat:
     return Fraction(max(_idot(iw, p) for p in K._int_vertices), m * K._int_scale)
 
 
-def _argmax_face(K: Polytope, w: tuple[int, ...]) -> list[int]:
-    vals = [_idot(w, p) for p in K._int_vertices]
-    best = max(vals)
-    return [i for i, x in enumerate(vals) if x == best]
-
-
 def _edge_pairs(K: Polytope) -> list[tuple[int, int]]:
     """Vertex pairs whose (at least n-1) common facets share no other vertex."""
     faces = [frozenset(f.vertex_ids) for f in K.facets]
@@ -461,7 +460,12 @@ def minkowski_sum(K: Polytope, L: Polytope) -> Polytope:
     Equals the hull of all pairwise vertex sums.  Facet normals are found from
     (n-1)-subsets of the summands' edge directions (every facet of a sum is
     spanned by edges of the summands), which sidesteps hulling the quadratic
-    point cloud; each candidate is verified exactly.
+    point cloud.  One ``span_normals`` pass yields the candidates; each new
+    line through the origin is verified exactly for both of its signs, with
+    the summand faces read off one set of vertex values (maximum for the
+    line, minimum for its negative).  A candidate is a facet normal when the
+    two faces together span n - 1 dimensions, which needs at least n + 1
+    vertices between them.
     """
     n = K.dim
     if L.dim != n:
@@ -474,24 +478,26 @@ def minkowski_sum(K: Polytope, L: Polytope) -> Polytope:
     dirs = sorted(set(K.edge_directions()) | set(L.edge_directions()))
     seen_lines: set = set()
     facets: dict[tuple[int, ...], int] = {}
-    for combo in combinations(dirs, n - 1):
-        w = normal_to_span(list(combo), n)
-        if all(c == 0 for c in w):
+    for w in span_normals(dirs, n):
+        if not any(w):
             continue
         line = _lex_positive(w)
         if line in seen_lines:
             continue
         seen_lines.add(line)
-        for cand in (line, tuple(-c for c in line)):
-            face_k = _argmax_face(K, cand)
-            face_l = _argmax_face(L, cand)
-            rows = [tuple(a - b for a, b in zip(K._int_vertices[i], K._int_vertices[face_k[0]]))
-                    for i in face_k[1:]]
-            rows += [tuple(a - b for a, b in zip(L._int_vertices[i], L._int_vertices[face_l[0]]))
-                     for i in face_l[1:]]
+        vals_k = [_idot(line, p) for p in ps]
+        vals_l = [_idot(line, q) for q in qs]
+        for sign, top_k, top_l in ((1, max(vals_k), max(vals_l)),
+                                   (-1, min(vals_k), min(vals_l))):
+            face_k = [p for p, x in zip(ps, vals_k) if x == top_k]
+            face_l = [q for q, x in zip(qs, vals_l) if x == top_l]
+            if len(face_k) + len(face_l) < n + 1:
+                continue
+            rows = [tuple(a - b for a, b in zip(p, face_k[0])) for p in face_k[1:]]
+            rows += [tuple(a - b for a, b in zip(q, face_l[0])) for q in face_l[1:]]
             if int_rank(rows) != n - 1:
                 continue
-            facets[cand] = _idot(cand, ps[face_k[0]]) + _idot(cand, qs[face_l[0]])
+            facets[line if sign > 0 else tuple(-c for c in line)] = sign * (top_k + top_l)
 
     sums = sorted({tuple(x + y for x, y in zip(p, q)) for p in ps for q in qs})
     raw_facets = []

@@ -5,11 +5,18 @@ Every rank, determinant and solve runs through one fraction-free kernel,
 integer minor of the input, so each division is exact (Bareiss 1968).
 Rational input is scaled to integers first; Fractions appear only in that
 scaling and in the rational results handed back.
+
+Normals to spans do not use that kernel: ``span_normals`` takes the cofactor
+normal of every (n-1)-subset of a list of vectors in one exterior-product
+pass, extending each prefix's minors by Laplace expansion along the next row.
+The per-subset cofactor route it replaced is its oracle in the tests.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations
 from math import gcd, lcm
 
 from .errors import SingularMatrix
@@ -32,9 +39,7 @@ def scale_to_integers(points) -> tuple[list[tuple[int, ...]], int]:
 
 def primitive(vec) -> tuple[int, ...]:
     """Divide an integer vector by the gcd of its entries (zero stays zero)."""
-    g = 0
-    for c in vec:
-        g = gcd(g, abs(c))
+    g = gcd(*vec)
     if g <= 1:
         return tuple(vec)
     return tuple(c // g for c in vec)
@@ -95,18 +100,54 @@ def int_rank(rows) -> int:
     return len(_echelon(rows)[1])
 
 
-def normal_to_span(rows: list[tuple[int, ...]], n: int) -> tuple[int, ...]:
-    """Integer vector orthogonal to n-1 given integer vectors (cofactor rule).
+@lru_cache(maxsize=None)
+def _laplace_steps(n: int):
+    """Laplace expansion tables for the minors of rows of length n >= 2.
 
-    Returns the zero vector when the rows do not span an (n-1)-dimensional
-    space; otherwise a nonzero normal, components reduced to coprime integers.
+    ``steps[k][s]`` lists (sign, column, index of a k-minor) whose sum of
+    sign * row[column] * minor is the s-th (k+1)-minor, expanded along a new
+    last row; minors of one size are indexed by their column subsets in
+    ``combinations`` order.  The last table is folded into the normal: its
+    j-th entry gives (-1)^j times the minor that omits column j.
     """
-    w = []
-    for j in range(n):
-        minor = [[r[c] for c in range(n) if c != j] for r in rows]
-        d = int_det(minor)
-        w.append(-d if j % 2 else d)
-    return primitive(w)
+    index = [{cols: i for i, cols in enumerate(combinations(range(n), k))}
+             for k in range(n)]
+    steps = [[tuple(((-1) ** (k + p), t, index[k][cols[:p] + cols[p + 1:]])
+                    for p, t in enumerate(cols))
+              for cols in combinations(range(n), k + 1)]
+             for k in range(n - 1)]
+    last = steps[-1]
+    steps[-1] = [tuple(((-1) ** j * s, t, q) for s, t, q in last[n - 1 - j])
+                 for j in range(n)]
+    return steps
+
+
+def span_normals(dirs, n: int):
+    """Integer normal of each (n-1)-combination of integer vectors, n >= 2.
+
+    Yields, in ``itertools.combinations`` order, the vector whose j-th
+    component is (-1)^j times the (n-1)-minor omitting column j, reduced to
+    coprime integers: the zero vector when the combination does not span an
+    (n-1)-dimensional space, else a nonzero normal to it (cofactor rule).
+    The combinations are walked depth first, and each prefix's minors are
+    extended by one Laplace expansion along the new row, so every prefix is
+    expanded once for all its extensions.
+    """
+    steps = _laplace_steps(n)
+    depth = n - 1
+    total = len(dirs)
+
+    def walk(minors, start, k):
+        table = steps[k]
+        for i in range(start, total - depth + k + 1):
+            r = dirs[i]
+            nxt = [sum(s * r[t] * minors[q] for s, t, q in terms) for terms in table]
+            if k + 1 == depth:
+                yield primitive(nxt)
+            else:
+                yield from walk(nxt, i + 1, k + 1)
+
+    return walk([1], 0, 0)
 
 
 def det(mat: Matrix) -> Rat:

@@ -9,6 +9,7 @@ from godbersen import (
     CombinatorialBlowup,
     DegenerateInput,
     DimensionMismatch,
+    GenSpec,
     SingularMatrix,
     ZeroDirection,
     build_hull,
@@ -29,11 +30,11 @@ from godbersen import (
 )
 from godbersen import geometry
 from godbersen.geometry import Facet, Polytope, _hull_facets_int, _simplex_int_volume
-from godbersen.linalg import scale_to_integers
+from godbersen.linalg import int_rank, scale_to_integers
 from godbersen.rationals import dot
 from godbersen.sections import section_profile
 from tests.conftest import corpus_specs
-from tests.test_linalg import fraction_rank
+from tests.test_linalg import fraction_rank, normal_to_span
 
 TRIANGLE = [(0, 0), (1, 0), (0, 1)]
 SQUARE = [(0, 0), (1, 0), (0, 1), (1, 1)]
@@ -376,6 +377,23 @@ class TestIncludes:
                      build_hull([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]))
 
 
+def square_times_octahedron() -> Polytope:
+    """The dim-5 product of the unit square and the unit octahedron, built
+    from its known facets."""
+    octahedron = [tuple(s * (k == j) for k in range(3))
+                  for j in range(3) for s in (1, -1)]
+    pts = [p + q for p in SQUARE for q in octahedron]
+    normals = [tuple(s * (k == j) for k in range(5))
+               for j in (0, 1) for s in (1, -1)]
+    normals += [(0, 0) + signs for signs in product((1, -1), repeat=3)]
+    raw = []
+    for w in normals:
+        vals = [sum(x * y for x, y in zip(w, p)) for p in pts]
+        top = max(vals)
+        raw.append((w, top, tuple(i for i, v in enumerate(vals) if v == top)))
+    return geometry._from_lattice(pts, 1, raw)
+
+
 class TestEdges:
     def test_cube_edges(self):
         cube = build_hull([(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)])
@@ -391,18 +409,7 @@ class TestEdges:
         # In square x octahedron, square x {v} is a 2-face on the 4 facets
         # square x (facet through v), so its diagonals share n-1 facets but
         # are no edges.
-        octahedron = [tuple(s * (k == j) for k in range(3))
-                      for j in range(3) for s in (1, -1)]
-        pts = [p + q for p in SQUARE for q in octahedron]
-        normals = [tuple(s * (k == j) for k in range(5))
-                   for j in (0, 1) for s in (1, -1)]
-        normals += [(0, 0) + signs for signs in product((1, -1), repeat=3)]
-        raw = []
-        for w in normals:
-            vals = [sum(x * y for x, y in zip(w, p)) for p in pts]
-            top = max(vals)
-            raw.append((w, top, tuple(i for i, v in enumerate(vals) if v == top)))
-        body = geometry._from_lattice(pts, 1, raw)
+        body = square_times_octahedron()
         assert len(body.vertices) == 24
         assert len(body.edges()) == 4 * 6 + 4 * 12
         assert body.edges() == rank_edges(body)
@@ -616,3 +623,129 @@ class TestReflect:
         # the general path still solves and assembles
         transform(body, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
         assert "solve_linear" in calls and "_assemble" in calls
+
+
+# The per-subset routes that ``linalg.span_normals`` replaced, kept as
+# oracles of ``_hull_facets_int`` and ``minkowski_sum``: each d-subset of
+# points, or (n-1)-subset of edge directions, gets its own cofactor normal,
+# and the sum reads each candidate's summand faces by a separate argmax.
+
+def subset_hull_facets(pts, d):
+    tested = set()
+    found = {}
+    for subset in combinations(range(len(pts)), d):
+        base = pts[subset[0]]
+        rows = [tuple(pts[i][c] - base[c] for c in range(d)) for i in subset[1:]]
+        w = normal_to_span(rows, d)
+        if all(c == 0 for c in w):
+            continue
+        b = geometry._idot(w, base)
+        key = (w, b) if geometry._lex_positive(w) == w else (tuple(-c for c in w), -b)
+        if key in tested:
+            continue
+        tested.add(key)
+        signs = {(geometry._idot(w, p) > b) - (geometry._idot(w, p) < b) for p in pts}
+        if {1, -1} <= signs:
+            continue
+        if signs == {0}:
+            raise DegenerateInput("points do not span the ambient space")
+        if 1 in signs:
+            w, b = tuple(-c for c in w), -b
+        found[(w, b)] = tuple(i for i, p in enumerate(pts) if geometry._idot(w, p) == b)
+    return sorted((w, b, ids) for (w, b), ids in found.items())
+
+
+def subset_build_hull(points):
+    uniq = sorted(set(tuple(F(c) for c in p) for p in points))
+    ipts, mult = scale_to_integers(uniq)
+    return geometry._from_lattice(ipts, mult, subset_hull_facets(ipts, len(uniq[0])))
+
+
+def argmax_face(K, w):
+    vals = [geometry._idot(w, p) for p in K._int_vertices]
+    best = max(vals)
+    return [i for i, x in enumerate(vals) if x == best]
+
+
+def subset_minkowski_sum(K, L):
+    n = K.dim
+    m, ps, qs = geometry._common_lattice(K, L)
+    dirs = sorted(set(K.edge_directions()) | set(L.edge_directions()))
+    seen_lines = set()
+    facets = {}
+    for combo in combinations(dirs, n - 1):
+        w = normal_to_span(list(combo), n)
+        if all(c == 0 for c in w):
+            continue
+        line = geometry._lex_positive(w)
+        if line in seen_lines:
+            continue
+        seen_lines.add(line)
+        for cand in (line, tuple(-c for c in line)):
+            face_k = argmax_face(K, cand)
+            face_l = argmax_face(L, cand)
+            rows = [tuple(a - b for a, b in zip(K._int_vertices[i], K._int_vertices[face_k[0]]))
+                    for i in face_k[1:]]
+            rows += [tuple(a - b for a, b in zip(L._int_vertices[i], L._int_vertices[face_l[0]]))
+                     for i in face_l[1:]]
+            if int_rank(rows) == n - 1:
+                facets[cand] = geometry._idot(cand, ps[face_k[0]]) + \
+                    geometry._idot(cand, qs[face_l[0]])
+    sums = sorted({tuple(x + y for x, y in zip(p, q)) for p in ps for q in qs})
+    raw_facets = []
+    for w, offset in sorted(facets.items()):
+        vals = [geometry._idot(w, p) for p in sums]
+        assert max(vals) == offset
+        raw_facets.append((w, offset, tuple(i for i, v in enumerate(vals) if v == offset)))
+    return geometry._from_lattice(sums, m, raw_facets)
+
+
+def assert_same_polytope(got, expected):
+    assert got.vertices == expected.vertices
+    assert facet_data(got) == facet_data(expected)
+    assert got._simplices == expected._simplices
+    assert got.volume == expected.volume
+    assert got.centroid == expected.centroid
+
+
+def subset_oracle_bodies(corpus):
+    """Every 10th corpus body with the body after it, and, on their own, one
+    dim-5 random_hull body and square x octahedron."""
+    bodies = [body for _, body in corpus]
+    pairs = [(bodies[i], bodies[i + 1]) for i in range(0, len(bodies) - 1, 10)]
+    dim5 = generate(GenSpec("random_hull", 5, vertex_count=8, seed=1,
+                            denominator_bound=2))
+    return pairs, [dim5, square_times_octahedron()]
+
+
+class TestSubsetOracles:
+    def test_minkowski_sum_matches_subset_route(self, corpus):
+        pairs, extra = subset_oracle_bodies(corpus)
+        pairs = [(body, other) for body, nxt in pairs for other in (reflect(body), nxt)]
+        pairs += [(body, reflect(body)) for body in extra]
+        for body, other in pairs:
+            assert_same_polytope(minkowski_sum(body, other),
+                                 subset_minkowski_sum(body, other))
+
+    def test_hull_matches_subset_route(self, corpus):
+        pairs, extra = subset_oracle_bodies(corpus)
+        rng = random.Random(17)
+        clouds = [list(body.vertices) for body, _ in pairs]
+        clouds += [list(body.vertices) for body in extra]
+        # clouds with interior and coplanar points on a small grid
+        for dim in (2, 3, 4, 5):
+            for _ in range(4):
+                clouds.append([tuple(F(rng.randint(-2, 2), rng.randint(1, 2))
+                                     for _ in range(dim)) for _ in range(dim + 6)])
+        clouds.append([(x, y, x + y) for x in range(3) for y in range(3)])
+        built = 0
+        for pts in clouds:
+            try:
+                expected = subset_build_hull(pts)
+            except DegenerateInput:
+                with pytest.raises(DegenerateInput):
+                    build_hull(pts)
+                continue
+            assert_same_polytope(build_hull(pts), expected)
+            built += 1
+        assert built > 40

@@ -230,12 +230,15 @@ class TestCli:
         assert not out.exists()
 
     def test_sweep_vertex_count_string(self, tmp_path, capsys):
-        # vertex_count converts with int(), as dim and seed do
+        # an integer string stands for its int in every integer field
         spec = tmp_path / "specs.json"
         outs = []
         for count in (6, "6", "six"):
-            spec.write_text(json.dumps([{"kind": "random_hull", "dim": 2,
-                                         "vertex_count": count, "seed": 5}]))
+            row = {"kind": "random_hull", "dim": 2, "vertex_count": count,
+                   "seed": 5, "denominator_bound": 2}
+            if count == "6":
+                row.update(dim="2", seed="5", denominator_bound="2")
+            spec.write_text(json.dumps([row]))
             outs.append(tmp_path / f"{count}-{len(outs)}.csv")
             code = main(["sweep", "--spec", str(spec), "--out", str(outs[-1])])
             assert code == (1 if count == "six" else 0)
@@ -295,6 +298,26 @@ class TestCli:
         out = tmp_path / "out.csv"
         assert main(["sweep", "--spec", str(spec), "--out", str(out)]) == 1
         assert "'coordinate_denominator_bound'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("dim", 2.7), ("dim", 2.0), ("dim", True), ("dim", None), ("dim", "2.5"),
+        ("seed", True), ("seed", 1.5), ("seed", [1]),
+        ("vertex_count", 6.0), ("vertex_count", False),
+        ("denominator_bound", 2.5), ("denominator_bound", True),
+        ("denominator_bound", None),
+    ])
+    def test_sweep_rejects_non_integer_field(self, tmp_path, capsys, key, value):
+        # a float is not truncated and a bool is not read as 0 or 1
+        row = {"kind": "random_hull", "dim": 2, "vertex_count": 6, "seed": 5,
+               "denominator_bound": 2}
+        row[key] = value
+        spec = tmp_path / "specs.json"
+        spec.write_text(json.dumps([row]))
+        out = tmp_path / "out.csv"
+        assert main(["sweep", "--spec", str(spec), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err and "Traceback" not in err
         assert not out.exists()
 
     def test_sweep_jobs_match_serial(self, tmp_path, capsys):

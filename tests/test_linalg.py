@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -9,10 +10,10 @@ from godbersen.linalg import (
     det,
     int_det,
     int_rank,
-    normal_to_span,
     primitive,
     scale_to_integers,
     solve_linear,
+    span_normals,
 )
 
 
@@ -181,19 +182,69 @@ def test_rank():
     assert affine_rank([(0, 0), (1, 0), (0, 1)]) == 2
 
 
+# The per-subset cofactor route that ``span_normals`` replaced, kept as its
+# oracle: one Bareiss determinant per minor.
+
+def normal_to_span(rows, n):
+    w = []
+    for j in range(n):
+        minor = [[r[c] for c in range(n) if c != j] for r in rows]
+        d = int_det(minor)
+        w.append(-d if j % 2 else d)
+    return primitive(w)
+
+
+def random_directions(rng, n):
+    """Up to 9 small vectors, some repeated, zero, or in a low-rank span."""
+    dirs = [tuple(rng.randint(-4, 4) for _ in range(n))
+            for _ in range(rng.randint(0, 9))]
+    if dirs and rng.random() < 0.3:
+        basis = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(2)]
+        for i in range(0, len(dirs), 2):
+            a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+            dirs[i] = tuple(a * x + b * y for x, y in zip(*basis))
+    if dirs and rng.random() < 0.3:
+        dirs.insert(rng.randrange(len(dirs)), (0,) * n)
+    if dirs and rng.random() < 0.3:
+        dirs.insert(rng.randrange(len(dirs)), rng.choice(dirs))
+    return dirs
+
+
+def test_span_normals_match_cofactor_oracle():
+    rng = random.Random(13)
+    zero = short = 0
+    for n in (2, 3, 4, 5):
+        for _ in range(150):
+            dirs = random_directions(rng, n)
+            expected = [normal_to_span(list(c), n) for c in combinations(dirs, n - 1)]
+            assert list(span_normals(dirs, n)) == expected, (n, dirs)
+            zero += sum(not any(w) for w in expected)
+            short += len(dirs) < n - 1
+    assert zero > 500 and short > 20
+
+
+def test_span_normals_edge_shapes():
+    assert list(span_normals([], 3)) == []
+    assert list(span_normals([(1, 2, 3)], 3)) == []
+    assert list(span_normals([(1, 2, 3), (2, 4, 6)], 3)) == [(0, 0, 0)]
+    assert list(span_normals([(0, 0, 0), (0, 1, 0)], 3)) == [(0, 0, 0)]
+    assert list(span_normals([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3)) == \
+        [(0, 0, 1), (0, -1, 0), (1, 0, 0)]
+    assert list(span_normals([(3, -6)], 2)) == [(-2, -1)]
+
+
 def test_normal_to_span_is_orthogonal():
     rng = random.Random(11)
     for n in (2, 3, 4, 5):
         for _ in range(20):
-            rows = [tuple(rng.randint(-6, 6) for _ in range(n))
-                    for _ in range(n - 1)]
-            w = normal_to_span(rows, n)
-            for r in rows:
-                assert sum(a * b for a, b in zip(w, r)) == 0
-            if int_rank(rows) == n - 1:
-                assert any(c != 0 for c in w)
-            else:
-                assert all(c == 0 for c in w)
+            dirs = [tuple(rng.randint(-6, 6) for _ in range(n)) for _ in range(n + 1)]
+            for rows, w in zip(combinations(dirs, n - 1), span_normals(dirs, n)):
+                for r in rows:
+                    assert sum(a * b for a, b in zip(w, r)) == 0
+                if int_rank(rows) == n - 1:
+                    assert any(c != 0 for c in w)
+                else:
+                    assert all(c == 0 for c in w)
 
 
 def test_primitive_and_scaling():
