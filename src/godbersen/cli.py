@@ -25,6 +25,7 @@ from .inclusion import directional_moment
 from .mixedvol import godbersen_report
 from .polyio import (
     _checked,
+    _integer,
     load_json,
     polytope_from_dict,
     polytope_to_dict,
@@ -99,18 +100,6 @@ def _cmd_moment(args) -> int:
     return 0
 
 
-def _spec_int(value, what: str) -> int:
-    """An int (not a bool) or an integer string, as an int; else ValueError."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if isinstance(value, str):
-        try:
-            return int(value)
-        except ValueError:
-            pass
-    raise ValueError(f"{what} must be an integer, not {json.dumps(value)}")
-
-
 def _load_specs(path, base_seed: int) -> list[GenSpec]:
     data = load_json(path)
     raw = data["specs"] if isinstance(data, dict) else data
@@ -124,13 +113,13 @@ def _load_specs(path, base_seed: int) -> list[GenSpec]:
         vertex_count = row.get("vertex_count")
         specs.append(GenSpec(
             kind=row["kind"],
-            dim=_spec_int(row["dim"], f"spec row {i} dim"),
+            dim=_integer(row["dim"], f"spec row {i} dim"),
             vertex_count=None if vertex_count is None
-            else _spec_int(vertex_count, f"spec row {i} vertex_count"),
+            else _integer(vertex_count, f"spec row {i} vertex_count"),
             seed=base_seed * 1_000_003 + i if seed is None
-            else _spec_int(seed, f"spec row {i} seed"),
-            denominator_bound=_spec_int(row.get("denominator_bound", 1),
-                                        f"spec row {i} denominator_bound"),
+            else _integer(seed, f"spec row {i} seed"),
+            denominator_bound=_integer(row.get("denominator_bound", 1),
+                                       f"spec row {i} denominator_bound"),
         ))
     return specs
 

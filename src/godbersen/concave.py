@@ -12,8 +12,10 @@ integrals integral_0^1 (1-s)^a s^b ds = a! b! / (a+b+1)! gives the power sum
 
     h / (m (m+1)) * sum_{i=0}^{m-1} v1^(m-1-i) v2^i ((m+1) k1 - 1 + (i+1) h),
 
-with no slope division.  Every exact assertion here is root-free; n-th roots
-appear only inside the tolerance-based floating checks.
+with no slope division.  Slice-root concavity (Brunn's principle) is decided
+exactly on the integer section pieces by a Sturm sign test, with no root
+taken (``SectionProfile.root_concave``).  Only ``bm_check`` still compares
+floating n-th roots, within a relative tolerance.
 """
 
 from __future__ import annotations
@@ -28,8 +30,6 @@ from .geometry import Polytope, minkowski_sum, volume
 from .rationals import Rat, as_rat, as_vector
 from .sections import section_profile
 
-CONCAVITY_TOL = 1e-9
-ROOT_SAMPLES = 33
 MAX_EXTRA_KNOTS = 6
 DENOMINATOR_BOUND = 8
 
@@ -158,35 +158,9 @@ def random_concave(rng: random.Random) -> PLConcave:
 
 
 def slice_root_concavity(K: Polytope, w) -> bool:
-    """Concavity of the (n-1)-st root of the section profile along w.
-
-    For n = 2 the profile itself must be concave and the slopes of its linear
-    pieces are compared exactly.  For n >= 3 the root is evaluated in floating
-    point on an equispaced grid of ``ROOT_SAMPLES`` points and midpoint
-    concavity is required within a relative tolerance of 1e-9.
-    """
-    prof = section_profile(K, as_vector(w))
-    n = K.dim
-    if n == 2:
-        slopes = []
-        for piece in prof.pieces:
-            p = list(piece)
-            if len(p) > 2:
-                return False
-            slopes.append(p[1] if len(p) == 2 else Fraction(0))
-        return all(s2 <= s1 for s1, s2 in zip(slopes, slopes[1:]))
-    lo, hi = prof.support_interval()
-    span = hi - lo
-    root = Fraction(1, n - 1)
-    vals = []
-    for i in range(ROOT_SAMPLES):
-        t = lo + span * Fraction(i, ROOT_SAMPLES - 1)
-        s = prof.value(t)
-        vals.append(float(s) ** float(root) if s > 0 else 0.0)
-    scale = max(vals) if max(vals) > 0 else 1.0
-    tol = CONCAVITY_TOL * scale
-    return all(vals[i] >= (vals[i - 1] + vals[i + 1]) / 2 - tol
-               for i in range(1, ROOT_SAMPLES - 1))
+    """Whether the (n-1)-st root of the section profile along w is concave,
+    decided exactly for every n >= 2 (Brunn's principle says it always is)."""
+    return section_profile(K, as_vector(w)).root_concave()
 
 
 def bm_check(K: Polytope, L: Polytope) -> BrunnMinkowskiResult:

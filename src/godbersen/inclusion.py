@@ -63,8 +63,12 @@ def inclusion_in_nK(K: Polytope) -> bool:
 
 def tightness_profile(K: Polytope) -> TightnessProfile:
     """Exact lhs/rhs/tight data at every facet normal of the centered body."""
-    k0 = center_at_centroid(K)
-    n = K.dim
+    return _centered_tightness(center_at_centroid(K))
+
+
+def _centered_tightness(k0: Polytope) -> TightnessProfile:
+    """``tightness_profile`` of a body already centered at its centroid."""
+    n = k0.dim
     entries = []
     for f in k0.facets:
         lhs = support(k0, tuple(-c for c in f.normal))

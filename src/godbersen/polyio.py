@@ -34,13 +34,25 @@ def _checked(data, kind, what: str):
     return data
 
 
+def _integer(value, what: str) -> int:
+    """An int (not a bool) or an integer string, as an int; else ValueError."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ValueError(f"{what} must be an integer, not {json.dumps(value)}")
+
+
 def _vector(data, what: str) -> tuple:
     return tuple(parse_rational(c) for c in _checked(data, list, what))
 
 
 def polytope_from_dict(data: dict) -> Polytope:
     data = _checked(data, dict, "a polytope file")
-    dim = int(_checked(data["dim"], (int, str), "dim"))
+    dim = _integer(data["dim"], "dim")
     vertices = [_vector(p, "a vertex") for p in _checked(data["vertices"], list, "vertices")]
     if any(len(p) != dim for p in vertices):
         raise ValueError("vertex length disagrees with the declared dimension")
@@ -60,7 +72,7 @@ def system_to_dict(s: System) -> dict:
 
 def system_from_dict(data: dict) -> System:
     data = _checked(data, dict, "a system file")
-    dim = int(_checked(data["dim"], (int, str), "dim"))
+    dim = _integer(data["dim"], "dim")
     rows = [(_vector(_checked(r, dict, "a row")["w"], "a normal"), parse_rational(r["beta"]))
             for r in _checked(data["rows"], list, "rows")]
     return make_system(dim, rows)

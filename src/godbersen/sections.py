@@ -1,10 +1,10 @@
 """Exact one-dimensional section profiles of polytopes.
 
 For a body K and a nonzero direction w, the profile s(t) is the derivative of
-the cumulative volume function V(t) = Vol(K intersect {x . w <= t}), stored in
-the scaled coordinate t = x . w.  Between consecutive vertex levels V is a
-polynomial of degree <= n, so s is piecewise polynomial of degree <= n-1 and
-integrates exactly to Vol(K).
+the cumulative volume function V(t) = Vol(K intersect {x . w <= t}), in the
+coordinate t = x . w.  Between consecutive vertex levels V is a polynomial of
+degree <= n, so s is piecewise polynomial of degree <= n-1 and integrates
+exactly to Vol(K).
 
 V(t) is summed over the precomputed simplicial decomposition.  The fraction of
 a simplex below the level t follows the cut-volume recursion over its vertices
@@ -18,8 +18,14 @@ linear in t and the divisors H_j - H_i are positive constants, so one run of
 the recursion over polynomials gives the exact piece (the density of a linear
 image of a simplex is a spline in the vertex heights; Curry & Schoenberg 1966).
 Only simplices straddling the interval contribute to s; the others add a
-constant to V.  The recursion runs on integer heights, with the constant
-divisors cleared, and Fractions are formed once per coefficient.
+constant to V.
+
+The recursion runs on the integer levels T = M t with the constant divisors
+cleared, and its result is the one stored form of a piece: an integer
+accumulator A(T) over a positive integer denominator, with s = M A'(M t) / den.
+The integral, the moment and the slice-root concavity test are integer
+computations on that form, each reduced to one Fraction at the end.  The
+rational coefficients of s (``pieces``) and its values are made on demand.
 """
 
 from __future__ import annotations
@@ -27,22 +33,56 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd, prod
+from functools import cached_property
+from math import factorial, gcd, lcm, prod
 
 from .errors import DimensionMismatch, ZeroDirection
 from .geometry import Polytope, _idot, _simplex_int_volume
 from .linalg import scale_to_integers
-from .polynomials import add, definite_integral, evaluate
+from .polynomials import add, derivative, evaluate, mul, nonpositive_between
 from .rationals import Rat, Vector, as_vector, is_zero_vector
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SectionProfile:
-    """Piecewise polynomial slice-measure profile along a fixed direction."""
+    """Piecewise polynomial slice-measure profile along a fixed direction.
+
+    Piece i lies between the integer levels T = ``levels[i]`` and
+    ``levels[i + 1]`` of T = M t, M = ``level_scale``.  It is stored as the
+    integer accumulator A_i = ``accumulators[i]`` (low degree first) over the
+    positive integer ``denominators[i]``: s(t) = M A_i'(M t) / den_i.  Two
+    profiles are equal when their directions, breakpoints and rational
+    pieces are.
+    """
 
     direction: Vector
-    breakpoints: tuple[Rat, ...]
-    pieces: tuple[tuple[Fraction, ...], ...]
+    level_scale: int
+    levels: tuple[int, ...]
+    accumulators: tuple[tuple[int, ...], ...]
+    denominators: tuple[int, ...]
+
+    @cached_property
+    def breakpoints(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(h, self.level_scale) for h in self.levels)
+
+    @cached_property
+    def pieces(self) -> tuple[tuple[Fraction, ...], ...]:
+        """Rational coefficients of s in t on each piece, low degree first."""
+        m = self.level_scale
+        return tuple(tuple(Fraction(k * c * m ** k, den)
+                           for k, c in enumerate(acc) if k)
+                     for acc, den in zip(self.accumulators, self.denominators))
+
+    def _key(self):
+        return self.direction, self.breakpoints, self.pieces
+
+    def __eq__(self, other):
+        if not isinstance(other, SectionProfile):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def value(self, t) -> Fraction:
         """s(t); zero outside the support, exact everywhere."""
@@ -52,24 +92,63 @@ class SectionProfile:
             return Fraction(0)
         i = bisect.bisect_right(bp, x) - 1
         i = min(i, len(self.pieces) - 1)
-        return evaluate(list(self.pieces[i]), x)
+        return evaluate(self.pieces[i], x)
+
+    def _spans(self):
+        """(A_i, den_i, lo_i, hi_i) for every piece."""
+        return zip(self.accumulators, self.denominators,
+                   self.levels, self.levels[1:])
 
     def integral(self) -> Fraction:
-        """Integral of s over its support; equals the body volume."""
-        return sum(
-            (definite_integral(list(p), self.breakpoints[i], self.breakpoints[i + 1])
-             for i, p in enumerate(self.pieces)),
-            Fraction(0),
-        )
+        """Integral of s over its support; equals the body volume.  A piece
+        contributes (A(hi) - A(lo)) / den."""
+        common = lcm(*self.denominators)
+        total = sum(common // den * sum(c * (hi ** k - lo ** k)
+                                        for k, c in enumerate(acc))
+                    for acc, den, lo, hi in self._spans())
+        return Fraction(total, common)
 
     def moment(self) -> Fraction:
-        """Integral of t * s(t) over the support."""
-        return sum(
-            (definite_integral([Fraction(0), *p],
-                               self.breakpoints[i], self.breakpoints[i + 1])
-             for i, p in enumerate(self.pieces)),
-            Fraction(0),
-        )
+        """Integral of t * s(t) over the support.  A piece contributes
+        (1 / (M den)) integral T A'(T) dT, the power sum
+        sum_k k c_k (hi^(k+1) - lo^(k+1)) / (k+1), taken times the lcm of
+        1..d+1 for the top degree d so that every term is an integer."""
+        big = lcm(*range(1, max(map(len, self.accumulators)) + 1))
+        common = lcm(*self.denominators)
+        total = sum(common // den * sum(big // (k + 1) * k * c
+                                        * (hi ** (k + 1) - lo ** (k + 1))
+                                        for k, c in enumerate(acc))
+                    for acc, den, lo, hi in self._spans())
+        return Fraction(total, big * self.level_scale * common)
+
+    def root_concave(self) -> bool:
+        """Exactly whether s^(1/k), k = n - 1, is concave on the support.
+
+        On a piece q = A' is a positive multiple of s in T, and where q > 0
+        the root has second derivative q^(1/k - 2) P / k^2 (up to a positive
+        factor) with P = k q q'' - (k-1) q'^2, so P <= 0 on the open piece
+        (``nonpositive_between``).  P vanishes identically for n = 2 and for
+        cones.  At an interior level the pieces must meet at a positive value,
+        q-(T) den+ = q+(T) den- > 0, and bend down, q-'(T) den+ >= q+'(T) den-.
+        """
+        k = len(self.direction) - 1
+        qs = [derivative(acc) for acc in self.accumulators]
+        for q, (_, _, lo, hi) in zip(qs, self._spans()):
+            dq = derivative(q)
+            p = add(mul([k * c for c in q], derivative(dq)),
+                    mul([(1 - k) * c for c in dq], dq))
+            if not nonpositive_between(p, lo, hi):
+                return False
+        dens = self.denominators
+        for i, level in enumerate(self.levels[1:-1]):
+            left, right = qs[i], qs[i + 1]
+            value = evaluate(left, level) * dens[i + 1]
+            if value <= 0 or value != evaluate(right, level) * dens[i]:
+                return False
+            if (evaluate(derivative(left), level) * dens[i + 1]
+                    < evaluate(derivative(right), level) * dens[i]):
+                return False
+        return True
 
     def support_interval(self) -> tuple[Rat, Rat]:
         return self.breakpoints[0], self.breakpoints[-1]
@@ -140,7 +219,7 @@ def section_profile(K: Polytope, w) -> SectionProfile:
     # sums the straddling cut polynomials weighted by the integer simplex
     # volumes; so s(t) = M A'(M t) / (den n! m_v^n).
     unit = factorial(n) * K._int_scale ** n
-    pieces = []
+    accumulators, denominators = [], []
     for lo, hi in zip(levels, levels[1:]):
         acc: list[int] = []
         den = 1
@@ -153,7 +232,7 @@ def section_profile(K: Polytope, w) -> SectionProfile:
             acc = add([a * (d // g) for a in acc],
                       [vol * (den // g) * c for c in poly])
             den *= d // g
-        pieces.append(tuple(Fraction(k * c * level_scale ** k, den * unit)
-                            for k, c in enumerate(acc) if k))
-    breakpoints = tuple(Fraction(h, level_scale) for h in levels)
-    return SectionProfile(v, breakpoints, tuple(pieces))
+        accumulators.append(tuple(acc))
+        denominators.append(den * unit)
+    return SectionProfile(v, level_scale, tuple(levels), tuple(accumulators),
+                          tuple(denominators))

@@ -1,6 +1,7 @@
 """Corpus sweeps: run every check over generated bodies and emit a CSV.
 
-One row per (body, j).  Proven statements are asserted; a body that raises
+One row per (body, j).  Proven statements are asserted, Brunn's principle
+(slice-root concavity along seeded directions) among them; a body that raises
 TheoremViolation is counted and left out, and the sweep goes on.  Ratios for
 middle j (the open cases) are reported, and an exceedance there is recorded
 as an observation without failing the run.
@@ -20,7 +21,7 @@ from .errors import GodbersenError, TheoremViolation
 from .generators import GenSpec, generate
 from .geometry import Polytope
 from .halfspaces import anchor_unique
-from .inclusion import center_at_centroid, directional_moment, tightness_profile
+from .inclusion import _centered_tightness, center_at_centroid, directional_moment
 from .concave import slice_root_concavity
 from .mixedvol import godbersen_report
 from .polyio import polytope_to_dict, save_json
@@ -95,12 +96,12 @@ def _check_generated(body_id: str, spec: GenSpec,
     # One pass over the centered body's facets gives the tight count and,
     # through the centroid anchor witness, the anchor's uniqueness.  It raises
     # on any failed row, so returning at all proves -K0 in nK0.
-    tight = tightness_profile(body)
+    k0 = center_at_centroid(body)
+    tight = _centered_tightness(k0)
     ak_unique = anchor_unique(tight)
     inclusion_ok = True
     # Translation keeps the facet normals, so the centered body's facets give
     # the same directions.
-    k0 = center_at_centroid(body)
     moment_zero = all(
         directional_moment(k0, f.normal, center=False) == 0 for f in k0.facets)
 
@@ -108,9 +109,8 @@ def _check_generated(body_id: str, spec: GenSpec,
     for _ in range(ROOT_CONCAVITY_DIRECTIONS):
         direction = _random_direction(rng, body.dim)
         if not slice_root_concavity(body, direction):
-            observations.append(
-                f"OBSERVATION {body_id}: root concavity tolerance check "
-                f"failed along {direction}")
+            raise TheoremViolation(
+                f"section root not concave along {direction}")
 
     for entry in report.entries:
         if entry.ratio > 1 and entry.j not in (1, report.n - 1):

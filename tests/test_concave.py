@@ -20,16 +20,17 @@ from godbersen import (
     random_concave,
     reflect,
     scale,
+    SectionProfile,
     section_profile,
     slice_root_concavity,
     standard_simplex,
     translate,
     unit_cube,
 )
-from godbersen.polynomials import definite_integral
+from godbersen.polynomials import mul
 from godbersen.rationals import as_vector
 from tests.test_geometry import TRIANGLE, SQUARE, random_polytope
-from tests.test_polynomials import mul, power
+from tests.test_polynomials import definite_integral, power
 
 LINEAR_DOWN = PLConcave((F(0), F(1)), (F(1), F(0)))       # 1 - r
 CONSTANT_ONE = PLConcave((F(0), F(1)), (F(1), F(1)))
@@ -176,6 +177,43 @@ class TestIntegralCheck:
         assert eq >= 1  # the generator does produce equality cases
 
 
+ROOT_SAMPLES = 33
+CONCAVITY_TOL = 1e-9
+
+
+def float_root_concavity(prof) -> bool:
+    """The float route that decided slice-root concavity before the exact
+    test, kept as the oracle: for n = 2 the slopes of the linear pieces are
+    compared exactly; for n >= 3 the root is sampled in floating point at
+    ``ROOT_SAMPLES`` equispaced points and midpoint concavity is required
+    within a relative tolerance ``CONCAVITY_TOL``."""
+    n = len(prof.direction)
+    if n == 2:
+        slopes = []
+        for piece in prof.pieces:
+            if len(piece) > 2:
+                return False
+            slopes.append(piece[1] if len(piece) == 2 else F(0))
+        return all(s2 <= s1 for s1, s2 in zip(slopes, slopes[1:]))
+    lo, hi = prof.support_interval()
+    vals = []
+    for i in range(ROOT_SAMPLES):
+        s = prof.value(lo + (hi - lo) * F(i, ROOT_SAMPLES - 1))
+        vals.append(float(s) ** (1.0 / (n - 1)) if s > 0 else 0.0)
+    tol = CONCAVITY_TOL * (max(vals) if max(vals) > 0 else 1.0)
+    return all(vals[i] >= (vals[i - 1] + vals[i + 1]) / 2 - tol
+               for i in range(1, ROOT_SAMPLES - 1))
+
+
+def dip_profile() -> SectionProfile:
+    """A dim-3 profile on the levels 0..32 (so the oracle samples every
+    integer level): s = 1, except on (10, 11) where s = 2T^2 - 42T + 221
+    dips to 1/2 and back.  The pieces meet at value 1 with concave kinks, so
+    only the sign of P on the middle piece gives the dip away."""
+    return SectionProfile((F(1), F(0), F(0)), 1, (0, 10, 11, 32),
+                          ((0, 1), (0, 663, -63, 2), (0, 1)), (1, 3, 1))
+
+
 class TestSliceRootConcavity:
     def test_cube_constant_profile(self):
         assert slice_root_concavity(unit_cube(3), (1, 0, 0))
@@ -195,6 +233,43 @@ class TestSliceRootConcavity:
                 if all(c == 0 for c in w):
                     continue
                 assert slice_root_concavity(body, w)
+                assert float_root_concavity(section_profile(body, w))
+
+    def test_cone_has_zero_p(self):
+        # s is a square of a linear function along the pyramid's axis: P = 0
+        pyramid = build_hull([(0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 0),
+                              (1, 1, 2)])
+        prof = section_profile(pyramid, (0, 0, 1))
+        assert len(prof.pieces) == 1 and prof.root_concave()
+
+    def test_dip_between_samples_is_caught(self):
+        prof = dip_profile()
+        assert prof.value(F(10)) == prof.value(F(11)) == 1
+        assert prof.value(F(21, 2)) == F(1, 2)
+        assert float_root_concavity(prof)
+        assert not prof.root_concave()
+
+    def test_exponent_of_the_root_matters(self):
+        # s = 1 + T^2 on [1, 3] in dim 3: sqrt(s) is convex, though log(s)
+        # is concave there, so a test of the wrong root would pass it
+        prof = SectionProfile((F(1), F(0), F(0)), 1, (1, 3), ((0, 3, 0, 1),),
+                              (3,))
+        assert prof.value(F(2)) == 5
+        assert not prof.root_concave() and not float_root_concavity(prof)
+
+    def test_breakpoint_checks(self):
+        # a convex kink: s = 1 then 1 + (T - 10)
+        kink = SectionProfile((F(1), F(0), F(0)), 1, (0, 10, 20),
+                              ((0, 1), (0, -18, 1)), (1, 2))
+        assert kink.value(F(15)) == 6 and not kink.root_concave()
+        # a jump: s = 1 then 2
+        jump = SectionProfile((F(1), F(0), F(0)), 1, (0, 10, 20),
+                              ((0, 1), (0, 2)), (1, 1))
+        assert not jump.root_concave()
+        # a concave kink at a positive common value passes
+        tent = SectionProfile((F(1), F(0)), 1, (0, 10, 20),
+                              ((0, 1, 1), (0, 41, -1)), (1, 1))
+        assert tent.root_concave() and float_root_concavity(tent)
 
 
 class TestBrunnMinkowski:

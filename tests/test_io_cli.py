@@ -219,6 +219,21 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "GODBERSEN_SUBSET_CAP" in err
 
+    @pytest.mark.parametrize("command, dim", [
+        ("verify", True), ("verify", False), ("verify", 1.0), ("helly", True)])
+    def test_non_integer_dim_is_an_error(self, tmp_path, capsys, command, dim):
+        # a bool is an int in Python; {"dim": true} once loaded as dim 1
+        path = tmp_path / "in.json"
+        if command == "helly":
+            data = {"dim": dim, "rows": [{"w": ["1"], "beta": "1"}]}
+        else:
+            data = {"dim": dim, "vertices": [["0"], ["1"]]}
+        path.write_text(json.dumps(data))
+        assert main([command, "--input", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: dim must be an integer")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("data", [[1], {"specs": 3}, ["x"]])
     def test_malformed_spec_files_are_an_error(self, tmp_path, capsys, data):
         spec = tmp_path / "specs.json"

@@ -7,7 +7,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from godbersen import (
-    SectionProfile,
     ZeroDirection,
     build_hull,
     center_at_centroid,
@@ -17,12 +16,12 @@ from godbersen import (
     unit_cube,
 )
 from godbersen.geometry import _simplex_int_volume
-from godbersen.polynomials import add, antiderivative, evaluate, trim
+from godbersen.polynomials import add, derivative, evaluate, mul, trim
 from godbersen.rationals import as_vector, dot
 from godbersen.sweep import ROOT_CONCAVITY_DIRECTIONS, _random_direction
 from tests.conftest import corpus_specs
 from tests.test_geometry import random_polytope
-from tests.test_polynomials import mul
+from tests.test_polynomials import antiderivative
 
 
 def _cut_fraction(heights: list[F]) -> F:
@@ -49,12 +48,7 @@ def _cut_fraction(heights: list[F]) -> F:
     return row[-1]
 
 
-# Lagrange interpolation and differentiation, used only by the reference
-# profile below.
-
-def derivative(p):
-    return trim([c * i for i, c in enumerate(p)][1:])
-
+# Lagrange interpolation, used only by the reference profile below.
 
 def interpolate(nodes, values):
     """Exact Lagrange interpolation through distinct rational nodes."""
@@ -76,7 +70,7 @@ def interpolate(nodes, values):
 @given(st.lists(st.fractions(min_value=F(-50), max_value=F(50),
                              max_denominator=12), max_size=5))
 def test_derivative_of_antiderivative(p):
-    assert derivative(antiderivative(p)) == trim(list(p))
+    assert trim(derivative(antiderivative(p))) == trim(list(p))
 
 
 def test_interpolation_reproduces_polynomials():
@@ -89,10 +83,16 @@ def test_interpolation_reproduces_polynomials():
         assert interpolate(nodes, values) == trim(coeffs)
 
 
-def _reference_profile(K, w) -> SectionProfile:
+def _rational(prof):
+    """A profile as (direction, breakpoints, pieces), all rational."""
+    return prof.direction, prof.breakpoints, prof.pieces
+
+
+def _reference_profile(K, w):
     """The profile by sampling: the cumulative volume at n+1 interior nodes
     of each interval, summed over all simplices with ``_cut_fraction``, then
-    Lagrange-interpolated and differentiated."""
+    Lagrange-interpolated and differentiated.  Returned in the form of
+    ``_rational``."""
     v = as_vector(w)
     n = K.dim
     levels = [dot(v, p) for p in K.vertices]
@@ -113,7 +113,7 @@ def _reference_profile(K, w) -> SectionProfile:
         nodes = [lo + (hi - lo) * F(j, n + 2) for j in range(1, n + 2)]
         values = [cumulative(t) for t in nodes]
         pieces.append(tuple(derivative(interpolate(nodes, values))))
-    return SectionProfile(v, tuple(breakpoints), tuple(pieces))
+    return v, tuple(breakpoints), tuple(pieces)
 
 
 def test_cube_profile_is_constant_one():
@@ -168,7 +168,8 @@ def test_profile_matches_reference_on_corpus_sample():
             _random_direction(rng, k0.dim)
             for _ in range(ROOT_CONCAVITY_DIRECTIONS)]
         for w in directions:
-            assert section_profile(k0, w) == _reference_profile(k0, w), (spec, w)
+            assert _rational(section_profile(k0, w)) == \
+                _reference_profile(k0, w), (spec, w)
             pairs += 1
     assert pairs > 100
 
@@ -185,7 +186,7 @@ def test_profile_matches_reference_on_corpus_sample():
         "cube4-rational"])
 def test_profile_matches_reference_on_special_bodies(body, w):
     # a segment, whole facets tied at one level, and rational directions
-    assert section_profile(body, w) == _reference_profile(body, w)
+    assert _rational(section_profile(body, w)) == _reference_profile(body, w)
 
 
 def test_integral_equals_volume_and_moment_identity():
@@ -266,3 +267,26 @@ def test_piece_degree_bound():
         body = random_polytope(rng, dim, dim + 3)
         prof = section_profile(body, tuple(1 for _ in range(dim)))
         assert all(len(p) <= dim for p in prof.pieces)
+
+
+def test_integer_form_and_rational_equality():
+    # s(t) = M A'(M t) / den on each piece; equality and hashing go by the
+    # rational profile, not by the integer form that produced it
+    prof = section_profile(build_hull([(0, 0), (2, 0), (0, 2)]), (F(1, 2), 0))
+    m = prof.level_scale
+    assert prof.breakpoints == tuple(F(h, m) for h in prof.levels)
+    for acc, den, piece in zip(prof.accumulators, prof.denominators,
+                               prof.pieces):
+        assert den > 0
+        assert piece == tuple(F(k * c * m ** k, den)
+                              for k, c in enumerate(acc) if k)
+    # the same profile on the levels T' = 2 T: A'(T') = 3 * 4 A(T' / 2)
+    # over 3 * 4 den, for accumulators of degree <= 2
+    assert all(len(acc) <= 3 for acc in prof.accumulators)
+    same = type(prof)(prof.direction, 2 * m, tuple(2 * h for h in prof.levels),
+                      tuple(tuple(3 * 2 ** (2 - k) * c for k, c in enumerate(acc))
+                            for acc in prof.accumulators),
+                      tuple(12 * den for den in prof.denominators))
+    assert same == prof and hash(same) == hash(prof)
+    assert same.integral() == prof.integral() == 2
+    assert same.moment() == prof.moment()

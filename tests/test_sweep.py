@@ -1,5 +1,7 @@
+import hashlib
 import json
 import sys
+from dataclasses import asdict
 
 import pytest
 
@@ -7,10 +9,17 @@ from godbersen import GenSpec, inclusion
 from godbersen.cli import main
 from godbersen.errors import TheoremViolation
 from godbersen.polyio import polytope_from_dict
+from tests.conftest import corpus_specs
+from tests.test_concave import dip_profile
 
 # the package re-exports a function named sweep, so reach the module through
 # sys.modules
 sweep_module = sys.modules["godbersen.sweep"]
+concave_module = sys.modules["godbersen.concave"]
+
+# sha256 of the `sweep --floats` CSV over every 10th corpus body (30 bodies),
+# recorded before slice-root concavity became an exact test.
+FLOATS_CSV_DIGEST = "539f022e64190a9087a34e8fb59c95e26ab20c49ebce03a850087b0ca2e1441c"
 
 
 def test_centers_once_for_the_moments(monkeypatch):
@@ -25,19 +34,19 @@ def test_centers_once_for_the_moments(monkeypatch):
     monkeypatch.setattr(sweep_module, "center_at_centroid", counting_center)
     spec = GenSpec("random_hull", 3, 7, seed=30_001, denominator_bound=3)
     sweep_module.check_body("0000-random_hull-n3", spec)
-    # one centering for the tightness profile, one for all facet moments
-    assert len(calls) == 2
+    # one centering shared by the tightness profile and all facet moments
+    assert len(calls) == 1
 
 
 def test_violation_names_the_body(tmp_path, monkeypatch, capsys):
-    tightness = sweep_module.tightness_profile
+    tightness = sweep_module._centered_tightness
 
     def boom(K):
         if len(K.vertices) == K.dim + 1:
             raise TheoremViolation("forced on a facet normal")
         return tightness(K)
 
-    monkeypatch.setattr(sweep_module, "tightness_profile", boom)
+    monkeypatch.setattr(sweep_module, "_centered_tightness", boom)
     spec = GenSpec("simplex", 2, seed=7)
     with pytest.raises(TheoremViolation) as info:
         sweep_module.check_body("0003-simplex-n2", spec)
@@ -64,3 +73,42 @@ def test_violation_names_the_body(tmp_path, monkeypatch, capsys):
     summary = sweep_module.sweep([GenSpec("cube", 2), GenSpec("simplex", 2)],
                                  tmp_path / "y.csv")
     assert summary.violations == 1 and summary.rows == 1
+
+
+def test_root_concavity_failure_is_a_violation(tmp_path, monkeypatch, capsys):
+    # every dim-3 section profile is replaced by one whose root dips between
+    # the old float sampler's points
+    profile = concave_module.section_profile
+
+    def dipping(K, w):
+        return dip_profile() if K.dim == 3 else profile(K, w)
+
+    monkeypatch.setattr(concave_module, "section_profile", dipping)
+    spec = GenSpec("cube", 3)
+    with pytest.raises(TheoremViolation) as info:
+        sweep_module.check_body("0001-cube-n3", spec)
+    assert str(info.value).startswith(f"0001-cube-n3 {spec}: section root not "
+                                      "concave along (")
+
+    specs = tmp_path / "specs.json"
+    specs.write_text(json.dumps([{"kind": "cube", "dim": 2},
+                                 {"kind": "cube", "dim": 3}]))
+    out = tmp_path / "x.csv"
+    assert main(["sweep", "--spec", str(specs), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "0001-cube-n3" in captured.err and "not concave" in captured.err
+    assert "observations=0 violations=1" in captured.out
+    lines = out.read_text().splitlines()
+    assert [line.split(",")[0] for line in lines[2:]] == ["0000-cube-n2"]
+    repro = json.loads((tmp_path / "x.csv.violation-0001-cube-n3.json").read_text())
+    assert "section root not concave" in repro["message"]
+    assert polytope_from_dict(repro) == sweep_module.generate(spec)
+
+
+def test_floats_csv_digest(tmp_path):
+    specs = tmp_path / "specs.json"
+    specs.write_text(json.dumps([asdict(s) for s in corpus_specs()[::10]]))
+    out = tmp_path / "corpus.csv"
+    assert main(["sweep", "--spec", str(specs), "--out", str(out),
+                 "--floats"]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == FLOATS_CSV_DIGEST
