@@ -24,7 +24,9 @@ their common facets share no other vertex, and the facets of a face are its
 maximal proper intersections with facets.  Each facet's pulling
 triangulation, coned from a vertex off it, gives the facet's measure (cone
 volume = measure * height / n); the cones from vertex 0 give the fan, volume
-and centroid.  That is one integer determinant per simplex.
+and centroid.  That is one integer determinant per simplex.  An invertible
+affine map keeps the lattice, so ``transform`` relabels its source's
+structure instead of rebuilding it.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 from itertools import combinations
-from math import comb, factorial, lcm
+from math import comb, factorial, gcd, lcm
 from operator import mul
 
 from .errors import (
@@ -43,16 +45,15 @@ from .errors import (
     ZeroDirection,
 )
 from .linalg import (
+    adjugate,
     affine_rank,
-    det,
     int_det,
     int_rank,
     primitive,
     scale_to_integers,
-    solve_linear,
     span_normals,
 )
-from .rationals import Matrix, Point, Rat, as_rat, as_vector, dot, is_zero_vector
+from .rationals import Point, Rat, as_rat, as_vector, dot, is_zero_vector
 
 
 class Facet:
@@ -156,7 +157,11 @@ def check_subset_cap(total: int, what: str, cap: int | None = None) -> None:
     """Raise CombinatorialBlowup before a brute-force enumeration of ``total``
     subsets that exceeds the cap (``GODBERSEN_SUBSET_CAP``, default 200000)."""
     if cap is None:
-        cap = int(os.environ.get(SUBSET_CAP_ENV, DEFAULT_SUBSET_CAP))
+        raw = os.environ.get(SUBSET_CAP_ENV, DEFAULT_SUBSET_CAP)
+        try:
+            cap = int(raw)
+        except ValueError:
+            raise ValueError(f"{SUBSET_CAP_ENV} must be an integer, not {raw!r}") from None
     if total > cap:
         raise CombinatorialBlowup(
             f"{what}: {total} subsets exceed the cap of {cap}; raise {SUBSET_CAP_ENV}")
@@ -263,9 +268,10 @@ def _scaled_sum_volumes(S: Polytope, K: Polytope, L: Polytope) -> list[Fraction]
     return vols
 
 
-def _assemble(dim: int, vertices: tuple[Point, ...],
+def _assemble(dim: int, ipts: list[tuple[int, ...]], mult: int,
               facet_specs: list[tuple[tuple[int, ...], Fraction, tuple[int, ...]]]) -> Polytope:
-    """Build a Polytope from sorted vertices and facet (normal, offset, ids).
+    """Build a Polytope from its vertices c / mult, given as the integer points
+    c on the smallest such lattice, and facet (normal, offset, ids).
 
     Each facet's pulling triangulation is coned from vertex 0, or from the
     lowest vertex off the facet when 0 is on it.  A cone's integer volume over
@@ -273,7 +279,7 @@ def _assemble(dim: int, vertices: tuple[Point, ...],
     vertex 0 are the body's fan.  Callers guarantee the data describes a
     genuine full-dimensional polytope with irredundant vertices.
     """
-    ipts, mult = scale_to_integers(vertices)
+    vertices = tuple(tuple(Fraction(c, mult) for c in p) for p in ipts)
     facet_specs = sorted(facet_specs)
     faces = [frozenset(vids) for _, _, vids in facet_specs]
     unit = factorial(dim - 1) * mult ** (dim - 1)
@@ -307,7 +313,8 @@ def _from_lattice(ipts: list[tuple[int, ...]], mult: int, raw_facets) -> Polytop
     ``raw_facets`` holds (normal, offset on the lattice, ids of the points on
     the facet).  The points are distinct and include every vertex of their
     hull, so a point is a vertex iff its (at least n) facets share no other
-    point; the others are dropped and the facet ids remapped.
+    point; the others are dropped, the facet ids remapped and the lattice
+    coarsened to the smallest one holding the vertices.
     """
     n = len(ipts[0])
     through: list[list[frozenset]] = [[] for _ in ipts]
@@ -318,10 +325,10 @@ def _from_lattice(ipts: list[tuple[int, ...]], mult: int, raw_facets) -> Polytop
     keep = [i for i, fs in enumerate(through)
             if len(fs) >= n and frozenset.intersection(*fs) == {i}]
     new = {old: k for k, old in enumerate(keep)}
-    vertices = tuple(tuple(Fraction(c, mult) for c in ipts[i]) for i in keep)
+    g = gcd(mult, *(c for i in keep for c in ipts[i]))
     specs = [(w, Fraction(b, mult), tuple(new[i] for i in ids if i in new))
              for w, b, ids in raw_facets]
-    return _assemble(n, vertices, specs)
+    return _assemble(n, [tuple(c // g for c in ipts[i]) for i in keep], mult // g, specs)
 
 
 def build_hull(points) -> Polytope:
@@ -340,6 +347,8 @@ def build_hull(points) -> Polytope:
     n = len(pts[0])
     if any(len(p) != n for p in pts):
         raise DimensionMismatch("points of mixed dimension")
+    if n < 1:
+        raise DegenerateInput("points must have dimension at least 1")
     uniq: list[Point] = sorted(set(pts))
     check_subset_cap(comb(len(uniq), n), f"hull of {len(uniq)} points in R^{n}")
     if len(uniq) < n + 1 or affine_rank(uniq) < n:
@@ -374,69 +383,50 @@ def _edge_pairs(K: Polytope) -> list[tuple[int, int]]:
 def transform(K: Polytope, mat=None, shift=None) -> Polytope:
     """Image of K under x -> A x + t for invertible rational A.
 
-    Nonzero multiples of the identity, reflections included, take a fast path
-    that carries over all the cached structure; any other invertible map
-    remaps vertices and facet normals (inverse-transpose rule) and
-    reassembles measures exactly.
+    An invertible affine map keeps the face lattice, so the image carries over
+    K's facets, vertex ids and fan, relabelled by the sorted image vertices.
+    With A = Ai / a and t = ti / a over one positive integer a, the vertex
+    p / m maps to (Ai p + m ti) / (a m).  A normal w maps to the coprime part
+    u / g of u = sign(det Ai) adj(Ai)^T w, a positive multiple of A^-T w, and
+    its scaled measure to mu g / a^(n-1); the volume gains |det Ai| / a^n.
     """
     n = K.dim
-    a: Matrix | None = None
-    if mat is not None:
-        a = tuple(tuple(as_rat(c) for c in row) for row in mat)
-        if len(a) != n or any(len(r) != n for r in a):
-            raise DimensionMismatch("matrix shape does not match the body")
-    t = tuple(as_rat(c) for c in shift) if shift is not None else (Fraction(0),) * n
+    if mat is None:
+        mat = [[int(i == j) for j in range(n)] for i in range(n)]
+    rows = [tuple(as_rat(c) for c in row) for row in mat]
+    if len(rows) != n or any(len(r) != n for r in rows):
+        raise DimensionMismatch("matrix shape does not match the body")
+    t = tuple(as_rat(c) for c in shift) if shift is not None else (0,) * n
     if len(t) != n:
         raise DimensionMismatch("translation length does not match the body")
-
-    c = _scalar_matrix(a, n)
-    if c is not None:
-        # x -> c x + t keeps the face lattice; c < 0 maps vertex i to V-1-i
-        # and flips the normals.
-        r, last = abs(c), len(K.vertices) - 1
-        new = (lambda i: i) if c > 0 else (lambda i: last - i)
-        vertices = tuple(tuple(c * x + s for x, s in zip(K.vertices[new(i)], t))
-                         for i in range(last + 1))
-        facets = []
-        for f in K.facets:
-            w = f.normal if c > 0 else tuple(-x for x in f.normal)
-            facets.append(Facet(w, r * f.offset + dot(w, t), f.measure * r ** (n - 1),
-                                tuple(sorted(map(new, f.vertex_ids)))))
-        facets.sort(key=lambda f: f.normal)
-        return Polytope(n, vertices, tuple(facets), K.volume * r ** n,
-                        tuple(c * x + s for x, s in zip(K.centroid, t)),
-                        tuple(tuple(map(new, s)) for s in K._simplices),
-                        *scale_to_integers(vertices))
-
-    if a is None:
-        a = tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n))
-    if det(a) == 0:
+    (*ai, ti), a = scale_to_integers(rows + [t])
+    adj = adjugate(ai)
+    d = _idot(ai[0], [r[0] for r in adj])  # the first entry of Ai adj(Ai) = det(Ai) I
+    if d == 0:
         raise SingularMatrix("transform matrix is singular")
-    at = tuple(tuple(a[r][col] for r in range(n)) for col in range(n))
-    mapped = [tuple(sum(a[r][col] * p[col] for col in range(n)) + t[r] for r in range(n))
-              for p in K.vertices]
-    order = sorted(range(len(mapped)), key=lambda i: mapped[i])
-    new_index = {old: new for new, old in enumerate(order)}
-    vertices = tuple(mapped[i] for i in order)
-    specs = []
+
+    m = K._int_scale
+    mapped = [tuple(_idot(r, p) + m * s for r, s in zip(ai, ti)) for p in K._int_vertices]
+    common = gcd(a * m, *(c for q in mapped for c in q))
+    mult = a * m // common
+    order = sorted(range(len(mapped)), key=mapped.__getitem__)
+    new = {old: k for k, old in enumerate(order)}
+    ipts = [tuple(c // common for c in mapped[i]) for i in order]
+    sign = 1 if d > 0 else -1
+    cols = list(zip(*adj))
+    facets = []
     for f in K.facets:
-        wprime = solve_linear(at, f.normal)
-        w_int, _ = scale_to_integers([wprime])
-        w = primitive(w_int[0])
-        vids = tuple(sorted(new_index[i] for i in f.vertex_ids))
-        offset = dot(w, vertices[vids[0]])
-        specs.append((w, offset, vids))
-    return _assemble(n, vertices, specs)
-
-
-def _scalar_matrix(a, n: int):
-    """Return c when the matrix is c*I with c != 0 (None matrix means I)."""
-    if a is None:
-        return Fraction(1)
-    c = a[0][0]
-    if any(a[i][j] != (c if i == j else 0) for i in range(n) for j in range(n)):
-        return None
-    return c or None
+        u = [sign * _idot(col, f.normal) for col in cols]
+        g = gcd(*u)
+        w = tuple(c // g for c in u)
+        vids = tuple(sorted(new[i] for i in f.vertex_ids))
+        facets.append(Facet(w, Fraction(_idot(w, ipts[vids[0]]), mult),
+                            f.measure * g / a ** (n - 1), vids))
+    facets.sort(key=lambda f: f.normal)
+    return Polytope(n, tuple(tuple(Fraction(c, mult) for c in q) for q in ipts),
+                    tuple(facets), K.volume * abs(d) / a ** n,
+                    tuple((sum(map(mul, r, K.centroid)) + s) / a for r, s in zip(ai, ti)),
+                    tuple(tuple(new[i] for i in s) for s in K._simplices), ipts, mult)
 
 
 def translate(K: Polytope, t) -> Polytope:

@@ -95,6 +95,13 @@ def int_det(rows: list[list[int]]) -> int:
     return sign * a[n - 1][n - 1] if len(pivots) == n else 0
 
 
+def adjugate(rows) -> list[list[int]]:
+    """Adjugate of a square integer matrix: adj(A) A = det(A) I."""
+    n = len(rows)
+    return [[(-1) ** (i + j) * int_det([r[:i] + r[i + 1:] for r in rows[:j] + rows[j + 1:]])
+             for j in range(n)] for i in range(n)]
+
+
 def int_rank(rows) -> int:
     """Rank of an integer matrix."""
     return len(_echelon(rows)[1])

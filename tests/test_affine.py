@@ -3,8 +3,8 @@
 Mixed volumes and the volume both scale by |det A|, the centroid maps to the
 image centroid and facets map to facets, so the Godbersen ratios, the tight
 count, the anchor's uniqueness and the simplex flag are all unchanged.  The
-property runs over corpus bodies and both transform routes: the scalar path
-(A = -I and A = -2I) and the general path (unimodular and rational A).
+property runs over corpus bodies with A = -I, A = -2I, unimodular and
+rational A.
 """
 
 from fractions import Fraction as F

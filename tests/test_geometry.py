@@ -28,9 +28,9 @@ from godbersen import (
     unit_cube,
     volume,
 )
-from godbersen import geometry
+from godbersen import geometry, linalg
 from godbersen.geometry import Facet, Polytope, _hull_facets_int, _simplex_int_volume
-from godbersen.linalg import int_rank, scale_to_integers
+from godbersen.linalg import det, int_rank, scale_to_integers
 from godbersen.rationals import dot
 from godbersen.sections import section_profile
 from tests.conftest import corpus_specs
@@ -129,6 +129,12 @@ class TestBuildHull:
         monkeypatch.setenv("GODBERSEN_SUBSET_CAP", "6")
         assert len(build_hull(SQUARE).facets) == 4
 
+    @pytest.mark.parametrize("value", ["x", "2.5", ""])
+    def test_subset_cap_env_must_be_an_integer(self, monkeypatch, value):
+        monkeypatch.setenv("GODBERSEN_SUBSET_CAP", value)
+        with pytest.raises(ValueError, match="GODBERSEN_SUBSET_CAP must be an integer"):
+            build_hull(SQUARE)
+
     def test_every_vertex_on_n_facets(self):
         rng = random.Random(1)
         for dim in (2, 3):
@@ -187,8 +193,6 @@ class TestTransform:
 
     def test_volume_and_centroid_equivariance(self):
         rng = random.Random(3)
-        from godbersen.linalg import det
-
         for dim in (2, 3):
             body = random_polytope(rng, dim, 6)
             for _ in range(8):
@@ -204,15 +208,14 @@ class TestTransform:
                     for r in range(dim))
                 assert image.centroid == expected
 
-    def test_fast_and_general_paths_agree(self):
+    def test_entry_types_and_roundtrip(self):
         rng = random.Random(4)
         body = random_polytope(rng, 3, 7)
         c, t = F(3, 2), (F(1, 3), F(-2), F(5, 7))
-        fast = transform(body, [[c, 0, 0], [0, c, 0], [0, 0, c]], t)
-        general = transform(body, [[c, 0, F(0)], [0, c, 0], [F(0), 0, c]], t)
-        # force the general path with a non-scalar matrix times its inverse
-        assert fast == general
-        assert fast.volume == general.volume
+        ints = transform(body, [[c, 0, 0], [0, c, 0], [0, 0, c]], t)
+        fracs = transform(body, [[c, 0, F(0)], [0, c, 0], [F(0), 0, c]], t)
+        assert ints == fracs
+        assert ints.volume == fracs.volume
         roundtrip = transform(transform(body, [[0, 1, 0], [1, 0, 0], [0, 0, 1]]),
                               [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
         assert roundtrip == body
@@ -474,6 +477,8 @@ def assert_matches_rehull(body):
     specs = [(f.normal, f.offset, f.vertex_ids) for f in body.facets]
     old = rehull_assemble(body.dim, body.vertices, specs)
     assert old.vertices == body.vertices
+    assert old._int_vertices == body._int_vertices
+    assert old._int_scale == body._int_scale
     assert facet_data(old) == facet_data(body)
     assert old.volume == body.volume
     assert old.centroid == body.centroid
@@ -566,6 +571,16 @@ class TestIncidenceAssembly:
         assert on_faces > 40
         assert_matches_rank_rules(calls)
 
+    def test_lattice_coarsens_to_the_vertices(self):
+        # a candidate point off the vertices' lattice, and a sum of bodies on
+        # the half-integer lattice whose vertices are integral
+        tri = build_hull([(0, 0), (2, 0), (0, 2), (F(1, 2), F(1, 2))])
+        assert tri._int_vertices == [(0, 0), (0, 2), (2, 0)] and tri._int_scale == 1
+        half = build_hull([(0, 0), (F(1, 2), 0), (0, F(1, 2)), (F(1, 2), F(1, 2))])
+        whole = minkowski_sum(half, half)
+        assert whole._int_vertices == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        assert whole._int_scale == 1
+
     def test_interval(self):
         seg = build_hull([(F(-1, 2),), (3,), (1,)])
         assert seg.vertices == ((F(-1, 2),), (F(3),))
@@ -573,26 +588,66 @@ class TestIncidenceAssembly:
         assert seg.volume == F(7, 2) and seg.centroid == (F(5, 4),)
 
 
+def affine_maps(rng, n):
+    """(A, t) pairs: cI with rational c > 0 and c < 0, a signed permutation,
+    an integer matrix with |det| > 1 and a rational matrix, each with a
+    rational shift, then the plain reflection."""
+    def shift():
+        return tuple(F(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n))
+
+    def draw(entry, accept):
+        while True:
+            mat = [[entry() for _ in range(n)] for _ in range(n)]
+            if accept(det(mat)):
+                return mat
+
+    maps = []
+    for sign in (1, -1):
+        c = sign * F(rng.randint(1, 9), rng.randint(2, 5))
+        maps.append([[c if i == j else 0 for j in range(n)] for i in range(n)])
+    perm = rng.sample(range(n), n)
+    maps.append([[rng.choice((-1, 1)) if perm[i] == j else 0 for j in range(n)]
+                 for i in range(n)])
+    maps.append(draw(lambda: rng.randint(-3, 3), lambda d: abs(d) > 1))
+    maps.append(draw(lambda: F(rng.randint(-3, 3), rng.randint(1, 4)),
+                     lambda d: d != 0 and d.denominator > 1))
+    return [(mat, shift()) for mat in maps] + [(None, None)]
+
+
+def image_of(body, mat, shift):
+    if mat is None:
+        return reflect(body), [tuple(-c for c in v) for v in body.vertices]
+    n = body.dim
+    pts = [tuple(sum(mat[r][c] * v[c] for c in range(n)) + shift[r] for r in range(n))
+           for v in body.vertices]
+    return transform(body, mat, shift), pts
+
+
 class TestReflect:
     def test_matches_rebuilt_hull(self, corpus):
-        bodies = [body for _, body in corpus[::15]]
+        rng = random.Random(13)
+        bodies = [body for _, body in corpus[::3]]
         bodies += [unit_cube(3), cross_polytope(3), standard_simplex(4)]
         for body in bodies:
-            neg = reflect(body)
-            rebuilt = build_hull([tuple(-c for c in v) for v in body.vertices])
-            assert neg.vertices == rebuilt.vertices
-            assert facet_data(neg) == facet_data(rebuilt)
-            assert neg.volume == rebuilt.volume == body.volume
-            assert neg.centroid == rebuilt.centroid
             n = body.dim
-            raw = sum(_simplex_int_volume(neg._int_vertices, s, n)
-                      for s in neg._simplices)
-            assert F(raw, factorial(n) * neg._int_scale ** n) == body.volume
-            for f in neg.facets:
-                assert section_profile(neg, f.normal) == \
-                    section_profile(rebuilt, f.normal)
+            for mat, shift in affine_maps(rng, n):
+                image, pts = image_of(body, mat, shift)
+                rebuilt = build_hull(pts)
+                assert image.vertices == rebuilt.vertices
+                assert facet_data(image) == facet_data(rebuilt)
+                assert image.volume == rebuilt.volume
+                assert image.centroid == rebuilt.centroid
+                assert image._int_vertices == rebuilt._int_vertices
+                assert image._int_scale == rebuilt._int_scale
+                # the fan is K's, relabelled: a triangulation of the image
+                raw = sum(_simplex_int_volume(image._int_vertices, s, n)
+                          for s in image._simplices)
+                assert F(raw, factorial(n) * image._int_scale ** n) == image.volume
+                for f in image.facets:
+                    assert section_profile(image, f.normal) == \
+                        section_profile(rebuilt, f.normal)
 
-    def test_scalar_path_with_shift(self):
+    def test_negative_scalar_with_shift(self):
         body = random_polytope(random.Random(11), 3, 7)
         shift = (F(1, 2), F(-3), F(2, 7))
         image = transform(body, [[-2, 0, 0], [0, -2, 0], [0, 0, -2]], shift)
@@ -607,22 +662,24 @@ class TestReflect:
         body = random_polytope(random.Random(12), 3, 7)
         calls = []
 
-        def counting(name, fn):
+        def counting(module, name):
+            fn = getattr(module, name)
+
             def wrapped(*args):
                 calls.append(name)
                 return fn(*args)
-            return wrapped
+            monkeypatch.setattr(module, name, wrapped)
 
-        monkeypatch.setattr(geometry, "solve_linear",
-                            counting("solve_linear", geometry.solve_linear))
-        monkeypatch.setattr(geometry, "_assemble",
-                            counting("_assemble", geometry._assemble))
+        assert not hasattr(geometry, "solve_linear")
+        counting(linalg, "solve_linear")
+        counting(geometry, "_assemble")
+        counting(geometry, "_from_lattice")
         reflect(body)
         scale(body, -1)
+        translate(body, (F(1, 2), 0, F(-1, 3)))
+        for mat, shift in affine_maps(random.Random(14), 3):
+            transform(body, mat, shift)
         assert calls == []
-        # the general path still solves and assembles
-        transform(body, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
-        assert "solve_linear" in calls and "_assemble" in calls
 
 
 # The per-subset routes that ``linalg.span_normals`` replaced, kept as

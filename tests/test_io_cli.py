@@ -234,6 +234,16 @@ class TestCli:
         assert err.startswith("error: dim must be an integer")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command, extra", [
+        ("verify", []), ("ak", []), ("moment", ["--w", "1"])])
+    def test_dim_zero_is_an_error(self, tmp_path, capsys, command, extra):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps({"dim": 0, "vertices": [[]]}))
+        assert main([command, "--input", str(path)] + extra) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: points must have dimension at least 1")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("data", [[1], {"specs": 3}, ["x"]])
     def test_malformed_spec_files_are_an_error(self, tmp_path, capsys, data):
         spec = tmp_path / "specs.json"

@@ -6,6 +6,7 @@ import pytest
 
 from godbersen.errors import SingularMatrix
 from godbersen.linalg import (
+    adjugate,
     affine_rank,
     det,
     int_det,
@@ -117,7 +118,12 @@ def test_kernel_matches_fraction_oracles():
         if m:
             assert int_rank(mat) == fraction_rank(mat), mat
         if m == n:
-            assert int_det(mat) == fraction_det(mat), mat
+            d = fraction_det(mat)
+            assert int_det(mat) == d, mat
+            adj = adjugate(mat)
+            assert [[sum(adj[i][k] * mat[k][j] for k in range(n)) for j in range(n)]
+                    for i in range(n)] == [[d * (i == j) for j in range(n)]
+                                           for i in range(n)], mat
         square = random_matrix(rng, n, n, rational=trial % 2 == 1)
         rhs = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n)]
         assert det(square) == fraction_det(square), square
