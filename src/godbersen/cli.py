@@ -125,6 +125,8 @@ def _load_specs(path, base_seed: int) -> list[GenSpec]:
 
 
 def _cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, not {args.jobs}")
     specs = _load_specs(args.spec, args.seed)
     summary = sweep(specs, args.out, jobs=args.jobs, floats=args.floats)
     for line in summary.observations:

@@ -91,20 +91,25 @@ class Polytope:
     Immutable after construction.  Vertices are sorted lexicographically and
     irredundant; facets are sorted lexicographically by normal.  Volume,
     centroid and an exact simplicial decomposition are precomputed so that
-    downstream machinery (sections, mixed volumes) can reuse them.
+    downstream machinery (sections, mixed volumes) can reuse them:
+    ``_fan_volumes[i]`` is the integer |det| v of ``_simplices[i]`` on the
+    lattice points ``_int_vertices``, so the simplex has volume
+    v / (n! ``_int_scale``^n).
     """
 
     __slots__ = ("dim", "vertices", "facets", "volume", "centroid",
-                 "_simplices", "_int_vertices", "_int_scale", "_edge_cache")
+                 "_simplices", "_fan_volumes", "_int_vertices", "_int_scale",
+                 "_edge_cache")
 
     def __init__(self, dim, vertices, facets, volume, centroid, simplices,
-                 int_vertices, int_scale):
+                 fan_volumes, int_vertices, int_scale):
         self.dim = dim
         self.vertices = vertices
         self.facets = facets
         self.volume = volume
         self.centroid = centroid
         self._simplices = simplices
+        self._fan_volumes = fan_volumes
         self._int_vertices = int_vertices
         self._int_scale = int_scale
         self._edge_cache = None
@@ -304,7 +309,7 @@ def _assemble(dim: int, ipts: list[tuple[int, ...]], mult: int,
         for c in range(dim))
     return Polytope(dim, vertices, tuple(facets),
                     Fraction(total, factorial(dim) * mult ** dim), centroid,
-                    tuple(fan), ipts, mult)
+                    tuple(fan), tuple(dets), ipts, mult)
 
 
 def _from_lattice(ipts: list[tuple[int, ...]], mult: int, raw_facets) -> Polytope:
@@ -389,6 +394,9 @@ def transform(K: Polytope, mat=None, shift=None) -> Polytope:
     p / m maps to (Ai p + m ti) / (a m).  A normal w maps to the coprime part
     u / g of u = sign(det Ai) adj(Ai)^T w, a positive multiple of A^-T w, and
     its scaled measure to mu g / a^(n-1); the volume gains |det Ai| / a^n.
+    The image's lattice points are (Ai p + m ti) / c, c the gcd of their
+    entries and a m, so a fan simplex's integer volume v maps to
+    v |det Ai| / c^n, an exact division.
     """
     n = K.dim
     if mat is None:
@@ -423,10 +431,12 @@ def transform(K: Polytope, mat=None, shift=None) -> Polytope:
         facets.append(Facet(w, Fraction(_idot(w, ipts[vids[0]]), mult),
                             f.measure * g / a ** (n - 1), vids))
     facets.sort(key=lambda f: f.normal)
+    shrink = common ** n
     return Polytope(n, tuple(tuple(Fraction(c, mult) for c in q) for q in ipts),
                     tuple(facets), K.volume * abs(d) / a ** n,
                     tuple((sum(map(mul, r, K.centroid)) + s) / a for r, s in zip(ai, ti)),
-                    tuple(tuple(new[i] for i in s) for s in K._simplices), ipts, mult)
+                    tuple(tuple(new[i] for i in s) for s in K._simplices),
+                    tuple(v * abs(d) // shrink for v in K._fan_volumes), ipts, mult)
 
 
 def translate(K: Polytope, t) -> Polytope:

@@ -6,9 +6,11 @@ coordinate t = x . w.  Between consecutive vertex levels V is a polynomial of
 degree <= n, so s is piecewise polynomial of degree <= n-1 and integrates
 exactly to Vol(K).
 
-V(t) is summed over the precomputed simplicial decomposition.  The fraction of
-a simplex below the level t follows the cut-volume recursion over its vertices
-below (heights H_i) and above (heights H_j) the level,
+V(t) is summed over the body's fan, the simplicial decomposition that
+``geometry`` builds with the body; the fan's integer simplex volumes come
+with it, so no profile takes a determinant.  The fraction of a simplex below
+the level t follows the cut-volume recursion over its vertices below
+(heights H_i) and above (heights H_j) the level,
 
     F[i][j] = ((H_j - t) F[i-1][j] + (t - H_i) F[i][j-1]) / (H_j - H_i),
 
@@ -20,9 +22,13 @@ image of a simplex is a spline in the vertex heights; Curry & Schoenberg 1966).
 Only simplices straddling the interval contribute to s; the others add a
 constant to V.
 
-The recursion runs on the integer levels T = M t with the constant divisors
-cleared, and its result is the one stored form of a piece: an integer
-accumulator A(T) over a positive integer denominator, with s = M A'(M t) / den.
+A simplex keeps one split of its vertices into below and above across every
+interval between two of its consecutive heights, so the recursion runs once
+per split, not once per interval.  With one vertex on either side it is a
+single power of a linear form, taken in closed form.  The recursion runs on
+the integer levels T = M t with the constant divisors cleared, and its
+results sum to the one stored form of a piece: an integer accumulator A(T)
+over a positive integer denominator, with s = M A'(M t) / den.
 The integral, the moment and the slice-root concavity test are integer
 computations on that form, each reduced to one Fraction at the end.  The
 rational coefficients of s (``pieces``) and its values are made on demand.
@@ -34,12 +40,12 @@ import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import factorial, gcd, lcm, prod
+from math import comb, factorial, lcm, prod
 
 from .errors import DimensionMismatch, ZeroDirection
-from .geometry import Polytope, _idot, _simplex_int_volume
+from .geometry import Polytope, _idot
 from .linalg import scale_to_integers
-from .polynomials import add, derivative, evaluate, mul, nonpositive_between
+from .polynomials import add, derivative, evaluate, mul, nonpositive_between, trim
 from .rationals import Rat, Vector, as_vector, is_zero_vector
 
 
@@ -154,34 +160,59 @@ class SectionProfile:
         return self.breakpoints[0], self.breakpoints[-1]
 
 
-def _times_linear(p: list[int], c0: int, c1: int) -> list[int]:
-    """Integer polynomial p(T) * (c0 + c1 T), low degree first."""
-    out = [c0 * a for a in p] + [0]
-    for k, a in enumerate(p):
-        out[k + 1] += c1 * a
+def _linear_combination(a: list[int], a0: int, a1: int,
+                        b: list[int], b0: int, b1: int) -> list[int]:
+    """Integer polynomial a(T) (a0 + a1 T) + b(T) (b0 + b1 T), low degree
+    first and untrimmed."""
+    out = [0] * (max(len(a), len(b)) + 1)
+    for k, c in enumerate(a):
+        out[k] += a0 * c
+        out[k + 1] += a1 * c
+    for k, c in enumerate(b):
+        out[k] += b0 * c
+        out[k + 1] += b1 * c
     return out
+
+
+def _shifted_power(h: int, e: int) -> list[int]:
+    """(T - h)^e, low degree first."""
+    return [comb(e, k) * (-h) ** (e - k) for k in range(e + 1)]
 
 
 def _cut_polynomial(below: list[int], above: list[int]) -> tuple[list[int], int]:
     """Fraction of a simplex under the level T, as (G, D) with value G(T) / D.
 
     ``below`` and ``above`` are the integer heights of the vertices under and
-    over an open interval of levels that contains T.  G[i][j] is F[i][j]
-    times the product of d_ab = H_b - H_a over a <= i, b <= j, which turns
-    the cut-volume recursion into integer polynomial steps
+    over an open interval of levels that contains T.  D is the product of
+    d_ab = H_b - H_a over every below vertex a and above vertex b, and
+    G = F D.  With one vertex h below, F is the similar simplex's share
+    prod_j (T - h) / (H_j - h), so G = (T - h)^q; with one vertex h above,
+    G = D - (h - T)^p.  Otherwise G[i][j], F[i][j] times the product of d_ab
+    over a <= i, b <= j, turns the cut-volume recursion into integer
+    polynomial steps
 
         G[i][j] = (H_j - T) G[i-1][j] prod_{b<j} d_ib
                   + (T - H_i) G[i][j-1] prod_{a<i} d_aj.
     """
-    q = len(above)
+    p, q = len(below), len(above)
+    if p == 1:
+        h = below[0]
+        return _shifted_power(h, q), prod(hj - h for hj in above)
+    if q == 1:
+        h = above[0]
+        d = prod(h - hi for hi in below)
+        sign = 1 if p % 2 else -1  # (h - T)^p = (-1)^p (T - h)^p
+        g = [sign * c for c in _shifted_power(h, p)]
+        g[0] += d
+        return g, d
     row: list[list[int]] = [[1]] + [[] for _ in range(q)]
     col = [1] * q  # prod_{a<i} d_aj for each j
     for hi in below:
         new = [[1]] + [[] for _ in range(q)]
         along = 1  # prod_{b<j} d_ib
         for j, hj in enumerate(above):
-            new[j + 1] = add(_times_linear(row[j + 1], along * hj, -along),
-                             _times_linear(new[j], -col[j] * hi, col[j]))
+            new[j + 1] = _linear_combination(row[j + 1], along * hj, -along,
+                                             new[j], -col[j] * hi, col[j])
             d = hj - hi
             along *= d
             col[j] *= d
@@ -207,32 +238,35 @@ def section_profile(K: Polytope, w) -> SectionProfile:
     level_scale = m * K._int_scale
     heights = [_idot(iw, p) for p in K._int_vertices]
     levels = sorted(set(heights))
+    index = {h: i for i, h in enumerate(levels)}
 
-    simplex_data = []
-    for s in K._simplices:
-        vol = _simplex_int_volume(K._int_vertices, s, n)
-        if vol != 0:
-            hs = [heights[i] for i in s]
-            simplex_data.append((vol, min(hs), max(hs), hs))
+    # A simplex with sorted heights hs splits the same way, hs[:k] below and
+    # hs[k:] above, on every interval from level hs[k-1] to hs[k]; so each
+    # split's cut polynomial is made once and, weighted by the simplex's
+    # integer volume, listed for each of those intervals.
+    parts: list[list[tuple[int, list[int], int]]] = [[] for _ in levels[1:]]
+    for s, vol in zip(K._simplices, K._fan_volumes):
+        hs = sorted([heights[i] for i in s])
+        for k in range(1, n + 1):
+            if hs[k - 1] < hs[k]:
+                poly, d = _cut_polynomial(hs[:k], hs[k:])
+                for i in range(index[hs[k - 1]], index[hs[k]]):
+                    parts[i].append((vol, poly, d))
 
     # On an interval, V(t) = A(M t) / (den n! m_v^n) + const, where A / den
-    # sums the straddling cut polynomials weighted by the integer simplex
-    # volumes; so s(t) = M A'(M t) / (den n! m_v^n).
+    # sums the straddling cut polynomials G / D weighted by the integer
+    # simplex volumes over den = lcm of the D; so s(t) = M A'(M t) /
+    # (den n! m_v^n).
     unit = factorial(n) * K._int_scale ** n
     accumulators, denominators = [], []
-    for lo, hi in zip(levels, levels[1:]):
-        acc: list[int] = []
-        den = 1
-        for vol, low, high, hs in simplex_data:
-            if low > lo or high < hi:
-                continue
-            poly, d = _cut_polynomial([h for h in hs if h <= lo],
-                                      [h for h in hs if h >= hi])
-            g = gcd(den, d)
-            acc = add([a * (d // g) for a in acc],
-                      [vol * (den // g) * c for c in poly])
-            den *= d // g
-        accumulators.append(tuple(acc))
+    for interval in parts:
+        den = lcm(*(d for _, _, d in interval))
+        acc = [0] * (n + 1)
+        for vol, poly, d in interval:
+            f = vol * (den // d)
+            for k, c in enumerate(poly):
+                acc[k] += f * c
+        accumulators.append(tuple(trim(acc)))
         denominators.append(den * unit)
     return SectionProfile(v, level_scale, tuple(levels), tuple(accumulators),
                           tuple(denominators))

@@ -142,8 +142,11 @@ def sweep(specs: list[GenSpec], out, jobs: int = 1,
     Bodies are processed independently (optionally in parallel); rows are
     sorted by (body_id, j) before writing so output never depends on worker
     scheduling.  A violating body leaves ``<out>.violation-<body_id>.json``
-    (id, spec, message and vertices; it loads as a polytope file).
+    (id, spec, message and vertices; it loads as a polytope file).  ``jobs``
+    below 1 raises ValueError.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, not {jobs}")
     items = [(f"{i:04d}-{s.kind}-n{s.dim}", s) for i, s in enumerate(specs)]
     if jobs > 1 and len(items) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

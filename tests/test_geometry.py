@@ -13,6 +13,7 @@ from godbersen import (
     SingularMatrix,
     ZeroDirection,
     build_hull,
+    center_at_centroid,
     centroid,
     contains_point,
     cross_polytope,
@@ -455,22 +456,28 @@ def rehull_assemble(dim, vertices, facet_specs):
             fan.extend((0,) + tuple(vids[i] for i in s) for s in tri)
     total = F(0)
     cx = [F(0)] * dim
-    for s in fan:
-        v = F(_simplex_int_volume(ipts, s, dim), factorial(dim) * mult ** dim)
+    dets = [_simplex_int_volume(ipts, s, dim) for s in fan]
+    for s, raw in zip(fan, dets):
+        v = F(raw, factorial(dim) * mult ** dim)
         total += v
         for c in range(dim):
             cx[c] += v * sum(vertices[i][c] for i in s)
     centroid = tuple(x / (total * (dim + 1)) for x in cx)
     return Polytope(dim, vertices, tuple(facets), total, centroid, tuple(fan),
-                    ipts, mult)
+                    tuple(dets), ipts, mult)
 
 
 def facet_data(body):
     return [(f.normal, f.offset, f.vertex_ids, f.measure) for f in body.facets]
 
 
-def simplex_set(body):
-    return {frozenset(s) for s in body._simplices}
+def assert_fan_volumes(body):
+    assert list(body._fan_volumes) == [
+        _simplex_int_volume(body._int_vertices, s, body.dim) for s in body._simplices]
+
+
+def fan_by_simplex(body):
+    return {frozenset(s): v for s, v in zip(body._simplices, body._fan_volumes)}
 
 
 def assert_matches_rehull(body):
@@ -482,7 +489,7 @@ def assert_matches_rehull(body):
     assert facet_data(old) == facet_data(body)
     assert old.volume == body.volume
     assert old.centroid == body.centroid
-    assert simplex_set(old) == simplex_set(body)
+    assert fan_by_simplex(old) == fan_by_simplex(body)
     assert len(old._simplices) == len(body._simplices)
 
 
@@ -571,6 +578,19 @@ class TestIncidenceAssembly:
         assert on_faces > 40
         assert_matches_rank_rules(calls)
 
+    def test_fan_volumes_match_recompute(self, corpus):
+        # the volumes _assemble carries, and their images under transform,
+        # which shrinks the lattice for scale(K, 3/7) and the centered bodies
+        for _, body in corpus:
+            n = body.dim
+            shear = [[F(int(i == j)) for j in range(n)] for i in range(n)]
+            for i in range(n - 1):
+                shear[i][n - 1] = F(2 * i - 1, 3)
+            shift = tuple(F((-1) ** k * (k + 1), 7) for k in range(n))
+            for image in (body, reflect(body), center_at_centroid(body),
+                          scale(body, F(3, 7)), transform(body, shear, shift)):
+                assert_fan_volumes(image)
+
     def test_lattice_coarsens_to_the_vertices(self):
         # a candidate point off the vertices' lattice, and a sum of bodies on
         # the half-integer lattice whose vertices are integral
@@ -640,9 +660,9 @@ class TestReflect:
                 assert image._int_vertices == rebuilt._int_vertices
                 assert image._int_scale == rebuilt._int_scale
                 # the fan is K's, relabelled: a triangulation of the image
-                raw = sum(_simplex_int_volume(image._int_vertices, s, n)
-                          for s in image._simplices)
-                assert F(raw, factorial(n) * image._int_scale ** n) == image.volume
+                assert_fan_volumes(image)
+                assert F(sum(image._fan_volumes),
+                         factorial(n) * image._int_scale ** n) == image.volume
                 for f in image.facets:
                     assert section_profile(image, f.normal) == \
                         section_profile(rebuilt, f.normal)
@@ -761,6 +781,7 @@ def assert_same_polytope(got, expected):
     assert got.vertices == expected.vertices
     assert facet_data(got) == facet_data(expected)
     assert got._simplices == expected._simplices
+    assert got._fan_volumes == expected._fan_volumes
     assert got.volume == expected.volume
     assert got.centroid == expected.centroid
 

@@ -358,6 +358,18 @@ class TestCli:
                      "--jobs", "3"]) == 0
         assert serial.read_bytes() == parallel.read_bytes()
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_sweep_rejects_jobs_below_one(self, tmp_path, capsys, jobs):
+        # no silent serial run
+        spec = tmp_path / "specs.json"
+        spec.write_text(json.dumps([{"kind": "simplex", "dim": 2}]))
+        out = tmp_path / "out.csv"
+        assert main(["sweep", "--spec", str(spec), "--out", str(out),
+                     "--jobs", jobs]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--jobs" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_theorem_violation_exits_2(self, tmp_path, monkeypatch, capsys):
         # the proven statements cannot fail on real inputs, so force one to
         # pin down the exit-code contract

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction as F
 from math import factorial
@@ -17,6 +18,7 @@ from godbersen import (
 )
 from godbersen.geometry import _simplex_int_volume
 from godbersen.polynomials import add, derivative, evaluate, mul, trim
+from godbersen.sections import _cut_polynomial
 from godbersen.rationals import as_vector, dot
 from godbersen.sweep import ROOT_CONCAVITY_DIRECTIONS, _random_direction
 from tests.conftest import corpus_specs
@@ -154,24 +156,69 @@ def test_cut_fraction_closed_forms():
     assert _cut_fraction([F(-1), F(-2)]) == 1
 
 
+def test_cut_polynomial_matches_cut_fraction():
+    # every split (p, q) of a simplex in dims 1-5, with heights tied on each
+    # side: the closed forms for p = 1 and q = 1 and the recursion between
+    rng = random.Random(41)
+    for n in range(1, 6):
+        for p in range(1, n + 1):
+            q = n + 1 - p
+            for _ in range(20):
+                lo = rng.randint(-9, 9)
+                hi = lo + rng.randint(1, 6)
+                below = [lo] + [rng.choice((lo, rng.randint(lo - 6, lo)))
+                                for _ in range(p - 1)]
+                above = [hi] + [rng.choice((hi, rng.randint(hi, hi + 6)))
+                                for _ in range(q - 1)]
+                rng.shuffle(below)
+                rng.shuffle(above)
+                poly, d = _cut_polynomial(below, above)
+                assert d > 0 and len(poly) <= n + 1
+                for k in (1, 2, 3):
+                    t = lo + F(k * (hi - lo), 4)
+                    assert F(evaluate(poly, t), d) == \
+                        _cut_fraction([h - t for h in below + above]), (below, above)
+
+
+def check_body_profiles(spec):
+    """(body, direction) for every profile check_body builds: the centered
+    body along each of its facet normals, and the body along the
+    root-concavity directions of its spec."""
+    body = generate(spec)
+    k0 = center_at_centroid(body)
+    rng = random.Random(spec.seed ^ 0x5EED5EED)
+    return [(k0, f.normal) for f in k0.facets] + [
+        (body, _random_direction(rng, body.dim))
+        for _ in range(ROOT_CONCAVITY_DIRECTIONS)]
+
+
 def test_profile_matches_reference_on_corpus_sample():
-    # the directions check_body uses: every facet normal of the centered body
-    # and the root-concavity directions of its spec
     pick = random.Random(31)
     sample = [spec for dim in (2, 3, 4) for spec in pick.sample(
         [s for s in corpus_specs() if s.dim == dim], 3)]
     pairs = 0
     for spec in sample:
-        k0 = center_at_centroid(generate(spec))
-        rng = random.Random(spec.seed ^ 0x5EED5EED)
-        directions = [f.normal for f in k0.facets] + [
-            _random_direction(rng, k0.dim)
-            for _ in range(ROOT_CONCAVITY_DIRECTIONS)]
-        for w in directions:
-            assert _rational(section_profile(k0, w)) == \
-                _reference_profile(k0, w), (spec, w)
+        for body, w in check_body_profiles(spec):
+            assert _rational(section_profile(body, w)) == \
+                _reference_profile(body, w), (spec, w)
             pairs += 1
     assert pairs > 100
+
+
+# sha256 of the rational profiles (breakpoints, pieces) check_body builds on
+# every 10th corpus body (394 profiles), recorded while each profile was still
+# built by one cut-volume recursion per (interval, simplex).
+CHECK_BODY_PROFILES_DIGEST = \
+    "92d5ecc0095e483d642d5bc09aa2d6cd96ec19359d3fd9baedd6287457cb8f55"
+
+
+def test_check_body_profiles_digest():
+    digest = hashlib.sha256()
+    for spec in corpus_specs()[::10]:
+        for body, w in check_body_profiles(spec):
+            prof = section_profile(body, w)
+            digest.update(f"{prof.breakpoints} {prof.pieces}\n".encode())
+    assert digest.hexdigest() == CHECK_BODY_PROFILES_DIGEST
 
 
 @pytest.mark.parametrize("body, w", [

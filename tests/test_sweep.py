@@ -112,3 +112,11 @@ def test_floats_csv_digest(tmp_path):
     assert main(["sweep", "--spec", str(specs), "--out", str(out),
                  "--floats"]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == FLOATS_CSV_DIGEST
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_sweep_rejects_jobs_below_one(tmp_path, jobs):
+    out = tmp_path / "out.csv"
+    with pytest.raises(ValueError, match="jobs"):
+        sweep_module.sweep([GenSpec("simplex", 2)], out, jobs=jobs)
+    assert not out.exists()
