@@ -14,7 +14,9 @@ verify each exactly, which avoids hulling all pairwise vertex sums.  Both
 get every candidate normal from one exterior-product pass,
 ``linalg.span_normals``: the subsets are walked depth first and each
 prefix's minors are extended by Laplace expansion, so a prefix shared by
-many subsets is expanded once.
+many subsets is expanded once.  The sum's facet loop also gives the facets
+of the Cayley polytope conv(K x {0} u L x {1}) with no hull, and that
+polytope's fan gives the mixed volumes of K and L.
 
 Everything else follows from the vertex-facet incidence, which fixes the face
 lattice: the smallest face through some points is the intersection of the
@@ -254,23 +256,37 @@ def _common_lattice(K: Polytope, L: Polytope):
     return m, ps, qs
 
 
-def _scaled_sum_volumes(S: Polytope, K: Polytope, L: Polytope) -> list[Fraction]:
-    """Vol(K + tL) for t = 1..n+1, where S = K + L.
+def _cayley_mixed_volumes(K: Polytope, L: Polytope) -> tuple[Fraction, ...]:
+    """m_j = V(K[n-j], L[j]) for j = 0..n from the fan of the Cayley polytope.
 
-    K + tL has the face lattice of S, and each vertex of S is p_i + q_j for
-    one vertex pair; S's fan with p_i + q_j moved to p_i + t q_j triangulates it.
+    C = conv(K x {0} u L x {1}) has the points (p, 0) and (q, m) on the
+    common lattice m, all of them vertices.  Its facets are K x {0},
+    L x {1} and F_K(u) x {0} u F_L(u) x {1} for each facet normal u of
+    K + L, so its face lattice needs no hull.  The fan cones vertex 0 over
+    the pulling triangulation of every facet that misses it.  A simplex with
+    j + 1 vertices at the L end cuts the slice (1-l)K + lL in a piece of
+    volume proportional to (1-l)^(n-j) l^j, so m_j is n + 1 times the volume
+    of the fan's type-j simplices: their integer determinants over n! m^(n+1).
     """
-    n = S.dim
+    n = K.dim
     m, ps, qs = _common_lattice(K, L)
-    pair = {tuple(a + b for a, b in zip(p, q)): (p, q) for p in ps for q in qs}
-    up = m // S._int_scale
-    summands = [pair[tuple(c * up for c in v)] for v in S._int_vertices]
-    vols = []
-    for t in range(1, n + 2):
-        pts = [tuple(a + t * b for a, b in zip(p, q)) for p, q in summands]
-        raw = sum(_simplex_int_volume(pts, s, n) for s in S._simplices)
-        vols.append(Fraction(raw, factorial(n) * m ** n))
-    return vols
+    vk = len(ps)
+    pts = [p + (0,) for p in ps] + [q + (m,) for q in qs]
+    faces = [frozenset(range(vk)), frozenset(range(vk, len(pts)))]
+    faces += [frozenset(ik).union([vk + i for i in il])
+              for _, ik, il in _sum_facet_supports(K, L)]
+    base = pts[0]
+    raw = [0] * (n + 1)
+    for face in faces:
+        if 0 in face:
+            continue
+        for s in _pulling_fan(face, faces):
+            d = int_det([[a - b for a, b in zip(pts[i], base)] for i in s])
+            if d == 0:
+                raise DegenerateInput("Cayley fan simplex is degenerate")
+            raw[sum(i >= vk for i in s) - 1] += abs(d)
+    unit = factorial(n) * m ** (n + 1)
+    return tuple(Fraction(r, unit) for r in raw)
 
 
 def _assemble(dim: int, ipts: list[tuple[int, ...]], mult: int,
@@ -454,31 +470,22 @@ def reflect(K: Polytope) -> Polytope:
     return scale(K, -1)
 
 
-def minkowski_sum(K: Polytope, L: Polytope) -> Polytope:
-    """Minkowski sum of two polytopes of the same dimension.
+def _sum_facet_supports(K: Polytope, L: Polytope):
+    """Each facet normal u of K + L, with the vertex ids of F_K(u) and F_L(u).
 
-    Equals the hull of all pairwise vertex sums.  Facet normals are found from
-    (n-1)-subsets of the summands' edge directions (every facet of a sum is
-    spanned by edges of the summands), which sidesteps hulling the quadratic
-    point cloud.  One ``span_normals`` pass yields the candidates; each new
-    line through the origin is verified exactly for both of its signs, with
-    the summand faces read off one set of vertex values (maximum for the
-    line, minimum for its negative).  A candidate is a facet normal when the
-    two faces together span n - 1 dimensions, which needs at least n + 1
-    vertices between them.
+    Every facet of a sum is spanned by edges of the summands, so candidate
+    normals come from (n-1)-subsets of their edge directions, one
+    ``span_normals`` pass.  Each new line through the origin is verified
+    exactly for both of its signs, with the summand faces read off one set of
+    vertex values (maximum for the line, minimum for its negative).  A
+    candidate is a facet normal when the two faces together span n - 1
+    dimensions, which needs at least n + 1 vertices between them.
     """
     n = K.dim
-    if L.dim != n:
-        raise DimensionMismatch(f"cannot add bodies of dim {K.dim} and {L.dim}")
-    if n == 1:
-        return build_hull([(u[0] + v[0],) for u in K.vertices for v in L.vertices])
-
-    # Offsets and incidence run on the common lattice of both summands.
-    m, ps, qs = _common_lattice(K, L)
+    ps, qs = K._int_vertices, L._int_vertices
     dirs = sorted(set(K.edge_directions()) | set(L.edge_directions()))
     seen_lines: set = set()
-    facets: dict[tuple[int, ...], int] = {}
-    for w in span_normals(dirs, n):
+    for w in span_normals(dirs, n) if n > 1 else [(1,)]:
         if not any(w):
             continue
         line = _lex_positive(w)
@@ -489,19 +496,33 @@ def minkowski_sum(K: Polytope, L: Polytope) -> Polytope:
         vals_l = [_idot(line, q) for q in qs]
         for sign, top_k, top_l in ((1, max(vals_k), max(vals_l)),
                                    (-1, min(vals_k), min(vals_l))):
-            face_k = [p for p, x in zip(ps, vals_k) if x == top_k]
-            face_l = [q for q, x in zip(qs, vals_l) if x == top_l]
-            if len(face_k) + len(face_l) < n + 1:
+            ids_k = [i for i, x in enumerate(vals_k) if x == top_k]
+            ids_l = [i for i, x in enumerate(vals_l) if x == top_l]
+            if len(ids_k) + len(ids_l) < n + 1:
                 continue
-            rows = [tuple(a - b for a, b in zip(p, face_k[0])) for p in face_k[1:]]
-            rows += [tuple(a - b for a, b in zip(q, face_l[0])) for q in face_l[1:]]
+            rows = [tuple(a - b for a, b in zip(ps[i], ps[ids_k[0]])) for i in ids_k[1:]]
+            rows += [tuple(a - b for a, b in zip(qs[i], qs[ids_l[0]])) for i in ids_l[1:]]
             if int_rank(rows) != n - 1:
                 continue
-            facets[line if sign > 0 else tuple(-c for c in line)] = sign * (top_k + top_l)
+            yield (line if sign > 0 else tuple(-c for c in line)), ids_k, ids_l
 
+
+def minkowski_sum(K: Polytope, L: Polytope) -> Polytope:
+    """Minkowski sum of two polytopes of the same dimension.
+
+    Equals the hull of all pairwise vertex sums.  The facets come from
+    ``_sum_facet_supports``, which sidesteps hulling the quadratic point
+    cloud; each is checked against that cloud on the common lattice.
+    """
+    n = K.dim
+    if L.dim != n:
+        raise DimensionMismatch(f"cannot add bodies of dim {K.dim} and {L.dim}")
+    m, ps, qs = _common_lattice(K, L)
+    facets = sorted((w, _idot(w, ps[ik[0]]) + _idot(w, qs[il[0]]))
+                    for w, ik, il in _sum_facet_supports(K, L))
     sums = sorted({tuple(x + y for x, y in zip(p, q)) for p in ps for q in qs})
     raw_facets = []
-    for w, offset in sorted(facets.items()):
+    for w, offset in facets:
         vals = [_idot(w, p) for p in sums]
         if max(vals) > offset:
             raise DegenerateInput("sum point escapes a claimed facet")

@@ -5,17 +5,22 @@ comes from the facet formula
 
     V(K[1], T[n-1]) = (1/n) * sum over facets F of T of h_K(w_F) * mu_F,
 
-while the full coefficient profile comes from exact volumes of K + t L at
-t = 1..n+1, all taken from one Minkowski sum K + L (K + tL has the same face
-lattice for every t > 0), and an exact Vandermonde solve.  The profile's second
-coefficient must reproduce the facet formula exactly; that cross-check runs on
-every call.
+while the full coefficient profile comes from the fan of the Cayley polytope
+C = conv(K x {0} u L x {1}), whose slice at height l is (1-l)K + lL (the
+Cayley trick; Huber, Rambau & Santos, J. Eur. Math. Soc. 2, 2000).  A fan
+simplex with j + 1 vertices at the L end contributes only to m_j, so each
+coefficient is one sum of integer determinants, with no Minkowski sum and no
+interpolation.  The profile's second coefficient must reproduce the facet
+formula exactly, and its ends the volumes of K and L; those cross-checks run
+on every call.
 
 Three more exact identities are asserted on every profile for free: it is
 log-concave, m_j^2 >= m_{j-1} m_{j+1} (Aleksandrov-Fenchel; Schneider, Convex
 Bodies, 7.3); for the pair (K, -K) it is palindromic, m_j = m_{n-j}; and its
 binomial sum Vol(K - K) obeys Rogers-Shephard, at most C(2n, n) Vol K with
-equality exactly for simplices (Rogers & Shephard 1957).
+equality exactly for simplices (Rogers & Shephard 1957).  Each coefficient
+sums fan simplices of one type, so the ends and the palindrome compare
+simplices of different types with each other.
 """
 
 from __future__ import annotations
@@ -25,8 +30,7 @@ from fractions import Fraction
 from math import comb
 
 from .errors import DimensionMismatch, TheoremViolation
-from .geometry import Polytope, _scaled_sum_volumes, minkowski_sum, reflect, support
-from .linalg import solve_linear
+from .geometry import Polytope, _cayley_mixed_volumes, reflect, support
 from .rationals import Rat
 
 
@@ -77,22 +81,17 @@ def mv_first(K: Polytope, T: Polytope) -> Rat:
 
 
 def mv_profile(K: Polytope, L: Polytope) -> MixedVolumeProfile:
-    """All coefficients V(K[n-j], L[j]) by interpolation of Vol(K + tL).
+    """All coefficients V(K[n-j], L[j]) from the Cayley polytope's fan.
 
-    Volumes at t = 1..n+1 come from one sum K + L, on its triangulation with
-    each vertex p_i + q_j moved to p_i + t q_j; the Vandermonde system is
-    solved exactly.
+    m_j is n + 1 times the volume of the fan simplices of C = conv(K x {0}
+    u L x {1}) with j + 1 vertices at the L end.  Nonnegativity,
+    log-concavity, m_0 = Vol K, m_n = Vol L and m_1 against the facet
+    formula are asserted.
     """
     n = K.dim
     if L.dim != n:
         raise DimensionMismatch("mixed volume needs equal dimensions")
-    total = minkowski_sum(K, L)
-    vols = _scaled_sum_volumes(total, K, L)
-    if vols[0] != total.volume:
-        raise TheoremViolation("moved triangulation disagrees with Vol(K + L)")
-    vmat = tuple(tuple(Fraction(t ** j) for j in range(n + 1)) for t in range(1, n + 2))
-    c = solve_linear(vmat, vols)
-    coeffs = tuple(c[j] / comb(n, j) for j in range(n + 1))
+    coeffs = _cayley_mixed_volumes(K, L)
     for j, m in enumerate(coeffs):
         if m < 0:
             raise TheoremViolation(f"negative mixed volume m_{j} = {m}")

@@ -149,7 +149,7 @@ def sweep(specs: list[GenSpec], out, jobs: int = 1,
         raise ValueError(f"jobs must be at least 1, not {jobs}")
     items = [(f"{i:04d}-{s.kind}-n{s.dim}", s) for i, s in enumerate(specs)]
     if jobs > 1 and len(items) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(items))) as pool:
             results = list(pool.map(_worker, items))
     else:
         results = [_worker(item) for item in items]

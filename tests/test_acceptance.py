@@ -89,7 +89,7 @@ def test_criterion_3_facet_formula_cross_check(corpus, all_reports):
         # facet formula computes the same quantity independently
         assert rep.entry(n - 1).mixed == mv_first(neg, body)
         assert rep.entry(1).mixed == mv_first(body, neg)
-    _report(3, "interpolated m_1 equals the facet formula on all 300 bodies "
+    _report(3, "Cayley-fan m_1 equals the facet formula on all 300 bodies "
                "(both orientations)")
 
 

@@ -1,15 +1,20 @@
 import random
 from fractions import Fraction as F
-from math import comb
+from itertools import product
+from math import comb, factorial
 
 import pytest
 
 from godbersen import (
     DimensionMismatch,
+    GenSpec,
     TheoremViolation,
     build_hull,
     cross_polytope,
+    generate,
+    geometry,
     godbersen_report,
+    linalg,
     minkowski_sum,
     mixedvol,
     mv_first,
@@ -20,7 +25,8 @@ from godbersen import (
     translate,
     unit_cube,
 )
-from tests.test_geometry import TRIANGLE, SQUARE, random_polytope
+from godbersen.linalg import solve_linear
+from tests.test_geometry import SQUARE, TRIANGLE, random_polytope, square_times_octahedron
 
 
 class TestMvFirst:
@@ -101,17 +107,96 @@ class TestMvProfile:
                 assert direct == sum(comb(n, j) * prof.coeffs[j] * t ** j
                                      for j in range(n + 1))
 
-    def test_builds_one_sum(self, monkeypatch):
-        calls = []
-
-        def counting_sum(K, L):
-            calls.append((K, L))
-            return minkowski_sum(K, L)
-
-        monkeypatch.setattr(mixedvol, "minkowski_sum", counting_sum)
+    def test_builds_no_sum(self, monkeypatch):
         body = random_polytope(random.Random(46), 3, 7)
-        mv_profile(body, reflect(body))
-        assert len(calls) == 1
+        neg = reflect(body)
+
+        def forbidden(name):
+            def fail(*args):
+                raise AssertionError(f"mv_profile reached {name}")
+            return fail
+
+        for module, name in ((geometry, "minkowski_sum"), (geometry, "_from_lattice"),
+                             (geometry, "_assemble"), (linalg, "solve_linear")):
+            monkeypatch.setattr(module, name, forbidden(name))
+        assert not hasattr(mixedvol, "minkowski_sum")
+        assert not hasattr(mixedvol, "solve_linear")
+        mv_profile(body, neg)
+
+
+# The profile route that the Cayley fan replaced, kept as the oracle: one sum
+# S = K + L, whose fan with each vertex p_i + q_j moved to p_i + t q_j
+# triangulates K + tL, gives Vol(K + tL) at t = 1..n+1, and an exact
+# Vandermonde solve gives the coefficients.
+
+def vandermonde_profile(K, L):
+    n = K.dim
+    total = minkowski_sum(K, L)
+    m, ps, qs = geometry._common_lattice(K, L)
+    pair = {tuple(a + b for a, b in zip(p, q)): (p, q) for p in ps for q in qs}
+    up = m // total._int_scale
+    summands = [pair[tuple(c * up for c in v)] for v in total._int_vertices]
+    vols = []
+    for t in range(1, n + 2):
+        pts = [tuple(a + t * b for a, b in zip(p, q)) for p, q in summands]
+        raw = sum(geometry._simplex_int_volume(pts, s, n) for s in total._simplices)
+        vols.append(F(raw, factorial(n) * m ** n))
+    assert vols[0] == total.volume
+    vmat = tuple(tuple(F(t ** j) for j in range(n + 1)) for t in range(1, n + 2))
+    c = solve_linear(vmat, vols)
+    return tuple(c[j] / comb(n, j) for j in range(n + 1))
+
+
+def cube_from_facets(n):
+    """The unit n-cube from its known facets: ``build_hull`` refuses its 32
+    points at n = 5 under the default subset cap."""
+    pts = list(product((0, 1), repeat=n))
+    raw = []
+    for w in (tuple(s * (i == k) for i in range(n)) for k in range(n) for s in (1, -1)):
+        vals = [geometry._idot(w, p) for p in pts]
+        top = max(vals)
+        raw.append((w, top, tuple(i for i, v in enumerate(vals) if v == top)))
+    return geometry._from_lattice(pts, 1, raw)
+
+
+def assert_matches_oracle(pairs):
+    for a, b in pairs:
+        assert mv_profile(a, b).coeffs == vandermonde_profile(a, b), (a, b)
+
+
+class TestVandermondeOracle:
+    def test_corpus_pairs(self, corpus):
+        bodies = [body for _, body in corpus]
+        pairs = []
+        for i in range(0, len(bodies), 5):
+            body = bodies[i]
+            nxt = bodies[i + 1]
+            pairs += [(body, reflect(body)), (body, nxt)]
+        assert_matches_oracle(pairs)
+
+    def test_equal_and_homothetic_bodies(self, corpus):
+        rng = random.Random(47)
+        for _, body in corpus[3::25]:
+            t = tuple(F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(body.dim))
+            double = translate(scale(body, 2), t)
+            assert_matches_oracle([(body, body), (body, double)])
+            assert mv_profile(body, double).coeffs == tuple(
+                2 ** j * body.volume for j in range(body.dim + 1))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_standard_bodies(self, n):
+        bodies = [standard_simplex(n), cube_from_facets(n), cross_polytope(n)]
+        if n < 5:
+            assert bodies[1] == unit_cube(n)
+        assert_matches_oracle([(body, reflect(body)) for body in bodies])
+        assert_matches_oracle([(bodies[0], bodies[1]), (bodies[2], bodies[0])])
+
+    def test_dim_5_bodies(self):
+        body = generate(GenSpec("random_hull", 5, vertex_count=8, seed=1,
+                                denominator_bound=2))
+        assert_matches_oracle([(body, reflect(body)),
+                               (square_times_octahedron(),
+                                reflect(square_times_octahedron()))])
 
 
 class TestGodbersenReport:
@@ -171,14 +256,14 @@ class TestProfileIdentities:
         assert not godbersen_report(cube).is_simplex
 
     def test_log_concavity_violation_raises(self, monkeypatch):
-        solve = mixedvol.solve_linear
+        cayley = mixedvol._cayley_mixed_volumes
 
-        def bumped(mat, rhs):
-            c = list(solve(mat, rhs))
-            c[2] = 5 * comb(3, 2)  # m_2 = 5 > m_1^2 / m_0 = 1
+        def bumped(K, L):
+            c = list(cayley(K, L))
+            c[2] = F(5)  # m_2 = 5 > m_1^2 / m_0 = 1
             return tuple(c)
 
-        monkeypatch.setattr(mixedvol, "solve_linear", bumped)
+        monkeypatch.setattr(mixedvol, "_cayley_mixed_volumes", bumped)
         cube = unit_cube(3)
         with pytest.raises(TheoremViolation, match="log-concave"):
             mv_profile(cube, reflect(cube))

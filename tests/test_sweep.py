@@ -120,3 +120,19 @@ def test_sweep_rejects_jobs_below_one(tmp_path, jobs):
     with pytest.raises(ValueError, match="jobs"):
         sweep_module.sweep([GenSpec("simplex", 2)], out, jobs=jobs)
     assert not out.exists()
+
+
+def test_pool_size_is_capped_by_body_count(tmp_path, monkeypatch):
+    pool_class = sweep_module.ProcessPoolExecutor
+    workers = []
+
+    def recording_pool(max_workers):
+        workers.append(max_workers)
+        return pool_class(max_workers=max_workers)
+
+    monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", recording_pool)
+    specs = [GenSpec("cube", 2), GenSpec("simplex", 3)]
+    sweep_module.sweep(specs, tmp_path / "parallel.csv", jobs=6)
+    sweep_module.sweep(specs, tmp_path / "serial.csv", jobs=1)
+    assert workers == [2]
+    assert (tmp_path / "parallel.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
