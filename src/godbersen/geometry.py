@@ -8,15 +8,16 @@ exactly the weight that turns ``support * mu`` sums into surface-area-measure
 integrals.
 
 Hull facets of raw point sets are enumerated by brute force over d-subsets
-with exact orientation tests (fine at input scale).  Minkowski sums take
-candidate normals from (n-1)-subsets of the summands' edge directions and
-verify each exactly, which avoids hulling all pairwise vertex sums.  Both
-get every candidate normal from one exterior-product pass,
-``linalg.span_normals``: the subsets are walked depth first and each
-prefix's minors are extended by Laplace expansion, so a prefix shared by
-many subsets is expanded once.  The sum's facet loop also gives the facets
-of the Cayley polytope conv(K x {0} u L x {1}) with no hull, and that
-polytope's fan gives the mixed volumes of K and L.
+with exact orientation tests (fine at input scale), every candidate normal
+from one exterior-product pass, ``linalg.span_normals``: the subsets are
+walked depth first and each prefix's minors are extended by Laplace
+expansion, so a prefix shared by many subsets is expanded once.  Minkowski
+sums avoid hulling all pairwise vertex sums: each facet of K + L is a face
+of K plus a face of L, so the candidate normals come from face pairs of the
+summands (their facets, ridge-edge crossings and, from dim 5, pairs of
+lower faces), and each is verified exactly.  The sum's facet loop also gives
+the facets of the Cayley polytope conv(K x {0} u L x {1}) with no hull, and
+that polytope's fan gives the mixed volumes of K and L.
 
 Everything else follows from the vertex-facet incidence, which fixes the face
 lattice: the smallest face through some points is the intersection of the
@@ -47,8 +48,10 @@ from .errors import (
     ZeroDirection,
 )
 from .linalg import (
+    _echelon,
     adjugate,
     affine_rank,
+    cofactor_normal,
     int_det,
     int_rank,
     primitive,
@@ -132,15 +135,6 @@ class Polytope:
         if self._edge_cache is None:
             self._edge_cache = _edge_pairs(self)
         return self._edge_cache
-
-    def edge_directions(self) -> list[tuple[int, ...]]:
-        """Primitive integer edge directions, sign-normalized, deduplicated."""
-        dirs = set()
-        for i, j in self.edges():
-            d = primitive(tuple(a - b for a, b in
-                                zip(self._int_vertices[i], self._int_vertices[j])))
-            dirs.add(_lex_positive(d))
-        return sorted(dirs)
 
 
 def _lex_positive(vec: tuple[int, ...]) -> tuple[int, ...]:
@@ -386,7 +380,12 @@ def support(K: Polytope, w) -> Rat:
     if is_zero_vector(v):
         raise ZeroDirection("support direction must be nonzero")
     (iw,), m = scale_to_integers([v])
-    return Fraction(max(_idot(iw, p) for p in K._int_vertices), m * K._int_scale)
+    return _int_support(K, iw) / m
+
+
+def _int_support(K: Polytope, w: tuple[int, ...]) -> Fraction:
+    """``support`` at a nonzero integer direction of the body's length."""
+    return Fraction(max(_idot(w, p) for p in K._int_vertices), K._int_scale)
 
 
 def _edge_pairs(K: Polytope) -> list[tuple[int, int]]:
@@ -405,7 +404,8 @@ def transform(K: Polytope, mat=None, shift=None) -> Polytope:
     """Image of K under x -> A x + t for invertible rational A.
 
     An invertible affine map keeps the face lattice, so the image carries over
-    K's facets, vertex ids and fan, relabelled by the sorted image vertices.
+    K's facets, vertex ids, edges and fan, relabelled by the sorted image
+    vertices.
     With A = Ai / a and t = ti / a over one positive integer a, the vertex
     p / m maps to (Ai p + m ti) / (a m).  A normal w maps to the coprime part
     u / g of u = sign(det Ai) adj(Ai)^T w, a positive multiple of A^-T w, and
@@ -448,11 +448,13 @@ def transform(K: Polytope, mat=None, shift=None) -> Polytope:
                             f.measure * g / a ** (n - 1), vids))
     facets.sort(key=lambda f: f.normal)
     shrink = common ** n
-    return Polytope(n, tuple(tuple(Fraction(c, mult) for c in q) for q in ipts),
-                    tuple(facets), K.volume * abs(d) / a ** n,
-                    tuple((sum(map(mul, r, K.centroid)) + s) / a for r, s in zip(ai, ti)),
-                    tuple(tuple(new[i] for i in s) for s in K._simplices),
-                    tuple(v * abs(d) // shrink for v in K._fan_volumes), ipts, mult)
+    image = Polytope(n, tuple(tuple(Fraction(c, mult) for c in q) for q in ipts),
+                     tuple(facets), K.volume * abs(d) / a ** n,
+                     tuple((sum(map(mul, r, K.centroid)) + s) / a for r, s in zip(ai, ti)),
+                     tuple(tuple(new[i] for i in s) for s in K._simplices),
+                     tuple(v * abs(d) // shrink for v in K._fan_volumes), ipts, mult)
+    image._edge_cache = sorted(tuple(sorted((new[i], new[j]))) for i, j in K.edges())
+    return image
 
 
 def translate(K: Polytope, t) -> Polytope:
@@ -470,24 +472,121 @@ def reflect(K: Polytope) -> Polytope:
     return scale(K, -1)
 
 
+def _ridges(K: Polytope) -> list[tuple[int, int]]:
+    """Facet index pairs meeting in a ridge: their common vertex set has at
+    least n - 1 vertices and lies in no third facet (a smaller face lies in
+    at least three)."""
+    faces = [frozenset(f.vertex_ids) for f in K.facets]
+    pairs = []
+    for a, b in combinations(range(len(faces)), 2):
+        common = faces[a] & faces[b]
+        if len(common) >= K.dim - 1 and sum(common <= f for f in faces) == 2:
+            pairs.append((a, b))
+    return pairs
+
+
+def _ridge_crossings(K: Polytope, L: Polytope):
+    """primitive((b.e) a - (a.e) b) for each ridge of K, with facet normals a
+    and b, and each edge vector e of L with (a.e)(b.e) < 0."""
+    normals = [f.normal for f in K.facets]
+    ridges = _ridges(K)
+    qs = L._int_vertices
+    for i, j in L.edges():
+        e = tuple(x - y for x, y in zip(qs[j], qs[i]))
+        de = [_idot(a, e) for a in normals]
+        for ra, rb in ridges:
+            x, y = de[ra], de[rb]
+            if x * y < 0:
+                yield primitive(tuple(y * p - x * q
+                                      for p, q in zip(normals[ra], normals[rb])))
+
+
+def _face_bases(K: Polytope) -> dict[int, list[list[tuple[int, ...]]]]:
+    """A basis of the direction space of each face of K, by dimension, for
+    dimensions n - 2 down to 2.
+
+    Each level's faces are the inclusion-maximal proper intersections of the
+    level above with the facets; a basis is the nonzero rows of the Bareiss
+    echelon form of a face's vertex differences.
+    """
+    facets = [frozenset(f.vertex_ids) for f in K.facets]
+    ps = K._int_vertices
+    level = set(facets)
+    bases = {}
+    for d in range(K.dim - 2, 1, -1):
+        below = set()
+        for g in level:
+            subs = {g & f for f in facets}
+            subs.discard(g)
+            below.update(h for h in subs if not any(h < k for k in subs))
+        bases[d] = []
+        for face in sorted(map(sorted, below)):
+            base = ps[face[0]]
+            rows = _echelon([tuple(a - b for a, b in zip(ps[i], base))
+                             for i in face[1:]])[0]
+            bases[d].append([tuple(r) for r in rows[:d]])
+        level = below
+    return bases
+
+
+def _sum_candidate_lines(K: Polytope, L: Polytope):
+    """Candidate facet normals of K + L, n >= 2: see ``_sum_facet_supports``."""
+    n = K.dim
+    for body in (K, L):
+        for f in body.facets:
+            yield f.normal
+    if n >= 3:
+        yield from _ridge_crossings(K, L)
+        yield from _ridge_crossings(L, K)
+    if n >= 5:
+        faces_k, faces_l = _face_bases(K), _face_bases(L)
+        for d in range(2, n - 2):
+            for basis_f in faces_k[d]:
+                for basis_g in faces_l[n - 1 - d]:
+                    w = cofactor_normal(basis_f + basis_g, n)
+                    if any(w):
+                        yield w
+
+
 def _sum_facet_supports(K: Polytope, L: Polytope):
     """Each facet normal u of K + L, with the vertex ids of F_K(u) and F_L(u).
 
-    Every facet of a sum is spanned by edges of the summands, so candidate
-    normals come from (n-1)-subsets of their edge directions, one
-    ``span_normals`` pass.  Each new line through the origin is verified
-    exactly for both of its signs, with the summand faces read off one set of
-    vertex values (maximum for the line, minimum for its negative).  A
-    candidate is a facet normal when the two faces together span n - 1
-    dimensions, which needs at least n + 1 vertices between them.
+    Every facet of K + L is F + G with F = F_K(u) and G = F_L(u) (Ziegler,
+    Lectures on Polytopes, 7.1; Fukuda, J. Symbolic Comput. 38, 2004), so its
+    normal is fixed by a pair of faces, one from each summand.  The candidate
+    lines are, for n >= 2:
+
+    - the facet normals of K and of L;
+    - for n >= 3, each ridge-edge crossing: for a ridge of K with facet
+      normals a and b and an edge vector e of L with (a.e)(b.e) < 0, the line
+      of (b.e) a - (a.e) b; and the same with K and L swapped;
+    - for n >= 5, each pair of faces F of K and G of L with dim F, dim G in
+      [2, n-3], dim F + dim G = n - 1 and independent direction spaces: the
+      cofactor normal of a basis of their directions.
+
+    These are all the facet normals.  If F or G is a facet, u is in the first
+    list.  If F is a ridge of K, with normal cone cone(a, b), then G has an
+    edge e outside lin F, since lin F + lin G = u^perp; u is the one line of
+    cone(a, b) orthogonal to e, and u = s a + t b with s, t > 0 forces
+    (a.e)(b.e) < 0 (were it 0, u would be a or b, already listed).  Likewise
+    when G is a ridge of L.  Otherwise dim F, dim G <= n - 3, and
+    dim F + dim G >= n - 1 forces n >= 5.  If W = lin F n lin G is 0,
+    (F, G) is in the third list.  Otherwise F has a face F' with
+    lin F' + W = lin F, a direct sum: project F along W,
+    fix a generic c on W, and take the faces of F that carry the c-highest
+    point of each fibre.  Then F' + G spans u^perp with dim F' =
+    n - 1 - dim G in [2, n - 3], so (F', G) is in the third list.
+
+    Each new line through the origin is verified exactly for both of its
+    signs, with the summand faces read off one set of vertex values (maximum
+    for the line, minimum for its negative).  A candidate is a facet normal
+    when the two faces together span n - 1 dimensions, which needs at least
+    n + 1 vertices between them.  At n = 1 the one line is (1,).
     """
     n = K.dim
     ps, qs = K._int_vertices, L._int_vertices
-    dirs = sorted(set(K.edge_directions()) | set(L.edge_directions()))
     seen_lines: set = set()
-    for w in span_normals(dirs, n) if n > 1 else [(1,)]:
-        if not any(w):
-            continue
+    for w in _sum_candidate_lines(K, L) if n > 1 else [(1,)]:
         line = _lex_positive(w)
         if line in seen_lines:
             continue

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import TheoremViolation
-from .geometry import Polytope, includes, reflect, scale, support, translate
+from .geometry import Polytope, _int_support, includes, reflect, scale, support, translate
 from .rationals import Rat, as_vector
 from .sections import section_profile
 
@@ -71,7 +71,7 @@ def _centered_tightness(k0: Polytope) -> TightnessProfile:
     n = k0.dim
     entries = []
     for f in k0.facets:
-        lhs = support(k0, tuple(-c for c in f.normal))
+        lhs = _int_support(k0, tuple(-c for c in f.normal))
         rhs = n * f.offset
         if lhs > rhs:
             raise TheoremViolation("support comparison failed on a facet normal")

@@ -8,8 +8,9 @@ scaling and in the rational results handed back.
 
 Normals to spans do not use that kernel: ``span_normals`` takes the cofactor
 normal of every (n-1)-subset of a list of vectors in one exterior-product
-pass, extending each prefix's minors by Laplace expansion along the next row.
-The per-subset cofactor route it replaced is its oracle in the tests.
+pass, extending each prefix's minors by Laplace expansion along the next row;
+``cofactor_normal`` takes the same steps for a single set of n - 1 vectors.
+The per-subset cofactor route they replaced is their oracle in the tests.
 """
 
 from __future__ import annotations
@@ -155,6 +156,19 @@ def span_normals(dirs, n: int):
                 yield from walk(nxt, i + 1, k + 1)
 
     return walk([1], 0, 0)
+
+
+def cofactor_normal(rows, n: int) -> tuple[int, ...]:
+    """Coprime integer normal of n - 1 integer rows of length n, n >= 2.
+
+    The j-th component is (-1)^j times the minor omitting column j, built by
+    the Laplace steps of ``span_normals`` for this one combination: the zero
+    vector when the rows are dependent.
+    """
+    minors = [1]
+    for table, r in zip(_laplace_steps(n), rows):
+        minors = [sum(s * r[t] * minors[q] for s, t, q in terms) for terms in table]
+    return primitive(minors)
 
 
 def det(mat: Matrix) -> Rat:

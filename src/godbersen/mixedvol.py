@@ -30,7 +30,7 @@ from fractions import Fraction
 from math import comb
 
 from .errors import DimensionMismatch, TheoremViolation
-from .geometry import Polytope, _cayley_mixed_volumes, reflect, support
+from .geometry import Polytope, _cayley_mixed_volumes, _int_support, reflect
 from .rationals import Rat
 
 
@@ -76,7 +76,7 @@ def mv_first(K: Polytope, T: Polytope) -> Rat:
         raise DimensionMismatch("mixed volume needs equal dimensions")
     acc = Fraction(0)
     for f in T.facets:
-        acc += support(K, f.normal) * f.measure
+        acc += _int_support(K, f.normal) * f.measure
     return acc / T.dim
 
 

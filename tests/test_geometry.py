@@ -32,6 +32,7 @@ from godbersen import (
 from godbersen import geometry, linalg
 from godbersen.geometry import Facet, Polytope, _hull_facets_int, _simplex_int_volume
 from godbersen.linalg import det, int_rank, scale_to_integers
+from godbersen.mixedvol import mv_profile
 from godbersen.rationals import dot
 from godbersen.sections import section_profile
 from tests.conftest import corpus_specs
@@ -402,7 +403,7 @@ class TestEdges:
     def test_cube_edges(self):
         cube = build_hull([(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)])
         assert len(cube.edges()) == 12
-        assert cube.edge_directions() == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
+        assert edge_directions(cube) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
 
     def test_simplex_edges_complete_graph(self):
         s = build_hull([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
@@ -659,6 +660,8 @@ class TestReflect:
                 assert image.centroid == rebuilt.centroid
                 assert image._int_vertices == rebuilt._int_vertices
                 assert image._int_scale == rebuilt._int_scale
+                # the edges are K's, relabelled, with no incidence pass
+                assert image._edge_cache == geometry._edge_pairs(image)
                 # the fan is K's, relabelled: a triangulation of the image
                 assert_fan_volumes(image)
                 assert F(sum(image._fan_volumes),
@@ -702,10 +705,13 @@ class TestReflect:
         assert calls == []
 
 
-# The per-subset routes that ``linalg.span_normals`` replaced, kept as
-# oracles of ``_hull_facets_int`` and ``minkowski_sum``: each d-subset of
-# points, or (n-1)-subset of edge directions, gets its own cofactor normal,
-# and the sum reads each candidate's summand faces by a separate argmax.
+# The per-subset routes kept as oracles.  The hull's oracle gives each
+# d-subset of points its own cofactor normal, as before ``linalg.span_normals``.
+# The sum's oracle takes a candidate normal from every (n-1)-subset of the
+# summands' edge directions, the walk that the face-pair candidates of
+# ``_sum_facet_supports`` replaced; it gets them from ``span_normals``, which
+# ``test_span_normals_match_cofactor_oracle`` holds to the per-subset
+# cofactors, and reads each candidate's summand faces by a separate argmax.
 
 def subset_hull_facets(pts, d):
     tested = set()
@@ -744,14 +750,24 @@ def argmax_face(K, w):
     return [i for i, x in enumerate(vals) if x == best]
 
 
-def subset_minkowski_sum(K, L):
+def edge_directions(body):
+    """Primitive integer edge directions, sign-normalized, deduplicated."""
+    dirs = set()
+    for i, j in body.edges():
+        d = linalg.primitive(tuple(a - b for a, b in
+                                   zip(body._int_vertices[i], body._int_vertices[j])))
+        dirs.add(geometry._lex_positive(d))
+    return sorted(dirs)
+
+
+def subset_sum_facet_supports(K, L):
+    """Sorted (u, ids of F_K(u), ids of F_L(u)) over the facet normals u of
+    K + L, each candidate normal spanned by n - 1 edge directions."""
     n = K.dim
-    m, ps, qs = geometry._common_lattice(K, L)
-    dirs = sorted(set(K.edge_directions()) | set(L.edge_directions()))
+    dirs = sorted(set(edge_directions(K)) | set(edge_directions(L)))
     seen_lines = set()
-    facets = {}
-    for combo in combinations(dirs, n - 1):
-        w = normal_to_span(list(combo), n)
+    supports = []
+    for w in linalg.span_normals(dirs, n) if n > 1 else [(1,)]:
         if all(c == 0 for c in w):
             continue
         line = geometry._lex_positive(w)
@@ -766,8 +782,14 @@ def subset_minkowski_sum(K, L):
             rows += [tuple(a - b for a, b in zip(L._int_vertices[i], L._int_vertices[face_l[0]]))
                      for i in face_l[1:]]
             if int_rank(rows) == n - 1:
-                facets[cand] = geometry._idot(cand, ps[face_k[0]]) + \
-                    geometry._idot(cand, qs[face_l[0]])
+                supports.append((cand, face_k, face_l))
+    return sorted(supports)
+
+
+def subset_minkowski_sum(K, L):
+    m, ps, qs = geometry._common_lattice(K, L)
+    facets = {u: geometry._idot(u, ps[ik[0]]) + geometry._idot(u, qs[il[0]])
+              for u, ik, il in subset_sum_facet_supports(K, L)}
     sums = sorted({tuple(x + y for x, y in zip(p, q)) for p in ps for q in qs})
     raw_facets = []
     for w, offset in sorted(facets.items()):
@@ -804,6 +826,47 @@ class TestSubsetOracles:
         for body, other in pairs:
             assert_same_polytope(minkowski_sum(body, other),
                                  subset_minkowski_sum(body, other))
+
+    def test_sum_facet_supports_matches_subset_route(self, corpus):
+        pairs = []
+        for n in (2, 3, 4, 5):
+            # the dim-5 cube's 32 points exceed the subset cap of build_hull
+            standard = [cross_polytope(n), standard_simplex(n)]
+            standard += [unit_cube(n)] if n < 5 else []
+            for body in standard:
+                pairs += [(body, other) for other in standard if other is not body]
+                pairs += [(body, reflect(other)) for other in standard]
+        for _, body in corpus[::50]:
+            n = body.dim
+            shear = [[F(int(i == j)) for j in range(n)] for i in range(n)]
+            for i in range(n - 1):
+                shear[i][n - 1] = F(2 * i - 1, 3)
+            shift = tuple(F((-1) ** k * (k + 1), 7) for k in range(n))
+            pairs += [(body, transform(body, shear, shift)), (body, scale(body, 2))]
+        recipes = [generate(GenSpec("random_hull", 5, vertex_count=8, seed=seed,
+                                    denominator_bound=2)) for seed in (1, 2, 3)]
+        for body, nxt in zip(recipes, recipes[1:] + recipes[:1]):
+            pairs += [(body, reflect(body)), (body, nxt)]
+        for body, other in pairs:
+            got = sorted(geometry._sum_facet_supports(body, other))
+            assert got == subset_sum_facet_supports(body, other)
+        assert len(pairs) == 69
+
+    def test_sum_walks_no_edge_subsets(self, corpus, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("span_normals called")
+
+        bodies = [body for _, body in corpus[::60]]
+        bodies.append(generate(GenSpec("random_hull", 5, vertex_count=8, seed=1,
+                                       denominator_bound=2)))
+        monkeypatch.setattr(linalg, "span_normals", refuse)
+        monkeypatch.setattr(geometry, "span_normals", refuse)
+        for body, nxt in zip(bodies, bodies[1:] + bodies[:1]):
+            mv_profile(body, reflect(body))
+            minkowski_sum(body, reflect(body))
+            if nxt.dim == body.dim:
+                mv_profile(body, nxt)
+                minkowski_sum(body, nxt)
 
     def test_hull_matches_subset_route(self, corpus):
         pairs, extra = subset_oracle_bodies(corpus)

@@ -8,6 +8,7 @@ from godbersen.errors import SingularMatrix
 from godbersen.linalg import (
     adjugate,
     affine_rank,
+    cofactor_normal,
     det,
     int_det,
     int_rank,
@@ -227,6 +228,22 @@ def test_span_normals_match_cofactor_oracle():
             zero += sum(not any(w) for w in expected)
             short += len(dirs) < n - 1
     assert zero > 500 and short > 20
+
+
+def test_cofactor_normal_matches_oracle():
+    rng = random.Random(19)
+    zero = 0
+    for n in (2, 3, 4, 5, 6):
+        for _ in range(120):
+            dirs = random_directions(rng, n)
+            while len(dirs) < n - 1:
+                dirs.append(tuple(rng.randint(-4, 4) for _ in range(n)))
+            rows = dirs[:n - 1]
+            expected = normal_to_span(rows, n)
+            assert cofactor_normal(rows, n) == expected, (n, rows)
+            zero += not any(expected)
+    assert zero > 30
+    assert cofactor_normal([(1, 0, 0), (0, 1, 0)], 3) == (0, 0, 1)
 
 
 def test_span_normals_edge_shapes():
