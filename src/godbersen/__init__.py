@@ -48,7 +48,6 @@ from .halfspaces import (
     HalfSpace,
     System,
     ak_feasibility,
-    ak_point,
     ak_system,
     anchor_unique,
     fm_feasible,

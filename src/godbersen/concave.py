@@ -21,7 +21,7 @@ floating n-th roots, within a relative tolerance.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
@@ -40,6 +40,7 @@ class PLConcave:
 
     knots: tuple[Rat, ...]
     values: tuple[Rat, ...]
+    _slopes: tuple[Rat, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         k, v = self.knots, self.values
@@ -51,15 +52,14 @@ class PLConcave:
             raise NotConcave("knots must be strictly increasing")
         if any(x < 0 for x in v):
             raise NotConcave("values must be nonnegative")
-        slopes = self.slopes()
+        slopes = tuple((v2 - v1) / (k2 - k1)
+                       for k1, k2, v1, v2 in zip(k, k[1:], v, v[1:]))
         if any(s2 > s1 for s1, s2 in zip(slopes, slopes[1:])):
             raise NotConcave("slopes must be nonincreasing")
+        object.__setattr__(self, "_slopes", slopes)
 
     def slopes(self) -> tuple[Rat, ...]:
-        return tuple((v2 - v1) / (k2 - k1)
-                     for (k1, v1), (k2, v2)
-                     in zip(zip(self.knots, self.values),
-                            zip(self.knots[1:], self.values[1:])))
+        return self._slopes
 
     def value(self, r) -> Rat:
         x = as_rat(r)
@@ -71,9 +71,9 @@ class PLConcave:
                 return v1 + (v2 - v1) * (x - k1) / (k2 - k1)
 
     def is_linear(self) -> bool:
-        """Single slope across all of [0,1]."""
-        slopes = self.slopes()
-        return all(s == slopes[0] for s in slopes)
+        """Single slope across all of [0,1]; the slopes never increase, so
+        the first and the last decide."""
+        return self._slopes[0] == self._slopes[-1]
 
     def scaled(self, c) -> "PLConcave":
         cc = as_rat(c)

@@ -11,17 +11,25 @@ inclusion -K0 in nK0 that ``tightness_profile`` checks row by row.  So the
 anchor point is that witness, checked, never searched for.  The region is the
 single point {c} exactly when the rows tight at c positively span R^n.
 
-Fourier-Motzkin elimination runs on primitive integer rows with a rational
-right-hand side, needs no pivoting rules, and reads off uniqueness for free.
-It serves generic systems, the uniqueness test on the tight rows alone, and
-the full-system side of the Helly audit.
+Below the ``System`` API every row is an integer pair (normal, rhs):
+``_integer_rows`` scales each row, normal and rhs together, by one positive
+multiplier, which changes no Farkas sign and no Fourier-Motzkin bound.
+Fractions appear only in the ``System`` rows and in the witness that
+``fm_feasible`` reads back.
+
+Fourier-Motzkin elimination runs on those integer rows, needs no pivoting
+rules, and reads off uniqueness for free (Schrijver, *Theory of Linear and
+Integer Programming*, section 12.2).  It serves generic systems, the
+uniqueness test on the tight rows alone, and the full-system side of the
+Helly audit.
 
 The Helly audit decides each (n+1)-row subsystem Aa <= b by a Farkas
-certificate instead (Schrijver, *Theory of Linear and Integer Programming*,
-section 7.3).  The cofactor vector lam_i = (-1)^i det(A without row i) spans
-the left kernel of A whenever rank A = n, so the subsystem is infeasible iff
-lam or -lam is componentwise >= 0 with that sign giving lam . b < 0.  When
-lam = 0, rank A < n and FM decides the subsystem.
+certificate instead (Schrijver, section 7.3).  The cofactor vector
+lam_i = (-1)^i det(A without row i) spans the left kernel of A whenever
+rank A = n, so the subsystem is infeasible iff lam or -lam is componentwise
+>= 0 with that sign giving lam . b < 0.  When lam = 0, rank A < n and FM
+decides the subsystem.  A set of n rows lies in many (n+1)-subsets, so the
+audit takes each n-row determinant once, on first use, into one table.
 """
 
 from __future__ import annotations
@@ -37,9 +45,9 @@ from .errors import (
     TheoremViolation,
     ZeroDirection,
 )
-from .geometry import Polytope, check_subset_cap, support, transform
+from .geometry import Polytope, _int_support, check_subset_cap, transform
 from .inclusion import TightnessProfile, tightness_profile
-from .linalg import det, int_det, scale_to_integers
+from .linalg import det, int_det
 from .rationals import Point, Rat, Vector, as_rat, as_vector, dot, is_zero_vector
 
 @dataclass(frozen=True)
@@ -87,31 +95,47 @@ def make_system(dim: int, rows) -> System:
     return System(dim, tuple(HalfSpace(as_vector(w, dim), as_rat(b)) for w, b in rows))
 
 
-_Row = tuple[tuple[int, ...], Fraction]
+_Row = tuple[tuple[int, ...], int]
+
+
+def _integer_rows(system: System) -> list[_Row]:
+    """Each row as an integer normal and an integer rhs, scaled together by
+    one positive multiplier."""
+    rows = []
+    for h in system.halfspaces:
+        row = h.normal + (h.rhs,)
+        mult = lcm(*(c.denominator for c in row))
+        ints = [c.numerator * (mult // c.denominator) for c in row]
+        rows.append((tuple(ints[:-1]), ints[-1]))
+    return rows
 
 
 def _canonical_rows(rows) -> tuple[list[_Row], bool]:
-    """Scale rows to coprime-integer coefficients, drop duplicates and rows
-    dominated by an identical-coefficient row with smaller rhs.  Constant rows
-    are consumed here; a violated one makes the system infeasible."""
-    best: dict[tuple[int, ...], Fraction] = {}
+    """Merge integer rows with the same direction and drop dominated ones.
+
+    Rows are keyed by their primitive coefficients w / g; of the rows with
+    one key, the first with the least rhs / g is kept (compared by
+    cross-multiplication), then divided by the gcd of all its entries.
+    Constant rows are consumed here; a violated one makes the system
+    infeasible.
+    """
+    best: dict[tuple[int, ...], tuple[int, int]] = {}
     for coeffs, rhs in rows:
-        if all(c == 0 for c in coeffs):
+        g = gcd(*coeffs)
+        if g == 0:
             if rhs < 0:
                 return [], False
             continue
-        mult = 1
-        for c in coeffs:
-            mult = lcm(mult, c.denominator)
-        ints = [int(c * mult) for c in coeffs]
-        g = 0
-        for c in ints:
-            g = gcd(g, abs(c))
-        key = tuple(c // g for c in ints)
-        scaled = rhs * mult / g
-        if key not in best or scaled < best[key]:
-            best[key] = scaled
-    return [(k, v) for k, v in best.items()], True
+        key = tuple(c // g for c in coeffs)
+        kept = best.get(key)
+        if kept is None or rhs * kept[1] < kept[0] * g:
+            best[key] = (rhs, g)
+    out = []
+    for key, (rhs, g) in best.items():
+        d = gcd(g, rhs)
+        s = g // d
+        out.append((tuple(s * c for c in key), rhs // d))
+    return out, True
 
 
 def _eliminate(rows: list[_Row], k: int) -> tuple[list[_Row], bool]:
@@ -137,14 +161,15 @@ def _eliminate(rows: list[_Row], k: int) -> tuple[list[_Row], bool]:
 def fm_feasible(system: System) -> FeasibilityResult:
     """Exact Fourier-Motzkin feasibility with a deterministic witness.
 
-    Variables are eliminated from the last to the first; on back-substitution
-    each remaining interval contributes the midpoint (0 if unconstrained, the
-    finite endpoint moved inward by 1 if bounded on one side only).  The
-    feasible region is a single point exactly when every interval collapses.
+    The elimination runs on the integer rows of ``_integer_rows``, variables
+    from the last to the first.  Only the back-substitution works in
+    Fractions: each remaining interval contributes the midpoint (0 if
+    unconstrained, the finite endpoint moved inward by 1 if bounded on one
+    side only).  The feasible region is a single point exactly when every
+    interval collapses.
     """
     n = system.dim
-    base = [(h.normal, Fraction(h.rhs)) for h in system.halfspaces]
-    stage, ok = _canonical_rows(base)
+    stage, ok = _canonical_rows(_integer_rows(system))
     stages: list[list[_Row]] = [stage]
     for k in range(n - 1, 0, -1):
         if not ok:
@@ -165,7 +190,7 @@ def fm_feasible(system: System) -> FeasibilityResult:
             if c == 0:
                 continue
             resid = rhs - sum(coeffs[j] * witness[j] for j in range(k))
-            bound = resid / c
+            bound = Fraction(resid) / c
             if c > 0:
                 hi = bound if hi is None else min(hi, bound)
             else:
@@ -193,10 +218,9 @@ def ak_system(K: Polytope) -> System:
     n = K.dim
     rows = []
     for f in K.facets:
-        h_plus = f.offset
-        h_minus = support(K, tuple(-c for c in f.normal))
-        rhs = Fraction(n, n + 1) * h_plus - Fraction(1, n + 1) * h_minus
-        rows.append((tuple(Fraction(c) for c in f.normal), rhs))
+        h_minus = _int_support(K, tuple(-c for c in f.normal))
+        rhs = (n * f.offset - h_minus) / (n + 1)
+        rows.append((f.normal, rhs))
     return make_system(n, rows)
 
 
@@ -226,35 +250,26 @@ def ak_feasibility(K: Polytope) -> FeasibilityResult:
     return FeasibilityResult(True, K.centroid, anchor_unique(tightness_profile(K)))
 
 
-def ak_point(K: Polytope) -> Point:
-    """A point of the anchor region, validated against every facet normal."""
-    return ak_feasibility(K).witness
-
-
-def _integer_rows(system: System) -> list[_Row]:
-    """Each row as an integer normal, its rhs scaled by the same positive
-    multiplier."""
-    rows = []
-    for h in system.halfspaces:
-        (normal,), mult = scale_to_integers([h.normal])
-        rows.append((normal, Fraction(h.rhs) * mult))
-    return rows
-
-
-def _farkas_infeasible(rows: list[_Row]) -> bool | None:
-    """Decide n+1 integer rows a . w <= b in R^n by their Farkas certificate.
+def _farkas_infeasible(rows: list[_Row], subset: tuple[int, ...],
+                       minors: dict[tuple[int, ...], int]) -> bool | None:
+    """Decide the n+1 integer rows ``rows[i]``, i in ``subset`` (sorted), of
+    a . w <= b in R^n by their Farkas certificate.
 
     True if infeasible, False if feasible, None if rank < n (no certificate:
     the cofactor vector lam is zero).  A nonzero lam spans the left kernel,
     so the rows are infeasible iff some y = t lam >= 0 has y . b < 0.  Once
     lam has entries of both signs no such y exists, and the remaining
-    cofactors are not needed.
+    cofactors are not needed.  ``minors`` maps a sorted n-tuple of row
+    indices to the determinant of those normals; a missing entry is taken
+    here and stored.
     """
-    normals = [w for w, _ in rows]
     lam = []
     pos = neg = False
-    for i in range(len(rows)):
-        d = int_det(normals[:i] + normals[i + 1:])
+    for i in range(len(subset)):
+        key = subset[:i] + subset[i + 1:]
+        d = minors.get(key)
+        if d is None:
+            d = minors[key] = int_det([rows[j][0] for j in key])
         c = -d if i % 2 else d
         pos |= c > 0
         neg |= c < 0
@@ -263,7 +278,7 @@ def _farkas_infeasible(rows: list[_Row]) -> bool | None:
         lam.append(c)
     if not (pos or neg):
         return None
-    lam_b = sum(c * b for c, (_, b) in zip(lam, rows))
+    lam_b = sum(c * rows[j][1] for c, j in zip(lam, subset))
     return lam_b < 0 if pos else lam_b > 0
 
 
@@ -271,11 +286,12 @@ def helly_audit(system: System, cap: int | None = None) -> bool:
     """Check every (dim+1)-subset of halfspaces for feasibility.
 
     Each subset is decided by its Farkas cofactor certificate
-    (``_farkas_infeasible``); a rank-deficient subset, which has none, falls
-    back to Fourier-Motzkin.  Vacuously true when there are fewer than dim+1
-    halfspaces.  Otherwise the outcome must agree with full-system
-    feasibility by Fourier-Motzkin (Helly's theorem for a finite family of
-    convex sets), so any disagreement raises.
+    (``_farkas_infeasible``), read from one table of n-row determinants that
+    fills as the subsets ask for them; a rank-deficient subset, which has no
+    certificate, falls back to Fourier-Motzkin.  Vacuously true when there
+    are fewer than dim+1 halfspaces.  Otherwise the outcome must agree with
+    full-system feasibility by Fourier-Motzkin (Helly's theorem for a finite
+    family of convex sets), so any disagreement raises.
     """
     n = system.dim
     rows = system.halfspaces
@@ -283,9 +299,10 @@ def helly_audit(system: System, cap: int | None = None) -> bool:
         return True
     check_subset_cap(comb(len(rows), n + 1), "Helly audit", cap)
     ints = _integer_rows(system)
+    minors: dict[tuple[int, ...], int] = {}
     all_ok = True
     for subset in combinations(range(len(rows)), n + 1):
-        infeasible = _farkas_infeasible([ints[i] for i in subset])
+        infeasible = _farkas_infeasible(ints, subset, minors)
         if infeasible is None:
             infeasible = not fm_feasible(System(n, tuple(rows[i] for i in subset))).feasible
         if infeasible:

@@ -94,6 +94,22 @@ class TestPLConcave:
         assert TENT.value(F(1, 4)) == F(1, 2)
         assert TENT.value(F(3, 4)) == 1
         assert not TENT.is_linear() and LINEAR_DOWN.is_linear() and ZERO.is_linear()
+        # collinear knots: several pieces, one slope
+        assert PLConcave((F(0), F(1, 3), F(1)), (F(1), F(2, 3), F(0))).is_linear()
+        assert not PLATEAU.is_linear()
+
+    def test_slopes_taken_once(self):
+        assert PLATEAU.slopes() == (F(4), F(0), F(-3, 2))
+        assert PLATEAU.slopes() is PLATEAU.slopes()
+
+    def test_equality_hash_and_repr_see_knots_and_values_only(self):
+        again = PLConcave((F(0), F(1, 2), F(1)), (F(0), F(1), F(1)))
+        assert again == TENT and hash(again) == hash(TENT)
+        assert repr(TENT) == ("PLConcave(knots=(Fraction(0, 1), Fraction(1, 2), "
+                              "Fraction(1, 1)), values=(Fraction(0, 1), "
+                              "Fraction(1, 1), Fraction(1, 1)))")
+        # same slopes, other values
+        assert LINEAR_UP != PLConcave((F(0), F(1)), (F(1), F(2)))
 
 
 class TestGodbersenIntegral:

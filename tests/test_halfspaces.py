@@ -1,16 +1,17 @@
 import random
 from fractions import Fraction as F
 from itertools import combinations
+from math import comb, gcd, lcm
 
 import pytest
 
 from godbersen import (
     CombinatorialBlowup,
+    FeasibilityResult,
     GenSpec,
     SingularMatrix,
     ZeroDirection,
     ak_feasibility,
-    ak_point,
     ak_system,
     anchor_unique,
     build_hull,
@@ -29,7 +30,7 @@ from godbersen import (
 )
 from godbersen import halfspaces
 from godbersen.halfspaces import HalfSpace, _farkas_infeasible, _integer_rows
-from godbersen.linalg import int_rank
+from godbersen.linalg import int_det, int_rank, primitive, scale_to_integers
 from godbersen.rationals import dot
 from tests.test_geometry import TRIANGLE, random_polytope
 
@@ -151,7 +152,7 @@ class TestAkPoint:
         for dim in (2, 3):
             for _ in range(10):
                 body = random_polytope(rng, dim, dim + 4)
-                a = ak_point(body)
+                a = ak_feasibility(body).witness
                 for f in body.facets:
                     lhs = support(body, tuple(-c for c in f.normal)) \
                         + (dim + 1) * dot(f.normal, a)
@@ -163,7 +164,7 @@ class TestAkPoint:
         for dim in (2, 3):
             for _ in range(8):
                 body = random_polytope(rng, dim, dim + 4)
-                a = ak_point(body)
+                a = ak_feasibility(body).witness
                 shifted = translate(body, tuple(-c for c in a))
                 assert mv_first(reflect(shifted), shifted) <= dim * body.volume
 
@@ -261,15 +262,130 @@ class TestHelly:
                     assert helly_audit(system)
 
 
+# The Fraction-rhs route that the integer rows replaced, kept as the oracle:
+# Fourier-Motzkin on primitive integer rows with a Fraction rhs, and each
+# subset's Farkas cofactors taken from scratch.
+
+def _oracle_canonical_rows(rows):
+    best = {}
+    for coeffs, rhs in rows:
+        if all(c == 0 for c in coeffs):
+            if rhs < 0:
+                return [], False
+            continue
+        mult = 1
+        for c in coeffs:
+            mult = lcm(mult, c.denominator)
+        ints = [int(c * mult) for c in coeffs]
+        g = 0
+        for c in ints:
+            g = gcd(g, abs(c))
+        key = tuple(c // g for c in ints)
+        scaled = rhs * mult / g
+        if key not in best or scaled < best[key]:
+            best[key] = scaled
+    return [(k, v) for k, v in best.items()], True
+
+
+def _oracle_eliminate(rows, k):
+    zero, pos, neg = [], [], []
+    for coeffs, rhs in rows:
+        c = coeffs[k]
+        if c == 0:
+            zero.append((coeffs, rhs))
+        elif c > 0:
+            pos.append((coeffs, rhs))
+        else:
+            neg.append((coeffs, rhs))
+    combined = list(zero)
+    for pc, pr in pos:
+        for nc, nr in neg:
+            a, b = -nc[k], pc[k]
+            coeffs = tuple(a * x + b * y for x, y in zip(pc, nc))
+            combined.append((coeffs, a * pr + b * nr))
+    return _oracle_canonical_rows(combined)
+
+
+def oracle_fm_feasible(system):
+    n = system.dim
+    base = [(h.normal, F(h.rhs)) for h in system.halfspaces]
+    stage, ok = _oracle_canonical_rows(base)
+    stages = [stage]
+    for k in range(n - 1, 0, -1):
+        if not ok:
+            break
+        stage, ok = _oracle_eliminate(stage, k)
+        stages.append(stage)
+    if not ok:
+        return FeasibilityResult(False, None, False)
+    witness = []
+    unique = True
+    for k in range(n):
+        rows = stages[n - 1 - k]
+        lo = hi = None
+        for coeffs, rhs in rows:
+            c = coeffs[k]
+            if c == 0:
+                continue
+            resid = rhs - sum(coeffs[j] * witness[j] for j in range(k))
+            bound = resid / c
+            if c > 0:
+                hi = bound if hi is None else min(hi, bound)
+            else:
+                lo = bound if lo is None else max(lo, bound)
+        if lo is not None and hi is not None:
+            if lo > hi:
+                return FeasibilityResult(False, None, False)
+            witness.append((lo + hi) / 2)
+            unique = unique and lo == hi
+        elif lo is not None:
+            witness.append(lo + 1)
+            unique = False
+        elif hi is not None:
+            witness.append(hi - 1)
+            unique = False
+        else:
+            witness.append(F(0))
+            unique = False
+    return FeasibilityResult(True, tuple(witness), unique)
+
+
+def _oracle_farkas(system, subset):
+    """The subset's n+1 cofactors from scratch, normals scaled alone and the
+    rhs left a Fraction."""
+    rows = []
+    for i in subset:
+        h = system.halfspaces[i]
+        (normal,), mult = scale_to_integers([h.normal])
+        rows.append((normal, h.rhs * mult))
+    lam = []
+    pos = neg = False
+    for i in range(len(rows)):
+        d = int_det([w for w, _ in rows[:i] + rows[i + 1:]])
+        c = -d if i % 2 else d
+        pos |= c > 0
+        neg |= c < 0
+        if pos and neg:
+            return False
+        lam.append(c)
+    if not (pos or neg):
+        return None
+    lam_b = sum(c * b for c, (_, b) in zip(lam, rows))
+    return lam_b < 0 if pos else lam_b > 0
+
+
 def _check_certificates(system) -> int:
-    """Assert the Farkas verdict equals Fourier-Motzkin on every
-    (n+1)-subset; None exactly when the normals have rank < n.  Returns the
-    number of rank-deficient subsets."""
+    """Assert the Farkas verdict read from one shared minor table equals the
+    per-subset cofactor route and Fourier-Motzkin on every (n+1)-subset;
+    None exactly when the normals have rank < n.  Returns the number of
+    rank-deficient subsets."""
     n = system.dim
     ints = _integer_rows(system)
+    minors = {}
     fallbacks = 0
     for subset in combinations(range(len(ints)), n + 1):
-        verdict = _farkas_infeasible([ints[i] for i in subset])
+        verdict = _farkas_infeasible(ints, subset, minors)
+        assert verdict == _oracle_farkas(system, subset), subset
         rank = int_rank([ints[i][0] for i in subset])
         if verdict is None:
             assert rank < n
@@ -345,7 +461,7 @@ class TestFarkasCertificate:
     ])
     def test_infeasible_by_certificate(self, rows):
         ints = _integer_rows(make_system(2, rows))
-        assert _farkas_infeasible(ints) is True
+        assert _farkas_infeasible(ints, (0, 1, 2), {}) is True
         assert not helly_audit(make_system(2, rows))
 
     def test_feasible_by_certificate(self):
@@ -353,15 +469,156 @@ class TestFarkasCertificate:
         for rows in ([((1, 0), 1), ((-1, 0), 0), ((0, 1), 0)],
                      [((-1, 0), -1), ((0, -1), -1), ((1, 1), 2)],
                      [((1, 0), 0), ((0, 1), 0), ((1, 1), 0)]):
-            assert _farkas_infeasible(_integer_rows(make_system(2, rows))) is False
+            ints = _integer_rows(make_system(2, rows))
+            assert _farkas_infeasible(ints, (0, 1, 2), {}) is False
 
     def test_rank_deficient_infeasible_subset(self):
         # in R^3, x <= 0, x >= 1, y <= 0, y >= 0 has rank 2: no certificate,
         # and only the fallback sees that it is infeasible
         s = make_system(3, [((1, 0, 0), 0), ((-1, 0, 0), -1),
                             ((0, 1, 0), 0), ((0, -1, 0), 0)])
-        assert _farkas_infeasible(_integer_rows(s)) is None
+        assert _farkas_infeasible(_integer_rows(s), (0, 1, 2, 3), {}) is None
         assert not helly_audit(s)
+
+
+class TestIntegerRows:
+    def test_row_and_rhs_scaled_together(self):
+        s = make_system(2, [((F(1, 2), F(1, 3)), F(5, 4)), ((2, 0), F(-1, 3)),
+                            ((-1, 1), 0)])
+        assert _integer_rows(s) == [((6, 4), 15), ((6, 0), -1), ((-1, 1), 0)]
+
+    def test_canonical_rows_keep_least_rhs_per_direction(self):
+        rows = [((2, 4), 3), ((1, 2), 1), ((3, 6), 2), ((-1, 0), 4),
+                ((-2, 0), 8), ((0, 0), 5)]
+        # (1, 2): rhs/g is 3/2, 1, 2/3, so (3, 6) <= 2 stays; the two rows
+        # along (-1, 0) tie and the first stays; 0 <= 5 is dropped
+        assert halfspaces._canonical_rows(rows) == (
+            [((3, 6), 2), ((-1, 0), 4)], True)
+        assert halfspaces._canonical_rows(rows + [((0, 0), -1)]) == ([], False)
+
+    def test_kept_rows_divided_by_gcd_of_all_entries(self):
+        rows, ok = halfspaces._canonical_rows([((4, 6), 10), ((4, 6), 3),
+                                               ((0, 3), 0), ((-6, 0), -4)])
+        assert ok and rows == [((4, 6), 3), ((0, 1), 0), ((-3, 0), -2)]
+
+
+def _oracle_reference_systems():
+    """Seeded random rational systems in dims 1-4.  Half draw normals from a
+    small pool with positive and negative multiples, so duplicate,
+    dominated and opposite rows (constant rows after elimination) occur."""
+    rng = random.Random(94)
+    systems = []
+    for _ in range(2200):
+        dim = rng.randint(1, 4)
+        count = rng.randint(1, 8 if dim < 4 else 7)
+        pool = None
+        if rng.random() < 0.5:
+            pool = []
+            while len(pool) < 3:
+                w = tuple(F(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(dim))
+                if any(w):
+                    pool.append(w)
+            pool += [tuple(k * c for c in w) for w in pool
+                     for k in (2, F(-1, 2), -3)]
+        systems.append(make_system(dim, _random_rows(rng, dim, count, pool)))
+    return systems
+
+
+class TestAgainstFractionOracle:
+    """The integer-row Fourier-Motzkin must give the Fraction-rhs route's
+    feasibility, witness and uniqueness exactly."""
+
+    def test_corpus_anchor_systems(self, corpus):
+        bodies = [body for _, body in corpus if body.dim < 4]
+        bodies += [body for spec, body in corpus
+                   if body.dim == 4 and spec.kind == "random_hull"][:20]
+        for body in bodies:
+            system = ak_system(body)
+            assert fm_feasible(system) == oracle_fm_feasible(system)
+
+    def test_random_rational_systems(self, monkeypatch):
+        constant = []
+        canonical = halfspaces._canonical_rows
+
+        def spy(rows):
+            rows = list(rows)
+            constant.extend(r for r in rows if not any(r[0]))
+            return canonical(rows)
+
+        monkeypatch.setattr(halfspaces, "_canonical_rows", spy)
+        infeasible = unique = 0
+        systems = _oracle_reference_systems()
+        for system in systems:
+            res = fm_feasible(system)
+            assert res == oracle_fm_feasible(system)
+            assert all(type(c) is F for c in res.witness or ())
+            infeasible += not res.feasible
+            unique += res.unique
+        assert len(systems) >= 2000
+        assert infeasible > 300 and unique > 5 and len(constant) > 300
+
+    def test_canonical_rows_match_oracle(self):
+        rng = random.Random(95)
+        for _ in range(400):
+            dim = rng.randint(1, 3)
+            rows = [(tuple(rng.randint(-2, 2) * rng.choice((1, 2, 6))
+                           for _ in range(dim)), rng.randint(-9, 9))
+                    for _ in range(rng.randint(1, 8))]
+            got, ok = halfspaces._canonical_rows(rows)
+            want, want_ok = _oracle_canonical_rows(
+                [(tuple(F(c) for c in w), F(b)) for w, b in rows])
+            assert ok == want_ok
+            assert [(primitive(w), F(b, gcd(*w))) for w, b in got] == want
+            assert all(gcd(*w, b) == 1 for w, b in got)
+
+
+class TestMinorTable:
+    # x <= 1, y <= 1, x + y >= 0, x >= 2, x + y <= 5, y >= -3: the second
+    # subset (0, 1, 3) is infeasible, so the loop stops after 2 of 20
+    EARLY_EXIT = [((1, 0), 1), ((0, 1), 1), ((-1, -1), 0), ((-1, 0), -2),
+                  ((1, 1), 5), ((0, -1), 3)]
+
+    def _recorded_audit(self, monkeypatch, system):
+        visited, tables, dets = [], [], []
+        farkas, det = halfspaces._farkas_infeasible, halfspaces.int_det
+
+        def record_farkas(rows, subset, minors):
+            visited.append(subset)
+            tables.append(minors)
+            return farkas(rows, subset, minors)
+
+        def record_det(rows):
+            dets.append(rows)
+            return det(rows)
+
+        monkeypatch.setattr(halfspaces, "_farkas_infeasible", record_farkas)
+        monkeypatch.setattr(halfspaces, "int_det", record_det)
+        verdict = helly_audit(system)
+        assert all(t is tables[0] for t in tables)
+        return verdict, visited, tables[0], dets
+
+    def test_early_exit_fills_only_visited_minors(self, monkeypatch):
+        system = make_system(2, self.EARLY_EXIT)
+        verdict, visited, table, dets = self._recorded_audit(monkeypatch, system)
+        assert not verdict
+        assert visited == [(0, 1, 2), (0, 1, 3)]
+        # (0, 1) lies in both subsets and is taken once
+        assert set(table) == {(1, 2), (0, 2), (0, 1), (1, 3), (0, 3)}
+        assert len(dets) == len(table)
+        ints = _integer_rows(system)
+        for key, value in table.items():
+            assert value == int_det([ints[i][0] for i in key])
+
+    def test_each_minor_taken_once(self, monkeypatch):
+        system = ak_system(random_polytope(random.Random(96), 3, 9))
+        rows = len(system.halfspaces)
+        verdict, visited, table, dets = self._recorded_audit(monkeypatch, system)
+        assert verdict and len(visited) == comb(rows, 4)
+        assert len(dets) == len(table) <= comb(rows, 3) < 4 * len(visited)
+        assert all(key == tuple(sorted(key)) and len(key) == 3 for key in table)
+        ints = _integer_rows(system)
+        for key, value in table.items():
+            assert value == int_det([ints[i][0] for i in key])
 
 
 class TestHellyCallCounts:

@@ -4,12 +4,15 @@ from fractions import Fraction as F
 import pytest
 
 from godbersen import (
+    GenSpec,
     PLConcave,
     ak_system,
     build_hull,
+    generate,
     godbersen_report,
     make_system,
     tightness_profile,
+    unit_cube,
 )
 from godbersen.cli import main
 from godbersen.polyio import (
@@ -23,6 +26,15 @@ from godbersen.polyio import (
     tightness_to_rows,
 )
 from tests.test_geometry import TRIANGLE, SQUARE
+
+CUBE = unit_cube(3)
+# the first dim-3 origin-symmetric body of the acceptance corpus
+SYMMETRIC_BODY = generate(GenSpec("random_symmetric", 3, 4, seed=30_500,
+                                  denominator_bound=3))
+
+
+def _anchor_rows(body):
+    return [(r["w"], r["beta"]) for r in system_to_dict(ak_system(body))["rows"]]
 
 
 class TestPolytopeFormat:
@@ -136,16 +148,34 @@ class TestCli:
         data = json.loads(capsys.readouterr().out)
         assert data["all_subsystems_feasible"] and data["full_system_feasible"]
 
+    @pytest.mark.parametrize("body, witness, unique", [
+        (CUBE, ["1/2", "1/2", "1/2"], "false"),
+        (SYMMETRIC_BODY, ["0", "0", "0"], "false"),
+    ], ids=["cube", "symmetric"])
+    def test_ak_output(self, tmp_path, capsys, body, witness, unique):
+        path = tmp_path / "body.json"
+        path.write_text(json.dumps(polytope_to_dict(body)))
+        assert main(["ak", "--input", str(path)]) == 0
+        assert capsys.readouterr().out == (
+            '{\n  "feasible": true,\n  "witness": [\n'
+            + ",\n".join(f'    "{c}"' for c in witness)
+            + f'\n  ],\n  "unique": {unique}\n}}\n')
+
     @pytest.mark.parametrize("rows, verdicts", [
         ([(["1", "0"], "1"), (["0", "1"], "1"), (["-1", "-1"], "0")], ("true", "true")),
         ([(["1", "0"], "0"), (["-1", "0"], "-1"), (["0", "1"], "0")], ("false", "false")),
         # fewer than n+1 rows: vacuous audit, infeasible system
         ([(["1", "0"], "0"), (["-1", "0"], "-1")], ("true", "false")),
+        # rank 2 in R^3: no Farkas certificate, the fallback finds it infeasible
+        ([(["1", "0", "0"], "0"), (["-1", "0", "0"], "-1"),
+          (["0", "1", "0"], "0"), (["0", "-1", "0"], "0")], ("false", "false")),
+        (_anchor_rows(CUBE), ("true", "true")),
+        (_anchor_rows(SYMMETRIC_BODY), ("true", "true")),
     ])
     def test_helly_output(self, tmp_path, capsys, rows, verdicts):
         path = tmp_path / "sys.json"
         path.write_text(json.dumps(
-            {"dim": 2, "rows": [{"w": w, "beta": b} for w, b in rows]}))
+            {"dim": len(rows[0][0]), "rows": [{"w": w, "beta": b} for w, b in rows]}))
         assert main(["helly", "--input", str(path)]) == 0
         assert capsys.readouterr().out == (
             "{\n"
