@@ -35,7 +35,6 @@ from .geometry import (
     centroid,
     contains_point,
     includes,
-    minkowski_sum,
     reflect,
     scale,
     support,

@@ -15,7 +15,8 @@ integrals integral_0^1 (1-s)^a s^b ds = a! b! / (a+b+1)! gives the power sum
 with no slope division.  Slice-root concavity (Brunn's principle) is decided
 exactly on the integer section pieces by a Sturm sign test, with no root
 taken (``SectionProfile.root_concave``).  Only ``bm_check`` still compares
-floating n-th roots, within a relative tolerance.
+floating n-th roots, within a relative tolerance; it reads the exact
+Vol(K + L) = sum_j C(n,j) m_j off the mixed-volume profile, with no sum built.
 """
 
 from __future__ import annotations
@@ -23,10 +24,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 
 from .errors import DimensionMismatch, InvalidM, LemmaViolation, NotConcave
-from .geometry import Polytope, minkowski_sum, volume
+from .geometry import Polytope, volume
+from .mixedvol import mv_profile
 from .rationals import Rat, as_rat, as_vector
 from .sections import section_profile
 
@@ -165,11 +167,16 @@ def slice_root_concavity(K: Polytope, w) -> bool:
 
 def bm_check(K: Polytope, L: Polytope) -> BrunnMinkowskiResult:
     """Vol(K+L)^(1/n) >= Vol(K)^(1/n) + Vol(L)^(1/n), floating roots of exact
-    volumes, relative tolerance 1e-9; equality holds exactly for homothets."""
+    volumes, relative tolerance 1e-9; equality holds exactly for homothets.
+
+    Vol(K + L) = sum_j C(n,j) m_j over the profile m_j = V(K[n-j], L[j]),
+    which ``mv_profile`` takes from the Cayley fan and checks as it goes.
+    """
     if K.dim != L.dim:
         raise DimensionMismatch("bodies live in different dimensions")
     n = K.dim
-    lhs = float(volume(minkowski_sum(K, L))) ** (1.0 / n)
+    total = sum(comb(n, j) * m for j, m in enumerate(mv_profile(K, L).coeffs))
+    lhs = float(total) ** (1.0 / n)
     rhs = float(volume(K)) ** (1.0 / n) + float(volume(L)) ** (1.0 / n)
     return BrunnMinkowskiResult(lhs, rhs, lhs >= rhs - 1e-9 * rhs)
 

@@ -11,13 +11,13 @@ Hull facets of raw point sets are enumerated by brute force over d-subsets
 with exact orientation tests (fine at input scale), every candidate normal
 from one exterior-product pass, ``linalg.span_normals``: the subsets are
 walked depth first and each prefix's minors are extended by Laplace
-expansion, so a prefix shared by many subsets is expanded once.  Minkowski
-sums avoid hulling all pairwise vertex sums: each facet of K + L is a face
-of K plus a face of L, so the candidate normals come from face pairs of the
-summands (their facets, ridge-edge crossings and, from dim 5, pairs of
-lower faces), and each is verified exactly.  The sum's facet loop also gives
-the facets of the Cayley polytope conv(K x {0} u L x {1}) with no hull, and
-that polytope's fan gives the mixed volumes of K and L.
+expansion, so a prefix shared by many subsets is expanded once.  The Cayley
+polytope conv(K x {0} u L x {1}) gets its facets with no hull: besides
+K x {0} and L x {1} they are the faces over the facets of K + L, and each
+facet of K + L is a face of K plus a face of L, so the candidate normals
+come from face pairs of the summands (their facets, ridge-edge crossings
+and, from dim 5, pairs of lower faces), and each is verified exactly.  That
+polytope's fan gives the mixed volumes of K and L; no sum is built.
 
 Everything else follows from the vertex-facet incidence, which fixes the face
 lattice: the smallest face through some points is the intersection of the
@@ -154,15 +154,14 @@ SUBSET_CAP_ENV = "GODBERSEN_SUBSET_CAP"
 DEFAULT_SUBSET_CAP = 200_000
 
 
-def check_subset_cap(total: int, what: str, cap: int | None = None) -> None:
+def check_subset_cap(total: int, what: str) -> None:
     """Raise CombinatorialBlowup before a brute-force enumeration of ``total``
     subsets that exceeds the cap (``GODBERSEN_SUBSET_CAP``, default 200000)."""
-    if cap is None:
-        raw = os.environ.get(SUBSET_CAP_ENV, DEFAULT_SUBSET_CAP)
-        try:
-            cap = int(raw)
-        except ValueError:
-            raise ValueError(f"{SUBSET_CAP_ENV} must be an integer, not {raw!r}") from None
+    raw = os.environ.get(SUBSET_CAP_ENV, DEFAULT_SUBSET_CAP)
+    try:
+        cap = int(raw)
+    except ValueError:
+        raise ValueError(f"{SUBSET_CAP_ENV} must be an integer, not {raw!r}") from None
     if total > cap:
         raise CombinatorialBlowup(
             f"{what}: {total} subsets exceed the cap of {cap}; raise {SUBSET_CAP_ENV}")
@@ -604,29 +603,6 @@ def _sum_facet_supports(K: Polytope, L: Polytope):
             if int_rank(rows) != n - 1:
                 continue
             yield (line if sign > 0 else tuple(-c for c in line)), ids_k, ids_l
-
-
-def minkowski_sum(K: Polytope, L: Polytope) -> Polytope:
-    """Minkowski sum of two polytopes of the same dimension.
-
-    Equals the hull of all pairwise vertex sums.  The facets come from
-    ``_sum_facet_supports``, which sidesteps hulling the quadratic point
-    cloud; each is checked against that cloud on the common lattice.
-    """
-    n = K.dim
-    if L.dim != n:
-        raise DimensionMismatch(f"cannot add bodies of dim {K.dim} and {L.dim}")
-    m, ps, qs = _common_lattice(K, L)
-    facets = sorted((w, _idot(w, ps[ik[0]]) + _idot(w, qs[il[0]]))
-                    for w, ik, il in _sum_facet_supports(K, L))
-    sums = sorted({tuple(x + y for x, y in zip(p, q)) for p in ps for q in qs})
-    raw_facets = []
-    for w, offset in facets:
-        vals = [_idot(w, p) for p in sums]
-        if max(vals) > offset:
-            raise DegenerateInput("sum point escapes a claimed facet")
-        raw_facets.append((w, offset, tuple(i for i, v in enumerate(vals) if v == offset)))
-    return _from_lattice(sums, m, raw_facets)
 
 
 def volume(K: Polytope) -> Rat:

@@ -41,13 +41,12 @@ from math import comb, gcd, lcm
 
 from .errors import (
     DimensionMismatch,
-    SingularMatrix,
     TheoremViolation,
     ZeroDirection,
 )
 from .geometry import Polytope, _int_support, check_subset_cap, transform
 from .inclusion import TightnessProfile, tightness_profile
-from .linalg import det, int_det
+from .linalg import int_det
 from .rationals import Point, Rat, Vector, as_rat, as_vector, dot, is_zero_vector
 
 @dataclass(frozen=True)
@@ -282,7 +281,7 @@ def _farkas_infeasible(rows: list[_Row], subset: tuple[int, ...],
     return lam_b < 0 if pos else lam_b > 0
 
 
-def helly_audit(system: System, cap: int | None = None) -> bool:
+def helly_audit(system: System) -> bool:
     """Check every (dim+1)-subset of halfspaces for feasibility.
 
     Each subset is decided by its Farkas cofactor certificate
@@ -297,7 +296,7 @@ def helly_audit(system: System, cap: int | None = None) -> bool:
     rows = system.halfspaces
     if len(rows) < n + 1:
         return True
-    check_subset_cap(comb(len(rows), n + 1), "Helly audit", cap)
+    check_subset_cap(comb(len(rows), n + 1), "Helly audit")
     ints = _integer_rows(system)
     minors: dict[tuple[int, ...], int] = {}
     all_ok = True
@@ -320,11 +319,10 @@ def gl_invariance_check(K: Polytope, mat) -> bool:
     Checks that K and its image agree on uniqueness and that the mapped
     witness A a satisfies the image's anchor system (the image's facet normals
     are the inverse-transpose images of K's, up to positive scale, so the two
-    systems correspond row by row).
+    systems correspond row by row).  A singular matrix raises SingularMatrix
+    from ``transform``.
     """
     a = tuple(tuple(as_rat(c) for c in row) for row in mat)
-    if det(a) == 0:
-        raise SingularMatrix("invariance check needs an invertible matrix")
     image = transform(K, a)
     res_k = ak_feasibility(K)
     res_img = ak_feasibility(image)

@@ -1,10 +1,10 @@
 """Exact linear algebra on integer and rational matrices.
 
-Every rank, determinant and solve runs through one fraction-free kernel,
+Every rank and determinant runs through one fraction-free kernel,
 ``_echelon``: Bareiss elimination on integer rows, whose every entry is an
 integer minor of the input, so each division is exact (Bareiss 1968).
-Rational input is scaled to integers first; Fractions appear only in that
-scaling and in the rational results handed back.
+Rational input is scaled to integers first (``scale_to_integers``), the one
+place Fractions appear.
 
 Normals to spans do not use that kernel: ``span_normals`` takes the cofactor
 normal of every (n-1)-subset of a list of vectors in one exterior-product
@@ -19,9 +19,6 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import gcd, lcm
-
-from .errors import SingularMatrix
-from .rationals import Matrix, Rat, Vector
 
 
 def scale_to_integers(points) -> tuple[list[tuple[int, ...]], int]:
@@ -169,31 +166,6 @@ def cofactor_normal(rows, n: int) -> tuple[int, ...]:
     for table, r in zip(_laplace_steps(n), rows):
         minors = [sum(s * r[t] * minors[q] for s, t, q in terms) for terms in table]
     return primitive(minors)
-
-
-def det(mat: Matrix) -> Rat:
-    """Exact determinant of a square rational matrix."""
-    ints, mult = scale_to_integers(mat)
-    return Fraction(int_det(ints), mult ** len(ints))
-
-
-def solve_linear(mat: Matrix, rhs) -> Vector:
-    """Solve a square rational system exactly; raises SingularMatrix.
-
-    Back-substitution stays in integers: with D the last pivot, D x is
-    integral (Cramer's rule), so each division by a pivot is exact.
-    """
-    n = len(rhs)
-    ints, _ = scale_to_integers([tuple(row) + (b,) for row, b in zip(mat, rhs)])
-    a, pivots, _ = _echelon(ints)
-    if pivots != list(range(n)):
-        raise SingularMatrix("linear system is singular")
-    d = a[n - 1][n - 1] if n else 1
-    y = [0] * n
-    for i in reversed(range(n)):
-        row = a[i]
-        y[i] = (d * row[n] - sum(row[j] * y[j] for j in range(i + 1, n))) // row[i]
-    return tuple(Fraction(v, d) for v in y)
 
 
 def affine_rank(points) -> int:

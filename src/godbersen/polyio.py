@@ -1,5 +1,4 @@
-"""JSON wire formats for polytopes, halfspace systems, concave functions and
-reports.
+"""JSON wire formats for polytopes, halfspace systems and reports.
 
 Rationals travel as decimal-free strings "p/q" or "k"; writers emit lowest
 terms, readers accept any equivalent fraction.  A polytope file stores only
@@ -12,10 +11,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .concave import PLConcave
 from .geometry import Polytope, build_hull
 from .halfspaces import System, make_system
-from .inclusion import TightnessProfile
 from .mixedvol import GodbersenReport
 from .rationals import format_rational, parse_rational
 
@@ -59,35 +56,12 @@ def polytope_from_dict(data: dict) -> Polytope:
     return build_hull(vertices)
 
 
-def system_to_dict(s: System) -> dict:
-    return {
-        "dim": s.dim,
-        "rows": [
-            {"w": [format_rational(c) for c in h.normal],
-             "beta": format_rational(h.rhs)}
-            for h in s.halfspaces
-        ],
-    }
-
-
 def system_from_dict(data: dict) -> System:
     data = _checked(data, dict, "a system file")
     dim = _integer(data["dim"], "dim")
     rows = [(_vector(_checked(r, dict, "a row")["w"], "a normal"), parse_rational(r["beta"]))
             for r in _checked(data["rows"], list, "rows")]
     return make_system(dim, rows)
-
-
-def plconcave_to_dict(f: PLConcave) -> dict:
-    return {
-        "knots": [format_rational(k) for k in f.knots],
-        "values": [format_rational(v) for v in f.values],
-    }
-
-
-def plconcave_from_dict(data: dict) -> PLConcave:
-    data = _checked(data, dict, "a concave-function file")
-    return PLConcave(_vector(data["knots"], "knots"), _vector(data["values"], "values"))
 
 
 def report_to_dict(report: GodbersenReport) -> dict:
@@ -106,18 +80,6 @@ def report_to_dict(report: GodbersenReport) -> dict:
         ],
         "is_simplex": report.is_simplex,
     }
-
-
-def tightness_to_rows(profile: TightnessProfile) -> list[dict]:
-    return [
-        {
-            "w": [format_rational(c) for c in e.normal],
-            "lhs": format_rational(e.lhs),
-            "rhs": format_rational(e.rhs),
-            "tight": e.tight,
-        }
-        for e in profile.entries
-    ]
 
 
 def load_json(path) -> dict:

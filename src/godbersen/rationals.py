@@ -16,7 +16,6 @@ Rat = Fraction
 
 Vector = tuple[Rat, ...]
 Point = tuple[Rat, ...]
-Matrix = tuple[tuple[Rat, ...], ...]
 
 _RAT_RE = re.compile(r"^[+-]?\d+(/\d*[1-9]\d*)?$")
 

@@ -1,4 +1,4 @@
-"""Shared corpora.
+"""Shared corpora, and the Minkowski sum kept as a reference.
 
 The acceptance corpus is 300 seeded random polytopes (100 each in dimensions
 2, 3, 4; 80 generic hulls plus 20 origin-symmetric per dimension).  Heavy
@@ -9,10 +9,13 @@ the time its report took, so criterion 2 can bound the report phase alone.
 
 import time
 from dataclasses import dataclass
+from fractions import Fraction as F
 
 import pytest
 
 from godbersen import (
+    DegenerateInput,
+    DimensionMismatch,
     FeasibilityResult,
     GenSpec,
     GodbersenReport,
@@ -23,9 +26,37 @@ from godbersen import (
     generate,
     godbersen_report,
     inclusion_in_nK,
+    scale,
     standard_simplex,
     tightness_profile,
+    translate,
 )
+from godbersen import geometry
+
+
+def minkowski_sum(K: Polytope, L: Polytope) -> Polytope:
+    """Minkowski sum of two polytopes of the same dimension.
+
+    Equals the hull of all pairwise vertex sums.  The facets come from
+    ``_sum_facet_supports``, which sidesteps hulling the quadratic point
+    cloud; each is checked against that cloud on the common lattice.  The
+    program builds no sum (``mv_profile`` and ``bm_check`` read the Cayley
+    fan); the tests compare those with this sum.
+    """
+    n = K.dim
+    if L.dim != n:
+        raise DimensionMismatch(f"cannot add bodies of dim {K.dim} and {L.dim}")
+    m, ps, qs = geometry._common_lattice(K, L)
+    facets = sorted((w, geometry._idot(w, ps[ik[0]]) + geometry._idot(w, qs[il[0]]))
+                    for w, ik, il in geometry._sum_facet_supports(K, L))
+    sums = sorted({tuple(x + y for x, y in zip(p, q)) for p in ps for q in qs})
+    raw_facets = []
+    for w, offset in facets:
+        vals = [geometry._idot(w, p) for p in sums]
+        if max(vals) > offset:
+            raise DegenerateInput("sum point escapes a claimed facet")
+        raw_facets.append((w, offset, tuple(i for i, v in enumerate(vals) if v == offset)))
+    return geometry._from_lattice(sums, m, raw_facets)
 
 
 def corpus_specs() -> list[GenSpec]:
@@ -42,6 +73,25 @@ def corpus_specs() -> list[GenSpec]:
             specs.append(GenSpec("random_symmetric", dim, vc_sym,
                                  seed=base + 500 + i, denominator_bound=denom))
     return specs
+
+
+def brunn_minkowski_pairs(corpus):
+    """The Brunn-Minkowski pairs of acceptance criterion 9: consecutive corpus
+    bodies (40 pairs in dim 2, 35 in dim 3, 15 in dim 4), and 10 dim-2
+    bodies each with a scaled and translated copy, its homothet."""
+    bodies_by_dim = {2: [], 3: [], 4: []}
+    for _, body in corpus:
+        bodies_by_dim[body.dim].append(body)
+    pairs = []
+    pairs += [(bodies_by_dim[2][i], bodies_by_dim[2][i + 1]) for i in range(40)]
+    pairs += [(bodies_by_dim[3][i], bodies_by_dim[3][i + 1]) for i in range(35)]
+    pairs += [(bodies_by_dim[4][i], bodies_by_dim[4][i + 1]) for i in range(15)]
+    homothets = []
+    for i in range(10):
+        base = bodies_by_dim[2][50 + i]
+        lam = F(i + 2, 3)
+        homothets.append((base, translate(scale(base, lam), (F(i), F(-i, 2)))))
+    return pairs, homothets
 
 
 @dataclass(frozen=True)

@@ -20,17 +20,15 @@ from godbersen import (
     godbersen_report,
     helly_audit,
     godbersen_integral_check,
-    minkowski_sum,
     mv_first,
     mv_profile,
     random_concave,
     reflect,
-    scale,
     section_profile,
     slice_root_concavity,
-    translate,
 )
 from godbersen.cli import main
+from tests.conftest import brunn_minkowski_pairs, minkowski_sum
 from tests.test_concave import float_root_concavity
 
 
@@ -197,18 +195,7 @@ def test_criterion_9_root_concavity_and_brunn_minkowski(corpus):
                 (spec, w)
             assert exact
 
-    bodies_by_dim = {2: [], 3: [], 4: []}
-    for _, body in corpus:
-        bodies_by_dim[body.dim].append(body)
-    pairs = []
-    pairs += [(bodies_by_dim[2][i], bodies_by_dim[2][i + 1]) for i in range(40)]
-    pairs += [(bodies_by_dim[3][i], bodies_by_dim[3][i + 1]) for i in range(35)]
-    pairs += [(bodies_by_dim[4][i], bodies_by_dim[4][i + 1]) for i in range(15)]
-    homothets = []
-    for i in range(10):
-        base = bodies_by_dim[2][50 + i]
-        lam = F(i + 2, 3)
-        homothets.append((base, translate(scale(base, lam), (F(i), F(-i, 2)))))
+    pairs, homothets = brunn_minkowski_pairs(corpus)
     flagged = 0
     for a, b in pairs:
         res = bm_check(a, b)

@@ -20,8 +20,8 @@ from godbersen import (
     tightness_profile,
     transform,
 )
-from godbersen.linalg import det
 from tests.conftest import corpus_specs
+from tests.test_linalg import det
 
 _CORPUS = corpus_specs()
 # dims 2 and 3 from both recipes, and a few dim-4 bodies

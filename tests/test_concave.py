@@ -15,6 +15,8 @@ from godbersen import (
     bridge_inequality,
     build_hull,
     center_at_centroid,
+    cross_polytope,
+    geometry,
     godbersen_integral,
     godbersen_integral_check,
     random_concave,
@@ -29,6 +31,7 @@ from godbersen import (
 )
 from godbersen.polynomials import mul
 from godbersen.rationals import as_vector
+from tests.conftest import brunn_minkowski_pairs, minkowski_sum
 from tests.test_geometry import TRIANGLE, SQUARE, random_polytope
 from tests.test_polynomials import definite_integral, power
 
@@ -320,6 +323,29 @@ class TestBrunnMinkowski:
             hom = translate(scale(a, F(5, 2)), (F(1), F(-3, 2)))
             res = bm_check(a, hom)
             assert res.ok and abs(res.lhs - res.rhs) <= 1e-9 * res.rhs
+
+    def test_sum_volume_from_profile(self, corpus, monkeypatch):
+        # Vol(K + L) from the mixed-volume profile gives the same floats as
+        # the reference sum, and with polytope assembly made to raise,
+        # bm_check shows that it builds no sum
+        pairs, homothets = brunn_minkowski_pairs(corpus)
+        pairs += homothets
+        pairs.append((build_hull([(0,), (1,)]), build_hull([(F(-1, 3),), (2,)])))
+        pairs += [(cross_polytope(n), standard_simplex(n)) for n in (4, 5)]
+        expected = []
+        for a, b in pairs:
+            n = a.dim
+            lhs = float(minkowski_sum(a, b).volume) ** (1.0 / n)
+            rhs = float(a.volume) ** (1.0 / n) + float(b.volume) ** (1.0 / n)
+            expected.append((lhs, rhs, lhs >= rhs - 1e-9 * rhs))
+
+        def refuse(*args):
+            raise AssertionError("bm_check assembled a polytope")
+
+        monkeypatch.setattr(geometry, "_from_lattice", refuse)
+        monkeypatch.setattr(geometry, "_assemble", refuse)
+        got = [bm_check(a, b) for a, b in pairs]
+        assert [(r.lhs, r.rhs, r.ok) for r in got] == expected
 
 
 class TestBridgeInequality:

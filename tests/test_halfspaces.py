@@ -236,12 +236,13 @@ class TestHelly:
             checked += 1
         assert checked > 30
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
+        monkeypatch.setenv("GODBERSEN_SUBSET_CAP", "10")
         rows = [((1, 0, 0), i) for i in range(1, 10)]
         rows += [((0, 1, 0), i) for i in range(1, 10)]
         s = make_system(3, rows)
         with pytest.raises(CombinatorialBlowup):
-            helly_audit(s, cap=10)
+            helly_audit(s)
 
     def test_cap_env_override(self, monkeypatch):
         monkeypatch.setenv("GODBERSEN_SUBSET_CAP", "1")

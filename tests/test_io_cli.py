@@ -5,25 +5,19 @@ import pytest
 
 from godbersen import (
     GenSpec,
-    PLConcave,
     ak_system,
     build_hull,
     generate,
     godbersen_report,
     make_system,
-    tightness_profile,
     unit_cube,
 )
 from godbersen.cli import main
 from godbersen.polyio import (
-    plconcave_from_dict,
-    plconcave_to_dict,
     polytope_from_dict,
     polytope_to_dict,
     report_to_dict,
     system_from_dict,
-    system_to_dict,
-    tightness_to_rows,
 )
 from tests.test_geometry import TRIANGLE, SQUARE
 
@@ -32,9 +26,23 @@ CUBE = unit_cube(3)
 SYMMETRIC_BODY = generate(GenSpec("random_symmetric", 3, 4, seed=30_500,
                                   denominator_bound=3))
 
+# the anchor systems (``ak_system``) of the triangle, CUBE and SYMMETRIC_BODY
+# as (w, beta) rows of a system file
+TRIANGLE_ANCHOR_ROWS = [(["-1", "0"], "-1/3"), (["0", "-1"], "-1/3"), (["1", "1"], "2/3")]
+CUBE_ANCHOR_ROWS = [
+    (["-1", "0", "0"], "-1/4"), (["0", "-1", "0"], "-1/4"), (["0", "0", "-1"], "-1/4"),
+    (["0", "0", "1"], "3/4"), (["0", "1", "0"], "3/4"), (["1", "0", "0"], "3/4")]
+SYMMETRIC_ANCHOR_ROWS = [
+    (["-236", "111", "87"], "297"), (["-76", "-75", "-123"], "297"),
+    (["-20", "39", "-3"], "54"), (["-10", "6", "3"], "27/2"),
+    (["-4", "-3", "-15"], "27"), (["-4", "-3", "21"], "27"),
+    (["4", "3", "-21"], "27"), (["4", "3", "15"], "27"),
+    (["10", "-6", "-3"], "27/2"), (["20", "-39", "3"], "54"),
+    (["76", "75", "123"], "297"), (["236", "-111", "-87"], "297")]
 
-def _anchor_rows(body):
-    return [(r["w"], r["beta"]) for r in system_to_dict(ak_system(body))["rows"]]
+
+def _system_dict(rows):
+    return {"dim": len(rows[0][0]), "rows": [{"w": w, "beta": b} for w, b in rows]}
 
 
 class TestPolytopeFormat:
@@ -69,15 +77,16 @@ class TestPolytopeFormat:
 
 
 class TestSystemFormat:
-    def test_round_trip(self):
-        s = make_system(2, [((1, 0), F(1, 6)), ((F(-1, 3), 1), F(-2, 7))])
-        data = system_to_dict(s)
-        assert data["rows"][0] == {"w": ["1", "0"], "beta": "1/6"}
-        assert system_from_dict(data) == s
+    def test_reader(self):
+        data = _system_dict([(["1", "0"], "1/6"), (["-2/6", "1"], "-2/7")])
+        assert system_from_dict(data) == make_system(
+            2, [((1, 0), F(1, 6)), ((F(-1, 3), 1), F(-2, 7))])
 
-    def test_ak_system_round_trip(self):
-        s = ak_system(build_hull(TRIANGLE))
-        assert system_from_dict(system_to_dict(s)) == s
+    def test_reader_reads_anchor_systems(self):
+        for body, rows in ((build_hull(TRIANGLE), TRIANGLE_ANCHOR_ROWS),
+                           (CUBE, CUBE_ANCHOR_ROWS),
+                           (SYMMETRIC_BODY, SYMMETRIC_ANCHOR_ROWS)):
+            assert system_from_dict(_system_dict(rows)) == ak_system(body)
 
 
 class TestReportFormat:
@@ -87,17 +96,6 @@ class TestReportFormat:
         assert set(data["entries"][0]) == {"j", "mixed", "ratio", "nmin_ok",
                                            "artstein_ok"}
         assert data["volume"] == "1" and data["entries"][0]["ratio"] == "1/2"
-
-    def test_tightness_rows(self):
-        rows = tightness_to_rows(tightness_profile(build_hull(TRIANGLE)))
-        assert all(set(r) == {"w", "lhs", "rhs", "tight"} for r in rows)
-        assert all(r["tight"] for r in rows)
-
-
-class TestPLConcaveFormat:
-    def test_round_trip(self):
-        f = PLConcave((F(0), F(1, 3), F(1)), (F(1, 2), F(1), F(0)))
-        assert plconcave_from_dict(plconcave_to_dict(f)) == f
 
 
 class TestCli:
@@ -141,9 +139,8 @@ class TestCli:
                         "unique": False}
 
     def test_helly(self, tmp_path, capsys):
-        s = ak_system(build_hull(TRIANGLE))
         path = tmp_path / "sys.json"
-        path.write_text(json.dumps(system_to_dict(s)))
+        path.write_text(json.dumps(_system_dict(TRIANGLE_ANCHOR_ROWS)))
         assert main(["helly", "--input", str(path)]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["all_subsystems_feasible"] and data["full_system_feasible"]
@@ -169,13 +166,12 @@ class TestCli:
         # rank 2 in R^3: no Farkas certificate, the fallback finds it infeasible
         ([(["1", "0", "0"], "0"), (["-1", "0", "0"], "-1"),
           (["0", "1", "0"], "0"), (["0", "-1", "0"], "0")], ("false", "false")),
-        (_anchor_rows(CUBE), ("true", "true")),
-        (_anchor_rows(SYMMETRIC_BODY), ("true", "true")),
+        (CUBE_ANCHOR_ROWS, ("true", "true")),
+        (SYMMETRIC_ANCHOR_ROWS, ("true", "true")),
     ])
     def test_helly_output(self, tmp_path, capsys, rows, verdicts):
         path = tmp_path / "sys.json"
-        path.write_text(json.dumps(
-            {"dim": len(rows[0][0]), "rows": [{"w": w, "beta": b} for w, b in rows]}))
+        path.write_text(json.dumps(_system_dict(rows)))
         assert main(["helly", "--input", str(path)]) == 0
         assert capsys.readouterr().out == (
             "{\n"

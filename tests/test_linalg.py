@@ -6,17 +6,44 @@ import pytest
 
 from godbersen.errors import SingularMatrix
 from godbersen.linalg import (
+    _echelon,
     adjugate,
     affine_rank,
     cofactor_normal,
-    det,
     int_det,
     int_rank,
     primitive,
     scale_to_integers,
-    solve_linear,
     span_normals,
 )
+
+
+# A rational determinant and solve on the Bareiss kernel.  The program needs
+# neither; the tests' Vandermonde oracle and affine-map checks use them.
+
+def det(mat) -> Fraction:
+    """Exact determinant of a square rational matrix."""
+    ints, mult = scale_to_integers(mat)
+    return Fraction(int_det(ints), mult ** len(ints))
+
+
+def solve_linear(mat, rhs) -> tuple[Fraction, ...]:
+    """Solve a square rational system exactly; raises SingularMatrix.
+
+    Back-substitution stays in integers: with D the last pivot, D x is
+    integral (Cramer's rule), so each division by a pivot is exact.
+    """
+    n = len(rhs)
+    ints, _ = scale_to_integers([tuple(row) + (b,) for row, b in zip(mat, rhs)])
+    a, pivots, _ = _echelon(ints)
+    if pivots != list(range(n)):
+        raise SingularMatrix("linear system is singular")
+    d = a[n - 1][n - 1] if n else 1
+    y = [0] * n
+    for i in reversed(range(n)):
+        row = a[i]
+        y[i] = (d * row[n] - sum(row[j] * y[j] for j in range(i + 1, n))) // row[i]
+    return tuple(Fraction(v, d) for v in y)
 
 
 # The Fraction elimination routes that the Bareiss kernel replaced, kept as

@@ -15,7 +15,6 @@ from godbersen import (
     geometry,
     godbersen_report,
     linalg,
-    minkowski_sum,
     mixedvol,
     mv_first,
     mv_profile,
@@ -25,8 +24,9 @@ from godbersen import (
     translate,
     unit_cube,
 )
-from godbersen.linalg import solve_linear
+from tests.conftest import minkowski_sum
 from tests.test_geometry import SQUARE, TRIANGLE, random_polytope, square_times_octahedron
+from tests.test_linalg import solve_linear
 
 
 class TestMvFirst:
@@ -116,11 +116,12 @@ class TestMvProfile:
                 raise AssertionError(f"mv_profile reached {name}")
             return fail
 
-        for module, name in ((geometry, "minkowski_sum"), (geometry, "_from_lattice"),
-                             (geometry, "_assemble"), (linalg, "solve_linear")):
-            monkeypatch.setattr(module, name, forbidden(name))
-        assert not hasattr(mixedvol, "minkowski_sum")
-        assert not hasattr(mixedvol, "solve_linear")
+        for name in ("_from_lattice", "_assemble"):
+            monkeypatch.setattr(geometry, name, forbidden(name))
+        for module, name in ((geometry, "minkowski_sum"), (linalg, "solve_linear"),
+                             (linalg, "det"), (mixedvol, "minkowski_sum"),
+                             (mixedvol, "solve_linear")):
+            assert not hasattr(module, name), name
         mv_profile(body, neg)
 
 
