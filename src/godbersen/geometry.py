@@ -21,22 +21,24 @@ polytope's fan gives the mixed volumes of K and L; no sum is built.
 
 Everything else follows from the vertex-facet incidence, which fixes the face
 lattice: the smallest face through some points is the intersection of the
-facets containing them (Ziegler, Lectures on Polytopes, 2.2).  So a point is
-a vertex iff its facets share no other point, two vertices span an edge iff
-their common facets share no other vertex, and the facets of a face are its
-maximal proper intersections with facets.  Each facet's pulling
-triangulation, coned from a vertex off it, gives the facet's measure (cone
-volume = measure * height / n); the cones from vertex 0 give the fan, volume
-and centroid.  That is one integer determinant per simplex.  An invertible
-affine map keeps the lattice, so ``transform`` relabels its source's
-structure instead of rebuilding it.
+facets containing them (Ziegler, Lectures on Polytopes, 2.2; Kaibel and
+Pfetsch, Comput. Geom. 23, 2002).  So a point is a vertex iff its facets
+share no other point, and the facets of a face are its maximal proper
+intersections with facets.  Each facet's pulling triangulation, coned from a
+vertex off it, gives the facet's measure (cone volume = measure * height /
+n); the cones from vertex 0 give the fan, volume and centroid.  That is one
+integer determinant per simplex.  The whole lattice is built once per body,
+on first use, level by level down from the facets; the body's edges, its
+ridges with the two facets holding each, and the faces whose bases the
+face-pair candidates need are all read off it.  An invertible affine map
+keeps the lattice, so ``transform`` relabels its source's lattice and fan
+instead of rebuilding them.
 """
 
 from __future__ import annotations
 
 import os
 from fractions import Fraction
-from itertools import combinations
 from math import comb, factorial, gcd, lcm
 from operator import mul
 
@@ -104,7 +106,7 @@ class Polytope:
 
     __slots__ = ("dim", "vertices", "facets", "volume", "centroid",
                  "_simplices", "_fan_volumes", "_int_vertices", "_int_scale",
-                 "_edge_cache")
+                 "_lattice")
 
     def __init__(self, dim, vertices, facets, volume, centroid, simplices,
                  fan_volumes, int_vertices, int_scale):
@@ -117,7 +119,7 @@ class Polytope:
         self._fan_volumes = fan_volumes
         self._int_vertices = int_vertices
         self._int_scale = int_scale
-        self._edge_cache = None
+        self._lattice = None
 
     def __repr__(self):
         return (f"Polytope(dim={self.dim}, vertices={len(self.vertices)}, "
@@ -131,10 +133,8 @@ class Polytope:
         return hash((self.dim, self.vertices))
 
     def edges(self) -> list[tuple[int, int]]:
-        """Vertex-index pairs forming 1-faces, from facet incidence."""
-        if self._edge_cache is None:
-            self._edge_cache = _edge_pairs(self)
-        return self._edge_cache
+        """Vertex-index pairs forming 1-faces, from the face lattice."""
+        return list(_face_lattice(self)[1])
 
 
 def _lex_positive(vec: tuple[int, ...]) -> tuple[int, ...]:
@@ -268,57 +268,17 @@ def _cayley_mixed_volumes(K: Polytope, L: Polytope) -> tuple[Fraction, ...]:
     faces = [frozenset(range(vk)), frozenset(range(vk, len(pts)))]
     faces += [frozenset(ik).union([vk + i for i in il])
               for _, ik, il in _sum_facet_supports(K, L)]
-    base = pts[0]
     raw = [0] * (n + 1)
     for face in faces:
         if 0 in face:
             continue
         for s in _pulling_fan(face, faces):
-            d = int_det([[a - b for a, b in zip(pts[i], base)] for i in s])
-            if d == 0:
+            v = _simplex_int_volume(pts, (0,) + s, n + 1)
+            if v == 0:
                 raise DegenerateInput("Cayley fan simplex is degenerate")
-            raw[sum(i >= vk for i in s) - 1] += abs(d)
+            raw[sum(i >= vk for i in s) - 1] += v
     unit = factorial(n) * m ** (n + 1)
     return tuple(Fraction(r, unit) for r in raw)
-
-
-def _assemble(dim: int, ipts: list[tuple[int, ...]], mult: int,
-              facet_specs: list[tuple[tuple[int, ...], Fraction, tuple[int, ...]]]) -> Polytope:
-    """Build a Polytope from its vertices c / mult, given as the integer points
-    c on the smallest such lattice, and facet (normal, offset, ids).
-
-    Each facet's pulling triangulation is coned from vertex 0, or from the
-    lowest vertex off the facet when 0 is on it.  A cone's integer volume over
-    its integer height gives the facet's scaled measure, and the cones from
-    vertex 0 are the body's fan.  Callers guarantee the data describes a
-    genuine full-dimensional polytope with irredundant vertices.
-    """
-    vertices = tuple(tuple(Fraction(c, mult) for c in p) for p in ipts)
-    facet_specs = sorted(facet_specs)
-    faces = [frozenset(vids) for _, _, vids in facet_specs]
-    unit = factorial(dim - 1) * mult ** (dim - 1)
-    facets = []
-    fan: list[tuple[int, ...]] = []
-    dets: list[int] = []
-    for (w, b, vids), face in zip(facet_specs, faces):
-        apex = next(i for i in range(len(vertices)) if i not in face)
-        cones = [(apex,) + s for s in _pulling_fan(face, faces)]
-        raw = [_simplex_int_volume(ipts, s, dim) for s in cones]
-        height = _idot(w, ipts[vids[0]]) - _idot(w, ipts[apex])
-        facets.append(Facet(w, b, Fraction(sum(raw), unit * height), vids))
-        if apex == 0:
-            fan += cones
-            dets += raw
-    total = sum(dets)
-    if total <= 0:
-        raise DegenerateInput("assembled polytope has zero volume")
-    centroid = tuple(
-        Fraction(sum(d * sum(ipts[i][c] for i in s) for s, d in zip(fan, dets)),
-                 total * (dim + 1) * mult)
-        for c in range(dim))
-    return Polytope(dim, vertices, tuple(facets),
-                    Fraction(total, factorial(dim) * mult ** dim), centroid,
-                    tuple(fan), tuple(dets), ipts, mult)
 
 
 def _from_lattice(ipts: list[tuple[int, ...]], mult: int, raw_facets) -> Polytope:
@@ -329,6 +289,11 @@ def _from_lattice(ipts: list[tuple[int, ...]], mult: int, raw_facets) -> Polytop
     hull, so a point is a vertex iff its (at least n) facets share no other
     point; the others are dropped, the facet ids remapped and the lattice
     coarsened to the smallest one holding the vertices.
+
+    Each facet's pulling triangulation is coned from vertex 0, or from the
+    lowest vertex off the facet when 0 is on it.  A cone's integer volume over
+    its integer height gives the facet's scaled measure, and the cones from
+    vertex 0 are the body's fan.
     """
     n = len(ipts[0])
     through: list[list[frozenset]] = [[] for _ in ipts]
@@ -339,10 +304,35 @@ def _from_lattice(ipts: list[tuple[int, ...]], mult: int, raw_facets) -> Polytop
     keep = [i for i, fs in enumerate(through)
             if len(fs) >= n and frozenset.intersection(*fs) == {i}]
     new = {old: k for k, old in enumerate(keep)}
+    specs = sorted((w, Fraction(b, mult), tuple(new[i] for i in ids if i in new))
+                   for w, b, ids in raw_facets)
     g = gcd(mult, *(c for i in keep for c in ipts[i]))
-    specs = [(w, Fraction(b, mult), tuple(new[i] for i in ids if i in new))
-             for w, b, ids in raw_facets]
-    return _assemble(n, [tuple(c // g for c in ipts[i]) for i in keep], mult // g, specs)
+    ipts = [tuple(c // g for c in ipts[i]) for i in keep]
+    mult //= g
+    faces = [frozenset(vids) for _, _, vids in specs]
+    unit = factorial(n - 1) * mult ** (n - 1)
+    facets = []
+    fan: list[tuple[int, ...]] = []
+    dets: list[int] = []
+    for (w, b, vids), face in zip(specs, faces):
+        apex = next(i for i in range(len(ipts)) if i not in face)
+        cones = [(apex,) + s for s in _pulling_fan(face, faces)]
+        raw = [_simplex_int_volume(ipts, s, n) for s in cones]
+        height = _idot(w, ipts[vids[0]]) - _idot(w, ipts[apex])
+        facets.append(Facet(w, b, Fraction(sum(raw), unit * height), vids))
+        if apex == 0:
+            fan += cones
+            dets += raw
+    total = sum(dets)
+    if total <= 0:
+        raise DegenerateInput("assembled polytope has zero volume")
+    centroid = tuple(
+        Fraction(sum(d * sum(ipts[i][c] for i in s) for s, d in zip(fan, dets)),
+                 total * (n + 1) * mult)
+        for c in range(n))
+    return Polytope(n, tuple(tuple(Fraction(c, mult) for c in p) for p in ipts),
+                    tuple(facets), Fraction(total, factorial(n) * mult ** n), centroid,
+                    tuple(fan), tuple(dets), ipts, mult)
 
 
 def build_hull(points) -> Polytope:
@@ -387,24 +377,50 @@ def _int_support(K: Polytope, w: tuple[int, ...]) -> Fraction:
     return Fraction(max(_idot(w, p) for p in K._int_vertices), K._int_scale)
 
 
-def _edge_pairs(K: Polytope) -> list[tuple[int, int]]:
-    """Vertex pairs whose (at least n-1) common facets share no other vertex."""
-    faces = [frozenset(f.vertex_ids) for f in K.facets]
-    everything = frozenset(range(len(K.vertices)))
-    pairs = []
-    for i, j in combinations(range(len(K.vertices)), 2):
-        common = [f for f in faces if i in f and j in f]
-        if len(common) >= K.dim - 1 and everything.intersection(*common) == {i, j}:
-            pairs.append((i, j))
-    return pairs
+def _face_lattice(K: Polytope) -> list[dict[tuple[int, ...], tuple[int, ...]]]:
+    """The face lattice of K, made once and kept on K: level d, d = 0..n,
+    maps each d-face's sorted vertex ids to the sorted indices of the facets
+    holding it, in order of the vertex ids.
+
+    Below the facets, a level holds the facets of the faces one level up: a
+    face g's are its inclusion-maximal intersections with the facets not
+    holding g, and such an h is held by g's facets and by those that cut g
+    in h.  A ``transform`` image holds (source, vertex renaming, facet
+    renaming) until first asked, then relabels the source's lattice.
+    """
+    if isinstance(K._lattice, tuple):
+        source, new, fnew = K._lattice
+        K._lattice = [dict(sorted((tuple(sorted(map(new.__getitem__, face))),
+                                   tuple(sorted(map(fnew.__getitem__, on))))
+                                  for face, on in level.items()))
+                      for level in _face_lattice(source)]
+    elif K._lattice is None:
+        facets = [frozenset(f.vertex_ids) for f in K.facets]
+        below = {f: (k,) for k, f in enumerate(facets)}
+        levels = [{tuple(range(len(K.vertices))): ()}]
+        while True:
+            levels.append(dict(sorted((tuple(sorted(g)), on) for g, on in below.items())))
+            if len(levels) > K.dim:
+                break
+            upper, below = below, {}
+            for g, on in upper.items():
+                subs: dict = {}
+                for k, f in enumerate(facets):
+                    if k not in on:
+                        subs.setdefault(g & f, []).append(k)
+                for h, ks in subs.items():
+                    if h not in below and not any(map(h.__lt__, subs)):
+                        below[h] = tuple(sorted(on + tuple(ks)))
+        K._lattice = levels[::-1]
+    return K._lattice
 
 
 def transform(K: Polytope, mat=None, shift=None) -> Polytope:
     """Image of K under x -> A x + t for invertible rational A.
 
     An invertible affine map keeps the face lattice, so the image carries over
-    K's facets, vertex ids, edges and fan, relabelled by the sorted image
-    vertices.
+    K's facets, face lattice and fan, relabelled by the sorted image vertices
+    and facets (the lattice when it is first read).
     With A = Ai / a and t = ti / a over one positive integer a, the vertex
     p / m maps to (Ai p + m ti) / (a m).  A normal w maps to the coprime part
     u / g of u = sign(det Ai) adj(Ai)^T w, a positive multiple of A^-T w, and
@@ -445,14 +461,15 @@ def transform(K: Polytope, mat=None, shift=None) -> Polytope:
         vids = tuple(sorted(new[i] for i in f.vertex_ids))
         facets.append(Facet(w, Fraction(_idot(w, ipts[vids[0]]), mult),
                             f.measure * g / a ** (n - 1), vids))
-    facets.sort(key=lambda f: f.normal)
+    forder = sorted(range(len(facets)), key=lambda k: facets[k].normal)
+    fnew = {old: k for k, old in enumerate(forder)}
     shrink = common ** n
     image = Polytope(n, tuple(tuple(Fraction(c, mult) for c in q) for q in ipts),
-                     tuple(facets), K.volume * abs(d) / a ** n,
+                     tuple(facets[k] for k in forder), K.volume * abs(d) / a ** n,
                      tuple((sum(map(mul, r, K.centroid)) + s) / a for r, s in zip(ai, ti)),
                      tuple(tuple(new[i] for i in s) for s in K._simplices),
                      tuple(v * abs(d) // shrink for v in K._fan_volumes), ipts, mult)
-    image._edge_cache = sorted(tuple(sorted((new[i], new[j]))) for i, j in K.edges())
+    image._lattice = (K, new, fnew)
     return image
 
 
@@ -472,16 +489,8 @@ def reflect(K: Polytope) -> Polytope:
 
 
 def _ridges(K: Polytope) -> list[tuple[int, int]]:
-    """Facet index pairs meeting in a ridge: their common vertex set has at
-    least n - 1 vertices and lies in no third facet (a smaller face lies in
-    at least three)."""
-    faces = [frozenset(f.vertex_ids) for f in K.facets]
-    pairs = []
-    for a, b in combinations(range(len(faces)), 2):
-        common = faces[a] & faces[b]
-        if len(common) >= K.dim - 1 and sum(common <= f for f in faces) == 2:
-            pairs.append((a, b))
-    return pairs
+    """Facet index pairs meeting in a ridge, from the face lattice."""
+    return sorted(_face_lattice(K)[K.dim - 2].values())
 
 
 def _ridge_crossings(K: Polytope, L: Polytope):
@@ -502,29 +511,18 @@ def _ridge_crossings(K: Polytope, L: Polytope):
 
 def _face_bases(K: Polytope) -> dict[int, list[list[tuple[int, ...]]]]:
     """A basis of the direction space of each face of K, by dimension, for
-    dimensions n - 2 down to 2.
-
-    Each level's faces are the inclusion-maximal proper intersections of the
-    level above with the facets; a basis is the nonzero rows of the Bareiss
-    echelon form of a face's vertex differences.
+    dimensions 2 to n - 3, in the face lattice's order: the nonzero rows of
+    the Bareiss echelon form of a face's vertex differences.
     """
-    facets = [frozenset(f.vertex_ids) for f in K.facets]
     ps = K._int_vertices
-    level = set(facets)
     bases = {}
-    for d in range(K.dim - 2, 1, -1):
-        below = set()
-        for g in level:
-            subs = {g & f for f in facets}
-            subs.discard(g)
-            below.update(h for h in subs if not any(h < k for k in subs))
+    for d in range(2, K.dim - 2):
         bases[d] = []
-        for face in sorted(map(sorted, below)):
+        for face in _face_lattice(K)[d]:
             base = ps[face[0]]
             rows = _echelon([tuple(a - b for a, b in zip(ps[i], base))
                              for i in face[1:]])[0]
             bases[d].append([tuple(r) for r in rows[:d]])
-        level = below
     return bases
 
 

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction as F
 from itertools import combinations, product
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -408,6 +408,10 @@ class TestEdges:
         s = build_hull([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
         assert sorted(s.edges()) == sorted(combinations(range(4), 2))
 
+    def test_segment(self):
+        # in dim 1 the one edge is the body itself, on no common facet
+        assert build_hull([(F(-1, 2),), (3,), (1,)]).edges() == [(0, 1)]
+
     def test_square_diagonals_in_dim_5(self):
         # Up to dim 4, two vertices on n-1 common facets always span an edge.
         # In square x octahedron, square x {v} is a 2-face on the 4 facets
@@ -423,7 +427,7 @@ class TestEdges:
 # hulled again by brute force in the coordinate projection that drops its
 # largest normal component, triangulated there by recursive pulling, and
 # measured as the projected area over |w_k|.  Kept as the oracle of
-# ``geometry._assemble``.
+# ``geometry._from_lattice``.
 
 def _triangulate_points(pts, d):
     """Pulling triangulation of conv(pts) from pts[0], as index tuples."""
@@ -509,10 +513,10 @@ def oracle_bodies(step):
     return bodies
 
 
-# The rank rules that the incidence rules of ``_from_lattice`` and
-# ``_edge_pairs`` replaced, kept as their oracles: a candidate point is a
-# vertex iff the normals of its facets have rank n, and two vertices span an
-# edge iff the normals of their common facets have rank n - 1.
+# The rank rules that the incidence rules replaced, kept as the oracles of
+# the vertex test in ``_from_lattice`` and of ``Polytope.edges``: a candidate
+# point is a vertex iff the normals of its facets have rank n, and two
+# vertices span an edge iff the normals of their common facets have rank n - 1.
 
 def rank_vertices(ipts, raw_facets):
     n = len(ipts[0])
@@ -537,6 +541,108 @@ def rank_edges(body):
                 fraction_rank([body.facets[fi].normal for fi in common]) == n - 1:
             pairs.append((i, j))
     return pairs
+
+
+# The incidence rules that the face lattice replaced, kept as its oracles:
+# edges by vertex pairs, ridges by facet pairs, and face bases by a descent
+# of their own through the levels below the facets.
+
+def pair_edges(body):
+    """Vertex pairs whose (at least n-1) common facets share no other vertex."""
+    faces = [frozenset(f.vertex_ids) for f in body.facets]
+    everything = frozenset(range(len(body.vertices)))
+    pairs = []
+    for i, j in combinations(range(len(body.vertices)), 2):
+        common = [f for f in faces if i in f and j in f]
+        if len(common) >= body.dim - 1 and everything.intersection(*common) == {i, j}:
+            pairs.append((i, j))
+    return pairs
+
+
+def pair_ridges(body):
+    """Facet index pairs whose common vertex set has at least n - 1 vertices
+    and lies in no third facet (a smaller face lies in at least three)."""
+    faces = [frozenset(f.vertex_ids) for f in body.facets]
+    pairs = []
+    for a, b in combinations(range(len(faces)), 2):
+        common = faces[a] & faces[b]
+        if len(common) >= body.dim - 1 and sum(common <= f for f in faces) == 2:
+            pairs.append((a, b))
+    return pairs
+
+
+def descent_face_bases(body):
+    """Echelon bases of the faces of dimensions 2 to n - 3, each level the
+    inclusion-maximal proper intersections of the level above with the
+    facets."""
+    facets = [frozenset(f.vertex_ids) for f in body.facets]
+    ps = body._int_vertices
+    level = set(facets)
+    bases = {}
+    for d in range(body.dim - 2, 1, -1):
+        below = set()
+        for g in level:
+            subs = {g & f for f in facets}
+            subs.discard(g)
+            below.update(h for h in subs if not any(h < k for k in subs))
+        if d <= body.dim - 3:
+            bases[d] = []
+            for face in sorted(map(sorted, below)):
+                base = ps[face[0]]
+                rows = linalg._echelon([tuple(a - b for a, b in zip(ps[i], base))
+                                        for i in face[1:]])[0]
+                bases[d].append([tuple(r) for r in rows[:d]])
+        level = below
+    return bases
+
+
+def fresh_lattice(body):
+    """The face lattice built from the body's facets, on a copy without the
+    lattice it carries."""
+    return geometry._face_lattice(Polytope(
+        body.dim, body.vertices, body.facets, body.volume, body.centroid,
+        body._simplices, body._fan_volumes, body._int_vertices, body._int_scale))
+
+
+def f_vector(body):
+    return [len(level) for level in geometry._face_lattice(body)]
+
+
+def dim_5_recipe_bodies():
+    return [generate(GenSpec("random_hull", 5, vertex_count=8, seed=seed,
+                             denominator_bound=2)) for seed in (1, 2, 3)]
+
+
+class TestFaceLattice:
+    def test_matches_incidence_oracles(self, corpus):
+        rng = random.Random(18)
+        bodies = [square_times_octahedron()] + dim_5_recipe_bodies()
+        for _, body in corpus:
+            bodies += [body] + [image_of(body, mat, shift)[0]
+                                for mat, shift in affine_maps(rng, body.dim)]
+        assert len(bodies) == 4 + 300 * 7
+        for body in bodies:
+            assert body.edges() == pair_edges(body)
+            assert geometry._ridges(body) == pair_ridges(body)
+            assert geometry._face_bases(body) == descent_face_bases(body)
+
+    def test_f_vectors(self):
+        for n in (2, 3, 4, 5):
+            assert f_vector(cross_polytope(n)) == \
+                [2 ** (d + 1) * comb(n, d + 1) for d in range(n)] + [1]
+            assert f_vector(standard_simplex(n)) == [comb(n + 1, d + 1) for d in range(n + 1)]
+            # the dim-5 cube's 32 points exceed the subset cap of build_hull
+            if n < 5:
+                assert f_vector(unit_cube(n)) == \
+                    [comb(n, d) * 2 ** (n - d) for d in range(n + 1)]
+
+    def test_euler_poincare(self, corpus):
+        bodies = [body for _, body in corpus] + [square_times_octahedron()]
+        for body in bodies:
+            n = body.dim
+            f = f_vector(body)
+            assert f[n] == 1
+            assert sum((-1) ** d * f[d] for d in range(n)) == 1 - (-1) ** n
 
 
 def lattice_calls(monkeypatch, build):
@@ -579,7 +685,7 @@ class TestIncidenceAssembly:
         assert_matches_rank_rules(calls)
 
     def test_fan_volumes_match_recompute(self, corpus):
-        # the volumes _assemble carries, and their images under transform,
+        # the volumes _from_lattice carries, and their images under transform,
         # which shrinks the lattice for scale(K, 3/7) and the centered bodies
         for _, body in corpus:
             n = body.dim
@@ -659,8 +765,9 @@ class TestReflect:
                 assert image.centroid == rebuilt.centroid
                 assert image._int_vertices == rebuilt._int_vertices
                 assert image._int_scale == rebuilt._int_scale
-                # the edges are K's, relabelled, with no incidence pass
-                assert image._edge_cache == geometry._edge_pairs(image)
+                # the face lattice is K's, relabelled, with no incidence pass
+                assert image._lattice[0] is body
+                assert geometry._face_lattice(image) == fresh_lattice(image)
                 # the fan is K's, relabelled: a triangulation of the image
                 assert_fan_volumes(image)
                 assert F(sum(image._fan_volumes),
@@ -694,7 +801,6 @@ class TestReflect:
 
         assert not hasattr(geometry, "solve_linear")
         assert not hasattr(linalg, "solve_linear")
-        counting(geometry, "_assemble")
         counting(geometry, "_from_lattice")
         reflect(body)
         scale(body, -1)

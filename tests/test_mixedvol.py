@@ -116,8 +116,7 @@ class TestMvProfile:
                 raise AssertionError(f"mv_profile reached {name}")
             return fail
 
-        for name in ("_from_lattice", "_assemble"):
-            monkeypatch.setattr(geometry, name, forbidden(name))
+        monkeypatch.setattr(geometry, "_from_lattice", forbidden("_from_lattice"))
         for module, name in ((geometry, "minkowski_sum"), (linalg, "solve_linear"),
                              (linalg, "det"), (mixedvol, "minkowski_sum"),
                              (mixedvol, "solve_linear")):
