@@ -1,11 +1,16 @@
 """Exact rational polytopes and their primitive operations.
 
-Everything here is exact: vertices are tuples of Fractions, facet normals are
-unnormalized coprime integer vectors, and unit normals are never formed.  In
-place of the Euclidean facet area we carry the scaled measure
+Everything here is exact and held as integers: a body's vertices are
+integer lattice points over one common denominator (its scale), facet
+normals are unnormalized coprime integer vectors, and unit normals are never
+formed.  In place of the Euclidean facet area we carry the scaled measure
 ``mu = area / |normal|``, which is rational for rational polytopes and is
 exactly the weight that turns ``support * mu`` sums into surface-area-measure
-integrals.
+integrals; it is kept as an integer numerator and denominator, each facet
+offset as its numerator on the body's lattice, and the centroid as integer
+numerators over one denominator.  The Fraction vertices, volume, centroid,
+offsets and measures are views, made when first read and then kept, so
+building and transforming a body makes no Fraction.
 
 Hull facets of raw point sets are enumerated by brute force over d-subsets
 with exact orientation tests (fine at input scale), every candidate normal
@@ -52,7 +57,6 @@ from .errors import (
 from .linalg import (
     _echelon,
     adjugate,
-    affine_rank,
     cofactor_normal,
     int_det,
     int_rank,
@@ -68,17 +72,37 @@ class Facet:
 
     The facet lies in {x . normal = offset}; every polytope vertex satisfies
     x . normal <= offset.  ``measure`` is the Euclidean (n-1)-area divided by
-    the Euclidean length of ``normal``.
+    the Euclidean length of ``normal``.  Both are kept as integers: the offset
+    as its numerator on the body's lattice of scale ``_scale``, the measure as
+    a numerator and a positive denominator.  ``offset`` and ``measure`` are
+    Fraction views, made when first read.
     """
 
-    __slots__ = ("normal", "offset", "measure", "vertex_ids")
+    __slots__ = ("normal", "vertex_ids", "_offset_num", "_scale", "_measure_num",
+                 "_measure_den", "_offset", "_measure")
 
-    def __init__(self, normal: tuple[int, ...], offset: Fraction, measure: Fraction,
-                 vertex_ids: tuple[int, ...]):
+    def __init__(self, normal: tuple[int, ...], offset_num: int, scale: int,
+                 measure_num: int, measure_den: int, vertex_ids: tuple[int, ...]):
         self.normal = normal
-        self.offset = offset
-        self.measure = measure
         self.vertex_ids = vertex_ids
+        self._offset_num = offset_num
+        self._scale = scale
+        self._measure_num = measure_num
+        self._measure_den = measure_den
+        self._offset = None
+        self._measure = None
+
+    @property
+    def offset(self) -> Fraction:
+        if self._offset is None:
+            self._offset = Fraction(self._offset_num, self._scale)
+        return self._offset
+
+    @property
+    def measure(self) -> Fraction:
+        if self._measure is None:
+            self._measure = Fraction(self._measure_num, self._measure_den)
+        return self._measure
 
     def __repr__(self):
         return f"Facet(normal={self.normal}, offset={self.offset}, measure={self.measure})"
@@ -86,7 +110,7 @@ class Facet:
     def __eq__(self, other):
         return (isinstance(other, Facet)
                 and self.normal == other.normal
-                and self.offset == other.offset)
+                and self._offset_num * other._scale == other._offset_num * self._scale)
 
     def __hash__(self):
         return hash((self.normal, self.offset))
@@ -95,46 +119,83 @@ class Facet:
 class Polytope:
     """Full-dimensional bounded rational polytope.
 
-    Immutable after construction.  Vertices are sorted lexicographically and
-    irredundant; facets are sorted lexicographically by normal.  Volume,
-    centroid and an exact simplicial decomposition are precomputed so that
-    downstream machinery (sections, mixed volumes) can reuse them:
-    ``_fan_volumes[i]`` is the integer |det| v of ``_simplices[i]`` on the
-    lattice points ``_int_vertices``, so the simplex has volume
-    v / (n! ``_int_scale``^n).
+    Immutable after construction.  The body is held as integer data: the
+    vertices are the lattice points ``_int_vertices`` standing for c /
+    ``_int_scale`` (the smallest such scale), sorted lexicographically and
+    irredundant; facets are sorted lexicographically by normal.  An exact
+    simplicial decomposition is precomputed so that downstream machinery
+    (sections, mixed volumes) can reuse it: ``_fan_volumes[i]`` is the
+    integer |det| v of ``_simplices[i]`` on the lattice points, so the
+    simplex has volume v / (n! ``_int_scale``^n).  The centroid is
+    ``_centroid_num`` over the positive ``_centroid_den``.
+
+    ``vertices``, ``volume`` and ``centroid`` are Fraction views, made when
+    first read and then kept.
     """
 
-    __slots__ = ("dim", "vertices", "facets", "volume", "centroid",
-                 "_simplices", "_fan_volumes", "_int_vertices", "_int_scale",
-                 "_lattice")
+    __slots__ = ("dim", "facets", "_int_vertices", "_int_scale", "_simplices",
+                 "_fan_volumes", "_centroid_num", "_centroid_den", "_lattice",
+                 "_vertices", "_volume", "_centroid")
 
-    def __init__(self, dim, vertices, facets, volume, centroid, simplices,
-                 fan_volumes, int_vertices, int_scale):
+    def __init__(self, dim, int_vertices, int_scale, facets, simplices,
+                 fan_volumes, centroid_num, centroid_den):
         self.dim = dim
-        self.vertices = vertices
         self.facets = facets
-        self.volume = volume
-        self.centroid = centroid
-        self._simplices = simplices
-        self._fan_volumes = fan_volumes
         self._int_vertices = int_vertices
         self._int_scale = int_scale
+        self._simplices = simplices
+        self._fan_volumes = fan_volumes
+        self._centroid_num = centroid_num
+        self._centroid_den = centroid_den
         self._lattice = None
+        self._vertices = None
+        self._volume = None
+        self._centroid = None
+
+    @property
+    def vertices(self) -> tuple[Point, ...]:
+        if self._vertices is None:
+            m = self._int_scale
+            self._vertices = tuple(tuple(Fraction(c, m) for c in p)
+                                   for p in self._int_vertices)
+        return self._vertices
+
+    @property
+    def volume(self) -> Fraction:
+        if self._volume is None:
+            self._volume = Fraction(sum(self._fan_volumes),
+                                    factorial(self.dim) * self._int_scale ** self.dim)
+        return self._volume
+
+    @property
+    def centroid(self) -> Point:
+        if self._centroid is None:
+            self._centroid = tuple(Fraction(c, self._centroid_den)
+                                   for c in self._centroid_num)
+        return self._centroid
 
     def __repr__(self):
-        return (f"Polytope(dim={self.dim}, vertices={len(self.vertices)}, "
+        return (f"Polytope(dim={self.dim}, vertices={len(self._int_vertices)}, "
                 f"facets={len(self.facets)}, volume={self.volume})")
 
     def __eq__(self, other):
         return (isinstance(other, Polytope) and self.dim == other.dim
-                and self.vertices == other.vertices)
+                and self._int_scale == other._int_scale
+                and self._int_vertices == other._int_vertices)
 
     def __hash__(self):
-        return hash((self.dim, self.vertices))
+        return hash((self.dim, self._int_scale, tuple(self._int_vertices)))
 
     def edges(self) -> list[tuple[int, int]]:
         """Vertex-index pairs forming 1-faces, from the face lattice."""
         return list(_face_lattice(self)[1])
+
+
+def _reduced(num: tuple[int, ...], den: int) -> tuple[tuple[int, ...], int]:
+    """The integer vector ``num`` over the positive ``den``, in lowest terms
+    over one denominator."""
+    g = gcd(den, *num)
+    return tuple(c // g for c in num), den // g
 
 
 def _lex_positive(vec: tuple[int, ...]) -> tuple[int, ...]:
@@ -304,7 +365,7 @@ def _from_lattice(ipts: list[tuple[int, ...]], mult: int, raw_facets) -> Polytop
     keep = [i for i, fs in enumerate(through)
             if len(fs) >= n and frozenset.intersection(*fs) == {i}]
     new = {old: k for k, old in enumerate(keep)}
-    specs = sorted((w, Fraction(b, mult), tuple(new[i] for i in ids if i in new))
+    specs = sorted((w, b, tuple(new[i] for i in ids if i in new))
                    for w, b, ids in raw_facets)
     g = gcd(mult, *(c for i in keep for c in ipts[i]))
     ipts = [tuple(c // g for c in ipts[i]) for i in keep]
@@ -319,20 +380,18 @@ def _from_lattice(ipts: list[tuple[int, ...]], mult: int, raw_facets) -> Polytop
         cones = [(apex,) + s for s in _pulling_fan(face, faces)]
         raw = [_simplex_int_volume(ipts, s, n) for s in cones]
         height = _idot(w, ipts[vids[0]]) - _idot(w, ipts[apex])
-        facets.append(Facet(w, b, Fraction(sum(raw), unit * height), vids))
+        facets.append(Facet(w, b // g, mult, sum(raw), unit * height, vids))
         if apex == 0:
             fan += cones
             dets += raw
     total = sum(dets)
     if total <= 0:
         raise DegenerateInput("assembled polytope has zero volume")
-    centroid = tuple(
-        Fraction(sum(d * sum(ipts[i][c] for i in s) for s, d in zip(fan, dets)),
-                 total * (n + 1) * mult)
-        for c in range(n))
-    return Polytope(n, tuple(tuple(Fraction(c, mult) for c in p) for p in ipts),
-                    tuple(facets), Fraction(total, factorial(n) * mult ** n), centroid,
-                    tuple(fan), tuple(dets), ipts, mult)
+    centroid = _reduced(
+        tuple(sum(d * sum(ipts[i][c] for i in s) for s, d in zip(fan, dets))
+              for c in range(n)),
+        total * (n + 1) * mult)
+    return Polytope(n, ipts, mult, tuple(facets), tuple(fan), tuple(dets), *centroid)
 
 
 def build_hull(points) -> Polytope:
@@ -353,11 +412,14 @@ def build_hull(points) -> Polytope:
         raise DimensionMismatch("points of mixed dimension")
     if n < 1:
         raise DegenerateInput("points must have dimension at least 1")
-    uniq: list[Point] = sorted(set(pts))
-    check_subset_cap(comb(len(uniq), n), f"hull of {len(uniq)} points in R^{n}")
-    if len(uniq) < n + 1 or affine_rank(uniq) < n:
+    # a positive common scale keeps the lexicographic order of the points
+    scaled, mult = scale_to_integers(pts)
+    ipts = sorted(set(scaled))
+    check_subset_cap(comb(len(ipts), n), f"hull of {len(ipts)} points in R^{n}")
+    base = ipts[0]
+    if len(ipts) < n + 1 or int_rank([tuple(a - b for a, b in zip(p, base))
+                                      for p in ipts[1:]]) < n:
         raise DegenerateInput(f"points do not span R^{n}")
-    ipts, mult = scale_to_integers(uniq)
     return _from_lattice(ipts, mult, _hull_facets_int(ipts, n))
 
 
@@ -397,7 +459,7 @@ def _face_lattice(K: Polytope) -> list[dict[tuple[int, ...], tuple[int, ...]]]:
     elif K._lattice is None:
         facets = [frozenset(f.vertex_ids) for f in K.facets]
         below = {f: (k,) for k, f in enumerate(facets)}
-        levels = [{tuple(range(len(K.vertices))): ()}]
+        levels = [{tuple(range(len(K._int_vertices))): ()}]
         while True:
             levels.append(dict(sorted((tuple(sorted(g)), on) for g, on in below.items())))
             if len(levels) > K.dim:
@@ -415,6 +477,11 @@ def _face_lattice(K: Polytope) -> list[dict[tuple[int, ...], tuple[int, ...]]]:
     return K._lattice
 
 
+def _exact(c):
+    """An int as it is, anything else through ``as_rat``."""
+    return c if type(c) is int else as_rat(c)
+
+
 def transform(K: Polytope, mat=None, shift=None) -> Polytope:
     """Image of K under x -> A x + t for invertible rational A.
 
@@ -424,18 +491,20 @@ def transform(K: Polytope, mat=None, shift=None) -> Polytope:
     With A = Ai / a and t = ti / a over one positive integer a, the vertex
     p / m maps to (Ai p + m ti) / (a m).  A normal w maps to the coprime part
     u / g of u = sign(det Ai) adj(Ai)^T w, a positive multiple of A^-T w, and
-    its scaled measure to mu g / a^(n-1); the volume gains |det Ai| / a^n.
-    The image's lattice points are (Ai p + m ti) / c, c the gcd of their
-    entries and a m, so a fan simplex's integer volume v maps to
-    v |det Ai| / c^n, an exact division.
+    its scaled measure to mu g / a^(n-1), with the gcd of g and a^(n-1)
+    divided out.  The centroid c_num / c_den maps to
+    (Ai c_num + c_den ti) / (a c_den).  The image's lattice points are
+    (Ai p + m ti) / c, c the gcd of their entries and a m, so a fan simplex's
+    integer volume v maps to v |det Ai| / c^n, an exact division.  Integer
+    entries of A and t make no Fraction.
     """
     n = K.dim
     if mat is None:
         mat = [[int(i == j) for j in range(n)] for i in range(n)]
-    rows = [tuple(as_rat(c) for c in row) for row in mat]
+    rows = [tuple(map(_exact, row)) for row in mat]
     if len(rows) != n or any(len(r) != n for r in rows):
         raise DimensionMismatch("matrix shape does not match the body")
-    t = tuple(as_rat(c) for c in shift) if shift is not None else (0,) * n
+    t = tuple(map(_exact, shift)) if shift is not None else (0,) * n
     if len(t) != n:
         raise DimensionMismatch("translation length does not match the body")
     (*ai, ti), a = scale_to_integers(rows + [t])
@@ -453,22 +522,24 @@ def transform(K: Polytope, mat=None, shift=None) -> Polytope:
     ipts = [tuple(c // common for c in mapped[i]) for i in order]
     sign = 1 if d > 0 else -1
     cols = list(zip(*adj))
+    grow = a ** (n - 1)
     facets = []
     for f in K.facets:
         u = [sign * _idot(col, f.normal) for col in cols]
         g = gcd(*u)
         w = tuple(c // g for c in u)
         vids = tuple(sorted(new[i] for i in f.vertex_ids))
-        facets.append(Facet(w, Fraction(_idot(w, ipts[vids[0]]), mult),
-                            f.measure * g / a ** (n - 1), vids))
+        h = gcd(g, grow)  # a translation has g = a^(n-1): the measure stays put
+        facets.append(Facet(w, _idot(w, ipts[vids[0]]), mult, f._measure_num * (g // h),
+                            f._measure_den * (grow // h), vids))
     forder = sorted(range(len(facets)), key=lambda k: facets[k].normal)
     fnew = {old: k for k, old in enumerate(forder)}
-    shrink = common ** n
-    image = Polytope(n, tuple(tuple(Fraction(c, mult) for c in q) for q in ipts),
-                     tuple(facets[k] for k in forder), K.volume * abs(d) / a ** n,
-                     tuple((sum(map(mul, r, K.centroid)) + s) / a for r, s in zip(ai, ti)),
+    den = K._centroid_den
+    image = Polytope(n, ipts, mult, tuple(facets[k] for k in forder),
                      tuple(tuple(new[i] for i in s) for s in K._simplices),
-                     tuple(v * abs(d) // shrink for v in K._fan_volumes), ipts, mult)
+                     tuple(v * abs(d) // common ** n for v in K._fan_volumes),
+                     *_reduced(tuple(_idot(r, K._centroid_num) + den * s
+                                     for r, s in zip(ai, ti)), a * den))
     image._lattice = (K, new, fnew)
     return image
 
@@ -479,9 +550,7 @@ def translate(K: Polytope, t) -> Polytope:
 
 def scale(K: Polytope, c) -> Polytope:
     n = K.dim
-    cc = as_rat(c)
-    mat = tuple(tuple(cc if i == j else Fraction(0) for j in range(n)) for i in range(n))
-    return transform(K, mat, None)
+    return transform(K, [[c if i == j else 0 for j in range(n)] for i in range(n)], None)
 
 
 def reflect(K: Polytope) -> Polytope:
@@ -604,7 +673,7 @@ def _sum_facet_supports(K: Polytope, L: Polytope):
 
 
 def volume(K: Polytope) -> Rat:
-    """Exact n-volume (precomputed from the simplicial decomposition)."""
+    """Exact n-volume, read off the fan determinants."""
     return K.volume
 
 
@@ -617,8 +686,10 @@ def includes(outer: Polytope, inner: Polytope) -> bool:
     """True iff every vertex of inner satisfies every facet inequality of outer."""
     if outer.dim != inner.dim:
         raise DimensionMismatch("bodies live in different dimensions")
-    return all(dot(f.normal, p) <= f.offset
-               for f in outer.facets for p in inner.vertices)
+    # w . p / m_in <= b / m_out, both scales positive
+    m_in, m_out = inner._int_scale, outer._int_scale
+    return all(_idot(f.normal, p) * m_out <= f._offset_num * m_in
+               for f in outer.facets for p in inner._int_vertices)
 
 
 def contains_point(K: Polytope, p) -> bool:

@@ -38,13 +38,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd, lcm
+from operator import mul
 
 from .errors import (
     DimensionMismatch,
     TheoremViolation,
     ZeroDirection,
 )
-from .geometry import Polytope, _int_support, check_subset_cap, transform
+from .geometry import Polytope, _idot, check_subset_cap, transform
 from .inclusion import TightnessProfile, tightness_profile
 from .linalg import int_det
 from .rationals import Point, Rat, Vector, as_rat, as_vector, dot, is_zero_vector
@@ -138,7 +139,12 @@ def _canonical_rows(rows) -> tuple[list[_Row], bool]:
 
 
 def _eliminate(rows: list[_Row], k: int) -> tuple[list[_Row], bool]:
-    """Project out variable index k; returns (rows, still-consistent)."""
+    """Project out variable index k; returns (rows, still-consistent).
+
+    Each pair of rows with opposite signs at k makes one new row, so a step
+    over more pairs than ``GODBERSEN_SUBSET_CAP`` raises CombinatorialBlowup
+    before combining any.
+    """
     zero, pos, neg = [], [], []
     for coeffs, rhs in rows:
         c = coeffs[k]
@@ -148,6 +154,7 @@ def _eliminate(rows: list[_Row], k: int) -> tuple[list[_Row], bool]:
             pos.append((coeffs, rhs))
         else:
             neg.append((coeffs, rhs))
+    check_subset_cap(len(pos) * len(neg), "Fourier-Motzkin step")
     combined = list(zero)
     for pc, pr in pos:
         for nc, nr in neg:
@@ -161,11 +168,14 @@ def fm_feasible(system: System) -> FeasibilityResult:
     """Exact Fourier-Motzkin feasibility with a deterministic witness.
 
     The elimination runs on the integer rows of ``_integer_rows``, variables
-    from the last to the first.  Only the back-substitution works in
-    Fractions: each remaining interval contributes the midpoint (0 if
-    unconstrained, the finite endpoint moved inward by 1 if bounded on one
-    side only).  The feasible region is a single point exactly when every
-    interval collapses.
+    from the last to the first.  The back-substitution picks each coordinate
+    in its remaining interval: the midpoint (0 if unconstrained, the finite
+    endpoint moved inward by 1 if bounded on one side only).  The feasible
+    region is a single point exactly when every interval collapses.  The
+    witness so far is kept as integer numerators over one common denominator
+    D > 0, so a row's bound on the next coordinate is an integer p over
+    q D with q > 0, and bounds are compared by cross-multiplication; each
+    coordinate becomes a Fraction at the end.
     """
     n = system.dim
     stage, ok = _canonical_rows(_integer_rows(system))
@@ -178,48 +188,56 @@ def fm_feasible(system: System) -> FeasibilityResult:
     if not ok:
         return FeasibilityResult(False, None, False)
 
-    witness: list[Fraction] = []
+    nums: list[int] = []
+    den = 1
     unique = True
     for k in range(n):
-        rows = stages[n - 1 - k]
-        lo: Fraction | None = None
-        hi: Fraction | None = None
-        for coeffs, rhs in rows:
+        # a row c x_k <= rhs - sum_j coeffs[j] nums[j] / D bounds x_k by
+        # resid / (c D): from above if c > 0, from below as -resid / (-c D)
+        lo: tuple[int, int] | None = None
+        hi: tuple[int, int] | None = None
+        for coeffs, rhs in stages[n - 1 - k]:
             c = coeffs[k]
             if c == 0:
                 continue
-            resid = rhs - sum(coeffs[j] * witness[j] for j in range(k))
-            bound = Fraction(resid) / c
+            resid = rhs * den - sum(map(mul, coeffs, nums))
             if c > 0:
-                hi = bound if hi is None else min(hi, bound)
-            else:
-                lo = bound if lo is None else max(lo, bound)
+                if hi is None or resid * hi[1] < hi[0] * c:
+                    hi = (resid, c)
+            elif lo is None or resid * lo[1] < lo[0] * c:
+                lo = (-resid, -c)
         if lo is not None and hi is not None:
-            if lo > hi:
+            cross_lo, cross_hi = lo[0] * hi[1], hi[0] * lo[1]
+            if cross_lo > cross_hi:
                 return FeasibilityResult(False, None, False)
-            witness.append((lo + hi) / 2)
-            unique = unique and lo == hi
+            p, q = cross_lo + cross_hi, 2 * lo[1] * hi[1]
+            unique = unique and cross_lo == cross_hi
         elif lo is not None:
-            witness.append(lo + 1)
+            p, q = lo[0] + lo[1] * den, lo[1]
             unique = False
         elif hi is not None:
-            witness.append(hi - 1)
+            p, q = hi[0] - hi[1] * den, hi[1]
             unique = False
         else:
-            witness.append(Fraction(0))
+            p, q = 0, 1
             unique = False
-    return FeasibilityResult(True, tuple(witness), unique)
+        g = gcd(p, q)
+        p, q = p // g, q // g
+        nums = [x * q for x in nums] + [p]
+        den *= q
+    return FeasibilityResult(True, tuple(Fraction(x, den) for x in nums), unique)
 
 
 def ak_system(K: Polytope) -> System:
     """One halfspace per facet normal u of K:
     a . u <= n/(n+1) h_K(u) - 1/(n+1) h_K(-u)."""
     n = K.dim
+    m = K._int_scale
     rows = []
     for f in K.facets:
-        h_minus = _int_support(K, tuple(-c for c in f.normal))
-        rhs = (n * f.offset - h_minus) / (n + 1)
-        rows.append((f.normal, rhs))
+        # h_K(-u) = -low / m for the least value low of u on the lattice points
+        low = min(_idot(f.normal, p) for p in K._int_vertices)
+        rows.append((f.normal, Fraction(n * f._offset_num + low, m * (n + 1))))
     return make_system(n, rows)
 
 

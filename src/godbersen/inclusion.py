@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import TheoremViolation
-from .geometry import Polytope, _int_support, includes, reflect, scale, support, translate
+from .geometry import Polytope, _idot, includes, reflect, scale, support, translate
 from .rationals import Rat, as_vector
 from .sections import section_profile
 
@@ -69,13 +69,16 @@ def tightness_profile(K: Polytope) -> TightnessProfile:
 def _centered_tightness(k0: Polytope) -> TightnessProfile:
     """``tightness_profile`` of a body already centered at its centroid."""
     n = k0.dim
+    m = k0._int_scale
     entries = []
     for f in k0.facets:
-        lhs = _int_support(k0, tuple(-c for c in f.normal))
-        rhs = n * f.offset
+        # both sides over the lattice scale m: h_{K0}(-u) = -low / m
+        lhs = -min(_idot(f.normal, p) for p in k0._int_vertices)
+        rhs = n * f._offset_num
         if lhs > rhs:
             raise TheoremViolation("support comparison failed on a facet normal")
-        entries.append(TightnessEntry(f.normal, lhs, rhs, lhs == rhs))
+        entries.append(TightnessEntry(f.normal, Fraction(lhs, m), Fraction(rhs, m),
+                                      lhs == rhs))
     return TightnessProfile(tuple(entries))
 
 
@@ -99,7 +102,7 @@ def width(K: Polytope, w) -> Rat:
 def simplex_cone_volume_identity(K: Polytope) -> bool:
     """For a simplex centered at its centroid, every facet satisfies
     (1/n) h_K0(u) mu = Vol(K) / (n+1) in the scaled normal form."""
-    if len(K.vertices) != K.dim + 1:
+    if len(K._int_vertices) != K.dim + 1:
         raise ValueError("the cone-volume identity is only asserted for simplices")
     k0 = center_at_centroid(K)
     n = K.dim

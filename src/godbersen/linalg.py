@@ -3,8 +3,8 @@
 Every rank and determinant runs through one fraction-free kernel,
 ``_echelon``: Bareiss elimination on integer rows, whose every entry is an
 integer minor of the input, so each division is exact (Bareiss 1968).
-Rational input is scaled to integers first (``scale_to_integers``), the one
-place Fractions appear.
+Rational input is scaled to integers first (``scale_to_integers``), which
+reads each coordinate's numerator and denominator and makes no Fraction.
 
 Normals to spans do not use that kernel: ``span_normals`` takes the cofactor
 normal of every (n-1)-subset of a list of vectors in one exterior-product
@@ -15,7 +15,6 @@ The per-subset cofactor route they replaced is their oracle in the tests.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import gcd, lcm
@@ -27,11 +26,8 @@ def scale_to_integers(points) -> tuple[list[tuple[int, ...]], int]:
     Returns (scaled integer points, multiplier).  Scaling by a positive
     constant preserves all hull combinatorics.
     """
-    mult = 1
-    for p in points:
-        for c in p:
-            mult = lcm(mult, Fraction(c).denominator)
-    scaled = [tuple(int(c * mult) for c in p) for p in points]
+    mult = lcm(*(c.denominator for p in points for c in p))
+    scaled = [tuple(c.numerator * (mult // c.denominator) for c in p) for p in points]
     return scaled, mult
 
 
@@ -167,11 +163,3 @@ def cofactor_normal(rows, n: int) -> tuple[int, ...]:
         minors = [sum(s * r[t] * minors[q] for s, t, q in terms) for terms in table]
     return primitive(minors)
 
-
-def affine_rank(points) -> int:
-    """Dimension of the affine hull of a point set."""
-    if len(points) < 2:
-        return 0
-    ints, _ = scale_to_integers(points)
-    base = ints[0]
-    return int_rank([[c - b for c, b in zip(p, base)] for p in ints[1:]])

@@ -110,7 +110,21 @@ def mv_profile(K: Polytope, L: Polytope) -> MixedVolumeProfile:
     return MixedVolumeProfile(n, coeffs)
 
 
-_LAMBDA_GRID = tuple(Fraction(i, 10) for i in range(1, 10))
+# lambda = p / q in {1/10, ..., 9/10}
+_LAMBDA_GRID = tuple((i, 10) for i in range(1, 10))
+
+
+def _lambda_grid_ok(j: int, n: int, mixed: Rat, vol: Rat) -> bool:
+    """lambda^j (1-lambda)^(n-j) mixed <= vol at lambda in {1/10..9/10, j/n}.
+
+    At lambda = p / q the bound reads p^j (q-p)^(n-j) mixed <= q^n vol, so
+    mixed and vol are cross-multiplied once and each lambda costs integer
+    products only.
+    """
+    lhs = mixed.numerator * vol.denominator
+    rhs = vol.numerator * mixed.denominator
+    return all(p ** j * (q - p) ** (n - j) * lhs <= q ** n * rhs
+               for p, q in _LAMBDA_GRID + ((j, n),))
 
 
 def godbersen_report(K: Polytope) -> GodbersenReport:
@@ -127,7 +141,7 @@ def godbersen_report(K: Polytope) -> GodbersenReport:
     """
     n = K.dim
     vol = K.volume
-    is_simplex = len(K.vertices) == n + 1
+    is_simplex = len(K._int_vertices) == n + 1
     profile = mv_profile(K, reflect(K))
     if profile.coeffs != profile.coeffs[::-1]:
         raise TheoremViolation("the (K, -K) profile is not palindromic")
@@ -151,9 +165,6 @@ def godbersen_report(K: Polytope) -> GodbersenReport:
                 f"ratio {ratio} > 1 at j={j}; the proven case failed")
         bound = Fraction(n ** min(j, n - j))
         nmin_ok = mixed <= bound * vol
-        lambdas = _LAMBDA_GRID + (Fraction(j, n),)
-        artstein_ok = all(
-            lam ** j * (1 - lam) ** (n - j) * mixed <= vol for lam in lambdas)
         entries.append(GodbersenEntry(j, mixed, binom, ratio, bound, nmin_ok,
-                                      artstein_ok))
+                                      _lambda_grid_ok(j, n, mixed, vol)))
     return GodbersenReport(n, vol, tuple(entries), is_simplex)

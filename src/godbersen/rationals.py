@@ -1,10 +1,12 @@
 """Exact rational scalars and their wire format.
 
-Every geometric quantity in this package is a ``fractions.Fraction`` (aliased
-``Rat``).  Fraction already guarantees the invariants we need: lowest terms,
-positive denominator, arbitrary precision, exact arithmetic.  On the wire a
-rational is a decimal-free string ``"p/q"`` or ``"k"``; writers emit lowest
-terms, readers accept any equivalent fraction.
+Every rational quantity at the package's API edge is a ``fractions.Fraction``
+(aliased ``Rat``): the input coordinates, and the results and views read off
+bodies, whose own data are integers over common denominators (see
+``geometry``).  Fraction already guarantees the invariants we need: lowest
+terms, positive denominator, arbitrary precision, exact arithmetic.  On the
+wire a rational is a decimal-free string ``"p/q"`` or ``"k"``; writers emit
+lowest terms, readers accept any equivalent fraction.
 """
 
 from __future__ import annotations

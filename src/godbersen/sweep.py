@@ -119,7 +119,7 @@ def _check_generated(body_id: str, spec: GenSpec,
                 f"j={entry.j} (open case, not asserted)")
 
     rows = [
-        SweepRow(body_id, body.dim, len(body.vertices), e.j, e.ratio,
+        SweepRow(body_id, body.dim, len(body._int_vertices), e.j, e.ratio,
                  tight.tight_count, ak_unique, moment_zero, inclusion_ok)
         for e in report.entries
     ]

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as F
 from itertools import combinations, product
 from math import comb, factorial
+from types import SimpleNamespace
 
 import pytest
 
@@ -29,10 +30,10 @@ from godbersen import (
     volume,
 )
 from godbersen import geometry, linalg
-from godbersen.geometry import Facet, Polytope, _hull_facets_int, _simplex_int_volume
+from godbersen.geometry import Polytope, _hull_facets_int, _simplex_int_volume
 from godbersen.linalg import int_rank, scale_to_integers
 from godbersen.mixedvol import mv_profile
-from godbersen.rationals import dot
+from godbersen.rationals import as_rat, dot
 from godbersen.sections import section_profile
 from tests.conftest import corpus_specs, minkowski_sum
 from tests.test_linalg import det, fraction_rank, normal_to_span
@@ -446,6 +447,9 @@ def _triangulate_points(pts, d):
 
 
 def rehull_assemble(dim, vertices, facet_specs):
+    """The body on the Fraction ``vertices`` with the facets (normal, offset,
+    vertex ids) of ``facet_specs``, every quantity eager: Fraction facet
+    offsets and measures, volume and centroid."""
     ipts, mult = scale_to_integers(vertices)
     facets = []
     fan = []
@@ -455,7 +459,9 @@ def rehull_assemble(dim, vertices, facet_specs):
         sub = [tuple(ipts[i][c] for c in range(dim) if c != k) for i in vids]
         tri = _triangulate_points(sub, dim - 1)
         raw = sum(_simplex_int_volume(sub, s, dim - 1) for s in tri)
-        facets.append(Facet(w, b, F(raw, fact * mult ** (dim - 1) * abs(w[k])), vids))
+        facets.append(SimpleNamespace(
+            normal=w, offset=b, vertex_ids=vids,
+            measure=F(raw, fact * mult ** (dim - 1) * abs(w[k]))))
         if 0 not in vids:
             fan.extend((0,) + tuple(vids[i] for i in s) for s in tri)
     total = F(0)
@@ -467,8 +473,10 @@ def rehull_assemble(dim, vertices, facet_specs):
         for c in range(dim):
             cx[c] += v * sum(vertices[i][c] for i in s)
     centroid = tuple(x / (total * (dim + 1)) for x in cx)
-    return Polytope(dim, vertices, tuple(facets), total, centroid, tuple(fan),
-                    tuple(dets), ipts, mult)
+    return SimpleNamespace(dim=dim, vertices=vertices, facets=tuple(facets),
+                           volume=total, centroid=centroid, _simplices=tuple(fan),
+                           _fan_volumes=tuple(dets), _int_vertices=ipts,
+                           _int_scale=mult)
 
 
 def facet_data(body):
@@ -600,8 +608,8 @@ def fresh_lattice(body):
     """The face lattice built from the body's facets, on a copy without the
     lattice it carries."""
     return geometry._face_lattice(Polytope(
-        body.dim, body.vertices, body.facets, body.volume, body.centroid,
-        body._simplices, body._fan_volumes, body._int_vertices, body._int_scale))
+        body.dim, body._int_vertices, body._int_scale, body.facets, body._simplices,
+        body._fan_volumes, body._centroid_num, body._centroid_den))
 
 
 def f_vector(body):
@@ -747,6 +755,103 @@ def image_of(body, mat, shift):
     pts = [tuple(sum(mat[r][c] * v[c] for c in range(n)) + shift[r] for r in range(n))
            for v in body.vertices]
     return transform(body, mat, shift), pts
+
+
+# Bodies hold integer data; their Fraction quantities are views made on
+# first read.  The eager oracle builds each view from the lattice data alone:
+# the vertices as Fraction(c, scale), the volume and centroid from the fan in
+# Fractions, and the facet offsets and measures by ``rehull_assemble``.
+
+def eager_views(body):
+    n, m = body.dim, body._int_scale
+    vertices = tuple(tuple(F(c, m) for c in p) for p in body._int_vertices)
+    vols = [F(v, factorial(n) * m ** n) for v in body._fan_volumes]
+    volume = sum(vols, F(0))
+    centroid = tuple(
+        sum((v * sum(vertices[i][c] for i in s) for s, v in zip(body._simplices, vols)), F(0))
+        / (volume * (n + 1))
+        for c in range(n))
+    specs = [(f.normal, dot(f.normal, vertices[f.vertex_ids[0]]), f.vertex_ids)
+             for f in body.facets]
+    return vertices, volume, centroid, facet_data(rehull_assemble(n, vertices, specs))
+
+
+def counted_fractions(monkeypatch):
+    """Count the Fractions that ``geometry`` and ``linalg`` make, and the
+    ``as_rat`` coercions that ``geometry`` asks for, from now on."""
+    made = []
+
+    def counting(*args):
+        made.append(args)
+        return F(*args)
+
+    def coercing(x):
+        made.append(("as_rat", x))
+        return as_rat(x)
+
+    monkeypatch.setattr(geometry, "Fraction", counting)
+    monkeypatch.setattr(linalg, "Fraction", counting, raising=False)
+    monkeypatch.setattr(geometry, "as_rat", coercing)
+    return made
+
+
+class TestIntegerBodies:
+    def test_views_match_eager_oracle(self, corpus):
+        rng = random.Random(19)
+        count = 0
+        for _, body in corpus:
+            images = [body, center_at_centroid(body)]
+            images += [image_of(body, mat, shift)[0] for mat, shift in affine_maps(rng, body.dim)]
+            for image in images:
+                got = (image.vertices, image.volume, image.centroid, facet_data(image))
+                assert got == eager_views(image)
+                count += 1
+        assert count == 300 * 8
+
+    def test_no_fraction_until_a_view_is_read(self, monkeypatch):
+        body = generate(GenSpec("random_hull", 3, 7, seed=30_004, denominator_bound=3))
+        rational = [tuple(F(c, body._int_scale) for c in p) for p in body._int_vertices]
+        ipts, mult = scale_to_integers(rational)
+        raw = _hull_facets_int(ipts, 3)
+        made = counted_fractions(monkeypatch)
+        assert scale_to_integers(rational) == (ipts, mult)
+        assert scale_to_integers([(1, -2, 3)]) == ([(1, -2, 3)], 1)
+        bodies = [geometry._from_lattice(ipts, mult, raw), reflect(body), scale(body, 3),
+                  translate(body, (1, -2, 3)),
+                  transform(body, [[1, 2, 0], [0, 1, 0], [-1, 0, 3]], (0, 4, -1))]
+        assert made == []
+        for image in bodies:
+            image.vertices, image.volume, image.centroid
+            [(f.offset, f.measure) for f in image.facets]
+        assert made and not any(args[0] == "as_rat" for args in made)
+        # each view is made once and kept
+        seen = len(made)
+        for image in bodies:
+            image.vertices, image.volume, image.centroid
+            [(f.offset, f.measure) for f in image.facets]
+        assert len(made) == seen
+
+    def test_rational_hull_input_makes_fractions_only_in_as_vector(self, monkeypatch):
+        made = counted_fractions(monkeypatch)
+        body = build_hull([(F(1, 2), 0, 0), (0, F(2, 3), 0), (0, 0, F(-5, 4)),
+                           (1, 1, 1), (F(1, 5), F(1, 5), F(1, 5))])
+        assert made == []
+        assert body.vertices[0] == (0, 0, F(-5, 4))
+
+    def test_translation_keeps_measure_pairs(self):
+        # Ai = aI gives g = a^(n-1) for every facet, so nothing grows
+        body = generate(GenSpec("random_hull", 4, 6, seed=40_002, denominator_bound=2))
+        for image in (center_at_centroid(body), translate(body, (F(1, 7), 0, F(-2, 9), 3))):
+            assert [(f._measure_num, f._measure_den) for f in image.facets] == \
+                [(f._measure_num, f._measure_den) for f in body.facets]
+
+    def test_equality_and_hash_read_the_lattice(self):
+        body = build_hull(TRIANGLE)
+        moved = translate(translate(body, (F(1, 3), 2)), (F(-1, 3), -2))
+        assert moved == body and hash(moved) == hash(body)
+        assert scale(body, 2) != body
+        assert build_hull([(0, 0), (F(1, 2), 0), (0, F(1, 2))]) != body
+        assert moved.facets == body.facets
 
 
 class TestReflect:

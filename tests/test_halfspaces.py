@@ -558,6 +558,20 @@ class TestAgainstFractionOracle:
         assert len(systems) >= 2000
         assert infeasible > 300 and unique > 5 and len(constant) > 300
 
+    def test_one_fraction_per_witness_coordinate(self, monkeypatch):
+        made = []
+
+        def counting(*args):
+            made.append(args)
+            return F(*args)
+
+        systems = _oracle_reference_systems()[:300]
+        monkeypatch.setattr(halfspaces, "Fraction", counting)
+        for system in systems:
+            del made[:]
+            res = fm_feasible(system)
+            assert len(made) == (system.dim if res.feasible else 0)
+
     def test_canonical_rows_match_oracle(self):
         rng = random.Random(95)
         for _ in range(400):
@@ -571,6 +585,27 @@ class TestAgainstFractionOracle:
             assert ok == want_ok
             assert [(primitive(w), F(b, gcd(*w))) for w, b in got] == want
             assert all(gcd(*w, b) == 1 for w, b in got)
+
+
+class TestFourierMotzkinGuard:
+    def test_step_cap_counts_row_pairs(self, monkeypatch):
+        # eliminating y pairs the three rows with +y and the three with -y
+        rows = [((i, 1), 9) for i in range(3)] + [((i, -1), 9) for i in range(3)]
+        system = make_system(2, rows)
+        monkeypatch.setenv("GODBERSEN_SUBSET_CAP", "8")
+        with pytest.raises(CombinatorialBlowup, match="Fourier-Motzkin step: 9 "):
+            fm_feasible(system)
+        monkeypatch.setenv("GODBERSEN_SUBSET_CAP", "9")
+        assert fm_feasible(system).feasible
+
+    def test_dim_5_anchor_system_raises(self, monkeypatch):
+        # its elimination steps pair 99, 2420, 1247260, ... rows: the third
+        # step exceeds the default cap of 200000 before it combines any
+        monkeypatch.delenv("GODBERSEN_SUBSET_CAP", raising=False)
+        body = generate(GenSpec("random_hull", 5, vertex_count=8, seed=1,
+                                denominator_bound=2))
+        with pytest.raises(CombinatorialBlowup, match="1247260"):
+            fm_feasible(ak_system(body))
 
 
 class TestMinorTable:

@@ -8,7 +8,6 @@ from godbersen.errors import SingularMatrix
 from godbersen.linalg import (
     _echelon,
     adjugate,
-    affine_rank,
     cofactor_normal,
     int_det,
     int_rank,
@@ -18,8 +17,10 @@ from godbersen.linalg import (
 )
 
 
-# A rational determinant and solve on the Bareiss kernel.  The program needs
-# neither; the tests' Vandermonde oracle and affine-map checks use them.
+# A rational determinant, solve and affine rank on the Bareiss kernel.  The
+# program needs none of them; the tests' Vandermonde oracle and affine-map
+# checks use the first two, and the affine rank is the reference for the
+# integer rank check of ``build_hull``.
 
 def det(mat) -> Fraction:
     """Exact determinant of a square rational matrix."""
@@ -44,6 +45,15 @@ def solve_linear(mat, rhs) -> tuple[Fraction, ...]:
         row = a[i]
         y[i] = (d * row[n] - sum(row[j] * y[j] for j in range(i + 1, n))) // row[i]
     return tuple(Fraction(v, d) for v in y)
+
+
+def affine_rank(points) -> int:
+    """Dimension of the affine hull of a point set."""
+    if len(points) < 2:
+        return 0
+    ints, _ = scale_to_integers(points)
+    base = ints[0]
+    return int_rank([[c - b for c, b in zip(p, base)] for p in ints[1:]])
 
 
 # The Fraction elimination routes that the Bareiss kernel replaced, kept as

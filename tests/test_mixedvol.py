@@ -239,6 +239,39 @@ class TestGodbersenReport:
                     assert len(body.vertices) == dim + 1
 
 
+# The Fraction lambda grid that the integer comparison of ``_lambda_grid_ok``
+# replaced, kept as its oracle.
+
+def fraction_grid_ok(j, n, mixed, vol):
+    lambdas = tuple(F(i, 10) for i in range(1, 10)) + (F(j, n),)
+    return all(lam ** j * (1 - lam) ** (n - j) * mixed <= vol for lam in lambdas)
+
+
+class TestLambdaGrid:
+    def test_reports_match_fraction_grid(self, corpus_results):
+        for res in corpus_results:
+            rep = res.report
+            for e in rep.entries:
+                assert e.artstein_ok == fraction_grid_ok(e.j, rep.n, e.mixed, rep.volume)
+
+    def test_matches_fraction_grid_at_the_threshold(self):
+        # mixed / vol around the least bound 1 / max lambda^j (1-lambda)^(n-j)
+        # of the grid, so that both outcomes occur
+        rng = random.Random(19)
+        outcomes = set()
+        for _ in range(400):
+            n = rng.randint(2, 6)
+            j = rng.randint(1, n - 1)
+            vol = F(rng.randint(1, 50), rng.randint(1, 50))
+            top = max(lam ** j * (1 - lam) ** (n - j)
+                      for lam in [F(i, 10) for i in range(1, 10)] + [F(j, n)])
+            mixed = vol / top * F(rng.randint(90, 110), 100)
+            expected = fraction_grid_ok(j, n, mixed, vol)
+            assert mixedvol._lambda_grid_ok(j, n, mixed, vol) == expected
+            outcomes.add(expected)
+        assert outcomes == {True, False}
+
+
 class TestProfileIdentities:
     def test_rogers_shephard_equality_on_simplices(self):
         for n in (2, 3, 4, 5):
