@@ -79,7 +79,8 @@ def _cmd_ak(args) -> int:
 def _cmd_helly(args) -> int:
     system = system_from_dict(load_json(args.input))
     ok = helly_audit(system)
-    # a non-vacuous audit has already checked full feasibility against ok
+    # a non-vacuous audit decides full feasibility before its subsets and
+    # raises unless the two agree, so only a vacuous one needs its own run
     vacuous = len(system.halfspaces) <= system.dim
     print(json.dumps({
         "all_subsystems_feasible": ok,

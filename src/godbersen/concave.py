@@ -24,10 +24,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, lcm
+from math import comb
 
 from .errors import DimensionMismatch, InvalidM, LemmaViolation, NotConcave
 from .geometry import Polytope, volume
+from .linalg import scale_to_integers
 from .mixedvol import mv_profile
 from .rationals import Rat, as_rat, as_vector
 from .sections import section_profile
@@ -105,9 +106,7 @@ def godbersen_integral(f: PLConcave, m: int) -> Rat:
     integers by one common denominator D, over m (m+1) D^(m+1)."""
     if m < 2:
         raise InvalidM(f"exponent must be an integer >= 2, got {m}")
-    den = lcm(*(x.denominator for x in f.knots + f.values))
-    ks = [k.numerator * (den // k.denominator) for k in f.knots]
-    vs = [v.numerator * (den // v.denominator) for v in f.values]
+    (ks, vs), den = scale_to_integers([f.knots, f.values])
     total = 0
     for k1, k2, v1, v2 in zip(ks, ks[1:], vs, vs[1:]):
         h = k2 - k1

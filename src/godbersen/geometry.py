@@ -215,9 +215,10 @@ SUBSET_CAP_ENV = "GODBERSEN_SUBSET_CAP"
 DEFAULT_SUBSET_CAP = 200_000
 
 
-def check_subset_cap(total: int, what: str) -> None:
+def check_subset_cap(total: int, what: str, unit: str = "subsets") -> None:
     """Raise CombinatorialBlowup before a brute-force enumeration of ``total``
-    subsets that exceeds the cap (``GODBERSEN_SUBSET_CAP``, default 200000)."""
+    items (``unit`` names them in the message) that exceeds the cap
+    (``GODBERSEN_SUBSET_CAP``, default 200000)."""
     raw = os.environ.get(SUBSET_CAP_ENV, DEFAULT_SUBSET_CAP)
     try:
         cap = int(raw)
@@ -225,7 +226,7 @@ def check_subset_cap(total: int, what: str) -> None:
         raise ValueError(f"{SUBSET_CAP_ENV} must be an integer, not {raw!r}") from None
     if total > cap:
         raise CombinatorialBlowup(
-            f"{what}: {total} subsets exceed the cap of {cap}; raise {SUBSET_CAP_ENV}")
+            f"{what}: {total} {unit} exceed the cap of {cap}; raise {SUBSET_CAP_ENV}")
 
 
 def _hull_facets_int(pts: list[tuple[int, ...]], d: int):

@@ -15,13 +15,13 @@ Below the ``System`` API every row is an integer pair (normal, rhs):
 ``_integer_rows`` scales each row, normal and rhs together, by one positive
 multiplier, which changes no Farkas sign and no Fourier-Motzkin bound.
 Fractions appear only in the ``System`` rows and in the witness that
-``fm_feasible`` reads back.
+Fourier-Motzkin reads back.
 
-Fourier-Motzkin elimination runs on those integer rows, needs no pivoting
-rules, and reads off uniqueness for free (Schrijver, *Theory of Linear and
-Integer Programming*, section 12.2).  It serves generic systems, the
-uniqueness test on the tight rows alone, and the full-system side of the
-Helly audit.
+Fourier-Motzkin elimination has one entry, ``_fm_rows``, which takes those
+integer rows, needs no pivoting rules, and reads off uniqueness for free
+(Schrijver, *Theory of Linear and Integer Programming*, section 12.2).
+``fm_feasible`` scales a ``System`` and calls it; the uniqueness test on the
+tight rows and the Helly audit pass their integer rows to it directly.
 
 The Helly audit decides each (n+1)-row subsystem Aa <= b by a Farkas
 certificate instead (Schrijver, section 7.3).  The cofactor vector
@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb, gcd, lcm
+from math import comb, gcd
 from operator import mul
 
 from .errors import (
@@ -47,7 +47,7 @@ from .errors import (
 )
 from .geometry import Polytope, _idot, check_subset_cap, transform
 from .inclusion import TightnessProfile, tightness_profile
-from .linalg import int_det
+from .linalg import int_det, scale_to_integers
 from .rationals import Point, Rat, Vector, as_rat, as_vector, dot, is_zero_vector
 
 @dataclass(frozen=True)
@@ -103,10 +103,8 @@ def _integer_rows(system: System) -> list[_Row]:
     one positive multiplier."""
     rows = []
     for h in system.halfspaces:
-        row = h.normal + (h.rhs,)
-        mult = lcm(*(c.denominator for c in row))
-        ints = [c.numerator * (mult // c.denominator) for c in row]
-        rows.append((tuple(ints[:-1]), ints[-1]))
+        (row,), _ = scale_to_integers([h.normal + (h.rhs,)])
+        rows.append((row[:-1], row[-1]))
     return rows
 
 
@@ -154,7 +152,7 @@ def _eliminate(rows: list[_Row], k: int) -> tuple[list[_Row], bool]:
             pos.append((coeffs, rhs))
         else:
             neg.append((coeffs, rhs))
-    check_subset_cap(len(pos) * len(neg), "Fourier-Motzkin step")
+    check_subset_cap(len(pos) * len(neg), "Fourier-Motzkin step", "row pairs")
     combined = list(zero)
     for pc, pr in pos:
         for nc, nr in neg:
@@ -165,20 +163,26 @@ def _eliminate(rows: list[_Row], k: int) -> tuple[list[_Row], bool]:
 
 
 def fm_feasible(system: System) -> FeasibilityResult:
-    """Exact Fourier-Motzkin feasibility with a deterministic witness.
+    """Exact Fourier-Motzkin feasibility with a deterministic witness: the
+    system's ``_integer_rows`` decided by ``_fm_rows``."""
+    return _fm_rows(_integer_rows(system), system.dim)
 
-    The elimination runs on the integer rows of ``_integer_rows``, variables
-    from the last to the first.  The back-substitution picks each coordinate
-    in its remaining interval: the midpoint (0 if unconstrained, the finite
-    endpoint moved inward by 1 if bounded on one side only).  The feasible
-    region is a single point exactly when every interval collapses.  The
-    witness so far is kept as integer numerators over one common denominator
-    D > 0, so a row's bound on the next coordinate is an integer p over
-    q D with q > 0, and bounds are compared by cross-multiplication; each
-    coordinate becomes a Fraction at the end.
+
+def _fm_rows(rows: list[_Row], n: int) -> FeasibilityResult:
+    """Fourier-Motzkin feasibility of integer rows (w, b), each meaning
+    w . x <= b for x in R^n, with a deterministic witness.
+
+    The elimination runs variables from the last to the first.  The
+    back-substitution picks each coordinate in its remaining interval: the
+    midpoint (0 if unconstrained, the finite endpoint moved inward by 1 if
+    bounded on one side only).  The feasible region is a single point
+    exactly when every interval collapses.  The witness so far is kept as
+    integer numerators over one common denominator D > 0, so a row's bound
+    on the next coordinate is an integer p over q D with q > 0, and bounds
+    are compared by cross-multiplication; each coordinate becomes a Fraction
+    at the end.
     """
-    n = system.dim
-    stage, ok = _canonical_rows(_integer_rows(system))
+    stage, ok = _canonical_rows(rows)
     stages: list[list[_Row]] = [stage]
     for k in range(n - 1, 0, -1):
         if not ok:
@@ -253,7 +257,7 @@ def anchor_unique(profile: TightnessProfile) -> bool:
     n = len(profile.entries[0].normal)
     if len(tight) < n + 1:
         return False
-    return fm_feasible(make_system(n, [(u, 0) for u in tight])).unique
+    return _fm_rows([(u, 0) for u in tight], n).unique
 
 
 def ak_feasibility(K: Polytope) -> FeasibilityResult:
@@ -302,30 +306,32 @@ def _farkas_infeasible(rows: list[_Row], subset: tuple[int, ...],
 def helly_audit(system: System) -> bool:
     """Check every (dim+1)-subset of halfspaces for feasibility.
 
-    Each subset is decided by its Farkas cofactor certificate
+    Vacuously true when there are fewer than dim+1 halfspaces.  Otherwise the
+    system is scaled to integer rows once, and Fourier-Motzkin decides the
+    full system on them first, so a step-cap blowup comes before any subset.
+    Each subset is then decided by its Farkas cofactor certificate
     (``_farkas_infeasible``), read from one table of n-row determinants that
     fills as the subsets ask for them; a rank-deficient subset, which has no
-    certificate, falls back to Fourier-Motzkin.  Vacuously true when there
-    are fewer than dim+1 halfspaces.  Otherwise the outcome must agree with
-    full-system feasibility by Fourier-Motzkin (Helly's theorem for a finite
-    family of convex sets), so any disagreement raises.
+    certificate, goes to Fourier-Motzkin on its own integer rows.  The
+    outcome must agree with full-system feasibility (Helly's theorem for a
+    finite family of convex sets), so any disagreement raises.
     """
     n = system.dim
-    rows = system.halfspaces
-    if len(rows) < n + 1:
+    count = len(system.halfspaces)
+    if count < n + 1:
         return True
-    check_subset_cap(comb(len(rows), n + 1), "Helly audit")
+    check_subset_cap(comb(count, n + 1), "Helly audit")
     ints = _integer_rows(system)
+    full = _fm_rows(ints, n).feasible
     minors: dict[tuple[int, ...], int] = {}
     all_ok = True
-    for subset in combinations(range(len(rows)), n + 1):
+    for subset in combinations(range(count), n + 1):
         infeasible = _farkas_infeasible(ints, subset, minors)
         if infeasible is None:
-            infeasible = not fm_feasible(System(n, tuple(rows[i] for i in subset))).feasible
+            infeasible = not _fm_rows([ints[i] for i in subset], n).feasible
         if infeasible:
             all_ok = False
             break
-    full = fm_feasible(system).feasible
     if all_ok != full:
         raise TheoremViolation("subset audit disagrees with full feasibility")
     return all_ok

@@ -126,7 +126,8 @@ class TestBuildHull:
     def test_subset_cap_env_override(self, monkeypatch):
         # the square's 4 points give C(4, 2) = 6 pairs
         monkeypatch.setenv("GODBERSEN_SUBSET_CAP", "5")
-        with pytest.raises(CombinatorialBlowup):
+        with pytest.raises(CombinatorialBlowup,
+                           match=r"hull of 4 points in R\^2: 6 subsets exceed"):
             build_hull(SQUARE)
         monkeypatch.setenv("GODBERSEN_SUBSET_CAP", "6")
         assert len(build_hull(SQUARE).facets) == 4

@@ -241,7 +241,7 @@ class TestHelly:
         rows = [((1, 0, 0), i) for i in range(1, 10)]
         rows += [((0, 1, 0), i) for i in range(1, 10)]
         s = make_system(3, rows)
-        with pytest.raises(CombinatorialBlowup):
+        with pytest.raises(CombinatorialBlowup, match="Helly audit: 3060 subsets exceed"):
             helly_audit(s)
 
     def test_cap_env_override(self, monkeypatch):
@@ -607,6 +607,27 @@ class TestFourierMotzkinGuard:
         with pytest.raises(CombinatorialBlowup, match="1247260"):
             fm_feasible(ak_system(body))
 
+    def test_helly_audit_raises_before_any_subset(self, monkeypatch):
+        # its 20 rows make 38,760 subsets, under the cap; the full-system
+        # Fourier-Motzkin runs first and trips the step cap
+        monkeypatch.delenv("GODBERSEN_SUBSET_CAP", raising=False)
+        body = generate(GenSpec("random_hull", 5, vertex_count=8, seed=1,
+                                denominator_bound=2))
+        system = ak_system(body)
+        assert comb(len(system.halfspaces), 6) == 38760
+        visited = []
+        farkas = halfspaces._farkas_infeasible
+
+        def record_farkas(rows, subset, minors):
+            visited.append(subset)
+            return farkas(rows, subset, minors)
+
+        monkeypatch.setattr(halfspaces, "_farkas_infeasible", record_farkas)
+        with pytest.raises(CombinatorialBlowup,
+                           match="Fourier-Motzkin step: 1247260 row pairs exceed"):
+            helly_audit(system)
+        assert visited == []
+
 
 class TestMinorTable:
     # x <= 1, y <= 1, x + y >= 0, x >= 2, x + y <= 5, y >= -3: the second
@@ -658,26 +679,57 @@ class TestMinorTable:
 
 
 class TestHellyCallCounts:
+    """The audit scales its system once and runs every Fourier-Motzkin on
+    integer rows, the full system first; it goes through no ``System``."""
+
     @pytest.fixture
-    def fm_calls(self, monkeypatch):
-        calls = []
+    def spy(self, monkeypatch):
+        """``spy()`` wraps the named module functions and constructors and
+        returns the argument tuples of their calls from then on, by name."""
+        def install():
+            seen = {"_fm_rows": [], "fm_feasible": [], "_integer_rows": [],
+                    "System": [], "HalfSpace": []}
+            for name in seen:
+                def counting(*args, _calls=seen[name], _orig=getattr(halfspaces, name)):
+                    _calls.append(args)
+                    return _orig(*args)
+                monkeypatch.setattr(halfspaces, name, counting)
+            return seen
+        return install
 
-        def counting_fm(system):
-            calls.append(system)
-            return fm_feasible(system)
-
-        monkeypatch.setattr(halfspaces, "fm_feasible", counting_fm)
-        return calls
-
-    def test_dim_2_body_runs_fm_once(self, fm_calls):
+    def test_dim_2_body_runs_fm_once(self, spy):
         system = ak_system(random_polytope(random.Random(93), 2, 8))
         assert len(system.halfspaces) >= 5
+        ints = _integer_rows(system)
+        calls = spy()
         assert helly_audit(system)
-        assert len(fm_calls) == 1 and fm_calls[0] is system
+        assert calls["_fm_rows"] == [(ints, 2)]
+        assert calls["fm_feasible"] == []
+        assert calls["_integer_rows"] == [(system,)]
 
-    def test_cube_runs_fm_on_its_fallback_subsets(self, fm_calls):
-        assert helly_audit(ak_system(unit_cube(3)))
-        assert len(fm_calls) == 1 + 3
+    def test_cube_runs_fm_on_its_fallback_subsets(self, spy):
+        system = ak_system(unit_cube(3))
+        ints = _integer_rows(system)
+        calls = spy()
+        assert helly_audit(system)
+        assert len(calls["_fm_rows"]) == 1 + 3
+        assert calls["_fm_rows"][0] == (ints, 3)
+        # each fallback subset is four of the scaled rows, not a new System
+        assert all(len(rows) == 4 and all(r in ints for r in rows)
+                   for rows, _ in calls["_fm_rows"][1:])
+        assert calls["fm_feasible"] == []
+        assert calls["_integer_rows"] == [(system,)]
+        assert calls["System"] == [] and calls["HalfSpace"] == []
+
+    def test_anchor_unique_builds_no_halfspace(self, spy, corpus):
+        profiles = [tightness_profile(body) for _, body in corpus[:40]]
+        profiles += [tightness_profile(standard_simplex(n)) for n in (2, 3, 4)]
+        calls = spy()
+        verdicts = [anchor_unique(p) for p in profiles]
+        assert all(verdicts[-3:]) and not all(verdicts)
+        assert len(calls["_fm_rows"]) >= 3
+        assert calls["HalfSpace"] == [] and calls["System"] == []
+        assert calls["fm_feasible"] == [] and calls["_integer_rows"] == []
 
 
 class TestGLInvariance:
