@@ -283,17 +283,26 @@ def _pulling_fan(face: frozenset, cands) -> list[tuple[int, ...]]:
 
     ``face`` holds the face's vertex ids and ``cands`` sets whose
     intersections with it include its facets (the facets' vertex sets do).
-    Its facets are the inclusion-maximal proper intersections; the face is
-    coned from its lowest id over those that miss it.
+    Its facets are the inclusion-maximal proper intersections: scanned by
+    decreasing size, an intersection is kept when no facet kept so far holds
+    it.  The face is coned from its lowest id over the facets that miss it,
+    each triangulated with the facets alone as candidates, since every facet
+    of a facet g is g n h for another facet h.
     """
     if len(face) == 1:
         return [tuple(face)]
     subs = {face & c for c in cands}
     subs.discard(face)
+    facets: list[frozenset] = []
+    for g in sorted(subs, key=len, reverse=True):
+        for h in facets:
+            if g <= h:
+                break
+        else:
+            facets.append(g)
     top = min(face)
-    return [(top,) + s
-            for g in subs if top not in g and not any(g < h for h in subs)
-            for s in _pulling_fan(g, subs)]
+    return [(top,) + s for g in facets if top not in g
+            for s in _pulling_fan(g, facets)]
 
 
 def _simplex_int_volume(pts, simplex, d: int) -> int:
@@ -604,7 +613,10 @@ def _sum_candidate_lines(K: Polytope, L: Polytope):
             yield f.normal
     if n >= 3:
         yield from _ridge_crossings(K, L)
-        yield from _ridge_crossings(L, K)
+        # for L = -K the swapped pass yields the same lines negated
+        if not (L._int_scale == K._int_scale and L._int_vertices ==
+                sorted(tuple(-c for c in p) for p in K._int_vertices)):
+            yield from _ridge_crossings(L, K)
     if n >= 5:
         faces_k, faces_l = _face_bases(K), _face_bases(L)
         for d in range(2, n - 2):

@@ -8,27 +8,26 @@ exactly to Vol(K).
 
 V(t) is summed over the body's fan, the simplicial decomposition that
 ``geometry`` builds with the body; the fan's integer simplex volumes come
-with it, so no profile takes a determinant.  The fraction of a simplex below
-the level t follows the cut-volume recursion over its vertices below
-(heights H_i) and above (heights H_j) the level,
+with it, so no profile takes a determinant.  The share of a simplex below
+the level T, for vertex heights H_0..H_n, is a spline in the heights
+(Curry & Schoenberg 1966): a divided difference of the truncated power
+(T - x)_+^n (de Boor, *A Practical Guide to Splines*, ch. I and IX),
 
-    F[i][j] = ((H_j - t) F[i-1][j] + (t - H_i) F[i][j-1]) / (H_j - H_i),
+    F(T) = sum over the distinct heights g < T of term_g(T),
 
-with F[i][0] = 1 and F[0][j] = 0.  On an open interval between consecutive
-vertex levels no vertex changes side, the factors H_j - t and t - H_i are
-linear in t and the divisors H_j - H_i are positive constants, so one run of
-the recursion over polynomials gives the exact piece (the density of a linear
-image of a simplex is a spline in the vertex heights; Curry & Schoenberg 1966).
-Only simplices straddling the interval contribute to s; the others add a
-constant to V.
-
-A simplex keeps one split of its vertices into below and above across every
-interval between two of its consecutive heights, so the recursion runs once
-per split, not once per interval.  With one vertex on either side it is a
-single power of a linear form, taken in closed form.  The recursion runs on
-the integer levels T = M t with the constant divisors cleared, and its
-results sum to the one stored form of a piece: an integer accumulator A(T)
-over a positive integer denominator, with s = M A'(M t) / den.
+where term_g is minus the residue at x = g of (T - x)^n / prod_j (H_j - x).
+A height met once gives the single term (T - g)^n / prod_h (h - g); a
+height tied r times gives r terms in (T - g)^n .. (T - g)^(n-r+1), whose
+integer coefficients come from the first r Taylor coefficients of the
+product over the other heights (``_level_terms``).  So F needs no
+recursion, and its terms depend on the level they sit at, not on the
+interval: the terms of every simplex are summed level by level, as integer
+numerators over one lcm denominator, and each level's sum is expanded once
+in powers of T.  Piece i is the prefix sum of the levels through
+``levels[i]``: an integer accumulator A_i(T) over that positive
+denominator, den, which is the cumulative volume itself on the piece,
+V(t) = A_i(M t) / den on the integer levels T = M t, so
+s = M A_i'(M t) / den.  The terms of the top level are never needed.
 The integral, the moment and the slice-root concavity test are integer
 computations on that form, each reduced to one Fraction at the end.  The
 rational coefficients of s (``pieces``) and its values are made on demand.
@@ -56,9 +55,9 @@ class SectionProfile:
     Piece i lies between the integer levels T = ``levels[i]`` and
     ``levels[i + 1]`` of T = M t, M = ``level_scale``.  It is stored as the
     integer accumulator A_i = ``accumulators[i]`` (low degree first) over the
-    positive integer ``denominators[i]``: s(t) = M A_i'(M t) / den_i.  Two
-    profiles are equal when their directions, breakpoints and rational
-    pieces are.
+    positive integer ``denominators[i]``: the cumulative volume on the piece
+    is V(t) = A_i(M t) / den_i, so s(t) = M A_i'(M t) / den_i.  Two profiles
+    are equal when their directions, breakpoints and rational pieces are.
     """
 
     direction: Vector
@@ -160,64 +159,41 @@ class SectionProfile:
         return self.breakpoints[0], self.breakpoints[-1]
 
 
-def _linear_combination(a: list[int], a0: int, a1: int,
-                        b: list[int], b0: int, b1: int) -> list[int]:
-    """Integer polynomial a(T) (a0 + a1 T) + b(T) (b0 + b1 T), low degree
-    first and untrimmed."""
-    out = [0] * (max(len(a), len(b)) + 1)
-    for k, c in enumerate(a):
-        out[k] += a0 * c
-        out[k + 1] += a1 * c
-    for k, c in enumerate(b):
-        out[k] += b0 * c
-        out[k + 1] += b1 * c
-    return out
+def _level_terms(hs: list[int], top) -> list[tuple[int, tuple[int, ...], int]]:
+    """The level terms of a simplex with integer vertex heights ``hs``, for
+    its distinct heights g below ``top``.
 
-
-def _shifted_power(h: int, e: int) -> list[int]:
-    """(T - h)^e, low degree first."""
-    return [comb(e, k) * (-h) ** (e - k) for k in range(e + 1)]
-
-
-def _cut_polynomial(below: list[int], above: list[int]) -> tuple[list[int], int]:
-    """Fraction of a simplex under the level T, as (G, D) with value G(T) / D.
-
-    ``below`` and ``above`` are the integer heights of the vertices under and
-    over an open interval of levels that contains T.  D is the product of
-    d_ab = H_b - H_a over every below vertex a and above vertex b, and
-    G = F D.  With one vertex h below, F is the similar simplex's share
-    prod_j (T - h) / (H_j - h), so G = (T - h)^q; with one vertex h above,
-    G = D - (h - T)^p.  Otherwise G[i][j], F[i][j] times the product of d_ab
-    over a <= i, b <= j, turns the cut-volume recursion into integer
-    polynomial steps
-
-        G[i][j] = (H_j - T) G[i-1][j] prod_{b<j} d_ib
-                  + (T - H_i) G[i][j-1] prod_{a<i} d_aj.
+    One (g, c, den) per such g, den != 0: term_g(T) = sum_l c[l] (T - g)^(n - l)
+    / den.  On an open interval of T, the share of the simplex below T is the
+    sum of term_g(T) over the heights g < T, and the terms of all heights sum
+    to 1 (a divided difference of (T - x)_+^n, a spline in the heights).
+    term_g is minus the residue at x = g of (T - x)^n / prod_j (H_j - x).  For
+    a height of multiplicity 1 that is (T - g)^n / p0, p0 = prod_h (h - g) over
+    the other heights.  A height tied r > 1 times has r terms: with P(e) =
+    prod_h (h - g - e), so p0 = P(0), and the integers E_0 = 1, E_m =
+    -sum_{k=1..m} P_k E_(m-k) p0^(k-1) (so 1 / P = sum_m E_m e^m / p0^(m+1)),
+    c[l] = (-1)^(r+1+l) C(n, l) E_(r-1-l) p0^l over den = p0^r.
     """
-    p, q = len(below), len(above)
-    if p == 1:
-        h = below[0]
-        return _shifted_power(h, q), prod(hj - h for hj in above)
-    if q == 1:
-        h = above[0]
-        d = prod(h - hi for hi in below)
-        sign = 1 if p % 2 else -1  # (h - T)^p = (-1)^p (T - h)^p
-        g = [sign * c for c in _shifted_power(h, p)]
-        g[0] += d
-        return g, d
-    row: list[list[int]] = [[1]] + [[] for _ in range(q)]
-    col = [1] * q  # prod_{a<i} d_aj for each j
-    for hi in below:
-        new = [[1]] + [[] for _ in range(q)]
-        along = 1  # prod_{b<j} d_ib
-        for j, hj in enumerate(above):
-            new[j + 1] = _linear_combination(row[j + 1], along * hj, -along,
-                                             new[j], -col[j] * hi, col[j])
-            d = hj - hi
-            along *= d
-            col[j] *= d
-        row = new
-    return row[q], prod(col)
+    n = len(hs) - 1
+    out = []
+    for g in set(hs):
+        if g >= top:
+            continue
+        gaps = [h - g for h in hs if h != g]
+        p0 = prod(gaps)
+        r = n + 1 - len(gaps)
+        if r == 1:
+            out.append((g, (1,), p0))
+            continue
+        poly = [1] + [0] * (r - 1)  # P up to e^(r-1)
+        for x in gaps:
+            poly = [x * a - b for a, b in zip(poly, [0] + poly)]
+        e = [1]
+        for m in range(1, r):
+            e.append(-sum(poly[k] * e[m - k] * p0 ** (k - 1) for k in range(1, m + 1)))
+        out.append((g, tuple((-1) ** (r + 1 + l) * comb(n, l) * e[r - 1 - l] * p0 ** l
+                             for l in range(r)), p0 ** r))
+    return out
 
 
 def section_profile(K: Polytope, w) -> SectionProfile:
@@ -240,33 +216,36 @@ def section_profile(K: Polytope, w) -> SectionProfile:
     levels = sorted(set(heights))
     index = {h: i for i, h in enumerate(levels)}
 
-    # A simplex with sorted heights hs splits the same way, hs[:k] below and
-    # hs[k:] above, on every interval from level hs[k-1] to hs[k]; so each
-    # split's cut polynomial is made once and, weighted by the simplex's
-    # integer volume, listed for each of those intervals.
-    parts: list[list[tuple[int, list[int], int]]] = [[] for _ in levels[1:]]
+    # The level terms of every simplex, weighted by its integer volume and
+    # summed per level and denominator as numerators of (T - g)^k.  No piece
+    # reaches past the top level, so its terms are never made.
+    groups: list[dict[int, list[int]]] = [{} for _ in levels[:-1]]
     for s, vol in zip(K._simplices, K._fan_volumes):
-        hs = sorted([heights[i] for i in s])
-        for k in range(1, n + 1):
-            if hs[k - 1] < hs[k]:
-                poly, d = _cut_polynomial(hs[:k], hs[k:])
-                for i in range(index[hs[k - 1]], index[hs[k]]):
-                    parts[i].append((vol, poly, d))
+        for g, c, d in _level_terms([heights[i] for i in s], levels[-1]):
+            group = groups[index[g]]
+            nums = group.get(d)
+            if nums is None:
+                group[d] = nums = [0] * (n + 1)
+            for l, b in enumerate(c):
+                nums[n - l] += vol * b
 
-    # On an interval, V(t) = A(M t) / (den n! m_v^n) + const, where A / den
-    # sums the straddling cut polynomials G / D weighted by the integer
-    # simplex volumes over den = lcm of the D; so s(t) = M A'(M t) /
-    # (den n! m_v^n).
-    unit = factorial(n) * K._int_scale ** n
-    accumulators, denominators = [], []
-    for interval in parts:
-        den = lcm(*(d for _, _, d in interval))
-        acc = [0] * (n + 1)
-        for vol, poly, d in interval:
-            f = vol * (den // d)
-            for k, c in enumerate(poly):
-                acc[k] += f * c
+    # Over den, the lcm of all the terms' denominators, each level's sum is
+    # expanded once in powers of T (a Taylor shift by g), and piece i is the
+    # prefix sum of the levels through levels[i]: V(t) = A_i(M t) /
+    # (den n! m_v^n) on the piece, so s(t) = M A_i'(M t) / (den n! m_v^n).
+    den = lcm(*(d for group in groups for d in group))
+    acc = [0] * (n + 1)
+    accumulators = []
+    for g, group in zip(levels, groups):
+        level = [0] * (n + 1)
+        for d, nums in group.items():
+            f = den // d
+            level = [a + f * b for a, b in zip(level, nums)]
+        for i in range(n):
+            for j in range(n - 1, i - 1, -1):
+                level[j] -= g * level[j + 1]
+        acc = [a + b for a, b in zip(acc, level)]
         accumulators.append(tuple(trim(acc)))
-        denominators.append(den * unit)
+    denominators = (den * factorial(n) * K._int_scale ** n,) * len(accumulators)
     return SectionProfile(v, level_scale, tuple(levels), tuple(accumulators),
-                          tuple(denominators))
+                          denominators)

@@ -723,6 +723,50 @@ class TestIncidenceAssembly:
         assert seg.volume == F(7, 2) and seg.centroid == (F(5, 4),)
 
 
+def recursive_pulling_fan(face, cands):
+    """The pulling triangulation with every proper intersection kept as a
+    candidate at each step and its facets found by pairwise inclusion, as
+    ``_pulling_fan`` made it before it kept the facets alone."""
+    if len(face) == 1:
+        return [tuple(face)]
+    subs = {face & c for c in cands}
+    subs.discard(face)
+    top = min(face)
+    return [(top,) + s
+            for g in subs if top not in g and not any(g < h for h in subs)
+            for s in recursive_pulling_fan(g, subs)]
+
+
+def cayley_faces(K, L):
+    """The facets of the Cayley polytope of K and L as vertex-id sets, the
+    vertices of L numbered after those of K, as ``_cayley_mixed_volumes``
+    lists them."""
+    vk = len(K._int_vertices)
+    faces = [frozenset(range(vk)), frozenset(range(vk, vk + len(L._int_vertices)))]
+    return faces + [frozenset(ik).union(vk + i for i in il)
+                    for _, ik, il in geometry._sum_facet_supports(K, L)]
+
+
+class TestPullingFan:
+    def test_matches_recursive_oracle(self, corpus):
+        # every facet of every 5th corpus body and of two dim-5 recipe
+        # bodies, and every Cayley facet of (K, -K) and of (K, next body)
+        bodies = [body for _, body in corpus[::5]] + dim_5_recipe_bodies()[:2]
+        families = [[frozenset(f.vertex_ids) for f in body.facets] for body in bodies]
+        for body, nxt in zip(bodies, bodies[1:]):
+            families.append(cayley_faces(body, reflect(body)))
+            if nxt.dim == body.dim:
+                families.append(cayley_faces(body, nxt))
+        simplices = 0
+        for faces in families:
+            for face in faces:
+                got = geometry._pulling_fan(face, faces)
+                assert len(got) == len(set(got))
+                assert set(got) == set(recursive_pulling_fan(face, faces))
+                simplices += len(got)
+        assert len(families) > 180 and simplices > 5000
+
+
 def affine_maps(rng, n):
     """(A, t) pairs: cI with rational c > 0 and c < 0, a signed permutation,
     an integer matrix with |det| > 1 and a rational matrix, each with a
@@ -1062,6 +1106,26 @@ class TestSubsetOracles:
             got = sorted(geometry._sum_facet_supports(body, other))
             assert got == subset_sum_facet_supports(body, other)
         assert len(pairs) == 69
+
+    def test_reflected_pair_skips_the_swapped_ridge_pass(self, corpus, monkeypatch):
+        calls = []
+        crossings = geometry._ridge_crossings
+
+        def spy(K, L):
+            calls.append((K, L))
+            return crossings(K, L)
+
+        monkeypatch.setattr(geometry, "_ridge_crossings", spy)
+        for _, body in corpus[100::50]:
+            # scale(body, -m) has the negated lattice points of body on the
+            # unit lattice, so it is no reflection for m > 1
+            assert body._int_scale > 1
+            for other in (reflect(body), scale(body, 2), scale(body, -body._int_scale),
+                          translate(reflect(body), (1,) * body.dim)):
+                calls.clear()
+                list(geometry._sum_facet_supports(body, other))
+                assert calls == ([(body, other)] if other == reflect(body)
+                                 else [(body, other), (other, body)])
 
     def test_sum_walks_no_edge_subsets(self, corpus, monkeypatch):
         def refuse(*args):

@@ -1,13 +1,14 @@
 import hashlib
 import random
 from fractions import Fraction as F
-from math import factorial
+from math import comb, factorial, lcm, prod
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from godbersen import (
+    GenSpec,
     ZeroDirection,
     build_hull,
     center_at_centroid,
@@ -16,9 +17,10 @@ from godbersen import (
     standard_simplex,
     unit_cube,
 )
-from godbersen.geometry import _simplex_int_volume
+from godbersen.geometry import _idot, _simplex_int_volume
+from godbersen.linalg import scale_to_integers
 from godbersen.polynomials import add, derivative, evaluate, mul, trim
-from godbersen.sections import _cut_polynomial
+from godbersen.sections import SectionProfile, _level_terms
 from godbersen.rationals import as_vector, dot
 from godbersen.sweep import ROOT_CONCAVITY_DIRECTIONS, _random_direction
 from tests.conftest import corpus_specs
@@ -156,28 +158,171 @@ def test_cut_fraction_closed_forms():
     assert _cut_fraction([F(-1), F(-2)]) == 1
 
 
-def test_cut_polynomial_matches_cut_fraction():
-    # every split (p, q) of a simplex in dims 1-5, with heights tied on each
-    # side: the closed forms for p = 1 and q = 1 and the recursion between
+def _expand(g, c, n):
+    """sum_l c[l] (T - g)^(n - l) in powers of T, low degree first."""
+    return [sum(a * comb(n - l, k) * (-g) ** (n - l - k)
+                for l, a in enumerate(c) if n - l >= k) for k in range(n + 1)]
+
+
+def _tied_heights(rng, n):
+    """n + 1 integer heights on at least two distinct values, drawn from a
+    few values so that ties are common."""
+    while True:
+        values = rng.sample(range(-9, 10), rng.randint(2, min(n + 1, 4)))
+        hs = [rng.choice(values) for _ in range(n + 1)]
+        if len(set(hs)) > 1:
+            return hs
+
+
+def test_level_terms_partition_of_unity():
+    # the terms of all levels, the top one included, sum to the constant 1
+    rng = random.Random(43)
+    for n in range(1, 7):
+        cases = [_tied_heights(rng, n) for _ in range(30)]
+        cases += [[0] * n + [5], [0] + [5] * n, list(range(n + 1))]
+        for hs in cases:
+            terms = _level_terms(hs, max(hs) + 1)
+            assert sorted(g for g, _, _ in terms) == sorted(set(hs))
+            assert all(d != 0 and len(c) == hs.count(g) for g, c, d in terms)
+            common = lcm(*(d for _, _, d in terms))
+            total = [0] * (n + 1)
+            for g, c, d in terms:
+                for k, a in enumerate(_expand(g, c, n)):
+                    total[k] += common // d * a
+            assert trim(total) == [common], hs
+
+
+def test_level_terms_match_cut_fraction():
+    # sum_{g < T} term_g(T) is the share of the simplex below T, with heights
+    # tied on either side of T and multiplicities up to n, in dims 1-6
     rng = random.Random(41)
-    for n in range(1, 6):
-        for p in range(1, n + 1):
-            q = n + 1 - p
-            for _ in range(20):
-                lo = rng.randint(-9, 9)
-                hi = lo + rng.randint(1, 6)
-                below = [lo] + [rng.choice((lo, rng.randint(lo - 6, lo)))
-                                for _ in range(p - 1)]
-                above = [hi] + [rng.choice((hi, rng.randint(hi, hi + 6)))
-                                for _ in range(q - 1)]
-                rng.shuffle(below)
-                rng.shuffle(above)
-                poly, d = _cut_polynomial(below, above)
-                assert d > 0 and len(poly) <= n + 1
+    for n in range(1, 7):
+        cases = [_tied_heights(rng, n) for _ in range(30)]
+        cases += [[0] * n + [5], [0] + [5] * n]
+        for hs in cases:
+            levels = sorted(set(hs))
+            for lo, hi in zip(levels, levels[1:]):
                 for k in (1, 2, 3):
                     t = lo + F(k * (hi - lo), 4)
-                    assert F(evaluate(poly, t), d) == \
-                        _cut_fraction([h - t for h in below + above]), (below, above)
+                    below = sum(F(evaluate(_expand(g, c, n), t), d)
+                                for g, c, d in _level_terms(hs, t))
+                    assert below == _cut_fraction([h - t for h in hs]), hs
+
+
+# The cut-volume recursion, kept as the oracle of the level terms: one run
+# per (simplex, split of its vertices into below and above), its result
+# added to every interval the split spans.
+
+def _linear_combination(a, a0, a1, b, b0, b1):
+    """Integer polynomial a(T) (a0 + a1 T) + b(T) (b0 + b1 T), low degree
+    first and untrimmed."""
+    out = [0] * (max(len(a), len(b)) + 1)
+    for k, c in enumerate(a):
+        out[k] += a0 * c
+        out[k + 1] += a1 * c
+    for k, c in enumerate(b):
+        out[k] += b0 * c
+        out[k + 1] += b1 * c
+    return out
+
+
+def _shifted_power(h, e):
+    """(T - h)^e, low degree first."""
+    return [comb(e, k) * (-h) ** (e - k) for k in range(e + 1)]
+
+
+def _cut_polynomial(below, above):
+    """Fraction of a simplex under the level T, as (G, D) with value G(T) / D.
+
+    ``below`` and ``above`` are the integer heights of the vertices under and
+    over an open interval of levels that contains T, and D is the product of
+    d_ab = H_b - H_a over every below vertex a and above vertex b.  G[i][j],
+    F[i][j] times the product of d_ab over a <= i, b <= j, turns the
+    cut-volume recursion into integer polynomial steps
+
+        G[i][j] = (H_j - T) G[i-1][j] prod_{b<j} d_ib
+                  + (T - H_i) G[i][j-1] prod_{a<i} d_aj,
+
+    with closed forms when one side has a single vertex.
+    """
+    p, q = len(below), len(above)
+    if p == 1:
+        h = below[0]
+        return _shifted_power(h, q), prod(hj - h for hj in above)
+    if q == 1:
+        h = above[0]
+        d = prod(h - hi for hi in below)
+        sign = 1 if p % 2 else -1  # (h - T)^p = (-1)^p (T - h)^p
+        g = [sign * c for c in _shifted_power(h, p)]
+        g[0] += d
+        return g, d
+    row = [[1]] + [[] for _ in range(q)]
+    col = [1] * q  # prod_{a<i} d_aj for each j
+    for hi in below:
+        new = [[1]] + [[] for _ in range(q)]
+        along = 1  # prod_{b<j} d_ib
+        for j, hj in enumerate(above):
+            new[j + 1] = _linear_combination(row[j + 1], along * hj, -along,
+                                             new[j], -col[j] * hi, col[j])
+            d = hj - hi
+            along *= d
+            col[j] *= d
+        row = new
+    return row[q], prod(col)
+
+
+def _recursion_profile(K, w):
+    """The profile of K along w as the builder made it with the cut-volume
+    recursion: each accumulator sums the cut polynomials of the simplices
+    straddling its interval and leaves out the constant of those below."""
+    v = as_vector(w)
+    (iw,), m = scale_to_integers([v])
+    heights = [_idot(iw, p) for p in K._int_vertices]
+    levels = sorted(set(heights))
+    index = {h: i for i, h in enumerate(levels)}
+    parts = [[] for _ in levels[1:]]
+    for s, vol in zip(K._simplices, K._fan_volumes):
+        hs = sorted(heights[i] for i in s)
+        for k in range(1, K.dim + 1):
+            if hs[k - 1] < hs[k]:
+                poly, d = _cut_polynomial(hs[:k], hs[k:])
+                for i in range(index[hs[k - 1]], index[hs[k]]):
+                    parts[i].append((vol, poly, d))
+    unit = factorial(K.dim) * K._int_scale ** K.dim
+    accumulators, denominators = [], []
+    for interval in parts:
+        den = lcm(*(d for _, _, d in interval))
+        acc = [0] * (K.dim + 1)
+        for vol, poly, d in interval:
+            for k, c in enumerate(poly):
+                acc[k] += vol * (den // d) * c
+        accumulators.append(tuple(trim(acc)))
+        denominators.append(den * unit)
+    return SectionProfile(v, m * K._int_scale, tuple(levels),
+                          tuple(accumulators), tuple(denominators))
+
+
+def _recipe_bodies():
+    return [generate(GenSpec("random_hull", dim, vertex_count=8, seed=seed,
+                             denominator_bound=2))
+            for dim in (5, 6) for seed in (1, 2, 3)]
+
+
+def test_high_dimensional_profiles_match_recursion_oracle():
+    # the dim-5 and dim-6 recipe bodies: the centered body along each facet
+    # normal and the body along five seeded directions
+    rng = random.Random(45)
+    pairs = 0
+    for body in _recipe_bodies():
+        k0 = center_at_centroid(body)
+        for K, w in [(k0, f.normal) for f in k0.facets] + [
+                (body, _random_direction(rng, body.dim)) for _ in range(5)]:
+            prof, oracle = section_profile(K, w), _recursion_profile(K, w)
+            assert prof == oracle, (body, w)
+            assert (prof.integral(), prof.moment(), prof.root_concave()) == \
+                (oracle.integral(), oracle.moment(), oracle.root_concave())
+            pairs += 1
+    assert pairs > 100
 
 
 def check_body_profiles(spec):
@@ -314,6 +459,33 @@ def test_piece_degree_bound():
         body = random_polytope(rng, dim, dim + 3)
         prof = section_profile(body, tuple(1 for _ in range(dim)))
         assert all(len(p) <= dim for p in prof.pieces)
+
+
+def test_accumulator_is_the_cumulative_volume():
+    # V(t) = A_i(M t) / den_i on piece i: 0 at the bottom, continuous across
+    # the levels, Vol at the top, and the sampled cumulative volume between
+    rng = random.Random(25)
+    for dim in (2, 3, 4):
+        for _ in range(3):
+            body = random_polytope(rng, dim, dim + 4)
+            w = tuple(rng.randint(-4, 4) or 1 for _ in range(dim))
+            prof = section_profile(body, w)
+            m, lv = prof.level_scale, prof.levels
+            cumulative = [F(evaluate(acc, h), den) for acc, den, h in
+                          zip(prof.accumulators, prof.denominators, lv)]
+            cumulative.append(F(evaluate(prof.accumulators[-1], lv[-1]),
+                                prof.denominators[-1]))
+            assert cumulative[0] == 0 and cumulative[-1] == body.volume
+            for i, h in enumerate(lv[1:-1]):
+                assert F(evaluate(prof.accumulators[i], h), prof.denominators[i]) \
+                    == cumulative[i + 1]
+            fan = [(F(vol, factorial(dim) * body._int_scale ** dim),
+                    [dot(prof.direction, body.vertices[i]) for i in s])
+                   for s, vol in zip(body._simplices, body._fan_volumes)]
+            for acc, den, lo, hi in prof._spans():
+                t = F(lo + hi, 2 * m)
+                assert F(evaluate(acc, m * t), den) == sum(
+                    vol * _cut_fraction([h - t for h in hs]) for vol, hs in fan)
 
 
 def test_integer_form_and_rational_equality():
