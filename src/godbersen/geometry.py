@@ -12,39 +12,34 @@ numerators over one denominator.  The Fraction vertices, volume, centroid,
 offsets and measures are views, made when first read and then kept, so
 building and transforming a body makes no Fraction.
 
-Hull facets of raw point sets are enumerated by brute force over d-subsets
-with exact orientation tests (fine at input scale), every candidate normal
-from one exterior-product pass, ``linalg.span_normals``: the subsets are
-walked depth first and each prefix's minors are extended by Laplace
-expansion, so a prefix shared by many subsets is expanded once.  The Cayley
-polytope conv(K x {0} u L x {1}) gets its facets with no hull: besides
-K x {0} and L x {1} they are the faces over the facets of K + L, and each
-facet of K + L is a face of K plus a face of L, so the candidate normals
-come from face pairs of the summands (their facets, ridge-edge crossings
-and, from dim 5, pairs of lower faces), and each is verified exactly.  That
-polytope's fan gives the mixed volumes of K and L; no sum is built.
+Every facet comes from one kernel, ``_cone_rays``: the double description
+method (Motzkin, Raiffa, Thompson and Thrall 1953; Fukuda and Prodon 1996)
+on integer rows.  The facets w . x <= b of conv(P) are the extreme rays
+(w, -b) of the cone {y : (p, 1) . y <= 0 for p in P}, and the points on a
+facet are the rows tight on its ray.  The method is complete by
+construction: it keeps the extreme rays of the cone cut by the rows seen so
+far, and each new row adds the rays of adjacent pairs it separates.  A hull
+runs it on the input points; the Cayley polytope conv(K x {0} u L x {1})
+runs it on its lifted vertices, and its fan gives the mixed volumes of K and
+L, so no sum is built.
 
-Everything else follows from the vertex-facet incidence, which fixes the face
-lattice: the smallest face through some points is the intersection of the
-facets containing them (Ziegler, Lectures on Polytopes, 2.2; Kaibel and
-Pfetsch, Comput. Geom. 23, 2002).  So a point is a vertex iff its facets
-share no other point, and the facets of a face are its maximal proper
-intersections with facets.  Each facet's pulling triangulation, coned from a
-vertex off it, gives the facet's measure (cone volume = measure * height /
-n); the cones from vertex 0 give the fan, volume and centroid.  That is one
-integer determinant per simplex.  The whole lattice is built once per body,
-on first use, level by level down from the facets; the body's edges, its
-ridges with the two facets holding each, and the faces whose bases the
-face-pair candidates need are all read off it.  An invertible affine map
-keeps the lattice, so ``transform`` relabels its source's lattice and fan
-instead of rebuilding them.
+Everything else follows from the vertex-facet incidence: the smallest face
+through some points is the intersection of the facets containing them
+(Ziegler, Lectures on Polytopes, 2.2; Kaibel and Pfetsch, Comput. Geom. 23,
+2002).  So a point is a vertex iff its facets share no other point, and the
+facets of a face are its maximal proper intersections with facets.  Each
+facet's pulling triangulation, coned from a vertex off it, gives the facet's
+measure (cone volume = measure * height / n); the cones from vertex 0 give
+the fan, volume and centroid.  That is one integer determinant per simplex.
+An invertible affine map keeps the incidence, so ``transform`` relabels its
+source's facets and fan instead of rebuilding them.
 """
 
 from __future__ import annotations
 
 import os
 from fractions import Fraction
-from math import comb, factorial, gcd, lcm
+from math import factorial, gcd, lcm
 from operator import mul
 
 from .errors import (
@@ -57,12 +52,10 @@ from .errors import (
 from .linalg import (
     _echelon,
     adjugate,
-    cofactor_normal,
     int_det,
     int_rank,
     primitive,
     scale_to_integers,
-    span_normals,
 )
 from .rationals import Point, Rat, as_rat, as_vector, dot, is_zero_vector
 
@@ -134,8 +127,8 @@ class Polytope:
     """
 
     __slots__ = ("dim", "facets", "_int_vertices", "_int_scale", "_simplices",
-                 "_fan_volumes", "_centroid_num", "_centroid_den", "_lattice",
-                 "_vertices", "_volume", "_centroid")
+                 "_fan_volumes", "_centroid_num", "_centroid_den", "_vertices",
+                 "_volume", "_centroid")
 
     def __init__(self, dim, int_vertices, int_scale, facets, simplices,
                  fan_volumes, centroid_num, centroid_den):
@@ -147,7 +140,6 @@ class Polytope:
         self._fan_volumes = fan_volumes
         self._centroid_num = centroid_num
         self._centroid_den = centroid_den
-        self._lattice = None
         self._vertices = None
         self._volume = None
         self._centroid = None
@@ -186,25 +178,12 @@ class Polytope:
     def __hash__(self):
         return hash((self.dim, self._int_scale, tuple(self._int_vertices)))
 
-    def edges(self) -> list[tuple[int, int]]:
-        """Vertex-index pairs forming 1-faces, from the face lattice."""
-        return list(_face_lattice(self)[1])
-
 
 def _reduced(num: tuple[int, ...], den: int) -> tuple[tuple[int, ...], int]:
     """The integer vector ``num`` over the positive ``den``, in lowest terms
     over one denominator."""
     g = gcd(den, *num)
     return tuple(c // g for c in num), den // g
-
-
-def _lex_positive(vec: tuple[int, ...]) -> tuple[int, ...]:
-    for c in vec:
-        if c > 0:
-            return vec
-        if c < 0:
-            return tuple(-x for x in vec)
-    return vec
 
 
 def _idot(u, v) -> int:
@@ -216,8 +195,8 @@ DEFAULT_SUBSET_CAP = 200_000
 
 
 def check_subset_cap(total: int, what: str, unit: str = "subsets") -> None:
-    """Raise CombinatorialBlowup before a brute-force enumeration of ``total``
-    items (``unit`` names them in the message) that exceeds the cap
+    """Raise CombinatorialBlowup before a step that would visit ``total``
+    items (``unit`` names them in the message) above the cap
     (``GODBERSEN_SUBSET_CAP``, default 200000)."""
     raw = os.environ.get(SUBSET_CAP_ENV, DEFAULT_SUBSET_CAP)
     try:
@@ -229,53 +208,84 @@ def check_subset_cap(total: int, what: str, unit: str = "subsets") -> None:
             f"{what}: {total} {unit} exceed the cap of {cap}; raise {SUBSET_CAP_ENV}")
 
 
+def _ids(mask: int) -> tuple[int, ...]:
+    """The set bits of ``mask``, ascending."""
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def _rays_on(z: int, tights: list[int]) -> int:
+    """The number of rays, by their tight bitmasks, tight on every row of
+    ``z``."""
+    return list(map(z.__and__, tights)).count(z)
+
+
+def _cone_rays(rows, what: str) -> list[tuple[tuple[int, ...], int]]:
+    """Extreme rays of the pointed cone {y : a . y <= 0 for every row a}.
+
+    The double description method (Motzkin, Raiffa, Thompson and Thrall
+    1953; Fukuda and Prodon, "Double description method revisited", 1996) on
+    integer rows of length k that span R^k.  Returns (ray, tight) pairs: the
+    ray as a primitive integer vector, ``tight`` the bitmask of the rows a
+    with a . ray = 0.
+
+    The first linearly independent rows B seed the cone: its rays are the
+    columns of -sign(det B) adj(B), the j-th tight on every seed row but the
+    j-th.  Each further row a cuts the cone.  The rays with a . r <= 0 stay;
+    a pair with a . r+ > 0 > a . r- gives the ray (a . r+) r- - (a . r-) r+
+    if the two are adjacent, that is, if their common tight rows number at
+    least k - 2 and no third ray is tight on all of them (the combinatorial
+    adjacency test of Fukuda and Prodon).  A step with more pairs than
+    ``GODBERSEN_SUBSET_CAP`` raises CombinatorialBlowup before it tests any;
+    ``what`` names the input.
+    """
+    k = len(rows[0])
+    seed = _echelon(list(zip(*rows)))[1]
+    basis = [rows[i] for i in seed]
+    adj = adjugate(basis)
+    sign = -1 if _idot(basis[0], [r[0] for r in adj]) > 0 else 1
+    rays = [primitive([sign * r[j] for r in adj]) for j in range(k)]
+    full = sum(1 << i for i in seed)
+    tights = [full ^ (1 << i) for i in seed]
+    taken = set(seed)
+    for i, a in enumerate(rows):
+        if i in taken:
+            continue
+        bit = 1 << i
+        vals = [_idot(a, r) for r in rays]
+        pos = [j for j, s in enumerate(vals) if s > 0]
+        neg = [j for j, s in enumerate(vals) if s < 0]
+        check_subset_cap(len(pos) * len(neg), what, "ray pairs")
+        new_rays, new_tights = [], []
+        for p in pos:
+            sp, rp, tp = vals[p], rays[p], tights[p]
+            for q in neg:
+                z = tp & tights[q]
+                # p and q are tight on z themselves
+                if z.bit_count() < k - 2 or _rays_on(z, tights) > 2:
+                    continue
+                sq = vals[q]
+                new_rays.append(primitive([sp * x - sq * y for x, y in zip(rays[q], rp)]))
+                new_tights.append(z | bit)
+        keep = [j for j, s in enumerate(vals) if s <= 0]
+        rays = [rays[j] for j in keep] + new_rays
+        tights = [tights[j] | bit if vals[j] == 0 else tights[j] for j in keep] + new_tights
+    return list(zip(rays, tights))
+
+
 def _hull_facets_int(pts: list[tuple[int, ...]], d: int):
     """Facets of conv(pts) in R^d as (normal, offset, ids of points on it).
 
-    Brute force over d-subsets with exact orientation tests; coplanar subsets
-    merge because facets are keyed by the coprime-integer normal and offset.
-    The subsets are taken one lowest point at a time, so each base point's
-    normals come from one ``span_normals`` pass over the differences to the
-    points after it.  Assumes the points affinely span R^d.
+    The facet w . x <= b is the extreme ray (w, -b) of the cone
+    {y : (p, 1) . y <= 0 for every point p}, and the points on it are the
+    rows tight on that ray; the normal is made coprime.  Assumes the points
+    affinely span R^d.
     """
-    if d == 1:
-        xs = [p[0] for p in pts]
-        lo, hi = min(xs), max(xs)
-        if lo == hi:
-            raise DegenerateInput("all points coincide")
-        return [((-1,), -lo, tuple(i for i, x in enumerate(xs) if x == lo)),
-                ((1,), hi, tuple(i for i, x in enumerate(xs) if x == hi))]
-    tested: set = set()
-    found: dict = {}
-    for i, base in enumerate(pts):
-        rows = [tuple(a - b for a, b in zip(p, base)) for p in pts[i + 1:]]
-        for w in span_normals(rows, d):
-            if not any(w):
-                continue
-            b = _idot(w, base)
-            key = (w, b) if _lex_positive(w) == w else (tuple(-c for c in w), -b)
-            if key in tested:
-                continue
-            tested.add(key)
-            above = below = False
-            for p in pts:
-                s = _idot(w, p) - b
-                if s > 0:
-                    above = True
-                elif s < 0:
-                    below = True
-                if above and below:
-                    break
-            if above and below:
-                continue
-            if not above and not below:
-                raise DegenerateInput("points do not span the ambient space")
-            if above:
-                w = tuple(-c for c in w)
-                b = -b
-            ids = tuple(i for i, p in enumerate(pts) if _idot(w, p) == b)
-            found[(w, b)] = ids
-    return sorted((w, b, ids) for (w, b), ids in found.items())
+    facets = []
+    for ray, tight in _cone_rays([p + (1,) for p in pts],
+                                 f"hull of {len(pts)} points in R^{d}"):
+        g = gcd(*ray[:d])
+        facets.append((tuple(c // g for c in ray[:d]), -ray[d] // g, _ids(tight)))
+    return sorted(facets)
 
 
 def _pulling_fan(face: frozenset, cands) -> list[tuple[int, ...]]:
@@ -324,21 +334,21 @@ def _cayley_mixed_volumes(K: Polytope, L: Polytope) -> tuple[Fraction, ...]:
     """m_j = V(K[n-j], L[j]) for j = 0..n from the fan of the Cayley polytope.
 
     C = conv(K x {0} u L x {1}) has the points (p, 0) and (q, m) on the
-    common lattice m, all of them vertices.  Its facets are K x {0},
-    L x {1} and F_K(u) x {0} u F_L(u) x {1} for each facet normal u of
-    K + L, so its face lattice needs no hull.  The fan cones vertex 0 over
-    the pulling triangulation of every facet that misses it.  A simplex with
-    j + 1 vertices at the L end cuts the slice (1-l)K + lL in a piece of
-    volume proportional to (1-l)^(n-j) l^j, so m_j is n + 1 times the volume
-    of the fan's type-j simplices: their integer determinants over n! m^(n+1).
+    common lattice m, all of them vertices.  Its facets, K x {0} and
+    L x {1} among them, are the extreme rays of the cone over its points
+    (``_cone_rays``), each with the points on it.  The fan cones vertex 0
+    over the pulling triangulation of every facet that misses it.  A
+    simplex with j + 1 vertices at the L end cuts the slice (1-l)K + lL in a
+    piece of volume proportional to (1-l)^(n-j) l^j, so m_j is n + 1 times
+    the volume of the fan's type-j simplices: their integer determinants
+    over n! m^(n+1).
     """
     n = K.dim
     m, ps, qs = _common_lattice(K, L)
     vk = len(ps)
     pts = [p + (0,) for p in ps] + [q + (m,) for q in qs]
-    faces = [frozenset(range(vk)), frozenset(range(vk, len(pts)))]
-    faces += [frozenset(ik).union([vk + i for i in il])
-              for _, ik, il in _sum_facet_supports(K, L)]
+    faces = [frozenset(_ids(tight)) for _, tight in _cone_rays(
+        [p + (1,) for p in pts], f"Cayley polytope of {len(pts)} points in R^{n + 1}")]
     raw = [0] * (n + 1)
     for face in faces:
         if 0 in face:
@@ -407,8 +417,9 @@ def _from_lattice(ipts: list[tuple[int, ...]], mult: int, raw_facets) -> Polytop
 def build_hull(points) -> Polytope:
     """Convex hull of rational points; must affinely span the ambient space.
 
-    Facets are enumerated over all n-subsets of the distinct points, so more
-    than ``GODBERSEN_SUBSET_CAP`` of them raises CombinatorialBlowup first.
+    Facets come from the double description kernel ``_cone_rays``; a step
+    that would test more than ``GODBERSEN_SUBSET_CAP`` ray pairs raises
+    CombinatorialBlowup first.
 
     Redundant input points are dropped; the result carries the full facet
     structure with outward coprime-integer normals, exact offsets and scaled
@@ -425,7 +436,6 @@ def build_hull(points) -> Polytope:
     # a positive common scale keeps the lexicographic order of the points
     scaled, mult = scale_to_integers(pts)
     ipts = sorted(set(scaled))
-    check_subset_cap(comb(len(ipts), n), f"hull of {len(ipts)} points in R^{n}")
     base = ipts[0]
     if len(ipts) < n + 1 or int_rank([tuple(a - b for a, b in zip(p, base))
                                       for p in ipts[1:]]) < n:
@@ -449,44 +459,6 @@ def _int_support(K: Polytope, w: tuple[int, ...]) -> Fraction:
     return Fraction(max(_idot(w, p) for p in K._int_vertices), K._int_scale)
 
 
-def _face_lattice(K: Polytope) -> list[dict[tuple[int, ...], tuple[int, ...]]]:
-    """The face lattice of K, made once and kept on K: level d, d = 0..n,
-    maps each d-face's sorted vertex ids to the sorted indices of the facets
-    holding it, in order of the vertex ids.
-
-    Below the facets, a level holds the facets of the faces one level up: a
-    face g's are its inclusion-maximal intersections with the facets not
-    holding g, and such an h is held by g's facets and by those that cut g
-    in h.  A ``transform`` image holds (source, vertex renaming, facet
-    renaming) until first asked, then relabels the source's lattice.
-    """
-    if isinstance(K._lattice, tuple):
-        source, new, fnew = K._lattice
-        K._lattice = [dict(sorted((tuple(sorted(map(new.__getitem__, face))),
-                                   tuple(sorted(map(fnew.__getitem__, on))))
-                                  for face, on in level.items()))
-                      for level in _face_lattice(source)]
-    elif K._lattice is None:
-        facets = [frozenset(f.vertex_ids) for f in K.facets]
-        below = {f: (k,) for k, f in enumerate(facets)}
-        levels = [{tuple(range(len(K._int_vertices))): ()}]
-        while True:
-            levels.append(dict(sorted((tuple(sorted(g)), on) for g, on in below.items())))
-            if len(levels) > K.dim:
-                break
-            upper, below = below, {}
-            for g, on in upper.items():
-                subs: dict = {}
-                for k, f in enumerate(facets):
-                    if k not in on:
-                        subs.setdefault(g & f, []).append(k)
-                for h, ks in subs.items():
-                    if h not in below and not any(map(h.__lt__, subs)):
-                        below[h] = tuple(sorted(on + tuple(ks)))
-        K._lattice = levels[::-1]
-    return K._lattice
-
-
 def _exact(c):
     """An int as it is, anything else through ``as_rat``."""
     return c if type(c) is int else as_rat(c)
@@ -495,9 +467,9 @@ def _exact(c):
 def transform(K: Polytope, mat=None, shift=None) -> Polytope:
     """Image of K under x -> A x + t for invertible rational A.
 
-    An invertible affine map keeps the face lattice, so the image carries over
-    K's facets, face lattice and fan, relabelled by the sorted image vertices
-    and facets (the lattice when it is first read).
+    An invertible affine map keeps the vertex-facet incidence, so the image
+    carries over K's facets and fan, relabelled by the sorted image vertices,
+    its facets sorted by their mapped normals.
     With A = Ai / a and t = ti / a over one positive integer a, the vertex
     p / m maps to (Ai p + m ti) / (a m).  A normal w maps to the coprime part
     u / g of u = sign(det Ai) adj(Ai)^T w, a positive multiple of A^-T w, and
@@ -542,16 +514,13 @@ def transform(K: Polytope, mat=None, shift=None) -> Polytope:
         h = gcd(g, grow)  # a translation has g = a^(n-1): the measure stays put
         facets.append(Facet(w, _idot(w, ipts[vids[0]]), mult, f._measure_num * (g // h),
                             f._measure_den * (grow // h), vids))
-    forder = sorted(range(len(facets)), key=lambda k: facets[k].normal)
-    fnew = {old: k for k, old in enumerate(forder)}
+    facets.sort(key=lambda f: f.normal)
     den = K._centroid_den
-    image = Polytope(n, ipts, mult, tuple(facets[k] for k in forder),
-                     tuple(tuple(new[i] for i in s) for s in K._simplices),
-                     tuple(v * abs(d) // common ** n for v in K._fan_volumes),
-                     *_reduced(tuple(_idot(r, K._centroid_num) + den * s
-                                     for r, s in zip(ai, ti)), a * den))
-    image._lattice = (K, new, fnew)
-    return image
+    return Polytope(n, ipts, mult, tuple(facets),
+                    tuple(tuple(new[i] for i in s) for s in K._simplices),
+                    tuple(v * abs(d) // common ** n for v in K._fan_volumes),
+                    *_reduced(tuple(_idot(r, K._centroid_num) + den * s
+                                    for r, s in zip(ai, ti)), a * den))
 
 
 def translate(K: Polytope, t) -> Polytope:
@@ -565,124 +534,6 @@ def scale(K: Polytope, c) -> Polytope:
 
 def reflect(K: Polytope) -> Polytope:
     return scale(K, -1)
-
-
-def _ridges(K: Polytope) -> list[tuple[int, int]]:
-    """Facet index pairs meeting in a ridge, from the face lattice."""
-    return sorted(_face_lattice(K)[K.dim - 2].values())
-
-
-def _ridge_crossings(K: Polytope, L: Polytope):
-    """primitive((b.e) a - (a.e) b) for each ridge of K, with facet normals a
-    and b, and each edge vector e of L with (a.e)(b.e) < 0."""
-    normals = [f.normal for f in K.facets]
-    ridges = _ridges(K)
-    qs = L._int_vertices
-    for i, j in L.edges():
-        e = tuple(x - y for x, y in zip(qs[j], qs[i]))
-        de = [_idot(a, e) for a in normals]
-        for ra, rb in ridges:
-            x, y = de[ra], de[rb]
-            if x * y < 0:
-                yield primitive(tuple(y * p - x * q
-                                      for p, q in zip(normals[ra], normals[rb])))
-
-
-def _face_bases(K: Polytope) -> dict[int, list[list[tuple[int, ...]]]]:
-    """A basis of the direction space of each face of K, by dimension, for
-    dimensions 2 to n - 3, in the face lattice's order: the nonzero rows of
-    the Bareiss echelon form of a face's vertex differences.
-    """
-    ps = K._int_vertices
-    bases = {}
-    for d in range(2, K.dim - 2):
-        bases[d] = []
-        for face in _face_lattice(K)[d]:
-            base = ps[face[0]]
-            rows = _echelon([tuple(a - b for a, b in zip(ps[i], base))
-                             for i in face[1:]])[0]
-            bases[d].append([tuple(r) for r in rows[:d]])
-    return bases
-
-
-def _sum_candidate_lines(K: Polytope, L: Polytope):
-    """Candidate facet normals of K + L, n >= 2: see ``_sum_facet_supports``."""
-    n = K.dim
-    for body in (K, L):
-        for f in body.facets:
-            yield f.normal
-    if n >= 3:
-        yield from _ridge_crossings(K, L)
-        # for L = -K the swapped pass yields the same lines negated
-        if not (L._int_scale == K._int_scale and L._int_vertices ==
-                sorted(tuple(-c for c in p) for p in K._int_vertices)):
-            yield from _ridge_crossings(L, K)
-    if n >= 5:
-        faces_k, faces_l = _face_bases(K), _face_bases(L)
-        for d in range(2, n - 2):
-            for basis_f in faces_k[d]:
-                for basis_g in faces_l[n - 1 - d]:
-                    w = cofactor_normal(basis_f + basis_g, n)
-                    if any(w):
-                        yield w
-
-
-def _sum_facet_supports(K: Polytope, L: Polytope):
-    """Each facet normal u of K + L, with the vertex ids of F_K(u) and F_L(u).
-
-    Every facet of K + L is F + G with F = F_K(u) and G = F_L(u) (Ziegler,
-    Lectures on Polytopes, 7.1; Fukuda, J. Symbolic Comput. 38, 2004), so its
-    normal is fixed by a pair of faces, one from each summand.  The candidate
-    lines are, for n >= 2:
-
-    - the facet normals of K and of L;
-    - for n >= 3, each ridge-edge crossing: for a ridge of K with facet
-      normals a and b and an edge vector e of L with (a.e)(b.e) < 0, the line
-      of (b.e) a - (a.e) b; and the same with K and L swapped;
-    - for n >= 5, each pair of faces F of K and G of L with dim F, dim G in
-      [2, n-3], dim F + dim G = n - 1 and independent direction spaces: the
-      cofactor normal of a basis of their directions.
-
-    These are all the facet normals.  If F or G is a facet, u is in the first
-    list.  If F is a ridge of K, with normal cone cone(a, b), then G has an
-    edge e outside lin F, since lin F + lin G = u^perp; u is the one line of
-    cone(a, b) orthogonal to e, and u = s a + t b with s, t > 0 forces
-    (a.e)(b.e) < 0 (were it 0, u would be a or b, already listed).  Likewise
-    when G is a ridge of L.  Otherwise dim F, dim G <= n - 3, and
-    dim F + dim G >= n - 1 forces n >= 5.  If W = lin F n lin G is 0,
-    (F, G) is in the third list.  Otherwise F has a face F' with
-    lin F' + W = lin F, a direct sum: project F along W,
-    fix a generic c on W, and take the faces of F that carry the c-highest
-    point of each fibre.  Then F' + G spans u^perp with dim F' =
-    n - 1 - dim G in [2, n - 3], so (F', G) is in the third list.
-
-    Each new line through the origin is verified exactly for both of its
-    signs, with the summand faces read off one set of vertex values (maximum
-    for the line, minimum for its negative).  A candidate is a facet normal
-    when the two faces together span n - 1 dimensions, which needs at least
-    n + 1 vertices between them.  At n = 1 the one line is (1,).
-    """
-    n = K.dim
-    ps, qs = K._int_vertices, L._int_vertices
-    seen_lines: set = set()
-    for w in _sum_candidate_lines(K, L) if n > 1 else [(1,)]:
-        line = _lex_positive(w)
-        if line in seen_lines:
-            continue
-        seen_lines.add(line)
-        vals_k = [_idot(line, p) for p in ps]
-        vals_l = [_idot(line, q) for q in qs]
-        for sign, top_k, top_l in ((1, max(vals_k), max(vals_l)),
-                                   (-1, min(vals_k), min(vals_l))):
-            ids_k = [i for i, x in enumerate(vals_k) if x == top_k]
-            ids_l = [i for i, x in enumerate(vals_l) if x == top_l]
-            if len(ids_k) + len(ids_l) < n + 1:
-                continue
-            rows = [tuple(a - b for a, b in zip(ps[i], ps[ids_k[0]])) for i in ids_k[1:]]
-            rows += [tuple(a - b for a, b in zip(qs[i], qs[ids_l[0]])) for i in ids_l[1:]]
-            if int_rank(rows) != n - 1:
-                continue
-            yield (line if sign > 0 else tuple(-c for c in line)), ids_k, ids_l
 
 
 def volume(K: Polytope) -> Rat:

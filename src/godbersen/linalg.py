@@ -1,22 +1,17 @@
 """Exact linear algebra on integer and rational matrices.
 
-Every rank and determinant runs through one fraction-free kernel,
+Every rank, determinant and adjugate runs through one fraction-free kernel,
 ``_echelon``: Bareiss elimination on integer rows, whose every entry is an
-integer minor of the input, so each division is exact (Bareiss 1968).
+integer minor of the input, so each division is exact (Bareiss 1968).  The
+facet kernel of ``geometry`` draws on it twice: the pivot columns of its
+transposed rows pick the first linearly independent rows, and the adjugate
+of those rows gives the first rays.  No normal of a span is formed.
 Rational input is scaled to integers first (``scale_to_integers``), which
 reads each coordinate's numerator and denominator and makes no Fraction.
-
-Normals to spans do not use that kernel: ``span_normals`` takes the cofactor
-normal of every (n-1)-subset of a list of vectors in one exterior-product
-pass, extending each prefix's minors by Laplace expansion along the next row;
-``cofactor_normal`` takes the same steps for a single set of n - 1 vectors.
-The per-subset cofactor route they replaced is their oracle in the tests.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import combinations
 from math import gcd, lcm
 
 
@@ -101,67 +96,3 @@ def adjugate(rows) -> list[list[int]]:
 def int_rank(rows) -> int:
     """Rank of an integer matrix."""
     return len(_echelon(rows)[1])
-
-
-@lru_cache(maxsize=None)
-def _laplace_steps(n: int):
-    """Laplace expansion tables for the minors of rows of length n >= 2.
-
-    ``steps[k][s]`` lists (sign, column, index of a k-minor) whose sum of
-    sign * row[column] * minor is the s-th (k+1)-minor, expanded along a new
-    last row; minors of one size are indexed by their column subsets in
-    ``combinations`` order.  The last table is folded into the normal: its
-    j-th entry gives (-1)^j times the minor that omits column j.
-    """
-    index = [{cols: i for i, cols in enumerate(combinations(range(n), k))}
-             for k in range(n)]
-    steps = [[tuple(((-1) ** (k + p), t, index[k][cols[:p] + cols[p + 1:]])
-                    for p, t in enumerate(cols))
-              for cols in combinations(range(n), k + 1)]
-             for k in range(n - 1)]
-    last = steps[-1]
-    steps[-1] = [tuple(((-1) ** j * s, t, q) for s, t, q in last[n - 1 - j])
-                 for j in range(n)]
-    return steps
-
-
-def span_normals(dirs, n: int):
-    """Integer normal of each (n-1)-combination of integer vectors, n >= 2.
-
-    Yields, in ``itertools.combinations`` order, the vector whose j-th
-    component is (-1)^j times the (n-1)-minor omitting column j, reduced to
-    coprime integers: the zero vector when the combination does not span an
-    (n-1)-dimensional space, else a nonzero normal to it (cofactor rule).
-    The combinations are walked depth first, and each prefix's minors are
-    extended by one Laplace expansion along the new row, so every prefix is
-    expanded once for all its extensions.
-    """
-    steps = _laplace_steps(n)
-    depth = n - 1
-    total = len(dirs)
-
-    def walk(minors, start, k):
-        table = steps[k]
-        for i in range(start, total - depth + k + 1):
-            r = dirs[i]
-            nxt = [sum(s * r[t] * minors[q] for s, t, q in terms) for terms in table]
-            if k + 1 == depth:
-                yield primitive(nxt)
-            else:
-                yield from walk(nxt, i + 1, k + 1)
-
-    return walk([1], 0, 0)
-
-
-def cofactor_normal(rows, n: int) -> tuple[int, ...]:
-    """Coprime integer normal of n - 1 integer rows of length n, n >= 2.
-
-    The j-th component is (-1)^j times the minor omitting column j, built by
-    the Laplace steps of ``span_normals`` for this one combination: the zero
-    vector when the rows are dependent.
-    """
-    minors = [1]
-    for table, r in zip(_laplace_steps(n), rows):
-        minors = [sum(s * r[t] * minors[q] for s, t, q in terms) for terms in table]
-    return primitive(minors)
-

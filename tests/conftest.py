@@ -1,4 +1,4 @@
-"""Shared corpora, and the Minkowski sum kept as a reference.
+"""Shared corpora, and the Minkowski sum and face lattice kept as references.
 
 The acceptance corpus is 300 seeded random polytopes (100 each in dimensions
 2, 3, 4; 80 generic hulls plus 20 origin-symmetric per dimension).  Heavy
@@ -14,7 +14,6 @@ from fractions import Fraction as F
 import pytest
 
 from godbersen import (
-    DegenerateInput,
     DimensionMismatch,
     FeasibilityResult,
     GenSpec,
@@ -35,11 +34,8 @@ from godbersen import geometry
 
 
 def minkowski_sum(K: Polytope, L: Polytope) -> Polytope:
-    """Minkowski sum of two polytopes of the same dimension.
-
-    Equals the hull of all pairwise vertex sums.  The facets come from
-    ``_sum_facet_supports``, which sidesteps hulling the quadratic point
-    cloud; each is checked against that cloud on the common lattice.  The
+    """Minkowski sum of two polytopes of the same dimension: the hull of all
+    pairwise vertex sums, taken on the common lattice of K and L.  The
     program builds no sum (``mv_profile`` and ``bm_check`` read the Cayley
     fan); the tests compare those with this sum.
     """
@@ -47,16 +43,42 @@ def minkowski_sum(K: Polytope, L: Polytope) -> Polytope:
     if L.dim != n:
         raise DimensionMismatch(f"cannot add bodies of dim {K.dim} and {L.dim}")
     m, ps, qs = geometry._common_lattice(K, L)
-    facets = sorted((w, geometry._idot(w, ps[ik[0]]) + geometry._idot(w, qs[il[0]]))
-                    for w, ik, il in geometry._sum_facet_supports(K, L))
     sums = sorted({tuple(x + y for x, y in zip(p, q)) for p in ps for q in qs})
-    raw_facets = []
-    for w, offset in facets:
-        vals = [geometry._idot(w, p) for p in sums]
-        if max(vals) > offset:
-            raise DegenerateInput("sum point escapes a claimed facet")
-        raw_facets.append((w, offset, tuple(i for i, v in enumerate(vals) if v == offset)))
-    return geometry._from_lattice(sums, m, raw_facets)
+    return geometry._from_lattice(sums, m, geometry._hull_facets_int(sums, n))
+
+
+def face_lattice(body) -> list[dict[tuple[int, ...], tuple[int, ...]]]:
+    """The face lattice of a body, built from its facets: level d, d = 0..n,
+    maps each d-face's sorted vertex ids to the sorted indices of the facets
+    holding it, in order of the vertex ids.
+
+    Below the facets, a level holds the facets of the faces one level up: a
+    face g's are its inclusion-maximal intersections with the facets not
+    holding g, and such an h is held by g's facets and by those that cut g
+    in h.
+    """
+    facets = [frozenset(f.vertex_ids) for f in body.facets]
+    below = {f: (k,) for k, f in enumerate(facets)}
+    levels = [{tuple(range(len(body.vertices))): ()}]
+    while True:
+        levels.append(dict(sorted((tuple(sorted(g)), on) for g, on in below.items())))
+        if len(levels) > body.dim:
+            break
+        upper, below = below, {}
+        for g, on in upper.items():
+            subs: dict = {}
+            for k, f in enumerate(facets):
+                if k not in on:
+                    subs.setdefault(g & f, []).append(k)
+            for h, ks in subs.items():
+                if h not in below and not any(map(h.__lt__, subs)):
+                    below[h] = tuple(sorted(on + tuple(ks)))
+    return levels[::-1]
+
+
+def edges(body) -> list[tuple[int, int]]:
+    """Vertex-index pairs forming 1-faces, from the face lattice."""
+    return list(face_lattice(body)[1])
 
 
 def corpus_specs() -> list[GenSpec]:

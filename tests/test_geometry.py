@@ -30,13 +30,12 @@ from godbersen import (
     volume,
 )
 from godbersen import geometry, linalg
-from godbersen.geometry import Polytope, _hull_facets_int, _simplex_int_volume
-from godbersen.linalg import int_rank, scale_to_integers
-from godbersen.mixedvol import mv_profile
+from godbersen.geometry import Polytope, _cone_rays, _hull_facets_int, _simplex_int_volume
+from godbersen.linalg import _echelon, int_rank, scale_to_integers
 from godbersen.rationals import as_rat, dot
 from godbersen.sections import section_profile
-from tests.conftest import corpus_specs, minkowski_sum
-from tests.test_linalg import det, fraction_rank, normal_to_span
+from tests.conftest import corpus_specs, edges, face_lattice, minkowski_sum
+from tests.test_linalg import det, fraction_rank, normal_to_span, span_normals
 
 TRIANGLE = [(0, 0), (1, 0), (0, 1)]
 SQUARE = [(0, 0), (1, 0), (0, 1), (1, 1)]
@@ -74,6 +73,18 @@ def rational_points_in(body, count, rng):
             sum(F(w) * v[c] for w, v in zip(weights, verts)) / total
             for c in range(body.dim)))
     return pts
+
+
+def lex_positive(vec):
+    """The one of vec and -vec whose first nonzero entry is positive."""
+    for c in vec:
+        if c:
+            return vec if c > 0 else tuple(-x for x in vec)
+    return vec
+
+
+def moment_curve(count, n):
+    return [tuple(t ** e for e in range(1, n + 1)) for t in range(count)]
 
 
 def random_polytope(rng, dim, npts, denom=3):
@@ -117,19 +128,29 @@ class TestBuildHull:
             build_hull([(0, 0), (1, 1)])
 
     def test_subset_cap_raises_before_enumerating(self, monkeypatch):
-        # C(108, 3) = 204,156 triples exceed the default cap of 200,000
+        # one double description step on the moment curve in R^6 would test
+        # 252,700 ray pairs, over the default cap of 200,000
         monkeypatch.delenv("GODBERSEN_SUBSET_CAP", raising=False)
-        curve = [(t, t * t, t ** 3) for t in range(108)]
-        with pytest.raises(CombinatorialBlowup, match="GODBERSEN_SUBSET_CAP"):
-            build_hull(curve)
+        with pytest.raises(CombinatorialBlowup,
+                           match=r"hull of 30 points in R\^6: 252700 ray pairs exceed"
+                                 r".*GODBERSEN_SUBSET_CAP"):
+            build_hull(moment_curve(30, 6))
+
+    def test_moment_curve_builds(self, monkeypatch):
+        # its C(108, 3) = 204,156 triples once exceeded the cap; the points
+        # are in general position, so the hull is simplicial with 2 V - 4
+        # triangles
+        monkeypatch.delenv("GODBERSEN_SUBSET_CAP", raising=False)
+        body = build_hull(moment_curve(108, 3))
+        assert len(body.vertices) == 108 and len(body.facets) == 212
 
     def test_subset_cap_env_override(self, monkeypatch):
-        # the square's 4 points give C(4, 2) = 6 pairs
-        monkeypatch.setenv("GODBERSEN_SUBSET_CAP", "5")
+        # the square's fourth point separates 2 of the 3 seed rays: 2 pairs
+        monkeypatch.setenv("GODBERSEN_SUBSET_CAP", "1")
         with pytest.raises(CombinatorialBlowup,
-                           match=r"hull of 4 points in R\^2: 6 subsets exceed"):
+                           match=r"hull of 4 points in R\^2: 2 ray pairs exceed"):
             build_hull(SQUARE)
-        monkeypatch.setenv("GODBERSEN_SUBSET_CAP", "6")
+        monkeypatch.setenv("GODBERSEN_SUBSET_CAP", "2")
         assert len(build_hull(SQUARE).facets) == 4
 
     @pytest.mark.parametrize("value", ["x", "2.5", ""])
@@ -403,16 +424,16 @@ def square_times_octahedron() -> Polytope:
 class TestEdges:
     def test_cube_edges(self):
         cube = build_hull([(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)])
-        assert len(cube.edges()) == 12
+        assert len(edges(cube)) == 12
         assert edge_directions(cube) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
 
     def test_simplex_edges_complete_graph(self):
         s = build_hull([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
-        assert sorted(s.edges()) == sorted(combinations(range(4), 2))
+        assert sorted(edges(s)) == sorted(combinations(range(4), 2))
 
     def test_segment(self):
         # in dim 1 the one edge is the body itself, on no common facet
-        assert build_hull([(F(-1, 2),), (3,), (1,)]).edges() == [(0, 1)]
+        assert edges(build_hull([(F(-1, 2),), (3,), (1,)])) == [(0, 1)]
 
     def test_square_diagonals_in_dim_5(self):
         # Up to dim 4, two vertices on n-1 common facets always span an edge.
@@ -421,8 +442,8 @@ class TestEdges:
         # are no edges.
         body = square_times_octahedron()
         assert len(body.vertices) == 24
-        assert len(body.edges()) == 4 * 6 + 4 * 12
-        assert body.edges() == rank_edges(body)
+        assert len(edges(body)) == 4 * 6 + 4 * 12
+        assert edges(body) == rank_edges(body)
 
 
 # The facet re-hull route that the incidence route replaced.  Each facet is
@@ -523,7 +544,7 @@ def oracle_bodies(step):
 
 
 # The rank rules that the incidence rules replaced, kept as the oracles of
-# the vertex test in ``_from_lattice`` and of ``Polytope.edges``: a candidate
+# the vertex test in ``_from_lattice`` and of ``conftest.edges``: a candidate
 # point is a vertex iff the normals of its facets have rank n, and two
 # vertices span an edge iff the normals of their common facets have rank n - 1.
 
@@ -552,9 +573,9 @@ def rank_edges(body):
     return pairs
 
 
-# The incidence rules that the face lattice replaced, kept as its oracles:
-# edges by vertex pairs, ridges by facet pairs, and face bases by a descent
-# of their own through the levels below the facets.
+# Oracles of ``conftest.face_lattice``: edges by vertex pairs, ridges by
+# facet pairs, and the faces of dimensions 2 to n - 3 by a descent of their
+# own through the levels below the facets.
 
 def pair_edges(body):
     """Vertex pairs whose (at least n-1) common facets share no other vertex."""
@@ -580,14 +601,13 @@ def pair_ridges(body):
     return pairs
 
 
-def descent_face_bases(body):
-    """Echelon bases of the faces of dimensions 2 to n - 3, each level the
-    inclusion-maximal proper intersections of the level above with the
-    facets."""
+def descent_faces(body):
+    """The sorted vertex ids of the faces of each dimension 2 to n - 3, each
+    level the inclusion-maximal proper intersections of the level above with
+    the facets."""
     facets = [frozenset(f.vertex_ids) for f in body.facets]
-    ps = body._int_vertices
     level = set(facets)
-    bases = {}
+    faces = {}
     for d in range(body.dim - 2, 1, -1):
         below = set()
         for g in level:
@@ -595,55 +615,44 @@ def descent_face_bases(body):
             subs.discard(g)
             below.update(h for h in subs if not any(h < k for k in subs))
         if d <= body.dim - 3:
-            bases[d] = []
-            for face in sorted(map(sorted, below)):
-                base = ps[face[0]]
-                rows = linalg._echelon([tuple(a - b for a, b in zip(ps[i], base))
-                                        for i in face[1:]])[0]
-                bases[d].append([tuple(r) for r in rows[:d]])
+            faces[d] = sorted(tuple(sorted(h)) for h in below)
         level = below
-    return bases
-
-
-def fresh_lattice(body):
-    """The face lattice built from the body's facets, on a copy without the
-    lattice it carries."""
-    return geometry._face_lattice(Polytope(
-        body.dim, body._int_vertices, body._int_scale, body.facets, body._simplices,
-        body._fan_volumes, body._centroid_num, body._centroid_den))
+    return faces
 
 
 def f_vector(body):
-    return [len(level) for level in geometry._face_lattice(body)]
+    return [len(level) for level in face_lattice(body)]
 
 
-def dim_5_recipe_bodies():
-    return [generate(GenSpec("random_hull", 5, vertex_count=8, seed=seed,
-                             denominator_bound=2)) for seed in (1, 2, 3)]
+def recipe_bodies():
+    """The dim-5 and dim-6 recipe bodies: random_hull, V = 8, denominator
+    bound 2, seeds 1-3."""
+    return [generate(GenSpec("random_hull", dim, vertex_count=8, seed=seed,
+                             denominator_bound=2))
+            for dim in (5, 6) for seed in (1, 2, 3)]
 
 
 class TestFaceLattice:
     def test_matches_incidence_oracles(self, corpus):
         rng = random.Random(18)
-        bodies = [square_times_octahedron()] + dim_5_recipe_bodies()
+        bodies = [square_times_octahedron()] + recipe_bodies()[:3]
         for _, body in corpus:
             bodies += [body] + [image_of(body, mat, shift)[0]
                                 for mat, shift in affine_maps(rng, body.dim)]
         assert len(bodies) == 4 + 300 * 7
         for body in bodies:
-            assert body.edges() == pair_edges(body)
-            assert geometry._ridges(body) == pair_ridges(body)
-            assert geometry._face_bases(body) == descent_face_bases(body)
+            lattice = face_lattice(body)
+            assert list(lattice[1]) == pair_edges(body)
+            assert sorted(lattice[body.dim - 2].values()) == pair_ridges(body)
+            assert {d: list(lattice[d]) for d in range(2, body.dim - 2)} == \
+                descent_faces(body)
 
     def test_f_vectors(self):
         for n in (2, 3, 4, 5):
             assert f_vector(cross_polytope(n)) == \
                 [2 ** (d + 1) * comb(n, d + 1) for d in range(n)] + [1]
             assert f_vector(standard_simplex(n)) == [comb(n + 1, d + 1) for d in range(n + 1)]
-            # the dim-5 cube's 32 points exceed the subset cap of build_hull
-            if n < 5:
-                assert f_vector(unit_cube(n)) == \
-                    [comb(n, d) * 2 ** (n - d) for d in range(n + 1)]
+            assert f_vector(unit_cube(n)) == [comb(n, d) * 2 ** (n - d) for d in range(n + 1)]
 
     def test_euler_poincare(self, corpus):
         bodies = [body for _, body in corpus] + [square_times_octahedron()]
@@ -675,7 +684,7 @@ def assert_matches_rank_rules(calls):
         kept = rank_vertices(ipts, raw_facets)
         assert body.vertices == tuple(tuple(F(c, mult) for c in ipts[i])
                                       for i in kept)
-        assert body.edges() == rank_edges(body)
+        assert edges(body) == rank_edges(body)
 
 
 class TestIncidenceAssembly:
@@ -737,21 +746,26 @@ def recursive_pulling_fan(face, cands):
             for s in recursive_pulling_fan(g, subs)]
 
 
+def cayley_rows(K, L):
+    """The rows of the cone over the Cayley polytope of K and L, as
+    ``_cayley_mixed_volumes`` builds them: (p, 0, 1) for the vertices p of
+    K, then (q, m, 1) for those of L, on their common lattice m."""
+    m, ps, qs = geometry._common_lattice(K, L)
+    return [p + (0, 1) for p in ps] + [q + (m, 1) for q in qs]
+
+
 def cayley_faces(K, L):
     """The facets of the Cayley polytope of K and L as vertex-id sets, the
-    vertices of L numbered after those of K, as ``_cayley_mixed_volumes``
-    lists them."""
-    vk = len(K._int_vertices)
-    faces = [frozenset(range(vk)), frozenset(range(vk, vk + len(L._int_vertices)))]
-    return faces + [frozenset(ik).union(vk + i for i in il)
-                    for _, ik, il in geometry._sum_facet_supports(K, L)]
+    vertices of L numbered after those of K."""
+    return [frozenset(geometry._ids(tight))
+            for _, tight in _cone_rays(cayley_rows(K, L), "Cayley polytope")]
 
 
 class TestPullingFan:
     def test_matches_recursive_oracle(self, corpus):
         # every facet of every 5th corpus body and of two dim-5 recipe
         # bodies, and every Cayley facet of (K, -K) and of (K, next body)
-        bodies = [body for _, body in corpus[::5]] + dim_5_recipe_bodies()[:2]
+        bodies = [body for _, body in corpus[::5]] + recipe_bodies()[:2]
         families = [[frozenset(f.vertex_ids) for f in body.facets] for body in bodies]
         for body, nxt in zip(bodies, bodies[1:]):
             families.append(cayley_faces(body, reflect(body)))
@@ -899,6 +913,20 @@ class TestIntegerBodies:
         assert moved.facets == body.facets
 
 
+def relabelled_lattice(body, image, pts):
+    """The face lattice of body with vertex i renamed to the index of pts[i]
+    among the image's vertices, and each facet to the image facet on the
+    renamed vertices."""
+    new = {i: image.vertices.index(p) for i, p in enumerate(pts)}
+    fids = {frozenset(f.vertex_ids): k for k, f in enumerate(image.facets)}
+    fnew = {k: fids[frozenset(map(new.get, f.vertex_ids))]
+            for k, f in enumerate(body.facets)}
+    return [dict(sorted((tuple(sorted(map(new.get, face))),
+                         tuple(sorted(map(fnew.get, on))))
+                        for face, on in level.items()))
+            for level in face_lattice(body)]
+
+
 class TestReflect:
     def test_matches_rebuilt_hull(self, corpus):
         rng = random.Random(13)
@@ -915,9 +943,8 @@ class TestReflect:
                 assert image.centroid == rebuilt.centroid
                 assert image._int_vertices == rebuilt._int_vertices
                 assert image._int_scale == rebuilt._int_scale
-                # the face lattice is K's, relabelled, with no incidence pass
-                assert image._lattice[0] is body
-                assert geometry._face_lattice(image) == fresh_lattice(image)
+                # the face lattice is K's, relabelled
+                assert face_lattice(image) == relabelled_lattice(body, image, pts)
                 # the fan is K's, relabelled: a triangulation of the image
                 assert_fan_volumes(image)
                 assert F(sum(image._fan_volumes),
@@ -960,13 +987,13 @@ class TestReflect:
         assert calls == []
 
 
-# The per-subset routes kept as oracles.  The hull's oracle gives each
-# d-subset of points its own cofactor normal, as before ``linalg.span_normals``.
-# The sum's oracle takes a candidate normal from every (n-1)-subset of the
-# summands' edge directions, the walk that the face-pair candidates of
-# ``_sum_facet_supports`` replaced; it gets them from ``span_normals``, which
-# ``test_span_normals_match_cofactor_oracle`` holds to the per-subset
-# cofactors, and reads each candidate's summand faces by a separate argmax.
+# The per-subset routes kept as oracles of the double description kernel.
+# The hull's oracle gives each d-subset of points its own cofactor normal.
+# The oracle of the Cayley polytope's facets over K + L takes a candidate
+# normal from every (n-1)-subset of the summands' edge directions; it gets
+# them from ``span_normals``, which ``test_span_normals_match_cofactor_oracle``
+# holds to the per-subset cofactors, and reads each candidate's summand faces
+# by a separate argmax.
 
 def subset_hull_facets(pts, d):
     tested = set()
@@ -978,7 +1005,7 @@ def subset_hull_facets(pts, d):
         if all(c == 0 for c in w):
             continue
         b = geometry._idot(w, base)
-        key = (w, b) if geometry._lex_positive(w) == w else (tuple(-c for c in w), -b)
+        key = (w, b) if lex_positive(w) == w else (tuple(-c for c in w), -b)
         if key in tested:
             continue
         tested.add(key)
@@ -1008,10 +1035,10 @@ def argmax_face(K, w):
 def edge_directions(body):
     """Primitive integer edge directions, sign-normalized, deduplicated."""
     dirs = set()
-    for i, j in body.edges():
+    for i, j in edges(body):
         d = linalg.primitive(tuple(a - b for a, b in
                                    zip(body._int_vertices[i], body._int_vertices[j])))
-        dirs.add(geometry._lex_positive(d))
+        dirs.add(lex_positive(d))
     return sorted(dirs)
 
 
@@ -1022,10 +1049,10 @@ def subset_sum_facet_supports(K, L):
     dirs = sorted(set(edge_directions(K)) | set(edge_directions(L)))
     seen_lines = set()
     supports = []
-    for w in linalg.span_normals(dirs, n) if n > 1 else [(1,)]:
+    for w in span_normals(dirs, n) if n > 1 else [(1,)]:
         if all(c == 0 for c in w):
             continue
-        line = geometry._lex_positive(w)
+        line = lex_positive(w)
         if line in seen_lines:
             continue
         seen_lines.add(line)
@@ -1038,6 +1065,20 @@ def subset_sum_facet_supports(K, L):
                      for i in face_l[1:]]
             if int_rank(rows) == n - 1:
                 supports.append((cand, face_k, face_l))
+    return sorted(supports)
+
+
+def dd_sum_facet_supports(K, L):
+    """Sorted (u, ids of F_K(u), ids of F_L(u)) over the facets of the
+    Cayley polytope of K and L other than its two ends: u is the coprime
+    part of the ray's first n entries, a facet normal of K + L."""
+    n, vk = K.dim, len(K._int_vertices)
+    supports = []
+    for ray, tight in _cone_rays(cayley_rows(K, L), "Cayley polytope"):
+        if any(ray[:n]):
+            ids = geometry._ids(tight)
+            supports.append((linalg.primitive(ray[:n]), [i for i in ids if i < vk],
+                             [i - vk for i in ids if i >= vk]))
     return sorted(supports)
 
 
@@ -1083,11 +1124,11 @@ class TestSubsetOracles:
                                  subset_minkowski_sum(body, other))
 
     def test_sum_facet_supports_matches_subset_route(self, corpus):
+        # the mixed facets of the Cayley polytope, from the double
+        # description kernel, against the edge-direction subsets
         pairs = []
         for n in (2, 3, 4, 5):
-            # the dim-5 cube's 32 points exceed the subset cap of build_hull
-            standard = [cross_polytope(n), standard_simplex(n)]
-            standard += [unit_cube(n)] if n < 5 else []
+            standard = [cross_polytope(n), standard_simplex(n), unit_cube(n)]
             for body in standard:
                 pairs += [(body, other) for other in standard if other is not body]
                 pairs += [(body, reflect(other)) for other in standard]
@@ -1098,59 +1139,22 @@ class TestSubsetOracles:
                 shear[i][n - 1] = F(2 * i - 1, 3)
             shift = tuple(F((-1) ** k * (k + 1), 7) for k in range(n))
             pairs += [(body, transform(body, shear, shift)), (body, scale(body, 2))]
-        recipes = [generate(GenSpec("random_hull", 5, vertex_count=8, seed=seed,
-                                    denominator_bound=2)) for seed in (1, 2, 3)]
+        recipes = recipe_bodies()[:3]
         for body, nxt in zip(recipes, recipes[1:] + recipes[:1]):
             pairs += [(body, reflect(body)), (body, nxt)]
         for body, other in pairs:
-            got = sorted(geometry._sum_facet_supports(body, other))
-            assert got == subset_sum_facet_supports(body, other)
-        assert len(pairs) == 69
-
-    def test_reflected_pair_skips_the_swapped_ridge_pass(self, corpus, monkeypatch):
-        calls = []
-        crossings = geometry._ridge_crossings
-
-        def spy(K, L):
-            calls.append((K, L))
-            return crossings(K, L)
-
-        monkeypatch.setattr(geometry, "_ridge_crossings", spy)
-        for _, body in corpus[100::50]:
-            # scale(body, -m) has the negated lattice points of body on the
-            # unit lattice, so it is no reflection for m > 1
-            assert body._int_scale > 1
-            for other in (reflect(body), scale(body, 2), scale(body, -body._int_scale),
-                          translate(reflect(body), (1,) * body.dim)):
-                calls.clear()
-                list(geometry._sum_facet_supports(body, other))
-                assert calls == ([(body, other)] if other == reflect(body)
-                                 else [(body, other), (other, body)])
-
-    def test_sum_walks_no_edge_subsets(self, corpus, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("span_normals called")
-
-        bodies = [body for _, body in corpus[::60]]
-        bodies.append(generate(GenSpec("random_hull", 5, vertex_count=8, seed=1,
-                                       denominator_bound=2)))
-        monkeypatch.setattr(linalg, "span_normals", refuse)
-        monkeypatch.setattr(geometry, "span_normals", refuse)
-        for body, nxt in zip(bodies, bodies[1:] + bodies[:1]):
-            mv_profile(body, reflect(body))
-            minkowski_sum(body, reflect(body))
-            if nxt.dim == body.dim:
-                mv_profile(body, nxt)
-                minkowski_sum(body, nxt)
+            assert dd_sum_facet_supports(body, other) == \
+                subset_sum_facet_supports(body, other)
+        assert len(pairs) == 78
 
     def test_hull_matches_subset_route(self, corpus):
-        pairs, extra = subset_oracle_bodies(corpus)
+        _, extra = subset_oracle_bodies(corpus)
         rng = random.Random(17)
-        clouds = [list(body.vertices) for body, _ in pairs]
-        clouds += [list(body.vertices) for body in extra]
+        clouds = [list(body.vertices) for _, body in corpus]
+        clouds += [list(body.vertices) for body in extra + recipe_bodies()]
         # clouds with interior and coplanar points on a small grid
         for dim in (2, 3, 4, 5):
-            for _ in range(4):
+            for _ in range(24):
                 clouds.append([tuple(F(rng.randint(-2, 2), rng.randint(1, 2))
                                      for _ in range(dim)) for _ in range(dim + 6)])
         clouds.append([(x, y, x + y) for x in range(3) for y in range(3)])
@@ -1164,4 +1168,78 @@ class TestSubsetOracles:
                 continue
             assert_same_polytope(build_hull(pts), expected)
             built += 1
-        assert built > 40
+        assert built > 380
+
+
+# The double description kernel.  Its rays and tight rows cannot depend on
+# the order in which the rows after the seed are inserted.  The per-subset
+# oracles above check the facets it gives; at dim 6, where the subset walk
+# over edge directions is too slow, the hull of the pairwise vertex sums
+# checks the Cayley facets.
+
+def ray_set(rows, order):
+    """The rays of ``rows`` taken in ``order``, with their tight rows named
+    by their index in ``rows``."""
+    return {(ray, frozenset(order[i] for i in geometry._ids(tight)))
+            for ray, tight in _cone_rays([rows[i] for i in order], "rows")}
+
+
+def reordered_after_seed(rows, rng):
+    """The seed rows first, in their order, and the other rows shuffled."""
+    seed = _echelon(list(zip(*rows)))[1]
+    rest = [i for i in range(len(rows)) if i not in seed]
+    rng.shuffle(rest)
+    return seed + rest
+
+
+class TestConeRays:
+    def test_row_order_after_the_seed(self, corpus):
+        rng = random.Random(23)
+        bodies = [body for _, body in corpus]
+        recipes = recipe_bodies()
+        inputs = [[p + (1,) for p in body._int_vertices] for body in bodies + recipes]
+        for group in (bodies, recipes):
+            for body, nxt in zip(group, group[1:] + group[:1]):
+                inputs.append(cayley_rows(body, reflect(body)))
+                if nxt.dim == body.dim:
+                    inputs.append(cayley_rows(body, nxt))
+        for rows in inputs:
+            expected = ray_set(rows, list(range(len(rows))))
+            for _ in range(2):
+                assert ray_set(rows, reordered_after_seed(rows, rng)) == expected
+        # 306 hulls, 597 corpus and 10 recipe Cayley polytopes
+        assert len(inputs) == 913
+
+    def test_seed_rays(self):
+        # the simplex's seed rays are its facets: -x_j <= 0 and x1 + x2 <= 1
+        rows = [(0, 0, 1), (1, 0, 1), (0, 1, 1)]
+        assert sorted(_cone_rays(rows, "rows")) == [
+            ((-1, 0, 0), 0b101), ((0, -1, 0), 0b011), ((1, 1, -1), 0b110)]
+
+    def test_recipe_cayley_facets_match_the_sum(self):
+        # the mixed Cayley facets against the facets of K + L, hulled from
+        # the pairwise vertex sums, with each summand face by argmax
+        recipes = recipe_bodies()
+        for body, nxt in zip(recipes, recipes[1:] + recipes[:1]):
+            for other in (reflect(body), nxt):
+                if other.dim != body.dim:
+                    continue
+                expected = sorted((f.normal, argmax_face(body, f.normal),
+                                   argmax_face(other, f.normal))
+                                  for f in minkowski_sum(body, other).facets)
+                assert dd_sum_facet_supports(body, other) == expected
+
+    def test_bound_decides_adjacency_in_general_position(self, monkeypatch):
+        # any 4 rows (p, 1) of the moment curve in R^3 are independent, so
+        # two rays with k - 2 = 2 common tight rows span a 2-face: every pair
+        # that passes the bound is adjacent, and each third-ray scan the
+        # kernel makes yields a new ray
+        scans, made = [], []
+        rays_on, primitive = geometry._rays_on, geometry.primitive
+        monkeypatch.setattr(geometry, "_rays_on",
+                            lambda z, tights: scans.append(z) or rays_on(z, tights))
+        monkeypatch.setattr(geometry, "primitive",
+                            lambda vec: made.append(vec) or primitive(vec))
+        rays = _cone_rays([p + (1,) for p in moment_curve(40, 3)], "rows")
+        assert len(rays) == 2 * (40 - 2)
+        assert len(scans) == len(made) - 4 > len(rays)

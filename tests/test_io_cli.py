@@ -237,13 +237,27 @@ class TestCli:
         assert "Traceback" not in err
 
     def test_too_many_points_is_an_error(self, tmp_path, capsys, monkeypatch):
+        # a hull step over 252,700 ray pairs of the moment curve in R^6
         monkeypatch.delenv("GODBERSEN_SUBSET_CAP", raising=False)
         path = tmp_path / "in.json"
-        curve = [[str(t), str(t * t), str(t ** 3)] for t in range(108)]
-        path.write_text(json.dumps({"dim": 3, "vertices": curve}))
+        curve = [[str(t ** e) for e in range(1, 7)] for t in range(30)]
+        path.write_text(json.dumps({"dim": 6, "vertices": curve}))
         assert main(["verify", "--input", str(path)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "GODBERSEN_SUBSET_CAP" in err
+        assert err.startswith("error:") and "252700 ray pairs" in err
+        assert "GODBERSEN_SUBSET_CAP" in err
+
+    def test_gen_and_verify_the_5_cube(self, tmp_path, capsys, monkeypatch):
+        # its 32 vertices once gave C(32, 5) = 201,376 subsets, over the cap
+        monkeypatch.delenv("GODBERSEN_SUBSET_CAP", raising=False)
+        out = tmp_path / "cube.json"
+        assert main(["gen", "--kind", "cube", "--dim", "5", "--out", str(out)]) == 0
+        assert len(json.loads(out.read_text())["vertices"]) == 32
+        capsys.readouterr()
+        assert main(["verify", "--input", str(out)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["volume"] == "1"
+        assert all(e["mixed"] == "1" for e in report["entries"])
 
     @pytest.mark.parametrize("command, dim", [
         ("verify", True), ("verify", False), ("verify", 1.0), ("helly", True)])

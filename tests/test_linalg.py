@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
@@ -8,12 +9,10 @@ from godbersen.errors import SingularMatrix
 from godbersen.linalg import (
     _echelon,
     adjugate,
-    cofactor_normal,
     int_det,
     int_rank,
     primitive,
     scale_to_integers,
-    span_normals,
 )
 
 
@@ -226,8 +225,60 @@ def test_rank():
     assert affine_rank([(0, 0), (1, 0), (0, 1)]) == 2
 
 
-# The per-subset cofactor route that ``span_normals`` replaced, kept as its
-# oracle: one Bareiss determinant per minor.
+# The cofactor normal of every (n-1)-subset of a list of vectors, in one
+# exterior-product pass: the candidate normals of the per-subset oracle of
+# the Cayley facets, ``tests.test_geometry.subset_sum_facet_supports``.  The
+# per-subset cofactor route, one Bareiss determinant per minor, is its oracle.
+
+@lru_cache(maxsize=None)
+def laplace_steps(n: int):
+    """Laplace expansion tables for the minors of rows of length n >= 2.
+
+    ``steps[k][s]`` lists (sign, column, index of a k-minor) whose sum of
+    sign * row[column] * minor is the s-th (k+1)-minor, expanded along a new
+    last row; minors of one size are indexed by their column subsets in
+    ``combinations`` order.  The last table is folded into the normal: its
+    j-th entry gives (-1)^j times the minor that omits column j.
+    """
+    index = [{cols: i for i, cols in enumerate(combinations(range(n), k))}
+             for k in range(n)]
+    steps = [[tuple(((-1) ** (k + p), t, index[k][cols[:p] + cols[p + 1:]])
+                    for p, t in enumerate(cols))
+              for cols in combinations(range(n), k + 1)]
+             for k in range(n - 1)]
+    last = steps[-1]
+    steps[-1] = [tuple(((-1) ** j * s, t, q) for s, t, q in last[n - 1 - j])
+                 for j in range(n)]
+    return steps
+
+
+def span_normals(dirs, n: int):
+    """Integer normal of each (n-1)-combination of integer vectors, n >= 2.
+
+    Yields, in ``itertools.combinations`` order, the vector whose j-th
+    component is (-1)^j times the (n-1)-minor omitting column j, reduced to
+    coprime integers: the zero vector when the combination does not span an
+    (n-1)-dimensional space, else a nonzero normal to it (cofactor rule).
+    The combinations are walked depth first, and each prefix's minors are
+    extended by one Laplace expansion along the new row, so every prefix is
+    expanded once for all its extensions.
+    """
+    steps = laplace_steps(n)
+    depth = n - 1
+    total = len(dirs)
+
+    def walk(minors, start, k):
+        table = steps[k]
+        for i in range(start, total - depth + k + 1):
+            r = dirs[i]
+            nxt = [sum(s * r[t] * minors[q] for s, t, q in terms) for terms in table]
+            if k + 1 == depth:
+                yield primitive(nxt)
+            else:
+                yield from walk(nxt, i + 1, k + 1)
+
+    return walk([1], 0, 0)
+
 
 def normal_to_span(rows, n):
     w = []
@@ -277,10 +328,10 @@ def test_cofactor_normal_matches_oracle():
                 dirs.append(tuple(rng.randint(-4, 4) for _ in range(n)))
             rows = dirs[:n - 1]
             expected = normal_to_span(rows, n)
-            assert cofactor_normal(rows, n) == expected, (n, rows)
+            assert list(span_normals(rows, n)) == [expected], (n, rows)
             zero += not any(expected)
     assert zero > 30
-    assert cofactor_normal([(1, 0, 0), (0, 1, 0)], 3) == (0, 0, 1)
+    assert list(span_normals([(1, 0, 0), (0, 1, 0)], 3)) == [(0, 0, 1)]
 
 
 def test_span_normals_edge_shapes():

@@ -148,8 +148,7 @@ def vandermonde_profile(K, L):
 
 
 def cube_from_facets(n):
-    """The unit n-cube from its known facets: ``build_hull`` refuses its 32
-    points at n = 5 under the default subset cap."""
+    """The unit n-cube from its known facets, the check of ``unit_cube``."""
     pts = list(product((0, 1), repeat=n))
     raw = []
     for w in (tuple(s * (i == k) for i in range(n)) for k in range(n) for s in (1, -1)):
@@ -186,8 +185,7 @@ class TestVandermondeOracle:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_standard_bodies(self, n):
         bodies = [standard_simplex(n), cube_from_facets(n), cross_polytope(n)]
-        if n < 5:
-            assert bodies[1] == unit_cube(n)
+        assert bodies[1] == unit_cube(n) and bodies[1].facets == unit_cube(n).facets
         assert_matches_oracle([(body, reflect(body)) for body in bodies])
         assert_matches_oracle([(bodies[0], bodies[1]), (bodies[2], bodies[0])])
 

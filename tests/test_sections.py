@@ -23,7 +23,7 @@ from godbersen.polynomials import add, derivative, evaluate, mul, trim
 from godbersen.sections import SectionProfile, _level_terms
 from godbersen.rationals import as_vector, dot
 from godbersen.sweep import ROOT_CONCAVITY_DIRECTIONS, _random_direction
-from tests.conftest import corpus_specs
+from tests.conftest import corpus_specs, edges
 from tests.test_geometry import random_polytope
 from tests.test_polynomials import antiderivative
 
@@ -434,7 +434,7 @@ def test_values_match_first_principles_slice():
             for i in range(len(levels) - 1):
                 t = (levels[i] + levels[i + 1]) / 2
                 crossings = []
-                for a, b in body.edges():
+                for a, b in edges(body):
                     va, vb = body.vertices[a], body.vertices[b]
                     ha = sum(F(c) * x for c, x in zip(w, va))
                     hb = sum(F(c) * x for c, x in zip(w, vb))
