@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import comb, factorial, gcd, lcm
 from operator import mul
 
 from .errors import (
@@ -208,6 +208,12 @@ def check_subset_cap(total: int, what: str, unit: str = "subsets") -> None:
             f"{what}: {total} {unit} exceed the cap of {cap}; raise {SUBSET_CAP_ENV}")
 
 
+def _max_facets(v: int, n: int) -> int:
+    """The most facets a polytope in R^n with v >= n + 1 vertices can have:
+    those of the cyclic polytope (McMullen's upper bound theorem, 1970)."""
+    return comb(v - (n + 1) // 2, n // 2) + comb(v - n // 2 - 1, (n + 1) // 2 - 1)
+
+
 def _ids(mask: int) -> tuple[int, ...]:
     """The set bits of ``mask``, ascending."""
     return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
@@ -219,7 +225,7 @@ def _rays_on(z: int, tights: list[int]) -> int:
     return list(map(z.__and__, tights)).count(z)
 
 
-def _cone_rays(rows, what: str) -> list[tuple[tuple[int, ...], int]]:
+def _cone_rays(rows) -> list[tuple[tuple[int, ...], int]]:
     """Extreme rays of the pointed cone {y : a . y <= 0 for every row a}.
 
     The double description method (Motzkin, Raiffa, Thompson and Thrall
@@ -234,9 +240,7 @@ def _cone_rays(rows, what: str) -> list[tuple[tuple[int, ...], int]]:
     a pair with a . r+ > 0 > a . r- gives the ray (a . r+) r- - (a . r-) r+
     if the two are adjacent, that is, if their common tight rows number at
     least k - 2 and no third ray is tight on all of them (the combinatorial
-    adjacency test of Fukuda and Prodon).  A step with more pairs than
-    ``GODBERSEN_SUBSET_CAP`` raises CombinatorialBlowup before it tests any;
-    ``what`` names the input.
+    adjacency test of Fukuda and Prodon).
     """
     k = len(rows[0])
     seed = _echelon(list(zip(*rows)))[1]
@@ -254,7 +258,6 @@ def _cone_rays(rows, what: str) -> list[tuple[tuple[int, ...], int]]:
         vals = [_idot(a, r) for r in rays]
         pos = [j for j, s in enumerate(vals) if s > 0]
         neg = [j for j, s in enumerate(vals) if s < 0]
-        check_subset_cap(len(pos) * len(neg), what, "ray pairs")
         new_rays, new_tights = [], []
         for p in pos:
             sp, rp, tp = vals[p], rays[p], tights[p]
@@ -281,8 +284,7 @@ def _hull_facets_int(pts: list[tuple[int, ...]], d: int):
     affinely span R^d.
     """
     facets = []
-    for ray, tight in _cone_rays([p + (1,) for p in pts],
-                                 f"hull of {len(pts)} points in R^{d}"):
+    for ray, tight in _cone_rays([p + (1,) for p in pts]):
         g = gcd(*ray[:d])
         facets.append((tuple(c // g for c in ray[:d]), -ray[d] // g, _ids(tight)))
     return sorted(facets)
@@ -347,8 +349,7 @@ def _cayley_mixed_volumes(K: Polytope, L: Polytope) -> tuple[Fraction, ...]:
     m, ps, qs = _common_lattice(K, L)
     vk = len(ps)
     pts = [p + (0,) for p in ps] + [q + (m,) for q in qs]
-    faces = [frozenset(_ids(tight)) for _, tight in _cone_rays(
-        [p + (1,) for p in pts], f"Cayley polytope of {len(pts)} points in R^{n + 1}")]
+    faces = [frozenset(_ids(tight)) for _, tight in _cone_rays([p + (1,) for p in pts])]
     raw = [0] * (n + 1)
     for face in faces:
         if 0 in face:
@@ -417,9 +418,11 @@ def _from_lattice(ipts: list[tuple[int, ...]], mult: int, raw_facets) -> Polytop
 def build_hull(points) -> Polytope:
     """Convex hull of rational points; must affinely span the ambient space.
 
-    Facets come from the double description kernel ``_cone_rays``; a step
-    that would test more than ``GODBERSEN_SUBSET_CAP`` ray pairs raises
-    CombinatorialBlowup first.
+    Facets come from the double description kernel ``_cone_rays``.  After
+    each step its rays are the facets of the hull of the points so far, at
+    most ``_max_facets(V, n)`` for V distinct points; a bound above
+    ``GODBERSEN_SUBSET_CAP`` raises CombinatorialBlowup before the first
+    step.  The bound never exceeds C(V, n).
 
     Redundant input points are dropped; the result carries the full facet
     structure with outward coprime-integer normals, exact offsets and scaled
@@ -440,6 +443,8 @@ def build_hull(points) -> Polytope:
     if len(ipts) < n + 1 or int_rank([tuple(a - b for a, b in zip(p, base))
                                       for p in ipts[1:]]) < n:
         raise DegenerateInput(f"points do not span R^{n}")
+    check_subset_cap(_max_facets(len(ipts), n), f"hull of {len(ipts)} points in R^{n}",
+                     "possible facets")
     return _from_lattice(ipts, mult, _hull_facets_int(ipts, n))
 
 

@@ -14,6 +14,7 @@ from fractions import Fraction as F
 import pytest
 
 from godbersen import (
+    DegenerateInput,
     DimensionMismatch,
     FeasibilityResult,
     GenSpec,
@@ -35,16 +36,25 @@ from godbersen import geometry
 
 def minkowski_sum(K: Polytope, L: Polytope) -> Polytope:
     """Minkowski sum of two polytopes of the same dimension: the hull of all
-    pairwise vertex sums, taken on the common lattice of K and L.  The
-    program builds no sum (``mv_profile`` and ``bm_check`` read the Cayley
-    fan); the tests compare those with this sum.
+    pairwise vertex sums, taken on the common lattice of K and L.  Each
+    facet is checked against every sum: none lies beyond it, and the sums on
+    it are the ones the hull names.  The program builds no sum
+    (``mv_profile`` and ``bm_check`` read the Cayley fan); the tests compare
+    those with this sum.
     """
     n = K.dim
     if L.dim != n:
         raise DimensionMismatch(f"cannot add bodies of dim {K.dim} and {L.dim}")
     m, ps, qs = geometry._common_lattice(K, L)
     sums = sorted({tuple(x + y for x, y in zip(p, q)) for p in ps for q in qs})
-    return geometry._from_lattice(sums, m, geometry._hull_facets_int(sums, n))
+    raw_facets = geometry._hull_facets_int(sums, n)
+    for w, offset, ids in raw_facets:
+        vals = [geometry._idot(w, p) for p in sums]
+        if max(vals) > offset:
+            raise DegenerateInput("sum point escapes a claimed facet")
+        if ids != tuple(i for i, v in enumerate(vals) if v == offset):
+            raise DegenerateInput("a facet names the wrong sums")
+    return geometry._from_lattice(sums, m, raw_facets)
 
 
 def face_lattice(body) -> list[dict[tuple[int, ...], tuple[int, ...]]]:

@@ -128,29 +128,40 @@ class TestBuildHull:
             build_hull([(0, 0), (1, 1)])
 
     def test_subset_cap_raises_before_enumerating(self, monkeypatch):
-        # one double description step on the moment curve in R^6 would test
-        # 252,700 ray pairs, over the default cap of 200,000
+        # by the upper bound theorem the hull of 120 points in R^6 may have
+        # 266,800 facets, over the default cap of 200,000: no step runs
         monkeypatch.delenv("GODBERSEN_SUBSET_CAP", raising=False)
+        monkeypatch.setattr(geometry, "_cone_rays", lambda rows: pytest.fail("kernel ran"))
         with pytest.raises(CombinatorialBlowup,
-                           match=r"hull of 30 points in R\^6: 252700 ray pairs exceed"
+                           match=r"hull of 120 points in R\^6: 266800 possible facets exceed"
                                  r".*GODBERSEN_SUBSET_CAP"):
-            build_hull(moment_curve(30, 6))
+            build_hull(moment_curve(120, 6))
 
     def test_moment_curve_builds(self, monkeypatch):
         # its C(108, 3) = 204,156 triples once exceeded the cap; the points
         # are in general position, so the hull is simplicial with 2 V - 4
-        # triangles
+        # triangles, the most the upper bound theorem allows
         monkeypatch.delenv("GODBERSEN_SUBSET_CAP", raising=False)
         body = build_hull(moment_curve(108, 3))
         assert len(body.vertices) == 108 and len(body.facets) == 212
 
+    def test_facet_bound_is_the_cyclic_polytope(self):
+        # cyclic polytopes attain the bound, which never exceeds C(V, n), so
+        # every input under the cap on n-subsets stays under the cap
+        for count, n in ((12, 2), (20, 3), (14, 4), (11, 5), (10, 6)):
+            body = build_hull(moment_curve(count, n))
+            assert len(body.facets) == geometry._max_facets(count, n)
+        for n in range(1, 13):
+            assert geometry._max_facets(n + 1, n) == n + 1
+            assert all(geometry._max_facets(v, n) <= comb(v, n) for v in range(n + 1, 120))
+
     def test_subset_cap_env_override(self, monkeypatch):
-        # the square's fourth point separates 2 of the 3 seed rays: 2 pairs
-        monkeypatch.setenv("GODBERSEN_SUBSET_CAP", "1")
+        # a square's hull may have 4 facets
+        monkeypatch.setenv("GODBERSEN_SUBSET_CAP", "3")
         with pytest.raises(CombinatorialBlowup,
-                           match=r"hull of 4 points in R\^2: 2 ray pairs exceed"):
+                           match=r"hull of 4 points in R\^2: 4 possible facets exceed"):
             build_hull(SQUARE)
-        monkeypatch.setenv("GODBERSEN_SUBSET_CAP", "2")
+        monkeypatch.setenv("GODBERSEN_SUBSET_CAP", "4")
         assert len(build_hull(SQUARE).facets) == 4
 
     @pytest.mark.parametrize("value", ["x", "2.5", ""])
@@ -758,7 +769,7 @@ def cayley_faces(K, L):
     """The facets of the Cayley polytope of K and L as vertex-id sets, the
     vertices of L numbered after those of K."""
     return [frozenset(geometry._ids(tight))
-            for _, tight in _cone_rays(cayley_rows(K, L), "Cayley polytope")]
+            for _, tight in _cone_rays(cayley_rows(K, L))]
 
 
 class TestPullingFan:
@@ -1074,7 +1085,7 @@ def dd_sum_facet_supports(K, L):
     part of the ray's first n entries, a facet normal of K + L."""
     n, vk = K.dim, len(K._int_vertices)
     supports = []
-    for ray, tight in _cone_rays(cayley_rows(K, L), "Cayley polytope"):
+    for ray, tight in _cone_rays(cayley_rows(K, L)):
         if any(ray[:n]):
             ids = geometry._ids(tight)
             supports.append((linalg.primitive(ray[:n]), [i for i in ids if i < vk],
@@ -1181,7 +1192,7 @@ def ray_set(rows, order):
     """The rays of ``rows`` taken in ``order``, with their tight rows named
     by their index in ``rows``."""
     return {(ray, frozenset(order[i] for i in geometry._ids(tight)))
-            for ray, tight in _cone_rays([rows[i] for i in order], "rows")}
+            for ray, tight in _cone_rays([rows[i] for i in order])}
 
 
 def reordered_after_seed(rows, rng):
@@ -1213,12 +1224,14 @@ class TestConeRays:
     def test_seed_rays(self):
         # the simplex's seed rays are its facets: -x_j <= 0 and x1 + x2 <= 1
         rows = [(0, 0, 1), (1, 0, 1), (0, 1, 1)]
-        assert sorted(_cone_rays(rows, "rows")) == [
+        assert sorted(_cone_rays(rows)) == [
             ((-1, 0, 0), 0b101), ((0, -1, 0), 0b011), ((1, 1, -1), 0b110)]
 
     def test_recipe_cayley_facets_match_the_sum(self):
         # the mixed Cayley facets against the facets of K + L, hulled from
-        # the pairwise vertex sums, with each summand face by argmax
+        # the pairwise vertex sums, with each summand face by argmax.  Both
+        # sides run _cone_rays, on other rows: a consistency check of the
+        # kernel, whose sum facets minkowski_sum checks against every sum
         recipes = recipe_bodies()
         for body, nxt in zip(recipes, recipes[1:] + recipes[:1]):
             for other in (reflect(body), nxt):
@@ -1240,6 +1253,6 @@ class TestConeRays:
                             lambda z, tights: scans.append(z) or rays_on(z, tights))
         monkeypatch.setattr(geometry, "primitive",
                             lambda vec: made.append(vec) or primitive(vec))
-        rays = _cone_rays([p + (1,) for p in moment_curve(40, 3)], "rows")
+        rays = _cone_rays([p + (1,) for p in moment_curve(40, 3)])
         assert len(rays) == 2 * (40 - 2)
         assert len(scans) == len(made) - 4 > len(rays)

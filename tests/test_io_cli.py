@@ -237,15 +237,33 @@ class TestCli:
         assert "Traceback" not in err
 
     def test_too_many_points_is_an_error(self, tmp_path, capsys, monkeypatch):
-        # a hull step over 252,700 ray pairs of the moment curve in R^6
+        # the hull of 120 points in R^6 may have 266,800 facets
         monkeypatch.delenv("GODBERSEN_SUBSET_CAP", raising=False)
         path = tmp_path / "in.json"
-        curve = [[str(t ** e) for e in range(1, 7)] for t in range(30)]
+        curve = [[str(t ** e) for e in range(1, 7)] for t in range(120)]
         path.write_text(json.dumps({"dim": 6, "vertices": curve}))
         assert main(["verify", "--input", str(path)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "252700 ray pairs" in err
+        assert err.startswith("error:") and "266800 possible facets" in err
         assert "GODBERSEN_SUBSET_CAP" in err
+
+    @pytest.mark.parametrize("count, n, volume, mixed", [
+        (107, 3, "7877155104", ["15840492756"] * 2),
+        (48, 4, "2073120698880", ["5056840469856", "6896410658400", "5056840469856"])])
+    def test_verify_the_largest_curves_under_the_subset_cap(
+            self, tmp_path, capsys, monkeypatch, count, n, volume, mixed):
+        # C(107, 3) = 198,485 and C(48, 4) = 194,580 n-subsets were under
+        # the former cap on them; verify still runs the hull and the Cayley
+        # polytope of (K, -K), its largest step separating 474,884 and
+        # 2,343,950 ray pairs, and prints the same report
+        monkeypatch.delenv("GODBERSEN_SUBSET_CAP", raising=False)
+        path = tmp_path / "in.json"
+        curve = [[str(t ** e) for e in range(1, n + 1)] for t in range(count)]
+        path.write_text(json.dumps({"dim": n, "vertices": curve}))
+        assert main(["verify", "--input", str(path)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["volume"] == volume
+        assert [e["mixed"] for e in report["entries"]] == mixed
 
     def test_gen_and_verify_the_5_cube(self, tmp_path, capsys, monkeypatch):
         # its 32 vertices once gave C(32, 5) = 201,376 subsets, over the cap
