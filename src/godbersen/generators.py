@@ -36,14 +36,18 @@ class GenSpec:
             raise ValueError(f"unknown kind {self.kind!r}; choose from {KINDS}")
         if self.dim < 2:
             raise ValueError("dimension must be at least 2")
-        if self.kind == "random_hull":
-            if self.vertex_count is None or self.vertex_count < self.dim + 1:
-                raise ValueError("random_hull needs vertex_count >= dim+1")
-        if self.kind == "random_symmetric":
-            # the +-p pairs double the candidate count; the draws only need
-            # to span the space
-            if self.vertex_count is None or self.vertex_count < self.dim:
-                raise ValueError("random_symmetric needs vertex_count >= dim")
+        # the +-p pairs of random_symmetric double its points; the draws
+        # only need to span the space
+        least = {"random_hull": ("dim+1", self.dim + 1),
+                 "random_symmetric": ("dim", self.dim)}.get(self.kind)
+        if least is None:
+            if self.vertex_count is not None:
+                raise ValueError(f"{self.kind} takes no vertex_count; only the "
+                                 "random kinds do")
+        elif self.vertex_count is None:
+            raise ValueError(f"{self.kind} needs a vertex_count")
+        elif self.vertex_count < least[1]:
+            raise ValueError(f"{self.kind} needs vertex_count >= {least[0]}")
         if self.denominator_bound < 1:
             raise ValueError("denominator bound must be positive")
 

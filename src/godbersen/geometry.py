@@ -50,7 +50,9 @@ from .errors import (
     ZeroDirection,
 )
 from .linalg import (
+    _back_substitute,
     _echelon,
+    _with_identity,
     adjugate,
     int_det,
     int_rank,
@@ -225,6 +227,22 @@ def _rays_on(z: int, tights: list[int]) -> int:
     return list(map(z.__and__, tights)).count(z)
 
 
+def _seed_rays(rows) -> tuple[list[int], list[tuple[int, ...]]]:
+    """(seed, rays): the first linearly independent rows B of ``rows`` and
+    the extreme rays of the simplicial cone {y : B y <= 0}, the j-th tight on
+    every seed row but the j-th.
+
+    One Bareiss pass over [R^T | I], R the rows: its pivot columns are the
+    seed, and the back-substitution gives the rows of D (B^T)^-1, D = +-det B.
+    Row j is D B^-1 e_j, so -sign(D) times it is -|det B| B^-1 e_j, the
+    j-th column of -sign(det B) adj(B).
+    """
+    a, seed, _ = _echelon(_with_identity(list(zip(*rows))))
+    d, inv = _back_substitute(a, seed, len(rows))
+    sign = -1 if d > 0 else 1
+    return seed, [primitive([sign * c for c in r]) for r in inv]
+
+
 def _cone_rays(rows) -> list[tuple[tuple[int, ...], int]]:
     """Extreme rays of the pointed cone {y : a . y <= 0 for every row a}.
 
@@ -234,20 +252,17 @@ def _cone_rays(rows) -> list[tuple[tuple[int, ...], int]]:
     ray as a primitive integer vector, ``tight`` the bitmask of the rows a
     with a . ray = 0.
 
-    The first linearly independent rows B seed the cone: its rays are the
-    columns of -sign(det B) adj(B), the j-th tight on every seed row but the
-    j-th.  Each further row a cuts the cone.  The rays with a . r <= 0 stay;
-    a pair with a . r+ > 0 > a . r- gives the ray (a . r+) r- - (a . r-) r+
+    The first linearly independent rows B seed the cone, from one
+    elimination (``_seed_rays``): its rays are the columns of
+    -sign(det B) adj(B), the j-th tight on every seed row but the j-th.
+    Each further row a cuts the cone.  The rays with a . r <= 0 stay; a pair
+    with a . r+ > 0 > a . r- gives the ray (a . r+) r- - (a . r-) r+
     if the two are adjacent, that is, if their common tight rows number at
     least k - 2 and no third ray is tight on all of them (the combinatorial
     adjacency test of Fukuda and Prodon).
     """
     k = len(rows[0])
-    seed = _echelon(list(zip(*rows)))[1]
-    basis = [rows[i] for i in seed]
-    adj = adjugate(basis)
-    sign = -1 if _idot(basis[0], [r[0] for r in adj]) > 0 else 1
-    rays = [primitive([sign * r[j] for r in adj]) for j in range(k)]
+    seed, rays = _seed_rays(rows)
     full = sum(1 << i for i in seed)
     tights = [full ^ (1 << i) for i in seed]
     taken = set(seed)
@@ -482,8 +497,10 @@ def transform(K: Polytope, mat=None, shift=None) -> Polytope:
     divided out.  The centroid c_num / c_den maps to
     (Ai c_num + c_den ti) / (a c_den).  The image's lattice points are
     (Ai p + m ti) / c, c the gcd of their entries and a m, so a fan simplex's
-    integer volume v maps to v |det Ai| / c^n, an exact division.  Integer
-    entries of A and t make no Fraction.
+    integer volume v maps to v |det Ai| / c^n, an exact division.  det Ai
+    and adj(Ai) come together from one elimination (``adjugate``), which
+    rejects a singular Ai before any other work.  Integer entries of A and t
+    make no Fraction.
     """
     n = K.dim
     if mat is None:
@@ -495,10 +512,10 @@ def transform(K: Polytope, mat=None, shift=None) -> Polytope:
     if len(t) != n:
         raise DimensionMismatch("translation length does not match the body")
     (*ai, ti), a = scale_to_integers(rows + [t])
-    adj = adjugate(ai)
-    d = _idot(ai[0], [r[0] for r in adj])  # the first entry of Ai adj(Ai) = det(Ai) I
-    if d == 0:
-        raise SingularMatrix("transform matrix is singular")
+    try:
+        d, adj = adjugate(ai)
+    except SingularMatrix:
+        raise SingularMatrix("transform matrix is singular") from None
 
     m = K._int_scale
     mapped = [tuple(_idot(r, p) + m * s for r, s in zip(ai, ti)) for p in K._int_vertices]

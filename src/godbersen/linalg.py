@@ -2,17 +2,22 @@
 
 Every rank, determinant and adjugate runs through one fraction-free kernel,
 ``_echelon``: Bareiss elimination on integer rows, whose every entry is an
-integer minor of the input, so each division is exact (Bareiss 1968).  The
-facet kernel of ``geometry`` draws on it twice: the pivot columns of its
-transposed rows pick the first linearly independent rows, and the adjugate
-of those rows gives the first rays.  No normal of a span is formed.
-Rational input is scaled to integers first (``scale_to_integers``), which
-reads each coordinate's numerator and denominator and makes no Fraction.
+integer minor of the input, so each division is exact (Bareiss 1968).  An
+adjugate is one such pass over [A | I] and an integer back-substitution
+(``_back_substitute``); no minor is taken on its own.  The facet kernel of
+``geometry`` seeds from one pass too: on its transposed rows followed by I,
+the pivot columns pick the first linearly independent rows B, and the
+back-substitution gives the rows of adj(B)^T up to sign, the first rays.
+No normal of a span is formed.  Rational input is scaled to integers first
+(``scale_to_integers``), which reads each coordinate's numerator and
+denominator and makes no Fraction.
 """
 
 from __future__ import annotations
 
 from math import gcd, lcm
+
+from .errors import SingularMatrix
 
 
 def scale_to_integers(points) -> tuple[list[tuple[int, ...]], int]:
@@ -86,11 +91,53 @@ def int_det(rows: list[list[int]]) -> int:
     return sign * a[n - 1][n - 1] if len(pivots) == n else 0
 
 
-def adjugate(rows) -> list[list[int]]:
-    """Adjugate of a square integer matrix: adj(A) A = det(A) I."""
+def _with_identity(rows) -> list[list[int]]:
+    """[A | I]: each of the k rows followed by the matching row of I_k."""
+    k = len(rows)
+    return [[*r, *(0,) * i, 1, *(0,) * (k - 1 - i)] for i, r in enumerate(rows)]
+
+
+def _back_substitute(a, pivots: list[int], start: int) -> tuple[int, list[list[int]]]:
+    """(D, rows of D M^-1) from the Bareiss echelon ``a`` of [N | I_k].
+
+    The k ``pivots`` must all be columns of N, and I_k starts at column
+    ``start``.  M is the square submatrix of N on the pivot columns and D the
+    last pivot, det M times the sign of the row swaps.  The echelon rows are
+    L P [N | I] for some invertible L, so U X = D V, with U and V their
+    pivot and identity columns, is solved by X = D M^-1, which is integral
+    (Cramer's rule): each division by a pivot is exact.
+    """
+    k = len(pivots)
+    d = a[k - 1][pivots[-1]] if k else 1
+    x: list[list[int]] = [[]] * k
+    for i in reversed(range(k)):
+        row = a[i]
+        acc = [d * c for c in row[start:start + k]]
+        for j in range(i + 1, k):
+            c = row[pivots[j]]
+            if c:
+                acc = [u - c * v for u, v in zip(acc, x[j])]
+        p = row[pivots[i]]
+        x[i] = [u // p for u in acc]
+    return d, x
+
+
+def adjugate(rows) -> tuple[int, list[list[int]]]:
+    """(det A, adj A) of a square nonsingular integer matrix A, so that
+    adj(A) A = det(A) I.
+
+    One Bareiss pass over [A | I] and one back-substitution: with D the last
+    pivot and s the sign of the row swaps, det A = s D and adj A = s D A^-1.
+    A singular matrix raises SingularMatrix.
+    """
     n = len(rows)
-    return [[(-1) ** (i + j) * int_det([r[:i] + r[i + 1:] for r in rows[:j] + rows[j + 1:]])
-             for j in range(n)] for i in range(n)]
+    a, pivots, sign = _echelon(_with_identity(rows))
+    if pivots != list(range(n)):
+        raise SingularMatrix("matrix is singular")
+    d, x = _back_substitute(a, pivots, n)
+    if sign < 0:
+        x = [[-c for c in r] for r in x]
+    return sign * d, x
 
 
 def int_rank(rows) -> int:

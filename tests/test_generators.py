@@ -59,6 +59,22 @@ def test_spec_validation():
         GenSpec("random_hull", 2, vertex_count=5, denominator_bound=0)
 
 
+@pytest.mark.parametrize("kind", ["simplex", "cube", "cross_polytope"])
+def test_fixed_kinds_reject_a_vertex_count(kind):
+    # the count would be dropped without a word
+    with pytest.raises(ValueError, match=f"^{kind} takes no vertex_count"):
+        GenSpec(kind, 3, vertex_count=5)
+    assert GenSpec(kind, 3).vertex_count is None
+
+
+@pytest.mark.parametrize("kind", ["random_hull", "random_symmetric"])
+def test_random_kinds_name_a_missing_count(kind):
+    with pytest.raises(ValueError, match=f"^{kind} needs a vertex_count$"):
+        GenSpec(kind, 3)
+    with pytest.raises(ValueError, match=f"^{kind} needs vertex_count >= dim"):
+        GenSpec(kind, 3, vertex_count=2)
+
+
 def test_full_dimensional_output():
     for seed in range(10):
         body = generate(GenSpec("random_hull", 3, vertex_count=5, seed=seed,

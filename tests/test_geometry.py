@@ -35,7 +35,13 @@ from godbersen.linalg import _echelon, int_rank, scale_to_integers
 from godbersen.rationals import as_rat, dot
 from godbersen.sections import section_profile
 from tests.conftest import corpus_specs, edges, face_lattice, minkowski_sum
-from tests.test_linalg import det, fraction_rank, normal_to_span, span_normals
+from tests.test_linalg import (
+    cofactor_adjugate,
+    det,
+    fraction_rank,
+    normal_to_span,
+    span_normals,
+)
 
 TRIANGLE = [(0, 0), (1, 0), (0, 1)]
 SQUARE = [(0, 0), (1, 0), (0, 1), (1, 1)]
@@ -1256,3 +1262,73 @@ class TestConeRays:
         rays = _cone_rays([p + (1,) for p in moment_curve(40, 3)])
         assert len(rays) == 2 * (40 - 2)
         assert len(scans) == len(made) - 4 > len(rays)
+
+
+# The seed of the double description kernel, and ``transform``, take their
+# adjugate from one elimination.  The cofactor route they replaced, k^2
+# minors of the seed rows B and -sign(det B) times the columns of adj(B),
+# stays as the oracle seed.
+
+def cofactor_seed_rays(rows):
+    seed = _echelon(list(zip(*rows)))[1]
+    basis = [rows[i] for i in seed]
+    adj = cofactor_adjugate(basis)
+    sign = -1 if geometry._idot(basis[0], [r[0] for r in adj]) > 0 else 1
+    return seed, [linalg.primitive([sign * r[j] for r in adj]) for j in range(len(adj))]
+
+
+def seed_inputs(corpus):
+    """Rows of four sets: every 10th corpus body's hull and its (K, -K)
+    Cayley polytope, the dim-5/6 recipe bodies' hulls and (K, -K), and the
+    5-cube's."""
+    bodies = [body for _, body in corpus[::10]]
+    recipes = recipe_bodies()
+    cube = [unit_cube(5)]
+    return {name: [rows for body in group
+                   for rows in ([p + (1,) for p in body._int_vertices],
+                                cayley_rows(body, reflect(body)))]
+            for name, group in (("corpus", bodies), ("recipes", recipes), ("cube", cube))}
+
+
+class TestOneEliminationAdjugate:
+    def test_cone_rays_match_the_cofactor_seed(self, corpus, monkeypatch):
+        inputs = seed_inputs(corpus)
+        expected = {name: [_cone_rays(rows) for rows in group]
+                    for name, group in inputs.items()}
+        monkeypatch.setattr(geometry, "_seed_rays", cofactor_seed_rays)
+        for name, group in inputs.items():
+            assert [_cone_rays(rows) for rows in group] == expected[name], name
+        assert [len(group) for group in inputs.values()] == [60, 12, 2]
+
+    def test_one_elimination_and_no_determinant(self, corpus, monkeypatch):
+        rng = random.Random(29)
+        inputs = [rows for group in seed_inputs(corpus).values() for rows in group]
+        bodies = [body for _, body in corpus[::10]] + recipe_bodies()
+        maps = [(body, mat, shift) for body in bodies
+                for mat, shift in affine_maps(rng, body.dim)]
+        cube = unit_cube(3)
+        calls = []
+        echelon = linalg._echelon
+
+        def counted(rows):
+            calls.append(len(rows))
+            return echelon(rows)
+
+        def no_det(rows):
+            raise AssertionError("int_det reached")
+
+        for module in (geometry, linalg):
+            monkeypatch.setattr(module, "_echelon", counted)
+            monkeypatch.setattr(module, "int_det", no_det)
+        for rows in inputs:
+            calls.clear()
+            _cone_rays(rows)
+            assert calls == [len(rows[0])]
+        for body, mat, shift in maps:
+            calls.clear()
+            transform(body, mat, shift)
+            assert calls == [body.dim]
+        calls.clear()
+        with pytest.raises(SingularMatrix, match="transform matrix is singular"):
+            transform(cube, [[1, 2, 3], [2, 4, 6], [0, 0, 1]])
+        assert calls == [3]

@@ -451,6 +451,27 @@ class TestCli:
         assert main(["sweep", "--spec", str(spec),
                      "--out", str(tmp_path / "x.csv")]) == 2
 
+    def test_gen_rejects_vertices_for_a_fixed_kind(self, tmp_path, capsys):
+        out = tmp_path / "c.json"
+        assert main(["gen", "--kind", "cube", "--dim", "3", "--vertices", "5",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: cube takes no vertex_count; only the random kinds do\n"
+        assert not out.exists()
+        assert main(["gen", "--kind", "random_hull", "--dim", "3",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: random_hull needs a vertex_count\n"
+
+    def test_sweep_rejects_vertex_count_for_a_fixed_kind(self, tmp_path, capsys):
+        spec = tmp_path / "specs.json"
+        spec.write_text(json.dumps([{"kind": "simplex", "dim": 2},
+                                    {"kind": "cube", "dim": 3, "vertex_count": 5}]))
+        out = tmp_path / "out.csv"
+        assert main(["sweep", "--spec", str(spec), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cube takes no vertex_count")
+        assert not out.exists()
+
     def test_gen_random_deterministic(self, tmp_path, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         args = ["gen", "--kind", "random_hull", "--dim", "2", "--vertices", "8",

@@ -157,10 +157,15 @@ def test_kernel_matches_fraction_oracles():
         if m == n:
             d = fraction_det(mat)
             assert int_det(mat) == d, mat
-            adj = adjugate(mat)
-            assert [[sum(adj[i][k] * mat[k][j] for k in range(n)) for j in range(n)]
-                    for i in range(n)] == [[d * (i == j) for j in range(n)]
-                                           for i in range(n)], mat
+            if d == 0:
+                with pytest.raises(SingularMatrix):
+                    adjugate(mat)
+            else:
+                det_a, adj = adjugate(mat)
+                assert det_a == d, mat
+                assert [[sum(adj[i][k] * mat[k][j] for k in range(n)) for j in range(n)]
+                        for i in range(n)] == [[d * (i == j) for j in range(n)]
+                                               for i in range(n)], mat
         square = random_matrix(rng, n, n, rational=trial % 2 == 1)
         rhs = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n)]
         assert det(square) == fraction_det(square), square
@@ -176,6 +181,67 @@ def test_kernel_matches_fraction_oracles():
         else:
             assert solve_linear(square, rhs) == expected, (square, rhs)
     assert singular > 100
+
+
+# The adjugate as k^2 cofactor determinants, one Bareiss elimination each:
+# the route that ``adjugate``'s single elimination of [A | I] replaced, kept
+# as its oracle.
+
+def cofactor_adjugate(rows) -> list[list[int]]:
+    """adj(A)[i][j] = (-1)^(i+j) det of A without row j and column i."""
+    n = len(rows)
+    return [[(-1) ** (i + j) * int_det([r[:i] + r[i + 1:] for r in rows[:j] + rows[j + 1:]])
+             for j in range(n)] for i in range(n)]
+
+
+def oracle_matrix(rng, k):
+    """A square integer matrix: small entries or entries up to +-2^60, often
+    zero; some get a zero column, some a zero top-left entry, so the
+    elimination must swap rows, and some are rank-deficient products."""
+    bound = 2 ** 60 if rng.random() < 0.3 else 4
+
+    def entry():
+        return 0 if rng.random() < 0.25 else rng.randint(-bound, bound)
+
+    if k > 1 and rng.random() < 0.15:
+        r = rng.randint(1, k - 1)
+        left = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(k)]
+        right = [[entry() for _ in range(k)] for _ in range(r)]
+        mat = [[sum(left[i][t] * right[t][j] for t in range(r)) for j in range(k)]
+               for i in range(k)]
+    else:
+        mat = [[entry() for _ in range(k)] for _ in range(k)]
+    if rng.random() < 0.1:
+        zero = rng.randrange(k)
+        for row in mat:
+            row[zero] = 0
+    if k > 1 and rng.random() < 0.3:
+        mat[0][0] = 0
+    return mat
+
+
+def test_adjugate_matches_cofactor_oracle():
+    rng = random.Random(31)
+    swapped = singular = zero_column = huge = 0
+    for trial in range(1600):
+        k = trial % 8 + 1
+        mat = oracle_matrix(rng, k)
+        d = int_det(mat)
+        zero_column += any(not any(col) for col in zip(*mat))
+        if d == 0:
+            singular += 1
+            with pytest.raises(SingularMatrix, match="matrix is singular"):
+                adjugate(mat)
+            continue
+        assert adjugate(mat) == (d, cofactor_adjugate(mat)), mat
+        swapped += mat[0][0] == 0
+        huge += max(abs(c) for row in mat for c in row) > 2 ** 50
+    assert swapped > 200 and singular > 150 and zero_column > 100 and huge > 300
+    assert adjugate([]) == (1, [])
+    assert adjugate([[-7]]) == (-7, [[1]])
+    assert adjugate([[0, 1], [1, 0]]) == (-1, [[0, -1], [-1, 0]])
+    with pytest.raises(SingularMatrix):
+        adjugate([[0]])
 
 
 def test_kernel_edge_shapes():
