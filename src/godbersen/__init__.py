@@ -49,7 +49,7 @@ from .halfspaces import (
     ak_feasibility,
     ak_system,
     anchor_unique,
-    fm_feasible,
+    feasibility,
     gl_invariance_check,
     helly_audit,
     make_system,

@@ -20,7 +20,7 @@ import sys
 
 from .errors import GodbersenError, TheoremViolation
 from .generators import KINDS, GenSpec, generate
-from .halfspaces import ak_feasibility, helly_audit, fm_feasible
+from .halfspaces import ak_feasibility, feasibility, helly_audit
 from .inclusion import directional_moment
 from .mixedvol import godbersen_report
 from .polyio import (
@@ -84,7 +84,7 @@ def _cmd_helly(args) -> int:
     vacuous = len(system.halfspaces) <= system.dim
     print(json.dumps({
         "all_subsystems_feasible": ok,
-        "full_system_feasible": fm_feasible(system).feasible if vacuous else ok,
+        "full_system_feasible": feasibility(system).feasible if vacuous else ok,
     }, indent=2))
     return 0
 

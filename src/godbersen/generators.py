@@ -23,7 +23,9 @@ _MAX_RETRIES = 16
 @dataclass(frozen=True)
 class GenSpec:
     """Recipe for one body.  ``vertex_count`` is the number of points drawn
-    (random kinds only); the hull may end up with fewer vertices."""
+    and ``denominator_bound`` the largest denominator of their coordinates
+    (random kinds only; a fixed kind takes neither); the hull may end up
+    with fewer vertices."""
 
     kind: str
     dim: int
@@ -44,6 +46,9 @@ class GenSpec:
             if self.vertex_count is not None:
                 raise ValueError(f"{self.kind} takes no vertex_count; only the "
                                  "random kinds do")
+            if self.denominator_bound != 1:
+                raise ValueError(f"{self.kind} takes no denominator_bound; only "
+                                 "the random kinds do")
         elif self.vertex_count is None:
             raise ValueError(f"{self.kind} needs a vertex_count")
         elif self.vertex_count < least[1]:

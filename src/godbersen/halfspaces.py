@@ -1,5 +1,4 @@
-"""Halfspace systems, exact Fourier-Motzkin feasibility, and the anchor-point
-construction.
+"""Halfspace systems, exact feasibility, and the anchor-point construction.
 
 For a polytope K with facet normals u, the anchor system collects the
 halfspaces  a . u <= n/(n+1) h_K(u) - 1/(n+1) h_K(-u).  Any point of the
@@ -13,23 +12,25 @@ single point {c} exactly when the rows tight at c positively span R^n.
 
 Below the ``System`` API every row is an integer pair (normal, rhs):
 ``_integer_rows`` scales each row, normal and rhs together, by one positive
-multiplier, which changes no Farkas sign and no Fourier-Motzkin bound.
-Fractions appear only in the ``System`` rows and in the witness that
-Fourier-Motzkin reads back.
+multiplier, which changes no Farkas sign and no feasible point.  Fractions
+appear only in the ``System`` rows and in the witness read back.
 
-Fourier-Motzkin elimination has one entry, ``_fm_rows``, which takes those
-integer rows, needs no pivoting rules, and reads off uniqueness for free
-(Schrijver, *Theory of Linear and Integer Programming*, section 12.2).
-``fm_feasible`` scales a ``System`` and calls it; the uniqueness test on the
-tight rows and the Helly audit pass their integer rows to it directly.
+Feasibility has one entry, ``_feasible_rows``, which takes those integer
+rows to the double description kernel ``geometry._cone_rays``, the one that
+also finds every facet: the system is feasible iff its homogenized cone has
+a ray off the hyperplane at infinity, and such a ray is a vertex of the
+region.  ``feasibility`` scales a ``System`` and calls it; the uniqueness
+test on the tight rows and the Helly audit pass their integer rows to it
+directly.
 
 The Helly audit decides each (n+1)-row subsystem Aa <= b by a Farkas
 certificate instead (Schrijver, section 7.3).  The cofactor vector
 lam_i = (-1)^i det(A without row i) spans the left kernel of A whenever
 rank A = n, so the subsystem is infeasible iff lam or -lam is componentwise
->= 0 with that sign giving lam . b < 0.  When lam = 0, rank A < n and FM
-decides the subsystem.  A set of n rows lies in many (n+1)-subsets, so the
-audit takes each n-row determinant once, on first use, into one table.
+>= 0 with that sign giving lam . b < 0.  When lam = 0, rank A < n and
+``_feasible_rows`` decides the subsystem.  A set of n rows lies in many
+(n+1)-subsets, so the audit takes each n-row determinant once, on first use,
+into one table.
 """
 
 from __future__ import annotations
@@ -37,17 +38,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb, gcd
-from operator import mul
+from math import comb
 
 from .errors import (
     DimensionMismatch,
     TheoremViolation,
     ZeroDirection,
 )
-from .geometry import Polytope, _idot, check_subset_cap, transform
+from .geometry import Polytope, _cone_rays, _idot, check_subset_cap, transform
 from .inclusion import TightnessProfile, tightness_profile
-from .linalg import int_det, scale_to_integers
+from .linalg import _echelon, int_det, scale_to_integers
 from .rationals import Point, Rat, Vector, as_rat, as_vector, dot, is_zero_vector
 
 @dataclass(frozen=True)
@@ -108,128 +108,38 @@ def _integer_rows(system: System) -> list[_Row]:
     return rows
 
 
-def _canonical_rows(rows) -> tuple[list[_Row], bool]:
-    """Merge integer rows with the same direction and drop dominated ones.
+def feasibility(system: System) -> FeasibilityResult:
+    """Exact feasibility of a ``System``, with a vertex of the region as
+    witness: the system's ``_integer_rows`` decided by ``_feasible_rows``."""
+    return _feasible_rows(_integer_rows(system), system.dim)
 
-    Rows are keyed by their primitive coefficients w / g; of the rows with
-    one key, the first with the least rhs / g is kept (compared by
-    cross-multiplication), then divided by the gcd of all its entries.
-    Constant rows are consumed here; a violated one makes the system
-    infeasible.
+
+def _feasible_rows(rows: list[_Row], n: int) -> FeasibilityResult:
+    """Feasibility of integer rows (w, b), each meaning w . x <= b for x in
+    R^n, by the double description kernel ``_cone_rays``.
+
+    Only the pivot columns of W (the normals as a matrix) are kept: each
+    other column is a combination of them, so with the other variables set
+    to 0, W x still takes every value it takes on R^n.  The homogenized cone
+    {(x, t) : w . x <= b t, t >= 0} on the pivot columns is pointed, since W
+    has full column rank there, and its extreme rays with t > 0 are the
+    vertices (x / t, 1) of the region, those with t = 0 its extreme
+    directions.  So the system is feasible iff some ray has t > 0, and the
+    region is a single point iff rank W = n and that ray is the only one.
+    The witness is the first such vertex, 0 off the pivot columns.  A row
+    with w = 0 becomes a multiple of the row t >= 0 and needs no filter.
     """
-    best: dict[tuple[int, ...], tuple[int, int]] = {}
-    for coeffs, rhs in rows:
-        g = gcd(*coeffs)
-        if g == 0:
-            if rhs < 0:
-                return [], False
-            continue
-        key = tuple(c // g for c in coeffs)
-        kept = best.get(key)
-        if kept is None or rhs * kept[1] < kept[0] * g:
-            best[key] = (rhs, g)
-    out = []
-    for key, (rhs, g) in best.items():
-        d = gcd(g, rhs)
-        s = g // d
-        out.append((tuple(s * c for c in key), rhs // d))
-    return out, True
-
-
-def _eliminate(rows: list[_Row], k: int) -> tuple[list[_Row], bool]:
-    """Project out variable index k; returns (rows, still-consistent).
-
-    Each pair of rows with opposite signs at k makes one new row, so a step
-    over more pairs than ``GODBERSEN_SUBSET_CAP`` raises CombinatorialBlowup
-    before combining any.
-    """
-    zero, pos, neg = [], [], []
-    for coeffs, rhs in rows:
-        c = coeffs[k]
-        if c == 0:
-            zero.append((coeffs, rhs))
-        elif c > 0:
-            pos.append((coeffs, rhs))
-        else:
-            neg.append((coeffs, rhs))
-    check_subset_cap(len(pos) * len(neg), "Fourier-Motzkin step", "row pairs")
-    combined = list(zero)
-    for pc, pr in pos:
-        for nc, nr in neg:
-            a, b = -nc[k], pc[k]
-            coeffs = tuple(a * x + b * y for x, y in zip(pc, nc))
-            combined.append((coeffs, a * pr + b * nr))
-    return _canonical_rows(combined)
-
-
-def fm_feasible(system: System) -> FeasibilityResult:
-    """Exact Fourier-Motzkin feasibility with a deterministic witness: the
-    system's ``_integer_rows`` decided by ``_fm_rows``."""
-    return _fm_rows(_integer_rows(system), system.dim)
-
-
-def _fm_rows(rows: list[_Row], n: int) -> FeasibilityResult:
-    """Fourier-Motzkin feasibility of integer rows (w, b), each meaning
-    w . x <= b for x in R^n, with a deterministic witness.
-
-    The elimination runs variables from the last to the first.  The
-    back-substitution picks each coordinate in its remaining interval: the
-    midpoint (0 if unconstrained, the finite endpoint moved inward by 1 if
-    bounded on one side only).  The feasible region is a single point
-    exactly when every interval collapses.  The witness so far is kept as
-    integer numerators over one common denominator D > 0, so a row's bound
-    on the next coordinate is an integer p over q D with q > 0, and bounds
-    are compared by cross-multiplication; each coordinate becomes a Fraction
-    at the end.
-    """
-    stage, ok = _canonical_rows(rows)
-    stages: list[list[_Row]] = [stage]
-    for k in range(n - 1, 0, -1):
-        if not ok:
-            break
-        stage, ok = _eliminate(stage, k)
-        stages.append(stage)
-    if not ok:
+    _, piv, _ = _echelon([w for w, _ in rows])
+    cone = [tuple(w[c] for c in piv) + (-b,) for w, b in rows]
+    rays = [ray for ray, _ in _cone_rays(cone + [(0,) * len(piv) + (-1,)])]
+    ray = next((r for r in rays if r[-1] > 0), None)
+    if ray is None:
         return FeasibilityResult(False, None, False)
-
-    nums: list[int] = []
-    den = 1
-    unique = True
-    for k in range(n):
-        # a row c x_k <= rhs - sum_j coeffs[j] nums[j] / D bounds x_k by
-        # resid / (c D): from above if c > 0, from below as -resid / (-c D)
-        lo: tuple[int, int] | None = None
-        hi: tuple[int, int] | None = None
-        for coeffs, rhs in stages[n - 1 - k]:
-            c = coeffs[k]
-            if c == 0:
-                continue
-            resid = rhs * den - sum(map(mul, coeffs, nums))
-            if c > 0:
-                if hi is None or resid * hi[1] < hi[0] * c:
-                    hi = (resid, c)
-            elif lo is None or resid * lo[1] < lo[0] * c:
-                lo = (-resid, -c)
-        if lo is not None and hi is not None:
-            cross_lo, cross_hi = lo[0] * hi[1], hi[0] * lo[1]
-            if cross_lo > cross_hi:
-                return FeasibilityResult(False, None, False)
-            p, q = cross_lo + cross_hi, 2 * lo[1] * hi[1]
-            unique = unique and cross_lo == cross_hi
-        elif lo is not None:
-            p, q = lo[0] + lo[1] * den, lo[1]
-            unique = False
-        elif hi is not None:
-            p, q = hi[0] - hi[1] * den, hi[1]
-            unique = False
-        else:
-            p, q = 0, 1
-            unique = False
-        g = gcd(p, q)
-        p, q = p // g, q // g
-        nums = [x * q for x in nums] + [p]
-        den *= q
-    return FeasibilityResult(True, tuple(Fraction(x, den) for x in nums), unique)
+    nums = [0] * n
+    for c, x in zip(piv, ray):
+        nums[c] = x
+    witness = tuple(Fraction(x, ray[-1]) for x in nums)
+    return FeasibilityResult(True, witness, len(piv) == n and len(rays) == 1)
 
 
 def ak_system(K: Polytope) -> System:
@@ -250,14 +160,15 @@ def anchor_unique(profile: TightnessProfile) -> bool:
 
     The region is a polyhedron containing c, so it is {c} iff no d != 0 has
     u . d <= 0 on every row tight at c, i.e. iff the tight normals positively
-    span R^n.  That needs at least n+1 of them; given that many, FM decides
-    the homogeneous system of the tight rows, and its ``unique`` flag is exact.
+    span R^n.  That needs at least n+1 of them; given that many,
+    ``_feasible_rows`` decides the homogeneous system of the tight rows,
+    whose region is {0} exactly then.
     """
     tight = [e.normal for e in profile.entries if e.tight]
     n = len(profile.entries[0].normal)
     if len(tight) < n + 1:
         return False
-    return _fm_rows([(u, 0) for u in tight], n).unique
+    return _feasible_rows([(u, 0) for u in tight], n).unique
 
 
 def ak_feasibility(K: Polytope) -> FeasibilityResult:
@@ -307,14 +218,15 @@ def helly_audit(system: System) -> bool:
     """Check every (dim+1)-subset of halfspaces for feasibility.
 
     Vacuously true when there are fewer than dim+1 halfspaces.  Otherwise the
-    system is scaled to integer rows once, and Fourier-Motzkin decides the
-    full system on them first, so a step-cap blowup comes before any subset.
-    Each subset is then decided by its Farkas cofactor certificate
-    (``_farkas_infeasible``), read from one table of n-row determinants that
-    fills as the subsets ask for them; a rank-deficient subset, which has no
-    certificate, goes to Fourier-Motzkin on its own integer rows.  The
-    outcome must agree with full-system feasibility (Helly's theorem for a
-    finite family of convex sets), so any disagreement raises.
+    subset count is checked against ``GODBERSEN_SUBSET_CAP`` before any other
+    work, the system is scaled to integer rows once, and ``_feasible_rows``
+    decides the full system on them.  Each subset is then decided by its
+    Farkas cofactor certificate (``_farkas_infeasible``), read from one table
+    of n-row determinants that fills as the subsets ask for them; a
+    rank-deficient subset, which has no certificate, goes to
+    ``_feasible_rows`` on its own integer rows.  The outcome must agree with
+    full-system feasibility (Helly's theorem for a finite family of convex
+    sets), so any disagreement raises.
     """
     n = system.dim
     count = len(system.halfspaces)
@@ -322,13 +234,13 @@ def helly_audit(system: System) -> bool:
         return True
     check_subset_cap(comb(count, n + 1), "Helly audit")
     ints = _integer_rows(system)
-    full = _fm_rows(ints, n).feasible
+    full = _feasible_rows(ints, n).feasible
     minors: dict[tuple[int, ...], int] = {}
     all_ok = True
     for subset in combinations(range(count), n + 1):
         infeasible = _farkas_infeasible(ints, subset, minors)
         if infeasible is None:
-            infeasible = not _fm_rows([ints[i] for i in subset], n).feasible
+            infeasible = not _feasible_rows([ints[i] for i in subset], n).feasible
         if infeasible:
             all_ok = False
             break

@@ -67,6 +67,15 @@ def test_fixed_kinds_reject_a_vertex_count(kind):
     assert GenSpec(kind, 3).vertex_count is None
 
 
+@pytest.mark.parametrize("kind", ["simplex", "cube", "cross_polytope"])
+def test_fixed_kinds_reject_a_denominator_bound(kind):
+    # the bound would be dropped without a word
+    for bound in (0, 2, 5):
+        with pytest.raises(ValueError, match=f"^{kind} takes no denominator_bound"):
+            GenSpec(kind, 3, denominator_bound=bound)
+    assert generate(GenSpec(kind, 3, denominator_bound=1)) == generate(GenSpec(kind, 3))
+
+
 @pytest.mark.parametrize("kind", ["random_hull", "random_symmetric"])
 def test_random_kinds_name_a_missing_count(kind):
     with pytest.raises(ValueError, match=f"^{kind} needs a vertex_count$"):

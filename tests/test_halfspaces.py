@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as F
 from itertools import combinations
 from math import comb, gcd, lcm
+from types import SimpleNamespace
 
 import pytest
 
@@ -15,7 +16,7 @@ from godbersen import (
     ak_system,
     anchor_unique,
     build_hull,
-    fm_feasible,
+    feasibility,
     generate,
     gl_invariance_check,
     helly_audit,
@@ -29,8 +30,9 @@ from godbersen import (
     unit_cube,
 )
 from godbersen import halfspaces
-from godbersen.halfspaces import HalfSpace, _farkas_infeasible, _integer_rows
-from godbersen.linalg import int_det, int_rank, primitive, scale_to_integers
+from godbersen.halfspaces import (
+    HalfSpace, _farkas_infeasible, _feasible_rows, _integer_rows)
+from godbersen.linalg import int_det, int_rank, scale_to_integers
 from godbersen.rationals import dot
 from tests.test_geometry import TRIANGLE, random_polytope
 
@@ -51,26 +53,46 @@ class TestSystemTypes:
         assert s.contains((F(1, 4), F(99)))
 
 
+def _assert_vertex(rows, n, res):
+    """The witness of a feasible result satisfies every integer row (w, b)
+    and is a vertex of the region: the rows tight at it have the rank of
+    W, the normals as a matrix."""
+    x = res.witness
+    assert res.feasible and len(x) == n
+    vals = [sum(c * v for c, v in zip(w, x)) for w, _ in rows]
+    assert all(v <= b for v, (_, b) in zip(vals, rows))
+    tight = [w for v, (w, b) in zip(vals, rows) if v == b]
+    assert int_rank(tight) == int_rank([w for w, _ in rows])
+
+
 class TestFourierMotzkin:
+    """``feasibility`` on small systems whose regions are known."""
+
     def test_infeasible_pair(self):
         s = make_system(1, [((1,), 0), ((-1,), -1)])  # x <= 0 and x >= 1
-        res = fm_feasible(s)
+        res = feasibility(s)
         assert not res.feasible and res.witness is None and not res.unique
 
     def test_forced_point(self):
         s = make_system(2, [((-1, 0), F(-1, 3)), ((0, -1), F(-1, 3)),
                             ((1, 1), F(2, 3))])
-        res = fm_feasible(s)
+        res = feasibility(s)
         assert res.feasible and res.unique
         assert res.witness == (F(1, 3), F(1, 3))
 
     def test_one_sided_interval_witness(self):
-        res = fm_feasible(make_system(1, [((-1,), 0)]))  # x >= 0
-        assert res.feasible and res.witness == (F(1),) and not res.unique
+        s = make_system(1, [((-1,), 0)])  # x >= 0: its one vertex is 0
+        res = feasibility(s)
+        _assert_vertex(_integer_rows(s), 1, res)
+        assert res.witness == (F(0),) and not res.unique
 
     def test_unconstrained_variable_defaults_to_zero(self):
-        res = fm_feasible(make_system(2, [((1, 0), 5), ((-1, 0), 5)]))
-        assert res.witness == (F(0), F(0)) and not res.unique
+        # y is free: its column is not a pivot column, so it is set to 0,
+        # and x sits at an end of [-5, 5]
+        s = make_system(2, [((1, 0), 5), ((-1, 0), 5)])
+        res = feasibility(s)
+        _assert_vertex(_integer_rows(s), 2, res)
+        assert res.witness in {(F(-5), F(0)), (F(5), F(0))} and not res.unique
 
     def test_witness_always_satisfies_system(self):
         rng = random.Random(31)
@@ -86,18 +108,21 @@ class TestFourierMotzkin:
             if not rows:
                 continue
             system = make_system(dim, rows)
-            res = fm_feasible(system)
+            res = feasibility(system)
             if res.feasible:
                 feasible_seen += 1
                 assert system.contains(res.witness)
+                _assert_vertex(_integer_rows(system), dim, res)
             else:
                 infeasible_seen += 1
         assert feasible_seen > 10 and infeasible_seen > 10
 
-    def test_midpoint_of_box(self):
+    def test_vertex_of_box(self):
         s = make_system(2, [((1, 0), 3), ((-1, 0), 1), ((0, 1), 7), ((0, -1), -5)])
-        res = fm_feasible(s)  # box [-1,3] x [5,7]
-        assert res.witness == (F(1), F(6)) and not res.unique
+        res = feasibility(s)  # box [-1,3] x [5,7]
+        _assert_vertex(_integer_rows(s), 2, res)
+        assert res.witness[0] in (-1, 3) and res.witness[1] in (5, 7)
+        assert not res.unique
 
 
 class TestAkSystem:
@@ -185,8 +210,9 @@ def _fm_reference_bodies():
 
 
 class TestAkAgainstFullFM:
-    """Fourier-Motzkin on the full anchor system is the reference route for
-    the centroid witness and the tight-row uniqueness rule."""
+    """Fourier-Motzkin on the full anchor system (``oracle_fm_feasible``) is
+    the reference route for the centroid witness and the tight-row
+    uniqueness rule."""
 
     @pytest.mark.parametrize("body", _fm_reference_bodies(),
                              ids=lambda b: f"n{b.dim}v{len(b.vertices)}")
@@ -195,7 +221,7 @@ class TestAkAgainstFullFM:
         res = ak_feasibility(body)
         assert res.feasible and res.witness == body.centroid
         assert system.contains(res.witness)
-        assert res.unique == fm_feasible(system).unique
+        assert res.unique == oracle_fm_feasible(system).unique
 
     def test_square_pyramid_has_one_tight_row(self):
         profile = tightness_profile(build_hull(SQUARE_PYRAMID))
@@ -351,6 +377,13 @@ def oracle_fm_feasible(system):
     return FeasibilityResult(True, tuple(witness), unique)
 
 
+def oracle_fm_rows(rows, n):
+    """``oracle_fm_feasible`` on integer rows (w, b); a zero normal, which
+    no ``System`` holds, is allowed."""
+    return oracle_fm_feasible(SimpleNamespace(dim=n, halfspaces=[
+        SimpleNamespace(normal=tuple(F(c) for c in w), rhs=F(b)) for w, b in rows]))
+
+
 def _oracle_farkas(system, subset):
     """The subset's n+1 cofactors from scratch, normals scaled alone and the
     rhs left a Fraction."""
@@ -394,7 +427,7 @@ def _check_certificates(system) -> int:
             continue
         assert rank == n
         sub = halfspaces.System(n, tuple(system.halfspaces[i] for i in subset))
-        assert verdict == (not fm_feasible(sub).feasible), subset
+        assert verdict == (not oracle_fm_feasible(sub).feasible), subset
     return fallbacks
 
 
@@ -411,7 +444,8 @@ def _random_rows(rng, dim, count, normals=None):
 
 
 class TestFarkasCertificate:
-    """Fourier-Motzkin on each subset is the oracle for the certificate."""
+    """Fourier-Motzkin on each subset (``oracle_fm_feasible``) is the oracle
+    for the certificate."""
 
     def test_criterion_6_bodies(self, corpus):
         fallbacks = audited = 0
@@ -436,7 +470,7 @@ class TestFarkasCertificate:
             dim = rng.choice((1, 2, 3))
             system = make_system(dim, _random_rows(rng, dim, rng.randint(dim + 1, 7)))
             fallbacks += _check_certificates(system)
-            infeasible += not fm_feasible(system).feasible
+            infeasible += not feasibility(system).feasible
         assert infeasible > 20 and fallbacks > 0
 
     def test_duplicate_normals(self):
@@ -449,7 +483,7 @@ class TestFarkasCertificate:
             for _ in range(30):
                 system = make_system(dim, _random_rows(rng, dim, 6, pool))
                 fallbacks += _check_certificates(system)
-                infeasible += not fm_feasible(system).feasible
+                infeasible += not feasibility(system).feasible
             assert fallbacks > 0 and infeasible > 0
 
     @pytest.mark.parametrize("rows", [
@@ -488,20 +522,6 @@ class TestIntegerRows:
                             ((-1, 1), 0)])
         assert _integer_rows(s) == [((6, 4), 15), ((6, 0), -1), ((-1, 1), 0)]
 
-    def test_canonical_rows_keep_least_rhs_per_direction(self):
-        rows = [((2, 4), 3), ((1, 2), 1), ((3, 6), 2), ((-1, 0), 4),
-                ((-2, 0), 8), ((0, 0), 5)]
-        # (1, 2): rhs/g is 3/2, 1, 2/3, so (3, 6) <= 2 stays; the two rows
-        # along (-1, 0) tie and the first stays; 0 <= 5 is dropped
-        assert halfspaces._canonical_rows(rows) == (
-            [((3, 6), 2), ((-1, 0), 4)], True)
-        assert halfspaces._canonical_rows(rows + [((0, 0), -1)]) == ([], False)
-
-    def test_kept_rows_divided_by_gcd_of_all_entries(self):
-        rows, ok = halfspaces._canonical_rows([((4, 6), 10), ((4, 6), 3),
-                                               ((0, 3), 0), ((-6, 0), -4)])
-        assert ok and rows == [((4, 6), 3), ((0, 1), 0), ((-3, 0), -2)]
-
 
 def _oracle_reference_systems():
     """Seeded random rational systems in dims 1-4.  Half draw normals from a
@@ -525,38 +545,98 @@ def _oracle_reference_systems():
     return systems
 
 
+def _random_int_rows(rng, dim):
+    """Integer rows (w, b) in R^dim.  The normals come from a pool that may
+    span less than R^dim, with multiples of either sign and zero normals,
+    and some rows come with their opposite as an equation, so duplicate,
+    dominated, opposite, constant and rank-deficient rows occur, as do
+    unbounded regions and single points."""
+    rank = rng.randint(1, dim)
+    basis = [[rng.randint(-2, 2) for _ in range(dim)] for _ in range(rank)]
+    pool = []
+    for _ in range(dim + 1):
+        coef = [rng.randint(-2, 2) for _ in range(rank)]
+        pool.append(tuple(sum(c * v[j] for c, v in zip(coef, basis))
+                          for j in range(dim)))
+    pool += [tuple(k * c for c in w) for w in pool for k in (2, -1)]
+    rows = []
+    for _ in range(rng.randint(1, 8)):
+        w, b = rng.choice(pool), rng.randint(-6, 6)
+        rows.append((w, b))
+        if rng.random() < 0.4:  # and w . x >= b, making an equation
+            rows.append((tuple(-c for c in w), -b))
+    return rows
+
+
+def _random_int_systems(seed, count):
+    """``count`` pairs (rows, n) of ``_random_int_rows`` in dims 1-4."""
+    rng = random.Random(seed)
+    systems = []
+    for _ in range(count):
+        n = rng.randint(1, 4)
+        systems.append((_random_int_rows(rng, n), n))
+    return systems
+
+
+def _verdict(res):
+    return res.feasible, res.unique
+
+
 class TestAgainstFractionOracle:
-    """The integer-row Fourier-Motzkin must give the Fraction-rhs route's
-    feasibility, witness and uniqueness exactly."""
+    """The double description entry must give the Fraction-rhs
+    Fourier-Motzkin's feasibility and uniqueness exactly, and a vertex of the
+    region as witness."""
 
     def test_corpus_anchor_systems(self, corpus):
-        bodies = [body for _, body in corpus if body.dim < 4]
-        bodies += [body for spec, body in corpus
-                   if body.dim == 4 and spec.kind == "random_hull"][:20]
-        for body in bodies:
+        for _, body in corpus:
             system = ak_system(body)
-            assert fm_feasible(system) == oracle_fm_feasible(system)
+            res = feasibility(system)
+            assert _verdict(res) == _verdict(oracle_fm_feasible(system))
+            _assert_vertex(_integer_rows(system), body.dim, res)
 
-    def test_random_rational_systems(self, monkeypatch):
-        constant = []
-        canonical = halfspaces._canonical_rows
+    def test_tight_row_systems(self, corpus):
+        for _, body in corpus:
+            profile = tightness_profile(body)
+            n = body.dim
+            rows = [(e.normal, 0) for e in profile.entries if e.tight]
+            res = _feasible_rows(rows, n)
+            assert _verdict(res) == _verdict(oracle_fm_rows(rows, n))
+            assert anchor_unique(profile) == res.unique
+            _assert_vertex(rows, n, res)
 
-        def spy(rows):
-            rows = list(rows)
-            constant.extend(r for r in rows if not any(r[0]))
-            return canonical(rows)
-
-        monkeypatch.setattr(halfspaces, "_canonical_rows", spy)
-        infeasible = unique = 0
+    def test_random_rational_systems(self):
+        infeasible = unique = deficient = 0
         systems = _oracle_reference_systems()
         for system in systems:
-            res = fm_feasible(system)
-            assert res == oracle_fm_feasible(system)
+            res = feasibility(system)
+            assert _verdict(res) == _verdict(oracle_fm_feasible(system))
             assert all(type(c) is F for c in res.witness or ())
+            rows = _integer_rows(system)
+            if res.feasible:
+                _assert_vertex(rows, system.dim, res)
             infeasible += not res.feasible
             unique += res.unique
+            deficient += int_rank([w for w, _ in rows]) < system.dim
         assert len(systems) >= 2000
-        assert infeasible > 300 and unique > 5 and len(constant) > 300
+        assert infeasible > 300 and unique > 5 and deficient > 300
+
+    def test_random_integer_rows(self):
+        seen = {"infeasible": 0, "unique": 0, "unbounded": 0, "deficient": 0,
+                "zero": 0}
+        for rows, n in _random_int_systems(97, 3000):
+            res = _feasible_rows(rows, n)
+            assert _verdict(res) == _verdict(oracle_fm_rows(rows, n))
+            if res.feasible:
+                _assert_vertex(rows, n, res)
+                # a nonempty region is unbounded iff W x <= 0 has a point
+                # other than 0
+                seen["unbounded"] += not oracle_fm_rows(
+                    [(w, 0) for w, _ in rows], n).unique
+            seen["infeasible"] += not res.feasible
+            seen["unique"] += res.unique
+            seen["deficient"] += int_rank([w for w, _ in rows]) < n
+            seen["zero"] += any(not any(w) for w, _ in rows)
+        assert min(seen.values()) > 50, seen
 
     def test_one_fraction_per_witness_coordinate(self, monkeypatch):
         made = []
@@ -569,64 +649,114 @@ class TestAgainstFractionOracle:
         monkeypatch.setattr(halfspaces, "Fraction", counting)
         for system in systems:
             del made[:]
-            res = fm_feasible(system)
+            res = feasibility(system)
             assert len(made) == (system.dim if res.feasible else 0)
 
-    def test_canonical_rows_match_oracle(self):
-        rng = random.Random(95)
-        for _ in range(400):
-            dim = rng.randint(1, 3)
-            rows = [(tuple(rng.randint(-2, 2) * rng.choice((1, 2, 6))
-                           for _ in range(dim)), rng.randint(-9, 9))
-                    for _ in range(rng.randint(1, 8))]
-            got, ok = halfspaces._canonical_rows(rows)
-            want, want_ok = _oracle_canonical_rows(
-                [(tuple(F(c) for c in w), F(b)) for w, b in rows])
-            assert ok == want_ok
-            assert [(primitive(w), F(b, gcd(*w))) for w, b in got] == want
-            assert all(gcd(*w, b) == 1 for w, b in got)
+
+def _random_unimodular(rng, n):
+    """An integer n x n matrix of determinant +-1, from row operations."""
+    mat = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(2 * n):
+        if n > 1:
+            i, j = rng.sample(range(n), 2)
+            c = rng.randint(-2, 2)
+            mat[i] = [a + c * b for a, b in zip(mat[i], mat[j])]
+    if rng.random() < 0.5:
+        mat[0] = [-a for a in mat[0]]
+    return mat
+
+
+class TestFeasibleRowsMetamorphic:
+    """Changes of the rows that keep the region, or map it one to one, keep
+    ``feasible`` and ``unique``, and every witness is a vertex."""
+
+    SYSTEMS = _random_int_systems(98, 400)
+
+    @staticmethod
+    def _check(rows, n, want):
+        res = _feasible_rows(rows, n)
+        assert _verdict(res) == want
+        if res.feasible:
+            _assert_vertex(rows, n, res)
+        return res
+
+    def test_permuted_and_scaled_rows(self):
+        rng = random.Random(99)
+        for rows, n in self.SYSTEMS:
+            want = _verdict(_feasible_rows(rows, n))
+            moved = []
+            for w, b in rows:
+                k = rng.randint(1, 5)
+                moved.append((tuple(k * c for c in w), k * b))
+            rng.shuffle(moved)
+            self._check(moved, n, want)
+
+    def test_duplicate_and_dominated_rows(self):
+        rng = random.Random(100)
+        for rows, n in self.SYSTEMS:
+            want = _verdict(_feasible_rows(rows, n))
+            w, b = rng.choice(rows)
+            self._check(rows + [(w, b)], n, want)
+            self._check([(w, b + rng.randint(0, 4))] + rows, n, want)
+
+    def test_unimodular_change_of_variables(self):
+        # w . x <= b becomes (w U) . y <= b, so y = U^-1 x maps one region
+        # onto the other, and x = U y maps the new witness to a vertex
+        rng = random.Random(101)
+        for rows, n in self.SYSTEMS:
+            want = _verdict(_feasible_rows(rows, n))
+            u = _random_unimodular(rng, n)
+            moved = [(tuple(sum(w[i] * u[i][j] for i in range(n)) for j in range(n)), b)
+                     for w, b in rows]
+            res = self._check(moved, n, want)
+            if res.feasible:
+                x = tuple(sum(u[i][j] * res.witness[j] for j in range(n))
+                          for i in range(n))
+                _assert_vertex(rows, n, FeasibilityResult(True, x, res.unique))
+
+
+# anchor systems whose Fourier-Motzkin elimination paired more rows in one
+# step than the default subset cap: 468,649 pairs in dim 4 and 1,247,260 in
+# the first dim-5 one
+FM_REFUSED_SPECS = [
+    GenSpec("random_hull", 4, vertex_count=8, seed=4, denominator_bound=2),
+    *(GenSpec("random_hull", 5, vertex_count=8, seed=seed, denominator_bound=2)
+      for seed in (1, 2, 3)),
+]
 
 
 class TestFourierMotzkinGuard:
-    def test_step_cap_counts_row_pairs(self, monkeypatch):
-        # eliminating y pairs the three rows with +y and the three with -y
-        rows = [((i, 1), 9) for i in range(3)] + [((i, -1), 9) for i in range(3)]
-        system = make_system(2, rows)
-        monkeypatch.setenv("GODBERSEN_SUBSET_CAP", "8")
-        with pytest.raises(CombinatorialBlowup, match="Fourier-Motzkin step: 9 "):
-            fm_feasible(system)
-        monkeypatch.setenv("GODBERSEN_SUBSET_CAP", "9")
-        assert fm_feasible(system).feasible
+    """The anchor systems that Fourier-Motzkin's step guard refused are
+    decided, and the audit's one guard, its subset cap, still comes before
+    any work."""
 
-    def test_dim_5_anchor_system_raises(self, monkeypatch):
-        # its elimination steps pair 99, 2420, 1247260, ... rows: the third
-        # step exceeds the default cap of 200000 before it combines any
+    def test_anchor_systems_decided(self):
+        for spec in FM_REFUSED_SPECS:
+            body = generate(spec)
+            system = ak_system(body)
+            res = feasibility(system)
+            _assert_vertex(_integer_rows(system), spec.dim, res)
+            assert not res.unique and not ak_feasibility(body).unique
+
+    def test_helly_audit_decides_them(self, monkeypatch):
         monkeypatch.delenv("GODBERSEN_SUBSET_CAP", raising=False)
-        body = generate(GenSpec("random_hull", 5, vertex_count=8, seed=1,
-                                denominator_bound=2))
-        with pytest.raises(CombinatorialBlowup, match="1247260"):
-            fm_feasible(ak_system(body))
+        systems = [ak_system(generate(spec)) for spec in FM_REFUSED_SPECS]
+        # the first dim-5 system: 20 rows, 38,760 subsets, under the cap
+        assert comb(len(systems[1].halfspaces), 6) == 38760
+        assert all(helly_audit(system) for system in systems)
 
-    def test_helly_audit_raises_before_any_subset(self, monkeypatch):
-        # its 20 rows make 38,760 subsets, under the cap; the full-system
-        # Fourier-Motzkin runs first and trips the step cap
-        monkeypatch.delenv("GODBERSEN_SUBSET_CAP", raising=False)
-        body = generate(GenSpec("random_hull", 5, vertex_count=8, seed=1,
-                                denominator_bound=2))
-        system = ak_system(body)
-        assert comb(len(system.halfspaces), 6) == 38760
-        visited = []
-        farkas = halfspaces._farkas_infeasible
+    def test_subset_cap_comes_before_the_kernel(self, monkeypatch):
+        system = ak_system(generate(FM_REFUSED_SPECS[1]))
+        monkeypatch.setenv("GODBERSEN_SUBSET_CAP", "38759")
 
-        def record_farkas(rows, subset, minors):
-            visited.append(subset)
-            return farkas(rows, subset, minors)
+        def fail(*args):
+            raise AssertionError("the kernel ran before the subset cap")
 
-        monkeypatch.setattr(halfspaces, "_farkas_infeasible", record_farkas)
+        monkeypatch.setattr(halfspaces, "_cone_rays", fail)
+        monkeypatch.setattr(halfspaces, "_farkas_infeasible", fail)
         with pytest.raises(CombinatorialBlowup,
-                           match="Fourier-Motzkin step: 1247260 row pairs exceed"):
+                           match="Helly audit: 38760 subsets exceed the cap of 38759"):
             helly_audit(system)
-        assert visited == []
 
 
 class TestMinorTable:
@@ -679,15 +809,16 @@ class TestMinorTable:
 
 
 class TestHellyCallCounts:
-    """The audit scales its system once and runs every Fourier-Motzkin on
-    integer rows, the full system first; it goes through no ``System``."""
+    """The audit scales its system once and decides every feasibility
+    question on integer rows with ``_feasible_rows``, the full system
+    first; it goes through no ``System``."""
 
     @pytest.fixture
     def spy(self, monkeypatch):
         """``spy()`` wraps the named module functions and constructors and
         returns the argument tuples of their calls from then on, by name."""
         def install():
-            seen = {"_fm_rows": [], "fm_feasible": [], "_integer_rows": [],
+            seen = {"_feasible_rows": [], "feasibility": [], "_integer_rows": [],
                     "System": [], "HalfSpace": []}
             for name in seen:
                 def counting(*args, _calls=seen[name], _orig=getattr(halfspaces, name)):
@@ -703,8 +834,8 @@ class TestHellyCallCounts:
         ints = _integer_rows(system)
         calls = spy()
         assert helly_audit(system)
-        assert calls["_fm_rows"] == [(ints, 2)]
-        assert calls["fm_feasible"] == []
+        assert calls["_feasible_rows"] == [(ints, 2)]
+        assert calls["feasibility"] == []
         assert calls["_integer_rows"] == [(system,)]
 
     def test_cube_runs_fm_on_its_fallback_subsets(self, spy):
@@ -712,12 +843,12 @@ class TestHellyCallCounts:
         ints = _integer_rows(system)
         calls = spy()
         assert helly_audit(system)
-        assert len(calls["_fm_rows"]) == 1 + 3
-        assert calls["_fm_rows"][0] == (ints, 3)
+        assert len(calls["_feasible_rows"]) == 1 + 3
+        assert calls["_feasible_rows"][0] == (ints, 3)
         # each fallback subset is four of the scaled rows, not a new System
         assert all(len(rows) == 4 and all(r in ints for r in rows)
-                   for rows, _ in calls["_fm_rows"][1:])
-        assert calls["fm_feasible"] == []
+                   for rows, _ in calls["_feasible_rows"][1:])
+        assert calls["feasibility"] == []
         assert calls["_integer_rows"] == [(system,)]
         assert calls["System"] == [] and calls["HalfSpace"] == []
 
@@ -727,9 +858,9 @@ class TestHellyCallCounts:
         calls = spy()
         verdicts = [anchor_unique(p) for p in profiles]
         assert all(verdicts[-3:]) and not all(verdicts)
-        assert len(calls["_fm_rows"]) >= 3
+        assert len(calls["_feasible_rows"]) >= 3
         assert calls["HalfSpace"] == [] and calls["System"] == []
-        assert calls["fm_feasible"] == [] and calls["_integer_rows"] == []
+        assert calls["feasibility"] == [] and calls["_integer_rows"] == []
 
 
 class TestGLInvariance:

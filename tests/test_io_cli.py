@@ -13,6 +13,7 @@ from godbersen import (
     unit_cube,
 )
 from godbersen.cli import main
+from godbersen.rationals import format_rational
 from godbersen.polyio import (
     polytope_from_dict,
     polytope_to_dict,
@@ -178,6 +179,21 @@ class TestCli:
             f'  "all_subsystems_feasible": {verdicts[0]},\n'
             f'  "full_system_feasible": {verdicts[1]}\n'
             "}\n")
+
+    @pytest.mark.parametrize("dim, seed", [(4, 4), (5, 1), (5, 2), (5, 3)])
+    def test_helly_on_anchor_systems_fm_refused(self, tmp_path, capsys,
+                                                monkeypatch, dim, seed):
+        # Fourier-Motzkin refused these with a step-cap error and exit 1
+        monkeypatch.delenv("GODBERSEN_SUBSET_CAP", raising=False)
+        system = ak_system(generate(GenSpec("random_hull", dim, vertex_count=8,
+                                            seed=seed, denominator_bound=2)))
+        rows = [([format_rational(c) for c in h.normal], format_rational(h.rhs))
+                for h in system.halfspaces]
+        path = tmp_path / "sys.json"
+        path.write_text(json.dumps(_system_dict(rows)))
+        assert main(["helly", "--input", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "all_subsystems_feasible": True, "full_system_feasible": True}
 
     def test_moment(self, tmp_path, capsys):
         path = self._write_body(tmp_path, TRIANGLE)
@@ -470,6 +486,28 @@ class TestCli:
         assert main(["sweep", "--spec", str(spec), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: cube takes no vertex_count")
+        assert not out.exists()
+
+    def test_gen_rejects_a_denominator_bound_for_a_fixed_kind(self, tmp_path, capsys):
+        out = tmp_path / "c.json"
+        assert main(["gen", "--kind", "cube", "--dim", "3", "--denominator-bound", "5",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == ("error: cube takes no denominator_bound; only the random "
+                       "kinds do\n")
+        assert not out.exists()
+        assert main(["gen", "--kind", "cube", "--dim", "3", "--denominator-bound", "1",
+                     "--out", str(out)]) == 0
+
+    def test_sweep_rejects_a_denominator_bound_for_a_fixed_kind(self, tmp_path, capsys):
+        spec = tmp_path / "specs.json"
+        spec.write_text(json.dumps([{"kind": "simplex", "dim": 2},
+                                    {"kind": "cross_polytope", "dim": 3,
+                                     "denominator_bound": 2}]))
+        out = tmp_path / "out.csv"
+        assert main(["sweep", "--spec", str(spec), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cross_polytope takes no denominator_bound")
         assert not out.exists()
 
     def test_gen_random_deterministic(self, tmp_path, capsys):
