@@ -25,6 +25,7 @@ from .inclusion import directional_moment
 from .mixedvol import godbersen_report
 from .polyio import (
     _checked,
+    _field,
     _integer,
     load_json,
     polytope_from_dict,
@@ -103,7 +104,7 @@ def _cmd_moment(args) -> int:
 
 def _load_specs(path, base_seed: int) -> list[GenSpec]:
     data = load_json(path)
-    raw = data["specs"] if isinstance(data, dict) else data
+    raw = _field(data, "specs", "a spec file") if isinstance(data, dict) else data
     specs = []
     for i, row in enumerate(_checked(raw, list, "the spec list")):
         _checked(row, dict, f"spec row {i}")
@@ -113,8 +114,8 @@ def _load_specs(path, base_seed: int) -> list[GenSpec]:
         seed = row.get("seed")
         vertex_count = row.get("vertex_count")
         specs.append(GenSpec(
-            kind=row["kind"],
-            dim=_integer(row["dim"], f"spec row {i} dim"),
+            kind=_field(row, "kind", f"spec row {i}"),
+            dim=_integer(_field(row, "dim", f"spec row {i}"), f"spec row {i} dim"),
             vertex_count=None if vertex_count is None
             else _integer(vertex_count, f"spec row {i} vertex_count"),
             seed=base_seed * 1_000_003 + i if seed is None

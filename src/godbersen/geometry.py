@@ -30,7 +30,11 @@ through some points is the intersection of the facets containing them
 facets of a face are its maximal proper intersections with facets.  Each
 facet's pulling triangulation, coned from a vertex off it, gives the facet's
 measure (cone volume = measure * height / n); the cones from vertex 0 give
-the fan, volume and centroid.  That is one integer determinant per simplex.
+the fan, volume and centroid.  The fan kernel, ``_pulling_fan``, recurses on
+the vertex bitmasks of the faces and carries one fraction-free elimination
+down the recursion: each face reduces only its own vertex row against its
+ancestors' pivot rows (Bareiss's step), so a simplex's determinant is the
+last pivot of its chain and no determinant is taken on its own.
 An invertible affine map keeps the incidence, so ``transform`` relabels its
 source's facets and fan instead of rebuilding them.
 """
@@ -40,7 +44,8 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm
-from operator import mul
+from functools import reduce
+from operator import and_, mul
 
 from .errors import (
     CombinatorialBlowup,
@@ -54,7 +59,6 @@ from .linalg import (
     _echelon,
     _with_identity,
     adjugate,
-    int_det,
     int_rank,
     primitive,
     scale_to_integers,
@@ -305,37 +309,64 @@ def _hull_facets_int(pts: list[tuple[int, ...]], d: int):
     return sorted(facets)
 
 
-def _pulling_fan(face: frozenset, cands) -> list[tuple[int, ...]]:
-    """Pulling triangulation of a face, as vertex-id tuples.
+def _pulling_fan(face: int, cands, rows, chain=(), above: int = 0) -> list[tuple[int, int]]:
+    """Pulling triangulation of a face coned from an apex, as (simplex, |det|)
+    pairs: the bitmask of each simplex's vertices other than the apex, and
+    its integer volume on the lattice.
 
-    ``face`` holds the face's vertex ids and ``cands`` sets whose
-    intersections with it include its facets (the facets' vertex sets do).
-    Its facets are the inclusion-maximal proper intersections: scanned by
+    ``face`` is the bitmask of the face's vertex ids and ``cands`` bitmasks
+    whose intersections with it include its facets (the facets' do).  Its
+    facets are the inclusion-maximal proper intersections: scanned by
     decreasing size, an intersection is kept when no facet kept so far holds
     it.  The face is coned from its lowest id over the facets that miss it,
     each triangulated with the facets alone as candidates, since every facet
     of a facet g is g n h for another facet h.
+
+    ``rows[i]`` is vertex i minus the apex.  A simplex's rows are its chain
+    of lowest ids, one per level, so each level reduces only its own row,
+    against the pivot rows ``chain`` of its ancestors, by Bareiss's step
+    r <- (p_j r - r[c_j] t_j) / p_(j-1), exact by Sylvester's identity
+    (Bareiss 1968).  The pivot column is the row's first nonzero entry and
+    leaves the row once used, so the last level keeps one entry: +-det of
+    the simplex.  A face with as many vertices as its row has entries is a
+    simplex, its own triangulation: its ids continue the chain with no facet
+    search.  ``above`` holds the ancestors' ids.  A row that reduces to zero
+    raises DegenerateInput.
     """
-    if len(face) == 1:
-        return [tuple(face)]
-    subs = {face & c for c in cands}
+    low = face & -face
+    r = rows[low.bit_length() - 1]
+    prev = 1
+    for c, t in chain:
+        f, p = r[c], t[c]
+        r = [(p * x - f * y) // prev for x, y in zip(r, t)]
+        del r[c]
+        prev = p
+    c = next((j for j, x in enumerate(r) if x), None)
+    if c is None:
+        raise DegenerateInput("fan simplex is degenerate")
+    above |= low
+    if face == low:
+        return [(above, abs(r[c]))]
+    chain += ((c, r),)
+    if face.bit_count() == len(r):
+        return _pulling_fan(face ^ low, cands, rows, chain, above)
+    subs = {face & g for g in cands}
     subs.discard(face)
-    facets: list[frozenset] = []
-    for g in sorted(subs, key=len, reverse=True):
+    facets: list[int] = []
+    for g in sorted(subs, key=int.bit_count, reverse=True):
         for h in facets:
-            if g <= h:
+            if g & h == g:
                 break
         else:
             facets.append(g)
-    top = min(face)
-    return [(top,) + s for g in facets if top not in g
-            for s in _pulling_fan(g, facets)]
+    return [s for g in facets if not g & low
+            for s in _pulling_fan(g, facets, rows, chain, above)]
 
 
-def _simplex_int_volume(pts, simplex, d: int) -> int:
-    base = pts[simplex[0]]
-    rows = [[pts[i][c] - base[c] for c in range(d)] for i in simplex[1:]]
-    return abs(int_det(rows))
+def _relative_rows(pts, apex: int) -> list[tuple[int, ...]]:
+    """Every point minus ``pts[apex]``."""
+    o = pts[apex]
+    return [tuple(a - b for a, b in zip(p, o)) for p in pts]
 
 
 def _common_lattice(K: Polytope, L: Polytope):
@@ -353,27 +384,25 @@ def _cayley_mixed_volumes(K: Polytope, L: Polytope) -> tuple[Fraction, ...]:
     C = conv(K x {0} u L x {1}) has the points (p, 0) and (q, m) on the
     common lattice m, all of them vertices.  Its facets, K x {0} and
     L x {1} among them, are the extreme rays of the cone over its points
-    (``_cone_rays``), each with the points on it.  The fan cones vertex 0
-    over the pulling triangulation of every facet that misses it.  A
-    simplex with j + 1 vertices at the L end cuts the slice (1-l)K + lL in a
-    piece of volume proportional to (1-l)^(n-j) l^j, so m_j is n + 1 times
-    the volume of the fan's type-j simplices: their integer determinants
-    over n! m^(n+1).
+    (``_cone_rays``), each with the bitmask of the points on it.  The fan
+    cones vertex 0 over the pulling triangulation of every facet that misses
+    it (``_pulling_fan``).  A simplex with j + 1 vertices at the L end cuts
+    the slice (1-l)K + lL in a piece of volume proportional to
+    (1-l)^(n-j) l^j, so m_j is n + 1 times the volume of the fan's type-j
+    simplices: their integer determinants over n! m^(n+1).
     """
     n = K.dim
     m, ps, qs = _common_lattice(K, L)
     vk = len(ps)
     pts = [p + (0,) for p in ps] + [q + (m,) for q in qs]
-    faces = [frozenset(_ids(tight)) for _, tight in _cone_rays([p + (1,) for p in pts])]
+    faces = [tight for _, tight in _cone_rays([p + (1,) for p in pts])]
+    rows = _relative_rows(pts, 0)
     raw = [0] * (n + 1)
     for face in faces:
-        if 0 in face:
+        if face & 1:
             continue
-        for s in _pulling_fan(face, faces):
-            v = _simplex_int_volume(pts, (0,) + s, n + 1)
-            if v == 0:
-                raise DegenerateInput("Cayley fan simplex is degenerate")
-            raw[sum(i >= vk for i in s) - 1] += v
+        for s, v in _pulling_fan(face, faces, rows):
+            raw[(s >> vk).bit_count() - 1] += v
     unit = factorial(n) * m ** (n + 1)
     return tuple(Fraction(r, unit) for r in raw)
 
@@ -387,39 +416,43 @@ def _from_lattice(ipts: list[tuple[int, ...]], mult: int, raw_facets) -> Polytop
     point; the others are dropped, the facet ids remapped and the lattice
     coarsened to the smallest one holding the vertices.
 
-    Each facet's pulling triangulation is coned from vertex 0, or from the
-    lowest vertex off the facet when 0 is on it.  A cone's integer volume over
-    its integer height gives the facet's scaled measure, and the cones from
-    vertex 0 are the body's fan.
+    Each facet's pulling triangulation (``_pulling_fan``) is coned from
+    vertex 0, or from the lowest vertex off the facet when 0 is on it, with
+    the points' rows relative to each apex made once.  A cone's integer
+    volume over its integer height gives the facet's scaled measure, and the
+    cones from vertex 0 are the body's fan.
     """
     n = len(ipts[0])
-    through: list[list[frozenset]] = [[] for _ in ipts]
+    through: list[list[int]] = [[] for _ in ipts]
     for _, _, ids in raw_facets:
-        face = frozenset(ids)
+        face = sum(1 << i for i in ids)
         for i in ids:
             through[i].append(face)
     keep = [i for i, fs in enumerate(through)
-            if len(fs) >= n and frozenset.intersection(*fs) == {i}]
+            if len(fs) >= n and reduce(and_, fs) == 1 << i]
     new = {old: k for k, old in enumerate(keep)}
     specs = sorted((w, b, tuple(new[i] for i in ids if i in new))
                    for w, b, ids in raw_facets)
     g = gcd(mult, *(c for i in keep for c in ipts[i]))
     ipts = [tuple(c // g for c in ipts[i]) for i in keep]
     mult //= g
-    faces = [frozenset(vids) for _, _, vids in specs]
+    faces = [sum(1 << i for i in vids) for _, _, vids in specs]
     unit = factorial(n - 1) * mult ** (n - 1)
+    rows_from: dict[int, list[tuple[int, ...]]] = {}
     facets = []
     fan: list[tuple[int, ...]] = []
     dets: list[int] = []
     for (w, b, vids), face in zip(specs, faces):
-        apex = next(i for i in range(len(ipts)) if i not in face)
-        cones = [(apex,) + s for s in _pulling_fan(face, faces)]
-        raw = [_simplex_int_volume(ipts, s, n) for s in cones]
-        height = _idot(w, ipts[vids[0]]) - _idot(w, ipts[apex])
-        facets.append(Facet(w, b // g, mult, sum(raw), unit * height, vids))
+        apex = (~face & (face + 1)).bit_length() - 1
+        rows = rows_from.get(apex)
+        if rows is None:
+            rows = rows_from[apex] = _relative_rows(ipts, apex)
+        cones = _pulling_fan(face, faces, rows)
+        facets.append(Facet(w, b // g, mult, sum(v for _, v in cones),
+                            unit * _idot(w, rows[vids[0]]), vids))
         if apex == 0:
-            fan += cones
-            dets += raw
+            fan += [_ids(s | 1) for s, _ in cones]
+            dets += [v for _, v in cones]
     total = sum(dets)
     if total <= 0:
         raise DegenerateInput("assembled polytope has zero volume")

@@ -1,13 +1,16 @@
 """Exact linear algebra on integer and rational matrices.
 
-Every rank, determinant and adjugate runs through one fraction-free kernel,
-``_echelon``: Bareiss elimination on integer rows, whose every entry is an
-integer minor of the input, so each division is exact (Bareiss 1968).  An
-adjugate is one such pass over [A | I] and an integer back-substitution
-(``_back_substitute``); no minor is taken on its own.  The facet kernel of
-``geometry`` seeds from one pass too: on its transposed rows followed by I,
-the pivot columns pick the first linearly independent rows B, and the
-back-substitution gives the rows of adj(B)^T up to sign, the first rays.
+Every rank, determinant and adjugate runs on Bareiss's fraction-free
+elimination of integer rows, whose every entry is an integer minor of the
+input, so each division is exact (Bareiss 1968).  Here it is one kernel,
+``_echelon``.  An adjugate is one such pass over [A | I] and an integer
+back-substitution (``_back_substitute``); no minor is taken on its own.  The
+facet kernel of ``geometry`` seeds from one pass too: on its transposed rows
+followed by I, the pivot columns pick the first linearly independent rows B,
+and the back-substitution gives the rows of adj(B)^T up to sign, the first
+rays.  The fan simplices' determinants in ``geometry`` take the same step
+one row at a time: ``_pulling_fan`` reduces each vertex's row once, against
+the pivot rows that every simplex below it shares.
 No normal of a span is formed.  Rational input is scaled to integers first
 (``scale_to_integers``), which reads each coordinate's numerator and
 denominator and makes no Fraction.

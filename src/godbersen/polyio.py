@@ -31,6 +31,14 @@ def _checked(data, kind, what: str):
     return data
 
 
+def _field(data: dict, key: str, what: str):
+    """``data[key]``, or ValueError naming the key that ``what`` lacks."""
+    try:
+        return data[key]
+    except KeyError:
+        raise ValueError(f'{what} has no "{key}"') from None
+
+
 def _integer(value, what: str) -> int:
     """An int (not a bool) or an integer string, as an int; else ValueError."""
     if isinstance(value, int) and not isinstance(value, bool):
@@ -49,8 +57,9 @@ def _vector(data, what: str) -> tuple:
 
 def polytope_from_dict(data: dict) -> Polytope:
     data = _checked(data, dict, "a polytope file")
-    dim = _integer(data["dim"], "dim")
-    vertices = [_vector(p, "a vertex") for p in _checked(data["vertices"], list, "vertices")]
+    dim = _integer(_field(data, "dim", "a polytope file"), "dim")
+    vertices = [_vector(p, "a vertex")
+                for p in _checked(_field(data, "vertices", "a polytope file"), list, "vertices")]
     if any(len(p) != dim for p in vertices):
         raise ValueError("vertex length disagrees with the declared dimension")
     return build_hull(vertices)
@@ -58,9 +67,10 @@ def polytope_from_dict(data: dict) -> Polytope:
 
 def system_from_dict(data: dict) -> System:
     data = _checked(data, dict, "a system file")
-    dim = _integer(data["dim"], "dim")
-    rows = [(_vector(_checked(r, dict, "a row")["w"], "a normal"), parse_rational(r["beta"]))
-            for r in _checked(data["rows"], list, "rows")]
+    dim = _integer(_field(data, "dim", "a system file"), "dim")
+    rows = [(_vector(_field(_checked(r, dict, "a row"), "w", "a system row"), "a normal"),
+             parse_rational(_field(r, "beta", "a system row")))
+            for r in _checked(_field(data, "rows", "a system file"), list, "rows")]
     return make_system(dim, rows)
 
 

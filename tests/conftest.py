@@ -1,4 +1,5 @@
-"""Shared corpora, and the Minkowski sum and face lattice kept as references.
+"""Shared corpora, and the Minkowski sum, face lattice, frozenset pulling fan
+and per-simplex determinant kept as references.
 
 The acceptance corpus is 300 seeded random polytopes (100 each in dimensions
 2, 3, 4; 80 generic hulls plus 20 origin-symmetric per dimension).  Heavy
@@ -32,6 +33,7 @@ from godbersen import (
     translate,
 )
 from godbersen import geometry
+from godbersen.linalg import int_det
 
 
 def minkowski_sum(K: Polytope, L: Polytope) -> Polytope:
@@ -55,6 +57,42 @@ def minkowski_sum(K: Polytope, L: Polytope) -> Polytope:
         if ids != tuple(i for i, v in enumerate(vals) if v == offset):
             raise DegenerateInput("a facet names the wrong sums")
     return geometry._from_lattice(sums, m, raw_facets)
+
+
+def simplex_int_volume(pts, simplex, d: int) -> int:
+    """|det| of the simplex on ``pts[i]`` for i in ``simplex``, from one
+    (d+1)-point elimination of its rows relative to its first vertex: the
+    per-simplex route ``geometry._pulling_fan`` replaced."""
+    base = pts[simplex[0]]
+    rows = [[pts[i][c] - base[c] for c in range(d)] for i in simplex[1:]]
+    return abs(int_det(rows))
+
+
+def frozenset_pulling_fan(face: frozenset, cands) -> list[tuple[int, ...]]:
+    """Pulling triangulation of a face, as vertex-id tuples, on vertex-id
+    frozensets: the route ``geometry._pulling_fan`` took before it worked on
+    bitmasks and carried the elimination.
+
+    ``cands`` are sets whose intersections with ``face`` include its facets.
+    Its facets are the inclusion-maximal proper intersections: scanned by
+    decreasing size, an intersection is kept when no facet kept so far holds
+    it.  The face is coned from its lowest id over the facets that miss it,
+    each triangulated with the facets alone as candidates.
+    """
+    if len(face) == 1:
+        return [tuple(face)]
+    subs = {face & c for c in cands}
+    subs.discard(face)
+    facets: list[frozenset] = []
+    for g in sorted(subs, key=len, reverse=True):
+        for h in facets:
+            if g <= h:
+                break
+        else:
+            facets.append(g)
+    top = min(face)
+    return [(top,) + s for g in facets if top not in g
+            for s in frozenset_pulling_fan(g, facets)]
 
 
 def face_lattice(body) -> list[dict[tuple[int, ...], tuple[int, ...]]]:

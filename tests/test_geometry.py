@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction as F
 from itertools import combinations, product
 from math import comb, factorial
@@ -30,11 +31,18 @@ from godbersen import (
     volume,
 )
 from godbersen import geometry, linalg
-from godbersen.geometry import Polytope, _cone_rays, _hull_facets_int, _simplex_int_volume
+from godbersen.geometry import Polytope, _cone_rays, _hull_facets_int
 from godbersen.linalg import _echelon, int_rank, scale_to_integers
 from godbersen.rationals import as_rat, dot
 from godbersen.sections import section_profile
-from tests.conftest import corpus_specs, edges, face_lattice, minkowski_sum
+from tests.conftest import (
+    corpus_specs,
+    edges,
+    face_lattice,
+    frozenset_pulling_fan,
+    minkowski_sum,
+    simplex_int_volume,
+)
 from tests.test_linalg import (
     cofactor_adjugate,
     det,
@@ -313,6 +321,17 @@ class TestMinkowskiSum:
                 assert fast.volume == brute.volume
 
 
+def measure_bodies(corpus):
+    """Every corpus body, the dim-5 and dim-6 recipe bodies and the 5-cube,
+    each followed by its image under one seeded affine map."""
+    rng = random.Random(25)
+    bodies = []
+    for body in [body for _, body in corpus] + recipe_bodies() + [unit_cube(5)]:
+        mat, shift = rng.choice(affine_maps(rng, body.dim))
+        bodies += [body, image_of(body, mat, shift)[0]]
+    return bodies
+
+
 class TestVolumeAndCentroid:
     def test_unit_cube(self):
         cube = build_hull([(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)])
@@ -334,10 +353,19 @@ class TestVolumeAndCentroid:
                     for f in hexagon.facets)
         assert total / hexagon.dim == hexagon.volume
 
+    def test_divergence_identity(self, corpus):
+        # n Vol = sum over facets of (b_F - w_F . c) mu_F, the pyramids from
+        # the centroid c; the facet measures come from the fan kernel coned
+        # from each facet's own apex, the volume from the cones at vertex 0
+        for body in measure_bodies(corpus):
+            c = body.centroid
+            total = sum((f.offset - dot(f.normal, c)) * f.measure for f in body.facets)
+            assert total == body.dim * body.volume
+
     def test_minkowski_relation(self, corpus):
         # sum over facets of mu_F * w_F vanishes for every closed polytope
         tri = build_hull(TRIANGLE)
-        bodies = [body for _, body in corpus]
+        bodies = measure_bodies(corpus)
         bodies += [standard_simplex(n) for n in (2, 3, 4)]
         bodies += [unit_cube(n) for n in (2, 3, 4)]
         bodies += [minkowski_sum(tri, reflect(tri)),
@@ -497,7 +525,7 @@ def rehull_assemble(dim, vertices, facet_specs):
         k = max(range(dim), key=lambda i: abs(w[i]))
         sub = [tuple(ipts[i][c] for c in range(dim) if c != k) for i in vids]
         tri = _triangulate_points(sub, dim - 1)
-        raw = sum(_simplex_int_volume(sub, s, dim - 1) for s in tri)
+        raw = sum(simplex_int_volume(sub, s, dim - 1) for s in tri)
         facets.append(SimpleNamespace(
             normal=w, offset=b, vertex_ids=vids,
             measure=F(raw, fact * mult ** (dim - 1) * abs(w[k]))))
@@ -505,7 +533,7 @@ def rehull_assemble(dim, vertices, facet_specs):
             fan.extend((0,) + tuple(vids[i] for i in s) for s in tri)
     total = F(0)
     cx = [F(0)] * dim
-    dets = [_simplex_int_volume(ipts, s, dim) for s in fan]
+    dets = [simplex_int_volume(ipts, s, dim) for s in fan]
     for s, raw in zip(fan, dets):
         v = F(raw, factorial(dim) * mult ** dim)
         total += v
@@ -524,7 +552,7 @@ def facet_data(body):
 
 def assert_fan_volumes(body):
     assert list(body._fan_volumes) == [
-        _simplex_int_volume(body._int_vertices, s, body.dim) for s in body._simplices]
+        simplex_int_volume(body._int_vertices, s, body.dim) for s in body._simplices]
 
 
 def fan_by_simplex(body):
@@ -772,30 +800,98 @@ def cayley_rows(K, L):
 
 
 def cayley_faces(K, L):
-    """The facets of the Cayley polytope of K and L as vertex-id sets, the
-    vertices of L numbered after those of K."""
-    return [frozenset(geometry._ids(tight))
-            for _, tight in _cone_rays(cayley_rows(K, L))]
+    """The facets of the Cayley polytope of K and L as vertex-id bitmasks,
+    the vertices of L numbered after those of K."""
+    return [tight for _, tight in _cone_rays(cayley_rows(K, L))]
+
+
+def fan_families(corpus):
+    """(points, facet bitmasks) of every 5th corpus body, of two dim-5
+    recipe bodies, and of the Cayley polytopes of (K, -K) and of (K, next
+    body) for consecutive ones of equal dimension."""
+    bodies = [body for _, body in corpus[::5]] + recipe_bodies()[:2]
+    families = [(body._int_vertices, [sum(1 << i for i in f.vertex_ids) for f in body.facets])
+                for body in bodies]
+    for body, nxt in zip(bodies, bodies[1:]):
+        pairs = [(body, reflect(body))] + [(body, nxt)] * (nxt.dim == body.dim)
+        families += [([r[:-1] for r in cayley_rows(K, L)], cayley_faces(K, L))
+                     for K, L in pairs]
+    return families
+
+
+def lowest_off(face: int) -> int:
+    """The lowest vertex id not in the bitmask ``face``."""
+    return next(i for i in range(face.bit_length() + 1) if not face >> i & 1)
 
 
 class TestPullingFan:
     def test_matches_recursive_oracle(self, corpus):
-        # every facet of every 5th corpus body and of two dim-5 recipe
-        # bodies, and every Cayley facet of (K, -K) and of (K, next body)
-        bodies = [body for _, body in corpus[::5]] + recipe_bodies()[:2]
-        families = [[frozenset(f.vertex_ids) for f in body.facets] for body in bodies]
-        for body, nxt in zip(bodies, bodies[1:]):
-            families.append(cayley_faces(body, reflect(body)))
-            if nxt.dim == body.dim:
-                families.append(cayley_faces(body, nxt))
+        # each facet coned from its lowest vertex off it: the simplices are
+        # those of both frozenset routes, each with its own determinant
+        families = fan_families(corpus)
         simplices = 0
-        for faces in families:
-            for face in faces:
-                got = geometry._pulling_fan(face, faces)
-                assert len(got) == len(set(got))
-                assert set(got) == set(recursive_pulling_fan(face, faces))
+        for pts, faces in families:
+            sets = [frozenset(geometry._ids(f)) for f in faces]
+            for face, fset in zip(faces, sets):
+                apex = lowest_off(face)
+                got = geometry._pulling_fan(face, faces, geometry._relative_rows(pts, apex))
+                ids = [geometry._ids(s) for s, _ in got]
+                assert len(ids) == len(set(ids))
+                assert set(ids) == set(recursive_pulling_fan(fset, sets))
+                assert sorted(ids) == sorted(frozenset_pulling_fan(fset, sets))
+                assert [v for _, v in got] == [
+                    simplex_int_volume(pts, (apex,) + s, len(pts[0])) for s in ids]
                 simplices += len(got)
         assert len(families) > 180 and simplices > 5000
+
+    def test_any_apex_off_the_face(self, corpus):
+        # the fan of a facet does not depend on its apex, and from every
+        # apex off the facet each cone has its own determinant
+        for pts, faces in fan_families(corpus)[::7]:
+            for face in faces:
+                fans = {}
+                for apex in range(len(pts)):
+                    if not face >> apex & 1:
+                        got = geometry._pulling_fan(face, faces,
+                                                    geometry._relative_rows(pts, apex))
+                        fans[apex] = got
+                        assert [v for _, v in got] == [
+                            simplex_int_volume(pts, (apex,) + geometry._ids(s), len(pts[0]))
+                            for s, _ in got]
+                assert len({tuple(s for s, _ in got) for got in fans.values()}) == 1
+
+    def test_no_determinant_taken(self, corpus, monkeypatch):
+        bodies = [body for _, body in corpus[::3]]
+        expected = [(facet_data(body), body._simplices, body._fan_volumes,
+                     geometry._cayley_mixed_volumes(body, reflect(body)))
+                    for body in bodies]
+
+        def no_det(rows):
+            raise AssertionError("int_det reached")
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("godbersen") and hasattr(module, "int_det"):
+                monkeypatch.setattr(module, "int_det", no_det)
+        assert not hasattr(geometry, "int_det")
+        for body, (facets, fan, dets, mixed) in zip(bodies, expected):
+            built = build_hull(body.vertices)
+            assert (facet_data(built), built._simplices, built._fan_volumes) == \
+                (facets, fan, dets)
+            assert geometry._cayley_mixed_volumes(body, reflect(body)) == mixed
+
+    @pytest.mark.parametrize("pts, face, cands", [
+        # the leaf's row is parallel to its parent's
+        ([(0, 0), (1, 1), (2, 2)], 0b110, [0b110, 0b010, 0b100]),
+        # a level above the leaf reduces to zero
+        ([(0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 1, 0)], 0b1110,
+         [0b1110, 0b0110, 0b1100, 0b1010]),
+        # not a simplex, so its facets are searched before the leaf
+        ([(0, 0), (1, 1), (2, 2), (3, 3)], 0b1110,
+         [0b1110, 0b0110, 0b1100, 0b0010, 0b0100, 0b1000]),
+    ])
+    def test_degenerate_face_raises(self, pts, face, cands):
+        with pytest.raises(DegenerateInput, match="fan simplex is degenerate"):
+            geometry._pulling_fan(face, cands, geometry._relative_rows(pts, 0))
 
 
 def affine_maps(rng, n):
@@ -1319,7 +1415,7 @@ class TestOneEliminationAdjugate:
 
         for module in (geometry, linalg):
             monkeypatch.setattr(module, "_echelon", counted)
-            monkeypatch.setattr(module, "int_det", no_det)
+        monkeypatch.setattr(linalg, "int_det", no_det)
         for rows in inputs:
             calls.clear()
             _cone_rays(rows)

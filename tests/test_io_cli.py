@@ -318,6 +318,35 @@ class TestCli:
         assert err.startswith("error: points must have dimension at least 1")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command, data, extra, message", [
+        ("verify", {"vertices": [["0"], ["1"]]}, [], 'a polytope file has no "dim"'),
+        ("ak", {"dim": 1}, [], 'a polytope file has no "vertices"'),
+        ("moment", {"dim": 1}, ["--w", "1"], 'a polytope file has no "vertices"'),
+        ("helly", {"rows": []}, [], 'a system file has no "dim"'),
+        ("helly", {"dim": 1}, [], 'a system file has no "rows"'),
+        ("helly", {"dim": 1, "rows": [{"beta": "1"}]}, [], 'a system row has no "w"'),
+        ("helly", {"dim": 1, "rows": [{"w": ["1"]}]}, [], 'a system row has no "beta"'),
+    ])
+    def test_missing_key_is_named(self, tmp_path, capsys, command, data, extra, message):
+        # once the bare KeyError text, "error: 'dim'"
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(data))
+        assert main([command, "--input", str(path)] + extra) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("data, message", [
+        ([{"dim": 2}], 'spec row 0 has no "kind"'),
+        ([{"kind": "cube", "dim": 2}, {"kind": "cube"}], 'spec row 1 has no "dim"'),
+        ({"rows": []}, 'a spec file has no "specs"'),
+    ])
+    def test_sweep_missing_key_is_named(self, tmp_path, capsys, data, message):
+        spec = tmp_path / "specs.json"
+        spec.write_text(json.dumps(data))
+        out = tmp_path / "out.csv"
+        assert main(["sweep", "--spec", str(spec), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("data", [[1], {"specs": 3}, ["x"]])
     def test_malformed_spec_files_are_an_error(self, tmp_path, capsys, data):
         spec = tmp_path / "specs.json"

@@ -24,7 +24,7 @@ from godbersen import (
     translate,
     unit_cube,
 )
-from tests.conftest import minkowski_sum
+from tests.conftest import minkowski_sum, simplex_int_volume
 from tests.test_geometry import SQUARE, TRIANGLE, random_polytope, square_times_octahedron
 from tests.test_linalg import solve_linear
 
@@ -139,7 +139,7 @@ def vandermonde_profile(K, L):
     vols = []
     for t in range(1, n + 2):
         pts = [tuple(a + t * b for a, b in zip(p, q)) for p, q in summands]
-        raw = sum(geometry._simplex_int_volume(pts, s, n) for s in total._simplices)
+        raw = sum(simplex_int_volume(pts, s, n) for s in total._simplices)
         vols.append(F(raw, factorial(n) * m ** n))
     assert vols[0] == total.volume
     vmat = tuple(tuple(F(t ** j) for j in range(n + 1)) for t in range(1, n + 2))

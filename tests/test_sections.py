@@ -17,13 +17,13 @@ from godbersen import (
     standard_simplex,
     unit_cube,
 )
-from godbersen.geometry import _idot, _simplex_int_volume
+from godbersen.geometry import _idot
 from godbersen.linalg import scale_to_integers
 from godbersen.polynomials import add, derivative, evaluate, mul, trim
 from godbersen.sections import SectionProfile, _level_terms
 from godbersen.rationals import as_vector, dot
 from godbersen.sweep import ROOT_CONCAVITY_DIRECTIONS, _random_direction
-from tests.conftest import corpus_specs, edges
+from tests.conftest import corpus_specs, edges, simplex_int_volume
 from tests.test_geometry import random_polytope
 from tests.test_polynomials import antiderivative
 
@@ -103,7 +103,7 @@ def _reference_profile(K, w):
     breakpoints = sorted(set(levels))
     simplex_data = []
     for s in K._simplices:
-        vol = F(_simplex_int_volume(K._int_vertices, s, n),
+        vol = F(simplex_int_volume(K._int_vertices, s, n),
                 factorial(n) * K._int_scale ** n)
         if vol != 0:
             simplex_data.append((vol, [levels[i] for i in s]))
