@@ -32,15 +32,12 @@ from .geometry import (
     Facet,
     Polytope,
     build_hull,
-    centroid,
-    contains_point,
     includes,
     reflect,
     scale,
     support,
     transform,
     translate,
-    volume,
 )
 from .halfspaces import (
     FeasibilityResult,
@@ -50,7 +47,6 @@ from .halfspaces import (
     ak_system,
     anchor_unique,
     feasibility,
-    gl_invariance_check,
     helly_audit,
     make_system,
 )
@@ -59,10 +55,7 @@ from .inclusion import (
     TightnessProfile,
     center_at_centroid,
     directional_moment,
-    inclusion_in_nK,
-    simplex_cone_volume_identity,
     tightness_profile,
-    width,
 )
 from .mixedvol import (
     GodbersenEntry,

@@ -14,9 +14,10 @@ integrals integral_0^1 (1-s)^a s^b ds = a! b! / (a+b+1)! gives the power sum
 
 with no slope division.  Slice-root concavity (Brunn's principle) is decided
 exactly on the integer section pieces by a Sturm sign test, with no root
-taken (``SectionProfile.root_concave``).  Only ``bm_check`` still compares
-floating n-th roots, within a relative tolerance; it reads the exact
-Vol(K + L) = sum_j C(n,j) m_j off the mixed-volume profile, with no sum built.
+taken (``SectionProfile.root_concave``).  Brunn-Minkowski is decided exactly
+too (``bm_check``): it reads Vol(K + L) = sum_j C(n,j) m_j off the
+mixed-volume profile, with no sum built, and compares integer powers of the
+m_j instead of n-th roots.  No verdict here takes a float.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
-from .errors import DimensionMismatch, InvalidM, LemmaViolation, NotConcave
-from .geometry import Polytope, volume
+from .errors import InvalidM, LemmaViolation, NotConcave
+from .geometry import Polytope
 from .linalg import scale_to_integers
 from .mixedvol import mv_profile
 from .rationals import Rat, as_rat, as_vector
@@ -78,12 +79,6 @@ class PLConcave:
         the first and the last decide."""
         return self._slopes[0] == self._slopes[-1]
 
-    def scaled(self, c) -> "PLConcave":
-        cc = as_rat(c)
-        if cc < 0:
-            raise NotConcave("scaling must be nonnegative")
-        return PLConcave(self.knots, tuple(cc * v for v in self.values))
-
 
 @dataclass(frozen=True)
 class IntegralCheckResult:
@@ -95,8 +90,11 @@ class IntegralCheckResult:
 
 @dataclass(frozen=True)
 class BrunnMinkowskiResult:
-    lhs: float
-    rhs: float
+    """The exact Vol(K + L), and whether Brunn-Minkowski holds with equality
+    and whether it holds."""
+
+    volume: Rat
+    equality: bool
     ok: bool
 
 
@@ -165,19 +163,24 @@ def slice_root_concavity(K: Polytope, w) -> bool:
 
 
 def bm_check(K: Polytope, L: Polytope) -> BrunnMinkowskiResult:
-    """Vol(K+L)^(1/n) >= Vol(K)^(1/n) + Vol(L)^(1/n), floating roots of exact
-    volumes, relative tolerance 1e-9; equality holds exactly for homothets.
+    """Vol(K+L)^(1/n) >= Vol(K)^(1/n) + Vol(L)^(1/n), decided exactly; equality
+    holds exactly for homothets.
 
-    Vol(K + L) = sum_j C(n,j) m_j over the profile m_j = V(K[n-j], L[j]),
-    which ``mv_profile`` takes from the Cayley fan and checks as it goes.
+    The profile m_j = V(K[n-j], L[j]), which ``mv_profile`` takes from the
+    Cayley fan and checks as it goes, runs from m_0 = Vol K to m_n = Vol L and
+    gives Vol(K + L) = sum_j C(n,j) m_j.  It is log-concave, so
+    m_j^n >= m_0^(n-j) m_n^j for every j (Minkowski's inequalities): each
+    term is at least C(n,j) Vol(K)^((n-j)/n) Vol(L)^(j/n), and those bounds
+    sum to the right-hand side to the n-th power.  ``ok`` is that every
+    comparison holds, ``equality`` that every one is tight, which is the
+    case iff L is a homothet of K (Schneider, *Convex Bodies*, ch. 7).
     """
-    if K.dim != L.dim:
-        raise DimensionMismatch("bodies live in different dimensions")
-    n = K.dim
-    total = sum(comb(n, j) * m for j, m in enumerate(mv_profile(K, L).coeffs))
-    lhs = float(total) ** (1.0 / n)
-    rhs = float(volume(K)) ** (1.0 / n) + float(volume(L)) ** (1.0 / n)
-    return BrunnMinkowskiResult(lhs, rhs, lhs >= rhs - 1e-9 * rhs)
+    profile = mv_profile(K, L)  # raises DimensionMismatch on unequal dims
+    n, m = profile.n, profile.coeffs
+    total = sum(comb(n, j) * mj for j, mj in enumerate(m))
+    sides = [(mj ** n, m[0] ** (n - j) * m[n] ** j) for j, mj in enumerate(m)]
+    return BrunnMinkowskiResult(total, all(a == b for a, b in sides),
+                                all(a >= b for a, b in sides))
 
 
 def bridge_inequality(K: Polytope, w) -> Rat:

@@ -63,7 +63,7 @@ from .linalg import (
     primitive,
     scale_to_integers,
 )
-from .rationals import Point, Rat, as_rat, as_vector, dot, is_zero_vector
+from .rationals import Point, Rat, as_rat, as_vector, is_zero_vector
 
 
 class Facet:
@@ -591,16 +591,6 @@ def reflect(K: Polytope) -> Polytope:
     return scale(K, -1)
 
 
-def volume(K: Polytope) -> Rat:
-    """Exact n-volume, read off the fan determinants."""
-    return K.volume
-
-
-def centroid(K: Polytope) -> Point:
-    """Exact volume-weighted centroid."""
-    return K.centroid
-
-
 def includes(outer: Polytope, inner: Polytope) -> bool:
     """True iff every vertex of inner satisfies every facet inequality of outer."""
     if outer.dim != inner.dim:
@@ -609,9 +599,3 @@ def includes(outer: Polytope, inner: Polytope) -> bool:
     m_in, m_out = inner._int_scale, outer._int_scale
     return all(_idot(f.normal, p) * m_out <= f._offset_num * m_in
                for f in outer.facets for p in inner._int_vertices)
-
-
-def contains_point(K: Polytope, p) -> bool:
-    """Exact membership test for a single point."""
-    v = as_vector(p, K.dim)
-    return all(dot(f.normal, v) <= f.offset for f in K.facets)

@@ -45,7 +45,7 @@ from .errors import (
     TheoremViolation,
     ZeroDirection,
 )
-from .geometry import Polytope, _cone_rays, _idot, check_subset_cap, transform
+from .geometry import Polytope, _cone_rays, _idot, check_subset_cap
 from .inclusion import TightnessProfile, tightness_profile
 from .linalg import _echelon, int_det, scale_to_integers
 from .rationals import Point, Rat, Vector, as_rat, as_vector, dot, is_zero_vector
@@ -247,21 +247,3 @@ def helly_audit(system: System) -> bool:
     if all_ok != full:
         raise TheoremViolation("subset audit disagrees with full feasibility")
     return all_ok
-
-
-def gl_invariance_check(K: Polytope, mat) -> bool:
-    """The anchor construction is equivariant under invertible linear maps.
-
-    Checks that K and its image agree on uniqueness and that the mapped
-    witness A a satisfies the image's anchor system (the image's facet normals
-    are the inverse-transpose images of K's, up to positive scale, so the two
-    systems correspond row by row).  A singular matrix raises SingularMatrix
-    from ``transform``.
-    """
-    a = tuple(tuple(as_rat(c) for c in row) for row in mat)
-    image = transform(K, a)
-    res_k = ak_feasibility(K)
-    res_img = ak_feasibility(image)
-    mapped = tuple(sum(a[r][c] * res_k.witness[c] for c in range(K.dim))
-                   for r in range(K.dim))
-    return res_k.unique == res_img.unique and ak_system(image).contains(mapped)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import TheoremViolation
-from .geometry import Polytope, _idot, includes, reflect, scale, support, translate
+from .geometry import Polytope, _idot, translate
 from .rationals import Rat, as_vector
 from .sections import section_profile
 
@@ -48,19 +48,6 @@ def center_at_centroid(K: Polytope) -> Polytope:
     return translate(K, tuple(-c for c in K.centroid))
 
 
-def inclusion_in_nK(K: Polytope) -> bool:
-    """True that -K0 lies in n K0 for the centroid-centered K0; always holds.
-
-    A failure would be a bug in the geometry kernel, so it raises instead of
-    returning False.
-    """
-    k0 = center_at_centroid(K)
-    ok = includes(scale(k0, K.dim), reflect(k0))
-    if not ok:
-        raise TheoremViolation("-K escaped nK for a centroid-centered body")
-    return ok
-
-
 def tightness_profile(K: Polytope) -> TightnessProfile:
     """Exact lhs/rhs/tight data at every facet normal of the centered body."""
     return _centered_tightness(center_at_centroid(K))
@@ -91,20 +78,3 @@ def directional_moment(K: Polytope, w, center: bool = True) -> Rat:
     """
     body = center_at_centroid(K) if center else K
     return section_profile(body, as_vector(w)).moment()
-
-
-def width(K: Polytope, w) -> Rat:
-    """h_K(w) + h_K(-w): the extent of K along w, translation invariant."""
-    v = as_vector(w)
-    return support(K, v) + support(K, tuple(-c for c in v))
-
-
-def simplex_cone_volume_identity(K: Polytope) -> bool:
-    """For a simplex centered at its centroid, every facet satisfies
-    (1/n) h_K0(u) mu = Vol(K) / (n+1) in the scaled normal form."""
-    if len(K._int_vertices) != K.dim + 1:
-        raise ValueError("the cone-volume identity is only asserted for simplices")
-    k0 = center_at_centroid(K)
-    n = K.dim
-    target = k0.volume / (n + 1)
-    return all(Fraction(f.offset * f.measure, n) == target for f in k0.facets)

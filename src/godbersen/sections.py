@@ -24,8 +24,9 @@ recursion, and its terms depend on the level they sit at, not on the
 interval: the terms of every simplex are summed level by level, as integer
 numerators over one lcm denominator, and each level's sum is expanded once
 in powers of T.  Piece i is the prefix sum of the levels through
-``levels[i]``: an integer accumulator A_i(T) over that positive
-denominator, den, which is the cumulative volume itself on the piece,
+``levels[i]``: an integer accumulator A_i(T) over one positive
+denominator, den, shared by every piece, which is the cumulative volume
+itself on the piece,
 V(t) = A_i(M t) / den on the integer levels T = M t, so
 s = M A_i'(M t) / den.  The terms of the top level are never needed.
 The integral, the moment and the slice-root concavity test are integer
@@ -45,7 +46,7 @@ from .errors import DimensionMismatch, ZeroDirection
 from .geometry import Polytope, _idot
 from .linalg import scale_to_integers
 from .polynomials import add, derivative, evaluate, mul, nonpositive_between, trim
-from .rationals import Rat, Vector, as_vector, is_zero_vector
+from .rationals import Rat, Vector, as_rat, as_vector, is_zero_vector
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,16 +56,17 @@ class SectionProfile:
     Piece i lies between the integer levels T = ``levels[i]`` and
     ``levels[i + 1]`` of T = M t, M = ``level_scale``.  It is stored as the
     integer accumulator A_i = ``accumulators[i]`` (low degree first) over the
-    positive integer ``denominators[i]``: the cumulative volume on the piece
-    is V(t) = A_i(M t) / den_i, so s(t) = M A_i'(M t) / den_i.  Two profiles
-    are equal when their directions, breakpoints and rational pieces are.
+    positive integer ``denominator`` that every piece shares: the cumulative
+    volume on the piece is V(t) = A_i(M t) / den, so s(t) = M A_i'(M t) / den.
+    Two profiles are equal when their directions, breakpoints and rational
+    pieces are.
     """
 
     direction: Vector
     level_scale: int
     levels: tuple[int, ...]
     accumulators: tuple[tuple[int, ...], ...]
-    denominators: tuple[int, ...]
+    denominator: int
 
     @cached_property
     def breakpoints(self) -> tuple[Fraction, ...]:
@@ -73,10 +75,10 @@ class SectionProfile:
     @cached_property
     def pieces(self) -> tuple[tuple[Fraction, ...], ...]:
         """Rational coefficients of s in t on each piece, low degree first."""
-        m = self.level_scale
+        m, den = self.level_scale, self.denominator
         return tuple(tuple(Fraction(k * c * m ** k, den)
                            for k, c in enumerate(acc) if k)
-                     for acc, den in zip(self.accumulators, self.denominators))
+                     for acc in self.accumulators)
 
     def _key(self):
         return self.direction, self.breakpoints, self.pieces
@@ -90,8 +92,9 @@ class SectionProfile:
         return hash(self._key())
 
     def value(self, t) -> Fraction:
-        """s(t); zero outside the support, exact everywhere."""
-        x = Fraction(t)
+        """s(t); zero outside the support, exact everywhere.  ``t`` is an int,
+        a Fraction or a rational string; a float is refused (``as_rat``)."""
+        x = as_rat(t)
         bp = self.breakpoints
         if x < bp[0] or x > bp[-1]:
             return Fraction(0)
@@ -100,18 +103,15 @@ class SectionProfile:
         return evaluate(self.pieces[i], x)
 
     def _spans(self):
-        """(A_i, den_i, lo_i, hi_i) for every piece."""
-        return zip(self.accumulators, self.denominators,
-                   self.levels, self.levels[1:])
+        """(A_i, lo_i, hi_i) for every piece."""
+        return zip(self.accumulators, self.levels, self.levels[1:])
 
     def integral(self) -> Fraction:
         """Integral of s over its support; equals the body volume.  A piece
         contributes (A(hi) - A(lo)) / den."""
-        common = lcm(*self.denominators)
-        total = sum(common // den * sum(c * (hi ** k - lo ** k)
-                                        for k, c in enumerate(acc))
-                    for acc, den, lo, hi in self._spans())
-        return Fraction(total, common)
+        total = sum(c * (hi ** k - lo ** k)
+                    for acc, lo, hi in self._spans() for k, c in enumerate(acc))
+        return Fraction(total, self.denominator)
 
     def moment(self) -> Fraction:
         """Integral of t * s(t) over the support.  A piece contributes
@@ -119,12 +119,9 @@ class SectionProfile:
         sum_k k c_k (hi^(k+1) - lo^(k+1)) / (k+1), taken times the lcm of
         1..d+1 for the top degree d so that every term is an integer."""
         big = lcm(*range(1, max(map(len, self.accumulators)) + 1))
-        common = lcm(*self.denominators)
-        total = sum(common // den * sum(big // (k + 1) * k * c
-                                        * (hi ** (k + 1) - lo ** (k + 1))
-                                        for k, c in enumerate(acc))
-                    for acc, den, lo, hi in self._spans())
-        return Fraction(total, big * self.level_scale * common)
+        total = sum(big // (k + 1) * k * c * (hi ** (k + 1) - lo ** (k + 1))
+                    for acc, lo, hi in self._spans() for k, c in enumerate(acc))
+        return Fraction(total, big * self.level_scale * self.denominator)
 
     def root_concave(self) -> bool:
         """Exactly whether s^(1/k), k = n - 1, is concave on the support.
@@ -133,25 +130,24 @@ class SectionProfile:
         the root has second derivative q^(1/k - 2) P / k^2 (up to a positive
         factor) with P = k q q'' - (k-1) q'^2, so P <= 0 on the open piece
         (``nonpositive_between``).  P vanishes identically for n = 2 and for
-        cones.  At an interior level the pieces must meet at a positive value,
-        q-(T) den+ = q+(T) den- > 0, and bend down, q-'(T) den+ >= q+'(T) den-.
+        cones.  At an interior level the pieces, over their one denominator,
+        must meet at a positive value, q-(T) = q+(T) > 0, and bend down,
+        q-'(T) >= q+'(T).
         """
         k = len(self.direction) - 1
         qs = [derivative(acc) for acc in self.accumulators]
-        for q, (_, _, lo, hi) in zip(qs, self._spans()):
+        for q, (_, lo, hi) in zip(qs, self._spans()):
             dq = derivative(q)
             p = add(mul([k * c for c in q], derivative(dq)),
                     mul([(1 - k) * c for c in dq], dq))
             if not nonpositive_between(p, lo, hi):
                 return False
-        dens = self.denominators
         for i, level in enumerate(self.levels[1:-1]):
             left, right = qs[i], qs[i + 1]
-            value = evaluate(left, level) * dens[i + 1]
-            if value <= 0 or value != evaluate(right, level) * dens[i]:
+            value = evaluate(left, level)
+            if value <= 0 or value != evaluate(right, level):
                 return False
-            if (evaluate(derivative(left), level) * dens[i + 1]
-                    < evaluate(derivative(right), level) * dens[i]):
+            if evaluate(derivative(left), level) < evaluate(derivative(right), level):
                 return False
         return True
 
@@ -246,6 +242,5 @@ def section_profile(K: Polytope, w) -> SectionProfile:
                 level[j] -= g * level[j + 1]
         acc = [a + b for a, b in zip(acc, level)]
         accumulators.append(tuple(trim(acc)))
-    denominators = (den * factorial(n) * K._int_scale ** n,) * len(accumulators)
     return SectionProfile(v, level_scale, tuple(levels), tuple(accumulators),
-                          denominators)
+                          den * factorial(n) * K._int_scale ** n)

@@ -29,7 +29,7 @@ from godbersen import (
 )
 from godbersen.cli import main
 from tests.conftest import brunn_minkowski_pairs, minkowski_sum
-from tests.test_concave import float_root_concavity
+from tests.test_concave import float_brunn_minkowski, float_root_concavity
 
 
 # sha256 of "j mixed ratio" lines over every entry of the 300 corpus reports,
@@ -195,22 +195,21 @@ def test_criterion_9_root_concavity_and_brunn_minkowski(corpus):
                 (spec, w)
             assert exact
 
+    # the exact verdict, and the float n-th roots that decided it before as
+    # the oracle
     pairs, homothets = brunn_minkowski_pairs(corpus)
-    flagged = 0
-    for a, b in pairs:
+    equalities = []
+    for a, b in pairs + homothets:
         res = bm_check(a, b)
         assert res.ok
-        if abs(res.lhs - res.rhs) <= 1e-9 * res.rhs:
-            flagged += 1
-    assert flagged == 0
-    for a, b in homothets:
-        res = bm_check(a, b)
-        assert res.ok
-        assert abs(res.lhs - res.rhs) <= 1e-9 * res.rhs
+        assert (res.ok, res.equality) == float_brunn_minkowski(res.volume, a, b)
+        equalities.append(res.equality)
+    assert equalities == [False] * len(pairs) + [True] * len(homothets)
     _report(9, "exact root concavity holds at 5 directions per body and "
                "agrees with the float sampler; 100 "
-               "Brunn-Minkowski pairs hold with equality only for the 10 "
-               "constructed homothets")
+               "Brunn-Minkowski pairs hold exactly, agree with the float "
+               "roots, and hold with equality only for the 10 constructed "
+               "homothets")
 
 
 def test_criterion_10_general_j_observed(all_reports, simplices):

@@ -1,5 +1,4 @@
 import hashlib
-import math
 import random
 from fractions import Fraction as F
 
@@ -8,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from godbersen import (
+    DimensionMismatch,
     InvalidM,
     NotConcave,
     PLConcave,
@@ -15,6 +15,7 @@ from godbersen import (
     bridge_inequality,
     build_hull,
     center_at_centroid,
+    concave,
     cross_polytope,
     geometry,
     godbersen_integral,
@@ -29,6 +30,7 @@ from godbersen import (
     translate,
     unit_cube,
 )
+from godbersen.mixedvol import MixedVolumeProfile
 from godbersen.polynomials import mul
 from godbersen.rationals import as_vector
 from tests.conftest import brunn_minkowski_pairs, minkowski_sum
@@ -159,7 +161,8 @@ class TestGodbersenIntegral:
             f = random_concave(rng)
             c = F(rng.randint(1, 20), rng.randint(1, 7))
             for m in (2, 3, 5):
-                assert godbersen_integral(f.scaled(c), m) == \
+                scaled = PLConcave(f.knots, tuple(c * v for v in f.values))
+                assert godbersen_integral(scaled, m) == \
                     c ** (m - 1) * godbersen_integral(f, m)
 
 
@@ -230,7 +233,7 @@ def dip_profile() -> SectionProfile:
     dips to 1/2 and back.  The pieces meet at value 1 with concave kinks, so
     only the sign of P on the middle piece gives the dip away."""
     return SectionProfile((F(1), F(0), F(0)), 1, (0, 10, 11, 32),
-                          ((0, 1), (0, 663, -63, 2), (0, 1)), (1, 3, 1))
+                          ((0, 3), (0, 663, -63, 2), (0, 3)), 3)
 
 
 class TestSliceRootConcavity:
@@ -271,42 +274,53 @@ class TestSliceRootConcavity:
     def test_exponent_of_the_root_matters(self):
         # s = 1 + T^2 on [1, 3] in dim 3: sqrt(s) is convex, though log(s)
         # is concave there, so a test of the wrong root would pass it
-        prof = SectionProfile((F(1), F(0), F(0)), 1, (1, 3), ((0, 3, 0, 1),),
-                              (3,))
+        prof = SectionProfile((F(1), F(0), F(0)), 1, (1, 3), ((0, 3, 0, 1),), 3)
         assert prof.value(F(2)) == 5
         assert not prof.root_concave() and not float_root_concavity(prof)
 
     def test_breakpoint_checks(self):
         # a convex kink: s = 1 then 1 + (T - 10)
         kink = SectionProfile((F(1), F(0), F(0)), 1, (0, 10, 20),
-                              ((0, 1), (0, -18, 1)), (1, 2))
+                              ((0, 2), (0, -18, 1)), 2)
         assert kink.value(F(15)) == 6 and not kink.root_concave()
         # a jump: s = 1 then 2
         jump = SectionProfile((F(1), F(0), F(0)), 1, (0, 10, 20),
-                              ((0, 1), (0, 2)), (1, 1))
+                              ((0, 1), (0, 2)), 1)
         assert not jump.root_concave()
         # a concave kink at a positive common value passes
         tent = SectionProfile((F(1), F(0)), 1, (0, 10, 20),
-                              ((0, 1, 1), (0, 41, -1)), (1, 1))
+                              ((0, 1, 1), (0, 41, -1)), 1)
         assert tent.root_concave() and float_root_concavity(tent)
+
+
+def float_brunn_minkowski(volume, a, b) -> tuple[bool, bool]:
+    """The float route that decided Brunn-Minkowski before the exact test,
+    kept as the oracle: (Vol(a + b)^(1/n) >= Vol(a)^(1/n) + Vol(b)^(1/n),
+    the two sides equal) for the exact ``volume`` of the sum, with floating
+    n-th roots compared within a relative tolerance ``CONCAVITY_TOL``."""
+    n = a.dim
+    lhs = float(volume) ** (1.0 / n)
+    rhs = float(a.volume) ** (1.0 / n) + float(b.volume) ** (1.0 / n)
+    return lhs >= rhs - CONCAVITY_TOL * rhs, abs(lhs - rhs) <= CONCAVITY_TOL * rhs
 
 
 class TestBrunnMinkowski:
     def test_cube_homothety_equality(self):
         res = bm_check(unit_cube(3), unit_cube(3))
-        assert res.ok and math.isclose(res.lhs, res.rhs, rel_tol=1e-12)
+        assert res.volume == 8 and res.equality and res.ok
 
     def test_square_triple_equality(self):
         sq = build_hull(SQUARE)
         res = bm_check(sq, scale(sq, 3))
-        assert res.ok and math.isclose(res.lhs, 4.0) and math.isclose(res.rhs, 4.0)
+        # (1 + 3)^2 = 1 + 3^2 + 2 * 1 * 3
+        assert res.volume == 16 and res.equality and res.ok
 
     def test_triangle_difference(self):
+        # Vol(T - T) = 3 > (2 sqrt(1/2))^2 = 2: the profile is (1/2, 1, 1/2),
+        # and m_1^2 = 1 > m_0 m_2 = 1/4, since -T is no homothet of T
         tri = build_hull(TRIANGLE)
         res = bm_check(tri, reflect(tri))
-        assert math.isclose(res.lhs, math.sqrt(3), rel_tol=1e-12)
-        assert math.isclose(res.rhs, 2 * math.sqrt(0.5), rel_tol=1e-12)
-        assert res.ok
+        assert res.volume == 3 and not res.equality and res.ok
 
     def test_random_pairs_hold(self):
         rng = random.Random(64)
@@ -314,7 +328,8 @@ class TestBrunnMinkowski:
             for _ in range(6):
                 a = random_polytope(rng, dim, dim + 3)
                 b = random_polytope(rng, dim, dim + 3)
-                assert bm_check(a, b).ok
+                res = bm_check(a, b)
+                assert res.ok and not res.equality
 
     def test_equality_only_for_homothets(self):
         rng = random.Random(65)
@@ -322,29 +337,42 @@ class TestBrunnMinkowski:
             a = random_polytope(rng, 2, 6)
             hom = translate(scale(a, F(5, 2)), (F(1), F(-3, 2)))
             res = bm_check(a, hom)
-            assert res.ok and abs(res.lhs - res.rhs) <= 1e-9 * res.rhs
+            assert res.ok and res.equality
+            assert res.volume == F(7, 2) ** 2 * a.volume
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            bm_check(build_hull(SQUARE), unit_cube(3))
+
+    def test_profile_that_is_not_log_concave_fails(self, monkeypatch):
+        # m_1^2 = 1/4 < m_0 m_2 = 1: the comparisons are the verdict, so a
+        # profile that breaks them is refused, though its sum
+        # 1 + 2 (1/2) + 1 = 3 is below (1 + 1)^2 = 4 anyway
+        monkeypatch.setattr(concave, "mv_profile",
+                            lambda K, L: MixedVolumeProfile(2, (F(1), F(1, 2), F(1))))
+        sq = build_hull(SQUARE)
+        res = bm_check(sq, sq)
+        assert res.volume == 3 and not res.ok and not res.equality
 
     def test_sum_volume_from_profile(self, corpus, monkeypatch):
-        # Vol(K + L) from the mixed-volume profile gives the same floats as
-        # the reference sum, and with polytope assembly made to raise,
-        # bm_check shows that it builds no sum
+        # Vol(K + L) from the mixed-volume profile equals the volume of the
+        # reference sum, the verdict agrees with the float oracle on it, and
+        # with polytope assembly made to raise, bm_check shows that it builds
+        # no sum
         pairs, homothets = brunn_minkowski_pairs(corpus)
         pairs += homothets
         pairs.append((build_hull([(0,), (1,)]), build_hull([(F(-1, 3),), (2,)])))
         pairs += [(cross_polytope(n), standard_simplex(n)) for n in (4, 5)]
-        expected = []
-        for a, b in pairs:
-            n = a.dim
-            lhs = float(minkowski_sum(a, b).volume) ** (1.0 / n)
-            rhs = float(a.volume) ** (1.0 / n) + float(b.volume) ** (1.0 / n)
-            expected.append((lhs, rhs, lhs >= rhs - 1e-9 * rhs))
+        volumes = [minkowski_sum(a, b).volume for a, b in pairs]
 
         def refuse(*args):
             raise AssertionError("bm_check assembled a polytope")
 
         monkeypatch.setattr(geometry, "_from_lattice", refuse)
-        got = [bm_check(a, b) for a, b in pairs]
-        assert [(r.lhs, r.rhs, r.ok) for r in got] == expected
+        for (a, b), volume in zip(pairs, volumes):
+            res = bm_check(a, b)
+            assert res.volume == volume
+            assert (res.ok, res.equality) == float_brunn_minkowski(volume, a, b)
 
 
 class TestBridgeInequality:

@@ -16,8 +16,6 @@ from godbersen import (
     ZeroDirection,
     build_hull,
     center_at_centroid,
-    centroid,
-    contains_point,
     cross_polytope,
     generate,
     includes,
@@ -28,7 +26,6 @@ from godbersen import (
     transform,
     translate,
     unit_cube,
-    volume,
 )
 from godbersen import geometry, linalg
 from godbersen.geometry import Polytope, _cone_rays, _hull_facets_int
@@ -71,6 +68,12 @@ def polygon_area(K):
     ordered = sorted(K.vertices,
                      key=lambda v: math.atan2(float(v[1] - cy), float(v[0] - cx)))
     return shoelace(ordered)
+
+
+def contains_point(K, p) -> bool:
+    """Membership of one rational point by the Fraction facet offsets: the
+    oracle of the integer vertex test in ``includes``."""
+    return all(dot(f.normal, p) <= f.offset for f in K.facets)
 
 
 def rational_points_in(body, count, rng):

@@ -8,30 +8,43 @@ from godbersen import (
     build_hull,
     center_at_centroid,
     directional_moment,
-    inclusion_in_nK,
     reflect,
     scale,
-    simplex_cone_volume_identity,
     standard_simplex,
+    support,
     tightness_profile,
     transform,
     translate,
     unit_cube,
-    width,
 )
+from tests.conftest import centered_inclusion
 from tests.test_geometry import TRIANGLE, SQUARE, random_polytope
+
+
+def width(K, w):
+    """h_K(w) + h_K(-w): the extent of K along w."""
+    return support(K, w) + support(K, tuple(-c for c in w))
+
+
+def cone_volume_identity(K) -> bool:
+    """Whether every facet of the centroid-centered K has the cone volume
+    (1/n) h_K0(u) mu = Vol(K) / (n+1), in the scaled normal form; it holds
+    for every simplex."""
+    k0 = center_at_centroid(K)
+    n = K.dim
+    return all(F(f.offset * f.measure, n) == k0.volume / (n + 1) for f in k0.facets)
 
 
 class TestInclusion:
     def test_triangle_true_and_tight(self):
         tri = build_hull(TRIANGLE)
-        assert inclusion_in_nK(tri)
+        assert centered_inclusion(tri)
         profile = tightness_profile(tri)
         assert profile.tight_count == 3 and profile.all_tight
 
     def test_square_strict(self):
         sq = build_hull(SQUARE)
-        assert inclusion_in_nK(sq)
+        assert centered_inclusion(sq)
         profile = tightness_profile(sq)
         assert profile.tight_count == 0
         for e in profile.entries:
@@ -46,7 +59,7 @@ class TestInclusion:
         for dim in (2, 3):
             for _ in range(10):
                 body = random_polytope(rng, dim, dim + 4)
-                assert inclusion_in_nK(body)
+                assert centered_inclusion(body)
                 profile = tightness_profile(body)
                 assert all(e.lhs <= e.rhs for e in profile.entries)
 
@@ -58,7 +71,10 @@ class TestInclusion:
             ([[-1, 0], [0, -1]], (F(1, 2), F(1, 3))),
             ([[0, 1], [1, 0]], None),
         ):
-            assert inclusion_in_nK(transform(body, mat, shift)) == inclusion_in_nK(body)
+            image = transform(body, mat, shift)
+            assert centered_inclusion(image) and centered_inclusion(body)
+            assert tightness_profile(image).tight_count == \
+                tightness_profile(body).tight_count
 
 
 class TestDirectionalMoment:
@@ -137,13 +153,13 @@ class TestEqualityCase:
 
     def test_cone_volume_identity_for_simplices(self):
         rng = random.Random(56)
-        assert simplex_cone_volume_identity(standard_simplex(2))
-        assert simplex_cone_volume_identity(standard_simplex(3))
+        assert cone_volume_identity(standard_simplex(2))
+        assert cone_volume_identity(standard_simplex(3))
         body = random_polytope(rng, 3, 4)
         if len(body.vertices) == 4:
-            assert simplex_cone_volume_identity(body)
-        with pytest.raises(ValueError):
-            simplex_cone_volume_identity(unit_cube(2))
+            assert cone_volume_identity(body)
+        # the centered square's four cones have Vol / 4, not Vol / 3
+        assert not cone_volume_identity(unit_cube(2))
 
 
 def test_center_at_centroid():
@@ -153,4 +169,4 @@ def test_center_at_centroid():
     assert set(k0.vertices) == {(F(-1, 3), F(-1, 3)), (F(2, 3), F(-1, 3)),
                                 (F(-1, 3), F(2, 3))}
     assert reflect(k0).volume == k0.volume == tri.volume
-    assert inclusion_in_nK(tri) and scale(k0, 2).volume == 4 * tri.volume
+    assert centered_inclusion(tri) and scale(k0, 2).volume == 4 * tri.volume

@@ -1,4 +1,6 @@
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -46,3 +48,54 @@ def test_vector_helpers():
     assert dot(v, (2, 0, 4)) == 0
     with pytest.raises(ValueError):
         as_vector((1, 2), dim=3)
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "godbersen"
+# math functions whose values are integers
+INTEGER_MATH = {"comb", "factorial", "gcd", "isqrt", "lcm", "perm", "prod"}
+
+
+def float_uses(tree) -> list[tuple[str, str]]:
+    """(enclosing function or class, what) for every float literal, every use
+    of the name ``float`` (a call, a ``map(float, ...)``, an annotation) and
+    every name imported from ``math`` that is not integer-valued."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Constant) and isinstance(child.value, float):
+                found.append((scope, repr(child.value)))
+            elif isinstance(child, ast.Name) and child.id == "float":
+                found.append((scope, "float"))
+            elif isinstance(child, ast.ImportFrom) and child.module == "math":
+                found.extend((scope, f"math.{a.name}") for a in child.names
+                             if a.name not in INTEGER_MATH)
+            elif isinstance(child, ast.Import):
+                found.extend((scope, a.name) for a in child.names if a.name == "math")
+            inner = (child.name if isinstance(child, (ast.FunctionDef, ast.ClassDef))
+                     else scope)
+            visit(child, inner)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_src_decides_nothing_in_floating_point():
+    # the one float is the decimal column that ``sweep(..., floats=True)``
+    # writes beside the exact ratio
+    found = {path.name: float_uses(ast.parse(path.read_text()))
+             for path in sorted(SRC.glob("*.py"))}
+    assert len(found) > 10
+    assert {name: uses for name, uses in found.items() if uses} == \
+        {"sweep.py": [("sweep", "float")]}
+
+
+def test_float_guard_sees_each_kind():
+    tree = ast.parse("from math import comb, sqrt\n"
+                     "import math\n"
+                     "class A:\n"
+                     "    x: float\n"
+                     "def f(v):\n"
+                     "    return float(v) >= 1e-9 + comb(2, 1)\n")
+    assert float_uses(tree) == [("<module>", "math.sqrt"), ("<module>", "math"),
+                                ("A", "float"), ("f", "float"), ("f", "1e-09")]

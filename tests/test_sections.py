@@ -142,6 +142,17 @@ def test_simplex_diagonal_profile():
     assert prof.pieces == ((F(0), F(0), F(1, 2)),)
 
 
+def test_value_takes_exact_arguments_only():
+    # the triangle (0,0), (2,0), (0,2) along (1,0): s(t) = 2 - t
+    prof = section_profile(build_hull([(0, 0), (2, 0), (0, 2)]), (1, 0))
+    assert prof.value(F(1, 2)) == prof.value("1/2") == F(3, 2)
+    assert prof.value(1) == 1 and prof.value(3) == 0
+    with pytest.raises(TypeError):
+        prof.value(0.5)
+    with pytest.raises(ValueError):
+        prof.value("0.5")
+
+
 def test_zero_direction_rejected():
     with pytest.raises(ZeroDirection):
         section_profile(unit_cube(2), (0, 0))
@@ -288,18 +299,16 @@ def _recursion_profile(K, w):
                 poly, d = _cut_polynomial(hs[:k], hs[k:])
                 for i in range(index[hs[k - 1]], index[hs[k]]):
                     parts[i].append((vol, poly, d))
-    unit = factorial(K.dim) * K._int_scale ** K.dim
-    accumulators, denominators = [], []
+    den = lcm(*(d for interval in parts for _, _, d in interval))
+    accumulators = []
     for interval in parts:
-        den = lcm(*(d for _, _, d in interval))
         acc = [0] * (K.dim + 1)
         for vol, poly, d in interval:
             for k, c in enumerate(poly):
                 acc[k] += vol * (den // d) * c
         accumulators.append(tuple(trim(acc)))
-        denominators.append(den * unit)
-    return SectionProfile(v, m * K._int_scale, tuple(levels),
-                          tuple(accumulators), tuple(denominators))
+    return SectionProfile(v, m * K._int_scale, tuple(levels), tuple(accumulators),
+                          den * factorial(K.dim) * K._int_scale ** K.dim)
 
 
 def _recipe_bodies():
@@ -470,19 +479,17 @@ def test_accumulator_is_the_cumulative_volume():
             body = random_polytope(rng, dim, dim + 4)
             w = tuple(rng.randint(-4, 4) or 1 for _ in range(dim))
             prof = section_profile(body, w)
-            m, lv = prof.level_scale, prof.levels
-            cumulative = [F(evaluate(acc, h), den) for acc, den, h in
-                          zip(prof.accumulators, prof.denominators, lv)]
-            cumulative.append(F(evaluate(prof.accumulators[-1], lv[-1]),
-                                prof.denominators[-1]))
+            m, lv, den = prof.level_scale, prof.levels, prof.denominator
+            cumulative = [F(evaluate(acc, h), den)
+                          for acc, h in zip(prof.accumulators, lv)]
+            cumulative.append(F(evaluate(prof.accumulators[-1], lv[-1]), den))
             assert cumulative[0] == 0 and cumulative[-1] == body.volume
             for i, h in enumerate(lv[1:-1]):
-                assert F(evaluate(prof.accumulators[i], h), prof.denominators[i]) \
-                    == cumulative[i + 1]
+                assert F(evaluate(prof.accumulators[i], h), den) == cumulative[i + 1]
             fan = [(F(vol, factorial(dim) * body._int_scale ** dim),
                     [dot(prof.direction, body.vertices[i]) for i in s])
                    for s, vol in zip(body._simplices, body._fan_volumes)]
-            for acc, den, lo, hi in prof._spans():
+            for acc, lo, hi in prof._spans():
                 t = F(lo + hi, 2 * m)
                 assert F(evaluate(acc, m * t), den) == sum(
                     vol * _cut_fraction([h - t for h in hs]) for vol, hs in fan)
@@ -492,11 +499,10 @@ def test_integer_form_and_rational_equality():
     # s(t) = M A'(M t) / den on each piece; equality and hashing go by the
     # rational profile, not by the integer form that produced it
     prof = section_profile(build_hull([(0, 0), (2, 0), (0, 2)]), (F(1, 2), 0))
-    m = prof.level_scale
+    m, den = prof.level_scale, prof.denominator
     assert prof.breakpoints == tuple(F(h, m) for h in prof.levels)
-    for acc, den, piece in zip(prof.accumulators, prof.denominators,
-                               prof.pieces):
-        assert den > 0
+    assert den > 0
+    for acc, piece in zip(prof.accumulators, prof.pieces):
         assert piece == tuple(F(k * c * m ** k, den)
                               for k, c in enumerate(acc) if k)
     # the same profile on the levels T' = 2 T: A'(T') = 3 * 4 A(T' / 2)
@@ -505,7 +511,7 @@ def test_integer_form_and_rational_equality():
     same = type(prof)(prof.direction, 2 * m, tuple(2 * h for h in prof.levels),
                       tuple(tuple(3 * 2 ** (2 - k) * c for k, c in enumerate(acc))
                             for acc in prof.accumulators),
-                      tuple(12 * den for den in prof.denominators))
+                      12 * den)
     assert same == prof and hash(same) == hash(prof)
     assert same.integral() == prof.integral() == 2
     assert same.moment() == prof.moment()
