@@ -80,8 +80,10 @@ def _cmd_ak(args) -> int:
 def _cmd_helly(args) -> int:
     system = system_from_dict(load_json(args.input))
     ok = helly_audit(system)
-    # a non-vacuous audit decides full feasibility before its subsets and
-    # raises unless the two agree, so only a vacuous one needs its own run
+    # a non-vacuous audit is the full system's feasibility (Helly's
+    # theorem): it returns True at the full system's checked vertex and
+    # False only at an infeasible subset, so only a vacuous one needs its
+    # own run
     vacuous = len(system.halfspaces) <= system.dim
     print(json.dumps({
         "all_subsystems_feasible": ok,

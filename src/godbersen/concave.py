@@ -40,14 +40,19 @@ DENOMINATOR_BOUND = 8
 
 @dataclass(frozen=True)
 class PLConcave:
-    """Piecewise-linear concave f >= 0 on [0,1]; knots include 0 and 1."""
+    """Piecewise-linear concave f >= 0 on [0,1]; knots include 0 and 1.
+    Knots and values are taken by ``as_rat``: ints, Fractions and rational
+    strings, never floats."""
 
     knots: tuple[Rat, ...]
     values: tuple[Rat, ...]
     _slopes: tuple[Rat, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        k, v = self.knots, self.values
+        k = tuple(as_rat(x) for x in self.knots)
+        v = tuple(as_rat(x) for x in self.values)
+        object.__setattr__(self, "knots", k)
+        object.__setattr__(self, "values", v)
         if len(k) != len(v) or len(k) < 2:
             raise NotConcave("knots and values must match and cover [0,1]")
         if k[0] != 0 or k[-1] != 1:
@@ -102,7 +107,7 @@ def godbersen_integral(f: PLConcave, m: int) -> Rat:
     """Exact value of integral_0^1 (r - 1/(m+1)) f^{m-1}(r) dr for m >= 2:
     the power sums of the module docstring on knots and values scaled to
     integers by one common denominator D, over m (m+1) D^(m+1)."""
-    if m < 2:
+    if type(m) is not int or m < 2:
         raise InvalidM(f"exponent must be an integer >= 2, got {m}")
     (ks, vs), den = scale_to_integers([f.knots, f.values])
     total = 0

@@ -19,18 +19,20 @@ Feasibility has one entry, ``_feasible_rows``, which takes those integer
 rows to the double description kernel ``geometry._cone_rays``, the one that
 also finds every facet: the system is feasible iff its homogenized cone has
 a ray off the hyperplane at infinity, and such a ray is a vertex of the
-region.  ``feasibility`` scales a ``System`` and calls it; the uniqueness
-test on the tight rows and the Helly audit pass their integer rows to it
-directly.
+region.  That vertex is checked against every row in integers before it is
+returned, so a feasible verdict always rests on a checked point.
+``feasibility`` scales a ``System`` and calls it; the uniqueness test on the
+tight rows and the Helly audit pass their integer rows to it directly.
 
-The Helly audit decides each (n+1)-row subsystem Aa <= b by a Farkas
-certificate instead (Schrijver, section 7.3).  The cofactor vector
+Helly's theorem says a finite system in R^n is infeasible iff some (n+1)-row
+subsystem is.  A feasible system needs no search: its checked vertex lies
+in every subsystem.  Only an infeasible one is searched, subset by subset,
+and each (n+1)-row subsystem Aa <= b is decided by a Farkas certificate
+(Schrijver, section 7.3).  The cofactor vector
 lam_i = (-1)^i det(A without row i) spans the left kernel of A whenever
 rank A = n, so the subsystem is infeasible iff lam or -lam is componentwise
 >= 0 with that sign giving lam . b < 0.  When lam = 0, rank A < n and
-``_feasible_rows`` decides the subsystem.  A set of n rows lies in many
-(n+1)-subsets, so the audit takes each n-row determinant once, on first use,
-into one table.
+``_feasible_rows`` decides the subsystem.
 """
 
 from __future__ import annotations
@@ -126,8 +128,10 @@ def _feasible_rows(rows: list[_Row], n: int) -> FeasibilityResult:
     vertices (x / t, 1) of the region, those with t = 0 its extreme
     directions.  So the system is feasible iff some ray has t > 0, and the
     region is a single point iff rank W = n and that ray is the only one.
-    The witness is the first such vertex, 0 off the pivot columns.  A row
-    with w = 0 becomes a multiple of the row t >= 0 and needs no filter.
+    The witness is the first such vertex, 0 off the pivot columns, and it is
+    checked as w . x <= b t on every row; a failure is a kernel bug and
+    raises TheoremViolation.  A row with w = 0 becomes a multiple of the row
+    t >= 0 and needs no filter.
     """
     _, piv, _ = _echelon([w for w, _ in rows])
     cone = [tuple(w[c] for c in piv) + (-b,) for w, b in rows]
@@ -138,7 +142,10 @@ def _feasible_rows(rows: list[_Row], n: int) -> FeasibilityResult:
     nums = [0] * n
     for c, x in zip(piv, ray):
         nums[c] = x
-    witness = tuple(Fraction(x, ray[-1]) for x in nums)
+    t = ray[-1]
+    if any(_idot(w, nums) > b * t for w, b in rows):
+        raise TheoremViolation("feasibility vertex violates a row")
+    witness = tuple(Fraction(x, t) for x in nums)
     return FeasibilityResult(True, witness, len(piv) == n and len(rays) == 1)
 
 
@@ -182,26 +189,20 @@ def ak_feasibility(K: Polytope) -> FeasibilityResult:
     return FeasibilityResult(True, K.centroid, anchor_unique(tightness_profile(K)))
 
 
-def _farkas_infeasible(rows: list[_Row], subset: tuple[int, ...],
-                       minors: dict[tuple[int, ...], int]) -> bool | None:
-    """Decide the n+1 integer rows ``rows[i]``, i in ``subset`` (sorted), of
+def _farkas_infeasible(rows: list[_Row], subset: tuple[int, ...]) -> bool | None:
+    """Decide the n+1 integer rows ``rows[i]``, i in ``subset``, of
     a . w <= b in R^n by their Farkas certificate.
 
     True if infeasible, False if feasible, None if rank < n (no certificate:
     the cofactor vector lam is zero).  A nonzero lam spans the left kernel,
     so the rows are infeasible iff some y = t lam >= 0 has y . b < 0.  Once
     lam has entries of both signs no such y exists, and the remaining
-    cofactors are not needed.  ``minors`` maps a sorted n-tuple of row
-    indices to the determinant of those normals; a missing entry is taken
-    here and stored.
+    cofactors are not taken.
     """
     lam = []
     pos = neg = False
     for i in range(len(subset)):
-        key = subset[:i] + subset[i + 1:]
-        d = minors.get(key)
-        if d is None:
-            d = minors[key] = int_det([rows[j][0] for j in key])
+        d = int_det([rows[j][0] for j in subset[:i] + subset[i + 1:]])
         c = -d if i % 2 else d
         pos |= c > 0
         neg |= c < 0
@@ -215,18 +216,17 @@ def _farkas_infeasible(rows: list[_Row], subset: tuple[int, ...],
 
 
 def helly_audit(system: System) -> bool:
-    """Check every (dim+1)-subset of halfspaces for feasibility.
+    """True iff every (dim+1)-subset of halfspaces is feasible.
 
     Vacuously true when there are fewer than dim+1 halfspaces.  Otherwise the
     subset count is checked against ``GODBERSEN_SUBSET_CAP`` before any other
     work, the system is scaled to integer rows once, and ``_feasible_rows``
-    decides the full system on them.  Each subset is then decided by its
-    Farkas cofactor certificate (``_farkas_infeasible``), read from one table
-    of n-row determinants that fills as the subsets ask for them; a
-    rank-deficient subset, which has no certificate, goes to
-    ``_feasible_rows`` on its own integer rows.  The outcome must agree with
-    full-system feasibility (Helly's theorem for a finite family of convex
-    sets), so any disagreement raises.
+    decides the full system on them.  A feasible system ends there: its
+    checked vertex lies in every subsystem.  An infeasible one is searched
+    for an infeasible subset, each decided by its Farkas cofactor
+    certificate (``_farkas_infeasible``) or, when rank-deficient, by
+    ``_feasible_rows`` on its own integer rows.  Helly's theorem says the
+    search finds one, so finding none raises.
     """
     n = system.dim
     count = len(system.halfspaces)
@@ -234,16 +234,12 @@ def helly_audit(system: System) -> bool:
         return True
     check_subset_cap(comb(count, n + 1), "Helly audit")
     ints = _integer_rows(system)
-    full = _feasible_rows(ints, n).feasible
-    minors: dict[tuple[int, ...], int] = {}
-    all_ok = True
+    if _feasible_rows(ints, n).feasible:
+        return True
     for subset in combinations(range(count), n + 1):
-        infeasible = _farkas_infeasible(ints, subset, minors)
+        infeasible = _farkas_infeasible(ints, subset)
         if infeasible is None:
             infeasible = not _feasible_rows([ints[i] for i in subset], n).feasible
         if infeasible:
-            all_ok = False
-            break
-    if all_ok != full:
-        raise TheoremViolation("subset audit disagrees with full feasibility")
-    return all_ok
+            return False
+    raise TheoremViolation("subset audit disagrees with full feasibility")

@@ -95,6 +95,22 @@ class TestPLConcave:
         with pytest.raises(NotConcave):
             PLConcave((F(0), F(1, 2), F(1, 2), F(1)), (F(0),) * 4)  # repeated knot
 
+    def test_floats_refused_at_the_edge(self):
+        # as ``value`` refuses a float argument, the constructor refuses
+        # float knots and values, and decimal strings, before any slope
+        with pytest.raises(TypeError):
+            PLConcave((0, 0.5, 1), (0.0, 1.0, 1.0))
+        with pytest.raises(TypeError):
+            PLConcave((F(0), F(1)), (F(1), 0.0))
+        with pytest.raises(ValueError):
+            PLConcave(("0", "0.5", "1"), ("0", "1", "1"))
+
+    def test_ints_and_rational_strings_become_fractions(self):
+        f = PLConcave((0, "1/2", 1), ("0", 1, F(1)))
+        assert f == TENT and f.slopes() == (F(2), F(0))
+        assert all(type(x) is F for x in f.knots + f.values)
+        assert godbersen_integral(f, 3) == godbersen_integral(TENT, 3)
+
     def test_value_and_linearity(self):
         assert TENT.value(F(1, 4)) == F(1, 2)
         assert TENT.value(F(3, 4)) == 1
@@ -151,9 +167,10 @@ class TestGodbersenIntegral:
                 digest.update(f"{m} {godbersen_integral(f, m)}\n".encode())
         assert digest.hexdigest() == INTEGRAL_DIGEST
 
-    def test_invalid_m(self):
+    @pytest.mark.parametrize("m", [1, 0, -3, True, 2.0, 3.5, "3", F(3), None])
+    def test_invalid_m(self, m):
         with pytest.raises(InvalidM):
-            godbersen_integral(LINEAR_DOWN, 1)
+            godbersen_integral(LINEAR_DOWN, m)
 
     def test_scale_covariance(self):
         rng = random.Random(61)

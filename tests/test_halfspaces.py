@@ -11,6 +11,7 @@ from godbersen import (
     FeasibilityResult,
     GenSpec,
     SingularMatrix,
+    TheoremViolation,
     ZeroDirection,
     ak_feasibility,
     ak_system,
@@ -262,6 +263,17 @@ class TestHelly:
             checked += 1
         assert checked > 30
 
+    def test_search_that_finds_nothing_raises(self, monkeypatch):
+        # an infeasible system none of whose subsets is infeasible would
+        # contradict Helly's theorem: a certificate that calls every subset
+        # feasible must raise, not pass the audit
+        s = make_system(2, [((1, 0), 0), ((-1, 0), -1),
+                            ((0, 1), 0), ((0, -1), -1)])
+        monkeypatch.setattr(halfspaces, "_farkas_infeasible",
+                            lambda rows, subset: False)
+        with pytest.raises(TheoremViolation, match="subset audit disagrees"):
+            helly_audit(s)
+
     def test_cap(self, monkeypatch):
         monkeypatch.setenv("GODBERSEN_SUBSET_CAP", "10")
         rows = [((1, 0, 0), i) for i in range(1, 10)]
@@ -409,16 +421,15 @@ def _oracle_farkas(system, subset):
 
 
 def _check_certificates(system) -> int:
-    """Assert the Farkas verdict read from one shared minor table equals the
-    per-subset cofactor route and Fourier-Motzkin on every (n+1)-subset;
-    None exactly when the normals have rank < n.  Returns the number of
-    rank-deficient subsets."""
+    """Assert the Farkas verdict on the integer rows equals the Fraction-rhs
+    cofactor route and Fourier-Motzkin on every (n+1)-subset; None exactly
+    when the normals have rank < n.  Returns the number of rank-deficient
+    subsets."""
     n = system.dim
     ints = _integer_rows(system)
-    minors = {}
     fallbacks = 0
     for subset in combinations(range(len(ints)), n + 1):
-        verdict = _farkas_infeasible(ints, subset, minors)
+        verdict = _farkas_infeasible(ints, subset)
         assert verdict == _oracle_farkas(system, subset), subset
         rank = int_rank([ints[i][0] for i in subset])
         if verdict is None:
@@ -496,7 +507,7 @@ class TestFarkasCertificate:
     ])
     def test_infeasible_by_certificate(self, rows):
         ints = _integer_rows(make_system(2, rows))
-        assert _farkas_infeasible(ints, (0, 1, 2), {}) is True
+        assert _farkas_infeasible(ints, (0, 1, 2)) is True
         assert not helly_audit(make_system(2, rows))
 
     def test_feasible_by_certificate(self):
@@ -505,15 +516,72 @@ class TestFarkasCertificate:
                      [((-1, 0), -1), ((0, -1), -1), ((1, 1), 2)],
                      [((1, 0), 0), ((0, 1), 0), ((1, 1), 0)]):
             ints = _integer_rows(make_system(2, rows))
-            assert _farkas_infeasible(ints, (0, 1, 2), {}) is False
+            assert _farkas_infeasible(ints, (0, 1, 2)) is False
 
     def test_rank_deficient_infeasible_subset(self):
         # in R^3, x <= 0, x >= 1, y <= 0, y >= 0 has rank 2: no certificate,
         # and only the fallback sees that it is infeasible
         s = make_system(3, [((1, 0, 0), 0), ((-1, 0, 0), -1),
                             ((0, 1, 0), 0), ((0, -1, 0), 0)])
-        assert _farkas_infeasible(_integer_rows(s), (0, 1, 2, 3), {}) is None
+        assert _farkas_infeasible(_integer_rows(s), (0, 1, 2, 3)) is None
         assert not helly_audit(s)
+
+
+def _oracle_helly(system) -> bool:
+    """The audit's old route: every (n+1)-subset decided from scratch, by
+    its Fraction-rhs cofactors or, when rank-deficient, by Fourier-Motzkin,
+    with no full-system run first."""
+    n = system.dim
+    for subset in combinations(range(len(system.halfspaces)), n + 1):
+        infeasible = _oracle_farkas(system, subset)
+        if infeasible is None:
+            sub = halfspaces.System(n, tuple(system.halfspaces[i] for i in subset))
+            infeasible = not oracle_fm_feasible(sub).feasible
+        if infeasible:
+            return False
+    return True
+
+
+class TestHellyAgainstSubsetOracle:
+    """A feasible audit ends at the full system's checked vertex; the
+    all-subsets route it replaced must give the same verdict."""
+
+    def test_corpus_anchor_systems(self, corpus):
+        # every corpus body but 18 of the 20 dim-4 origin-symmetric ones,
+        # whose 4,368 subsets each hold the oracle to seconds per system
+        symmetric = 0
+        for spec, body in corpus:
+            if spec.dim == 4 and spec.kind == "random_symmetric":
+                symmetric += 1
+                if symmetric > 2:
+                    continue
+            system = ak_system(body)
+            assert helly_audit(system) and _oracle_helly(system)
+
+    def test_random_rational_systems(self):
+        seen = [0, 0]
+        for system in _oracle_reference_systems():
+            verdict = helly_audit(system)
+            assert verdict == _oracle_helly(system)
+            if len(system.halfspaces) > system.dim:
+                seen[verdict] += 1
+        assert min(seen) > 300, seen
+
+
+class TestVertexCheck:
+    """``_feasible_rows`` checks its vertex on every row before it returns."""
+
+    def test_ray_outside_the_region_raises(self, monkeypatch):
+        # x <= 1, y <= 1, x + y >= 0: a kernel that hands back the point
+        # (5, 0), as the ray (5, 0, 1), has a bug, and the check says so
+        system = make_system(2, [((1, 0), 1), ((0, 1), 1), ((-1, -1), 0)])
+        assert feasibility(system).feasible
+        monkeypatch.setattr(halfspaces, "_cone_rays",
+                            lambda rows: [((5, 0, 1), 0)])
+        with pytest.raises(TheoremViolation, match="vertex violates a row"):
+            feasibility(system)
+        with pytest.raises(TheoremViolation):
+            helly_audit(system)
 
 
 class TestIntegerRows:
@@ -759,59 +827,11 @@ class TestFourierMotzkinGuard:
             helly_audit(system)
 
 
-class TestMinorTable:
-    # x <= 1, y <= 1, x + y >= 0, x >= 2, x + y <= 5, y >= -3: the second
-    # subset (0, 1, 3) is infeasible, so the loop stops after 2 of 20
-    EARLY_EXIT = [((1, 0), 1), ((0, 1), 1), ((-1, -1), 0), ((-1, 0), -2),
-                  ((1, 1), 5), ((0, -1), 3)]
-
-    def _recorded_audit(self, monkeypatch, system):
-        visited, tables, dets = [], [], []
-        farkas, det = halfspaces._farkas_infeasible, halfspaces.int_det
-
-        def record_farkas(rows, subset, minors):
-            visited.append(subset)
-            tables.append(minors)
-            return farkas(rows, subset, minors)
-
-        def record_det(rows):
-            dets.append(rows)
-            return det(rows)
-
-        monkeypatch.setattr(halfspaces, "_farkas_infeasible", record_farkas)
-        monkeypatch.setattr(halfspaces, "int_det", record_det)
-        verdict = helly_audit(system)
-        assert all(t is tables[0] for t in tables)
-        return verdict, visited, tables[0], dets
-
-    def test_early_exit_fills_only_visited_minors(self, monkeypatch):
-        system = make_system(2, self.EARLY_EXIT)
-        verdict, visited, table, dets = self._recorded_audit(monkeypatch, system)
-        assert not verdict
-        assert visited == [(0, 1, 2), (0, 1, 3)]
-        # (0, 1) lies in both subsets and is taken once
-        assert set(table) == {(1, 2), (0, 2), (0, 1), (1, 3), (0, 3)}
-        assert len(dets) == len(table)
-        ints = _integer_rows(system)
-        for key, value in table.items():
-            assert value == int_det([ints[i][0] for i in key])
-
-    def test_each_minor_taken_once(self, monkeypatch):
-        system = ak_system(random_polytope(random.Random(96), 3, 9))
-        rows = len(system.halfspaces)
-        verdict, visited, table, dets = self._recorded_audit(monkeypatch, system)
-        assert verdict and len(visited) == comb(rows, 4)
-        assert len(dets) == len(table) <= comb(rows, 3) < 4 * len(visited)
-        assert all(key == tuple(sorted(key)) and len(key) == 3 for key in table)
-        ints = _integer_rows(system)
-        for key, value in table.items():
-            assert value == int_det([ints[i][0] for i in key])
-
-
 class TestHellyCallCounts:
     """The audit scales its system once and decides every feasibility
     question on integer rows with ``_feasible_rows``, the full system
-    first; it goes through no ``System``."""
+    first; it goes through no ``System``.  A feasible system ends at its
+    checked vertex, with no certificate taken."""
 
     @pytest.fixture
     def spy(self, monkeypatch):
@@ -819,7 +839,8 @@ class TestHellyCallCounts:
         returns the argument tuples of their calls from then on, by name."""
         def install():
             seen = {"_feasible_rows": [], "feasibility": [], "_integer_rows": [],
-                    "System": [], "HalfSpace": []}
+                    "_farkas_infeasible": [], "int_det": [], "System": [],
+                    "HalfSpace": []}
             for name in seen:
                 def counting(*args, _calls=seen[name], _orig=getattr(halfspaces, name)):
                     _calls.append(args)
@@ -835,14 +856,38 @@ class TestHellyCallCounts:
         calls = spy()
         assert helly_audit(system)
         assert calls["_feasible_rows"] == [(ints, 2)]
+        assert calls["_farkas_infeasible"] == []
         assert calls["feasibility"] == []
         assert calls["_integer_rows"] == [(system,)]
 
+    def test_feasible_audit_takes_no_certificate(self, spy, corpus):
+        systems = [ak_system(body) for _, body in corpus[::10]]
+        systems += [ak_system(unit_cube(3)),
+                    make_system(2, [((1, 0), 1), ((0, 1), 1), ((-1, -1), 0)])]
+        calls = spy()
+        for system in systems:
+            for seen in calls.values():
+                del seen[:]
+            assert helly_audit(system)
+            assert len(calls["_feasible_rows"]) == 1
+            assert calls["_farkas_infeasible"] == []
+
     def test_cube_runs_fm_on_its_fallback_subsets(self, spy):
-        system = ak_system(unit_cube(3))
+        # the cube's anchor rows and x + y + z >= 10: infeasible, and only
+        # the last of the 35 subsets, the three upper bounds with the new
+        # row, shows it, after the search has met the cube's 3 subsets of
+        # rank 2, such as {+-e1, +-e2}
+        cube = ak_system(unit_cube(3))
+        system = halfspaces.System(3, cube.halfspaces + (
+            HalfSpace((F(-1),) * 3, F(-10)),))
         ints = _integer_rows(system)
         calls = spy()
-        assert helly_audit(system)
+        assert not helly_audit(system)
+        assert len(calls["_farkas_infeasible"]) == comb(7, 4)
+        assert calls["_farkas_infeasible"][-1] == (ints, (3, 4, 5, 6))
+        # a cofactor vector with both signs ends its subset early: 9 of the
+        # 35 subsets skip their last cofactor
+        assert len(calls["int_det"]) == 4 * 35 - 9
         assert len(calls["_feasible_rows"]) == 1 + 3
         assert calls["_feasible_rows"][0] == (ints, 3)
         # each fallback subset is four of the scaled rows, not a new System
@@ -851,6 +896,17 @@ class TestHellyCallCounts:
         assert calls["feasibility"] == []
         assert calls["_integer_rows"] == [(system,)]
         assert calls["System"] == [] and calls["HalfSpace"] == []
+
+    def test_search_stops_at_the_first_infeasible_subset(self, spy):
+        # x <= 1, y <= 1, x + y >= 0, x >= 2, x + y <= 5, y >= -3: the second
+        # subset (0, 1, 3) is infeasible, so the search stops after 2 of 20
+        system = make_system(2, [((1, 0), 1), ((0, 1), 1), ((-1, -1), 0),
+                                 ((-1, 0), -2), ((1, 1), 5), ((0, -1), 3)])
+        ints = _integer_rows(system)
+        calls = spy()
+        assert not helly_audit(system)
+        assert calls["_farkas_infeasible"] == [(ints, (0, 1, 2)), (ints, (0, 1, 3))]
+        assert len(calls["int_det"]) == 6
 
     def test_anchor_unique_builds_no_halfspace(self, spy, corpus):
         profiles = [tightness_profile(body) for _, body in corpus[:40]]
