@@ -31,7 +31,7 @@ from .errors import InvalidM, LemmaViolation, NotConcave
 from .geometry import Polytope
 from .linalg import scale_to_integers
 from .mixedvol import mv_profile
-from .rationals import Rat, as_rat, as_vector
+from .rationals import Rat, as_rat
 from .sections import section_profile
 
 MAX_EXTRA_KNOTS = 6
@@ -42,11 +42,18 @@ DENOMINATOR_BOUND = 8
 class PLConcave:
     """Piecewise-linear concave f >= 0 on [0,1]; knots include 0 and 1.
     Knots and values are taken by ``as_rat``: ints, Fractions and rational
-    strings, never floats."""
+    strings, never floats.
+
+    Every check reads one integer form, made once by ``scale_to_integers``:
+    the knots and values are ``_int_knots`` and ``_int_values`` over the
+    positive ``_int_scale``.  A piece's slope is its (width, rise) pair,
+    compared by cross-multiplication, so no slope is divided out."""
 
     knots: tuple[Rat, ...]
     values: tuple[Rat, ...]
-    _slopes: tuple[Rat, ...] = field(init=False, repr=False, compare=False)
+    _int_knots: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _int_values: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _int_scale: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         k = tuple(as_rat(x) for x in self.knots)
@@ -55,34 +62,28 @@ class PLConcave:
         object.__setattr__(self, "values", v)
         if len(k) != len(v) or len(k) < 2:
             raise NotConcave("knots and values must match and cover [0,1]")
-        if k[0] != 0 or k[-1] != 1:
+        (ks, vs), den = scale_to_integers([k, v])
+        if ks[0] != 0 or ks[-1] != den:
             raise NotConcave("domain must be exactly [0,1]")
-        if any(b <= a for a, b in zip(k, k[1:])):
+        pieces = [(k2 - k1, v2 - v1)
+                  for k1, k2, v1, v2 in zip(ks, ks[1:], vs, vs[1:])]
+        if any(h <= 0 for h, _ in pieces):
             raise NotConcave("knots must be strictly increasing")
-        if any(x < 0 for x in v):
+        if any(x < 0 for x in vs):
             raise NotConcave("values must be nonnegative")
-        slopes = tuple((v2 - v1) / (k2 - k1)
-                       for k1, k2, v1, v2 in zip(k, k[1:], v, v[1:]))
-        if any(s2 > s1 for s1, s2 in zip(slopes, slopes[1:])):
+        # rise2 / h2 > rise1 / h1, with both widths positive
+        if any(r2 * h1 > r1 * h2 for (h1, r1), (h2, r2) in zip(pieces, pieces[1:])):
             raise NotConcave("slopes must be nonincreasing")
-        object.__setattr__(self, "_slopes", slopes)
-
-    def slopes(self) -> tuple[Rat, ...]:
-        return self._slopes
-
-    def value(self, r) -> Rat:
-        x = as_rat(r)
-        if not 0 <= x <= 1:
-            raise ValueError("argument outside [0,1]")
-        for (k1, v1), (k2, v2) in zip(zip(self.knots, self.values),
-                                      zip(self.knots[1:], self.values[1:])):
-            if x <= k2:
-                return v1 + (v2 - v1) * (x - k1) / (k2 - k1)
+        object.__setattr__(self, "_int_knots", ks)
+        object.__setattr__(self, "_int_values", vs)
+        object.__setattr__(self, "_int_scale", den)
 
     def is_linear(self) -> bool:
         """Single slope across all of [0,1]; the slopes never increase, so
-        the first and the last decide."""
-        return self._slopes[0] == self._slopes[-1]
+        the first and the last piece decide."""
+        ks, vs = self._int_knots, self._int_values
+        return ((vs[1] - vs[0]) * (ks[-1] - ks[-2])
+                == (vs[-1] - vs[-2]) * (ks[1] - ks[0]))
 
 
 @dataclass(frozen=True)
@@ -90,7 +91,6 @@ class IntegralCheckResult:
     value: Rat
     nonneg: bool
     equality: bool
-    equality_characterized: bool
 
 
 @dataclass(frozen=True)
@@ -105,11 +105,11 @@ class BrunnMinkowskiResult:
 
 def godbersen_integral(f: PLConcave, m: int) -> Rat:
     """Exact value of integral_0^1 (r - 1/(m+1)) f^{m-1}(r) dr for m >= 2:
-    the power sums of the module docstring on knots and values scaled to
-    integers by one common denominator D, over m (m+1) D^(m+1)."""
+    the power sums of the module docstring on f's integer knots and values
+    over their common denominator D, over m (m+1) D^(m+1)."""
     if type(m) is not int or m < 2:
         raise InvalidM(f"exponent must be an integer >= 2, got {m}")
-    (ks, vs), den = scale_to_integers([f.knots, f.values])
+    ks, vs, den = f._int_knots, f._int_values, f._int_scale
     total = 0
     for k1, k2, v1, v2 in zip(ks, ks[1:], vs, vs[1:]):
         h = k2 - k1
@@ -134,7 +134,7 @@ def godbersen_integral_check(f: PLConcave, m: int) -> IntegralCheckResult:
     if equality != characterized:
         raise LemmaViolation(
             f"equality={equality} but characterization={characterized}")
-    return IntegralCheckResult(value, True, equality, characterized)
+    return IntegralCheckResult(value, True, equality)
 
 
 def random_concave(rng: random.Random) -> PLConcave:
@@ -164,7 +164,7 @@ def random_concave(rng: random.Random) -> PLConcave:
 def slice_root_concavity(K: Polytope, w) -> bool:
     """Whether the (n-1)-st root of the section profile along w is concave,
     decided exactly for every n >= 2 (Brunn's principle says it always is)."""
-    return section_profile(K, as_vector(w)).root_concave()
+    return section_profile(K, w).root_concave()
 
 
 def bm_check(K: Polytope, L: Polytope) -> BrunnMinkowskiResult:
@@ -200,7 +200,7 @@ def bridge_inequality(K: Polytope, w) -> Rat:
     """
     from .inclusion import center_at_centroid
 
-    prof = section_profile(center_at_centroid(K), as_vector(w))
+    prof = section_profile(center_at_centroid(K), w)
     lo, hi = prof.support_interval()
     wid = hi - lo
     return (prof.moment() - (lo + wid / (K.dim + 1)) * prof.integral()) / wid ** 2

@@ -219,23 +219,24 @@ def helly_audit(system: System) -> bool:
     """True iff every (dim+1)-subset of halfspaces is feasible.
 
     Vacuously true when there are fewer than dim+1 halfspaces.  Otherwise the
-    subset count is checked against ``GODBERSEN_SUBSET_CAP`` before any other
-    work, the system is scaled to integer rows once, and ``_feasible_rows``
-    decides the full system on them.  A feasible system ends there: its
-    checked vertex lies in every subsystem.  An infeasible one is searched
-    for an infeasible subset, each decided by its Farkas cofactor
-    certificate (``_farkas_infeasible``) or, when rank-deficient, by
-    ``_feasible_rows`` on its own integer rows.  Helly's theorem says the
-    search finds one, so finding none raises.
+    system is scaled to integer rows once, and ``_feasible_rows`` decides the
+    full system on them.  A feasible system ends there, whatever its subset
+    count: its checked vertex lies in every subsystem.  An infeasible one is
+    searched for an infeasible subset, so only there is the subset count
+    checked against ``GODBERSEN_SUBSET_CAP``, before the first subset.  Each
+    subset is decided by its Farkas cofactor certificate
+    (``_farkas_infeasible``) or, when rank-deficient, by ``_feasible_rows``
+    on its own integer rows.  Helly's theorem says the search finds one, so
+    finding none raises.
     """
     n = system.dim
     count = len(system.halfspaces)
     if count < n + 1:
         return True
-    check_subset_cap(comb(count, n + 1), "Helly audit")
     ints = _integer_rows(system)
     if _feasible_rows(ints, n).feasible:
         return True
+    check_subset_cap(comb(count, n + 1), "Helly audit")
     for subset in combinations(range(count), n + 1):
         infeasible = _farkas_infeasible(ints, subset)
         if infeasible is None:

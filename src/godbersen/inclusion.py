@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .errors import TheoremViolation
 from .geometry import Polytope, _idot, translate
-from .rationals import Rat, as_vector
+from .rationals import Rat
 from .sections import section_profile
 
 
@@ -77,4 +77,4 @@ def directional_moment(K: Polytope, w, center: bool = True) -> Rat:
     returned (it equals Vol(K) times the centroid coordinate along w).
     """
     body = center_at_centroid(K) if center else K
-    return section_profile(body, as_vector(w)).moment()
+    return section_profile(body, w).moment()

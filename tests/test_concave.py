@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 from fractions import Fraction as F
@@ -30,9 +31,10 @@ from godbersen import (
     translate,
     unit_cube,
 )
+from godbersen.linalg import scale_to_integers
 from godbersen.mixedvol import MixedVolumeProfile
 from godbersen.polynomials import mul
-from godbersen.rationals import as_vector
+from godbersen.rationals import as_rat, as_vector
 from tests.conftest import brunn_minkowski_pairs, minkowski_sum
 from tests.test_geometry import TRIANGLE, SQUARE, random_polytope
 from tests.test_polynomials import definite_integral, power
@@ -77,6 +79,63 @@ def _bridge_by_substitution(K, w) -> F:
     return total
 
 
+def _fraction_rule(knots, values) -> tuple[str | None, bool | None]:
+    """The Fraction-slope validation that ``PLConcave`` ran before its
+    integer form, kept as the oracle: the ``NotConcave`` message it raised,
+    or None, and whether an accepted function is linear."""
+    k = tuple(as_rat(x) for x in knots)
+    v = tuple(as_rat(x) for x in values)
+    if len(k) != len(v) or len(k) < 2:
+        return "knots and values must match and cover [0,1]", None
+    if k[0] != 0 or k[-1] != 1:
+        return "domain must be exactly [0,1]", None
+    if any(b <= a for a, b in zip(k, k[1:])):
+        return "knots must be strictly increasing", None
+    if any(x < 0 for x in v):
+        return "values must be nonnegative", None
+    slopes = tuple((v2 - v1) / (k2 - k1)
+                   for k1, k2, v1, v2 in zip(k, k[1:], v, v[1:]))
+    if any(s2 > s1 for s1, s2 in zip(slopes, slopes[1:])):
+        return "slopes must be nonincreasing", None
+    return None, slopes[0] == slopes[-1]
+
+
+def _integer_rule(knots, values) -> tuple[str | None, bool | None]:
+    """``PLConcave``'s verdict in the oracle's terms."""
+    try:
+        f = PLConcave(knots, values)
+    except NotConcave as err:
+        return str(err), None
+    return None, f.is_linear()
+
+
+M61 = 2 ** 61 - 1  # a prime, so coprime to every smaller denominator
+
+
+@st.composite
+def knots_and_values(draw):
+    """Rational knots and values near the concavity boundary: slopes sorted
+    or not, ties, a shifted minimum, a repeated knot, a wrong domain end,
+    denominators up to 2^61 - 1."""
+    den = draw(st.sampled_from((12, M61)))
+    inner = draw(st.lists(st.fractions(0, 1, max_denominator=den)
+                          .filter(lambda x: 0 < x < 1), max_size=5, unique=True))
+    knots = [F(0), *sorted(inner), draw(st.sampled_from((F(1),) * 5 + (F(3, 4),)))]
+    if draw(st.sampled_from((False,) * 9 + (True,))):
+        knots.insert(1, knots[1])
+    slopes = draw(st.lists(st.fractions(-8, 8, max_denominator=den),
+                           min_size=len(knots) - 1, max_size=len(knots) - 1))
+    if len(slopes) > 1 and draw(st.booleans()):
+        slopes[1] = slopes[0]
+    if draw(st.booleans()):
+        slopes.sort(reverse=True)
+    values = [F(0)]
+    for k1, k2, s in zip(knots, knots[1:], slopes):
+        values.append(values[-1] + s * (k2 - k1))
+    low = min(values) - draw(st.sampled_from((F(0), F(0), F(1, den), F(-1, 7))))
+    return knots, [x - low for x in values]
+
+
 def _seeded_concave() -> list[PLConcave]:
     """200 seeded random functions, then the named ones, flat pieces included."""
     rng = random.Random(68)
@@ -96,8 +155,8 @@ class TestPLConcave:
             PLConcave((F(0), F(1, 2), F(1, 2), F(1)), (F(0),) * 4)  # repeated knot
 
     def test_floats_refused_at_the_edge(self):
-        # as ``value`` refuses a float argument, the constructor refuses
-        # float knots and values, and decimal strings, before any slope
+        # the constructor refuses float knots and values, and decimal
+        # strings, before any scaling
         with pytest.raises(TypeError):
             PLConcave((0, 0.5, 1), (0.0, 1.0, 1.0))
         with pytest.raises(TypeError):
@@ -107,21 +166,69 @@ class TestPLConcave:
 
     def test_ints_and_rational_strings_become_fractions(self):
         f = PLConcave((0, "1/2", 1), ("0", 1, F(1)))
-        assert f == TENT and f.slopes() == (F(2), F(0))
+        assert f == TENT and not f.is_linear()
         assert all(type(x) is F for x in f.knots + f.values)
         assert godbersen_integral(f, 3) == godbersen_integral(TENT, 3)
 
-    def test_value_and_linearity(self):
-        assert TENT.value(F(1, 4)) == F(1, 2)
-        assert TENT.value(F(3, 4)) == 1
+    def test_linearity(self):
         assert not TENT.is_linear() and LINEAR_DOWN.is_linear() and ZERO.is_linear()
         # collinear knots: several pieces, one slope
         assert PLConcave((F(0), F(1, 3), F(1)), (F(1), F(2, 3), F(0))).is_linear()
         assert not PLATEAU.is_linear()
 
-    def test_slopes_taken_once(self):
-        assert PLATEAU.slopes() == (F(4), F(0), F(-3, 2))
-        assert PLATEAU.slopes() is PLATEAU.slopes()
+    def test_scaled_once(self, monkeypatch):
+        # one scale_to_integers per function built, none per integral; the
+        # function keeps its integer form and no Fraction slope
+        calls = []
+
+        def spy(points):
+            calls.append(points)
+            return scale_to_integers(points)
+
+        monkeypatch.setattr(concave, "scale_to_integers", spy)
+        rng = random.Random(68)
+        functions = [random_concave(rng) for _ in range(20)]
+        functions.append(PLConcave((0, "1/2", 1), (0, 1, 1)))
+        assert len(calls) == 21
+        for f in functions:
+            for m in range(2, 9):
+                godbersen_integral_check(f, m)
+        assert len(calls) == 21
+        assert [fd.name for fd in dataclasses.fields(PLConcave)] == [
+            "knots", "values", "_int_knots", "_int_values", "_int_scale"]
+        assert all(type(x) is int for f in functions
+                   for x in f._int_knots + f._int_values + (f._int_scale,))
+
+    def test_integer_form_agrees_with_the_fraction_rule_on_seeded_functions(self):
+        for f in _seeded_concave():
+            assert _fraction_rule(f.knots, f.values) == (None, f.is_linear())
+
+    @settings(max_examples=300, deadline=None)
+    @given(knots_and_values())
+    def test_integer_form_agrees_with_the_fraction_rule(self, kv):
+        assert _integer_rule(*kv) == _fraction_rule(*kv)
+
+    @pytest.mark.parametrize("knots, values, verdict", [
+        # a collinear interior knot: equal slopes, accepted and linear
+        ((0, F(1, 3), 1), (1, F(2, 3), 0), (None, True)),
+        ((0, F(2, 5), 1), (F(1, 2), F(7, 10), 1), (None, True)),
+        # a kink of one unit of the common denominator 7 at knot 3/7
+        ((0, F(3, 7), 1), (1, F(6, 7), 1), ("slopes must be nonincreasing", None)),
+        ((0, F(3, 7), 1), (1, F(8, 7), 1), (None, False)),
+        # large coprime denominators: one unit of 2^61 - 1, then of
+        # (2^61 - 1)(2^31 - 1)
+        ((0, F(1, M61), 1), (1, 1 - F(1, M61), 1), ("slopes must be nonincreasing", None)),
+        ((0, F(1, M61), 1), (1, 1 + F(1, M61), 1), (None, False)),
+        ((0, F(1, M61), 1), (1, 1 - F(1, M61), 0), (None, True)),
+        ((0, F(1, M61), F(1, 2 ** 31 - 1), 1),
+         (1, 1 - F(1, M61), 1 - F(1, 2 ** 31 - 1), 0), (None, True)),
+        ((0, F(1, M61), F(1, 2 ** 31 - 1), 1),
+         (1, 1 - F(1, M61), 1 - F(1, 2 ** 31 - 1) - F(1, M61 * (2 ** 31 - 1)), 0),
+         ("slopes must be nonincreasing", None)),
+    ])
+    def test_integer_form_edge_cases(self, knots, values, verdict):
+        assert _fraction_rule(knots, values) == verdict
+        assert _integer_rule(knots, values) == verdict
 
     def test_equality_hash_and_repr_see_knots_and_values_only(self):
         again = PLConcave((F(0), F(1, 2), F(1)), (F(0), F(1), F(1)))
@@ -187,15 +294,17 @@ class TestIntegralCheck:
     def test_linear_down_all_m(self):
         for m in (2, 3, 4, 7):
             res = godbersen_integral_check(LINEAR_DOWN, m)
-            assert res.equality and res.equality_characterized and res.nonneg
+            assert res.equality and res.nonneg
 
     def test_tent_positive(self):
         res = godbersen_integral_check(TENT, 2)
         assert res.value == F(5, 24) and not res.equality
 
     def test_zero_function_counts_as_characterized(self):
+        # godbersen_integral_check raises unless equality matches
+        # (f(1) = 0 and f linear)
         res = godbersen_integral_check(ZERO, 2)
-        assert res.equality and res.equality_characterized
+        assert res.equality
 
     def test_scaled_equality_family(self):
         # every c(1 - r) hits equality; every linear f with f(1) > 0 does not

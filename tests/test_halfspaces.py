@@ -230,6 +230,11 @@ class TestAkAgainstFullFM:
         assert not anchor_unique(profile)
 
 
+# an anchor system whose subset count is above the default cap
+DIM5_ABOVE_CAP_SPEC = GenSpec("random_hull", 5, vertex_count=10, seed=1,
+                              denominator_bound=2)
+
+
 class TestHelly:
     def test_single_subset(self):
         assert helly_audit(ak_system(build_hull(TRIANGLE)))
@@ -275,20 +280,33 @@ class TestHelly:
             helly_audit(s)
 
     def test_cap(self, monkeypatch):
+        # x <= 1 and x >= 10: infeasible, so the subsets would be searched
         monkeypatch.setenv("GODBERSEN_SUBSET_CAP", "10")
         rows = [((1, 0, 0), i) for i in range(1, 10)]
-        rows += [((0, 1, 0), i) for i in range(1, 10)]
+        rows += [((0, 1, 0), i) for i in range(1, 9)] + [((-1, 0, 0), -10)]
         s = make_system(3, rows)
         with pytest.raises(CombinatorialBlowup, match="Helly audit: 3060 subsets exceed"):
             helly_audit(s)
 
     def test_cap_env_override(self, monkeypatch):
+        # the cap bounds the search of an infeasible system; a feasible one
+        # is settled by its vertex whatever its subset count
         monkeypatch.setenv("GODBERSEN_SUBSET_CAP", "1")
-        s = make_system(2, [((1, 0), 1), ((0, 1), 1), ((-1, 0), 0), ((0, -1), 0)])
+        s = make_system(2, [((1, 0), 0), ((0, 1), 1), ((-1, 0), -1), ((0, -1), 0)])
         with pytest.raises(CombinatorialBlowup):
             helly_audit(s)
+        box = make_system(2, [((1, 0), 1), ((0, 1), 1), ((-1, 0), 0), ((0, -1), 0)])
+        assert helly_audit(box)
         monkeypatch.setenv("GODBERSEN_SUBSET_CAP", "100000")
-        assert helly_audit(s)
+        assert not helly_audit(s)
+
+    def test_feasible_system_above_the_cap(self, monkeypatch):
+        # 36 rows in R^5: 1,947,792 subsets, above the default cap, and
+        # feasible, so no subset is searched
+        monkeypatch.delenv("GODBERSEN_SUBSET_CAP", raising=False)
+        system = ak_system(generate(DIM5_ABOVE_CAP_SPEC))
+        assert comb(len(system.halfspaces), 6) == 1_947_792
+        assert helly_audit(system) and feasibility(system).feasible
 
     def test_feasibility_of_anchor_subsystems(self):
         # audits of anchor systems must come out feasible throughout
@@ -796,7 +814,7 @@ FM_REFUSED_SPECS = [
 class TestFourierMotzkinGuard:
     """The anchor systems that Fourier-Motzkin's step guard refused are
     decided, and the audit's one guard, its subset cap, still comes before
-    any work."""
+    the subset search of an infeasible system."""
 
     def test_anchor_systems_decided(self):
         for spec in FM_REFUSED_SPECS:
@@ -814,17 +832,30 @@ class TestFourierMotzkinGuard:
         assert all(helly_audit(system) for system in systems)
 
     def test_subset_cap_comes_before_the_kernel(self, monkeypatch):
-        system = ak_system(generate(FM_REFUSED_SPECS[1]))
-        monkeypatch.setenv("GODBERSEN_SUBSET_CAP", "38759")
+        # the first dim-5 anchor system plus the reverse of its first row,
+        # moved past it: 21 rows, infeasible.  Only the full-system run
+        # comes before the cap, and no certificate is taken.
+        rows = [(h.normal, h.rhs)
+                for h in ak_system(generate(FM_REFUSED_SPECS[1])).halfspaces]
+        w, b = rows[0]
+        system = make_system(5, rows + [(tuple(-c for c in w), -b - 1)])
+        monkeypatch.setenv("GODBERSEN_SUBSET_CAP", "54263")
+        runs = []
+        feasible_rows = halfspaces._feasible_rows
+
+        def full_run(rows, n):
+            runs.append(len(rows))
+            return feasible_rows(rows, n)
 
         def fail(*args):
-            raise AssertionError("the kernel ran before the subset cap")
+            raise AssertionError("a subset was searched before the subset cap")
 
-        monkeypatch.setattr(halfspaces, "_cone_rays", fail)
+        monkeypatch.setattr(halfspaces, "_feasible_rows", full_run)
         monkeypatch.setattr(halfspaces, "_farkas_infeasible", fail)
         with pytest.raises(CombinatorialBlowup,
-                           match="Helly audit: 38760 subsets exceed the cap of 38759"):
+                           match="Helly audit: 54264 subsets exceed the cap of 54263"):
             helly_audit(system)
+        assert runs == [21]
 
 
 class TestHellyCallCounts:

@@ -195,6 +195,21 @@ class TestCli:
         assert json.loads(capsys.readouterr().out) == {
             "all_subsystems_feasible": True, "full_system_feasible": True}
 
+    def test_helly_feasible_system_above_the_subset_cap(self, tmp_path, capsys,
+                                                         monkeypatch):
+        # 36 rows in R^5, 1,947,792 subsets: a feasible system is settled by
+        # its vertex, so the cap, which bounds the search, does not refuse it
+        monkeypatch.delenv("GODBERSEN_SUBSET_CAP", raising=False)
+        system = ak_system(generate(GenSpec("random_hull", 5, vertex_count=10,
+                                            seed=1, denominator_bound=2)))
+        rows = [([format_rational(c) for c in h.normal], format_rational(h.rhs))
+                for h in system.halfspaces]
+        path = tmp_path / "sys.json"
+        path.write_text(json.dumps(_system_dict(rows)))
+        assert main(["helly", "--input", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "all_subsystems_feasible": True, "full_system_feasible": True}
+
     def test_moment(self, tmp_path, capsys):
         path = self._write_body(tmp_path, TRIANGLE)
         assert main(["moment", "--input", str(path), "--w", "1,0"]) == 0
