@@ -13,8 +13,9 @@ integrals integral_0^1 (1-s)^a s^b ds = a! b! / (a+b+1)! gives the power sum
     h / (m (m+1)) * sum_{i=0}^{m-1} v1^(m-1-i) v2^i ((m+1) k1 - 1 + (i+1) h),
 
 with no slope division.  Slice-root concavity (Brunn's principle) is decided
-exactly on the integer section pieces by a Sturm sign test, with no root
-taken (``SectionProfile.root_concave``).  Brunn-Minkowski is decided exactly
+exactly on the integer section pieces, with no root taken: a Bernstein
+certificate settles a piece, and a Sturm sign test any piece it leaves open
+(``SectionProfile.root_concave``).  Brunn-Minkowski is decided exactly
 too (``bm_check``): it reads Vol(K + L) = sum_j C(n,j) m_j off the
 mixed-volume profile, with no sum built, and compares integer powers of the
 m_j instead of n-th roots.  No verdict here takes a float.

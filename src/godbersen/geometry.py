@@ -414,7 +414,9 @@ def _from_lattice(ipts: list[tuple[int, ...]], mult: int, raw_facets) -> Polytop
     the facet).  The points are distinct and include every vertex of their
     hull, so a point is a vertex iff its (at least n) facets share no other
     point; the others are dropped, the facet ids remapped and the lattice
-    coarsened to the smallest one holding the vertices.
+    coarsened to the smallest one holding the vertices.  Facets that leave
+    fewer than n + 1 vertices, or a facet with fewer than n, close no
+    polytope and raise DegenerateInput.
 
     Each facet's pulling triangulation (``_pulling_fan``) is coned from
     vertex 0, or from the lowest vertex off the facet when 0 is on it, with
@@ -433,6 +435,9 @@ def _from_lattice(ipts: list[tuple[int, ...]], mult: int, raw_facets) -> Polytop
     new = {old: k for k, old in enumerate(keep)}
     specs = sorted((w, b, tuple(new[i] for i in ids if i in new))
                    for w, b, ids in raw_facets)
+    if len(keep) <= n or any(len(vids) < n for _, _, vids in specs):
+        raise DegenerateInput("the facets leave fewer than n + 1 vertices, "
+                              "or a facet with fewer than n")
     g = gcd(mult, *(c for i in keep for c in ipts[i]))
     ipts = [tuple(c // g for c in ipts[i]) for i in keep]
     mult //= g

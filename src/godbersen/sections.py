@@ -23,7 +23,10 @@ product over the other heights (``_level_terms``).  So F needs no
 recursion, and its terms depend on the level they sit at, not on the
 interval: the terms of every simplex are summed level by level, as integer
 numerators over one lcm denominator, and each level's sum is expanded once
-in powers of T.  Piece i is the prefix sum of the levels through
+in powers of T.  Most simplices have no tie below the top level; their
+single terms are summed as volumes per (level, denominator), and a level
+made of them alone is c (T - g)^n, expanded by the binomial theorem with
+no Taylor shift.  Piece i is the prefix sum of the levels through
 ``levels[i]``: an integer accumulator A_i(T) over one positive
 denominator, den, shared by every piece, which is the cumulative volume
 itself on the piece,
@@ -31,6 +34,9 @@ V(t) = A_i(M t) / den on the integer levels T = M t, so
 s = M A_i'(M t) / den.  The terms of the top level are never needed.
 The integral, the moment and the slice-root concavity test are integer
 computations on that form, each reduced to one Fraction at the end.  The
+root test maps each piece to [0, 1] and settles it by the signs of integer
+Bernstein coefficients, a sufficient certificate; the Sturm sign test of
+``polynomials`` decides any piece the certificate leaves open.  The
 rational coefficients of s (``pieces``) and its values are made on demand.
 """
 
@@ -39,13 +45,13 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from math import comb, factorial, lcm, prod
 
 from .errors import DimensionMismatch, ZeroDirection
 from .geometry import Polytope, _idot
 from .linalg import scale_to_integers
-from .polynomials import add, derivative, evaluate, mul, nonpositive_between, trim
+from .polynomials import derivative, evaluate, nonpositive_between, trim
 from .rationals import Rat, Vector, as_rat, as_vector, is_zero_vector
 
 
@@ -58,6 +64,7 @@ class SectionProfile:
     integer accumulator A_i = ``accumulators[i]`` (low degree first) over the
     positive integer ``denominator`` that every piece shares: the cumulative
     volume on the piece is V(t) = A_i(M t) / den, so s(t) = M A_i'(M t) / den.
+    ``direction`` is w as given when its entries are ints, else as Fractions.
     Two profiles are equal when their directions, breakpoints and rational
     pieces are.
     """
@@ -128,31 +135,90 @@ class SectionProfile:
 
         On a piece q = A' is a positive multiple of s in T, and where q > 0
         the root has second derivative q^(1/k - 2) P / k^2 (up to a positive
-        factor) with P = k q q'' - (k-1) q'^2, so P <= 0 on the open piece
-        (``nonpositive_between``).  P vanishes identically for n = 2 and for
-        cones.  At an interior level the pieces, over their one denominator,
-        must meet at a positive value, q-(T) = q+(T) > 0, and bend down,
-        q-'(T) >= q+'(T).
+        factor) with P = k q q'' - (k-1) q'^2, so P <= 0 on the open piece.
+        P vanishes identically for n = 2 and for cones.  The piece [lo, hi]
+        is taken in u = (T - lo) / h, h = hi - lo: r(u) = q(lo + h u) gives
+        k r r'' - (k-1) r'^2 = h^2 P(lo + h u) (``_brunn_form``), which is
+        <= 0 on [0, 1] when its Bernstein coefficients are
+        (``_bernstein_nonpositive``).  That certificate is sufficient, not
+        necessary, so a piece it leaves open goes to the complete Sturm test
+        on (0, 1) (``nonpositive_between``): a double root touching 0 still
+        passes.  At an interior level the pieces, over their one
+        denominator, must meet at a positive value, q-(T) = q+(T) > 0, and
+        bend down, q-'(T) >= q+'(T); r gives q at the ends of its piece as
+        r(0) and r(1), and h q' there as r'(0) and r'(1).
         """
         k = len(self.direction) - 1
-        qs = [derivative(acc) for acc in self.accumulators]
-        for q, (_, lo, hi) in zip(qs, self._spans()):
-            dq = derivative(q)
-            p = add(mul([k * c for c in q], derivative(dq)),
-                    mul([(1 - k) * c for c in dq], dq))
-            if not nonpositive_between(p, lo, hi):
+        ends = []
+        for acc, lo, hi in self._spans():
+            h = hi - lo
+            r, power = _taylor_shift(derivative(acc), lo), 1
+            for j in range(1, len(r)):
+                power *= h
+                r[j] *= power
+            p = _brunn_form(r, k)
+            if not (_bernstein_nonpositive(p) or nonpositive_between(p, 0, 1)):
                 return False
-        for i, level in enumerate(self.levels[1:-1]):
-            left, right = qs[i], qs[i + 1]
-            value = evaluate(left, level)
-            if value <= 0 or value != evaluate(right, level):
-                return False
-            if evaluate(derivative(left), level) < evaluate(derivative(right), level):
+            ends.append((h, r[0] if r else 0, r[1] if len(r) > 1 else 0,
+                         sum(r), sum(j * c for j, c in enumerate(r))))
+        for (h, _, _, value, slope), (h_next, value_next, slope_next, _, _) in \
+                zip(ends, ends[1:]):
+            if value <= 0 or value != value_next or slope * h_next < slope_next * h:
                 return False
         return True
 
     def support_interval(self) -> tuple[Rat, Rat]:
         return self.breakpoints[0], self.breakpoints[-1]
+
+
+def _taylor_shift(p: list[int], g: int) -> list[int]:
+    """The coefficients of p(x + g), low degree first, by the n(n+1)/2
+    in-place steps of Horner's shift."""
+    c, d = list(p), len(p) - 1
+    for i in range(d):
+        for j in range(d - 1, i - 1, -1):
+            c[j] += g * c[j + 1]
+    return c
+
+
+@cache
+def _brunn_weights(k: int, d: int) -> tuple[int, tuple[tuple[int, int, int, int], ...]]:
+    """(length, weights): the nonzero (m, i, j, w), i <= j, with k r r'' -
+    (k-1) r'^2 = sum of w r_i r_j u^m, m = i + j - 2, for r of degree d, and
+    one more than the largest m.  The products r_i r_j and r_j r_i give w = k
+    (i (i-1) + j (j-1)) - 2 (k-1) i j, and r_i^2 gives i (i - k).  The weights
+    of u^(2d-2) and u^(2d-3) vanish for d = k, so the form of a degree-(n-1)
+    piece has degree 2n - 6."""
+    weights = []
+    for i in range(d + 1):
+        for j in range(i, d + 1):
+            w = (i * (i - k) if i == j
+                 else k * (i * (i - 1) + j * (j - 1)) - 2 * (k - 1) * i * j)
+            if w:
+                weights.append((i + j - 2, i, j, w))
+    return max((m + 1 for m, _, _, _ in weights), default=0), tuple(weights)
+
+
+def _brunn_form(r: list[int], k: int) -> list[int]:
+    """k r r'' - (k-1) r'^2 for the integer polynomial r, low degree first
+    and trimmed."""
+    length, weights = _brunn_weights(k, len(r) - 1)
+    p = [0] * length
+    for m, i, j, w in weights:
+        p[m] += w * r[i] * r[j]
+    return trim(p)
+
+
+def _bernstein_nonpositive(p: list[int]) -> bool:
+    """Whether every Bernstein coefficient of p on [0, 1] is <= 0, which
+    makes p <= 0 on [0, 1] (Farouki & Rajan, "Algorithms for polynomials in
+    Bernstein form", CAGD 5, 1988).
+
+    For p of degree D, C(D, i) times the i-th coefficient is sum_{j <= i}
+    C(D - j, i - j) p_j, the coefficient of x^(D - i) in sum_j p_j (x + 1)^(D
+    - j): the reversed p shifted by 1, made with additions alone.
+    """
+    return all(c <= 0 for c in _taylor_shift(p[::-1], 1))
 
 
 def _level_terms(hs: list[int], top) -> list[tuple[int, tuple[int, ...], int]]:
@@ -197,8 +263,12 @@ def section_profile(K: Polytope, w) -> SectionProfile:
 
     Breakpoints are the distinct vertex levels; on each open interval the
     piece is the exact derivative of the cumulative volume polynomial.
+    An integer direction is kept as given; any other is coerced to Fractions.
     """
-    v = as_vector(w)
+    v = tuple(w)
+    exact_ints = all(type(c) is int for c in v)
+    if not exact_ints:
+        v = as_vector(v)
     if len(v) != K.dim:
         raise DimensionMismatch("direction length does not match the body")
     if is_zero_vector(v):
@@ -206,18 +276,30 @@ def section_profile(K: Polytope, w) -> SectionProfile:
     n = K.dim
     # With w = W / m and the vertices P / m_v, the integer heights are
     # H = W . P = M (x . w) for M = m m_v (``level_scale``); level t is T / M.
-    (iw,), m = scale_to_integers([v])
+    (iw,), m = ([v], 1) if exact_ints else scale_to_integers([v])
     level_scale = m * K._int_scale
     heights = [_idot(iw, p) for p in K._int_vertices]
     levels = sorted(set(heights))
+    top = levels[-1]
     index = {h: i for i, h in enumerate(levels)}
 
-    # The level terms of every simplex, weighted by its integer volume and
+    # The level terms of every simplex, weighted by its integer volume.  A
+    # height g met once in its simplex, the common case, has the one term
+    # vol (T - g)^n / p0, so its volumes are summed per (g, p0).  The terms
+    # of a simplex with a tie below the top come from ``_level_terms``,
     # summed per level and denominator as numerators of (T - g)^k.  No piece
     # reaches past the top level, so its terms are never made.
+    single: dict[tuple[int, int], int] = {}
     groups: list[dict[int, list[int]]] = [{} for _ in levels[:-1]]
     for s, vol in zip(K._simplices, K._fan_volumes):
-        for g, c, d in _level_terms([heights[i] for i in s], levels[-1]):
+        hs = [heights[i] for i in s]
+        below = [g for g in hs if g < top]
+        if len(set(below)) == len(below):
+            for g in below:
+                key = (g, prod([h - g for h in hs if h != g]))
+                single[key] = single.get(key, 0) + vol
+            continue
+        for g, c, d in _level_terms(hs, top):
             group = groups[index[g]]
             nums = group.get(d)
             if nums is None:
@@ -226,20 +308,30 @@ def section_profile(K: Polytope, w) -> SectionProfile:
                 nums[n - l] += vol * b
 
     # Over den, the lcm of all the terms' denominators, each level's sum is
-    # expanded once in powers of T (a Taylor shift by g), and piece i is the
-    # prefix sum of the levels through levels[i]: V(t) = A_i(M t) /
-    # (den n! m_v^n) on the piece, so s(t) = M A_i'(M t) / (den n! m_v^n).
-    den = lcm(*(d for group in groups for d in group))
+    # expanded once in powers of T, and piece i is the prefix sum of the
+    # levels through levels[i]: V(t) = A_i(M t) / (den n! m_v^n) on the
+    # piece, so s(t) = M A_i'(M t) / (den n! m_v^n).  A level of one-term
+    # sums alone is c (T - g)^n, expanded by the binomial theorem; one with
+    # tied terms is a Taylor shift by g.
+    den = lcm(*(d for _, d in single), *(d for group in groups for d in group))
+    leads = [0] * len(groups)
+    for (g, d), vol in single.items():
+        leads[index[g]] += den // d * vol
     acc = [0] * (n + 1)
     accumulators = []
-    for g, group in zip(levels, groups):
-        level = [0] * (n + 1)
-        for d, nums in group.items():
-            f = den // d
-            level = [a + f * b for a, b in zip(level, nums)]
-        for i in range(n):
-            for j in range(n - 1, i - 1, -1):
-                level[j] -= g * level[j + 1]
+    for g, group, lead in zip(levels, groups, leads):
+        if group:
+            level = [0] * (n + 1)
+            for d, nums in group.items():
+                f = den // d
+                level = [a + f * b for a, b in zip(level, nums)]
+            level[n] += lead
+            level = _taylor_shift(level, -g)
+        else:
+            level, power = [0] * (n + 1), lead
+            for j in range(n, -1, -1):
+                level[j] = comb(n, j) * power
+                power *= -g
         acc = [a + b for a, b in zip(acc, level)]
         accumulators.append(tuple(trim(acc)))
     return SectionProfile(v, level_scale, tuple(levels), tuple(accumulators),

@@ -736,6 +736,22 @@ def assert_matches_rank_rules(calls):
 
 
 class TestIncidenceAssembly:
+    def test_facets_that_close_no_polytope_raise(self):
+        # the unit cube's facets without its z caps: each point keeps only
+        # its two side facets, so no point passes as a vertex
+        ipts = list(unit_cube(3)._int_vertices)
+        raw = _hull_facets_int(ipts, 3)
+        sides = [f for f in raw if f[0][2] == 0]
+        assert len(sides) == 4
+        with pytest.raises(DegenerateInput, match="fewer than n"):
+            geometry._from_lattice(ipts, 1, sides)
+        # all six facets and a seventh through one vertex alone: every point
+        # stays a vertex, but the seventh facet has one of them, not three
+        corner = ((1, 1, 1), 3, (ipts.index((1, 1, 1)),))
+        with pytest.raises(DegenerateInput, match="fewer than n"):
+            geometry._from_lattice(ipts, 1, raw + [corner])
+        assert geometry._from_lattice(ipts, 1, raw) == unit_cube(3)
+
     def test_matches_facet_rehull(self):
         for body in oracle_bodies(20):
             assert_matches_rehull(body)

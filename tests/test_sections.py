@@ -1,5 +1,6 @@
 import hashlib
 import random
+from collections import Counter
 from fractions import Fraction as F
 from math import comb, factorial, lcm, prod
 
@@ -14,16 +15,18 @@ from godbersen import (
     center_at_centroid,
     generate,
     section_profile,
+    sections,
     standard_simplex,
     unit_cube,
 )
 from godbersen.geometry import _idot
 from godbersen.linalg import scale_to_integers
-from godbersen.polynomials import add, derivative, evaluate, mul, trim
+from godbersen.polynomials import add, derivative, evaluate, mul, nonpositive_between, trim
 from godbersen.sections import SectionProfile, _level_terms
 from godbersen.rationals import as_vector, dot
 from godbersen.sweep import ROOT_CONCAVITY_DIRECTIONS, _random_direction
 from tests.conftest import corpus_specs, edges, simplex_int_volume
+from tests.test_concave import dip_profile
 from tests.test_geometry import random_polytope
 from tests.test_polynomials import antiderivative
 
@@ -334,11 +337,13 @@ def test_high_dimensional_profiles_match_recursion_oracle():
     assert pairs > 100
 
 
-def check_body_profiles(spec):
+def check_body_profiles(spec, body=None):
     """(body, direction) for every profile check_body builds: the centered
     body along each of its facet normals, and the body along the
-    root-concavity directions of its spec."""
-    body = generate(spec)
+    root-concavity directions of its spec.  ``body`` is generated from
+    ``spec`` unless given."""
+    if body is None:
+        body = generate(spec)
     k0 = center_at_centroid(body)
     rng = random.Random(spec.seed ^ 0x5EED5EED)
     return [(k0, f.normal) for f in k0.facets] + [
@@ -373,6 +378,23 @@ def test_check_body_profiles_digest():
             prof = section_profile(body, w)
             digest.update(f"{prof.breakpoints} {prof.pieces}\n".encode())
     assert digest.hexdigest() == CHECK_BODY_PROFILES_DIGEST
+
+
+# sha256 of the integer forms (levels, accumulators, denominator) of the same
+# profiles, recorded while every level was still summed by ``_level_terms``
+# and expanded by a Taylor shift, with the direction scaled from Fractions.
+CHECK_BODY_INTEGER_FORMS_DIGEST = \
+    "e29c1a07c28ad8f06f3b574c9cc3d1ec2be6d367a1723d0c561e2fbfbd5d8849"
+
+
+def test_check_body_integer_forms_digest():
+    digest = hashlib.sha256()
+    for spec in corpus_specs()[::10]:
+        for body, w in check_body_profiles(spec):
+            prof = section_profile(body, w)
+            digest.update(
+                f"{prof.levels} {prof.accumulators} {prof.denominator}\n".encode())
+    assert digest.hexdigest() == CHECK_BODY_INTEGER_FORMS_DIGEST
 
 
 @pytest.mark.parametrize("body, w", [
@@ -515,3 +537,250 @@ def test_integer_form_and_rational_equality():
     assert same == prof and hash(same) == hash(prof)
     assert same.integral() == prof.integral() == 2
     assert same.moment() == prof.moment()
+
+
+# The one-term levels of ``section_profile`` and the tied ones, each on a
+# hand case against the cut-volume recursion.
+
+def _count_level_terms(monkeypatch) -> list:
+    calls = []
+    level_terms = sections._level_terms
+
+    def counting(hs, top):
+        calls.append(hs)
+        return level_terms(hs, top)
+
+    monkeypatch.setattr(sections, "_level_terms", counting)
+    return calls
+
+
+def test_distinct_heights_take_the_one_term_levels(monkeypatch):
+    # a dim-4 body whose eight vertices sit on eight levels: every height is
+    # met once in its simplex, so no simplex needs _level_terms
+    body = generate(GenSpec("random_hull", 4, 8, seed=40_000, denominator_bound=2))
+    w = (1, 9, 81, 729)
+    heights = [_idot(w, p) for p in body._int_vertices]
+    assert len(set(heights)) == len(heights) == 8
+    calls = _count_level_terms(monkeypatch)
+    prof = section_profile(body, w)
+    assert calls == []
+    assert prof.levels == tuple(sorted(heights))
+    assert prof == _recursion_profile(body, w)
+
+
+def test_tie_below_the_top_takes_level_terms(monkeypatch):
+    # a centrally symmetric body along a facet normal: the opposite facet
+    # lies on the bottom level, so the simplices over it tie there
+    body = center_at_centroid(generate(GenSpec(
+        "random_symmetric", 3, 4, seed=30_500, denominator_bound=3)))
+    w = body.facets[0].normal
+    heights = [_idot(w, p) for p in body._int_vertices]
+    assert heights.count(min(heights)) >= 3
+    calls = _count_level_terms(monkeypatch)
+    prof = section_profile(body, w)
+    assert any(sorted(hs).count(min(heights)) > 1 for hs in calls)
+    assert prof == _recursion_profile(body, w)
+
+
+def test_integer_direction_is_kept_as_given():
+    # an integer direction is its own integer form; a rational one is
+    # scaled, and both give the same profile up to the level scale
+    body = generate(GenSpec("random_hull", 3, 7, seed=30_001, denominator_bound=3))
+    prof = section_profile(body, (2, -1, 3))
+    assert prof.direction == (2, -1, 3) and prof.level_scale == body._int_scale
+    same = section_profile(body, (F(2), F(-1), "3"))
+    assert same == prof and hash(same) == hash(prof)
+    assert same.accumulators == prof.accumulators
+    half = section_profile(body, (1, F(-1, 2), F(3, 2)))
+    assert half.levels == prof.levels and half.level_scale == 2 * prof.level_scale
+    with pytest.raises(TypeError):
+        section_profile(body, (2.0, -1, 3))
+
+
+# The Sturm-only rule that decided slice-root concavity before the Bernstein
+# certificate went ahead of it, kept as the oracle of ``root_concave``.
+
+def sturm_root_concave(prof) -> bool:
+    """P = k q q'' - (k-1) q'^2 in T by ``nonpositive_between`` on every
+    piece (lo, hi), and q and q' evaluated at every interior level."""
+    k = len(prof.direction) - 1
+    qs = [derivative(acc) for acc in prof.accumulators]
+    for q, lo, hi in zip(qs, prof.levels, prof.levels[1:]):
+        dq = derivative(q)
+        p = add(mul([k * c for c in q], derivative(dq)),
+                mul([(1 - k) * c for c in dq], dq))
+        if not nonpositive_between(p, lo, hi):
+            return False
+    for i, level in enumerate(prof.levels[1:-1]):
+        left, right = qs[i], qs[i + 1]
+        value = evaluate(left, level)
+        if value <= 0 or value != evaluate(right, level):
+            return False
+        if evaluate(derivative(left), level) < evaluate(derivative(right), level):
+            return False
+    return True
+
+
+def count_routes(monkeypatch) -> Counter:
+    """Spy on the two routes of ``root_concave``: the returned counter gets
+    (route, verdict) for every piece a route decides, route "certificate"
+    or "sturm"."""
+    counts = Counter()
+    certificate, sturm = sections._bernstein_nonpositive, sections.nonpositive_between
+
+    def counted_certificate(p):
+        ok = certificate(p)
+        counts["certificate", ok] += 1
+        return ok
+
+    def counted_sturm(p, lo, hi):
+        ok = sturm(p, lo, hi)
+        counts["sturm", ok] += 1
+        return ok
+
+    monkeypatch.setattr(sections, "_bernstein_nonpositive", counted_certificate)
+    monkeypatch.setattr(sections, "nonpositive_between", counted_sturm)
+    return counts
+
+
+def double_root_profile() -> SectionProfile:
+    """A dim-5 profile of one piece on [0, 1]: s = 5 (2 - (2T - 1)^4) > 0,
+    so q = s and P = 4 q q'' - 3 q'^2 = -9600 (2T - 1)^2, which touches 0 at
+    T = 1/2.  The root is concave, but P's Bernstein coefficients are -9600,
+    9600 and -9600, so the certificate cannot settle the piece."""
+    return SectionProfile((F(1),) + (F(0),) * 4, 1, (0, 1),
+                          ((0, 5, 20, -40, 40, -16),), 1)
+
+
+def test_brunn_form_is_the_scaled_p():
+    # h^2 P(lo + h u) from the weights, against P built by products
+    rng = random.Random(47)
+    for _ in range(200):
+        k = rng.randint(1, 6)
+        q = [rng.randint(-9, 9) for _ in range(rng.randint(0, k + 2))]
+        lo, h = rng.randint(-9, 9), rng.randint(1, 5)
+        dq = derivative(q)
+        p = add(mul([k * c for c in q], derivative(dq)),
+                mul([(1 - k) * c for c in dq], dq))
+        r = [c * h ** j for j, c in enumerate(sections._taylor_shift(q, lo))]
+        expected = trim([h * h * c * h ** j
+                         for j, c in enumerate(sections._taylor_shift(p, lo))])
+        assert sections._brunn_form(r, k) == expected, (k, q, lo, h)
+    assert sections._brunn_form([5, 40, -120, 160, -80], 4) == [-9600, 38400, -38400]
+
+
+def test_bernstein_coefficients():
+    # C(D, i) times the i-th coefficient is sum_{j <= i} C(D - j, i - j) p_j
+    rng = random.Random(48)
+    for _ in range(200):
+        p = [rng.randint(-9, 9) for _ in range(rng.randint(1, 8))]
+        d = len(p) - 1
+        scaled = [sum(comb(d - j, i - j) * p[j] for j in range(i + 1))
+                  for i in range(d + 1)]
+        assert sections._taylor_shift(p[::-1], 1)[::-1] == scaled
+        assert sections._bernstein_nonpositive(p) is all(b <= 0 for b in scaled)
+    assert sections._bernstein_nonpositive([])
+    assert not sections._bernstein_nonpositive([-9600, 38400, -38400])
+
+
+def test_double_root_passes_by_sturm_alone(monkeypatch):
+    prof = double_root_profile()
+    assert prof.value(F(1, 2)) == 10 and prof.value(0) == prof.value(1) == 5
+    counts = count_routes(monkeypatch)
+    assert prof.root_concave() and sturm_root_concave(prof)
+    assert counts == {("certificate", False): 1, ("sturm", True): 1}
+
+
+@pytest.mark.parametrize("prof", [
+    dip_profile(),
+    SectionProfile((F(1), F(0), F(0)), 1, (1, 3), ((0, 3, 0, 1),), 3),
+], ids=["dip", "exponent"])
+def test_convex_pieces_fail_both_routes(monkeypatch, prof):
+    # dip_profile and the profile of test_exponent_of_the_root_matters have
+    # P > 0 inside a piece: the certificate leaves it open and Sturm refuses
+    counts = count_routes(monkeypatch)
+    assert not prof.root_concave() and not sturm_root_concave(prof)
+    assert counts["certificate", False] == 1 and counts["sturm", False] == 1
+    assert counts["sturm", True] == 0
+
+
+def _positive_linear(rng, lo, hi):
+    while True:
+        a, b = rng.randint(-30, 30), rng.randint(-6, 6)
+        if a + b * lo > 0 and a + b * hi > 0:
+            return [a, b]
+
+
+def _integer_antiderivative(q, n):
+    """An integer accumulator A with A' = lcm(1..n) q."""
+    big = lcm(*range(1, n + 1))
+    return tuple([0] + [big * c // (j + 1) for j, c in enumerate(q)])
+
+
+def _random_route_profiles(rng):
+    """Hand-made profiles that reach both routes with both verdicts.
+
+    Two pieces meeting at L: q1 a product of n - 1 linear factors positive on
+    the support (a concave root), perturbed half the time, and q2 = q1 + (T -
+    L) g, which meets q1 at L and bends down there iff g(L) <= 0.  And one
+    piece q = a0 + a (T - t)^k, a < 0, for even k, whose P is a multiple of
+    (T - t)^(k-2), tilted half the time."""
+    out = []
+    for _ in range(400):
+        n = rng.randint(3, 6)
+        lo = rng.randint(-10, 10)
+        level = lo + rng.randint(1, 8)
+        hi = level + rng.randint(1, 8)
+        q1 = [1]
+        for _ in range(n - 1):
+            q1 = mul(q1, _positive_linear(rng, lo, hi))
+        if rng.random() < 0.5:
+            q1 = add(q1, [rng.randint(-3, 3) for _ in range(n)])
+        g = [rng.randint(-3, 3) for _ in range(rng.randint(1, n - 1))]
+        q2 = add(q1, mul([-level, 1], g))
+        out.append(SectionProfile((F(1),) + (F(0),) * (n - 1), 1, (lo, level, hi),
+                                  (_integer_antiderivative(q1, n),
+                                   _integer_antiderivative(q2, n)), 1))
+    for _ in range(200):
+        n = rng.choice((5, 7))
+        t = rng.randint(-5, 5)
+        lo, hi = t - rng.randint(1, 3), t + rng.randint(1, 3)
+        a = -rng.randint(1, 3)
+        q = add([-a * max(t - lo, hi - t) ** (n - 1) + rng.randint(1, 5)],
+                [a * c for c in _shifted_power(t, n - 1)])
+        if rng.random() < 0.5:
+            q = add(q, [0] * (n - 2) + [rng.randint(-2, 2)])
+        out.append(SectionProfile((F(1),) + (F(0),) * (n - 1), 1, (lo, hi),
+                                  (_integer_antiderivative(q, n),), 1))
+    return out
+
+
+def test_root_concave_agrees_with_sturm_rule_on_hand_made_profiles(monkeypatch):
+    counts = count_routes(monkeypatch)
+    verdicts = Counter()
+    for prof in _random_route_profiles(random.Random(49)):
+        verdict = prof.root_concave()
+        assert verdict == sturm_root_concave(prof), prof
+        verdicts[verdict] += 1
+    assert min(verdicts[True], verdicts[False]) > 150
+    assert min(counts.values()) > 50 and len(counts) == 4, counts
+
+
+def test_root_concave_agrees_with_sturm_rule_on_bodies(monkeypatch, corpus):
+    # every profile check_body builds on the corpus, and the dim-5/6 recipe
+    # bodies along their facet normals and seeded directions: all concave,
+    # every piece settled by the certificate, none sent to Sturm
+    rng = random.Random(45)
+    pairs = [pair for spec, body in corpus for pair in check_body_profiles(spec, body)]
+    for body in _recipe_bodies():
+        k0 = center_at_centroid(body)
+        pairs += [(k0, f.normal) for f in k0.facets]
+        pairs += [(body, _random_direction(rng, body.dim)) for _ in range(5)]
+    profiles = [section_profile(K, w) for K, w in pairs]
+    counts = count_routes(monkeypatch)
+    for prof in profiles:
+        assert prof.root_concave() and sturm_root_concave(prof)
+    assert len(profiles) > 4000
+    pieces = sum(len(prof.levels) - 1 for prof in profiles)
+    assert counts == {("certificate", True): pieces}
+    assert counts["sturm", True] + counts["sturm", False] == 0
