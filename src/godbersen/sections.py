@@ -23,10 +23,7 @@ product over the other heights (``_level_terms``).  So F needs no
 recursion, and its terms depend on the level they sit at, not on the
 interval: the terms of every simplex are summed level by level, as integer
 numerators over one lcm denominator, and each level's sum is expanded once
-in powers of T.  Most simplices have no tie below the top level; their
-single terms are summed as volumes per (level, denominator), and a level
-made of them alone is c (T - g)^n, expanded by the binomial theorem with
-no Taylor shift.  Piece i is the prefix sum of the levels through
+in powers of T.  Piece i is the prefix sum of the levels through
 ``levels[i]``: an integer accumulator A_i(T) over one positive
 denominator, den, shared by every piece, which is the cumulative volume
 itself on the piece,
@@ -64,7 +61,6 @@ class SectionProfile:
     integer accumulator A_i = ``accumulators[i]`` (low degree first) over the
     positive integer ``denominator`` that every piece shares: the cumulative
     volume on the piece is V(t) = A_i(M t) / den, so s(t) = M A_i'(M t) / den.
-    ``direction`` is w as given when its entries are ints, else as Fractions.
     Two profiles are equal when their directions, breakpoints and rational
     pieces are.
     """
@@ -182,30 +178,27 @@ def _taylor_shift(p: list[int], g: int) -> list[int]:
 
 
 @cache
-def _brunn_weights(k: int, d: int) -> tuple[int, tuple[tuple[int, int, int, int], ...]]:
-    """(length, weights): the nonzero (m, i, j, w), i <= j, with k r r'' -
-    (k-1) r'^2 = sum of w r_i r_j u^m, m = i + j - 2, for r of degree d, and
-    one more than the largest m.  The products r_i r_j and r_j r_i give w = k
-    (i (i-1) + j (j-1)) - 2 (k-1) i j, and r_i^2 gives i (i - k).  The weights
-    of u^(2d-2) and u^(2d-3) vanish for d = k, so the form of a degree-(n-1)
-    piece has degree 2n - 6."""
+def _brunn_weights(k: int, d: int) -> tuple[tuple[int, int, int], ...]:
+    """The nonzero (i, j, w), i <= j, with k r r'' - (k-1) r'^2 = sum of
+    w r_i r_j u^(i+j-2) for r of degree d.  The products r_i r_j and r_j r_i
+    give w = k (i (i-1) + j (j-1)) - 2 (k-1) i j, and r_i^2 gives i (i - k)."""
     weights = []
     for i in range(d + 1):
         for j in range(i, d + 1):
             w = (i * (i - k) if i == j
                  else k * (i * (i - 1) + j * (j - 1)) - 2 * (k - 1) * i * j)
             if w:
-                weights.append((i + j - 2, i, j, w))
-    return max((m + 1 for m, _, _, _ in weights), default=0), tuple(weights)
+                weights.append((i, j, w))
+    return tuple(weights)
 
 
 def _brunn_form(r: list[int], k: int) -> list[int]:
     """k r r'' - (k-1) r'^2 for the integer polynomial r, low degree first
-    and trimmed."""
-    length, weights = _brunn_weights(k, len(r) - 1)
-    p = [0] * length
-    for m, i, j, w in weights:
-        p[m] += w * r[i] * r[j]
+    and trimmed, from the weights of its degree: the same products the
+    polynomial ring would make, taken once per pair of coefficients."""
+    p = [0] * max(2 * len(r) - 3, 0)
+    for i, j, w in _brunn_weights(k, len(r) - 1):
+        p[i + j - 2] += w * r[i] * r[j]
     return trim(p)
 
 
@@ -263,12 +256,8 @@ def section_profile(K: Polytope, w) -> SectionProfile:
 
     Breakpoints are the distinct vertex levels; on each open interval the
     piece is the exact derivative of the cumulative volume polynomial.
-    An integer direction is kept as given; any other is coerced to Fractions.
     """
-    v = tuple(w)
-    exact_ints = all(type(c) is int for c in v)
-    if not exact_ints:
-        v = as_vector(v)
+    v = as_vector(w)
     if len(v) != K.dim:
         raise DimensionMismatch("direction length does not match the body")
     if is_zero_vector(v):
@@ -276,30 +265,18 @@ def section_profile(K: Polytope, w) -> SectionProfile:
     n = K.dim
     # With w = W / m and the vertices P / m_v, the integer heights are
     # H = W . P = M (x . w) for M = m m_v (``level_scale``); level t is T / M.
-    (iw,), m = ([v], 1) if exact_ints else scale_to_integers([v])
+    (iw,), m = scale_to_integers([v])
     level_scale = m * K._int_scale
     heights = [_idot(iw, p) for p in K._int_vertices]
     levels = sorted(set(heights))
-    top = levels[-1]
     index = {h: i for i, h in enumerate(levels)}
 
-    # The level terms of every simplex, weighted by its integer volume.  A
-    # height g met once in its simplex, the common case, has the one term
-    # vol (T - g)^n / p0, so its volumes are summed per (g, p0).  The terms
-    # of a simplex with a tie below the top come from ``_level_terms``,
+    # The level terms of every simplex, weighted by its integer volume and
     # summed per level and denominator as numerators of (T - g)^k.  No piece
     # reaches past the top level, so its terms are never made.
-    single: dict[tuple[int, int], int] = {}
     groups: list[dict[int, list[int]]] = [{} for _ in levels[:-1]]
     for s, vol in zip(K._simplices, K._fan_volumes):
-        hs = [heights[i] for i in s]
-        below = [g for g in hs if g < top]
-        if len(set(below)) == len(below):
-            for g in below:
-                key = (g, prod([h - g for h in hs if h != g]))
-                single[key] = single.get(key, 0) + vol
-            continue
-        for g, c, d in _level_terms(hs, top):
+        for g, c, d in _level_terms([heights[i] for i in s], levels[-1]):
             group = groups[index[g]]
             nums = group.get(d)
             if nums is None:
@@ -308,31 +285,18 @@ def section_profile(K: Polytope, w) -> SectionProfile:
                 nums[n - l] += vol * b
 
     # Over den, the lcm of all the terms' denominators, each level's sum is
-    # expanded once in powers of T, and piece i is the prefix sum of the
-    # levels through levels[i]: V(t) = A_i(M t) / (den n! m_v^n) on the
-    # piece, so s(t) = M A_i'(M t) / (den n! m_v^n).  A level of one-term
-    # sums alone is c (T - g)^n, expanded by the binomial theorem; one with
-    # tied terms is a Taylor shift by g.
-    den = lcm(*(d for _, d in single), *(d for group in groups for d in group))
-    leads = [0] * len(groups)
-    for (g, d), vol in single.items():
-        leads[index[g]] += den // d * vol
+    # expanded once in powers of T (a Taylor shift by g), and piece i is the
+    # prefix sum of the levels through levels[i]: V(t) = A_i(M t) /
+    # (den n! m_v^n) on the piece, so s(t) = M A_i'(M t) / (den n! m_v^n).
+    den = lcm(*(d for group in groups for d in group))
     acc = [0] * (n + 1)
     accumulators = []
-    for g, group, lead in zip(levels, groups, leads):
-        if group:
-            level = [0] * (n + 1)
-            for d, nums in group.items():
-                f = den // d
-                level = [a + f * b for a, b in zip(level, nums)]
-            level[n] += lead
-            level = _taylor_shift(level, -g)
-        else:
-            level, power = [0] * (n + 1), lead
-            for j in range(n, -1, -1):
-                level[j] = comb(n, j) * power
-                power *= -g
-        acc = [a + b for a, b in zip(acc, level)]
+    for g, group in zip(levels, groups):
+        level = [0] * (n + 1)
+        for d, nums in group.items():
+            f = den // d
+            level = [a + f * b for a, b in zip(level, nums)]
+        acc = [a + b for a, b in zip(acc, _taylor_shift(level, -g))]
         accumulators.append(tuple(trim(acc)))
     return SectionProfile(v, level_scale, tuple(levels), tuple(accumulators),
                           den * factorial(n) * K._int_scale ** n)

@@ -381,8 +381,7 @@ def test_check_body_profiles_digest():
 
 
 # sha256 of the integer forms (levels, accumulators, denominator) of the same
-# profiles, recorded while every level was still summed by ``_level_terms``
-# and expanded by a Taylor shift, with the direction scaled from Fractions.
+# profiles.
 CHECK_BODY_INTEGER_FORMS_DIGEST = \
     "e29c1a07c28ad8f06f3b574c9cc3d1ec2be6d367a1723d0c561e2fbfbd5d8849"
 
@@ -542,47 +541,51 @@ def test_integer_form_and_rational_equality():
 # The one-term levels of ``section_profile`` and the tied ones, each on a
 # hand case against the cut-volume recursion.
 
-def _count_level_terms(monkeypatch) -> list:
-    calls = []
+def _spy_level_terms(monkeypatch) -> list:
+    """Every (g, c, den) that ``_level_terms`` returns to the profile."""
+    terms = []
     level_terms = sections._level_terms
 
-    def counting(hs, top):
-        calls.append(hs)
-        return level_terms(hs, top)
+    def spying(hs, top):
+        out = level_terms(hs, top)
+        terms.extend(out)
+        return out
 
-    monkeypatch.setattr(sections, "_level_terms", counting)
-    return calls
+    monkeypatch.setattr(sections, "_level_terms", spying)
+    return terms
 
 
-def test_distinct_heights_take_the_one_term_levels(monkeypatch):
+def test_distinct_heights_give_one_term_levels(monkeypatch):
     # a dim-4 body whose eight vertices sit on eight levels: every height is
-    # met once in its simplex, so no simplex needs _level_terms
+    # met once in its simplex, so every level holds one-term sums alone
     body = generate(GenSpec("random_hull", 4, 8, seed=40_000, denominator_bound=2))
     w = (1, 9, 81, 729)
     heights = [_idot(w, p) for p in body._int_vertices]
     assert len(set(heights)) == len(heights) == 8
-    calls = _count_level_terms(monkeypatch)
+    terms = _spy_level_terms(monkeypatch)
     prof = section_profile(body, w)
-    assert calls == []
+    assert terms and all(c == (1,) for _, c, _ in terms)
     assert prof.levels == tuple(sorted(heights))
     assert prof == _recursion_profile(body, w)
 
 
-def test_tie_below_the_top_takes_level_terms(monkeypatch):
+def test_tie_below_the_top_gives_tied_terms(monkeypatch):
     # a centrally symmetric body along a facet normal: the opposite facet
-    # lies on the bottom level, so the simplices over it tie there
+    # lies on the bottom level, so the simplices over it tie there, while
+    # the levels above it also hold one-term sums
     body = center_at_centroid(generate(GenSpec(
         "random_symmetric", 3, 4, seed=30_500, denominator_bound=3)))
     w = body.facets[0].normal
     heights = [_idot(w, p) for p in body._int_vertices]
     assert heights.count(min(heights)) >= 3
-    calls = _count_level_terms(monkeypatch)
+    terms = _spy_level_terms(monkeypatch)
     prof = section_profile(body, w)
-    assert any(sorted(hs).count(min(heights)) > 1 for hs in calls)
+    assert any(g == min(heights) and len(c) > 1 for g, c, _ in terms)
+    assert any(len(c) == 1 for _, c, _ in terms)
     assert prof == _recursion_profile(body, w)
 
 
-def test_integer_direction_is_kept_as_given():
+def test_integer_and_rational_directions_agree():
     # an integer direction is its own integer form; a rational one is
     # scaled, and both give the same profile up to the level scale
     body = generate(GenSpec("random_hull", 3, 7, seed=30_001, denominator_bound=3))
