@@ -82,8 +82,8 @@ def _cmd_helly(args) -> int:
     ok = helly_audit(system)
     # a non-vacuous audit is the full system's feasibility (Helly's
     # theorem): it returns True at the full system's checked vertex and
-    # False only at an infeasible subset, so only a vacuous one needs its
-    # own run
+    # False only at a certified infeasible subsystem of at most dim+1 rows,
+    # so only a vacuous one needs its own run
     vacuous = len(system.halfspaces) <= system.dim
     print(json.dumps({
         "all_subsystems_feasible": ok,

@@ -200,10 +200,9 @@ SUBSET_CAP_ENV = "GODBERSEN_SUBSET_CAP"
 DEFAULT_SUBSET_CAP = 200_000
 
 
-def check_subset_cap(total: int, what: str, unit: str = "subsets") -> None:
-    """Raise CombinatorialBlowup before a step that would visit ``total``
-    items (``unit`` names them in the message) above the cap
-    (``GODBERSEN_SUBSET_CAP``, default 200000)."""
+def check_subset_cap(total: int, what: str) -> None:
+    """Raise CombinatorialBlowup before a hull that may have ``total``
+    facets above the cap (``GODBERSEN_SUBSET_CAP``, default 200000)."""
     raw = os.environ.get(SUBSET_CAP_ENV, DEFAULT_SUBSET_CAP)
     try:
         cap = int(raw)
@@ -211,7 +210,8 @@ def check_subset_cap(total: int, what: str, unit: str = "subsets") -> None:
         raise ValueError(f"{SUBSET_CAP_ENV} must be an integer, not {raw!r}") from None
     if total > cap:
         raise CombinatorialBlowup(
-            f"{what}: {total} {unit} exceed the cap of {cap}; raise {SUBSET_CAP_ENV}")
+            f"{what}: {total} possible facets exceed the cap of {cap}; "
+            f"raise {SUBSET_CAP_ENV}")
 
 
 def _max_facets(v: int, n: int) -> int:
@@ -496,8 +496,7 @@ def build_hull(points) -> Polytope:
     if len(ipts) < n + 1 or int_rank([tuple(a - b for a, b in zip(p, base))
                                       for p in ipts[1:]]) < n:
         raise DegenerateInput(f"points do not span R^{n}")
-    check_subset_cap(_max_facets(len(ipts), n), f"hull of {len(ipts)} points in R^{n}",
-                     "possible facets")
+    check_subset_cap(_max_facets(len(ipts), n), f"hull of {len(ipts)} points in R^{n}")
     return _from_lattice(ipts, mult, _hull_facets_int(ipts, n))
 
 

@@ -24,32 +24,32 @@ returned, so a feasible verdict always rests on a checked point.
 ``feasibility`` scales a ``System`` and calls it; the uniqueness test on the
 tight rows and the Helly audit pass their integer rows to it directly.
 
-Helly's theorem says a finite system in R^n is infeasible iff some (n+1)-row
-subsystem is.  A feasible system needs no search: its checked vertex lies
-in every subsystem.  Only an infeasible one is searched, subset by subset,
-and each (n+1)-row subsystem Aa <= b is decided by a Farkas certificate
-(Schrijver, section 7.3).  The cofactor vector
-lam_i = (-1)^i det(A without row i) spans the left kernel of A whenever
-rank A = n, so the subsystem is infeasible iff lam or -lam is componentwise
->= 0 with that sign giving lam . b < 0.  When lam = 0, rank A < n and
-``_feasible_rows`` decides the subsystem.
+Helly's theorem says a finite system in R^n is infeasible iff some
+subsystem of at most n+1 rows is.  A feasible system needs no search: its
+checked vertex lies in every subsystem.  An infeasible one hands over its
+witness too: a deletion filter (Chinneck & Dravnieks 1991) drops each row
+whose removal leaves the rest infeasible, one ``_feasible_rows`` run per
+row, and what is left is an irreducible infeasible subsystem (IIS), at most
+n+1 rows by Helly.  An IIS Aa <= b is checked by its Farkas certificate
+(Schrijver, section 7.3): its left kernel {y : y A = 0} is one line (Gleeson
+& Ryan 1990), read off one Bareiss pass over [A | I], and the rows are
+infeasible iff a spanning vector lam or -lam is componentwise >= 0 with that
+sign giving lam . b < 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import comb
 
 from .errors import (
     DimensionMismatch,
     TheoremViolation,
     ZeroDirection,
 )
-from .geometry import Polytope, _cone_rays, _idot, check_subset_cap
+from .geometry import Polytope, _cone_rays, _idot
 from .inclusion import TightnessProfile, tightness_profile
-from .linalg import _echelon, int_det, scale_to_integers
+from .linalg import _echelon, _with_identity, scale_to_integers
 from .rationals import Point, Rat, Vector, as_rat, as_vector, dot, is_zero_vector
 
 @dataclass(frozen=True)
@@ -190,29 +190,27 @@ def ak_feasibility(K: Polytope) -> FeasibilityResult:
 
 
 def _farkas_infeasible(rows: list[_Row], subset: tuple[int, ...]) -> bool | None:
-    """Decide the n+1 integer rows ``rows[i]``, i in ``subset``, of
-    a . w <= b in R^n by their Farkas certificate.
+    """Decide the integer rows ``rows[i]``, i in ``subset``, of a . w <= b
+    in R^n by their Farkas certificate.
 
-    True if infeasible, False if feasible, None if rank < n (no certificate:
-    the cofactor vector lam is zero).  A nonzero lam spans the left kernel,
-    so the rows are infeasible iff some y = t lam >= 0 has y . b < 0.  Once
-    lam has entries of both signs no such y exists, and the remaining
-    cofactors are not taken.
+    The Bareiss echelon of [A | I] is L [A | I] for an invertible L, so its
+    rows whose A part is zero have I parts spanning the left kernel of A.
+    True if infeasible, False if feasible, None if that kernel has dimension
+    2 or more (no single certificate; for n+1 rows, rank A < n).  No kernel
+    means independent rows, which are feasible.  One spanning vector lam
+    makes the rows infeasible iff some y = t lam >= 0 has y . b < 0, so
+    never when lam has entries of both signs.
     """
-    lam = []
-    pos = neg = False
-    for i in range(len(subset)):
-        d = int_det([rows[j][0] for j in subset[:i] + subset[i + 1:]])
-        c = -d if i % 2 else d
-        pos |= c > 0
-        neg |= c < 0
-        if pos and neg:
-            return False
-        lam.append(c)
-    if not (pos or neg):
-        return None
-    lam_b = sum(c * rows[j][1] for c, j in zip(lam, subset))
-    return lam_b < 0 if pos else lam_b > 0
+    n = len(rows[subset[0]][0])
+    echelon, _, _ = _echelon(_with_identity([rows[i][0] for i in subset]))
+    kernel = [row[n:] for row in echelon if not any(row[:n])]
+    if len(kernel) != 1:
+        return None if kernel else False
+    (lam,) = kernel
+    if min(lam) < 0 < max(lam):
+        return False
+    lam_b = sum(c * rows[i][1] for c, i in zip(lam, subset))
+    return lam_b < 0 if max(lam) > 0 else lam_b > 0
 
 
 def helly_audit(system: System) -> bool:
@@ -220,27 +218,26 @@ def helly_audit(system: System) -> bool:
 
     Vacuously true when there are fewer than dim+1 halfspaces.  Otherwise the
     system is scaled to integer rows once, and ``_feasible_rows`` decides the
-    full system on them.  A feasible system ends there, whatever its subset
-    count: its checked vertex lies in every subsystem.  An infeasible one is
-    searched for an infeasible subset, so only there is the subset count
-    checked against ``GODBERSEN_SUBSET_CAP``, before the first subset.  Each
-    subset is decided by its Farkas cofactor certificate
-    (``_farkas_infeasible``) or, when rank-deficient, by ``_feasible_rows``
-    on its own integer rows.  Helly's theorem says the search finds one, so
-    finding none raises.
+    full system on them.  A feasible system ends there: its checked vertex
+    lies in every subsystem.  An infeasible one is cut down by a deletion
+    filter, one ``_feasible_rows`` run per row, to an irreducible infeasible
+    subsystem.  Helly's theorem bounds it by dim+1 rows and
+    ``_farkas_infeasible`` must certify it; either failing raises.
     """
     n = system.dim
-    count = len(system.halfspaces)
-    if count < n + 1:
+    if len(system.halfspaces) < n + 1:
         return True
     ints = _integer_rows(system)
     if _feasible_rows(ints, n).feasible:
         return True
-    check_subset_cap(comb(count, n + 1), "Helly audit")
-    for subset in combinations(range(count), n + 1):
-        infeasible = _farkas_infeasible(ints, subset)
-        if infeasible is None:
-            infeasible = not _feasible_rows([ints[i] for i in subset], n).feasible
-        if infeasible:
-            return False
-    raise TheoremViolation("subset audit disagrees with full feasibility")
+    kept = list(range(len(ints)))
+    for i in range(len(ints)):
+        rest = [j for j in kept if j != i]
+        if not _feasible_rows([ints[j] for j in rest], n).feasible:
+            kept = rest
+    if len(kept) > n + 1:
+        raise TheoremViolation(
+            f"irreducible infeasible subsystem of {len(kept)} rows in R^{n}")
+    if not _farkas_infeasible(ints, tuple(kept)):
+        raise TheoremViolation("no Farkas certificate for the infeasible subsystem")
+    return False

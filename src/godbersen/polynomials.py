@@ -164,6 +164,13 @@ def _mid_sign(p: list[int], lo: int, hi: int) -> int:
     return (acc > 0) - (acc < 0)
 
 
+def positive_between(p: list[int], lo: int, hi: int) -> bool:
+    """Exactly whether the integer polynomial p is > 0 on (lo, hi), lo < hi:
+    no root there and positive at the midpoint."""
+    p = trim(p)
+    return roots_between(p, lo, hi) == 0 and _mid_sign(p, lo, hi) > 0
+
+
 def nonpositive_between(p: list[int], lo: int, hi: int) -> bool:
     """Exactly whether the integer polynomial p is <= 0 on (lo, hi), lo < hi."""
     p = trim(p)

@@ -32,8 +32,9 @@ s = M A_i'(M t) / den.  The terms of the top level are never needed.
 The integral, the moment and the slice-root concavity test are integer
 computations on that form, each reduced to one Fraction at the end.  The
 root test maps each piece to [0, 1] and settles it by the signs of integer
-Bernstein coefficients, a sufficient certificate; the Sturm sign test of
-``polynomials`` decides any piece the certificate leaves open.  The
+Bernstein coefficients, of s (positive inside) and of the Brunn form
+(nonpositive), sufficient certificates; the Sturm sign tests of
+``polynomials`` decide any piece a certificate leaves open.  The
 rational coefficients of s (``pieces``) and its values are made on demand.
 """
 
@@ -48,7 +49,8 @@ from math import comb, factorial, lcm, prod
 from .errors import DimensionMismatch, ZeroDirection
 from .geometry import Polytope, _idot
 from .linalg import scale_to_integers
-from .polynomials import derivative, evaluate, nonpositive_between, trim
+from .polynomials import (
+    derivative, evaluate, nonpositive_between, positive_between, trim)
 from .rationals import Rat, Vector, as_rat, as_vector, is_zero_vector
 
 
@@ -133,16 +135,19 @@ class SectionProfile:
         the root has second derivative q^(1/k - 2) P / k^2 (up to a positive
         factor) with P = k q q'' - (k-1) q'^2, so P <= 0 on the open piece.
         P vanishes identically for n = 2 and for cones.  The piece [lo, hi]
-        is taken in u = (T - lo) / h, h = hi - lo: r(u) = q(lo + h u) gives
-        k r r'' - (k-1) r'^2 = h^2 P(lo + h u) (``_brunn_form``), which is
-        <= 0 on [0, 1] when its Bernstein coefficients are
-        (``_bernstein_nonpositive``).  That certificate is sufficient, not
-        necessary, so a piece it leaves open goes to the complete Sturm test
-        on (0, 1) (``nonpositive_between``): a double root touching 0 still
-        passes.  At an interior level the pieces, over their one
-        denominator, must meet at a positive value, q-(T) = q+(T) > 0, and
-        bend down, q-'(T) >= q+'(T); r gives q at the ends of its piece as
-        r(0) and r(1), and h q' there as r'(0) and r'(1).
+        is taken in u = (T - lo) / h, h = hi - lo, as r(u) = q(lo + h u).
+        The root is smooth only where s > 0, so r must be > 0 on (0, 1):
+        certified when its Bernstein coefficients are >= 0 and not all 0
+        (``_bernstein_positive``), else decided by Sturm
+        (``positive_between``).  Then k r r'' - (k-1) r'^2 = h^2 P(lo + h u)
+        (``_brunn_form``) is <= 0 on [0, 1] when its Bernstein coefficients
+        are (``_bernstein_nonpositive``).  Both certificates are sufficient,
+        not necessary, so a piece they leave open goes to the complete Sturm
+        tests on (0, 1): a double root of P touching 0 still passes
+        ``nonpositive_between``.  At an interior level the pieces, over
+        their one denominator, must meet at a positive value,
+        q-(T) = q+(T) > 0, and bend down, q-'(T) >= q+'(T); r gives q at the
+        ends of its piece as r(0) and r(1), and h q' there as r'(0) and r'(1).
         """
         k = len(self.direction) - 1
         ends = []
@@ -152,6 +157,8 @@ class SectionProfile:
             for j in range(1, len(r)):
                 power *= h
                 r[j] *= power
+            if not (_bernstein_positive(r) or positive_between(r, 0, 1)):
+                return False
             p = _brunn_form(r, k)
             if not (_bernstein_nonpositive(p) or nonpositive_between(p, 0, 1)):
                 return False
@@ -212,6 +219,15 @@ def _bernstein_nonpositive(p: list[int]) -> bool:
     - j): the reversed p shifted by 1, made with additions alone.
     """
     return all(c <= 0 for c in _taylor_shift(p[::-1], 1))
+
+
+def _bernstein_positive(r: list[int]) -> bool:
+    """Whether every Bernstein coefficient of r on [0, 1] is >= 0 and not all
+    of them 0, which makes r > 0 on (0, 1), where every Bernstein basis
+    polynomial is positive.  The coefficients are made as in
+    ``_bernstein_nonpositive``."""
+    b = _taylor_shift(r[::-1], 1)
+    return bool(b) and min(b) >= 0 and max(b) > 0
 
 
 def _level_terms(hs: list[int], top) -> list[tuple[int, tuple[int, ...], int]]:

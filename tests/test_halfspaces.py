@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
 from itertools import combinations
 from math import comb, gcd, lcm
@@ -7,7 +8,6 @@ from types import SimpleNamespace
 import pytest
 
 from godbersen import (
-    CombinatorialBlowup,
     FeasibilityResult,
     GenSpec,
     SingularMatrix,
@@ -269,32 +269,58 @@ class TestHelly:
         assert checked > 30
 
     def test_search_that_finds_nothing_raises(self, monkeypatch):
-        # an infeasible system none of whose subsets is infeasible would
-        # contradict Helly's theorem: a certificate that calls every subset
-        # feasible must raise, not pass the audit
+        # an infeasible system whose filtered witness is not certified, or
+        # has more than n+1 rows, would contradict Farkas' lemma or Helly's
+        # theorem: the audit must raise, not return
         s = make_system(2, [((1, 0), 0), ((-1, 0), -1),
                             ((0, 1), 0), ((0, -1), -1)])
-        monkeypatch.setattr(halfspaces, "_farkas_infeasible",
-                            lambda rows, subset: False)
-        with pytest.raises(TheoremViolation, match="subset audit disagrees"):
+        for refusal in (False, None):
+            monkeypatch.setattr(halfspaces, "_farkas_infeasible",
+                                lambda rows, subset, v=refusal: v)
+            with pytest.raises(TheoremViolation, match="no Farkas certificate"):
+                helly_audit(s)
+
+    def test_witness_above_n_plus_one_rows_raises(self, monkeypatch):
+        # a kernel that calls only the full system infeasible leaves all 4
+        # rows in R^2 to the filter; even a certificate that accepts them
+        # does not pass the size check
+        s = make_system(2, [((1, 0), 0), ((-1, 0), -1),
+                            ((0, 1), 0), ((0, -1), -1)])
+        feasible_rows = halfspaces._feasible_rows
+
+        def only_the_full_system_infeasible(rows, n):
+            res = feasible_rows(rows, n)
+            return res if len(rows) == 4 else FeasibilityResult(True, None, False)
+
+        monkeypatch.setattr(halfspaces, "_feasible_rows", only_the_full_system_infeasible)
+        monkeypatch.setattr(halfspaces, "_farkas_infeasible", lambda rows, subset: True)
+        with pytest.raises(TheoremViolation, match="subsystem of 4 rows"):
             helly_audit(s)
 
     def test_cap(self, monkeypatch):
-        # x <= 1 and x >= 10: infeasible, so the subsets would be searched
+        # x <= 1..9 and x >= 10 among 18 rows in R^3: 3,060 subsets, above
+        # the cap, which no longer bounds the audit.  The filter drops each
+        # upper bound but the last, so the witness is x <= 9 and x >= 10.
         monkeypatch.setenv("GODBERSEN_SUBSET_CAP", "10")
         rows = [((1, 0, 0), i) for i in range(1, 10)]
         rows += [((0, 1, 0), i) for i in range(1, 9)] + [((-1, 0, 0), -10)]
         s = make_system(3, rows)
-        with pytest.raises(CombinatorialBlowup, match="Helly audit: 3060 subsets exceed"):
-            helly_audit(s)
+        certified = []
+        farkas = halfspaces._farkas_infeasible
+
+        def spy(rows, subset):
+            certified.append(subset)
+            return farkas(rows, subset)
+
+        monkeypatch.setattr(halfspaces, "_farkas_infeasible", spy)
+        assert not helly_audit(s)
+        assert certified == [(8, 17)]
 
     def test_cap_env_override(self, monkeypatch):
-        # the cap bounds the search of an infeasible system; a feasible one
-        # is settled by its vertex whatever its subset count
+        # neither an infeasible nor a feasible system reads the cap
         monkeypatch.setenv("GODBERSEN_SUBSET_CAP", "1")
         s = make_system(2, [((1, 0), 0), ((0, 1), 1), ((-1, 0), -1), ((0, -1), 0)])
-        with pytest.raises(CombinatorialBlowup):
-            helly_audit(s)
+        assert not helly_audit(s)
         box = make_system(2, [((1, 0), 1), ((0, 1), 1), ((-1, 0), 0), ((0, -1), 0)])
         assert helly_audit(box)
         monkeypatch.setenv("GODBERSEN_SUBSET_CAP", "100000")
@@ -586,6 +612,81 @@ class TestHellyAgainstSubsetOracle:
         assert min(seen) > 300, seen
 
 
+def _with_conflicting_rows(system):
+    """The system plus, one at a time, the reverse of its first row moved
+    past it, and the reverse of the sum of its first n rows moved past that
+    sum: each conflicts with the rows it reverses."""
+    rows = [(h.normal, h.rhs) for h in system.halfspaces]
+    n = system.dim
+    w, b = rows[0]
+    extra = [(tuple(-c for c in w), -b - 1)]
+    total = tuple(sum(r[0][j] for r in rows[:n]) for j in range(n))
+    if any(total):
+        extra.append((tuple(-c for c in total), -sum(r[1] for r in rows[:n]) - 1))
+    return [make_system(n, rows + [e]) for e in extra]
+
+
+class TestIrreducibleWitness:
+    """An infeasible audit ends at one certificate, taken on an irreducible
+    infeasible subsystem: at most n+1 rows, infeasible by the
+    Fourier-Motzkin oracle, and every proper subset feasible."""
+
+    @pytest.fixture
+    def certified(self, monkeypatch):
+        """The row subsets ``_farkas_infeasible`` is called on, in order."""
+        subsets = []
+        farkas = halfspaces._farkas_infeasible
+
+        def spy(rows, subset):
+            subsets.append(subset)
+            return farkas(rows, subset)
+
+        monkeypatch.setattr(halfspaces, "_farkas_infeasible", spy)
+        return subsets
+
+    @staticmethod
+    def _check(certified, system) -> int:
+        n = system.dim
+        del certified[:]
+        assert not helly_audit(system)
+        (subset,) = certified
+        assert len(subset) <= n + 1
+        rows = [system.halfspaces[i] for i in subset]
+        assert not oracle_fm_feasible(halfspaces.System(n, tuple(rows))).feasible
+        for i in range(len(rows)):
+            rest = tuple(rows[:i] + rows[i + 1:])
+            assert oracle_fm_feasible(halfspaces.System(n, rest)).feasible, subset
+        return len(subset)
+
+    @pytest.mark.parametrize("rows, verdict", [
+        ([((1, 0), 1), ((-1, 0), -2)], True),  # x <= 1, x >= 2: rank 1
+        ([((1, 0), 1), ((-1, 0), 0)], False),  # 0 <= x <= 1
+        ([((1, 0), 0), ((0, 1), 0)], False),  # independent rows
+        ([((1, 0), 0), ((-1, 0), -1), ((0, 1), 0), ((0, -1), -1)], None),
+    ])
+    def test_certificate_of_any_row_count(self, rows, verdict):
+        # a left kernel of dimension 1 certifies, 0 means feasible, 2 or
+        # more gives no single certificate
+        ints = _integer_rows(make_system(2, rows))
+        assert _farkas_infeasible(ints, tuple(range(len(rows)))) is verdict
+
+    def test_reference_systems(self, certified):
+        sizes = Counter()
+        for system in _oracle_reference_systems():
+            if len(system.halfspaces) > system.dim and not feasibility(system).feasible:
+                sizes[system.dim, self._check(certified, system)] += 1
+        # witnesses of every size from 2 rows to n+1 in each dimension
+        assert all(sizes[n, k] for n in (1, 2, 3, 4) for k in range(2, n + 2)), sizes
+
+    def test_corpus_anchor_systems_with_a_conflicting_row(self, certified, corpus):
+        sizes = Counter()
+        for spec, body in corpus:
+            for system in _with_conflicting_rows(ak_system(body)):
+                sizes[spec.dim, self._check(certified, system)] += 1
+        assert sum(sizes.values()) == 600
+        assert all(sizes[n, k] for n in (2, 3, 4) for k in (2, n + 1)), sizes
+
+
 class TestVertexCheck:
     """``_feasible_rows`` checks its vertex on every row before it returns."""
 
@@ -813,8 +914,8 @@ FM_REFUSED_SPECS = [
 
 class TestFourierMotzkinGuard:
     """The anchor systems that Fourier-Motzkin's step guard refused are
-    decided, and the audit's one guard, its subset cap, still comes before
-    the subset search of an infeasible system."""
+    decided, and so is an infeasible one whose subsets the audit's former
+    subset cap refused."""
 
     def test_anchor_systems_decided(self):
         for spec in FM_REFUSED_SPECS:
@@ -833,36 +934,38 @@ class TestFourierMotzkinGuard:
 
     def test_subset_cap_comes_before_the_kernel(self, monkeypatch):
         # the first dim-5 anchor system plus the reverse of its first row,
-        # moved past it: 21 rows, infeasible.  Only the full-system run
-        # comes before the cap, and no certificate is taken.
+        # moved past it: 21 rows, infeasible, 54,264 subsets.  The audit
+        # reads no cap: the full-system run and one filter run per row cut
+        # it to the row and its reverse, and one certificate settles those.
         rows = [(h.normal, h.rhs)
                 for h in ak_system(generate(FM_REFUSED_SPECS[1])).halfspaces]
         w, b = rows[0]
         system = make_system(5, rows + [(tuple(-c for c in w), -b - 1)])
         monkeypatch.setenv("GODBERSEN_SUBSET_CAP", "54263")
-        runs = []
-        feasible_rows = halfspaces._feasible_rows
+        runs, certified = [], []
+        feasible_rows, farkas = halfspaces._feasible_rows, halfspaces._farkas_infeasible
 
-        def full_run(rows, n):
+        def run(rows, n):
             runs.append(len(rows))
             return feasible_rows(rows, n)
 
-        def fail(*args):
-            raise AssertionError("a subset was searched before the subset cap")
+        def certificate(rows, subset):
+            certified.append(subset)
+            return farkas(rows, subset)
 
-        monkeypatch.setattr(halfspaces, "_feasible_rows", full_run)
-        monkeypatch.setattr(halfspaces, "_farkas_infeasible", fail)
-        with pytest.raises(CombinatorialBlowup,
-                           match="Helly audit: 54264 subsets exceed the cap of 54263"):
-            helly_audit(system)
-        assert runs == [21]
+        monkeypatch.setattr(halfspaces, "_feasible_rows", run)
+        monkeypatch.setattr(halfspaces, "_farkas_infeasible", certificate)
+        assert not helly_audit(system)
+        assert len(runs) == 22 and runs[0] == 21
+        assert certified == [(0, 20)]
 
 
 class TestHellyCallCounts:
     """The audit scales its system once and decides every feasibility
     question on integer rows with ``_feasible_rows``, the full system
     first; it goes through no ``System``.  A feasible system ends at its
-    checked vertex, with no certificate taken."""
+    checked vertex, with no certificate taken; an infeasible one takes one
+    filter run per row and one certificate."""
 
     @pytest.fixture
     def spy(self, monkeypatch):
@@ -870,7 +973,7 @@ class TestHellyCallCounts:
         returns the argument tuples of their calls from then on, by name."""
         def install():
             seen = {"_feasible_rows": [], "feasibility": [], "_integer_rows": [],
-                    "_farkas_infeasible": [], "int_det": [], "System": [],
+                    "_farkas_infeasible": [], "System": [],
                     "HalfSpace": []}
             for name in seen:
                 def counting(*args, _calls=seen[name], _orig=getattr(halfspaces, name)):
@@ -904,40 +1007,36 @@ class TestHellyCallCounts:
             assert calls["_farkas_infeasible"] == []
 
     def test_cube_runs_fm_on_its_fallback_subsets(self, spy):
-        # the cube's anchor rows and x + y + z >= 10: infeasible, and only
-        # the last of the 35 subsets, the three upper bounds with the new
-        # row, shows it, after the search has met the cube's 3 subsets of
-        # rank 2, such as {+-e1, +-e2}
+        # the cube's anchor rows and x + y + z >= 10: infeasible only with
+        # the three upper bounds, so the filter keeps those and the new row,
+        # one run per row after the full system, and one certificate
         cube = ak_system(unit_cube(3))
         system = halfspaces.System(3, cube.halfspaces + (
             HalfSpace((F(-1),) * 3, F(-10)),))
         ints = _integer_rows(system)
         calls = spy()
         assert not helly_audit(system)
-        assert len(calls["_farkas_infeasible"]) == comb(7, 4)
-        assert calls["_farkas_infeasible"][-1] == (ints, (3, 4, 5, 6))
-        # a cofactor vector with both signs ends its subset early: 9 of the
-        # 35 subsets skip their last cofactor
-        assert len(calls["int_det"]) == 4 * 35 - 9
-        assert len(calls["_feasible_rows"]) == 1 + 3
+        assert calls["_farkas_infeasible"] == [(ints, (3, 4, 5, 6))]
+        assert len(calls["_feasible_rows"]) == 1 + 7
         assert calls["_feasible_rows"][0] == (ints, 3)
-        # each fallback subset is four of the scaled rows, not a new System
-        assert all(len(rows) == 4 and all(r in ints for r in rows)
+        # each filter run is six of the scaled rows or fewer, not a new System
+        assert all(len(rows) <= 6 and all(r in ints for r in rows)
                    for rows, _ in calls["_feasible_rows"][1:])
         assert calls["feasibility"] == []
         assert calls["_integer_rows"] == [(system,)]
         assert calls["System"] == [] and calls["HalfSpace"] == []
 
     def test_search_stops_at_the_first_infeasible_subset(self, spy):
-        # x <= 1, y <= 1, x + y >= 0, x >= 2, x + y <= 5, y >= -3: the second
-        # subset (0, 1, 3) is infeasible, so the search stops after 2 of 20
+        # x <= 1, y <= 1, x + y >= 0, x >= 2, x + y <= 5, y >= -3: only x <= 1
+        # and x >= 2 conflict, so the filter keeps rows 0 and 3, and a
+        # certificate of two rows in R^2 settles them
         system = make_system(2, [((1, 0), 1), ((0, 1), 1), ((-1, -1), 0),
                                  ((-1, 0), -2), ((1, 1), 5), ((0, -1), 3)])
         ints = _integer_rows(system)
         calls = spy()
         assert not helly_audit(system)
-        assert calls["_farkas_infeasible"] == [(ints, (0, 1, 2)), (ints, (0, 1, 3))]
-        assert len(calls["int_det"]) == 6
+        assert calls["_farkas_infeasible"] == [(ints, (0, 3))]
+        assert len(calls["_feasible_rows"]) == 1 + 6
 
     def test_anchor_unique_builds_no_halfspace(self, spy, corpus):
         profiles = [tightness_profile(body) for _, body in corpus[:40]]

@@ -210,6 +210,24 @@ class TestCli:
         assert json.loads(capsys.readouterr().out) == {
             "all_subsystems_feasible": True, "full_system_feasible": True}
 
+    def test_helly_infeasible_system_above_the_subset_cap(self, tmp_path, capsys,
+                                                           monkeypatch):
+        # the 36 rows above plus the reverse of the first, moved past it:
+        # 2,324,784 subsets, infeasible, and settled by the two conflicting
+        # rows, with no cap read
+        monkeypatch.delenv("GODBERSEN_SUBSET_CAP", raising=False)
+        system = ak_system(generate(GenSpec("random_hull", 5, vertex_count=10,
+                                            seed=1, denominator_bound=2)))
+        rows = [(h.normal, h.rhs) for h in system.halfspaces]
+        w, b = rows[0]
+        rows.append((tuple(-c for c in w), -b - 1))
+        path = tmp_path / "sys.json"
+        path.write_text(json.dumps(_system_dict(
+            [([format_rational(c) for c in w], format_rational(b)) for w, b in rows])))
+        assert main(["helly", "--input", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "all_subsystems_feasible": False, "full_system_feasible": False}
+
     def test_moment(self, tmp_path, capsys):
         path = self._write_body(tmp_path, TRIANGLE)
         assert main(["moment", "--input", str(path), "--w", "1,0"]) == 0

@@ -21,7 +21,8 @@ from godbersen import (
 )
 from godbersen.geometry import _idot
 from godbersen.linalg import scale_to_integers
-from godbersen.polynomials import add, derivative, evaluate, mul, nonpositive_between, trim
+from godbersen.polynomials import (
+    add, derivative, evaluate, mul, nonpositive_between, roots_between, trim)
 from godbersen.sections import SectionProfile, _level_terms
 from godbersen.rationals import as_vector, dot
 from godbersen.sweep import ROOT_CONCAVITY_DIRECTIONS, _random_direction
@@ -601,14 +602,18 @@ def test_integer_and_rational_directions_agree():
 
 
 # The Sturm-only rule that decided slice-root concavity before the Bernstein
-# certificate went ahead of it, kept as the oracle of ``root_concave``.
+# certificates went ahead of it, kept as the oracle of ``root_concave``.
 
 def sturm_root_concave(prof) -> bool:
-    """P = k q q'' - (k-1) q'^2 in T by ``nonpositive_between`` on every
-    piece (lo, hi), and q and q' evaluated at every interior level."""
+    """q > 0 on every piece (lo, hi), by no root there and a positive value
+    at the midpoint; P = k q q'' - (k-1) q'^2 in T by
+    ``nonpositive_between`` there; and q and q' evaluated at every interior
+    level."""
     k = len(prof.direction) - 1
     qs = [derivative(acc) for acc in prof.accumulators]
     for q, lo, hi in zip(qs, prof.levels, prof.levels[1:]):
+        if roots_between(trim(q), lo, hi) or evaluate(q, F(lo + hi, 2)) <= 0:
+            return False
         dq = derivative(q)
         p = add(mul([k * c for c in q], derivative(dq)),
                 mul([(1 - k) * c for c in dq], dq))
@@ -643,6 +648,28 @@ def count_routes(monkeypatch) -> Counter:
 
     monkeypatch.setattr(sections, "_bernstein_nonpositive", counted_certificate)
     monkeypatch.setattr(sections, "nonpositive_between", counted_sturm)
+    return counts
+
+
+def count_positivity_routes(monkeypatch) -> Counter:
+    """Spy on the two routes of the s > 0 test of ``root_concave``: the
+    returned counter gets (route, verdict) for every piece a route decides,
+    route "certificate" or "sturm"."""
+    counts = Counter()
+    certificate, sturm = sections._bernstein_positive, sections.positive_between
+
+    def counted_certificate(r):
+        ok = certificate(r)
+        counts["certificate", ok] += 1
+        return ok
+
+    def counted_sturm(r, lo, hi):
+        ok = sturm(r, lo, hi)
+        counts["sturm", ok] += 1
+        return ok
+
+    monkeypatch.setattr(sections, "_bernstein_positive", counted_certificate)
+    monkeypatch.setattr(sections, "positive_between", counted_sturm)
     return counts
 
 
@@ -684,6 +711,40 @@ def test_bernstein_coefficients():
         assert sections._bernstein_nonpositive(p) is all(b <= 0 for b in scaled)
     assert sections._bernstein_nonpositive([])
     assert not sections._bernstein_nonpositive([-9600, 38400, -38400])
+
+
+def test_bernstein_positive_coefficients():
+    # every C(D, i) b_i >= 0 and one > 0, from the definition
+    rng = random.Random(50)
+    for _ in range(200):
+        r = [rng.randint(-3, 9) for _ in range(rng.randint(1, 6))]
+        d = len(r) - 1
+        scaled = [sum(comb(d - j, i - j) * r[j] for j in range(i + 1))
+                  for i in range(d + 1)]
+        assert sections._bernstein_positive(r) is (
+            all(b >= 0 for b in scaled) and any(scaled))
+    assert not sections._bernstein_positive([])
+    assert not sections._bernstein_positive([0, 0])
+    assert sections._bernstein_positive([0, 1])  # u > 0 on (0, 1)
+    assert not sections._bernstein_positive([1, -6, 9])  # (1 - 3u)^2: 1, -2, 4
+
+
+@pytest.mark.parametrize("prof", [
+    # dim 4, s = (1 - 3T)^2 on [0, 1]: P = -162 (T - 1/3)^2 <= 0, but the
+    # root |1 - 3T|^(2/3) has a cusp where s touches 0 at T = 1/3
+    SectionProfile((F(1), F(0), F(0), F(0)), 1, (0, 1), ((0, 1, -3, 3),), 1),
+    # dim 3, s = 1 - 2T on [0, 1]: P = -4 <= 0, and s < 0 past T = 1/2
+    SectionProfile((F(1), F(0), F(0)), 1, (0, 1), ((0, 1, -1),), 1),
+], ids=["touches-zero", "negative-at-an-end"])
+def test_root_concave_needs_s_positive_inside(monkeypatch, prof):
+    # the Brunn form alone passes both; the s > 0 test refuses them by Sturm
+    counts = count_routes(monkeypatch)
+    positivity = count_positivity_routes(monkeypatch)
+    assert not prof.root_concave() and not sturm_root_concave(prof)
+    assert positivity == {("certificate", False): 1, ("sturm", False): 1}
+    assert counts == {}
+    r = [c * (k + 1) for k, c in enumerate(prof.accumulators[0][1:])]
+    assert nonpositive_between(sections._brunn_form(r, len(prof.direction) - 1), 0, 1)
 
 
 def test_double_root_passes_by_sturm_alone(monkeypatch):
@@ -781,9 +842,12 @@ def test_root_concave_agrees_with_sturm_rule_on_bodies(monkeypatch, corpus):
         pairs += [(body, _random_direction(rng, body.dim)) for _ in range(5)]
     profiles = [section_profile(K, w) for K, w in pairs]
     counts = count_routes(monkeypatch)
+    positivity = count_positivity_routes(monkeypatch)
     for prof in profiles:
         assert prof.root_concave() and sturm_root_concave(prof)
     assert len(profiles) > 4000
     pieces = sum(len(prof.levels) - 1 for prof in profiles)
     assert counts == {("certificate", True): pieces}
     assert counts["sturm", True] + counts["sturm", False] == 0
+    # s > 0 inside every piece is certified too: no piece reaches Sturm
+    assert positivity == {("certificate", True): pieces}
