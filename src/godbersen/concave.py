@@ -12,13 +12,16 @@ integrals integral_0^1 (1-s)^a s^b ds = a! b! / (a+b+1)! gives the power sum
 
     h / (m (m+1)) * sum_{i=0}^{m-1} v1^(m-1-i) v2^i ((m+1) k1 - 1 + (i+1) h),
 
-with no slope division.  Slice-root concavity (Brunn's principle) is decided
-exactly on the integer section pieces, with no root taken: a Bernstein
-certificate settles a piece, and a Sturm sign test any piece it leaves open
-(``SectionProfile.root_concave``).  Brunn-Minkowski is decided exactly
-too (``bm_check``): it reads Vol(K + L) = sum_j C(n,j) m_j off the
-mixed-volume profile, with no sum built, and compares integer powers of the
-m_j instead of n-th roots.  No verdict here takes a float.
+with no slope division.  A function is held as integer knots and values
+over one denominator, and ``random_concave`` draws and integrates it in
+integers, so the integral makes one Fraction, its result.  Slice-root
+concavity (Brunn's principle) is decided exactly on the integer section
+pieces, with no root taken: a Bernstein certificate settles a piece, and a
+Sturm sign test any piece it leaves open (``SectionProfile.root_concave``).
+Brunn-Minkowski is decided exactly too (``bm_check``): it reads
+Vol(K + L) = sum_j C(n,j) m_j off the mixed-volume profile, with no sum
+built, and compares integer powers of the m_j instead of n-th roots.  No
+verdict here takes a float.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 
 from .errors import InvalidM, LemmaViolation, NotConcave
 from .geometry import Polytope
@@ -45,10 +48,13 @@ class PLConcave:
     Knots and values are taken by ``as_rat``: ints, Fractions and rational
     strings, never floats.
 
-    Every check reads one integer form, made once by ``scale_to_integers``:
-    the knots and values are ``_int_knots`` and ``_int_values`` over the
-    positive ``_int_scale``.  A piece's slope is its (width, rise) pair,
-    compared by cross-multiplication, so no slope is divided out."""
+    Every check reads one integer form: the knots and values are
+    ``_int_knots`` and ``_int_values`` over the positive ``_int_scale``, with
+    no common factor.  The constructor makes it with one
+    ``scale_to_integers`` call; ``random_concave`` hands it over in integers
+    (``_from_ints``), and the same checks run on it.  A piece's slope is its
+    (width, rise) pair, compared by cross-multiplication, so no slope is
+    divided out."""
 
     knots: tuple[Rat, ...]
     values: tuple[Rat, ...]
@@ -61,9 +67,29 @@ class PLConcave:
         v = tuple(as_rat(x) for x in self.values)
         object.__setattr__(self, "knots", k)
         object.__setattr__(self, "values", v)
-        if len(k) != len(v) or len(k) < 2:
-            raise NotConcave("knots and values must match and cover [0,1]")
         (ks, vs), den = scale_to_integers([k, v])
+        self._set_form(ks, vs, den)
+
+    @classmethod
+    def _from_ints(cls, ks: list[int], vs: list[int], den: int) -> PLConcave:
+        """The function with knots ``ks`` and values ``vs`` over the positive
+        ``den``: the form is reduced by its gcd, which is the one
+        ``scale_to_integers`` makes from the Fractions, and checked as the
+        public constructor checks it.  The Fraction fields are views."""
+        g = gcd(den, *ks, *vs)
+        ks = tuple(x // g for x in ks)
+        vs = tuple(x // g for x in vs)
+        den //= g
+        f = object.__new__(cls)
+        object.__setattr__(f, "knots", tuple(Fraction(x, den) for x in ks))
+        object.__setattr__(f, "values", tuple(Fraction(x, den) for x in vs))
+        f._set_form(ks, vs, den)
+        return f
+
+    def _set_form(self, ks: tuple[int, ...], vs: tuple[int, ...], den: int) -> None:
+        """Check the integer knots and values over ``den`` and keep them."""
+        if len(ks) != len(vs) or len(ks) < 2:
+            raise NotConcave("knots and values must match and cover [0,1]")
         if ks[0] != 0 or ks[-1] != den:
             raise NotConcave("domain must be exactly [0,1]")
         pieces = [(k2 - k1, v2 - v1)
@@ -131,7 +157,7 @@ def godbersen_integral_check(f: PLConcave, m: int) -> IntegralCheckResult:
     if value < 0:
         raise LemmaViolation(f"integral {value} < 0 for a concave input")
     equality = value == 0
-    characterized = f.values[-1] == 0 and f.is_linear()
+    characterized = f._int_values[-1] == 0 and f.is_linear()
     if equality != characterized:
         raise LemmaViolation(
             f"equality={equality} but characterization={characterized}")
@@ -141,25 +167,29 @@ def godbersen_integral_check(f: PLConcave, m: int) -> IntegralCheckResult:
 def random_concave(rng: random.Random) -> PLConcave:
     """Seeded random nonnegative concave PL function on [0,1].
 
-    Recipe: sample up to ``MAX_EXTRA_KNOTS`` interior rational knots, sample
-    one rational slope per interval, sort the slopes in decreasing order,
-    integrate to values, then shift so the minimum value is exactly 0.
+    Recipe: sample up to ``MAX_EXTRA_KNOTS`` interior knots k / 33, sample
+    one slope p / q per interval (q up to ``DENOMINATOR_BOUND``), sort the
+    slopes in decreasing order, integrate to values, then shift so the
+    minimum value is exactly 0.  The draws are held as integers, knots over
+    33 and slopes over lcm(1..``DENOMINATOR_BOUND``), and integrated in
+    integers; the only Fractions made are the function's knot and value
+    views.
     """
+    q = DENOMINATOR_BOUND * 4 + 1
+    big = lcm(*range(1, DENOMINATOR_BOUND + 1))
     extra = rng.randint(0, MAX_EXTRA_KNOTS)
-    interior = {Fraction(rng.randint(1, DENOMINATOR_BOUND * 4),
-                         DENOMINATOR_BOUND * 4 + 1)
-                for _ in range(extra)}
-    knots = sorted({Fraction(0), Fraction(1)} | interior)
+    knots = sorted({0, q} | {rng.randint(1, q - 1) for _ in range(extra)})
     slopes = sorted(
-        (Fraction(rng.randint(-24, 24), rng.randint(1, DENOMINATOR_BOUND))
+        (rng.randint(-24, 24) * (big // rng.randint(1, DENOMINATOR_BOUND))
          for _ in range(len(knots) - 1)),
         reverse=True,
     )
-    values = [Fraction(0)]
-    for (k1, k2), s in zip(zip(knots, knots[1:]), slopes):
+    values = [0]
+    for k1, k2, s in zip(knots, knots[1:], slopes):
         values.append(values[-1] + s * (k2 - k1))
     low = min(values)
-    return PLConcave(tuple(knots), tuple(v - low for v in values))
+    return PLConcave._from_ints([k * big for k in knots],
+                                [v - low for v in values], q * big)
 
 
 def slice_root_concavity(K: Polytope, w) -> bool:

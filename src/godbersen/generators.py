@@ -2,17 +2,19 @@
 
 Every generator is a pure function of its GenSpec: the seed fully determines
 the output, including the retry sequence when random draws come out
-degenerate.
+degenerate.  Points are drawn as integer lattice points over one common
+scale and go straight to the hull's lattice entry (``_lattice_hull``), so no
+generator makes a Fraction; the body's Fraction views are made when read.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
+from math import lcm
 
 from .errors import DegenerateInput
-from .geometry import Polytope, build_hull
+from .geometry import Polytope, _lattice_hull
 
 KINDS = ("simplex", "cube", "cross_polytope", "random_hull", "random_symmetric")
 
@@ -58,37 +60,28 @@ class GenSpec:
 
 
 def standard_simplex(n: int) -> Polytope:
-    pts = [tuple(Fraction(0) for _ in range(n))]
-    pts += [tuple(Fraction(1 if i == j else 0) for i in range(n)) for j in range(n)]
-    return build_hull(pts)
+    pts = [(0,) * n] + [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    return _lattice_hull(pts, 1)
 
 
 def unit_cube(n: int) -> Polytope:
-    pts = [tuple(Fraction((mask >> i) & 1) for i in range(n)) for mask in range(2 ** n)]
-    return build_hull(pts)
+    return _lattice_hull([tuple((mask >> i) & 1 for i in range(n))
+                          for mask in range(2 ** n)], 1)
 
 
 def cross_polytope(n: int) -> Polytope:
-    pts = []
-    for j in range(n):
-        for s in (1, -1):
-            pts.append(tuple(Fraction(s if i == j else 0) for i in range(n)))
-    return build_hull(pts)
-
-
-def _random_point(rng: random.Random, dim: int, denom_bound: int):
-    return tuple(
-        Fraction(rng.randint(-_NUMERATOR_BOUND, _NUMERATOR_BOUND),
-                 rng.randint(1, denom_bound))
-        for _ in range(dim)
-    )
+    return _lattice_hull([tuple(s * (i == j) for i in range(n))
+                          for j in range(n) for s in (1, -1)], 1)
 
 
 def generate(spec: GenSpec) -> Polytope:
     """Build the body described by ``spec`` deterministically.
 
-    Random kinds retry degenerate draws up to 16 times from the same stream
-    before giving up with DegenerateInput.
+    A random kind draws each coordinate as a numerator in [-9, 9] and then
+    a denominator in [1, denominator_bound], and holds it as an integer over
+    M = lcm(1..denominator_bound), so no Fraction is made.  Random kinds
+    retry degenerate draws up to 16 times from the same stream before giving
+    up with DegenerateInput.
     """
     if spec.kind == "simplex":
         return standard_simplex(spec.dim)
@@ -98,14 +91,17 @@ def generate(spec: GenSpec) -> Polytope:
         return cross_polytope(spec.dim)
 
     rng = random.Random(spec.seed)
+    bound = spec.denominator_bound
+    big = lcm(*range(1, bound + 1))
     last_error: DegenerateInput | None = None
     for _ in range(_MAX_RETRIES):
-        pts = [_random_point(rng, spec.dim, spec.denominator_bound)
+        pts = [tuple(rng.randint(-_NUMERATOR_BOUND, _NUMERATOR_BOUND)
+                     * (big // rng.randint(1, bound)) for _ in range(spec.dim))
                for _ in range(spec.vertex_count)]
         if spec.kind == "random_symmetric":
             pts = pts + [tuple(-c for c in p) for p in pts]
         try:
-            return build_hull(pts)
+            return _lattice_hull(pts, big)
         except DegenerateInput as err:
             last_error = err
     raise DegenerateInput(

@@ -489,9 +489,17 @@ def build_hull(points) -> Polytope:
         raise DimensionMismatch("points of mixed dimension")
     if n < 1:
         raise DegenerateInput("points must have dimension at least 1")
-    # a positive common scale keeps the lexicographic order of the points
-    scaled, mult = scale_to_integers(pts)
-    ipts = sorted(set(scaled))
+    return _lattice_hull(*scale_to_integers(pts))
+
+
+def _lattice_hull(points: list[tuple[int, ...]], mult: int) -> Polytope:
+    """``build_hull`` of the integer points c / mult, which share one
+    dimension n >= 1: the points are deduplicated and sorted (a positive
+    common scale keeps their lexicographic order), must span R^n, and their
+    bound ``_max_facets`` must pass the cap.  ``_from_lattice`` coarsens to
+    the smallest lattice, so any common scale gives the same body."""
+    ipts = sorted(set(points))
+    n = len(ipts[0])
     base = ipts[0]
     if len(ipts) < n + 1 or int_rank([tuple(a - b for a, b in zip(p, base))
                                       for p in ipts[1:]]) < n:
@@ -508,12 +516,7 @@ def support(K: Polytope, w) -> Rat:
     if is_zero_vector(v):
         raise ZeroDirection("support direction must be nonzero")
     (iw,), m = scale_to_integers([v])
-    return _int_support(K, iw) / m
-
-
-def _int_support(K: Polytope, w: tuple[int, ...]) -> Fraction:
-    """``support`` at a nonzero integer direction of the body's length."""
-    return Fraction(max(_idot(w, p) for p in K._int_vertices), K._int_scale)
+    return Fraction(max(_idot(iw, p) for p in K._int_vertices), m * K._int_scale)
 
 
 def _exact(c):

@@ -13,7 +13,9 @@ one row at a time: ``_pulling_fan`` reduces each vertex's row once, against
 the pivot rows that every simplex below it shares.
 No normal of a span is formed.  Rational input is scaled to integers first
 (``scale_to_integers``), which reads each coordinate's numerator and
-denominator and makes no Fraction.
+denominator and makes no Fraction.  That happens once, at the API edge:
+the generators, ``random_concave`` and integer section directions are
+integers from the start and are not scaled.
 """
 
 from __future__ import annotations

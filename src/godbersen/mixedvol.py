@@ -27,10 +27,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 from .errors import DimensionMismatch, TheoremViolation
-from .geometry import Polytope, _cayley_mixed_volumes, _int_support, reflect
+from .geometry import Polytope, _cayley_mixed_volumes, _idot, reflect
 from .rationals import Rat
 
 
@@ -71,13 +71,16 @@ class GodbersenReport:
 
 
 def mv_first(K: Polytope, T: Polytope) -> Rat:
-    """V(K[1], T[n-1]) by the facet formula."""
+    """V(K[1], T[n-1]) by the facet formula, as one integer sum: over the
+    lcm D of the measure denominators, h_K(w) mu is max(w . p) (mu_num D /
+    mu_den) / (D m) for K's lattice points p / m."""
     if K.dim != T.dim:
         raise DimensionMismatch("mixed volume needs equal dimensions")
-    acc = Fraction(0)
-    for f in T.facets:
-        acc += _int_support(K, f.normal) * f.measure
-    return acc / T.dim
+    den = lcm(*(f._measure_den for f in T.facets))
+    pts = K._int_vertices
+    total = sum(max(_idot(f.normal, p) for p in pts) * f._measure_num
+                * (den // f._measure_den) for f in T.facets)
+    return Fraction(total, den * K._int_scale * T.dim)
 
 
 def mv_profile(K: Polytope, L: Polytope) -> MixedVolumeProfile:
@@ -110,32 +113,24 @@ def mv_profile(K: Polytope, L: Polytope) -> MixedVolumeProfile:
     return MixedVolumeProfile(n, coeffs)
 
 
-# lambda = p / q in {1/10, ..., 9/10}
-_LAMBDA_GRID = tuple((i, 10) for i in range(1, 10))
+def _artstein_ok(j: int, n: int, mixed: Rat, vol: Rat) -> bool:
+    """lambda^j (1-lambda)^(n-j) mixed <= vol for every lambda in [0, 1].
 
-
-def _lambda_grid_ok(j: int, n: int, mixed: Rat, vol: Rat) -> bool:
-    """lambda^j (1-lambda)^(n-j) mixed <= vol at lambda in {1/10..9/10, j/n}.
-
-    At lambda = p / q the bound reads p^j (q-p)^(n-j) mixed <= q^n vol, so
-    mixed and vol are cross-multiplied once and each lambda costs integer
-    products only.
-    """
-    lhs = mixed.numerator * vol.denominator
-    rhs = vol.numerator * mixed.denominator
-    return all(p ** j * (q - p) ** (n - j) * lhs <= q ** n * rhs
-               for p, q in _LAMBDA_GRID + ((j, n),))
+    The left side peaks at lambda = j / n, so the one integer comparison
+    j^j (n-j)^(n-j) mixed <= n^n vol, cross-multiplied, decides it."""
+    return (j ** j * (n - j) ** (n - j) * mixed.numerator * vol.denominator
+            <= n ** n * vol.numerator * mixed.denominator)
 
 
 def godbersen_report(K: Polytope) -> GodbersenReport:
     """Per-j Godbersen data for the pair (K, -K).
 
     ratio = V(K[j], -K[n-j]) / (C(n,j) Vol K).  For j = 1 and j = n-1 the
-    ratio must not exceed 1 (proven); a violation raises.  Middle j are
-    reported but never asserted (open conjecture).  Each row also checks the
-    n^min(j, n-j) bound and the lambda-grid bound
-    lambda^j (1-lambda)^(n-j) mixed <= Vol K at lambda in {1/10..9/10, j/n};
-    the grid can falsify but never certify the continuous statement.  The
+    ratio is at most 1, with equality exactly when K is a simplex (proven);
+    a violation raises.  Middle j are reported but never asserted (open
+    conjecture).  Each row also checks the n^min(j, n-j) bound and the bound
+    lambda^j (1-lambda)^(n-j) mixed <= Vol K for every lambda in [0, 1]
+    (``artstein_ok``), decided exactly at its peak lambda = j / n.  The
     profile must be palindromic and meet Rogers-Shephard, with equality
     exactly when K is a simplex; a failure raises.
     """
@@ -163,8 +158,11 @@ def godbersen_report(K: Polytope) -> GodbersenReport:
         if j in (1, n - 1) and ratio > 1:
             raise TheoremViolation(
                 f"ratio {ratio} > 1 at j={j}; the proven case failed")
+        if j in (1, n - 1) and (ratio == 1) != is_simplex:
+            raise TheoremViolation(
+                f"ratio {ratio} at j={j}: it must be 1 exactly for simplices")
         bound = Fraction(n ** min(j, n - j))
         nmin_ok = mixed <= bound * vol
         entries.append(GodbersenEntry(j, mixed, binom, ratio, bound, nmin_ok,
-                                      _lambda_grid_ok(j, n, mixed, vol)))
+                                      _artstein_ok(j, n, mixed, vol)))
     return GodbersenReport(n, vol, tuple(entries), is_simplex)

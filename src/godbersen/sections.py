@@ -271,9 +271,14 @@ def section_profile(K: Polytope, w) -> SectionProfile:
     """Exact profile of K along w, in the t = x . w coordinate.
 
     Breakpoints are the distinct vertex levels; on each open interval the
-    piece is the exact derivative of the cumulative volume polynomial.
+    piece is the exact derivative of the cumulative volume polynomial.  An
+    integer direction is used as given; any other goes through ``as_vector``
+    (Fractions and rational strings, never floats) and is scaled to integers.
     """
-    v = as_vector(w)
+    v = tuple(w)
+    exact = all(type(c) is int for c in v)
+    if not exact:
+        v = as_vector(v)
     if len(v) != K.dim:
         raise DimensionMismatch("direction length does not match the body")
     if is_zero_vector(v):
@@ -281,7 +286,11 @@ def section_profile(K: Polytope, w) -> SectionProfile:
     n = K.dim
     # With w = W / m and the vertices P / m_v, the integer heights are
     # H = W . P = M (x . w) for M = m m_v (``level_scale``); level t is T / M.
-    (iw,), m = scale_to_integers([v])
+    # An integer direction is its own W, with m = 1.
+    if exact:
+        iw, m = v, 1
+    else:
+        (iw,), m = scale_to_integers([v])
     level_scale = m * K._int_scale
     heights = [_idot(iw, p) for p in K._int_vertices]
     levels = sorted(set(heights))

@@ -136,6 +136,40 @@ def knots_and_values(draw):
     return knots, [x - low for x in values]
 
 
+def _fraction_random_concave(rng: random.Random) -> PLConcave:
+    """``random_concave`` as it drew before its integer form: Fraction knots
+    and slopes, integrated in Fractions and parsed by the constructor.  Kept
+    as the oracle of the integer draw."""
+    extra = rng.randint(0, concave.MAX_EXTRA_KNOTS)
+    interior = {F(rng.randint(1, concave.DENOMINATOR_BOUND * 4),
+                  concave.DENOMINATOR_BOUND * 4 + 1) for _ in range(extra)}
+    knots = sorted({F(0), F(1)} | interior)
+    slopes = sorted((F(rng.randint(-24, 24), rng.randint(1, concave.DENOMINATOR_BOUND))
+                     for _ in range(len(knots) - 1)), reverse=True)
+    values = [F(0)]
+    for k1, k2, s in zip(knots, knots[1:], slopes):
+        values.append(values[-1] + s * (k2 - k1))
+    low = min(values)
+    return PLConcave(tuple(knots), tuple(v - low for v in values))
+
+
+def _all_fields(f: PLConcave) -> tuple:
+    return tuple(getattr(f, fd.name) for fd in dataclasses.fields(PLConcave))
+
+
+def _count_fractions(monkeypatch) -> list:
+    """Record every ``Fraction.__new__`` call from now on; the list grows."""
+    made = []
+    new = F.__new__
+
+    def spy(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", staticmethod(spy))
+    return made
+
+
 def _seeded_concave() -> list[PLConcave]:
     """200 seeded random functions, then the named ones, flat pieces included."""
     rng = random.Random(68)
@@ -177,7 +211,8 @@ class TestPLConcave:
         assert not PLATEAU.is_linear()
 
     def test_scaled_once(self, monkeypatch):
-        # one scale_to_integers per function built, none per integral; the
+        # random_concave hands its integer form over and scales nothing, the
+        # public constructor scales once, and no integral scales; every
         # function keeps its integer form and no Fraction slope
         calls = []
 
@@ -188,16 +223,51 @@ class TestPLConcave:
         monkeypatch.setattr(concave, "scale_to_integers", spy)
         rng = random.Random(68)
         functions = [random_concave(rng) for _ in range(20)]
+        assert calls == []
         functions.append(PLConcave((0, "1/2", 1), (0, 1, 1)))
-        assert len(calls) == 21
+        assert len(calls) == 1
         for f in functions:
             for m in range(2, 9):
                 godbersen_integral_check(f, m)
-        assert len(calls) == 21
+        assert len(calls) == 1
         assert [fd.name for fd in dataclasses.fields(PLConcave)] == [
             "knots", "values", "_int_knots", "_int_values", "_int_scale"]
         assert all(type(x) is int for f in functions
                    for x in f._int_knots + f._int_values + (f._int_scale,))
+
+    def test_random_concave_matches_the_fraction_draw(self):
+        # the integer draw against the Fraction draw it replaced and against
+        # re-parsing its own views: all five fields agree, and the stream is
+        # left at the same state
+        for seed in range(1000):
+            rng, ref = random.Random(seed), random.Random(seed)
+            f, g = random_concave(rng), _fraction_random_concave(ref)
+            again = PLConcave(f.knots, f.values)
+            for other in (g, again):
+                assert _all_fields(f) == _all_fields(other)
+            assert all(type(x) is F for x in f.knots + f.values)
+            assert rng.random() == ref.random()
+
+    def test_random_concave_makes_only_its_views(self, monkeypatch):
+        made = _count_fractions(monkeypatch)
+        rng = random.Random(5)
+        for _ in range(50):
+            before = len(made)
+            f = random_concave(rng)
+            assert len(made) - before == 2 * len(f.knots)
+
+    def test_integer_form_is_checked_like_the_constructor(self):
+        # _from_ints reduces its form and runs the constructor's checks
+        f = PLConcave._from_ints([0, 6, 12], [0, 12, 12], 12)
+        assert _all_fields(f) == _all_fields(TENT)
+        for ks, vs, den, message in (
+                ([0, 6], [0, 6, 6], 12, "must match"),
+                ([0, 6, 11], [0, 6, 6], 12, "domain"),
+                ([0, 6, 6, 12], [0, 6, 6, 6], 12, "strictly increasing"),
+                ([0, 6, 12], [0, -1, 6], 12, "nonnegative"),
+                ([0, 6, 12], [0, 0, 6], 12, "nonincreasing")):
+            with pytest.raises(NotConcave, match=message):
+                PLConcave._from_ints(ks, vs, den)
 
     def test_integer_form_agrees_with_the_fraction_rule_on_seeded_functions(self):
         for f in _seeded_concave():

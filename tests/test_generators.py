@@ -1,14 +1,19 @@
+import random
 from fractions import Fraction as F
 
 import pytest
 
 from godbersen import (
+    DegenerateInput,
     GenSpec,
     build_hull,
     cross_polytope,
     generate,
     standard_simplex,
+    unit_cube,
 )
+from tests.conftest import corpus_specs
+from tests.test_concave import _count_fractions
 
 
 def test_standard_simplex():
@@ -90,3 +95,60 @@ def test_full_dimensional_output():
                                 denominator_bound=2))
         assert body.dim == 3 and len(body.vertices) >= 4
         assert body.volume > 0
+
+
+def _fraction_generate(spec: GenSpec, draws: list | None = None):
+    """A random kind as ``generate`` drew it before its integer draw: Fraction
+    points through ``build_hull``, the same stream and retries.  Kept as the
+    oracle of the integer draw; ``draws`` gets the number of draws made."""
+    rng = random.Random(spec.seed)
+    for attempt in range(1, 17):
+        pts = [tuple(F(rng.randint(-9, 9), rng.randint(1, spec.denominator_bound))
+                     for _ in range(spec.dim)) for _ in range(spec.vertex_count)]
+        if spec.kind == "random_symmetric":
+            pts = pts + [tuple(-c for c in p) for p in pts]
+        try:
+            body = build_hull(pts)
+        except DegenerateInput as err:
+            last_error = err
+            continue
+        if draws is not None:
+            draws.append(attempt)
+        return body
+    raise last_error
+
+
+def _shape(body):
+    return (body.vertices, body._int_scale,
+            [(f.normal, f.offset, f.measure, f.vertex_ids) for f in body.facets],
+            body._simplices, body._fan_volumes, body.centroid)
+
+
+DIM5_SPECS = [GenSpec("random_hull", 5, 8, seed=1, denominator_bound=2),
+              GenSpec("random_symmetric", 5, 5, seed=1, denominator_bound=2)]
+
+
+def test_integer_draw_matches_the_fraction_draw():
+    # the dim 2-4 corpus recipes and a dim-5 recipe of both random kinds
+    for spec in corpus_specs() + DIM5_SPECS:
+        assert _shape(generate(spec)) == _shape(_fraction_generate(spec))
+
+
+def test_integer_draw_retries_like_the_fraction_draw():
+    # so few points make degenerate draws that the retries run
+    draws = []
+    for seed in range(60):
+        for spec in (GenSpec("random_hull", 2, 3, seed=seed),
+                     GenSpec("random_symmetric", 2, 2, seed=seed)):
+            assert _shape(generate(spec)) == _shape(_fraction_generate(spec, draws))
+    assert max(draws) > 1
+
+
+def test_generate_makes_no_fraction(monkeypatch):
+    made = _count_fractions(monkeypatch)
+    for spec in corpus_specs()[::25] + DIM5_SPECS:
+        generate(spec)
+    for n in (2, 3, 4):
+        for make in (standard_simplex, unit_cube, cross_polytope):
+            make(n)
+    assert made == []

@@ -21,6 +21,7 @@ from godbersen import (
     reflect,
     scale,
     standard_simplex,
+    support,
     translate,
     unit_cube,
 )
@@ -46,6 +47,21 @@ class TestMvFirst:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             mv_first(unit_cube(3), build_hull(SQUARE))
+
+    def test_integer_sum_matches_the_fraction_sum(self, corpus):
+        # the one integer sum against the Fraction sum of support values
+        # times measures it replaced, on consecutive corpus bodies both ways
+        bodies = [body for _, body in corpus]
+        for K, T in zip(bodies, bodies[1:]):
+            if K.dim == T.dim:
+                assert mv_first(K, T) == fraction_mv_first(K, T)
+                assert mv_first(T, K) == fraction_mv_first(T, K)
+
+
+def fraction_mv_first(K, T):
+    """The facet formula as a Fraction sum, kept as the oracle of
+    ``mv_first``."""
+    return sum((support(K, f.normal) * f.measure for f in T.facets), F(0)) / T.dim
 
 
 class TestMvProfile:
@@ -237,8 +253,9 @@ class TestGodbersenReport:
                     assert len(body.vertices) == dim + 1
 
 
-# The Fraction lambda grid that the integer comparison of ``_lambda_grid_ok``
-# replaced, kept as its oracle.
+# The Fraction lambda grid that the integer comparison of ``_artstein_ok``
+# replaced, kept as its oracle: the grid holds j / n, where the bound peaks,
+# so the two verdicts agree.
 
 def fraction_grid_ok(j, n, mixed, vol):
     lambdas = tuple(F(i, 10) for i in range(1, 10)) + (F(j, n),)
@@ -265,7 +282,7 @@ class TestLambdaGrid:
                       for lam in [F(i, 10) for i in range(1, 10)] + [F(j, n)])
             mixed = vol / top * F(rng.randint(90, 110), 100)
             expected = fraction_grid_ok(j, n, mixed, vol)
-            assert mixedvol._lambda_grid_ok(j, n, mixed, vol) == expected
+            assert mixedvol._artstein_ok(j, n, mixed, vol) == expected
             outcomes.add(expected)
         assert outcomes == {True, False}
 
@@ -304,6 +321,15 @@ class TestProfileIdentities:
             mixedvol.MixedVolumeProfile(3, (F(1), F(1), F(2), F(1)))))
         with pytest.raises(TheoremViolation, match="palindromic"):
             godbersen_report(unit_cube(3))
+
+    def test_proven_equality_case_raises_off_simplices(self, monkeypatch):
+        # ratio 1 at j = 1 and j = n - 1 on a cube, with the palindrome and a
+        # strict Rogers-Shephard bound (64 < 70) left standing
+        monkeypatch.setattr(mixedvol, "mv_profile", lambda K, L: (
+            mixedvol.MixedVolumeProfile(4, tuple(map(F, (1, 4, 5, 4, 1))))))
+        with pytest.raises(TheoremViolation,
+                           match="ratio 1 at j=1: it must be 1 exactly for simplices"):
+            godbersen_report(unit_cube(4))
 
     @pytest.mark.parametrize("body, coeffs", [
         (unit_cube(4), (1, 1, 100, 1, 1)),  # above C(8,4) Vol K = 70

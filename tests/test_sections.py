@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from godbersen import (
+    DimensionMismatch,
     GenSpec,
     ZeroDirection,
     build_hull,
@@ -599,6 +600,25 @@ def test_integer_and_rational_directions_agree():
     assert half.levels == prof.levels and half.level_scale == 2 * prof.level_scale
     with pytest.raises(TypeError):
         section_profile(body, (2.0, -1, 3))
+
+
+def test_integer_direction_is_used_as_it_is(monkeypatch):
+    # no scaling for an integer direction, given as a list or a tuple; rational
+    # strings are still parsed and scaled once
+    calls = []
+    monkeypatch.setattr(sections, "scale_to_integers",
+                        lambda pts: calls.append(pts) or scale_to_integers(pts))
+    body = generate(GenSpec("random_hull", 3, 7, seed=30_002, denominator_bound=3))
+    prof = section_profile(body, [1, 0, -2])
+    assert calls == [] and prof.direction == (1, 0, -2)
+    assert all(type(c) is int for c in prof.direction)
+    parsed = section_profile(body, ("1", "0", "-2"))
+    assert len(calls) == 1 and parsed == prof and hash(parsed) == hash(prof)
+    assert parsed.moment() == prof.moment() and parsed.integral() == prof.integral()
+    with pytest.raises(ZeroDirection):
+        section_profile(body, (0, 0, 0))
+    with pytest.raises(DimensionMismatch):
+        section_profile(body, (1, 0))
 
 
 # The Sturm-only rule that decided slice-root concavity before the Bernstein
