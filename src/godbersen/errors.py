@@ -30,7 +30,7 @@ class LemmaViolation(GodbersenError):
 
 
 class CombinatorialBlowup(GodbersenError):
-    """A brute-force subset enumeration would exceed the configured cap."""
+    """A hull could have more facets than the configured cap allows."""
 
 
 class InvalidM(GodbersenError):

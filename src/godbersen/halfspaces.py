@@ -10,10 +10,12 @@ inclusion -K0 in nK0 that ``tightness_profile`` checks row by row.  So the
 anchor point is that witness, checked, never searched for.  The region is the
 single point {c} exactly when the rows tight at c positively span R^n.
 
-Below the ``System`` API every row is an integer pair (normal, rhs):
-``_integer_rows`` scales each row, normal and rhs together, by one positive
-multiplier, which changes no Farkas sign and no feasible point.  Fractions
-appear only in the ``System`` rows and in the witness read back.
+A ``HalfSpace`` is the integer pair (normal, rhs) that the kernel reads.
+A rational row is scaled once, when it is built, normal and rhs together by
+their least positive common multiplier, which changes no Farkas sign and no
+feasible point; an integer row is kept as given, and ``ak_system`` builds
+its rows in integers.  Fractions appear only in a rational row as given and
+in the witness read back.
 
 Feasibility has one entry, ``_feasible_rows``, which takes those integer
 rows to the double description kernel ``geometry._cone_rays``, the one that
@@ -21,8 +23,8 @@ also finds every facet: the system is feasible iff its homogenized cone has
 a ray off the hyperplane at infinity, and such a ray is a vertex of the
 region.  That vertex is checked against every row in integers before it is
 returned, so a feasible verdict always rests on a checked point.
-``feasibility`` scales a ``System`` and calls it; the uniqueness test on the
-tight rows and the Helly audit pass their integer rows to it directly.
+``feasibility``, the uniqueness test on the tight rows and the Helly audit
+pass it their rows as they are.
 
 Helly's theorem says a finite system in R^n is infeasible iff some
 subsystem of at most n+1 rows is.  A feasible system needs no search: its
@@ -39,8 +41,11 @@ sign giving lam . b < 0.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
+from typing import NamedTuple
 
 from .errors import (
     DimensionMismatch,
@@ -50,21 +55,34 @@ from .errors import (
 from .geometry import Polytope, _cone_rays, _idot
 from .inclusion import TightnessProfile, tightness_profile
 from .linalg import _echelon, _with_identity, scale_to_integers
-from .rationals import Point, Rat, Vector, as_rat, as_vector, dot, is_zero_vector
+from .rationals import Point, as_vector
 
-@dataclass(frozen=True)
-class HalfSpace:
-    """Closed halfspace {a : a . normal <= rhs}; the normal is unnormalized."""
 
-    normal: Vector
-    rhs: Rat
+class _Row(NamedTuple):
+    normal: tuple[int, ...]
+    rhs: int
 
-    def __post_init__(self):
-        if is_zero_vector(self.normal):
+
+class HalfSpace(_Row):
+    """Closed halfspace {a : a . normal <= rhs}, held as one integer row.
+
+    A row with an entry that is not an int (a Fraction or a rational string;
+    a float is refused) is scaled to integers, normal and rhs together, by
+    their least positive common multiplier: ((1/2, 1/3), 5/4) is held as
+    ((6, 4), 15).  An all-int row is kept as given.  The normal is
+    unnormalized and must be nonzero.  A HalfSpace unpacks as the pair
+    (normal, rhs).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, normal, rhs):
+        row = (*normal, rhs)
+        if any(type(c) is not int for c in row):
+            (row,), _ = scale_to_integers([as_vector(row)])
+        if not any(row[:-1]):
             raise ZeroDirection("halfspace normal must be nonzero")
-
-    def contains(self, point) -> bool:
-        return dot(self.normal, point) <= self.rhs
+        return super().__new__(cls, row[:-1], row[-1])
 
 
 @dataclass(frozen=True)
@@ -81,9 +99,6 @@ class System:
             if len(h.normal) != self.dim:
                 raise DimensionMismatch("halfspace normal of wrong length")
 
-    def contains(self, point) -> bool:
-        return all(h.contains(point) for h in self.halfspaces)
-
 
 @dataclass(frozen=True)
 class FeasibilityResult:
@@ -94,29 +109,16 @@ class FeasibilityResult:
 
 def make_system(dim: int, rows) -> System:
     """Rows are (normal, rhs) pairs with rational entries."""
-    return System(dim, tuple(HalfSpace(as_vector(w, dim), as_rat(b)) for w, b in rows))
-
-
-_Row = tuple[tuple[int, ...], int]
-
-
-def _integer_rows(system: System) -> list[_Row]:
-    """Each row as an integer normal and an integer rhs, scaled together by
-    one positive multiplier."""
-    rows = []
-    for h in system.halfspaces:
-        (row,), _ = scale_to_integers([h.normal + (h.rhs,)])
-        rows.append((row[:-1], row[-1]))
-    return rows
+    return System(dim, tuple(HalfSpace(as_vector(w, dim), b) for w, b in rows))
 
 
 def feasibility(system: System) -> FeasibilityResult:
     """Exact feasibility of a ``System``, with a vertex of the region as
-    witness: the system's ``_integer_rows`` decided by ``_feasible_rows``."""
-    return _feasible_rows(_integer_rows(system), system.dim)
+    witness: its rows decided by ``_feasible_rows``."""
+    return _feasible_rows(system.halfspaces, system.dim)
 
 
-def _feasible_rows(rows: list[_Row], n: int) -> FeasibilityResult:
+def _feasible_rows(rows: Sequence[_Row], n: int) -> FeasibilityResult:
     """Feasibility of integer rows (w, b), each meaning w . x <= b for x in
     R^n, by the double description kernel ``_cone_rays``.
 
@@ -151,15 +153,21 @@ def _feasible_rows(rows: list[_Row], n: int) -> FeasibilityResult:
 
 def ak_system(K: Polytope) -> System:
     """One halfspace per facet normal u of K:
-    a . u <= n/(n+1) h_K(u) - 1/(n+1) h_K(-u)."""
+    a . u <= n/(n+1) h_K(u) - 1/(n+1) h_K(-u).
+
+    On K's lattice of scale m that rhs is N / D, with N = n off + low and
+    D = m (n+1), so the row is held in lowest terms as the integer row
+    ((D/g) u, N/g) for g = gcd(N, D)."""
     n = K.dim
-    m = K._int_scale
+    den = K._int_scale * (n + 1)
     rows = []
     for f in K.facets:
         # h_K(-u) = -low / m for the least value low of u on the lattice points
         low = min(_idot(f.normal, p) for p in K._int_vertices)
-        rows.append((f.normal, Fraction(n * f._offset_num + low, m * (n + 1))))
-    return make_system(n, rows)
+        num = n * f._offset_num + low
+        g = gcd(num, den)
+        rows.append(HalfSpace(tuple(den // g * c for c in f.normal), num // g))
+    return System(n, tuple(rows))
 
 
 def anchor_unique(profile: TightnessProfile) -> bool:
@@ -189,7 +197,7 @@ def ak_feasibility(K: Polytope) -> FeasibilityResult:
     return FeasibilityResult(True, K.centroid, anchor_unique(tightness_profile(K)))
 
 
-def _farkas_infeasible(rows: list[_Row], subset: tuple[int, ...]) -> bool | None:
+def _farkas_infeasible(rows: Sequence[_Row], subset: tuple[int, ...]) -> bool | None:
     """Decide the integer rows ``rows[i]``, i in ``subset``, of a . w <= b
     in R^n by their Farkas certificate.
 
@@ -216,28 +224,28 @@ def _farkas_infeasible(rows: list[_Row], subset: tuple[int, ...]) -> bool | None
 def helly_audit(system: System) -> bool:
     """True iff every (dim+1)-subset of halfspaces is feasible.
 
-    Vacuously true when there are fewer than dim+1 halfspaces.  Otherwise the
-    system is scaled to integer rows once, and ``_feasible_rows`` decides the
-    full system on them.  A feasible system ends there: its checked vertex
+    Vacuously true when there are fewer than dim+1 halfspaces.  Otherwise
+    ``_feasible_rows`` decides the full system on its integer rows as they
+    are.  A feasible system ends there: its checked vertex
     lies in every subsystem.  An infeasible one is cut down by a deletion
     filter, one ``_feasible_rows`` run per row, to an irreducible infeasible
     subsystem.  Helly's theorem bounds it by dim+1 rows and
     ``_farkas_infeasible`` must certify it; either failing raises.
     """
     n = system.dim
-    if len(system.halfspaces) < n + 1:
+    rows = system.halfspaces
+    if len(rows) < n + 1:
         return True
-    ints = _integer_rows(system)
-    if _feasible_rows(ints, n).feasible:
+    if _feasible_rows(rows, n).feasible:
         return True
-    kept = list(range(len(ints)))
-    for i in range(len(ints)):
+    kept = list(range(len(rows)))
+    for i in range(len(rows)):
         rest = [j for j in kept if j != i]
-        if not _feasible_rows([ints[j] for j in rest], n).feasible:
+        if not _feasible_rows([rows[j] for j in rest], n).feasible:
             kept = rest
     if len(kept) > n + 1:
         raise TheoremViolation(
             f"irreducible infeasible subsystem of {len(kept)} rows in R^{n}")
-    if not _farkas_infeasible(ints, tuple(kept)):
+    if not _farkas_infeasible(rows, tuple(kept)):
         raise TheoremViolation("no Farkas certificate for the infeasible subsystem")
     return False

@@ -113,6 +113,12 @@ def mv_profile(K: Polytope, L: Polytope) -> MixedVolumeProfile:
     return MixedVolumeProfile(n, coeffs)
 
 
+def _nmin_ok(j: int, n: int, mixed: Rat, vol: Rat) -> bool:
+    """mixed <= n^min(j, n-j) vol, which -K0 in nK0 gives by the monotonicity
+    and homogeneity of mixed volumes."""
+    return mixed <= n ** min(j, n - j) * vol
+
+
 def _artstein_ok(j: int, n: int, mixed: Rat, vol: Rat) -> bool:
     """lambda^j (1-lambda)^(n-j) mixed <= vol for every lambda in [0, 1].
 
@@ -128,11 +134,13 @@ def godbersen_report(K: Polytope) -> GodbersenReport:
     ratio = V(K[j], -K[n-j]) / (C(n,j) Vol K).  For j = 1 and j = n-1 the
     ratio is at most 1, with equality exactly when K is a simplex (proven);
     a violation raises.  Middle j are reported but never asserted (open
-    conjecture).  Each row also checks the n^min(j, n-j) bound and the bound
-    lambda^j (1-lambda)^(n-j) mixed <= Vol K for every lambda in [0, 1]
-    (``artstein_ok``), decided exactly at its peak lambda = j / n.  The
-    profile must be palindromic and meet Rogers-Shephard, with equality
-    exactly when K is a simplex; a failure raises.
+    conjecture).  Each row also asserts two proven bounds, reported as the
+    always-true flags ``nmin_ok`` and ``artstein_ok``: mixed <= n^min(j, n-j)
+    Vol K, from -K0 in nK0, and lambda^j (1-lambda)^(n-j) mixed <= Vol K for
+    every lambda in [0, 1] (Artstein-Avidan, Einhorn, Florentin & Ostrover
+    2015), decided exactly at its peak lambda = j / n.  The profile must be
+    palindromic and meet Rogers-Shephard, with equality exactly when K is a
+    simplex; a failure raises.
     """
     n = K.dim
     vol = K.volume
@@ -161,8 +169,9 @@ def godbersen_report(K: Polytope) -> GodbersenReport:
         if j in (1, n - 1) and (ratio == 1) != is_simplex:
             raise TheoremViolation(
                 f"ratio {ratio} at j={j}: it must be 1 exactly for simplices")
-        bound = Fraction(n ** min(j, n - j))
-        nmin_ok = mixed <= bound * vol
-        entries.append(GodbersenEntry(j, mixed, binom, ratio, bound, nmin_ok,
-                                      _artstein_ok(j, n, mixed, vol)))
+        for name, bound_ok in (("n^min(j, n-j)", _nmin_ok), ("Artstein-Avidan", _artstein_ok)):
+            if not bound_ok(j, n, mixed, vol):
+                raise TheoremViolation(f"the {name} bound fails at j={j}: {mixed}")
+        entries.append(GodbersenEntry(j, mixed, binom, ratio,
+                                      Fraction(n ** min(j, n - j)), True, True))
     return GodbersenReport(n, vol, tuple(entries), is_simplex)

@@ -53,9 +53,5 @@ def as_vector(coords, dim: int | None = None) -> Vector:
     return v
 
 
-def dot(u, v) -> Rat:
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
-
-
 def is_zero_vector(u) -> bool:
     return all(a == 0 for a in u)

@@ -30,6 +30,7 @@ from godbersen import (
 from godbersen.cli import main
 from tests.conftest import brunn_minkowski_pairs, minkowski_sum
 from tests.test_concave import float_brunn_minkowski, float_root_concavity
+from tests.test_halfspaces import holds
 
 
 # sha256 of "j mixed ratio" lines over every entry of the 300 corpus reports,
@@ -123,9 +124,9 @@ def test_criterion_5_anchor_points(corpus_results, simplices):
     for sx in (1, -1):
         for sy in (1, -1):
             corner = (F(sx, 6), F(sy, 6))
-            assert system.contains(corner)
-            assert not system.contains((corner[0] * F(101, 100), corner[1]))
-            assert not system.contains((corner[0], corner[1] * F(101, 100)))
+            assert holds(system, corner)
+            assert not holds(system, (corner[0] * F(101, 100), corner[1]))
+            assert not holds(system, (corner[0], corner[1] * F(101, 100)))
     extra = (f"; OBSERVATION: {len(not_simplex_but_unique)} non-simplex "
              f"bodies with unique anchor" if not_simplex_but_unique else "")
     _report(5, "anchor point found on all 300 bodies; simplex witnesses equal "

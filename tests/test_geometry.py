@@ -30,7 +30,7 @@ from godbersen import (
 from godbersen import geometry, linalg
 from godbersen.geometry import Polytope, _cone_rays, _hull_facets_int
 from godbersen.linalg import _echelon, int_rank, scale_to_integers
-from godbersen.rationals import as_rat, dot
+from godbersen.rationals import as_rat
 from godbersen.sections import section_profile
 from tests.conftest import (
     corpus_specs,
@@ -68,6 +68,11 @@ def polygon_area(K):
     ordered = sorted(K.vertices,
                      key=lambda v: math.atan2(float(v[1] - cy), float(v[0] - cx)))
     return shoelace(ordered)
+
+
+def dot(u, v):
+    """The exact inner product of two rational vectors."""
+    return sum(a * b for a, b in zip(u, v))
 
 
 def contains_point(K, p) -> bool:

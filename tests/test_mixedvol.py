@@ -331,6 +331,14 @@ class TestProfileIdentities:
                            match="ratio 1 at j=1: it must be 1 exactly for simplices"):
             godbersen_report(unit_cube(4))
 
+    @pytest.mark.parametrize("check, name", [
+        ("_nmin_ok", r"n\^min\(j, n-j\)"), ("_artstein_ok", "Artstein-Avidan")])
+    def test_proven_bound_violation_raises(self, monkeypatch, check, name):
+        # both bounds are proven, so a failed one is a bug, not a report flag
+        monkeypatch.setattr(mixedvol, check, lambda j, n, mixed, vol: False)
+        with pytest.raises(TheoremViolation, match=f"the {name} bound fails at j=1: 1$"):
+            godbersen_report(unit_cube(3))
+
     @pytest.mark.parametrize("body, coeffs", [
         (unit_cube(4), (1, 1, 100, 1, 1)),  # above C(8,4) Vol K = 70
         (build_hull(SQUARE), (1, 2, 1)),  # equality for a square

@@ -25,11 +25,11 @@ from godbersen.linalg import scale_to_integers
 from godbersen.polynomials import (
     add, derivative, evaluate, mul, nonpositive_between, roots_between, trim)
 from godbersen.sections import SectionProfile, _level_terms
-from godbersen.rationals import as_vector, dot
+from godbersen.rationals import as_vector
 from godbersen.sweep import ROOT_CONCAVITY_DIRECTIONS, _random_direction
 from tests.conftest import corpus_specs, edges, simplex_int_volume
 from tests.test_concave import dip_profile
-from tests.test_geometry import random_polytope
+from tests.test_geometry import dot, random_polytope
 from tests.test_polynomials import antiderivative
 
 

@@ -2,6 +2,7 @@ import hashlib
 import json
 import sys
 from dataclasses import asdict
+from fractions import Fraction
 
 import pytest
 
@@ -73,6 +74,16 @@ def test_violation_names_the_body(tmp_path, monkeypatch, capsys):
     summary = sweep_module.sweep([GenSpec("cube", 2), GenSpec("simplex", 2)],
                                  tmp_path / "y.csv")
     assert summary.violations == 1 and summary.rows == 1
+
+
+def test_nonzero_moment_is_a_violation(monkeypatch):
+    # the centered body's moment vanishes by the centroid's definition, so a
+    # nonzero one is a bug, not a CSV flag
+    monkeypatch.setattr(sweep_module, "directional_moment",
+                        lambda K, w, center: Fraction(1, 7))
+    spec = GenSpec("cube", 2)
+    with pytest.raises(TheoremViolation, match="nonzero moment"):
+        sweep_module.check_body("0000-cube-n2", spec)
 
 
 def test_root_concavity_failure_is_a_violation(tmp_path, monkeypatch, capsys):
