@@ -24,14 +24,12 @@ from .halfspaces import ak_feasibility, feasibility, helly_audit
 from .inclusion import directional_moment
 from .mixedvol import godbersen_report
 from .polyio import (
-    _checked,
-    _field,
-    _integer,
     load_json,
     polytope_from_dict,
     polytope_to_dict,
     report_to_dict,
     save_json,
+    specs_from_dict,
     system_from_dict,
 )
 from .rationals import format_rational, parse_rational
@@ -104,34 +102,10 @@ def _cmd_moment(args) -> int:
     return 0
 
 
-def _load_specs(path, base_seed: int) -> list[GenSpec]:
-    data = load_json(path)
-    raw = _field(data, "specs", "a spec file") if isinstance(data, dict) else data
-    specs = []
-    for i, row in enumerate(_checked(raw, list, "the spec list")):
-        _checked(row, dict, f"spec row {i}")
-        unknown = set(row) - {"kind", "dim", "vertex_count", "seed", "denominator_bound"}
-        if unknown:
-            raise ValueError(f"spec row {i} has unknown keys {sorted(unknown)}")
-        seed = row.get("seed")
-        vertex_count = row.get("vertex_count")
-        specs.append(GenSpec(
-            kind=_field(row, "kind", f"spec row {i}"),
-            dim=_integer(_field(row, "dim", f"spec row {i}"), f"spec row {i} dim"),
-            vertex_count=None if vertex_count is None
-            else _integer(vertex_count, f"spec row {i} vertex_count"),
-            seed=base_seed * 1_000_003 + i if seed is None
-            else _integer(seed, f"spec row {i} seed"),
-            denominator_bound=_integer(row.get("denominator_bound", 1),
-                                       f"spec row {i} denominator_bound"),
-        ))
-    return specs
-
-
 def _cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, not {args.jobs}")
-    specs = _load_specs(args.spec, args.seed)
+    specs = specs_from_dict(load_json(args.spec), args.seed)
     summary = sweep(specs, args.out, jobs=args.jobs, floats=args.floats)
     for line in summary.observations:
         print(line)

@@ -31,11 +31,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, gcd, lcm
 
-from .errors import InvalidM, LemmaViolation, NotConcave
+from .errors import InvalidM, LemmaViolation, NotConcave, TheoremViolation
 from .geometry import Polytope
 from .linalg import scale_to_integers
 from .mixedvol import mv_profile
-from .rationals import Rat, as_rat
+from .rationals import Rat
 from .sections import section_profile
 
 MAX_EXTRA_KNOTS = 6
@@ -45,16 +45,18 @@ DENOMINATOR_BOUND = 8
 @dataclass(frozen=True)
 class PLConcave:
     """Piecewise-linear concave f >= 0 on [0,1]; knots include 0 and 1.
-    Knots and values are taken by ``as_rat``: ints, Fractions and rational
-    strings, never floats.
+    Knots and values are read by ``scale_to_integers``: ints, Fractions and
+    rational strings, never floats.
 
     Every check reads one integer form: the knots and values are
     ``_int_knots`` and ``_int_values`` over the positive ``_int_scale``, with
-    no common factor.  The constructor makes it with one
-    ``scale_to_integers`` call; ``random_concave`` hands it over in integers
-    (``_from_ints``), and the same checks run on it.  A piece's slope is its
-    (width, rise) pair, compared by cross-multiplication, so no slope is
-    divided out."""
+    no common factor.  The constructor makes it with its one
+    ``scale_to_integers`` call, whose multiplier is the least one;
+    ``random_concave`` hands it over in integers (``_from_ints``), and the
+    same checks run on it.  The ``knots`` and ``values`` fields are views of
+    that form: ints when the scale is 1, Fractions otherwise.  A piece's
+    slope is its (width, rise) pair, compared by cross-multiplication, so no
+    slope is divided out."""
 
     knots: tuple[Rat, ...]
     values: tuple[Rat, ...]
@@ -63,11 +65,7 @@ class PLConcave:
     _int_scale: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        k = tuple(as_rat(x) for x in self.knots)
-        v = tuple(as_rat(x) for x in self.values)
-        object.__setattr__(self, "knots", k)
-        object.__setattr__(self, "values", v)
-        (ks, vs), den = scale_to_integers([k, v])
+        (ks, vs), den = scale_to_integers([self.knots, self.values])
         self._set_form(ks, vs, den)
 
     @classmethod
@@ -75,19 +73,15 @@ class PLConcave:
         """The function with knots ``ks`` and values ``vs`` over the positive
         ``den``: the form is reduced by its gcd, which is the one
         ``scale_to_integers`` makes from the Fractions, and checked as the
-        public constructor checks it.  The Fraction fields are views."""
+        public constructor checks it."""
         g = gcd(den, *ks, *vs)
-        ks = tuple(x // g for x in ks)
-        vs = tuple(x // g for x in vs)
-        den //= g
         f = object.__new__(cls)
-        object.__setattr__(f, "knots", tuple(Fraction(x, den) for x in ks))
-        object.__setattr__(f, "values", tuple(Fraction(x, den) for x in vs))
-        f._set_form(ks, vs, den)
+        f._set_form(tuple(x // g for x in ks), tuple(x // g for x in vs), den // g)
         return f
 
     def _set_form(self, ks: tuple[int, ...], vs: tuple[int, ...], den: int) -> None:
-        """Check the integer knots and values over ``den`` and keep them."""
+        """Check the integer knots and values over ``den`` and keep them, with
+        their views."""
         if len(ks) != len(vs) or len(ks) < 2:
             raise NotConcave("knots and values must match and cover [0,1]")
         if ks[0] != 0 or ks[-1] != den:
@@ -101,6 +95,9 @@ class PLConcave:
         # rise2 / h2 > rise1 / h1, with both widths positive
         if any(r2 * h1 > r1 * h2 for (h1, r1), (h2, r2) in zip(pieces, pieces[1:])):
             raise NotConcave("slopes must be nonincreasing")
+        for name, xs in (("knots", ks), ("values", vs)):
+            object.__setattr__(self, name, xs if den == 1
+                               else tuple(Fraction(x, den) for x in xs))
         object.__setattr__(self, "_int_knots", ks)
         object.__setattr__(self, "_int_values", vs)
         object.__setattr__(self, "_int_scale", den)
@@ -122,8 +119,9 @@ class IntegralCheckResult:
 
 @dataclass(frozen=True)
 class BrunnMinkowskiResult:
-    """The exact Vol(K + L), and whether Brunn-Minkowski holds with equality
-    and whether it holds."""
+    """The exact Vol(K + L), and whether Brunn-Minkowski holds with equality;
+    ``ok``, that it holds, is always True, since ``bm_check`` raises
+    otherwise."""
 
     volume: Rat
     equality: bool
@@ -207,16 +205,20 @@ def bm_check(K: Polytope, L: Polytope) -> BrunnMinkowskiResult:
     gives Vol(K + L) = sum_j C(n,j) m_j.  It is log-concave, so
     m_j^n >= m_0^(n-j) m_n^j for every j (Minkowski's inequalities): each
     term is at least C(n,j) Vol(K)^((n-j)/n) Vol(L)^(j/n), and those bounds
-    sum to the right-hand side to the n-th power.  ``ok`` is that every
-    comparison holds, ``equality`` that every one is tight, which is the
-    case iff L is a homothet of K (Schneider, *Convex Bodies*, ch. 7).
+    sum to the right-hand side to the n-th power.  ``equality`` is that every
+    comparison is tight, which is the case iff L is a homothet of K
+    (Schneider, *Convex Bodies*, ch. 7).  The comparisons follow from the
+    log-concavity that ``mv_profile`` asserts (each log m_j lies above its
+    chord), so a failing one is a bug and raises TheoremViolation; ``ok``
+    is kept in the result and is always True.
     """
     profile = mv_profile(K, L)  # raises DimensionMismatch on unequal dims
     n, m = profile.n, profile.coeffs
     total = sum(comb(n, j) * mj for j, mj in enumerate(m))
     sides = [(mj ** n, m[0] ** (n - j) * m[n] ** j) for j, mj in enumerate(m)]
-    return BrunnMinkowskiResult(total, all(a == b for a, b in sides),
-                                all(a >= b for a, b in sides))
+    if any(a < b for a, b in sides):
+        raise TheoremViolation("a Minkowski inequality m_j^n >= m_0^(n-j) m_n^j failed")
+    return BrunnMinkowskiResult(total, all(a == b for a, b in sides), True)
 
 
 def bridge_inequality(K: Polytope, w) -> Rat:

@@ -63,7 +63,7 @@ from .linalg import (
     primitive,
     scale_to_integers,
 )
-from .rationals import Point, Rat, as_rat, as_vector, is_zero_vector
+from .rationals import Point, Rat
 
 
 class Facet:
@@ -416,7 +416,11 @@ def _from_lattice(ipts: list[tuple[int, ...]], mult: int, raw_facets) -> Polytop
     point; the others are dropped, the facet ids remapped and the lattice
     coarsened to the smallest one holding the vertices.  Facets that leave
     fewer than n + 1 vertices, or a facet with fewer than n, close no
-    polytope and raise DegenerateInput.
+    polytope and raise DegenerateInput.  So do facets that break Minkowski's
+    relation, sum_F mu_F w_F = 0 for the scaled measures mu_F (the facets'
+    area vectors close up; Schneider, *Convex Bodies*, ch. 8), which is
+    checked as one integer sum over the lcm of the measure denominators:
+    a facet list missing a facet fails it.
 
     Each facet's pulling triangulation (``_pulling_fan``) is coned from
     vertex 0, or from the lowest vertex off the facet when 0 is on it, with
@@ -458,6 +462,10 @@ def _from_lattice(ipts: list[tuple[int, ...]], mult: int, raw_facets) -> Polytop
         if apex == 0:
             fan += [_ids(s | 1) for s, _ in cones]
             dets += [v for _, v in cones]
+    big = lcm(*(f._measure_den for f in facets))
+    weights = [f._measure_num * (big // f._measure_den) for f in facets]
+    if any(sum(u * f.normal[c] for u, f in zip(weights, facets)) for c in range(n)):
+        raise DegenerateInput("the facets break Minkowski's relation")
     total = sum(dets)
     if total <= 0:
         raise DegenerateInput("assembled polytope has zero volume")
@@ -481,7 +489,7 @@ def build_hull(points) -> Polytope:
     structure with outward coprime-integer normals, exact offsets and scaled
     measures, facets ordered lexicographically by normal.
     """
-    pts = [as_vector(p) for p in points]
+    pts, mult = scale_to_integers(points)
     if not pts:
         raise DegenerateInput("no points given")
     n = len(pts[0])
@@ -489,7 +497,7 @@ def build_hull(points) -> Polytope:
         raise DimensionMismatch("points of mixed dimension")
     if n < 1:
         raise DegenerateInput("points must have dimension at least 1")
-    return _lattice_hull(*scale_to_integers(pts))
+    return _lattice_hull(pts, mult)
 
 
 def _lattice_hull(points: list[tuple[int, ...]], mult: int) -> Polytope:
@@ -510,18 +518,12 @@ def _lattice_hull(points: list[tuple[int, ...]], mult: int) -> Polytope:
 
 def support(K: Polytope, w) -> Rat:
     """Support value max{x . w : x in K}; homogeneous of degree 1 in w."""
-    v = as_vector(w)
-    if len(v) != K.dim:
-        raise DimensionMismatch(f"direction has length {len(v)}, body has dim {K.dim}")
-    if is_zero_vector(v):
+    (iw,), m = scale_to_integers([w])
+    if len(iw) != K.dim:
+        raise DimensionMismatch(f"direction has length {len(iw)}, body has dim {K.dim}")
+    if not any(iw):
         raise ZeroDirection("support direction must be nonzero")
-    (iw,), m = scale_to_integers([v])
     return Fraction(max(_idot(iw, p) for p in K._int_vertices), m * K._int_scale)
-
-
-def _exact(c):
-    """An int as it is, anything else through ``as_rat``."""
-    return c if type(c) is int else as_rat(c)
 
 
 def transform(K: Polytope, mat=None, shift=None) -> Polytope:
@@ -539,19 +541,18 @@ def transform(K: Polytope, mat=None, shift=None) -> Polytope:
     (Ai p + m ti) / c, c the gcd of their entries and a m, so a fan simplex's
     integer volume v maps to v |det Ai| / c^n, an exact division.  det Ai
     and adj(Ai) come together from one elimination (``adjugate``), which
-    rejects a singular Ai before any other work.  Integer entries of A and t
-    make no Fraction.
+    rejects a singular Ai before any other work.  A and t are read by one
+    ``scale_to_integers`` call, before their shapes are checked, so integer
+    entries make no Fraction.
     """
     n = K.dim
     if mat is None:
         mat = [[int(i == j) for j in range(n)] for i in range(n)]
-    rows = [tuple(map(_exact, row)) for row in mat]
-    if len(rows) != n or any(len(r) != n for r in rows):
+    (*ai, ti), a = scale_to_integers([*mat, (0,) * n if shift is None else shift])
+    if len(ai) != n or any(len(r) != n for r in ai):
         raise DimensionMismatch("matrix shape does not match the body")
-    t = tuple(map(_exact, shift)) if shift is not None else (0,) * n
-    if len(t) != n:
+    if len(ti) != n:
         raise DimensionMismatch("translation length does not match the body")
-    (*ai, ti), a = scale_to_integers(rows + [t])
     try:
         d, adj = adjugate(ai)
     except SingularMatrix:

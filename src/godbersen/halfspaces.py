@@ -12,19 +12,21 @@ single point {c} exactly when the rows tight at c positively span R^n.
 
 A ``HalfSpace`` is the integer pair (normal, rhs) that the kernel reads.
 A rational row is scaled once, when it is built, normal and rhs together by
-their least positive common multiplier, which changes no Farkas sign and no
-feasible point; an integer row is kept as given, and ``ak_system`` builds
-its rows in integers.  Fractions appear only in a rational row as given and
-in the witness read back.
+their least positive common multiplier (``scale_to_integers``), which
+changes no Farkas sign and no feasible point; an integer row is kept as
+given, and ``ak_system`` builds its rows in integers.  Fractions appear only
+in a rational row as given and in the witness that ``feasibility`` reads
+back.
 
 Feasibility has one entry, ``_feasible_rows``, which takes those integer
 rows to the double description kernel ``geometry._cone_rays``, the one that
 also finds every facet: the system is feasible iff its homogenized cone has
 a ray off the hyperplane at infinity, and such a ray is a vertex of the
-region.  That vertex is checked against every row in integers before it is
-returned, so a feasible verdict always rests on a checked point.
+region.  That vertex is checked against every row in integers and returned
+as integers, so a feasible verdict always rests on a checked point.
 ``feasibility``, the uniqueness test on the tight rows and the Helly audit
-pass it their rows as they are.
+pass it their rows as they are, and only ``feasibility`` makes the vertex a
+Fraction witness.
 
 Helly's theorem says a finite system in R^n is infeasible iff some
 subsystem of at most n+1 rows is.  A feasible system needs no search: its
@@ -55,7 +57,7 @@ from .errors import (
 from .geometry import Polytope, _cone_rays, _idot
 from .inclusion import TightnessProfile, tightness_profile
 from .linalg import _echelon, _with_identity, scale_to_integers
-from .rationals import Point, as_vector
+from .rationals import Point
 
 
 class _Row(NamedTuple):
@@ -77,9 +79,7 @@ class HalfSpace(_Row):
     __slots__ = ()
 
     def __new__(cls, normal, rhs):
-        row = (*normal, rhs)
-        if any(type(c) is not int for c in row):
-            (row,), _ = scale_to_integers([as_vector(row)])
+        (row,), _ = scale_to_integers([(*normal, rhs)])
         if not any(row[:-1]):
             raise ZeroDirection("halfspace normal must be nonzero")
         return super().__new__(cls, row[:-1], row[-1])
@@ -108,17 +108,28 @@ class FeasibilityResult:
 
 
 def make_system(dim: int, rows) -> System:
-    """Rows are (normal, rhs) pairs with rational entries."""
-    return System(dim, tuple(HalfSpace(as_vector(w, dim), b) for w, b in rows))
+    """Rows are (normal, rhs) pairs with rational entries, each read by
+    ``HalfSpace``; then a normal of another length than ``dim`` raises
+    ValueError."""
+    halfspaces = tuple(HalfSpace(w, b) for w, b in rows)
+    for h in halfspaces:
+        if len(h.normal) != dim:
+            raise ValueError(f"expected a vector of length {dim}, got {len(h.normal)}")
+    return System(dim, halfspaces)
 
 
 def feasibility(system: System) -> FeasibilityResult:
     """Exact feasibility of a ``System``, with a vertex of the region as
-    witness: its rows decided by ``_feasible_rows``."""
-    return _feasible_rows(system.halfspaces, system.dim)
+    witness: its rows decided by ``_feasible_rows``, and the integer vertex
+    read back as Fractions."""
+    found = _feasible_rows(system.halfspaces, system.dim)
+    if found is None:
+        return FeasibilityResult(False, None, False)
+    nums, t, unique = found
+    return FeasibilityResult(True, tuple(Fraction(x, t) for x in nums), unique)
 
 
-def _feasible_rows(rows: Sequence[_Row], n: int) -> FeasibilityResult:
+def _feasible_rows(rows: Sequence[_Row], n: int) -> tuple[list[int], int, bool] | None:
     """Feasibility of integer rows (w, b), each meaning w . x <= b for x in
     R^n, by the double description kernel ``_cone_rays``.
 
@@ -130,7 +141,8 @@ def _feasible_rows(rows: Sequence[_Row], n: int) -> FeasibilityResult:
     vertices (x / t, 1) of the region, those with t = 0 its extreme
     directions.  So the system is feasible iff some ray has t > 0, and the
     region is a single point iff rank W = n and that ray is the only one.
-    The witness is the first such vertex, 0 off the pivot columns, and it is
+    An infeasible system gives None, a feasible one (x, t, unique): the
+    first such vertex as the integers x / t, x 0 off the pivot columns,
     checked as w . x <= b t on every row; a failure is a kernel bug and
     raises TheoremViolation.  A row with w = 0 becomes a multiple of the row
     t >= 0 and needs no filter.
@@ -140,15 +152,14 @@ def _feasible_rows(rows: Sequence[_Row], n: int) -> FeasibilityResult:
     rays = [ray for ray, _ in _cone_rays(cone + [(0,) * len(piv) + (-1,)])]
     ray = next((r for r in rays if r[-1] > 0), None)
     if ray is None:
-        return FeasibilityResult(False, None, False)
+        return None
     nums = [0] * n
     for c, x in zip(piv, ray):
         nums[c] = x
     t = ray[-1]
     if any(_idot(w, nums) > b * t for w, b in rows):
         raise TheoremViolation("feasibility vertex violates a row")
-    witness = tuple(Fraction(x, t) for x in nums)
-    return FeasibilityResult(True, witness, len(piv) == n and len(rays) == 1)
+    return nums, t, len(piv) == n and len(rays) == 1
 
 
 def ak_system(K: Polytope) -> System:
@@ -177,13 +188,14 @@ def anchor_unique(profile: TightnessProfile) -> bool:
     u . d <= 0 on every row tight at c, i.e. iff the tight normals positively
     span R^n.  That needs at least n+1 of them; given that many,
     ``_feasible_rows`` decides the homogeneous system of the tight rows,
-    whose region is {0} exactly then.
+    whose region holds 0 and is {0} exactly then.
     """
     tight = [e.normal for e in profile.entries if e.tight]
     n = len(profile.entries[0].normal)
     if len(tight) < n + 1:
         return False
-    return _feasible_rows([(u, 0) for u in tight], n).unique
+    _, _, unique = _feasible_rows([(u, 0) for u in tight], n)
+    return unique
 
 
 def ak_feasibility(K: Polytope) -> FeasibilityResult:
@@ -236,12 +248,12 @@ def helly_audit(system: System) -> bool:
     rows = system.halfspaces
     if len(rows) < n + 1:
         return True
-    if _feasible_rows(rows, n).feasible:
+    if _feasible_rows(rows, n) is not None:
         return True
     kept = list(range(len(rows)))
     for i in range(len(rows)):
         rest = [j for j in kept if j != i]
-        if not _feasible_rows([rows[j] for j in rest], n).feasible:
+        if _feasible_rows([rows[j] for j in rest], n) is None:
             kept = rest
     if len(kept) > n + 1:
         raise TheoremViolation(

@@ -54,7 +54,13 @@ def tightness_profile(K: Polytope) -> TightnessProfile:
 
 
 def _centered_tightness(k0: Polytope) -> TightnessProfile:
-    """``tightness_profile`` of a body already centered at its centroid."""
+    """``tightness_profile`` of a body already centered at its centroid.
+
+    A failed row comparison raises TheoremViolation, and so does a profile
+    whose rows are all tight on a body that is not a simplex, or not all
+    tight on a simplex: for a centered body, -K0 and nK0 share every facet
+    hyperplane exactly when K is a simplex.
+    """
     n = k0.dim
     m = k0._int_scale
     entries = []
@@ -66,7 +72,10 @@ def _centered_tightness(k0: Polytope) -> TightnessProfile:
             raise TheoremViolation("support comparison failed on a facet normal")
         entries.append(TightnessEntry(f.normal, Fraction(lhs, m), Fraction(rhs, m),
                                       lhs == rhs))
-    return TightnessProfile(tuple(entries))
+    profile = TightnessProfile(tuple(entries))
+    if profile.all_tight != (len(k0.facets) == n + 1):
+        raise TheoremViolation("every row tight must mean a simplex, and only then")
+    return profile
 
 
 def directional_moment(K: Polytope, w, center: bool = True) -> Rat:

@@ -11,26 +11,42 @@ and the back-substitution gives the rows of adj(B)^T up to sign, the first
 rays.  The fan simplices' determinants in ``geometry`` take the same step
 one row at a time: ``_pulling_fan`` reduces each vertex's row once, against
 the pivot rows that every simplex below it shares.
-No normal of a span is formed.  Rational input is scaled to integers first
-(``scale_to_integers``), which reads each coordinate's numerator and
-denominator and makes no Fraction.  That happens once, at the API edge:
-the generators, ``random_concave`` and integer section directions are
-integers from the start and are not scaled.
+No normal of a span is formed.
+
+``scale_to_integers`` is the package's one API edge: every public entry that
+takes coordinates from outside (``build_hull``, ``support``, ``transform``,
+``section_profile``, ``HalfSpace`` and ``make_system``, the ``PLConcave``
+constructor) hands them to it and works on the integers it returns.  It
+reads an int as it is and a Fraction by its numerator and denominator,
+parses a rational string (``as_rat``), and refuses a float with TypeError.
+All-int input comes back as it is, over 1, with no Fraction made; the
+generators and ``random_concave`` make integers from the start.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import SingularMatrix
+from .rationals import as_rat
 
 
 def scale_to_integers(points) -> tuple[list[tuple[int, ...]], int]:
     """Common positive integer multiplier turning all coordinates integral.
 
-    Returns (scaled integer points, multiplier).  Scaling by a positive
-    constant preserves all hull combinatorics.
+    Returns (scaled integer points, multiplier), the multiplier the least
+    one: the lcm of the coordinates' denominators.  A coordinate is an int, a
+    Fraction or a rational string; anything else, a float included, raises
+    TypeError.  All-int points come back as tuples over 1 and make no
+    Fraction.  Scaling by a positive constant preserves all hull
+    combinatorics.
     """
+    points = [tuple(p) for p in points]
+    if all(type(c) is int for p in points for c in p):
+        return points, 1
+    points = [[c if isinstance(c, (int, Fraction)) else as_rat(c) for c in p]
+              for p in points]
     mult = lcm(*(c.denominator for p in points for c in p))
     # tuple() of a list: from a generator it over-allocates and shrinks each
     # tuple, which on the audit workload raised the peak RSS by about 0.5 MB

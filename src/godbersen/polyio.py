@@ -1,4 +1,4 @@
-"""JSON wire formats for polytopes, halfspace systems and reports.
+"""JSON wire formats for polytopes, halfspace systems, sweep specs and reports.
 
 Rationals travel as decimal-free strings "p/q" or "k"; writers emit lowest
 terms, readers accept any equivalent fraction.  A polytope file stores only
@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+from .generators import GenSpec
 from .geometry import Polytope, build_hull
 from .halfspaces import System, make_system
 from .mixedvol import GodbersenReport
@@ -72,6 +73,32 @@ def system_from_dict(data: dict) -> System:
              parse_rational(_field(r, "beta", "a system row")))
             for r in _checked(_field(data, "rows", "a system file"), list, "rows")]
     return make_system(dim, rows)
+
+
+def specs_from_dict(data, base_seed: int) -> list[GenSpec]:
+    """The ``GenSpec`` rows of a sweep spec file: a list of rows, or a dict
+    whose "specs" is that list.  A row without a seed takes
+    ``base_seed * 1_000_003`` plus its index."""
+    raw = _field(data, "specs", "a spec file") if isinstance(data, dict) else data
+    specs = []
+    for i, row in enumerate(_checked(raw, list, "the spec list")):
+        _checked(row, dict, f"spec row {i}")
+        unknown = set(row) - {"kind", "dim", "vertex_count", "seed", "denominator_bound"}
+        if unknown:
+            raise ValueError(f"spec row {i} has unknown keys {sorted(unknown)}")
+        seed = row.get("seed")
+        vertex_count = row.get("vertex_count")
+        specs.append(GenSpec(
+            kind=_field(row, "kind", f"spec row {i}"),
+            dim=_integer(_field(row, "dim", f"spec row {i}"), f"spec row {i} dim"),
+            vertex_count=None if vertex_count is None
+            else _integer(vertex_count, f"spec row {i} vertex_count"),
+            seed=base_seed * 1_000_003 + i if seed is None
+            else _integer(seed, f"spec row {i} seed"),
+            denominator_bound=_integer(row.get("denominator_bound", 1),
+                                       f"spec row {i} denominator_bound"),
+        ))
+    return specs
 
 
 def report_to_dict(report: GodbersenReport) -> dict:

@@ -1,9 +1,11 @@
 """Exact rational scalars and their wire format.
 
-Every rational quantity at the package's API edge is a ``fractions.Fraction``
-(aliased ``Rat``): the input coordinates, and the results and views read off
-bodies, whose own data are integers over common denominators (see
-``geometry``).  Fraction already guarantees the invariants we need: lowest
+Every rational quantity at the package's API edge is an int or a
+``fractions.Fraction`` (aliased ``Rat``): the input coordinates, and the
+results and views read off bodies, whose own data are integers over common
+denominators (see ``geometry``).  Input coordinates become integers in one
+place, ``linalg.scale_to_integers``, which reads a string through
+``as_rat``.  Fraction already guarantees the invariants we need: lowest
 terms, positive denominator, arbitrary precision, exact arithmetic.  On the
 wire a rational is a decimal-free string ``"p/q"`` or ``"k"``; writers emit
 lowest terms, readers accept any equivalent fraction.
@@ -44,14 +46,3 @@ def as_rat(x) -> Rat:
     if isinstance(x, str):
         return parse_rational(x)
     raise TypeError(f"cannot coerce {type(x).__name__} to an exact rational")
-
-
-def as_vector(coords, dim: int | None = None) -> Vector:
-    v = tuple(as_rat(c) for c in coords)
-    if dim is not None and len(v) != dim:
-        raise ValueError(f"expected a vector of length {dim}, got {len(v)}")
-    return v
-
-
-def is_zero_vector(u) -> bool:
-    return all(a == 0 for a in u)

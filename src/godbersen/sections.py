@@ -51,7 +51,7 @@ from .geometry import Polytope, _idot
 from .linalg import scale_to_integers
 from .polynomials import (
     derivative, evaluate, nonpositive_between, positive_between, trim)
-from .rationals import Rat, Vector, as_rat, as_vector, is_zero_vector
+from .rationals import Rat, Vector, as_rat
 
 
 @dataclass(frozen=True, eq=False)
@@ -271,26 +271,21 @@ def section_profile(K: Polytope, w) -> SectionProfile:
     """Exact profile of K along w, in the t = x . w coordinate.
 
     Breakpoints are the distinct vertex levels; on each open interval the
-    piece is the exact derivative of the cumulative volume polynomial.  An
-    integer direction is used as given; any other goes through ``as_vector``
-    (Fractions and rational strings, never floats) and is scaled to integers.
+    piece is the exact derivative of the cumulative volume polynomial.  The
+    direction is read by ``scale_to_integers`` as W / m (ints, Fractions and
+    rational strings, never floats), and the profile's ``direction`` is the
+    int tuple W when m = 1, an integer direction among them, and the
+    Fractions W / m otherwise.
     """
-    v = tuple(w)
-    exact = all(type(c) is int for c in v)
-    if not exact:
-        v = as_vector(v)
-    if len(v) != K.dim:
+    (iw,), m = scale_to_integers([w])
+    if len(iw) != K.dim:
         raise DimensionMismatch("direction length does not match the body")
-    if is_zero_vector(v):
+    if not any(iw):
         raise ZeroDirection("section direction must be nonzero")
+    v = iw if m == 1 else tuple(Fraction(c, m) for c in iw)
     n = K.dim
     # With w = W / m and the vertices P / m_v, the integer heights are
     # H = W . P = M (x . w) for M = m m_v (``level_scale``); level t is T / M.
-    # An integer direction is its own W, with m = 1.
-    if exact:
-        iw, m = v, 1
-    else:
-        (iw,), m = scale_to_integers([v])
     level_scale = m * K._int_scale
     heights = [_idot(iw, p) for p in K._int_vertices]
     levels = sorted(set(heights))

@@ -1,5 +1,6 @@
-"""Shared corpora, and the Minkowski sum, face lattice, frozenset pulling fan
-and per-simplex determinant kept as references.
+"""Shared corpora, and the Minkowski sum, face lattice, frozenset pulling fan,
+per-simplex determinant and Fraction vector kept as references, and a
+counter of the Fractions made.
 
 The acceptance corpus is 300 seeded random polytopes (100 each in dimensions
 2, 3, 4; 80 generic hulls plus 20 origin-symmetric per dimension).  Heavy
@@ -36,6 +37,29 @@ from godbersen import (
 )
 from godbersen import geometry
 from godbersen.linalg import int_det
+from godbersen.rationals import as_rat
+
+
+def as_vector(coords, dim: int | None = None) -> tuple[F, ...]:
+    """The coordinates as Fractions (``as_rat``), of length ``dim`` if given:
+    the Fraction route that reference oracles take."""
+    v = tuple(as_rat(c) for c in coords)
+    if dim is not None and len(v) != dim:
+        raise ValueError(f"expected a vector of length {dim}, got {len(v)}")
+    return v
+
+
+def count_fractions(monkeypatch) -> list:
+    """Record every ``Fraction.__new__`` call from now on; the list grows."""
+    made = []
+    new = F.__new__
+
+    def spy(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", staticmethod(spy))
+    return made
 
 
 def minkowski_sum(K: Polytope, L: Polytope) -> Polytope:

@@ -28,14 +28,16 @@ from godbersen import (
     section_profile,
     slice_root_concavity,
     standard_simplex,
+    TheoremViolation,
     translate,
     unit_cube,
 )
 from godbersen.linalg import scale_to_integers
 from godbersen.mixedvol import MixedVolumeProfile
 from godbersen.polynomials import mul
-from godbersen.rationals import as_rat, as_vector
-from tests.conftest import brunn_minkowski_pairs, minkowski_sum
+from godbersen.rationals import as_rat
+from tests.conftest import (
+    as_vector, brunn_minkowski_pairs, count_fractions, minkowski_sum)
 from tests.test_geometry import TRIANGLE, SQUARE, random_polytope
 from tests.test_polynomials import definite_integral, power
 
@@ -54,12 +56,13 @@ INTEGRAL_DIGEST = "a2dcfc80073f0f257692bb65d5d86381871b1253192dbd9db186608a67036
 
 def _integral_by_expansion(f: PLConcave, m: int) -> F:
     """Reference route: on each piece f = alpha + beta r, expand
-    (r - 1/(m+1)) (alpha + beta r)^(m-1) and integrate the polynomial."""
+    (r - 1/(m+1)) (alpha + beta r)^(m-1) and integrate the polynomial.  The
+    knots and values may be ints, so the slope is taken as a Fraction."""
     shift = [-F(1, m + 1), F(1)]
     total = F(0)
     for (k1, v1), (k2, v2) in zip(zip(f.knots, f.values),
                                   zip(f.knots[1:], f.values[1:])):
-        slope = (v2 - v1) / (k2 - k1)
+        slope = F(v2 - v1, k2 - k1)
         line = [v1 - slope * k1, slope]
         total += definite_integral(mul(shift, power(line, m - 1)), k1, k2)
     return total
@@ -157,19 +160,6 @@ def _all_fields(f: PLConcave) -> tuple:
     return tuple(getattr(f, fd.name) for fd in dataclasses.fields(PLConcave))
 
 
-def _count_fractions(monkeypatch) -> list:
-    """Record every ``Fraction.__new__`` call from now on; the list grows."""
-    made = []
-    new = F.__new__
-
-    def spy(cls, *args, **kwargs):
-        made.append(args)
-        return new(cls, *args, **kwargs)
-
-    monkeypatch.setattr(F, "__new__", staticmethod(spy))
-    return made
-
-
 def _seeded_concave() -> list[PLConcave]:
     """200 seeded random functions, then the named ones, flat pieces included."""
     rng = random.Random(68)
@@ -245,16 +235,17 @@ class TestPLConcave:
             again = PLConcave(f.knots, f.values)
             for other in (g, again):
                 assert _all_fields(f) == _all_fields(other)
-            assert all(type(x) is F for x in f.knots + f.values)
+            view = int if f._int_scale == 1 else F
+            assert all(type(x) is view for x in f.knots + f.values)
             assert rng.random() == ref.random()
 
     def test_random_concave_makes_only_its_views(self, monkeypatch):
-        made = _count_fractions(monkeypatch)
+        made = count_fractions(monkeypatch)
         rng = random.Random(5)
         for _ in range(50):
             before = len(made)
             f = random_concave(rng)
-            assert len(made) - before == 2 * len(f.knots)
+            assert len(made) - before == (f._int_scale > 1) * 2 * len(f.knots)
 
     def test_integer_form_is_checked_like_the_constructor(self):
         # _from_ints reduces its form and runs the constructor's checks
@@ -541,14 +532,15 @@ class TestBrunnMinkowski:
             bm_check(build_hull(SQUARE), unit_cube(3))
 
     def test_profile_that_is_not_log_concave_fails(self, monkeypatch):
-        # m_1^2 = 1/4 < m_0 m_2 = 1: the comparisons are the verdict, so a
-        # profile that breaks them is refused, though its sum
-        # 1 + 2 (1/2) + 1 = 3 is below (1 + 1)^2 = 4 anyway
+        # m_1^2 = 1/4 < m_0 m_2 = 1: the comparisons follow from the
+        # log-concavity that mv_profile asserts, so a profile that breaks
+        # them is a bug and raises, though its sum 1 + 2 (1/2) + 1 = 3 is
+        # below (1 + 1)^2 = 4 anyway
         monkeypatch.setattr(concave, "mv_profile",
                             lambda K, L: MixedVolumeProfile(2, (F(1), F(1, 2), F(1))))
         sq = build_hull(SQUARE)
-        res = bm_check(sq, sq)
-        assert res.volume == 3 and not res.ok and not res.equality
+        with pytest.raises(TheoremViolation, match="Minkowski inequality"):
+            bm_check(sq, sq)
 
     def test_sum_volume_from_profile(self, corpus, monkeypatch):
         # Vol(K + L) from the mixed-volume profile equals the volume of the

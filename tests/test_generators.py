@@ -12,8 +12,7 @@ from godbersen import (
     standard_simplex,
     unit_cube,
 )
-from tests.conftest import corpus_specs
-from tests.test_concave import _count_fractions
+from tests.conftest import corpus_specs, count_fractions
 
 
 def test_standard_simplex():
@@ -145,7 +144,7 @@ def test_integer_draw_retries_like_the_fraction_draw():
 
 
 def test_generate_makes_no_fraction(monkeypatch):
-    made = _count_fractions(monkeypatch)
+    made = count_fractions(monkeypatch)
     for spec in corpus_specs()[::25] + DIM5_SPECS:
         generate(spec)
     for n in (2, 3, 4):

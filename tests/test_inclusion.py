@@ -4,6 +4,8 @@ from fractions import Fraction as F
 import pytest
 
 from godbersen import (
+    TheoremViolation,
+    TightnessProfile,
     ZeroDirection,
     build_hull,
     center_at_centroid,
@@ -150,6 +152,16 @@ class TestEqualityCase:
             body = standard_simplex(n)
             profile = tightness_profile(body)
             assert profile.all_tight and len(profile.entries) == n + 1
+
+    @pytest.mark.parametrize("body, claim", [
+        (unit_cube(2), True), (standard_simplex(3), False)])
+    def test_tightness_that_disagrees_with_the_simplex_test_raises(
+            self, monkeypatch, body, claim):
+        # every row tight exactly on a simplex is proven, so a profile that
+        # claims otherwise is a bug
+        monkeypatch.setattr(TightnessProfile, "all_tight", property(lambda self: claim))
+        with pytest.raises(TheoremViolation, match="simplex"):
+            tightness_profile(body)
 
     def test_cone_volume_identity_for_simplices(self):
         rng = random.Random(56)

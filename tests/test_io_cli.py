@@ -12,12 +12,14 @@ from godbersen import (
     make_system,
     unit_cube,
 )
+from godbersen import cli
 from godbersen.cli import main
 from godbersen.rationals import format_rational
 from godbersen.polyio import (
     polytope_from_dict,
     polytope_to_dict,
     report_to_dict,
+    specs_from_dict,
     system_from_dict,
 )
 from tests.test_geometry import TRIANGLE, SQUARE
@@ -579,3 +581,17 @@ class TestCli:
         assert main(args + ["--out", str(a)]) == 0
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+def test_spec_rows_are_read_by_polyio():
+    # a list or a {"specs": list}; a row without a seed takes the base seed
+    # times 1,000,003 plus its index; integer fields may be strings
+    rows = [{"kind": "random_hull", "dim": 2, "vertex_count": "5"},
+            {"kind": "cube", "dim": 3, "seed": 7}]
+    want = [GenSpec("random_hull", 2, 5, seed=2 * 1_000_003, denominator_bound=1),
+            GenSpec("cube", 3, None, seed=7, denominator_bound=1)]
+    assert specs_from_dict(rows, 2) == specs_from_dict({"specs": rows}, 2) == want
+    with pytest.raises(ValueError, match="spec row 1 has unknown keys"):
+        specs_from_dict([rows[0], {**rows[1], "size": 2}], 0)
+    # the wire formats' field checks stay in polyio
+    assert not {"_checked", "_field", "_integer"} & set(vars(cli))

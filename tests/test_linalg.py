@@ -5,6 +5,15 @@ from itertools import combinations
 
 import pytest
 
+from godbersen import (
+    HalfSpace,
+    PLConcave,
+    build_hull,
+    make_system,
+    section_profile,
+    support,
+    transform,
+)
 from godbersen.errors import SingularMatrix
 from godbersen.linalg import (
     _echelon,
@@ -14,6 +23,7 @@ from godbersen.linalg import (
     primitive,
     scale_to_integers,
 )
+from tests.conftest import count_fractions
 
 
 # A rational determinant, solve and affine rank on the Bareiss kernel.  The
@@ -429,6 +439,47 @@ def test_primitive_and_scaling():
     assert primitive((0, 0)) == (0, 0)
     pts, mult = scale_to_integers([(Fraction(1, 2), Fraction(2, 3))])
     assert mult == 6 and pts == [(3, 4)]
+
+
+def test_all_int_rows_come_back_unchanged(monkeypatch):
+    # as tuples over 1, the same objects where they are tuples, with no
+    # Fraction made
+    row = (1, -2, 3)
+    made = count_fractions(monkeypatch)
+    pts, mult = scale_to_integers([row, [4, 5, 6]])
+    assert (pts, mult) == ([(1, -2, 3), (4, 5, 6)], 1) and pts[0] is row
+    assert made == []
+
+
+# Every public entry that reads coordinates from outside, on integer data
+# spelled by ``s``: as ints, Fractions, rational strings or floats.  With
+# ints, an entry makes no Fraction but the ones it returns: the support
+# value is one.
+TRIANGLE_3 = build_hull([(0, 0), (3, 0), (0, 3)])
+EDGE_ENTRIES = {
+    "build_hull": (lambda s: build_hull([(s(0), s(0)), (s(4), s(0)), (s(0), s(2)),
+                                         (s(1), s(1))]), 0),
+    "support": (lambda s: support(TRIANGLE_3, (s(1), s(-2))), 1),
+    "transform": (lambda s: transform(TRIANGLE_3, [[s(2), s(1)], [s(0), s(-1)]],
+                                      (s(1), s(-3))), 0),
+    "section_profile": (lambda s: section_profile(TRIANGLE_3, [s(1), s(2)]), 0),
+    "HalfSpace": (lambda s: HalfSpace((s(2), s(-4)), s(6)), 0),
+    "make_system": (lambda s: make_system(2, [((s(1), s(0)), s(1)),
+                                              ((s(0), s(-1)), s(3))]), 0),
+    "PLConcave": (lambda s: PLConcave((s(0), s(1)), (s(2), s(1))), 0),
+}
+
+
+@pytest.mark.parametrize("name", EDGE_ENTRIES)
+def test_every_entry_reads_each_spelling(monkeypatch, name):
+    entry, returned = EDGE_ENTRIES[name]
+    got = entry(int)
+    assert entry(Fraction) == got and entry(str) == got
+    with pytest.raises(TypeError):
+        entry(float)
+    made = count_fractions(monkeypatch)
+    entry(int)
+    assert len(made) == returned
 
 
 def test_solve_linear():

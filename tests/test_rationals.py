@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from godbersen.linalg import scale_to_integers
 from godbersen.rationals import (
     as_rat,
-    as_vector,
     format_rational,
     parse_rational,
 )
@@ -42,10 +42,14 @@ def test_as_rat_refuses_floats():
 
 
 def test_vector_helpers():
-    v = as_vector(("1/2", 3, Fraction(-1, 4)))
-    assert v == (Fraction(1, 2), Fraction(3), Fraction(-1, 4))
+    # a vector is read at the one API edge: ints, Fractions and rational
+    # strings over their least common multiplier; a bad literal raises
+    # ValueError, a float TypeError
+    assert scale_to_integers([("1/2", 3, Fraction(-1, 4))]) == ([(2, 12, -1)], 4)
     with pytest.raises(ValueError):
-        as_vector((1, 2), dim=3)
+        scale_to_integers([("1", "0.5")])
+    with pytest.raises(TypeError):
+        scale_to_integers([(1, 0.5)])
 
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "godbersen"

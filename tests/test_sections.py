@@ -25,9 +25,9 @@ from godbersen.linalg import scale_to_integers
 from godbersen.polynomials import (
     add, derivative, evaluate, mul, nonpositive_between, roots_between, trim)
 from godbersen.sections import SectionProfile, _level_terms
-from godbersen.rationals import as_vector
 from godbersen.sweep import ROOT_CONCAVITY_DIRECTIONS, _random_direction
-from tests.conftest import corpus_specs, edges, simplex_int_volume
+from tests.conftest import (
+    as_vector, corpus_specs, count_fractions, edges, simplex_int_volume)
 from tests.test_concave import dip_profile
 from tests.test_geometry import dot, random_polytope
 from tests.test_polynomials import antiderivative
@@ -603,17 +603,15 @@ def test_integer_and_rational_directions_agree():
 
 
 def test_integer_direction_is_used_as_it_is(monkeypatch):
-    # no scaling for an integer direction, given as a list or a tuple; rational
-    # strings are still parsed and scaled once
-    calls = []
-    monkeypatch.setattr(sections, "scale_to_integers",
-                        lambda pts: calls.append(pts) or scale_to_integers(pts))
+    # an integer direction, given as a list or a tuple, makes no Fraction and
+    # is kept as its int tuple; rational strings give the same profile
     body = generate(GenSpec("random_hull", 3, 7, seed=30_002, denominator_bound=3))
+    made = count_fractions(monkeypatch)
     prof = section_profile(body, [1, 0, -2])
-    assert calls == [] and prof.direction == (1, 0, -2)
+    assert made == [] and prof.direction == (1, 0, -2)
     assert all(type(c) is int for c in prof.direction)
     parsed = section_profile(body, ("1", "0", "-2"))
-    assert len(calls) == 1 and parsed == prof and hash(parsed) == hash(prof)
+    assert parsed == prof and hash(parsed) == hash(prof)
     assert parsed.moment() == prof.moment() and parsed.integral() == prof.integral()
     with pytest.raises(ZeroDirection):
         section_profile(body, (0, 0, 0))
