@@ -12,16 +12,25 @@ integrals integral_0^1 (1-s)^a s^b ds = a! b! / (a+b+1)! gives the power sum
 
     h / (m (m+1)) * sum_{i=0}^{m-1} v1^(m-1-i) v2^i ((m+1) k1 - 1 + (i+1) h),
 
-with no slope division.  A function is held as integer knots and values
-over one denominator, and ``random_concave`` draws and integrates it in
-integers, so the integral makes one Fraction, its result.  Slice-root
-concavity (Brunn's principle) is decided exactly on the integer section
-pieces, with no root taken: a Bernstein certificate settles a piece, and a
-Sturm sign test any piece it leaves open (``SectionProfile.root_concave``).
-Brunn-Minkowski is decided exactly too (``bm_check``): it reads
-Vol(K + L) = sum_j C(n,j) m_j off the mixed-volume profile, with no sum
-built, and compares integer powers of the m_j instead of n-th roots.  No
-verdict here takes a float.
+with no slope division.  With d = v2 - v1, the power sums
+S0 = sum_i v1^(m-1-i) v2^i and S1 = sum_i i v1^(m-1-i) v2^i have the closed
+forms of the geometric sum,
+
+    S0 = (v2^m - v1^m) / d,    S1 = (m v2^m d - v2 (v2^m - v1^m)) / d^2,
+
+both exact divisions, since they are polynomial identities over the
+integers; when d = 0, S0 = m v1^(m-1) and S1 = C(m, 2) v1^(m-1).  The piece
+then contributes h / (m (m+1)) * (((m+1) k1 - 1 + h) S0 + h S1), a fixed
+number of integer operations whatever m is.  A function is held as integer
+knots and values over one denominator, and ``random_concave`` draws and
+integrates it in integers, so the integral makes one Fraction, its result.
+Slice-root concavity (Brunn's principle) is decided exactly on the integer
+section pieces, with no root taken: a Bernstein certificate settles a piece,
+and a Sturm sign test any piece it leaves open
+(``SectionProfile.root_concave``).  Brunn-Minkowski is decided exactly too
+(``bm_check``): it reads Vol(K + L) = sum_j C(n,j) m_j off the mixed-volume
+profile, with no sum built, and compares integer powers of the profile's
+integer numerators instead of n-th roots.  No verdict here takes a float.
 """
 
 from __future__ import annotations
@@ -130,17 +139,25 @@ class BrunnMinkowskiResult:
 
 def godbersen_integral(f: PLConcave, m: int) -> Rat:
     """Exact value of integral_0^1 (r - 1/(m+1)) f^{m-1}(r) dr for m >= 2:
-    the power sums of the module docstring on f's integer knots and values
-    over their common denominator D, over m (m+1) D^(m+1)."""
+    the closed-form power sums S0 and S1 of the module docstring on f's
+    integer knots and values over their common denominator D, over
+    m (m+1) D^(m+1).  Each piece costs a fixed number of integer operations,
+    whatever m is."""
     if type(m) is not int or m < 2:
         raise InvalidM(f"exponent must be an integer >= 2, got {m}")
     ks, vs, den = f._int_knots, f._int_values, f._int_scale
     total = 0
     for k1, k2, v1, v2 in zip(ks, ks[1:], vs, vs[1:]):
         h = k2 - k1
-        base = (m + 1) * k1 - den + h
-        total += h * sum(v1 ** (m - 1 - i) * v2 ** i * (base + i * h)
-                         for i in range(m))
+        d = v2 - v1
+        if d:
+            top = v2 ** m
+            rise = top - v1 ** m
+            s0, s1 = rise // d, (m * top * d - v2 * rise) // (d * d)
+        else:
+            low = v1 ** (m - 1)
+            s0, s1 = m * low, m * (m - 1) // 2 * low
+        total += h * (((m + 1) * k1 - den + h) * s0 + h * s1)
     return Fraction(total, m * (m + 1) * den ** (m + 1))
 
 
@@ -213,9 +230,10 @@ def bm_check(K: Polytope, L: Polytope) -> BrunnMinkowskiResult:
     is kept in the result and is always True.
     """
     profile = mv_profile(K, L)  # raises DimensionMismatch on unequal dims
-    n, m = profile.n, profile.coeffs
-    total = sum(comb(n, j) * mj for j, mj in enumerate(m))
-    sides = [(mj ** n, m[0] ** (n - j) * m[n] ** j) for j, mj in enumerate(m)]
+    n, raw = profile.n, profile._raw
+    total = Fraction(sum(comb(n, j) * r for j, r in enumerate(raw)), profile._unit)
+    # m_j = raw_j / unit and both sides have degree n, so unit cancels
+    sides = [(r ** n, raw[0] ** (n - j) * raw[n] ** j) for j, r in enumerate(raw)]
     if any(a < b for a, b in sides):
         raise TheoremViolation("a Minkowski inequality m_j^n >= m_0^(n-j) m_n^j failed")
     return BrunnMinkowskiResult(total, all(a == b for a, b in sides), True)

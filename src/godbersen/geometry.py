@@ -378,8 +378,9 @@ def _common_lattice(K: Polytope, L: Polytope):
     return m, ps, qs
 
 
-def _cayley_mixed_volumes(K: Polytope, L: Polytope) -> tuple[Fraction, ...]:
-    """m_j = V(K[n-j], L[j]) for j = 0..n from the fan of the Cayley polytope.
+def _cayley_mixed_volumes(K: Polytope, L: Polytope) -> tuple[tuple[int, ...], int]:
+    """(raw, unit) with m_j = V(K[n-j], L[j]) = raw_j / unit for j = 0..n,
+    from the fan of the Cayley polytope.
 
     C = conv(K x {0} u L x {1}) has the points (p, 0) and (q, m) on the
     common lattice m, all of them vertices.  Its facets, K x {0} and
@@ -389,7 +390,8 @@ def _cayley_mixed_volumes(K: Polytope, L: Polytope) -> tuple[Fraction, ...]:
     it (``_pulling_fan``).  A simplex with j + 1 vertices at the L end cuts
     the slice (1-l)K + lL in a piece of volume proportional to
     (1-l)^(n-j) l^j, so m_j is n + 1 times the volume of the fan's type-j
-    simplices: their integer determinants over n! m^(n+1).
+    simplices: raw_j is the sum of their integer determinants, and unit is
+    n! m^(n+1).
     """
     n = K.dim
     m, ps, qs = _common_lattice(K, L)
@@ -403,8 +405,7 @@ def _cayley_mixed_volumes(K: Polytope, L: Polytope) -> tuple[Fraction, ...]:
             continue
         for s, v in _pulling_fan(face, faces, rows):
             raw[(s >> vk).bit_count() - 1] += v
-    unit = factorial(n) * m ** (n + 1)
-    return tuple(Fraction(r, unit) for r in raw)
+    return tuple(raw), factorial(n) * m ** (n + 1)
 
 
 def _from_lattice(ipts: list[tuple[int, ...]], mult: int, raw_facets) -> Polytope:
@@ -420,7 +421,10 @@ def _from_lattice(ipts: list[tuple[int, ...]], mult: int, raw_facets) -> Polytop
     relation, sum_F mu_F w_F = 0 for the scaled measures mu_F (the facets'
     area vectors close up; Schneider, *Convex Bodies*, ch. 8), which is
     checked as one integer sum over the lcm of the measure denominators:
-    a facet list missing a facet fails it.
+    a facet list missing a facet fails it.  A normal that points inward
+    flips its measure with it, which leaves mu_F w_F and the relation as
+    they were, so each facet's height above its apex, w . (p_F - apex),
+    must be positive.
 
     Each facet's pulling triangulation (``_pulling_fan``) is coned from
     vertex 0, or from the lowest vertex off the facet when 0 is on it, with
@@ -456,9 +460,12 @@ def _from_lattice(ipts: list[tuple[int, ...]], mult: int, raw_facets) -> Polytop
         rows = rows_from.get(apex)
         if rows is None:
             rows = rows_from[apex] = _relative_rows(ipts, apex)
+        height = _idot(w, rows[vids[0]])
+        if height <= 0:
+            raise DegenerateInput(f"facet normal {w} does not point outward")
         cones = _pulling_fan(face, faces, rows)
         facets.append(Facet(w, b // g, mult, sum(v for _, v in cones),
-                            unit * _idot(w, rows[vids[0]]), vids))
+                            unit * height, vids))
         if apex == 0:
             fan += [_ids(s | 1) for s, _ in cones]
             dets += [v for _, v in cones]

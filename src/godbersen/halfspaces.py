@@ -109,13 +109,9 @@ class FeasibilityResult:
 
 def make_system(dim: int, rows) -> System:
     """Rows are (normal, rhs) pairs with rational entries, each read by
-    ``HalfSpace``; then a normal of another length than ``dim`` raises
-    ValueError."""
-    halfspaces = tuple(HalfSpace(w, b) for w, b in rows)
-    for h in halfspaces:
-        if len(h.normal) != dim:
-            raise ValueError(f"expected a vector of length {dim}, got {len(h.normal)}")
-    return System(dim, halfspaces)
+    ``HalfSpace``; ``System`` then checks them, so a normal of another length
+    than ``dim`` raises DimensionMismatch."""
+    return System(dim, tuple(HalfSpace(w, b) for w, b in rows))
 
 
 def feasibility(system: System) -> FeasibilityResult:

@@ -25,22 +25,45 @@ simplices of different types with each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, factorial, lcm
 
 from .errors import DimensionMismatch, TheoremViolation
 from .geometry import Polytope, _cayley_mixed_volumes, _idot, reflect
+from .linalg import scale_to_integers
 from .rationals import Rat
 
 
 @dataclass(frozen=True)
 class MixedVolumeProfile:
     """Coefficients m_j = V(K[n-j], L[j]) for j = 0..n, so
-    Vol(K + tL) = sum_j C(n,j) m_j t^j."""
+    Vol(K + tL) = sum_j C(n,j) m_j t^j.
+
+    The checks read one integer form, m_j = ``_raw[j]`` / ``_unit`` over the
+    positive ``_unit``: the constructor reads it off the coefficients with
+    ``scale_to_integers``, and ``mv_profile`` hands over the Cayley fan's
+    integer sums (``_from_raw``)."""
 
     n: int
     coeffs: tuple[Rat, ...]
+    _raw: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _unit: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        (raw,), unit = scale_to_integers([self.coeffs])
+        object.__setattr__(self, "_raw", raw)
+        object.__setattr__(self, "_unit", unit)
+
+    @classmethod
+    def _from_raw(cls, n: int, raw: tuple[int, ...], unit: int) -> MixedVolumeProfile:
+        """The profile m_j = raw[j] / unit over the positive ``unit``, with
+        its Fraction coefficients made from that form."""
+        p = object.__new__(cls)
+        for name, value in (("n", n), ("coeffs", tuple(Fraction(r, unit) for r in raw)),
+                            ("_raw", raw), ("_unit", unit)):
+            object.__setattr__(p, name, value)
+        return p
 
 
 @dataclass(frozen=True)
@@ -89,28 +112,31 @@ def mv_profile(K: Polytope, L: Polytope) -> MixedVolumeProfile:
     m_j is n + 1 times the volume of the fan simplices of C = conv(K x {0}
     u L x {1}) with j + 1 vertices at the L end.  Nonnegativity,
     log-concavity, m_0 = Vol K, m_n = Vol L and m_1 against the facet
-    formula are asserted.
+    formula are asserted.  All but the last compare the fan's integer sums
+    raw_j = m_j unit: raw_j^2 >= raw_(j-1) raw_(j+1), and an end against a
+    body's fan volumes over n! s^n, cross-multiplied.
     """
     n = K.dim
     if L.dim != n:
         raise DimensionMismatch("mixed volume needs equal dimensions")
-    coeffs = _cayley_mixed_volumes(K, L)
-    for j, m in enumerate(coeffs):
-        if m < 0:
-            raise TheoremViolation(f"negative mixed volume m_{j} = {m}")
+    raw, unit = _cayley_mixed_volumes(K, L)
+    for j, r in enumerate(raw):
+        if r < 0:
+            raise TheoremViolation(f"negative mixed volume m_{j} = {Fraction(r, unit)}")
     for j in range(1, n):
-        if coeffs[j] ** 2 < coeffs[j - 1] * coeffs[j + 1]:
+        if raw[j] ** 2 < raw[j - 1] * raw[j + 1]:
             raise TheoremViolation(f"profile is not log-concave at m_{j}")
-    if coeffs[0] != K.volume:
-        raise TheoremViolation("profile endpoint m_0 disagrees with Vol(K)")
-    if coeffs[n] != L.volume:
-        raise TheoremViolation("profile endpoint m_n disagrees with Vol(L)")
+    for r, body, end in ((raw[0], K, "m_0 disagrees with Vol(K)"),
+                         (raw[n], L, "m_n disagrees with Vol(L)")):
+        if r * factorial(n) * body._int_scale ** n != sum(body._fan_volumes) * unit:
+            raise TheoremViolation(f"profile endpoint {end}")
+    profile = MixedVolumeProfile._from_raw(n, raw, unit)
     first = mv_first(L, K)
-    if coeffs[1] != first:
+    if profile.coeffs[1] != first:
         raise TheoremViolation(
-            f"profile coefficient m_1 = {coeffs[1]} disagrees with the facet "
-            f"formula value {first}")
-    return MixedVolumeProfile(n, coeffs)
+            f"profile coefficient m_1 = {profile.coeffs[1]} disagrees with the "
+            f"facet formula value {first}")
+    return profile
 
 
 def _nmin_ok(j: int, n: int, mixed: Rat, vol: Rat) -> bool:
@@ -146,9 +172,10 @@ def godbersen_report(K: Polytope) -> GodbersenReport:
     vol = K.volume
     is_simplex = len(K._int_vertices) == n + 1
     profile = mv_profile(K, reflect(K))
-    if profile.coeffs != profile.coeffs[::-1]:
+    raw = profile._raw
+    if raw != raw[::-1]:
         raise TheoremViolation("the (K, -K) profile is not palindromic")
-    difference = sum(comb(n, j) * m for j, m in enumerate(profile.coeffs))
+    difference = Fraction(sum(comb(n, j) * r for j, r in enumerate(raw)), profile._unit)
     rs_bound = comb(2 * n, n) * vol
     if difference > rs_bound or (difference == rs_bound) != is_simplex:
         raise TheoremViolation(

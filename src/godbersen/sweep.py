@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -149,6 +148,10 @@ def sweep(specs: list[GenSpec], out, jobs: int = 1,
         raise ValueError(f"jobs must be at least 1, not {jobs}")
     items = [(f"{i:04d}-{s.kind}-n{s.dim}", s) for i, s in enumerate(specs)]
     if jobs > 1 and len(items) > 1:
+        # imported here: the pool pulls in multiprocessing, pickle, socket and
+        # logging, which a serial sweep and every other command never use
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(jobs, len(items))) as pool:
             results = list(pool.map(_worker, items))
     else:

@@ -68,6 +68,46 @@ def _integral_by_expansion(f: PLConcave, m: int) -> F:
     return total
 
 
+def _integral_by_power_sum(f: PLConcave, m: int) -> F:
+    """Second reference route: on each piece of width h from v1 to v2, the
+    m-term power sum h sum_i v1^(m-1-i) v2^i ((m+1) k1 - 1 + (i+1) h), one
+    term per i, on f's integer knots and values over their denominator."""
+    ks, vs, den = f._int_knots, f._int_values, f._int_scale
+    total = 0
+    for k1, k2, v1, v2 in zip(ks, ks[1:], vs, vs[1:]):
+        h = k2 - k1
+        base = (m + 1) * k1 - den + h
+        total += h * sum(v1 ** (m - 1 - i) * v2 ** i * (base + i * h)
+                         for i in range(m))
+    return F(total, m * (m + 1) * den ** (m + 1))
+
+
+@st.composite
+def integer_pieces(draw):
+    """A concave function in integer form: knots 0 < ... < den, integer
+    slopes in nonincreasing order, 0 among them often (pieces with
+    v1 == v2), the minimum shifted to 0 or just above it (a zero endpoint
+    or none), or one piece from any v1 to any v2."""
+    den = draw(st.integers(1, 60))
+    if den == 1 or draw(st.booleans()):
+        ks = [0, den]
+        vs = [draw(st.integers(0, 50)), draw(st.integers(0, 50))]
+        if draw(st.booleans()):
+            vs[1] = vs[0]
+    else:
+        ks = [0, *sorted(draw(st.lists(st.integers(1, den - 1), max_size=6,
+                                       unique=True))), den]
+        slopes = sorted(draw(st.lists(st.integers(-5, 5) | st.just(0),
+                                      min_size=len(ks) - 1,
+                                      max_size=len(ks) - 1)), reverse=True)
+        vs = [0]
+        for k1, k2, s in zip(ks, ks[1:], slopes):
+            vs.append(vs[-1] + s * (k2 - k1))
+        low = min(vs) - draw(st.sampled_from((0, 0, 1, 7)))
+        vs = [v - low for v in vs]
+    return ks, vs, den
+
+
 def _bridge_by_substitution(K, w) -> F:
     """Reference route: substitute r = (t - lo) / wid into r - 1/(n+1) and
     integrate its product with each profile piece."""
@@ -326,7 +366,24 @@ class TestGodbersenIntegral:
     def test_closed_form_equals_expansion(self):
         for f in _seeded_concave():
             for m in range(2, 9):
-                assert godbersen_integral(f, m) == _integral_by_expansion(f, m)
+                assert godbersen_integral(f, m) == _integral_by_expansion(f, m) \
+                    == _integral_by_power_sum(f, m)
+
+    @settings(max_examples=300, deadline=None)
+    @given(integer_pieces(), st.integers(2, 16))
+    def test_closed_form_equals_power_sum_on_integer_pieces(self, piece, m):
+        # the closed-form S0 and S1 against the m-term sum they replace, on
+        # flat pieces, zero endpoints and exponents past the corpus's 8
+        f = PLConcave._from_ints(*piece)
+        assert godbersen_integral(f, m) == _integral_by_power_sum(f, m)
+
+    def test_flat_and_zero_pieces_by_hand(self):
+        # v1 == v2 takes S0 = m v1^(m-1) and S1 = C(m, 2) v1^(m-1): the
+        # constant 1 gives integral (r - 1/(m+1)) dr = 1/2 - 1/(m+1), and the
+        # zero function 0 for every m
+        for m in range(2, 17):
+            assert godbersen_integral(CONSTANT_ONE, m) == F(1, 2) - F(1, m + 1)
+            assert godbersen_integral(ZERO, m) == 0
 
     def test_values_match_recorded_digest(self):
         digest = hashlib.sha256()

@@ -773,6 +773,28 @@ class TestIncidenceAssembly:
                     by_minkowski += "Minkowski" in str(err.value)
         assert (drops, by_minkowski) == (657, 309)
 
+    def test_facet_lists_with_an_inward_normal_raise(self, corpus):
+        # a flipped normal flips its measure too, so mu_F w_F and Minkowski's
+        # relation stay as they were; the facet's height above its apex
+        # turns negative instead.  The unit cube with its x = 0 facet
+        # flipped built a body equal to unit_cube(3) with a measure of -1
+        ipts = list(unit_cube(3)._int_vertices)
+        raw = _hull_facets_int(ipts, 3)
+        k = next(i for i, (w, _, _) in enumerate(raw) if w == (-1, 0, 0))
+        flipped = raw[:k] + [((1, 0, 0), 0, raw[k][2])] + raw[k + 1:]
+        with pytest.raises(DegenerateInput, match="does not point outward"):
+            geometry._from_lattice(ipts, 1, flipped)
+        # every facet of the first 10 corpus bodies per dimension, in turn
+        for n in (2, 3, 4):
+            for _, body in [c for c in corpus if c[0].dim == n][:10]:
+                ipts = list(body._int_vertices)
+                raw = _hull_facets_int(ipts, n)
+                for k, (w, b, ids) in enumerate(raw):
+                    flip = (tuple(-c for c in w), -b, ids)
+                    with pytest.raises(DegenerateInput, match="does not point outward"):
+                        geometry._from_lattice(ipts, body._int_scale,
+                                               raw[:k] + [flip] + raw[k + 1:])
+
     def test_matches_facet_rehull(self):
         for body in oracle_bodies(20):
             assert_matches_rehull(body)

@@ -8,9 +8,11 @@ from types import SimpleNamespace
 import pytest
 
 from godbersen import (
+    DimensionMismatch,
     FeasibilityResult,
     GenSpec,
     SingularMatrix,
+    System,
     TheoremViolation,
     ZeroDirection,
     ak_feasibility,
@@ -57,6 +59,14 @@ class TestSystemTypes:
         s = make_system(2, [((1, 0), "1/2"), ((-1, 0), 0)])
         assert s.dim == 2 and s.halfspaces == (((2, 0), 1), ((-1, 0), 0))
         assert holds(s, (F(1, 4), F(99))) and not holds(s, (F(3, 4), F(0)))
+
+    def test_wrong_length_normal_has_one_error(self):
+        # make_system leaves the length check to System, so both routes
+        # raise the same error
+        for build in (lambda: make_system(2, [((1, 0, 0), 1)]),
+                      lambda: System(2, (HalfSpace((1, 0, 0), 1),))):
+            with pytest.raises(DimensionMismatch, match="^halfspace normal of wrong length$"):
+                build()
 
 
 def _assert_vertex(rows, n, res):

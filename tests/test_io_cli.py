@@ -369,6 +369,14 @@ class TestCli:
         assert main([command, "--input", str(path)] + extra) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    def test_wrong_length_normal_is_an_error(self, tmp_path, capsys):
+        # the length check is System's, so the file reader and the System
+        # constructor give one message
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps({"dim": 2, "rows": [{"w": ["1", "0", "0"], "beta": "1"}]}))
+        assert main(["helly", "--input", str(path)]) == 1
+        assert capsys.readouterr().err == "error: halfspace normal of wrong length\n"
+
     @pytest.mark.parametrize("data, message", [
         ([{"dim": 2}], 'spec row 0 has no "kind"'),
         ([{"kind": "cube", "dim": 2}, {"kind": "cube"}], 'spec row 1 has no "dim"'),

@@ -307,14 +307,49 @@ class TestProfileIdentities:
         cayley = mixedvol._cayley_mixed_volumes
 
         def bumped(K, L):
-            c = list(cayley(K, L))
-            c[2] = F(5)  # m_2 = 5 > m_1^2 / m_0 = 1
-            return tuple(c)
+            raw, unit = cayley(K, L)
+            raw = list(raw)
+            raw[2] = 5 * unit  # m_2 = 5 > m_1^2 / m_0 = 1
+            return tuple(raw), unit
 
         monkeypatch.setattr(mixedvol, "_cayley_mixed_volumes", bumped)
         cube = unit_cube(3)
         with pytest.raises(TheoremViolation, match="log-concave"):
             mv_profile(cube, reflect(cube))
+
+    @pytest.mark.parametrize("j, delta, message", [
+        (0, -2, "negative mixed volume m_0 = -1"),
+        (0, -1, "endpoint m_0 disagrees with Vol"),
+        (3, -1, "endpoint m_n disagrees with Vol"),
+    ])
+    def test_integer_check_violation_raises(self, monkeypatch, j, delta, message):
+        # every cube coefficient is 1, raw_j = unit; one end moved by delta
+        # units keeps raw_j^2 >= raw_(j-1) raw_(j+1), so the named check fires
+        cayley = mixedvol._cayley_mixed_volumes
+
+        def moved(K, L):
+            raw, unit = cayley(K, L)
+            raw = list(raw)
+            raw[j] += delta * unit
+            return tuple(raw), unit
+
+        monkeypatch.setattr(mixedvol, "_cayley_mixed_volumes", moved)
+        cube = unit_cube(3)
+        with pytest.raises(TheoremViolation, match=message):
+            mv_profile(cube, reflect(cube))
+
+    def test_integer_form_holds_the_coefficients(self, corpus):
+        # mv_profile's raw sums over its unit are the Fraction coefficients,
+        # and the public constructor reads the same ratios off them
+        for _, body in corpus[::9]:
+            for partner in (reflect(body), body):
+                prof = mv_profile(body, partner)
+                assert prof._unit > 0
+                assert prof.coeffs == tuple(F(r, prof._unit) for r in prof._raw)
+                again = mixedvol.MixedVolumeProfile(prof.n, prof.coeffs)
+                assert again == prof
+                assert again.coeffs == tuple(F(r, again._unit) for r in again._raw)
+        assert mixedvol.MixedVolumeProfile(2, (F(1, 2), 1, F(3, 4)))._raw == (2, 4, 3)
 
     def test_palindrome_violation_raises(self, monkeypatch):
         monkeypatch.setattr(mixedvol, "mv_profile", lambda K, L: (

@@ -1,8 +1,12 @@
+import concurrent.futures
 import hashlib
 import json
+import os
+import subprocess
 import sys
 from dataclasses import asdict
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -134,16 +138,29 @@ def test_sweep_rejects_jobs_below_one(tmp_path, jobs):
 
 
 def test_pool_size_is_capped_by_body_count(tmp_path, monkeypatch):
-    pool_class = sweep_module.ProcessPoolExecutor
+    # sweep imports the pool class from concurrent.futures when it needs one
+    pool_class = concurrent.futures.ProcessPoolExecutor
     workers = []
 
     def recording_pool(max_workers):
         workers.append(max_workers)
         return pool_class(max_workers=max_workers)
 
-    monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", recording_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_pool)
     specs = [GenSpec("cube", 2), GenSpec("simplex", 3)]
     sweep_module.sweep(specs, tmp_path / "parallel.csv", jobs=6)
     sweep_module.sweep(specs, tmp_path / "serial.csv", jobs=1)
     assert workers == [2]
     assert (tmp_path / "parallel.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # only a parallel sweep needs the pool, so a fresh process that imports
+    # the CLI has loaded none of its modules
+    src = str(Path(sweep_module.__file__).parents[1])
+    code = ("import sys, godbersen.cli; print(sorted(m for m in ("
+            "'concurrent.futures', 'multiprocessing', 'logging', 'pickle', "
+            "'socket') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert out.stdout.strip() == "[]"
