@@ -22,8 +22,10 @@ both exact divisions, since they are polynomial identities over the
 integers; when d = 0, S0 = m v1^(m-1) and S1 = C(m, 2) v1^(m-1).  The piece
 then contributes h / (m (m+1)) * (((m+1) k1 - 1 + h) S0 + h S1), a fixed
 number of integer operations whatever m is.  A function is held as integer
-knots and values over one denominator, and ``random_concave`` draws and
-integrates it in integers, so the integral makes one Fraction, its result.
+knots and values over one denominator, its Fraction knots and values only
+views made when first read, and ``random_concave`` draws and integrates it
+in integers, so a drawn function's integral check makes one Fraction, its
+result.
 Slice-root concavity (Brunn's principle) is decided exactly on the integer
 section pieces, with no root taken: a Bernstein certificate settles a piece,
 and a Sturm sign test any piece it leaves open
@@ -36,8 +38,9 @@ integer numerators instead of n-th roots.  No verdict here takes a float.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb, gcd, lcm
 
 from .errors import InvalidM, LemmaViolation, NotConcave, TheoremViolation
@@ -51,30 +54,27 @@ MAX_EXTRA_KNOTS = 6
 DENOMINATOR_BOUND = 8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PLConcave:
     """Piecewise-linear concave f >= 0 on [0,1]; knots include 0 and 1.
     Knots and values are read by ``scale_to_integers``: ints, Fractions and
     rational strings, never floats.
 
-    Every check reads one integer form: the knots and values are
+    The function is held as one integer form: the knots and values are
     ``_int_knots`` and ``_int_values`` over the positive ``_int_scale``, with
-    no common factor.  The constructor makes it with its one
-    ``scale_to_integers`` call, whose multiplier is the least one;
-    ``random_concave`` hands it over in integers (``_from_ints``), and the
-    same checks run on it.  The ``knots`` and ``values`` fields are views of
-    that form: ints when the scale is 1, Fractions otherwise.  A piece's
-    slope is its (width, rise) pair, compared by cross-multiplication, so no
-    slope is divided out."""
+    no common factor, so equal functions have equal forms.  The constructor
+    makes it with its one ``scale_to_integers`` call, whose multiplier is the
+    least one; ``random_concave`` hands it over in integers (``_from_ints``),
+    and the same checks run on it.  ``knots`` and ``values`` are Fraction
+    views, made when first read.  A piece's slope is its (width, rise) pair,
+    compared by cross-multiplication, so no slope is divided out."""
 
-    knots: tuple[Rat, ...]
-    values: tuple[Rat, ...]
-    _int_knots: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _int_values: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _int_scale: int = field(init=False, repr=False, compare=False)
+    _int_knots: tuple[int, ...]
+    _int_values: tuple[int, ...]
+    _int_scale: int
 
-    def __post_init__(self):
-        (ks, vs), den = scale_to_integers([self.knots, self.values])
+    def __init__(self, knots, values):
+        (ks, vs), den = scale_to_integers([knots, values])
         self._set_form(ks, vs, den)
 
     @classmethod
@@ -89,8 +89,7 @@ class PLConcave:
         return f
 
     def _set_form(self, ks: tuple[int, ...], vs: tuple[int, ...], den: int) -> None:
-        """Check the integer knots and values over ``den`` and keep them, with
-        their views."""
+        """Check the integer knots and values over ``den`` and keep them."""
         if len(ks) != len(vs) or len(ks) < 2:
             raise NotConcave("knots and values must match and cover [0,1]")
         if ks[0] != 0 or ks[-1] != den:
@@ -104,12 +103,20 @@ class PLConcave:
         # rise2 / h2 > rise1 / h1, with both widths positive
         if any(r2 * h1 > r1 * h2 for (h1, r1), (h2, r2) in zip(pieces, pieces[1:])):
             raise NotConcave("slopes must be nonincreasing")
-        for name, xs in (("knots", ks), ("values", vs)):
-            object.__setattr__(self, name, xs if den == 1
-                               else tuple(Fraction(x, den) for x in xs))
         object.__setattr__(self, "_int_knots", ks)
         object.__setattr__(self, "_int_values", vs)
         object.__setattr__(self, "_int_scale", den)
+
+    @cached_property
+    def knots(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(k, self._int_scale) for k in self._int_knots)
+
+    @cached_property
+    def values(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(v, self._int_scale) for v in self._int_values)
+
+    def __repr__(self):
+        return f"PLConcave(knots={self.knots!r}, values={self.values!r})"
 
     def is_linear(self) -> bool:
         """Single slope across all of [0,1]; the slopes never increase, so
@@ -187,8 +194,7 @@ def random_concave(rng: random.Random) -> PLConcave:
     slopes in decreasing order, integrate to values, then shift so the
     minimum value is exactly 0.  The draws are held as integers, knots over
     33 and slopes over lcm(1..``DENOMINATOR_BOUND``), and integrated in
-    integers; the only Fractions made are the function's knot and value
-    views.
+    integers, so no Fraction is made.
     """
     q = DENOMINATOR_BOUND * 4 + 1
     big = lcm(*range(1, DENOMINATOR_BOUND + 1))
@@ -230,8 +236,8 @@ def bm_check(K: Polytope, L: Polytope) -> BrunnMinkowskiResult:
     is kept in the result and is always True.
     """
     profile = mv_profile(K, L)  # raises DimensionMismatch on unequal dims
-    n, raw = profile.n, profile._raw
-    total = Fraction(sum(comb(n, j) * r for j, r in enumerate(raw)), profile._unit)
+    n, raw = profile.n, profile.raw
+    total = Fraction(sum(comb(n, j) * r for j, r in enumerate(raw)), profile.unit)
     # m_j = raw_j / unit and both sides have degree n, so unit cancels
     sides = [(r ** n, raw[0] ** (n - j) * raw[n] ** j) for j, r in enumerate(raw)]
     if any(a < b for a, b in sides):

@@ -42,9 +42,10 @@ source's facets and fan instead of rebuilding them.
 from __future__ import annotations
 
 import os
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, reduce
 from math import comb, factorial, gcd, lcm
-from functools import reduce
 from operator import and_, mul
 
 from .errors import (
@@ -59,13 +60,13 @@ from .linalg import (
     _echelon,
     _with_identity,
     adjugate,
-    int_rank,
     primitive,
     scale_to_integers,
 )
 from .rationals import Point, Rat
 
 
+@dataclass(eq=False)
 class Facet:
     """One facet: outward integer normal, offset, scaled measure, vertex ids.
 
@@ -77,31 +78,20 @@ class Facet:
     Fraction views, made when first read.
     """
 
-    __slots__ = ("normal", "vertex_ids", "_offset_num", "_scale", "_measure_num",
-                 "_measure_den", "_offset", "_measure")
+    normal: tuple[int, ...]
+    _offset_num: int
+    _scale: int
+    _measure_num: int
+    _measure_den: int
+    vertex_ids: tuple[int, ...]
 
-    def __init__(self, normal: tuple[int, ...], offset_num: int, scale: int,
-                 measure_num: int, measure_den: int, vertex_ids: tuple[int, ...]):
-        self.normal = normal
-        self.vertex_ids = vertex_ids
-        self._offset_num = offset_num
-        self._scale = scale
-        self._measure_num = measure_num
-        self._measure_den = measure_den
-        self._offset = None
-        self._measure = None
-
-    @property
+    @cached_property
     def offset(self) -> Fraction:
-        if self._offset is None:
-            self._offset = Fraction(self._offset_num, self._scale)
-        return self._offset
+        return Fraction(self._offset_num, self._scale)
 
-    @property
+    @cached_property
     def measure(self) -> Fraction:
-        if self._measure is None:
-            self._measure = Fraction(self._measure_num, self._measure_den)
-        return self._measure
+        return Fraction(self._measure_num, self._measure_den)
 
     def __repr__(self):
         return f"Facet(normal={self.normal}, offset={self.offset}, measure={self.measure})"
@@ -115,6 +105,7 @@ class Facet:
         return hash((self.normal, self.offset))
 
 
+@dataclass(eq=False)
 class Polytope:
     """Full-dimensional bounded rational polytope.
 
@@ -132,45 +123,27 @@ class Polytope:
     first read and then kept.
     """
 
-    __slots__ = ("dim", "facets", "_int_vertices", "_int_scale", "_simplices",
-                 "_fan_volumes", "_centroid_num", "_centroid_den", "_vertices",
-                 "_volume", "_centroid")
+    dim: int
+    _int_vertices: list[tuple[int, ...]]
+    _int_scale: int
+    facets: tuple[Facet, ...]
+    _simplices: tuple[tuple[int, ...], ...]
+    _fan_volumes: tuple[int, ...]
+    _centroid_num: tuple[int, ...]
+    _centroid_den: int
 
-    def __init__(self, dim, int_vertices, int_scale, facets, simplices,
-                 fan_volumes, centroid_num, centroid_den):
-        self.dim = dim
-        self.facets = facets
-        self._int_vertices = int_vertices
-        self._int_scale = int_scale
-        self._simplices = simplices
-        self._fan_volumes = fan_volumes
-        self._centroid_num = centroid_num
-        self._centroid_den = centroid_den
-        self._vertices = None
-        self._volume = None
-        self._centroid = None
-
-    @property
+    @cached_property
     def vertices(self) -> tuple[Point, ...]:
-        if self._vertices is None:
-            m = self._int_scale
-            self._vertices = tuple(tuple(Fraction(c, m) for c in p)
-                                   for p in self._int_vertices)
-        return self._vertices
+        m = self._int_scale
+        return tuple(tuple(Fraction(c, m) for c in p) for p in self._int_vertices)
 
-    @property
+    @cached_property
     def volume(self) -> Fraction:
-        if self._volume is None:
-            self._volume = Fraction(sum(self._fan_volumes),
-                                    factorial(self.dim) * self._int_scale ** self.dim)
-        return self._volume
+        return Fraction(sum(self._fan_volumes), factorial(self.dim) * self._int_scale ** self.dim)
 
-    @property
+    @cached_property
     def centroid(self) -> Point:
-        if self._centroid is None:
-            self._centroid = tuple(Fraction(c, self._centroid_den)
-                                   for c in self._centroid_num)
-        return self._centroid
+        return tuple(Fraction(c, self._centroid_den) for c in self._centroid_num)
 
     def __repr__(self):
         return (f"Polytope(dim={self.dim}, vertices={len(self._int_vertices)}, "
@@ -239,9 +212,13 @@ def _seed_rays(rows) -> tuple[list[int], list[tuple[int, ...]]]:
     One Bareiss pass over [R^T | I], R the rows: its pivot columns are the
     seed, and the back-substitution gives the rows of D (B^T)^-1, D = +-det B.
     Row j is D B^-1 e_j, so -sign(D) times it is -|det B| B^-1 e_j, the
-    j-th column of -sign(det B) adj(B).
+    j-th column of -sign(det B) adj(B).  The rows fail to span R^k exactly
+    when a pivot falls in the identity block, which raises DegenerateInput:
+    for lifted points (p, 1), that the points do not affinely span R^(k-1).
     """
     a, seed, _ = _echelon(_with_identity(list(zip(*rows))))
+    if seed[-1] >= len(rows):
+        raise DegenerateInput(f"points do not span R^{len(rows[0]) - 1}")
     d, inv = _back_substitute(a, seed, len(rows))
     sign = -1 if d > 0 else 1
     return seed, [primitive([sign * c for c in r]) for r in inv]
@@ -252,9 +229,10 @@ def _cone_rays(rows) -> list[tuple[tuple[int, ...], int]]:
 
     The double description method (Motzkin, Raiffa, Thompson and Thrall
     1953; Fukuda and Prodon, "Double description method revisited", 1996) on
-    integer rows of length k that span R^k.  Returns (ray, tight) pairs: the
-    ray as a primitive integer vector, ``tight`` the bitmask of the rows a
-    with a . ray = 0.
+    integer rows of length k, which must span R^k: the seed raises
+    DegenerateInput if they do not.  Returns (ray, tight) pairs: the ray as a
+    primitive integer vector, ``tight`` the bitmask of the rows a with
+    a . ray = 0.
 
     The first linearly independent rows B seed the cone, from one
     elimination (``_seed_rays``): its rays are the columns of
@@ -299,8 +277,8 @@ def _hull_facets_int(pts: list[tuple[int, ...]], d: int):
 
     The facet w . x <= b is the extreme ray (w, -b) of the cone
     {y : (p, 1) . y <= 0 for every point p}, and the points on it are the
-    rows tight on that ray; the normal is made coprime.  Assumes the points
-    affinely span R^d.
+    rows tight on that ray; the normal is made coprime.  Points that do not
+    affinely span R^d raise DegenerateInput.
     """
     facets = []
     for ray, tight in _cone_rays([p + (1,) for p in pts]):
@@ -510,14 +488,14 @@ def build_hull(points) -> Polytope:
 def _lattice_hull(points: list[tuple[int, ...]], mult: int) -> Polytope:
     """``build_hull`` of the integer points c / mult, which share one
     dimension n >= 1: the points are deduplicated and sorted (a positive
-    common scale keeps their lexicographic order), must span R^n, and their
-    bound ``_max_facets`` must pass the cap.  ``_from_lattice`` coarsens to
-    the smallest lattice, so any common scale gives the same body."""
+    common scale keeps their lexicographic order), must number at least
+    n + 1, and their bound ``_max_facets`` must pass the cap; the seed of
+    ``_cone_rays`` then finds whether they span R^n.  ``_from_lattice``
+    coarsens to the smallest lattice, so any common scale gives the same
+    body."""
     ipts = sorted(set(points))
     n = len(ipts[0])
-    base = ipts[0]
-    if len(ipts) < n + 1 or int_rank([tuple(a - b for a, b in zip(p, base))
-                                      for p in ipts[1:]]) < n:
+    if len(ipts) < n + 1:
         raise DegenerateInput(f"points do not span R^{n}")
     check_subset_cap(_max_facets(len(ipts), n), f"hull of {len(ipts)} points in R^{n}")
     return _from_lattice(ipts, mult, _hull_facets_int(ipts, n))

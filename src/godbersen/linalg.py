@@ -8,9 +8,12 @@ back-substitution (``_back_substitute``); no minor is taken on its own.  The
 facet kernel of ``geometry`` seeds from one pass too: on its transposed rows
 followed by I, the pivot columns pick the first linearly independent rows B,
 and the back-substitution gives the rows of adj(B)^T up to sign, the first
-rays.  The fan simplices' determinants in ``geometry`` take the same step
-one row at a time: ``_pulling_fan`` reduces each vertex's row once, against
-the pivot rows that every simplex below it shares.
+rays.  The same pass decides the span: the rows fail to span exactly when a
+pivot falls in the I block, so a hull takes no rank of its points on its
+own (``int_rank`` is kept for the tests).  The fan simplices' determinants
+in ``geometry`` take the same step one row at a time: ``_pulling_fan``
+reduces each vertex's row once, against the pivot rows that every simplex
+below it shares.
 No normal of a span is formed.
 
 ``scale_to_integers`` is the package's one API edge: every public entry that
@@ -162,5 +165,6 @@ def adjugate(rows) -> tuple[int, list[list[int]]]:
 
 
 def int_rank(rows) -> int:
-    """Rank of an integer matrix."""
+    """Rank of an integer matrix; the tests' oracle, since the hull's seed
+    elimination decides the span itself."""
     return len(_echelon(rows)[1])

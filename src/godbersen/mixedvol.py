@@ -21,17 +21,23 @@ binomial sum Vol(K - K) obeys Rogers-Shephard, at most C(2n, n) Vol K with
 equality exactly for simplices (Rogers & Shephard 1957).  Each coefficient
 sums fan simplices of one type, so the ends and the palindrome compare
 simplices of different types with each other.
+
+A profile is held as integers: the fan's determinant sums raw_j over one
+positive unit, m_j = raw_j / unit, reduced by their gcd.  Every check above
+runs on that form, m_1 against the facet formula cross-multiplied, so
+building a profile makes no Fraction; the coefficients ``coeffs`` are a
+view, made when first read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, lcm
+from functools import cached_property
+from math import comb, factorial, gcd, lcm
 
 from .errors import DimensionMismatch, TheoremViolation
 from .geometry import Polytope, _cayley_mixed_volumes, _idot, reflect
-from .linalg import scale_to_integers
 from .rationals import Rat
 
 
@@ -40,30 +46,23 @@ class MixedVolumeProfile:
     """Coefficients m_j = V(K[n-j], L[j]) for j = 0..n, so
     Vol(K + tL) = sum_j C(n,j) m_j t^j.
 
-    The checks read one integer form, m_j = ``_raw[j]`` / ``_unit`` over the
-    positive ``_unit``: the constructor reads it off the coefficients with
-    ``scale_to_integers``, and ``mv_profile`` hands over the Cayley fan's
-    integer sums (``_from_raw``)."""
+    The profile is held as integers, m_j = ``raw[j]`` / ``unit`` over the
+    positive ``unit``, reduced by their gcd at construction, so equal
+    profiles compare equal.  ``coeffs`` is the Fraction view, made when first
+    read."""
 
     n: int
-    coeffs: tuple[Rat, ...]
-    _raw: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _unit: int = field(init=False, repr=False, compare=False)
+    raw: tuple[int, ...]
+    unit: int
 
     def __post_init__(self):
-        (raw,), unit = scale_to_integers([self.coeffs])
-        object.__setattr__(self, "_raw", raw)
-        object.__setattr__(self, "_unit", unit)
+        g = gcd(self.unit, *self.raw)
+        object.__setattr__(self, "raw", tuple(r // g for r in self.raw))
+        object.__setattr__(self, "unit", self.unit // g)
 
-    @classmethod
-    def _from_raw(cls, n: int, raw: tuple[int, ...], unit: int) -> MixedVolumeProfile:
-        """The profile m_j = raw[j] / unit over the positive ``unit``, with
-        its Fraction coefficients made from that form."""
-        p = object.__new__(cls)
-        for name, value in (("n", n), ("coeffs", tuple(Fraction(r, unit) for r in raw)),
-                            ("_raw", raw), ("_unit", unit)):
-            object.__setattr__(p, name, value)
-        return p
+    @cached_property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(r, self.unit) for r in self.raw)
 
 
 @dataclass(frozen=True)
@@ -112,14 +111,17 @@ def mv_profile(K: Polytope, L: Polytope) -> MixedVolumeProfile:
     m_j is n + 1 times the volume of the fan simplices of C = conv(K x {0}
     u L x {1}) with j + 1 vertices at the L end.  Nonnegativity,
     log-concavity, m_0 = Vol K, m_n = Vol L and m_1 against the facet
-    formula are asserted.  All but the last compare the fan's integer sums
-    raw_j = m_j unit: raw_j^2 >= raw_(j-1) raw_(j+1), and an end against a
-    body's fan volumes over n! s^n, cross-multiplied.
+    formula are asserted, all on the fan's integer sums raw_j = m_j unit:
+    raw_j^2 >= raw_(j-1) raw_(j+1), an end against a body's fan volumes over
+    n! s^n, and m_1 against the facet formula's p / q as raw_1 q = p unit,
+    cross-multiplied.  So the profile makes no Fraction; the facet formula
+    makes its one.
     """
     n = K.dim
     if L.dim != n:
         raise DimensionMismatch("mixed volume needs equal dimensions")
-    raw, unit = _cayley_mixed_volumes(K, L)
+    profile = MixedVolumeProfile(n, *_cayley_mixed_volumes(K, L))
+    raw, unit = profile.raw, profile.unit
     for j, r in enumerate(raw):
         if r < 0:
             raise TheoremViolation(f"negative mixed volume m_{j} = {Fraction(r, unit)}")
@@ -130,9 +132,8 @@ def mv_profile(K: Polytope, L: Polytope) -> MixedVolumeProfile:
                          (raw[n], L, "m_n disagrees with Vol(L)")):
         if r * factorial(n) * body._int_scale ** n != sum(body._fan_volumes) * unit:
             raise TheoremViolation(f"profile endpoint {end}")
-    profile = MixedVolumeProfile._from_raw(n, raw, unit)
     first = mv_first(L, K)
-    if profile.coeffs[1] != first:
+    if raw[1] * first.denominator != first.numerator * unit:
         raise TheoremViolation(
             f"profile coefficient m_1 = {profile.coeffs[1]} disagrees with the "
             f"facet formula value {first}")
@@ -172,10 +173,10 @@ def godbersen_report(K: Polytope) -> GodbersenReport:
     vol = K.volume
     is_simplex = len(K._int_vertices) == n + 1
     profile = mv_profile(K, reflect(K))
-    raw = profile._raw
+    raw = profile.raw
     if raw != raw[::-1]:
         raise TheoremViolation("the (K, -K) profile is not palindromic")
-    difference = Fraction(sum(comb(n, j) * r for j, r in enumerate(raw)), profile._unit)
+    difference = Fraction(sum(comb(n, j) * r for j, r in enumerate(raw)), profile.unit)
     rs_bound = comb(2 * n, n) * vol
     if difference > rs_bound or (difference == rs_bound) != is_simplex:
         raise TheoremViolation(

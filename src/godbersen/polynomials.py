@@ -18,8 +18,7 @@ double root that touches 0 thus passes.
 
 from __future__ import annotations
 
-from math import gcd
-
+from .linalg import primitive
 from .rationals import Rat
 
 Poly = list
@@ -63,12 +62,6 @@ def evaluate(p: Poly, t: Rat) -> Rat:
     return acc
 
 
-def _primitive(p: list[int]) -> list[int]:
-    """p divided by the gcd of its coefficients (a positive number)."""
-    g = gcd(*p)
-    return [c // g for c in p] if g > 1 else p
-
-
 def _prem(a: list[int], b: list[int]) -> list[int]:
     """A positive integer multiple of the remainder of a by b: each step
     scales by |lc(b)|, so the sign of the true remainder is kept."""
@@ -101,20 +94,20 @@ def _gcd(a: list[int], b: list[int]) -> list[int]:
     if len(a) < len(b):
         a, b = b, a
     while b:
-        a, b = b, _primitive(_prem(a, b))
-    a = _primitive(a)
+        a, b = b, primitive(_prem(a, b))
+    a = primitive(a)
     return a if a[-1] > 0 else [-c for c in a]
 
 
 def _sturm(p: list[int]) -> list[list[int]]:
     """Sturm sequence of a nonconstant p, divided by gcd(p, p'), so it stays a
     Sturm sequence of the square-free part at the roots of p as well."""
-    seq = [p, _primitive(derivative(p))]
+    seq = [p, primitive(derivative(p))]
     while True:
         r = _prem(seq[-2], seq[-1])
         if not r:
             break
-        seq.append(_primitive([-c for c in r]))
+        seq.append(primitive([-c for c in r]))
     g = seq[-1]
     if len(g) > 1:
         seq = [_exact_div(s, g) for s in seq]

@@ -261,7 +261,7 @@ class TestPLConcave:
                 godbersen_integral_check(f, m)
         assert len(calls) == 1
         assert [fd.name for fd in dataclasses.fields(PLConcave)] == [
-            "knots", "values", "_int_knots", "_int_values", "_int_scale"]
+            "_int_knots", "_int_values", "_int_scale"]
         assert all(type(x) is int for f in functions
                    for x in f._int_knots + f._int_values + (f._int_scale,))
 
@@ -275,17 +275,32 @@ class TestPLConcave:
             again = PLConcave(f.knots, f.values)
             for other in (g, again):
                 assert _all_fields(f) == _all_fields(other)
-            view = int if f._int_scale == 1 else F
-            assert all(type(x) is view for x in f.knots + f.values)
+            assert all(type(x) is F for x in f.knots + f.values)
             assert rng.random() == ref.random()
 
     def test_random_concave_makes_only_its_views(self, monkeypatch):
+        # the draw makes no Fraction; its two views are made once, when
+        # first read
         made = count_fractions(monkeypatch)
         rng = random.Random(5)
         for _ in range(50):
-            before = len(made)
             f = random_concave(rng)
-            assert len(made) - before == (f._int_scale > 1) * 2 * len(f.knots)
+            assert made == []
+            assert f.knots is f.knots and f.values is f.values
+            assert len(made) == 2 * len(f._int_knots)
+            made.clear()
+
+    def test_integral_check_makes_only_its_value(self, monkeypatch):
+        made = count_fractions(monkeypatch)
+        rng = random.Random(6)
+        for m in range(2, 9):
+            res = godbersen_integral_check(random_concave(rng), m)
+            assert len(made) == 1 and F(*made[0]) == res.value
+            made.clear()
+
+    def test_constructor_and_integer_form_give_equal_functions(self):
+        f = PLConcave._from_ints([0, 6, 12], [0, 12, 12], 12)
+        assert f == TENT and hash(f) == hash(TENT)
 
     def test_integer_form_is_checked_like_the_constructor(self):
         # _from_ints reduces its form and runs the constructor's checks
@@ -594,7 +609,7 @@ class TestBrunnMinkowski:
         # them is a bug and raises, though its sum 1 + 2 (1/2) + 1 = 3 is
         # below (1 + 1)^2 = 4 anyway
         monkeypatch.setattr(concave, "mv_profile",
-                            lambda K, L: MixedVolumeProfile(2, (F(1), F(1, 2), F(1))))
+                            lambda K, L: MixedVolumeProfile(2, (2, 1, 2), 2))
         sq = build_hull(SQUARE)
         with pytest.raises(TheoremViolation, match="Minkowski inequality"):
             bm_check(sq, sq)

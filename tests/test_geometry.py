@@ -1375,6 +1375,26 @@ class TestConeRays:
         assert sorted(_cone_rays(rows)) == [
             ((-1, 0, 0), 0b101), ((0, -1, 0), 0b011), ((1, 1, -1), 0b110)]
 
+    def test_seed_decides_the_span(self, monkeypatch):
+        # rows that do not span leave a seed pivot in the identity block:
+        # coplanar points lifted to (p, 1) in R^4, and collinear points in
+        # the plane through build_hull.  The hull path takes no rank, and
+        # checks its facet bound before the span
+        ranks = []
+        monkeypatch.setattr(linalg, "int_rank", lambda rows: ranks.append(rows))
+        coplanar = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (2, 3, 0)]
+        with pytest.raises(DegenerateInput, match=r"^points do not span R\^3$"):
+            _cone_rays([p + (1,) for p in coplanar])
+        collinear = [(0, 0), (1, 1), (2, 2), (3, 3)]
+        with pytest.raises(DegenerateInput, match=r"^points do not span R\^2$"):
+            build_hull(collinear)
+        build_hull(SQUARE)
+        build_hull(moment_curve(12, 4))
+        assert ranks == [] and not hasattr(geometry, "int_rank")
+        monkeypatch.setenv("GODBERSEN_SUBSET_CAP", "3")
+        with pytest.raises(CombinatorialBlowup, match=r"hull of 4 points in R\^2"):
+            build_hull(collinear)
+
     def test_recipe_cayley_facets_match_the_sum(self):
         # the mixed Cayley facets against the facets of K + L, hulled from
         # the pairwise vertex sums, with each summand face by argmax.  Both

@@ -1,7 +1,8 @@
+import dataclasses
 import random
 from fractions import Fraction as F
 from itertools import product
-from math import comb, factorial
+from math import comb, factorial, gcd
 
 import pytest
 
@@ -25,7 +26,7 @@ from godbersen import (
     translate,
     unit_cube,
 )
-from tests.conftest import minkowski_sum, simplex_int_volume
+from tests.conftest import count_fractions, minkowski_sum, simplex_int_volume
 from tests.test_geometry import SQUARE, TRIANGLE, random_polytope, square_times_octahedron
 from tests.test_linalg import solve_linear
 
@@ -339,21 +340,46 @@ class TestProfileIdentities:
             mv_profile(cube, reflect(cube))
 
     def test_integer_form_holds_the_coefficients(self, corpus):
-        # mv_profile's raw sums over its unit are the Fraction coefficients,
-        # and the public constructor reads the same ratios off them
+        # mv_profile's raw sums over its unit, in lowest terms, are the
+        # Fraction coefficients, and the constructor reduces any multiple of
+        # them to the same profile
+        assert [fd.name for fd in dataclasses.fields(mixedvol.MixedVolumeProfile)] == [
+            "n", "raw", "unit"]
         for _, body in corpus[::9]:
             for partner in (reflect(body), body):
                 prof = mv_profile(body, partner)
-                assert prof._unit > 0
-                assert prof.coeffs == tuple(F(r, prof._unit) for r in prof._raw)
-                again = mixedvol.MixedVolumeProfile(prof.n, prof.coeffs)
+                assert prof.unit > 0 and gcd(prof.unit, *prof.raw) == 1
+                assert prof.coeffs == tuple(F(r, prof.unit) for r in prof.raw)
+                again = mixedvol.MixedVolumeProfile(
+                    prof.n, tuple(6 * r for r in prof.raw), 6 * prof.unit)
                 assert again == prof
-                assert again.coeffs == tuple(F(r, again._unit) for r in again._raw)
-        assert mixedvol.MixedVolumeProfile(2, (F(1, 2), 1, F(3, 4)))._raw == (2, 4, 3)
+                assert again.coeffs == prof.coeffs
+        assert mixedvol.MixedVolumeProfile(2, (2, 4, 3), 4).coeffs == (F(1, 2), 1, F(3, 4))
+
+    def test_equal_profiles_compare_equal(self):
+        a = mixedvol.MixedVolumeProfile(2, (2, 4, 3), 4)
+        b = mixedvol.MixedVolumeProfile(2, (4, 8, 6), 8)
+        assert a == b and hash(a) == hash(b)
+        assert (a.raw, a.unit) == ((2, 4, 3), 4)
+        assert a != mixedvol.MixedVolumeProfile(2, (2, 4, 3), 5)
+
+    def test_profile_makes_only_the_facet_formula_value(self, corpus, monkeypatch):
+        # every check runs on the integer form; m_1 is cross-multiplied
+        # against mv_first's one Fraction
+        pairs = [(body, partner) for _, body in corpus[::15]
+                 for partner in (reflect(body), body)]
+        made = count_fractions(monkeypatch)
+        for K, L in pairs:
+            prof = mv_profile(K, L)
+            assert len(made) == 1
+            first = made.pop()
+            assert prof.coeffs is prof.coeffs and len(made) == K.dim + 1
+            assert F(*first) == prof.coeffs[1] == mv_first(L, K)
+            made.clear()
 
     def test_palindrome_violation_raises(self, monkeypatch):
         monkeypatch.setattr(mixedvol, "mv_profile", lambda K, L: (
-            mixedvol.MixedVolumeProfile(3, (F(1), F(1), F(2), F(1)))))
+            mixedvol.MixedVolumeProfile(3, (1, 1, 2, 1), 1)))
         with pytest.raises(TheoremViolation, match="palindromic"):
             godbersen_report(unit_cube(3))
 
@@ -361,7 +387,7 @@ class TestProfileIdentities:
         # ratio 1 at j = 1 and j = n - 1 on a cube, with the palindrome and a
         # strict Rogers-Shephard bound (64 < 70) left standing
         monkeypatch.setattr(mixedvol, "mv_profile", lambda K, L: (
-            mixedvol.MixedVolumeProfile(4, tuple(map(F, (1, 4, 5, 4, 1))))))
+            mixedvol.MixedVolumeProfile(4, (1, 4, 5, 4, 1), 1)))
         with pytest.raises(TheoremViolation,
                            match="ratio 1 at j=1: it must be 1 exactly for simplices"):
             godbersen_report(unit_cube(4))
@@ -374,13 +400,13 @@ class TestProfileIdentities:
         with pytest.raises(TheoremViolation, match=f"the {name} bound fails at j=1: 1$"):
             godbersen_report(unit_cube(3))
 
-    @pytest.mark.parametrize("body, coeffs", [
-        (unit_cube(4), (1, 1, 100, 1, 1)),  # above C(8,4) Vol K = 70
-        (build_hull(SQUARE), (1, 2, 1)),  # equality for a square
-        (build_hull(TRIANGLE), (F(1, 2), F(1, 2), F(1, 2))),  # strict for a simplex
+    @pytest.mark.parametrize("body, raw, unit", [
+        (unit_cube(4), (1, 1, 100, 1, 1), 1),  # above C(8,4) Vol K = 70
+        (build_hull(SQUARE), (1, 2, 1), 1),  # equality for a square
+        (build_hull(TRIANGLE), (1, 1, 1), 2),  # strict for a simplex
     ], ids=["above-bound", "equality-non-simplex", "strict-simplex"])
-    def test_rogers_shephard_violation_raises(self, monkeypatch, body, coeffs):
+    def test_rogers_shephard_violation_raises(self, monkeypatch, body, raw, unit):
         monkeypatch.setattr(mixedvol, "mv_profile", lambda K, L: (
-            mixedvol.MixedVolumeProfile(K.dim, tuple(map(F, coeffs)))))
+            mixedvol.MixedVolumeProfile(K.dim, raw, unit)))
         with pytest.raises(TheoremViolation, match="Rogers-Shephard"):
             godbersen_report(body)
