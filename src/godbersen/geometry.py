@@ -36,7 +36,11 @@ down the recursion: each face reduces only its own vertex row against its
 ancestors' pivot rows (Bareiss's step), so a simplex's determinant is the
 last pivot of its chain and no determinant is taken on its own.
 An invertible affine map keeps the incidence, so ``transform`` relabels its
-source's facets and fan instead of rebuilding them.
+source's facets and fan instead of rebuilding them.  A homothety x -> lam x
++ t keeps more: each normal up to the sign of lam, and the order of the
+vertices and facets, reversed when lam < 0.  So ``translate``, ``scale`` and
+``reflect`` go through ``_homothety``, which takes no adjugate and sorts
+nothing; ``transform`` maps by a general A.
 """
 
 from __future__ import annotations
@@ -528,7 +532,9 @@ def transform(K: Polytope, mat=None, shift=None) -> Polytope:
     and adj(Ai) come together from one elimination (``adjugate``), which
     rejects a singular Ai before any other work.  A and t are read by one
     ``scale_to_integers`` call, before their shapes are checked, so integer
-    entries make no Fraction.
+    entries make no Fraction.  ``translate``, ``scale`` and ``reflect`` take
+    the shorter route of ``_homothety``, which the tests check against this
+    one.
     """
     n = K.dim
     if mat is None:
@@ -571,17 +577,71 @@ def transform(K: Polytope, mat=None, shift=None) -> Polytope:
                                     for r, s in zip(ai, ti)), a * den))
 
 
+def _homothety(K: Polytope, lam, shift=None) -> Polytope:
+    """``transform`` of K with A = lam I for a nonzero rational lam, by
+    relabelling alone: no adjugate, no gcd per normal and no sort.
+
+    With lam = l / a and t = ti / a over one positive integer a, the vertex
+    p / m maps to (l p + m ti) / (a m), and the image's lattice points are
+    those over c, the gcd of their entries and a m.  The map keeps the
+    lexicographic order of the points when l > 0 and reverses it when l < 0,
+    so the vertex ids, the facet order and the simplices stay, or id i
+    becomes V - 1 - i and the facets run backwards.  adj(l I) = l^(n-1) I,
+    so a normal w maps to sign(l) w, the offset b / m to
+    sign(l) (l b + m w . ti) / c on the image's lattice, and the scaled
+    measure to mu |l|^(n-1) / a^(n-1), with the gcd of the two powers divided
+    out as ``transform`` does.  A fan volume v maps to v |l|^n / c^n, the
+    centroid c_num / c_den to (l c_num + c_den ti) / (a c_den).  lam and t
+    are read as ``transform`` reads them, with its errors.
+    """
+    n = K.dim
+    ((l,), ti), a = scale_to_integers([(lam,), (0,) * n if shift is None else shift])
+    if len(ti) != n:
+        raise DimensionMismatch("translation length does not match the body")
+    if not l:
+        raise SingularMatrix("transform matrix is singular")
+    m = K._int_scale
+    mapped = [tuple(l * c + m * s for c, s in zip(p, ti)) for p in K._int_vertices]
+    common = gcd(a * m, *(c for q in mapped for c in q))
+    mult = a * m // common
+    g, grow = abs(l) ** (n - 1), a ** (n - 1)
+    h = gcd(g, grow)
+    g, grow = g // h, grow // h
+    facets = K.facets
+    simplices = K._simplices
+    if l < 0:
+        mapped.reverse()
+        last = len(mapped) - 1
+        facets = reversed(facets)
+        simplices = tuple(tuple(last - i for i in s) for s in simplices)
+    ipts = [tuple(c // common for c in q) for q in mapped]
+    image = []
+    for f in facets:
+        w, vids = f.normal, f.vertex_ids
+        b = (l * f._offset_num + m * _idot(w, ti)) // common
+        if l < 0:
+            w, vids, b = tuple(-c for c in w), tuple(last - i for i in reversed(vids)), -b
+        image.append(Facet(w, b, mult, f._measure_num * g, f._measure_den * grow, vids))
+    grow_volume, shrink = abs(l) ** n, common ** n
+    volumes = K._fan_volumes
+    if grow_volume != shrink:
+        volumes = tuple(v * grow_volume // shrink for v in volumes)
+    den = K._centroid_den
+    return Polytope(n, ipts, mult, tuple(image), simplices, volumes,
+                    *_reduced(tuple(l * c + den * s for c, s in zip(K._centroid_num, ti)),
+                              a * den))
+
+
 def translate(K: Polytope, t) -> Polytope:
-    return transform(K, None, t)
+    return _homothety(K, 1, t)
 
 
 def scale(K: Polytope, c) -> Polytope:
-    n = K.dim
-    return transform(K, [[c if i == j else 0 for j in range(n)] for i in range(n)], None)
+    return _homothety(K, c)
 
 
 def reflect(K: Polytope) -> Polytope:
-    return scale(K, -1)
+    return _homothety(K, -1)
 
 
 def includes(outer: Polytope, inner: Polytope) -> bool:

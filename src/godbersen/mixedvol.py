@@ -24,9 +24,9 @@ simplices of different types with each other.
 
 A profile is held as integers: the fan's determinant sums raw_j over one
 positive unit, m_j = raw_j / unit, reduced by their gcd.  Every check above
-runs on that form, m_1 against the facet formula cross-multiplied, so
-building a profile makes no Fraction; the coefficients ``coeffs`` are a
-view, made when first read.
+runs on that form, m_1 against the facet formula and Rogers-Shephard against
+the body's fan volumes cross-multiplied, so building a profile makes no
+Fraction; the coefficients ``coeffs`` are a view, made when first read.
 """
 
 from __future__ import annotations
@@ -167,7 +167,7 @@ def godbersen_report(K: Polytope) -> GodbersenReport:
     every lambda in [0, 1] (Artstein-Avidan, Einhorn, Florentin & Ostrover
     2015), decided exactly at its peak lambda = j / n.  The profile must be
     palindromic and meet Rogers-Shephard, with equality exactly when K is a
-    simplex; a failure raises.
+    simplex, decided on integers; a failure raises.
     """
     n = K.dim
     vol = K.volume
@@ -176,12 +176,16 @@ def godbersen_report(K: Polytope) -> GodbersenReport:
     raw = profile.raw
     if raw != raw[::-1]:
         raise TheoremViolation("the (K, -K) profile is not palindromic")
-    difference = Fraction(sum(comb(n, j) * r for j, r in enumerate(raw)), profile.unit)
-    rs_bound = comb(2 * n, n) * vol
-    if difference > rs_bound or (difference == rs_bound) != is_simplex:
+    # Vol(K - K) = sum_j C(n,j) raw_j / unit against C(2n,n) sum fan / (n! m^n),
+    # cross-multiplied
+    difference = sum(comb(n, j) * r for j, r in enumerate(raw))
+    lhs = difference * factorial(n) * K._int_scale ** n
+    rhs = comb(2 * n, n) * sum(K._fan_volumes) * profile.unit
+    if lhs > rhs or (lhs == rhs) != is_simplex:
         raise TheoremViolation(
-            f"Vol(K - K) = {difference} against the Rogers-Shephard bound "
-            f"{rs_bound}: equality must hold exactly for simplices")
+            f"Vol(K - K) = {Fraction(difference, profile.unit)} against the "
+            f"Rogers-Shephard bound {comb(2 * n, n) * vol}: equality must hold "
+            f"exactly for simplices")
     entries = []
     for j in range(1, n):
         mixed = profile.coeffs[n - j]

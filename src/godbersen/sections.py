@@ -21,9 +21,11 @@ height tied r times gives r terms in (T - g)^n .. (T - g)^(n-r+1), whose
 integer coefficients come from the first r Taylor coefficients of the
 product over the other heights (``_level_terms``).  So F needs no
 recursion, and its terms depend on the level they sit at, not on the
-interval: the terms of every simplex are summed level by level, as integer
-numerators over one lcm denominator, and each level's sum is expanded once
-in powers of T.  Piece i is the prefix sum of the levels through
+interval: the terms of every simplex are summed level by level, as the
+r-entry lists of integer numerators that ``_level_terms`` gives, over one lcm
+denominator, and each level's sum c_l (T - g)^(n-l), l < r, is added in
+powers of T by the binomial rows C(n-l, k) c_l (-g)^(n-l-k), O(r n) steps
+for the level.  Piece i is the prefix sum of the levels through
 ``levels[i]``: an integer accumulator A_i(T) over one positive
 denominator, den, shared by every piece, which is the cumulative volume
 itself on the piece,
@@ -230,6 +232,12 @@ def _bernstein_positive(r: list[int]) -> bool:
     return bool(b) and min(b) >= 0 and max(b) > 0
 
 
+@cache
+def _binomial_rows(n: int) -> tuple[tuple[int, ...], ...]:
+    """Row j, j = 0..n, holds C(j, k) for k = 0..j."""
+    return tuple(tuple(comb(j, k) for k in range(j + 1)) for j in range(n + 1))
+
+
 def _level_terms(hs: list[int], top) -> list[tuple[int, tuple[int, ...], int]]:
     """The level terms of a simplex with integer vertex heights ``hs``, for
     its distinct heights g below ``top``.
@@ -267,6 +275,14 @@ def _level_terms(hs: list[int], top) -> list[tuple[int, tuple[int, ...], int]]:
     return out
 
 
+def _add_scaled(into: list[int], f: int, terms) -> None:
+    """into += f terms, entry by entry, padding ``into`` with zeros."""
+    if len(into) < len(terms):
+        into += [0] * (len(terms) - len(into))
+    for l, b in enumerate(terms):
+        into[l] += f * b
+
+
 def section_profile(K: Polytope, w) -> SectionProfile:
     """Exact profile of K along w, in the t = x . w coordinate.
 
@@ -292,31 +308,32 @@ def section_profile(K: Polytope, w) -> SectionProfile:
     index = {h: i for i, h in enumerate(levels)}
 
     # The level terms of every simplex, weighted by its integer volume and
-    # summed per level and denominator as numerators of (T - g)^k.  No piece
-    # reaches past the top level, so its terms are never made.
+    # summed per level and denominator: entry l of a sum is the numerator of
+    # (T - g)^(n - l).  No piece reaches past the top level, so its terms are
+    # never made.
     groups: list[dict[int, list[int]]] = [{} for _ in levels[:-1]]
     for s, vol in zip(K._simplices, K._fan_volumes):
         for g, c, d in _level_terms([heights[i] for i in s], levels[-1]):
-            group = groups[index[g]]
-            nums = group.get(d)
-            if nums is None:
-                group[d] = nums = [0] * (n + 1)
-            for l, b in enumerate(c):
-                nums[n - l] += vol * b
+            _add_scaled(groups[index[g]].setdefault(d, []), vol, c)
 
-    # Over den, the lcm of all the terms' denominators, each level's sum is
-    # expanded once in powers of T (a Taylor shift by g), and piece i is the
-    # prefix sum of the levels through levels[i]: V(t) = A_i(M t) /
+    # Over den, the lcm of all the terms' denominators, each level's sum
+    # c_l (T - g)^(n - l) is added in powers of T by binomial rows, and piece
+    # i is the prefix sum of the levels through levels[i]: V(t) = A_i(M t) /
     # (den n! m_v^n) on the piece, so s(t) = M A_i'(M t) / (den n! m_v^n).
     den = lcm(*(d for group in groups for d in group))
+    rows = _binomial_rows(n)
     acc = [0] * (n + 1)
     accumulators = []
     for g, group in zip(levels, groups):
-        level = [0] * (n + 1)
+        level: list[int] = []
         for d, nums in group.items():
-            f = den // d
-            level = [a + f * b for a, b in zip(level, nums)]
-        acc = [a + b for a, b in zip(acc, _taylor_shift(level, -g))]
+            _add_scaled(level, den // d, nums)
+        for l, c in enumerate(level):
+            # c (T - g)^(n-l) = sum over k of C(n-l, k) c (-g)^(n-l-k) T^k
+            row = rows[n - l]
+            for k in range(n - l, -1, -1):
+                acc[k] += row[k] * c
+                c *= -g
         accumulators.append(tuple(trim(acc)))
     return SectionProfile(v, level_scale, tuple(levels), tuple(accumulators),
                           den * factorial(n) * K._int_scale ** n)

@@ -9,6 +9,7 @@ once per session and shared by the acceptance criteria.  Each body also keeps
 the time its report took, so criterion 2 can bound the report phase alone.
 """
 
+import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction as F
@@ -24,6 +25,7 @@ from godbersen import (
     Polytope,
     TightnessProfile,
     ak_feasibility,
+    build_hull,
     center_at_centroid,
     directional_moment,
     generate,
@@ -177,6 +179,25 @@ def corpus_specs() -> list[GenSpec]:
             specs.append(GenSpec("random_symmetric", dim, vc_sym,
                                  seed=base + 500 + i, denominator_bound=denom))
     return specs
+
+
+def lattice_grid_bodies(seed: int, per_dim: int) -> list[Polytope]:
+    """A degenerate stratum: ``per_dim`` hulls in each of dims 2-4, each of
+    n + 5 seeded draws from {0, 1, 2}^n (a draw that spans no body is drawn
+    again).  Their facets are often non-simplicial and their vertex heights
+    often tie, which the corpus barely reaches."""
+    rng = random.Random(seed)
+    bodies = []
+    for n in (2, 3, 4):
+        made = 0
+        while made < per_dim:
+            pts = [tuple(rng.randint(0, 2) for _ in range(n)) for _ in range(n + 5)]
+            try:
+                bodies.append(build_hull(pts))
+            except DegenerateInput:
+                continue
+            made += 1
+    return bodies
 
 
 def brunn_minkowski_pairs(corpus):

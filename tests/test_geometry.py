@@ -37,6 +37,7 @@ from tests.conftest import (
     edges,
     face_lattice,
     frozenset_pulling_fan,
+    lattice_grid_bodies,
     minkowski_sum,
     simplex_int_volume,
 )
@@ -276,6 +277,59 @@ class TestTransform:
         roundtrip = transform(transform(body, [[0, 1, 0], [1, 0, 0], [0, 0, 1]]),
                               [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
         assert roundtrip == body
+
+
+def body_fields(body):
+    """Every integer field of a body and of its facets, in order."""
+    return (body.dim, body._int_vertices, body._int_scale,
+            [(f.normal, f._offset_num, f._scale, f._measure_num, f._measure_den,
+              f.vertex_ids) for f in body.facets],
+            body._simplices, body._fan_volumes, body._centroid_num, body._centroid_den)
+
+
+class TestHomothety:
+    """``_homothety`` against ``transform`` with A = lam I, its oracle."""
+
+    LAMBDAS = (1, -1, 2, F(-5, 3), F(1, 2))
+
+    def test_matches_transform_field_by_field(self, corpus):
+        rng = random.Random(36)
+        bodies = ([body for _, body in corpus[::2]] + lattice_grid_bodies(36, 20)
+                  + recipe_bodies())
+        maps = 0
+        for body in bodies:
+            n = body.dim
+            for lam in self.LAMBDAS:
+                shift = tuple(F(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n))
+                for t in (None, shift):
+                    mat = [[lam if i == j else 0 for j in range(n)] for i in range(n)]
+                    image = geometry._homothety(body, lam, t)
+                    assert body_fields(image) == body_fields(transform(body, mat, t)), \
+                        (body, lam, t)
+                    maps += 1
+        assert maps > 1500
+
+    def test_public_maps_are_homotheties(self):
+        body = generate(GenSpec("random_hull", 3, 7, seed=30_003, denominator_bound=3))
+        t = (F(1, 3), -2, F(5, 7))
+        eye = [[int(i == j) for j in range(3)] for i in range(3)]
+        assert body_fields(translate(body, t)) == body_fields(transform(body, eye, t))
+        assert body_fields(scale(body, F(-5, 3))) == \
+            body_fields(transform(body, [[F(-5, 3) * c for c in r] for r in eye]))
+        assert body_fields(reflect(body)) == \
+            body_fields(transform(body, [[-c for c in r] for r in eye]))
+
+    def test_errors(self):
+        sq = build_hull(SQUARE)
+        with pytest.raises(SingularMatrix, match="^transform matrix is singular$"):
+            scale(sq, 0)
+        with pytest.raises(TypeError, match="^cannot coerce float to an exact rational$"):
+            scale(sq, 0.5)
+        with pytest.raises(TypeError, match="^cannot coerce float to an exact rational$"):
+            translate(sq, (1, 0.5))
+        with pytest.raises(DimensionMismatch,
+                           match="^translation length does not match the body$"):
+            translate(sq, (1, 2, 3))
 
 
 class TestMinkowskiSum:

@@ -27,7 +27,8 @@ from godbersen.polynomials import (
 from godbersen.sections import SectionProfile, _level_terms
 from godbersen.sweep import ROOT_CONCAVITY_DIRECTIONS, _random_direction
 from tests.conftest import (
-    as_vector, corpus_specs, count_fractions, edges, simplex_int_volume)
+    as_vector, corpus_specs, count_fractions, edges, lattice_grid_bodies,
+    simplex_int_volume)
 from tests.test_concave import dip_profile
 from tests.test_geometry import dot, random_polytope
 from tests.test_polynomials import antiderivative
@@ -585,6 +586,60 @@ def test_tie_below_the_top_gives_tied_terms(monkeypatch):
     assert any(g == min(heights) and len(c) > 1 for g, c, _ in terms)
     assert any(len(c) == 1 for _, c, _ in terms)
     assert prof == _recursion_profile(body, w)
+
+
+# The level expansion that the binomial rows replaced, kept as the oracle of
+# ``section_profile``: each level's terms as one (n+1)-vector of numerators
+# of (T - g)^k, expanded in powers of T by a Taylor shift by -g.
+
+def taylor_shift_profile(K, w):
+    """(levels, accumulators, denominator) of K along w by the old level
+    expansion."""
+    (iw,), _ = scale_to_integers([w])
+    n = K.dim
+    heights = [_idot(iw, p) for p in K._int_vertices]
+    levels = sorted(set(heights))
+    index = {h: i for i, h in enumerate(levels)}
+    groups = [{} for _ in levels[:-1]]
+    for s, vol in zip(K._simplices, K._fan_volumes):
+        for g, c, d in _level_terms([heights[i] for i in s], levels[-1]):
+            nums = groups[index[g]].setdefault(d, [0] * (n + 1))
+            for l, b in enumerate(c):
+                nums[n - l] += vol * b
+    den = lcm(*(d for group in groups for d in group))
+    acc = [0] * (n + 1)
+    accumulators = []
+    for g, group in zip(levels, groups):
+        level = [0] * (n + 1)
+        for d, nums in group.items():
+            level = [a + den // d * b for a, b in zip(level, nums)]
+        acc = [a + b for a, b in zip(acc, sections._taylor_shift(level, -g))]
+        accumulators.append(tuple(trim(acc)))
+    return tuple(levels), tuple(accumulators), den * factorial(n) * K._int_scale ** n
+
+
+def test_binomial_rows_match_taylor_shift_oracle(monkeypatch, corpus):
+    # every profile check_body builds on the corpus, and the same kind on
+    # the lattice-grid stratum, whose tied heights reach levels below the
+    # top with r >= 2 terms
+    def same(K, w):
+        prof = section_profile(K, w)
+        assert (prof.levels, prof.accumulators, prof.denominator) == \
+            taylor_shift_profile(K, w), (K, w)
+
+    pairs = [bw for spec, body in corpus for bw in check_body_profiles(spec, body)]
+    for K, w in pairs:
+        same(K, w)
+    rng = random.Random(36)
+    grid = [(K, w) for body in lattice_grid_bodies(7, 40)
+            for K, w in [(k0, f.normal) for k0 in [center_at_centroid(body)]
+                         for f in k0.facets]
+            + [(body, _random_direction(rng, body.dim)) for _ in range(5)]]
+    terms = _spy_level_terms(monkeypatch)
+    for K, w in grid:
+        same(K, w)
+    assert len(pairs) > 3000 and len(grid) > 1000
+    assert any(len(c) >= 2 for _, c, _ in terms)
 
 
 def test_integer_and_rational_directions_agree():
