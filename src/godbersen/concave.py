@@ -45,6 +45,7 @@ from math import comb, gcd, lcm
 
 from .errors import InvalidM, LemmaViolation, NotConcave, TheoremViolation
 from .geometry import Polytope
+from .inclusion import center_at_centroid
 from .linalg import scale_to_integers
 from .mixedvol import mv_profile
 from .rationals import Rat
@@ -255,8 +256,6 @@ def bridge_inequality(K: Polytope, w) -> Rat:
     exact and root-free from the profile's own moments.  Returns the exact
     integral (nonnegative for centered bodies).
     """
-    from .inclusion import center_at_centroid
-
     prof = section_profile(center_at_centroid(K), w)
     lo, hi = prof.support_interval()
     wid = hi - lo

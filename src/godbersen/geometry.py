@@ -40,7 +40,10 @@ source's facets and fan instead of rebuilding them.  A homothety x -> lam x
 + t keeps more: each normal up to the sign of lam, and the order of the
 vertices and facets, reversed when lam < 0.  So ``translate``, ``scale`` and
 ``reflect`` go through ``_homothety``, which takes no adjugate and sorts
-nothing; ``transform`` maps by a general A.
+nothing; ``transform`` maps by a general A.  ``_homothety`` takes lam and t
+as integers over one denominator, so ``translate`` and ``scale`` read their
+input first, and centering at the centroid passes the integers the body
+holds.
 """
 
 from __future__ import annotations
@@ -577,13 +580,14 @@ def transform(K: Polytope, mat=None, shift=None) -> Polytope:
                                     for r, s in zip(ai, ti)), a * den))
 
 
-def _homothety(K: Polytope, lam, shift=None) -> Polytope:
+def _homothety(K: Polytope, l: int, ti: tuple[int, ...], a: int) -> Polytope:
     """``transform`` of K with A = lam I for a nonzero rational lam, by
     relabelling alone: no adjugate, no gcd per normal and no sort.
 
-    With lam = l / a and t = ti / a over one positive integer a, the vertex
-    p / m maps to (l p + m ti) / (a m), and the image's lattice points are
-    those over c, the gcd of their entries and a m.  The map keeps the
+    It reads no input: lam = l / a and t = ti / a come as integers over one
+    positive integer a, as ``translate`` and ``scale`` read them.  The
+    vertex p / m maps to (l p + m ti) / (a m), and the image's lattice points
+    are those over c, the gcd of their entries and a m.  The map keeps the
     lexicographic order of the points when l > 0 and reverses it when l < 0,
     so the vertex ids, the facet order and the simplices stay, or id i
     becomes V - 1 - i and the facets run backwards.  adj(l I) = l^(n-1) I,
@@ -591,11 +595,10 @@ def _homothety(K: Polytope, lam, shift=None) -> Polytope:
     sign(l) (l b + m w . ti) / c on the image's lattice, and the scaled
     measure to mu |l|^(n-1) / a^(n-1), with the gcd of the two powers divided
     out as ``transform`` does.  A fan volume v maps to v |l|^n / c^n, the
-    centroid c_num / c_den to (l c_num + c_den ti) / (a c_den).  lam and t
-    are read as ``transform`` reads them, with its errors.
+    centroid c_num / c_den to (l c_num + c_den ti) / (a c_den).  A shift of
+    the wrong length and l = 0 raise ``transform``'s errors.
     """
     n = K.dim
-    ((l,), ti), a = scale_to_integers([(lam,), (0,) * n if shift is None else shift])
     if len(ti) != n:
         raise DimensionMismatch("translation length does not match the body")
     if not l:
@@ -633,15 +636,17 @@ def _homothety(K: Polytope, lam, shift=None) -> Polytope:
 
 
 def translate(K: Polytope, t) -> Polytope:
-    return _homothety(K, 1, t)
+    (ti,), a = scale_to_integers([t])
+    return _homothety(K, a, ti, a)
 
 
 def scale(K: Polytope, c) -> Polytope:
-    return _homothety(K, c)
+    ((l,),), a = scale_to_integers([(c,)])
+    return _homothety(K, l, (0,) * K.dim, a)
 
 
 def reflect(K: Polytope) -> Polytope:
-    return _homothety(K, -1)
+    return _homothety(K, -1, (0,) * K.dim, 1)
 
 
 def includes(outer: Polytope, inner: Polytope) -> bool:

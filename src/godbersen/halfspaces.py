@@ -8,7 +8,8 @@ needs.  The centroid c always lies in it: at a = c the row for u reads
 h_{K0}(-u) <= n h_{K0}(u) for the centered body K0 = K - c, which is the
 inclusion -K0 in nK0 that ``tightness_profile`` checks row by row.  So the
 anchor point is that witness, checked, never searched for.  The region is the
-single point {c} exactly when the rows tight at c positively span R^n.
+single point {c} exactly when the rows tight at c positively span R^n, and
+that is decided by counting them: only a simplex has n+1 tight rows.
 
 A ``HalfSpace`` is the integer pair (normal, rhs) that the kernel reads.
 A rational row is scaled once, when it is built, normal and rhs together by
@@ -24,9 +25,8 @@ also finds every facet: the system is feasible iff its homogenized cone has
 a ray off the hyperplane at infinity, and such a ray is a vertex of the
 region.  That vertex is checked against every row in integers and returned
 as integers, so a feasible verdict always rests on a checked point.
-``feasibility``, the uniqueness test on the tight rows and the Helly audit
-pass it their rows as they are, and only ``feasibility`` makes the vertex a
-Fraction witness.
+``feasibility`` and the Helly audit pass it their rows as they are, and only
+``feasibility`` makes the vertex a Fraction witness.
 
 Helly's theorem says a finite system in R^n is infeasible iff some
 subsystem of at most n+1 rows is.  A feasible system needs no search: its
@@ -182,16 +182,20 @@ def anchor_unique(profile: TightnessProfile) -> bool:
 
     The region is a polyhedron containing c, so it is {c} iff no d != 0 has
     u . d <= 0 on every row tight at c, i.e. iff the tight normals positively
-    span R^n.  That needs at least n+1 of them; given that many,
-    ``_feasible_rows`` decides the homogeneous system of the tight rows,
-    whose region holds 0 and is {0} exactly then.
+    span R^n.  That needs at least n+1 of them, and a count decides it.
+    ``tightness_profile`` has checked that a row is tight exactly when its
+    facet misses one vertex.  If k facets each miss exactly one vertex,
+    those vertices are distinct (two facets holding the same V-1 vertices
+    are one facet).  Their common face then has V-k vertices and dimension
+    n-k, since each facet in turn is a pyramid over its intersection with
+    the next.  A face of dimension at most 1 has one vertex more than its
+    dimension, so k >= n-1 forces V = n+1.  So n+1 or more tight rows mean
+    a simplex, whose n+1 rows are all tight and positively span R^n (their
+    normals, weighted by the facet measures, sum to 0), and a body that is
+    not a simplex has at most n-2 tight rows.  The double description run
+    on the tight rows is the tests' oracle for this count.
     """
-    tight = [e.normal for e in profile.entries if e.tight]
-    n = len(profile.entries[0].normal)
-    if len(tight) < n + 1:
-        return False
-    _, _, unique = _feasible_rows([(u, 0) for u in tight], n)
-    return unique
+    return profile.tight_count == len(profile.entries[0].normal) + 1
 
 
 def ak_feasibility(K: Polytope) -> FeasibilityResult:

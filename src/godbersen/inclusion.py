@@ -4,7 +4,14 @@ directional moment identity.
 With the centroid at the origin the reflected body sits inside the n-fold
 dilate; per facet normal u the comparison h_{-K}(u) <= n h_K(u) is evaluated
 at the unnormalized integer normals (both sides are 1-homogeneous, so the
-scaling drops out) and "tight" means exact rational equality.  The moment of
+scaling drops out) and "tight" means exact rational equality.  A row is tight
+exactly when K is a pyramid over the row's facet (the equality case of the
+Minkowski-Radon inequality; Grunbaum, "Measures of symmetry for convex sets",
+1963), and for a polytope that is one integer comparison: the facet holds
+every vertex but one.  Each row is checked against that count, so "every row
+tight exactly on a simplex" follows and needs no check of its own.  The
+centering shift is the centroid the body holds in lowest terms, c_num / c_den,
+so it is taken as integers and never read back from Fractions.  The moment of
 the section profile of the centered body vanishes exactly in every direction;
 it is computed by exact piecewise-polynomial integration, never assumed.
 """
@@ -15,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import TheoremViolation
-from .geometry import Polytope, _idot, translate
+from .geometry import Polytope, _homothety, _idot
 from .rationals import Rat
 from .sections import section_profile
 
@@ -45,7 +52,8 @@ class TightnessProfile:
 
 def center_at_centroid(K: Polytope) -> Polytope:
     """Translate of K with centroid exactly at the origin."""
-    return translate(K, tuple(-c for c in K.centroid))
+    den = K._centroid_den
+    return _homothety(K, den, tuple(-c for c in K._centroid_num), den)
 
 
 def tightness_profile(K: Polytope) -> TightnessProfile:
@@ -56,13 +64,14 @@ def tightness_profile(K: Polytope) -> TightnessProfile:
 def _centered_tightness(k0: Polytope) -> TightnessProfile:
     """``tightness_profile`` of a body already centered at its centroid.
 
-    A failed row comparison raises TheoremViolation, and so does a profile
-    whose rows are all tight on a body that is not a simplex, or not all
-    tight on a simplex: for a centered body, -K0 and nK0 share every facet
-    hyperplane exactly when K is a simplex.
+    A failed row comparison raises TheoremViolation, and so does a row that
+    is tight on a facet missing more than one vertex, or not tight on a
+    facet missing exactly one: h_{K0}(-u) = n h_{K0}(u) exactly when K0 is a
+    pyramid over the facet with normal u.
     """
     n = k0.dim
     m = k0._int_scale
+    base = len(k0._int_vertices) - 1  # a pyramid's base: every vertex but the apex
     entries = []
     for f in k0.facets:
         # both sides over the lattice scale m: h_{K0}(-u) = -low / m
@@ -70,12 +79,12 @@ def _centered_tightness(k0: Polytope) -> TightnessProfile:
         rhs = n * f._offset_num
         if lhs > rhs:
             raise TheoremViolation("support comparison failed on a facet normal")
-        entries.append(TightnessEntry(f.normal, Fraction(lhs, m), Fraction(rhs, m),
-                                      lhs == rhs))
-    profile = TightnessProfile(tuple(entries))
-    if profile.all_tight != (len(k0.facets) == n + 1):
-        raise TheoremViolation("every row tight must mean a simplex, and only then")
-    return profile
+        tight = lhs == rhs
+        if tight != (len(f.vertex_ids) == base):
+            raise TheoremViolation(f"row {f.normal}: tight must mean its facet misses "
+                                   "exactly one vertex, and only then")
+        entries.append(TightnessEntry(f.normal, Fraction(lhs, m), Fraction(rhs, m), tight))
+    return TightnessProfile(tuple(entries))
 
 
 def directional_moment(K: Polytope, w, center: bool = True) -> Rat:

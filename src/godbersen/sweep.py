@@ -92,9 +92,10 @@ def _check_generated(body_id: str, spec: GenSpec,
                      body: Polytope) -> tuple[list[SweepRow], list[str]]:
     observations: list[str] = []
     report = godbersen_report(body)
-    # One pass over the centered body's facets gives the tight count and,
-    # through the centroid anchor witness, the anchor's uniqueness.  It raises
-    # on any failed row, so returning at all proves -K0 in nK0.
+    # One pass over the centered body's facets gives the tight count, and the
+    # count the anchor's uniqueness: n + 1 tight rows exactly on a simplex.
+    # It raises on any failed row, and on a row whose tightness disagrees
+    # with its facet's vertex count, so returning at all proves -K0 in nK0.
     k0 = center_at_centroid(body)
     tight = _centered_tightness(k0)
     ak_unique = anchor_unique(tight)

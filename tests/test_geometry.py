@@ -288,7 +288,8 @@ def body_fields(body):
 
 
 class TestHomothety:
-    """``_homothety`` against ``transform`` with A = lam I, its oracle."""
+    """``_homothety`` against ``transform`` with A = lam I, its oracle, on
+    lam and t read as ``translate`` and ``scale`` read them."""
 
     LAMBDAS = (1, -1, 2, F(-5, 3), F(1, 2))
 
@@ -303,7 +304,8 @@ class TestHomothety:
                 shift = tuple(F(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n))
                 for t in (None, shift):
                     mat = [[lam if i == j else 0 for j in range(n)] for i in range(n)]
-                    image = geometry._homothety(body, lam, t)
+                    ((l,), ti), a = scale_to_integers([(lam,), t or (0,) * n])
+                    image = geometry._homothety(body, l, ti, a)
                     assert body_fields(image) == body_fields(transform(body, mat, t)), \
                         (body, lam, t)
                     maps += 1

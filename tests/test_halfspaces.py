@@ -19,6 +19,7 @@ from godbersen import (
     ak_system,
     anchor_unique,
     build_hull,
+    cross_polytope,
     feasibility,
     generate,
     helly_audit,
@@ -36,7 +37,7 @@ from godbersen import halfspaces
 from godbersen.halfspaces import HalfSpace, _farkas_infeasible, _feasible_rows
 from godbersen.linalg import int_det, int_rank, scale_to_integers
 from godbersen.rationals import as_rat
-from tests.conftest import as_vector, count_fractions
+from tests.conftest import as_vector, count_fractions, lattice_grid_bodies
 from tests.test_geometry import TRIANGLE, dot, random_polytope
 
 CENTERED_SQUARE = [(F(-1, 2), F(-1, 2)), (F(1, 2), F(-1, 2)),
@@ -854,6 +855,23 @@ def _verdict(res):
     return res.feasible, res.unique
 
 
+def pyramid_bodies(seed: int, per_dim: int) -> list:
+    """``per_dim`` pyramids in each of dims 2-5: a base of n + 3 seeded
+    draws from [-3, 3]^(n-1) at height 0 (drawn again until it spans the
+    hyperplane) and an apex drawn above it."""
+    rng = random.Random(seed)
+    bodies = []
+    for n in (2, 3, 4, 5):
+        while len(bodies) < per_dim * (n - 1):
+            base = [tuple(rng.randint(-3, 3) for _ in range(n - 1)) + (0,)
+                    for _ in range(n + 3)]
+            if int_rank([[a - b for a, b in zip(p, base[0])] for p in base]) < n - 1:
+                continue
+            apex = tuple(rng.randint(-3, 3) for _ in range(n - 1)) + (rng.randint(1, 3),)
+            bodies.append(build_hull(base + [apex]))
+    return bodies
+
+
 class TestAgainstFractionOracle:
     """The double description entry must give the Fraction-rhs
     Fourier-Motzkin's feasibility and uniqueness exactly, and a vertex of the
@@ -867,7 +885,16 @@ class TestAgainstFractionOracle:
             _assert_vertex(system.halfspaces, body.dim, res)
 
     def test_tight_row_systems(self, corpus):
-        for _, body in corpus:
+        # ``anchor_unique`` counts the tight rows; the kernel and
+        # Fourier-Motzkin decide their homogeneous system.  Lattice-grid
+        # bodies, pyramids and the fixed kinds add bodies with tight rows
+        # that are not simplices, which have at most n - 2 of them.
+        bodies = [body for _, body in corpus] + lattice_grid_bodies(37, 40)
+        bodies += pyramid_bodies(37, 20) + [
+            make(n) for make in (standard_simplex, unit_cube, cross_polytope)
+            for n in (2, 3, 4, 5)]
+        most = dict.fromkeys((2, 3, 4, 5), 0)
+        for body in bodies:
             profile = tightness_profile(body)
             n = body.dim
             rows = [(e.normal, 0) for e in profile.entries if e.tight]
@@ -875,6 +902,10 @@ class TestAgainstFractionOracle:
             assert _verdict(res) == _verdict(oracle_fm_rows(rows, n))
             assert anchor_unique(profile) == res.unique
             _assert_vertex(rows, n, res)
+            if len(body.vertices) > n + 1:
+                assert len(rows) <= n - 2, body
+                most[n] = max(most[n], len(rows))
+        assert most == {2: 0, 3: 1, 4: 2, 5: 1}
 
     def test_random_rational_systems(self):
         infeasible = unique = deficient = 0
@@ -1129,7 +1160,7 @@ class TestHellyCallCounts:
         calls = spy()
         verdicts = [anchor_unique(p) for p in profiles]
         assert all(verdicts[-3:]) and not all(verdicts)
-        assert len(calls["_feasible_rows"]) >= 3
+        assert calls["_feasible_rows"] == []
         assert calls["HalfSpace"] == [] and calls["System"] == []
         assert calls["feasibility"] == [] and calls["scale_to_integers"] == []
 

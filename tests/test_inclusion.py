@@ -1,11 +1,12 @@
 import random
+import re
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
 from godbersen import (
     TheoremViolation,
-    TightnessProfile,
     ZeroDirection,
     build_hull,
     center_at_centroid,
@@ -153,15 +154,32 @@ class TestEqualityCase:
             profile = tightness_profile(body)
             assert profile.all_tight and len(profile.entries) == n + 1
 
-    @pytest.mark.parametrize("body, claim", [
-        (unit_cube(2), True), (standard_simplex(3), False)])
-    def test_tightness_that_disagrees_with_the_simplex_test_raises(
-            self, monkeypatch, body, claim):
-        # every row tight exactly on a simplex is proven, so a profile that
-        # claims otherwise is a bug
-        monkeypatch.setattr(TightnessProfile, "all_tight", property(lambda self: claim))
-        with pytest.raises(TheoremViolation, match="simplex"):
-            tightness_profile(body)
+    @pytest.mark.parametrize("body, grow", [
+        (standard_simplex(3), False), (unit_cube(2), True)], ids=["cut", "grown"])
+    def test_row_that_disagrees_with_its_facet_raises(self, body, grow):
+        # a row is tight exactly when its facet misses one vertex, so a tight
+        # simplex row whose facet lost a vertex, or a strict square row whose
+        # facet gained one, is a bug; every row still agrees on "all tight
+        # exactly for a simplex"
+        first = body.facets[0]
+        ids = first.vertex_ids
+        ids = ids + (min(set(range(len(body.vertices))) - set(ids)),) if grow else ids[1:]
+        broken = replace(body, facets=(replace(first, vertex_ids=ids), *body.facets[1:]))
+        message = f"^row {re.escape(str(first.normal))}: tight must mean its facet misses"
+        with pytest.raises(TheoremViolation, match=message):
+            tightness_profile(broken)
+
+    def test_j1_gap_is_the_weighted_row_slack(self, corpus_results):
+        # n Vol K - V(K[n-1], -K[1]) = (1/n) sum_F mu_F (rhs_F - lhs_F) by the
+        # facet formula on the centered body; V(K[1], -K[n-1]) is the same
+        # mixed volume, reflected
+        for r in corpus_results:
+            n = r.body.dim
+            facets = r.body.facets
+            assert [f.normal for f in facets] == [e.normal for e in r.tightness.entries]
+            slack = sum(f.measure * (e.rhs - e.lhs)
+                        for f, e in zip(facets, r.tightness.entries))
+            assert n * r.report.volume - r.report.entry(1).mixed == slack / n
 
     def test_cone_volume_identity_for_simplices(self):
         rng = random.Random(56)
