@@ -177,9 +177,10 @@ def godbersen_integral_check(f: PLConcave, m: int) -> IntegralCheckResult:
     The zero function is linear with f(1) = 0 and counts as characterized.
     """
     value = godbersen_integral(f, m)
-    if value < 0:
+    # decided on the numerator: a Fraction keeps its denominator positive
+    if value.numerator < 0:
         raise LemmaViolation(f"integral {value} < 0 for a concave input")
-    equality = value == 0
+    equality = not value.numerator
     characterized = f._int_values[-1] == 0 and f.is_linear()
     if equality != characterized:
         raise LemmaViolation(

@@ -18,10 +18,13 @@ on integer rows.  The facets w . x <= b of conv(P) are the extreme rays
 (w, -b) of the cone {y : (p, 1) . y <= 0 for p in P}, and the points on a
 facet are the rows tight on its ray.  The method is complete by
 construction: it keeps the extreme rays of the cone cut by the rows seen so
-far, and each new row adds the rays of adjacent pairs it separates.  A hull
-runs it on the input points; the Cayley polytope conv(K x {0} u L x {1})
-runs it on its lifted vertices, and its fan gives the mixed volumes of K and
-L, so no sum is built.
+far, and each new row adds the rays of adjacent pairs it separates.  Two
+rays that share k - 2 of the rows (k their length) are adjacent outright
+when either is tight on exactly k - 1 rows; only pairs of rays that are
+each tight on more are scanned for a third ray.  A hull runs it on the
+input points; the Cayley polytope conv(K x {0} u L x {1}) runs it on its
+lifted vertices, and its fan gives the mixed volumes of K and L, so no sum
+is built.
 
 Everything else follows from the vertex-facet incidence: the smallest face
 through some points is the intersection of the facets containing them
@@ -244,38 +247,58 @@ def _cone_rays(rows) -> list[tuple[tuple[int, ...], int]]:
     The first linearly independent rows B seed the cone, from one
     elimination (``_seed_rays``): its rays are the columns of
     -sign(det B) adj(B), the j-th tight on every seed row but the j-th.
-    Each further row a cuts the cone.  The rays with a . r <= 0 stay; a pair
-    with a . r+ > 0 > a . r- gives the ray (a . r+) r- - (a . r-) r+
-    if the two are adjacent, that is, if their common tight rows number at
-    least k - 2 and no third ray is tight on all of them (the combinatorial
-    adjacency test of Fukuda and Prodon).
+    Each further row a cuts the cone.  One pass over the rays keeps those
+    with a . r <= 0, adding a to the tight rows of those with a . r = 0, and
+    indexes the rest by sign; a pair with a . r+ > 0 > a . r- gives the ray
+    (a . r+) r- - (a . r-) r+ if the two are adjacent, that is, if their
+    common tight rows z number at least k - 2 and no third ray is tight on
+    all of them (the combinatorial adjacency test of Fukuda and Prodon).
+
+    The scan for a third ray is skipped when either ray is simple, tight on
+    exactly k - 1 rows: then the pair is adjacent (the algebraic test of
+    Fukuda and Prodon, rank z = k - 2, comes free).  An extreme ray of the
+    pointed current cone has tight rows of rank k - 1, so a simple ray's
+    k - 1 rows are independent, and the other ray, a different extreme ray,
+    is not tight on all of them.  So z is k - 2 independent rows: |z| = k - 2
+    exactly, and z cuts out a 2-dimensional face of the cone, which holds
+    both rays.  A 2-dimensional pointed cone has exactly two extreme rays, so
+    no third ray is tight on z and the scan would pass.  Only pairs of rays
+    tight on k or more rows each, which degenerate inputs make, are scanned.
     """
     k = len(rows[0])
     seed, rays = _seed_rays(rows)
     full = sum(1 << i for i in seed)
     tights = [full ^ (1 << i) for i in seed]
     taken = set(seed)
+    low = k - 2  # the fewest common tight rows of an adjacent pair
     for i, a in enumerate(rows):
         if i in taken:
             continue
         bit = 1 << i
-        vals = [_idot(a, r) for r in rays]
-        pos = [j for j, s in enumerate(vals) if s > 0]
-        neg = [j for j, s in enumerate(vals) if s < 0]
-        new_rays, new_tights = [], []
+        vals = [sum(map(mul, a, r)) for r in rays]
+        pos, neg, kept, masks = [], [], [], []
+        for j, (s, r, t) in enumerate(zip(vals, rays, tights)):
+            if s > 0:
+                pos.append(j)
+                continue
+            if s:
+                neg.append(j)
+            kept.append(r)
+            masks.append(t if s else t | bit)
         for p in pos:
             sp, rp, tp = vals[p], rays[p], tights[p]
+            simple = tp.bit_count() == k - 1
             for q in neg:
                 z = tp & tights[q]
+                if z.bit_count() < low:
+                    continue
                 # p and q are tight on z themselves
-                if z.bit_count() < k - 2 or _rays_on(z, tights) > 2:
+                if not (simple or tights[q].bit_count() == k - 1) and _rays_on(z, tights) > 2:
                     continue
                 sq = vals[q]
-                new_rays.append(primitive([sp * x - sq * y for x, y in zip(rays[q], rp)]))
-                new_tights.append(z | bit)
-        keep = [j for j, s in enumerate(vals) if s <= 0]
-        rays = [rays[j] for j in keep] + new_rays
-        tights = [tights[j] | bit if vals[j] == 0 else tights[j] for j in keep] + new_tights
+                kept.append(primitive([sp * x - sq * y for x, y in zip(rays[q], rp)]))
+                masks.append(z | bit)
+        rays, tights = kept, masks
     return list(zip(rays, tights))
 
 

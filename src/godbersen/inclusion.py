@@ -45,10 +45,6 @@ class TightnessProfile:
     def tight_count(self) -> int:
         return sum(1 for e in self.entries if e.tight)
 
-    @property
-    def all_tight(self) -> bool:
-        return all(e.tight for e in self.entries)
-
 
 def center_at_centroid(K: Polytope) -> Polytope:
     """Translate of K with centroid exactly at the origin."""

@@ -151,7 +151,7 @@ def test_criterion_7_inclusion_and_moments(corpus_results):
         assert r.inclusion_ok
         assert r.moments_zero
         simplex = len(r.body.vertices) == r.body.dim + 1
-        assert r.tightness.all_tight == simplex
+        assert all(e.tight for e in r.tightness.entries) == simplex
     _report(7, "-K in nK on all 300 bodies; all-tight exactly for the "
                "(n+1)-vertex bodies; every facet-normal moment is exactly 0")
 

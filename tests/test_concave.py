@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from godbersen import (
     DimensionMismatch,
     InvalidM,
+    LemmaViolation,
     NotConcave,
     PLConcave,
     bm_check,
@@ -456,6 +457,18 @@ class TestIntegralCheck:
                 res = godbersen_integral_check(f, m)  # raises on any violation
                 eq += res.equality
         assert eq >= 1  # the generator does produce equality cases
+
+    @pytest.mark.parametrize("f, value, match", [
+        (TENT, F(-1, 12), r"^integral -1/12 < 0 for a concave input$"),
+        (TENT, F(0), r"^equality=True but characterization=False$"),
+        (LINEAR_DOWN, F(1, 12), r"^equality=False but characterization=True$"),
+    ], ids=["negative", "zero", "positive"])
+    def test_sign_and_equality_of_a_wrong_value_raise(self, monkeypatch, f, value, match):
+        # the check decides the sign of the value the integral returns, and
+        # equality against the characterization, on its numerator
+        monkeypatch.setattr(concave, "godbersen_integral", lambda f, m: value)
+        with pytest.raises(LemmaViolation, match=match):
+            godbersen_integral_check(f, 2)
 
 
 ROOT_SAMPLES = 33

@@ -1468,18 +1468,98 @@ class TestConeRays:
 
     def test_bound_decides_adjacency_in_general_position(self, monkeypatch):
         # any 4 rows (p, 1) of the moment curve in R^3 are independent, so
-        # two rays with k - 2 = 2 common tight rows span a 2-face: every pair
-        # that passes the bound is adjacent, and each third-ray scan the
-        # kernel makes yields a new ray
+        # every ray is simple, tight on k - 1 = 3 rows: every pair that
+        # passes the bound is adjacent, and the kernel makes each of those
+        # rays with no third-ray scan
+        rows = [p + (1,) for p in moment_curve(40, 3)]
+        expected, passed, rejected = scanning_cone_rays(rows)
         scans, made = [], []
         rays_on, primitive = geometry._rays_on, geometry.primitive
         monkeypatch.setattr(geometry, "_rays_on",
                             lambda z, tights: scans.append(z) or rays_on(z, tights))
         monkeypatch.setattr(geometry, "primitive",
                             lambda vec: made.append(vec) or primitive(vec))
-        rays = _cone_rays([p + (1,) for p in moment_curve(40, 3)])
-        assert len(rays) == 2 * (40 - 2)
-        assert len(scans) == len(made) - 4 > len(rays)
+        rays = _cone_rays(rows)
+        assert rays == expected and len(rays) == 2 * (40 - 2)
+        assert rejected == 0 and scans == []
+        assert len(made) - 4 == passed > len(rays)
+
+    def test_scan_rejects_pairs_on_a_prism(self, monkeypatch):
+        # the Cayley polytope of the 4-cube and its reflection is a prism
+        # over the cube, with no simplex facet: pairs of rays tight on k or
+        # more rows each still take the scan, and it rejects the pairs that
+        # share their k - 2 rows with a third ray, as the scan of every pair
+        # that passes the bound does
+        cube = unit_cube(4)
+        rows = cayley_rows(cube, reflect(cube))
+        expected, passed, rejected = scanning_cone_rays(rows)
+        counts = []
+        rays_on = geometry._rays_on
+        monkeypatch.setattr(geometry, "_rays_on",
+                            lambda z, tights: counts.append(rays_on(z, tights)) or counts[-1])
+        rays = _cone_rays(rows)
+        assert rays == expected and len(rays) == 2 + 8
+        assert sum(c > 2 for c in counts) == rejected > 0
+        assert len(counts) < passed
+
+    def test_simple_rays_skip_only_adjacent_pairs(self, corpus):
+        # the kernel against the scan of every pair that passes the bound:
+        # the same (ray, tight) list, in the same order, on hulls and Cayley
+        # polytopes of the corpus, the lattice-grid stratum and the fixed
+        # kinds, where non-simplicial facets leave rays tight on k or more
+        # rows
+        bodies = [body for _, body in corpus]
+        grid = lattice_grid_bodies(41, 10)
+        fixed = [kind(n) for n in (2, 3, 4, 5)
+                 for kind in (standard_simplex, unit_cube, cross_polytope)]
+        inputs = []
+        for group in (bodies, grid, fixed):
+            for body, nxt in zip(group, group[1:] + group[:1]):
+                inputs += [[p + (1,) for p in body._int_vertices],
+                           cayley_rows(body, reflect(body))]
+                if nxt.dim == body.dim:
+                    inputs.append(cayley_rows(body, nxt))
+        rejected = 0
+        for rows in inputs:
+            expected, _, r = scanning_cone_rays(rows)
+            assert _cone_rays(rows) == expected
+            rejected += r
+        # 342 hulls, 342 (K, -K) and 332 (K, next) Cayley polytopes
+        assert len(inputs) == 1016 and rejected > 0
+
+
+def scanning_cone_rays(rows):
+    """The double description kernel with the third-ray scan on every pair
+    that passes the k - 2 bound, simple or not, as the oracle of the
+    simple-ray rule: the (ray, tight) list, the pairs that passed the bound
+    and the pairs that the scan rejected."""
+    k = len(rows[0])
+    seed, rays = geometry._seed_rays(rows)
+    full = sum(1 << i for i in seed)
+    tights = [full ^ (1 << i) for i in seed]
+    passed = rejected = 0
+    for i, a in enumerate(rows):
+        if i in seed:
+            continue
+        bit = 1 << i
+        vals = [geometry._idot(a, r) for r in rays]
+        new_rays, new_tights = [], []
+        for p in (j for j, s in enumerate(vals) if s > 0):
+            for q in (j for j, s in enumerate(vals) if s < 0):
+                z = tights[p] & tights[q]
+                if z.bit_count() < k - 2:
+                    continue
+                passed += 1
+                if [t & z for t in tights].count(z) > 2:
+                    rejected += 1
+                    continue
+                new_rays.append(linalg.primitive(
+                    [vals[p] * x - vals[q] * y for x, y in zip(rays[q], rays[p])]))
+                new_tights.append(z | bit)
+        keep = [j for j, s in enumerate(vals) if s <= 0]
+        rays = [rays[j] for j in keep] + new_rays
+        tights = [tights[j] | bit if vals[j] == 0 else tights[j] for j in keep] + new_tights
+    return list(zip(rays, tights)), passed, rejected
 
 
 # The seed of the double description kernel, and ``transform``, take their
