@@ -117,8 +117,18 @@ def _cmd_sweep(args) -> int:
     return 2 if summary.violations else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 1, as input errors do: exit
+    2 is kept for a failed proven statement.  Its subcommands' parsers are of
+    the same class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="godbersen",
         description="Exact rational checks of mixed-volume inequalities on polytopes.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -147,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("moment", help="directional section moment of one body")
     p.add_argument("--input", required=True)
-    p.add_argument("--w", required=True, help="direction, e.g. \"1,0,2/3\"")
+    p.add_argument("--w", required=True, help="direction, e.g. \"1,0,2/3\" or -1,0")
     p.add_argument("--no-center", action="store_true",
                    help="skip the centroid centering (raw moment)")
     p.set_defaults(func=_cmd_moment)
@@ -165,8 +175,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse reads a value that starts with "-", such as the direction
+    # -1,0, as an option, so join the direction to its --w
+    if "--w" in argv[:-1]:
+        i = argv.index("--w")
+        argv[i:i + 2] = ["--w=" + argv[i + 1]]
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except TheoremViolation as err:

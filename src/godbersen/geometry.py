@@ -35,9 +35,12 @@ facet's pulling triangulation, coned from a vertex off it, gives the facet's
 measure (cone volume = measure * height / n); the cones from vertex 0 give
 the fan, volume and centroid.  The fan kernel, ``_pulling_fan``, recurses on
 the vertex bitmasks of the faces and carries one fraction-free elimination
-down the recursion: each face reduces only its own vertex row against its
-ancestors' pivot rows (Bareiss's step), so a simplex's determinant is the
-last pivot of its chain and no determinant is taken on its own.
+down the recursion: each face that is not a simplex reduces only its lowest
+vertex row against its ancestors' pivot rows (Bareiss's step) and passes it
+down as a pivot row; a face that is a simplex reduces all its rows against
+them and finishes them in one ``linalg._echelon`` pass from the chain's last
+pivot, whose last pivot is the simplex's determinant up to sign.  No
+determinant is taken on its own.
 An invertible affine map keeps the incidence, so ``transform`` relabels its
 source's facets and fan instead of rebuilding them.  A homothety x -> lam x
 + t keeps more: each normal up to the sign of lam, and the order of the
@@ -317,6 +320,23 @@ def _hull_facets_int(pts: list[tuple[int, ...]], d: int):
     return sorted(facets)
 
 
+def _chain_reduced(rs, chain) -> tuple[list[list[int]], int]:
+    """(the rows rs reduced against the pivot rows ``chain``, its last pivot).
+
+    Each pivot row t_j with pivot column c_j takes a row r to
+    (p_j r - r[c_j] t_j) / p_(j-1), exact by Sylvester's identity (Bareiss
+    1968), and column c_j then leaves the row.
+    """
+    prev = 1
+    for c, t in chain:
+        p = t[c]
+        rs = [[(p * x - r[c] * y) // prev for x, y in zip(r, t)] for r in rs]
+        for r in rs:
+            del r[c]
+        prev = p
+    return rs, prev
+
+
 def _pulling_fan(face: int, cands, rows, chain=(), above: int = 0) -> list[tuple[int, int]]:
     """Pulling triangulation of a face coned from an apex, as (simplex, |det|)
     pairs: the bitmask of each simplex's vertices other than the apex, and
@@ -330,34 +350,33 @@ def _pulling_fan(face: int, cands, rows, chain=(), above: int = 0) -> list[tuple
     each triangulated with the facets alone as candidates, since every facet
     of a facet g is g n h for another facet h.
 
-    ``rows[i]`` is vertex i minus the apex.  A simplex's rows are its chain
-    of lowest ids, one per level, so each level reduces only its own row,
-    against the pivot rows ``chain`` of its ancestors, by Bareiss's step
-    r <- (p_j r - r[c_j] t_j) / p_(j-1), exact by Sylvester's identity
-    (Bareiss 1968).  The pivot column is the row's first nonzero entry and
-    leaves the row once used, so the last level keeps one entry: +-det of
-    the simplex.  A face with as many vertices as its row has entries is a
-    simplex, its own triangulation: its ids continue the chain with no facet
-    search.  ``above`` holds the ancestors' ids.  A row that reduces to zero
-    raises DegenerateInput.
+    ``rows[i]`` is vertex i minus the apex.  Each level reduces only its
+    lowest row against the pivot rows ``chain`` of its ancestors
+    (``_chain_reduced``) and adds it to the chain, its pivot column the
+    row's first nonzero entry.  A face with as many vertices as its rows
+    have entries left is a simplex, and so is a single vertex (on facets
+    that close a polytope it has one entry left).  A simplex is its own
+    triangulation: all its rows are reduced against the chain and finished
+    in one ``_echelon`` pass that continues the elimination from the
+    chain's last pivot, so that pass's last pivot is +-det of the simplex.
+    ``above`` holds the ancestors' ids.  A simplex whose rows leave a pivot
+    short, or a face whose lowest row reduces to zero, raises
+    DegenerateInput.
     """
     low = face & -face
-    r = rows[low.bit_length() - 1]
-    prev = 1
-    for c, t in chain:
-        f, p = r[c], t[c]
-        r = [(p * x - f * y) // prev for x, y in zip(r, t)]
-        del r[c]
-        prev = p
+    k = face.bit_count()
+    if k == len(rows[0]) - len(chain) or face == low:
+        a, pivots, _ = _echelon(*_chain_reduced(
+            [rows[i] for i in range(face.bit_length()) if face >> i & 1], chain))
+        if len(pivots) < k:
+            raise DegenerateInput("fan simplex is degenerate")
+        return [(above | face, abs(a[-1][pivots[-1]]))]
+    r = _chain_reduced([rows[low.bit_length() - 1]], chain)[0][0]
     c = next((j for j, x in enumerate(r) if x), None)
     if c is None:
         raise DegenerateInput("fan simplex is degenerate")
     above |= low
-    if face == low:
-        return [(above, abs(r[c]))]
     chain += ((c, r),)
-    if face.bit_count() == len(r):
-        return _pulling_fan(face ^ low, cands, rows, chain, above)
     subs = {face & g for g in cands}
     subs.discard(face)
     facets: list[int] = []

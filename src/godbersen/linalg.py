@@ -11,9 +11,10 @@ and the back-substitution gives the rows of adj(B)^T up to sign, the first
 rays.  The same pass decides the span: the rows fail to span exactly when a
 pivot falls in the I block, so a hull takes no rank of its points on its
 own (``int_rank`` is kept for the tests).  The fan simplices' determinants
-in ``geometry`` take the same step one row at a time: ``_pulling_fan``
-reduces each vertex's row once, against the pivot rows that every simplex
-below it shares.
+in ``geometry`` come from the same kernel: ``_pulling_fan`` reduces each
+face's lowest row against the pivot rows its faces above it share, and
+finishes a simplex's rows in one ``_echelon`` pass that continues that
+elimination from its last pivot (``prev``).
 No normal of a span is formed.
 
 ``scale_to_integers`` is the package's one API edge: every public entry that
@@ -65,21 +66,22 @@ def primitive(vec) -> tuple[int, ...]:
     return tuple(c // g for c in vec)
 
 
-def _echelon(rows) -> tuple[list[list[int]], list[int], int]:
+def _echelon(rows, prev: int = 1) -> tuple[list[list[int]], list[int], int]:
     """Bareiss row echelon form of an integer matrix.
 
     Returns (rows, pivot columns, sign of the row swaps).  A column with no
     nonzero entry at or below the current row is skipped.  After the k-th
     pivot, every entry below it is a (k+1)-minor of the input, so the
     division by the previous pivot is exact; the last pivot of a square
-    nonsingular matrix is its determinant up to the sign.
+    nonsingular matrix is its determinant up to the sign.  ``prev`` is the
+    last pivot of an elimination already begun, whose remaining rows these
+    are: the pass continues it, and its last pivot is the whole one's.
     """
     a = [list(r) for r in rows]
     m = len(a)
     width = len(a[0]) if a else 0
     pivots: list[int] = []
     sign = 1
-    prev = 1
     r = 0
     for c in range(width):
         if r == m:

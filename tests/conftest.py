@@ -1,6 +1,6 @@
-"""Shared corpora, and the Minkowski sum, face lattice, frozenset pulling fan,
-per-simplex determinant and Fraction vector kept as references, and a
-counter of the Fractions made.
+"""Shared corpora, and the Minkowski sum, face lattice, frozenset and
+row-by-row chain pulling fans, per-simplex determinant and Fraction vector
+kept as references, and a counter of the Fractions made.
 
 The acceptance corpus is 300 seeded random polytopes (100 each in dimensions
 2, 3, 4; 80 generic hulls plus 20 origin-symmetric per dimension).  Heavy
@@ -121,6 +121,42 @@ def frozenset_pulling_fan(face: frozenset, cands) -> list[tuple[int, ...]]:
     top = min(face)
     return [(top,) + s for g in facets if top not in g
             for s in frozenset_pulling_fan(g, facets)]
+
+
+def chain_pulling_fan(face: int, cands, rows, chain=(), above: int = 0):
+    """The pulling fan of ``geometry._pulling_fan``, with its signature and
+    (simplex, |det|) pairs, by the route it took before a simplex face was
+    finished in one elimination pass: every level, simplex faces included,
+    reduces its lowest row against the chain one Bareiss step at a time,
+    and a simplex recurses once per vertex down to its last row."""
+    low = face & -face
+    r = rows[low.bit_length() - 1]
+    prev = 1
+    for c, t in chain:
+        f, p = r[c], t[c]
+        r = [(p * x - f * y) // prev for x, y in zip(r, t)]
+        del r[c]
+        prev = p
+    c = next((j for j, x in enumerate(r) if x), None)
+    if c is None:
+        raise DegenerateInput("fan simplex is degenerate")
+    above |= low
+    if face == low:
+        return [(above, abs(r[c]))]
+    chain += ((c, r),)
+    if face.bit_count() == len(r):
+        return chain_pulling_fan(face ^ low, cands, rows, chain, above)
+    subs = {face & g for g in cands}
+    subs.discard(face)
+    facets: list[int] = []
+    for g in sorted(subs, key=int.bit_count, reverse=True):
+        for h in facets:
+            if g & h == g:
+                break
+        else:
+            facets.append(g)
+    return [s for g in facets if not g & low
+            for s in chain_pulling_fan(g, facets, rows, chain, above)]
 
 
 def face_lattice(body) -> list[dict[tuple[int, ...], tuple[int, ...]]]:

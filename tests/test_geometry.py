@@ -1,5 +1,6 @@
 import random
 import sys
+from collections import Counter
 from fractions import Fraction as F
 from itertools import combinations, product
 from math import comb, factorial
@@ -32,6 +33,7 @@ from godbersen.geometry import Polytope, _cone_rays, _hull_facets_int
 from godbersen.linalg import _echelon, int_rank, scale_to_integers
 from godbersen.sections import section_profile
 from tests.conftest import (
+    chain_pulling_fan,
     corpus_specs,
     count_fractions,
     edges,
@@ -961,6 +963,31 @@ class TestPullingFan:
                     simplex_int_volume(pts, (apex,) + s, len(pts[0])) for s in ids]
                 simplices += len(got)
         assert len(families) > 180 and simplices > 5000
+
+    def test_matches_the_chain_oracle_on_every_call(self, monkeypatch):
+        # every call, top-level and nested, made while building the bodies
+        # and their Cayley fans returns the row-by-row chain's pairs in its
+        # order, simplices under faces that are not simplices included
+        kernel = geometry._pulling_fan
+        kinds = Counter()
+
+        def checked(face, cands, rows, chain=(), above=0):
+            got = kernel(face, cands, rows, chain, above)
+            assert got == chain_pulling_fan(face, cands, rows, chain, above)
+            kinds[face.bit_count() == len(rows[0]) - len(chain), bool(chain)] += 1
+            return got
+
+        monkeypatch.setattr(geometry, "_pulling_fan", checked)
+        bodies = ([generate(spec) for spec in corpus_specs()] + recipe_bodies()
+                  + lattice_grid_bodies(40, 10)
+                  + [make(n) for make in (standard_simplex, unit_cube, cross_polytope)
+                     for n in (2, 3, 4, 5)])
+        for body, nxt in zip(bodies, bodies[1:] + bodies[:1]):
+            geometry._cayley_mixed_volumes(body, reflect(body))
+            if nxt.dim == body.dim:
+                geometry._cayley_mixed_volumes(body, nxt)
+        assert kinds[True, True] > 1000 and kinds[False, True] > 1000
+        assert kinds[True, False] > 10000 and kinds[False, False] > 1000
 
     def test_any_apex_off_the_face(self, corpus):
         # the fan of a facet does not depend on its apex, and from every

@@ -243,6 +243,27 @@ class TestCli:
         assert main(["moment", "--input", str(path), "--w", "1/2,2/3"]) == 0
         assert json.loads(capsys.readouterr().out)["moment"] == "0"
 
+    def test_moment_negative_direction(self, tmp_path, capsys):
+        # argparse reads "-1,0" as an option; the space-separated form must
+        # still take it as the direction
+        path = self._write_body(tmp_path, TRIANGLE)
+        outs = []
+        for w in (["--w", "-1,0"], ["--w=-1,0"]):
+            assert main(["moment", "--input", str(path), *w, "--no-center"]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        assert json.loads(outs[0])["w"] == ["-1", "0"]
+
+    def test_usage_errors_exit_1(self, capsys):
+        # exit 2 is kept for a failed proven statement
+        with pytest.raises(SystemExit) as stop:
+            main(["verify"])
+        assert stop.value.code == 1
+        assert "the following arguments are required: --input" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as stop:
+            main(["--help"])
+        assert stop.value.code == 0
+
     def test_missing_file_is_an_error(self, capsys):
         assert main(["verify", "--input", "/nonexistent.json"]) == 1
 
