@@ -32,7 +32,6 @@ from .geometry import (
     Facet,
     Polytope,
     build_hull,
-    includes,
     reflect,
     scale,
     support,

@@ -20,7 +20,7 @@ in a rational row as given and in the witness that ``feasibility`` reads
 back.
 
 Feasibility has one entry, ``_feasible_rows``, which takes those integer
-rows to the double description kernel ``geometry._cone_rays``, the one that
+rows to the double description kernel ``dd._cone_rays``, the one that
 also finds every facet: the system is feasible iff its homogenized cone has
 a ray off the hyperplane at infinity, and such a ray is a vertex of the
 region.  That vertex is checked against every row in integers and returned
@@ -54,7 +54,8 @@ from .errors import (
     TheoremViolation,
     ZeroDirection,
 )
-from .geometry import Polytope, _cone_rays, _idot
+from .dd import _cone_rays
+from .geometry import Polytope, _idot
 from .inclusion import TightnessProfile, tightness_profile
 from .linalg import _echelon, _with_identity, scale_to_integers
 from .rationals import Point

@@ -5,16 +5,15 @@ elimination of integer rows, whose every entry is an integer minor of the
 input, so each division is exact (Bareiss 1968).  Here it is one kernel,
 ``_echelon``.  An adjugate is one such pass over [A | I] and an integer
 back-substitution (``_back_substitute``); no minor is taken on its own.  The
-facet kernel of ``geometry`` seeds from one pass too: on its transposed rows
-followed by I, the pivot columns pick the first linearly independent rows B,
-and the back-substitution gives the rows of adj(B)^T up to sign, the first
-rays.  The same pass decides the span: the rows fail to span exactly when a
-pivot falls in the I block, so a hull takes no rank of its points on its
-own (``int_rank`` is kept for the tests).  The fan simplices' determinants
-in ``geometry`` come from the same kernel: ``_pulling_fan`` reduces each
-face's lowest row against the pivot rows its faces above it share, and
-finishes a simplex's rows in one ``_echelon`` pass that continues that
-elimination from its last pivot (``prev``).
+facet kernel ``dd._cone_rays`` seeds from one pass too: on its transposed
+rows followed by I, the pivot columns pick the first linearly independent
+rows B, and the back-substitution gives the rows of adj(B)^T up to sign, the
+first rays.  The same pass decides the span: the rows fail to span exactly
+when a pivot falls in the I block, so a hull takes no rank of its points on
+its own.  The fan simplices' determinants come from the same kernel:
+``fan._pulling_fan`` reduces each face's lowest row against the pivot rows
+its faces above it share, and finishes a simplex's rows in one ``_echelon``
+pass that continues that elimination from its last pivot (``prev``).
 No normal of a span is formed.
 
 ``scale_to_integers`` is the package's one API edge: every public entry that
@@ -108,15 +107,6 @@ def _echelon(rows, prev: int = 1) -> tuple[list[list[int]], list[int], int]:
     return a, pivots, sign
 
 
-def int_det(rows: list[list[int]]) -> int:
-    """Determinant of a square integer matrix."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    a, pivots, sign = _echelon(rows)
-    return sign * a[n - 1][n - 1] if len(pivots) == n else 0
-
-
 def _with_identity(rows) -> list[list[int]]:
     """[A | I]: each of the k rows followed by the matching row of I_k."""
     k = len(rows)
@@ -164,9 +154,3 @@ def adjugate(rows) -> tuple[int, list[list[int]]]:
     if sign < 0:
         x = [[-c for c in r] for r in x]
     return sign * d, x
-
-
-def int_rank(rows) -> int:
-    """Rank of an integer matrix; the tests' oracle, since the hull's seed
-    elimination decides the span itself."""
-    return len(_echelon(rows)[1])

@@ -6,13 +6,13 @@ comes from the facet formula
     V(K[1], T[n-1]) = (1/n) * sum over facets F of T of h_K(w_F) * mu_F,
 
 while the full coefficient profile comes from the fan of the Cayley polytope
-C = conv(K x {0} u L x {1}), whose slice at height l is (1-l)K + lL (the
-Cayley trick; Huber, Rambau & Santos, J. Eur. Math. Soc. 2, 2000).  A fan
-simplex with j + 1 vertices at the L end contributes only to m_j, so each
-coefficient is one sum of integer determinants, with no Minkowski sum and no
-interpolation.  The profile's second coefficient must reproduce the facet
-formula exactly, and its ends the volumes of K and L; those cross-checks run
-on every call.
+C = conv(K x {0} u L x {1}) (``fan._cayley_mixed_volumes``), whose slice at
+height l is (1-l)K + lL (the Cayley trick; Huber, Rambau & Santos, J. Eur.
+Math. Soc. 2, 2000).  A fan simplex with j + 1 vertices at the L end
+contributes only to m_j, so each coefficient is one sum of integer
+determinants, with no Minkowski sum and no interpolation.  The profile's
+second coefficient must reproduce the facet formula exactly, and its ends
+the volumes of K and L; those cross-checks run on every call.
 
 Three more exact identities are asserted on every profile for free: it is
 log-concave, m_j^2 >= m_{j-1} m_{j+1} (Aleksandrov-Fenchel; Schneider, Convex
@@ -37,7 +37,8 @@ from functools import cached_property
 from math import comb, factorial, gcd, lcm
 
 from .errors import DimensionMismatch, TheoremViolation
-from .geometry import Polytope, _cayley_mixed_volumes, _idot, reflect
+from .fan import _cayley_mixed_volumes
+from .geometry import Polytope, _idot, reflect
 from .rationals import Rat
 
 

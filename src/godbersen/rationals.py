@@ -21,12 +21,13 @@ Rat = Fraction
 Vector = tuple[Rat, ...]
 Point = tuple[Rat, ...]
 
-_RAT_RE = re.compile(r"^[+-]?\d+(/\d*[1-9]\d*)?$")
+_RAT_RE = re.compile(r"^[+-]?\d+(/\d*[1-9]\d*)?$", re.ASCII)
 
 
 def parse_rational(text: str) -> Rat:
-    """Parse ``"p/q"`` or ``"k"``; decimals, exponents, a zero denominator and
-    anything that is not a string (a JSON number, say) raise ValueError."""
+    """Parse ``"p/q"`` or ``"k"`` in ASCII digits; decimals, exponents, a
+    zero denominator, other scripts' digits and anything that is not a string
+    (a JSON number, say) raise ValueError."""
     if not isinstance(text, str) or not _RAT_RE.match(text.strip()):
         raise ValueError(f"not a rational literal: {text!r}")
     return Fraction(text.strip())

@@ -1,6 +1,7 @@
 """Shared corpora, and the Minkowski sum, face lattice, frozenset and
-row-by-row chain pulling fans, per-simplex determinant and Fraction vector
-kept as references, and a counter of the Fractions made.
+row-by-row chain pulling fans, per-simplex determinant, integer determinant
+and rank, vertex inclusion test and Fraction vector kept as references, and
+a counter of the Fractions made.
 
 The acceptance corpus is 300 seeded random polytopes (100 each in dimensions
 2, 3, 4; 80 generic hulls plus 20 origin-symmetric per dimension).  Heavy
@@ -9,6 +10,8 @@ once per session and shared by the acceptance criteria.  Each body also keeps
 the time its report took, so criterion 2 can bound the report phase alone.
 """
 
+import importlib
+import pkgutil
 import random
 import time
 from dataclasses import dataclass
@@ -16,6 +19,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import godbersen
 from godbersen import (
     DegenerateInput,
     DimensionMismatch,
@@ -30,15 +34,14 @@ from godbersen import (
     directional_moment,
     generate,
     godbersen_report,
-    includes,
     reflect,
     scale,
     standard_simplex,
     tightness_profile,
     translate,
 )
-from godbersen import geometry
-from godbersen.linalg import int_det
+from godbersen import dd, fan, geometry
+from godbersen.linalg import _echelon
 from godbersen.rationals import as_rat
 
 
@@ -49,6 +52,12 @@ def as_vector(coords, dim: int | None = None) -> tuple[F, ...]:
     if dim is not None and len(v) != dim:
         raise ValueError(f"expected a vector of length {dim}, got {len(v)}")
     return v
+
+
+def package_modules() -> list:
+    """Every module of the ``godbersen`` package, imported."""
+    return [importlib.import_module(f"godbersen.{info.name}")
+            for info in pkgutil.iter_modules(godbersen.__path__)]
 
 
 def count_fractions(monkeypatch) -> list:
@@ -75,9 +84,9 @@ def minkowski_sum(K: Polytope, L: Polytope) -> Polytope:
     n = K.dim
     if L.dim != n:
         raise DimensionMismatch(f"cannot add bodies of dim {K.dim} and {L.dim}")
-    m, ps, qs = geometry._common_lattice(K, L)
+    m, ps, qs = fan._common_lattice(K, L)
     sums = sorted({tuple(x + y for x, y in zip(p, q)) for p in ps for q in qs})
-    raw_facets = geometry._hull_facets_int(sums, n)
+    raw_facets = dd._hull_facets_int(sums, n)
     for w, offset, ids in raw_facets:
         vals = [geometry._idot(w, p) for p in sums]
         if max(vals) > offset:
@@ -87,10 +96,36 @@ def minkowski_sum(K: Polytope, L: Polytope) -> Polytope:
     return geometry._from_lattice(sums, m, raw_facets)
 
 
+def int_det(rows: list[list[int]]) -> int:
+    """Determinant of a square integer matrix, from one Bareiss pass."""
+    n = len(rows)
+    if n == 0:
+        return 1
+    a, pivots, sign = _echelon(rows)
+    return sign * a[n - 1][n - 1] if len(pivots) == n else 0
+
+
+def int_rank(rows) -> int:
+    """Rank of an integer matrix: the pivot count of one Bareiss pass.  The
+    hull's seed elimination decides the span itself."""
+    return len(_echelon(rows)[1])
+
+
+def includes(outer: Polytope, inner: Polytope) -> bool:
+    """True iff every vertex of inner satisfies every facet inequality of
+    outer, in integers on the two bodies' lattices."""
+    if outer.dim != inner.dim:
+        raise DimensionMismatch("bodies live in different dimensions")
+    # w . p / m_in <= b / m_out, both scales positive
+    m_in, m_out = inner._int_scale, outer._int_scale
+    return all(geometry._idot(f.normal, p) * m_out <= f._offset_num * m_in
+               for f in outer.facets for p in inner._int_vertices)
+
+
 def simplex_int_volume(pts, simplex, d: int) -> int:
     """|det| of the simplex on ``pts[i]`` for i in ``simplex``, from one
     (d+1)-point elimination of its rows relative to its first vertex: the
-    per-simplex route ``geometry._pulling_fan`` replaced."""
+    per-simplex route ``fan._pulling_fan`` replaced."""
     base = pts[simplex[0]]
     rows = [[pts[i][c] - base[c] for c in range(d)] for i in simplex[1:]]
     return abs(int_det(rows))
@@ -98,7 +133,7 @@ def simplex_int_volume(pts, simplex, d: int) -> int:
 
 def frozenset_pulling_fan(face: frozenset, cands) -> list[tuple[int, ...]]:
     """Pulling triangulation of a face, as vertex-id tuples, on vertex-id
-    frozensets: the route ``geometry._pulling_fan`` took before it worked on
+    frozensets: the route ``fan._pulling_fan`` took before it worked on
     bitmasks and carried the elimination.
 
     ``cands`` are sets whose intersections with ``face`` include its facets.
@@ -124,7 +159,7 @@ def frozenset_pulling_fan(face: frozenset, cands) -> list[tuple[int, ...]]:
 
 
 def chain_pulling_fan(face: int, cands, rows, chain=(), above: int = 0):
-    """The pulling fan of ``geometry._pulling_fan``, with its signature and
+    """The pulling fan of ``fan._pulling_fan``, with its signature and
     (simplex, |det|) pairs, by the route it took before a simplex face was
     finished in one elimination pass: every level, simplex faces included,
     reduces its lowest row against the chain one Bareiss step at a time,

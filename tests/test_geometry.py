@@ -1,5 +1,4 @@
 import random
-import sys
 from collections import Counter
 from fractions import Fraction as F
 from itertools import combinations, product
@@ -19,7 +18,6 @@ from godbersen import (
     center_at_centroid,
     cross_polytope,
     generate,
-    includes,
     reflect,
     scale,
     standard_simplex,
@@ -28,9 +26,10 @@ from godbersen import (
     translate,
     unit_cube,
 )
-from godbersen import geometry, linalg
-from godbersen.geometry import Polytope, _cone_rays, _hull_facets_int
-from godbersen.linalg import _echelon, int_rank, scale_to_integers
+from godbersen import dd, fan, geometry, linalg
+from godbersen.dd import _cone_rays, _hull_facets_int
+from godbersen.geometry import Polytope
+from godbersen.linalg import _echelon, scale_to_integers
 from godbersen.sections import section_profile
 from tests.conftest import (
     chain_pulling_fan,
@@ -39,8 +38,11 @@ from tests.conftest import (
     edges,
     face_lattice,
     frozenset_pulling_fan,
+    includes,
+    int_rank,
     lattice_grid_bodies,
     minkowski_sum,
+    package_modules,
     simplex_int_volume,
 )
 from tests.test_linalg import (
@@ -156,7 +158,7 @@ class TestBuildHull:
         # by the upper bound theorem the hull of 120 points in R^6 may have
         # 266,800 facets, over the default cap of 200,000: no step runs
         monkeypatch.delenv("GODBERSEN_SUBSET_CAP", raising=False)
-        monkeypatch.setattr(geometry, "_cone_rays", lambda rows: pytest.fail("kernel ran"))
+        monkeypatch.setattr(dd, "_cone_rays", lambda rows: pytest.fail("kernel ran"))
         with pytest.raises(CombinatorialBlowup,
                            match=r"hull of 120 points in R\^6: 266800 possible facets exceed"
                                  r".*GODBERSEN_SUBSET_CAP"):
@@ -175,10 +177,10 @@ class TestBuildHull:
         # every input under the cap on n-subsets stays under the cap
         for count, n in ((12, 2), (20, 3), (14, 4), (11, 5), (10, 6)):
             body = build_hull(moment_curve(count, n))
-            assert len(body.facets) == geometry._max_facets(count, n)
+            assert len(body.facets) == dd._max_facets(count, n)
         for n in range(1, 13):
-            assert geometry._max_facets(n + 1, n) == n + 1
-            assert all(geometry._max_facets(v, n) <= comb(v, n) for v in range(n + 1, 120))
+            assert dd._max_facets(n + 1, n) == n + 1
+            assert all(dd._max_facets(v, n) <= comb(v, n) for v in range(n + 1, 120))
 
     def test_subset_cap_env_override(self, monkeypatch):
         # a square's hull may have 4 facets
@@ -915,7 +917,7 @@ def cayley_rows(K, L):
     """The rows of the cone over the Cayley polytope of K and L, as
     ``_cayley_mixed_volumes`` builds them: (p, 0, 1) for the vertices p of
     K, then (q, m, 1) for those of L, on their common lattice m."""
-    m, ps, qs = geometry._common_lattice(K, L)
+    m, ps, qs = fan._common_lattice(K, L)
     return [p + (0, 1) for p in ps] + [q + (m, 1) for q in qs]
 
 
@@ -951,11 +953,11 @@ class TestPullingFan:
         families = fan_families(corpus)
         simplices = 0
         for pts, faces in families:
-            sets = [frozenset(geometry._ids(f)) for f in faces]
+            sets = [frozenset(dd._ids(f)) for f in faces]
             for face, fset in zip(faces, sets):
                 apex = lowest_off(face)
-                got = geometry._pulling_fan(face, faces, geometry._relative_rows(pts, apex))
-                ids = [geometry._ids(s) for s, _ in got]
+                got = fan._pulling_fan(face, faces, fan._relative_rows(pts, apex))
+                ids = [dd._ids(s) for s, _ in got]
                 assert len(ids) == len(set(ids))
                 assert set(ids) == set(recursive_pulling_fan(fset, sets))
                 assert sorted(ids) == sorted(frozenset_pulling_fan(fset, sets))
@@ -968,7 +970,7 @@ class TestPullingFan:
         # every call, top-level and nested, made while building the bodies
         # and their Cayley fans returns the row-by-row chain's pairs in its
         # order, simplices under faces that are not simplices included
-        kernel = geometry._pulling_fan
+        kernel = fan._pulling_fan
         kinds = Counter()
 
         def checked(face, cands, rows, chain=(), above=0):
@@ -977,15 +979,17 @@ class TestPullingFan:
             kinds[face.bit_count() == len(rows[0]) - len(chain), bool(chain)] += 1
             return got
 
-        monkeypatch.setattr(geometry, "_pulling_fan", checked)
+        # the bodies' fans call it through geometry's own import of it
+        for module in (fan, geometry):
+            monkeypatch.setattr(module, "_pulling_fan", checked)
         bodies = ([generate(spec) for spec in corpus_specs()] + recipe_bodies()
                   + lattice_grid_bodies(40, 10)
                   + [make(n) for make in (standard_simplex, unit_cube, cross_polytope)
                      for n in (2, 3, 4, 5)])
         for body, nxt in zip(bodies, bodies[1:] + bodies[:1]):
-            geometry._cayley_mixed_volumes(body, reflect(body))
+            fan._cayley_mixed_volumes(body, reflect(body))
             if nxt.dim == body.dim:
-                geometry._cayley_mixed_volumes(body, nxt)
+                fan._cayley_mixed_volumes(body, nxt)
         assert kinds[True, True] > 1000 and kinds[False, True] > 1000
         assert kinds[True, False] > 10000 and kinds[False, False] > 1000
 
@@ -997,32 +1001,26 @@ class TestPullingFan:
                 fans = {}
                 for apex in range(len(pts)):
                     if not face >> apex & 1:
-                        got = geometry._pulling_fan(face, faces,
-                                                    geometry._relative_rows(pts, apex))
+                        got = fan._pulling_fan(face, faces,
+                                               fan._relative_rows(pts, apex))
                         fans[apex] = got
                         assert [v for _, v in got] == [
-                            simplex_int_volume(pts, (apex,) + geometry._ids(s), len(pts[0]))
+                            simplex_int_volume(pts, (apex,) + dd._ids(s), len(pts[0]))
                             for s, _ in got]
                 assert len({tuple(s for s, _ in got) for got in fans.values()}) == 1
 
     def test_no_determinant_taken(self, corpus, monkeypatch):
         bodies = [body for _, body in corpus[::3]]
         expected = [(facet_data(body), body._simplices, body._fan_volumes,
-                     geometry._cayley_mixed_volumes(body, reflect(body)))
+                     fan._cayley_mixed_volumes(body, reflect(body)))
                     for body in bodies]
 
-        def no_det(rows):
-            raise AssertionError("int_det reached")
-
-        for name, module in list(sys.modules.items()):
-            if name.startswith("godbersen") and hasattr(module, "int_det"):
-                monkeypatch.setattr(module, "int_det", no_det)
-        assert not hasattr(geometry, "int_det")
-        for body, (facets, fan, dets, mixed) in zip(bodies, expected):
+        assert not any(hasattr(module, "int_det") for module in package_modules())
+        for body, (facets, simplices, dets, mixed) in zip(bodies, expected):
             built = build_hull(body.vertices)
             assert (facet_data(built), built._simplices, built._fan_volumes) == \
-                (facets, fan, dets)
-            assert geometry._cayley_mixed_volumes(body, reflect(body)) == mixed
+                (facets, simplices, dets)
+            assert fan._cayley_mixed_volumes(body, reflect(body)) == mixed
 
     @pytest.mark.parametrize("pts, face, cands", [
         # the leaf's row is parallel to its parent's
@@ -1036,7 +1034,7 @@ class TestPullingFan:
     ])
     def test_degenerate_face_raises(self, pts, face, cands):
         with pytest.raises(DegenerateInput, match="fan simplex is degenerate"):
-            geometry._pulling_fan(face, cands, geometry._relative_rows(pts, 0))
+            fan._pulling_fan(face, cands, fan._relative_rows(pts, 0))
 
 
 def affine_maps(rng, n):
@@ -1318,14 +1316,14 @@ def dd_sum_facet_supports(K, L):
     supports = []
     for ray, tight in _cone_rays(cayley_rows(K, L)):
         if any(ray[:n]):
-            ids = geometry._ids(tight)
+            ids = dd._ids(tight)
             supports.append((linalg.primitive(ray[:n]), [i for i in ids if i < vk],
                              [i - vk for i in ids if i >= vk]))
     return sorted(supports)
 
 
 def subset_minkowski_sum(K, L):
-    m, ps, qs = geometry._common_lattice(K, L)
+    m, ps, qs = fan._common_lattice(K, L)
     facets = {u: geometry._idot(u, ps[ik[0]]) + geometry._idot(u, qs[il[0]])
               for u, ik, il in subset_sum_facet_supports(K, L)}
     sums = sorted({tuple(x + y for x, y in zip(p, q)) for p in ps for q in qs})
@@ -1422,7 +1420,7 @@ class TestSubsetOracles:
 def ray_set(rows, order):
     """The rays of ``rows`` taken in ``order``, with their tight rows named
     by their index in ``rows``."""
-    return {(ray, frozenset(order[i] for i in geometry._ids(tight)))
+    return {(ray, frozenset(order[i] for i in dd._ids(tight)))
             for ray, tight in _cone_rays([rows[i] for i in order])}
 
 
@@ -1463,8 +1461,7 @@ class TestConeRays:
         # coplanar points lifted to (p, 1) in R^4, and collinear points in
         # the plane through build_hull.  The hull path takes no rank, and
         # checks its facet bound before the span
-        ranks = []
-        monkeypatch.setattr(linalg, "int_rank", lambda rows: ranks.append(rows))
+        assert not any(hasattr(module, "int_rank") for module in package_modules())
         coplanar = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (2, 3, 0)]
         with pytest.raises(DegenerateInput, match=r"^points do not span R\^3$"):
             _cone_rays([p + (1,) for p in coplanar])
@@ -1473,7 +1470,6 @@ class TestConeRays:
             build_hull(collinear)
         build_hull(SQUARE)
         build_hull(moment_curve(12, 4))
-        assert ranks == [] and not hasattr(geometry, "int_rank")
         monkeypatch.setenv("GODBERSEN_SUBSET_CAP", "3")
         with pytest.raises(CombinatorialBlowup, match=r"hull of 4 points in R\^2"):
             build_hull(collinear)
@@ -1501,10 +1497,10 @@ class TestConeRays:
         rows = [p + (1,) for p in moment_curve(40, 3)]
         expected, passed, rejected = scanning_cone_rays(rows)
         scans, made = [], []
-        rays_on, primitive = geometry._rays_on, geometry.primitive
-        monkeypatch.setattr(geometry, "_rays_on",
+        rays_on, primitive = dd._rays_on, dd.primitive
+        monkeypatch.setattr(dd, "_rays_on",
                             lambda z, tights: scans.append(z) or rays_on(z, tights))
-        monkeypatch.setattr(geometry, "primitive",
+        monkeypatch.setattr(dd, "primitive",
                             lambda vec: made.append(vec) or primitive(vec))
         rays = _cone_rays(rows)
         assert rays == expected and len(rays) == 2 * (40 - 2)
@@ -1521,8 +1517,8 @@ class TestConeRays:
         rows = cayley_rows(cube, reflect(cube))
         expected, passed, rejected = scanning_cone_rays(rows)
         counts = []
-        rays_on = geometry._rays_on
-        monkeypatch.setattr(geometry, "_rays_on",
+        rays_on = dd._rays_on
+        monkeypatch.setattr(dd, "_rays_on",
                             lambda z, tights: counts.append(rays_on(z, tights)) or counts[-1])
         rays = _cone_rays(rows)
         assert rays == expected and len(rays) == 2 + 8
@@ -1561,7 +1557,7 @@ def scanning_cone_rays(rows):
     simple-ray rule: the (ray, tight) list, the pairs that passed the bound
     and the pairs that the scan rejected."""
     k = len(rows[0])
-    seed, rays = geometry._seed_rays(rows)
+    seed, rays = dd._seed_rays(rows)
     full = sum(1 << i for i in seed)
     tights = [full ^ (1 << i) for i in seed]
     passed = rejected = 0
@@ -1620,10 +1616,13 @@ class TestOneEliminationAdjugate:
         inputs = seed_inputs(corpus)
         expected = {name: [_cone_rays(rows) for rows in group]
                     for name, group in inputs.items()}
-        monkeypatch.setattr(geometry, "_seed_rays", cofactor_seed_rays)
+        seeds = []
+        monkeypatch.setattr(dd, "_seed_rays",
+                            lambda rows: seeds.append(rows) or cofactor_seed_rays(rows))
         for name, group in inputs.items():
             assert [_cone_rays(rows) for rows in group] == expected[name], name
         assert [len(group) for group in inputs.values()] == [60, 12, 2]
+        assert seeds == [rows for group in inputs.values() for rows in group]
 
     def test_one_elimination_and_no_determinant(self, corpus, monkeypatch):
         rng = random.Random(29)
@@ -1639,12 +1638,9 @@ class TestOneEliminationAdjugate:
             calls.append(len(rows))
             return echelon(rows)
 
-        def no_det(rows):
-            raise AssertionError("int_det reached")
-
-        for module in (geometry, linalg):
+        for module in (dd, linalg):
             monkeypatch.setattr(module, "_echelon", counted)
-        monkeypatch.setattr(linalg, "int_det", no_det)
+        assert not any(hasattr(module, "int_det") for module in package_modules())
         for rows in inputs:
             calls.clear()
             _cone_rays(rows)

@@ -35,9 +35,9 @@ from godbersen import (
 )
 from godbersen import halfspaces
 from godbersen.halfspaces import HalfSpace, _farkas_infeasible, _feasible_rows
-from godbersen.linalg import int_det, int_rank, scale_to_integers
+from godbersen.linalg import scale_to_integers
 from godbersen.rationals import as_rat
-from tests.conftest import as_vector, count_fractions, lattice_grid_bodies
+from tests.conftest import as_vector, count_fractions, int_det, int_rank, lattice_grid_bodies
 from tests.test_geometry import TRIANGLE, dot, random_polytope
 
 CENTERED_SQUARE = [(F(-1, 2), F(-1, 2)), (F(1, 2), F(-1, 2)),

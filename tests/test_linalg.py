@@ -18,12 +18,10 @@ from godbersen.errors import SingularMatrix
 from godbersen.linalg import (
     _echelon,
     adjugate,
-    int_det,
-    int_rank,
     primitive,
     scale_to_integers,
 )
-from tests.conftest import count_fractions
+from tests.conftest import count_fractions, int_det, int_rank
 
 
 # A rational determinant, solve and affine rank on the Bareiss kernel.  The

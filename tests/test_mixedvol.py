@@ -12,6 +12,7 @@ from godbersen import (
     TheoremViolation,
     build_hull,
     cross_polytope,
+    fan,
     generate,
     geometry,
     godbersen_report,
@@ -149,7 +150,7 @@ class TestMvProfile:
 def vandermonde_profile(K, L):
     n = K.dim
     total = minkowski_sum(K, L)
-    m, ps, qs = geometry._common_lattice(K, L)
+    m, ps, qs = fan._common_lattice(K, L)
     pair = {tuple(a + b for a, b in zip(p, q)): (p, q) for p in ps for q in qs}
     up = m // total._int_scale
     summands = [pair[tuple(c * up for c in v)] for v in total._int_vertices]

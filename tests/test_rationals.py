@@ -20,7 +20,9 @@ def test_parse_basic():
     assert parse_rational(" 2/6 ") == Fraction(1, 3)
 
 
-@pytest.mark.parametrize("bad", ["1.5", "1e3", "", "a/b", "1/2/3", "1 / 2", "1/0", "-2/00"])
+@pytest.mark.parametrize("bad", ["1.5", "1e3", "", "a/b", "1/2/3", "1 / 2", "1/0", "-2/00",
+                                 # Arabic-Indic digits: only ASCII digits are read
+                                 "\u0661", "\u0661/2", "1/\u0662"])
 def test_parse_rejects_non_rationals(bad):
     with pytest.raises(ValueError):
         parse_rational(bad)
