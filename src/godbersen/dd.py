@@ -13,7 +13,11 @@ when either is tight on exactly k - 1 rows; only pairs of rays that are
 each tight on more are scanned for a third ray.  A hull runs it on the
 input points; the Cayley polytope conv(K x {0} u L x {1}) runs it on its
 lifted vertices, and its fan gives the mixed volumes of K and L, so no sum
-is built.
+is built; a feasibility question runs it on its homogenized rows.
+
+The kernel also owns the size policy: every run, whoever calls it, checks
+the upper bound theorem's count of its rays against ``GODBERSEN_SUBSET_CAP``
+before the seed (``check_subset_cap``).
 """
 
 from __future__ import annotations
@@ -30,8 +34,9 @@ DEFAULT_SUBSET_CAP = 200_000
 
 
 def check_subset_cap(total: int, what: str) -> None:
-    """Raise CombinatorialBlowup before a hull that may have ``total``
-    facets above the cap (``GODBERSEN_SUBSET_CAP``, default 200000)."""
+    """Raise CombinatorialBlowup, naming ``what``, before a ``_cone_rays``
+    run that may have ``total`` rays (the facets of a hull) above the cap
+    (``GODBERSEN_SUBSET_CAP``, default 200000)."""
     raw = os.environ.get(SUBSET_CAP_ENV, DEFAULT_SUBSET_CAP)
     try:
         cap = int(raw)
@@ -85,10 +90,19 @@ def _cone_rays(rows) -> list[tuple[tuple[int, ...], int]]:
 
     The double description method (Motzkin, Raiffa, Thompson and Thrall
     1953; Fukuda and Prodon, "Double description method revisited", 1996) on
-    integer rows of length k, which must span R^k: the seed raises
-    DegenerateInput if they do not.  Returns (ray, tight) pairs: the ray as a
-    primitive integer vector, ``tight`` the bitmask of the rows a with
-    a . ray = 0.
+    integer rows of length k, which must span R^k: fewer than k rows, or a
+    seed that finds them dependent, raise DegenerateInput.  Returns (ray,
+    tight) pairs: the ray as a primitive integer vector, ``tight`` the
+    bitmask of the rows a with a . ray = 0.
+
+    Before the seed, M rows with k >= 2 pass the size check
+    (``check_subset_cap``) as the hull of M points in R^(k-1).  The rays of
+    the cone are the facets of its polar, which the rows generate, so there
+    are at most ``_max_facets(M, k - 1)`` of them, the facets of a polytope
+    in R^(k-1) on M vertices (McMullen's upper bound theorem, 1970); every
+    intermediate cone of the run is cut by fewer rows and has at most as
+    many.  A cone on the line (k = 1) has at most one ray and is not
+    checked.
 
     The first linearly independent rows B seed the cone, from one
     elimination (``_seed_rays``): its rays are the columns of
@@ -111,7 +125,11 @@ def _cone_rays(rows) -> list[tuple[tuple[int, ...], int]]:
     no third ray is tight on z and the scan would pass.  Only pairs of rays
     tight on k or more rows each, which degenerate inputs make, are scanned.
     """
-    k = len(rows[0])
+    k, m = len(rows[0]), len(rows)
+    if m < k:
+        raise DegenerateInput(f"points do not span R^{k - 1}")
+    if k > 1:
+        check_subset_cap(_max_facets(m, k - 1), f"hull of {m} points in R^{k - 1}")
     seed, rays = _seed_rays(rows)
     full = sum(1 << i for i in seed)
     tights = [full ^ (1 << i) for i in seed]

@@ -40,7 +40,7 @@ from functools import cached_property, reduce
 from math import factorial, gcd, lcm
 from operator import and_, mul
 
-from .dd import _hull_facets_int, _ids, _max_facets, check_subset_cap
+from .dd import _hull_facets_int, _ids
 from .errors import DegenerateInput, DimensionMismatch, SingularMatrix, ZeroDirection
 from .fan import _pulling_fan, _relative_rows
 from .linalg import adjugate, scale_to_integers
@@ -230,9 +230,9 @@ def build_hull(points) -> Polytope:
 
     Facets come from the double description kernel ``dd._cone_rays``.  After
     each step its rays are the facets of the hull of the points so far, at
-    most ``_max_facets(V, n)`` for V distinct points; a bound above
-    ``GODBERSEN_SUBSET_CAP`` raises CombinatorialBlowup before the first
-    step.  The bound never exceeds C(V, n).
+    most the upper bound theorem's count for V distinct points in R^n, which
+    never exceeds C(V, n); the kernel raises CombinatorialBlowup before its
+    first step when that count is above ``GODBERSEN_SUBSET_CAP``.
 
     Redundant input points are dropped; the result carries the full facet
     structure with outward coprime-integer normals, exact offsets and scaled
@@ -252,17 +252,13 @@ def build_hull(points) -> Polytope:
 def _lattice_hull(points: list[tuple[int, ...]], mult: int) -> Polytope:
     """``build_hull`` of the integer points c / mult, which share one
     dimension n >= 1: the points are deduplicated and sorted (a positive
-    common scale keeps their lexicographic order), must number at least
-    n + 1, and their bound ``_max_facets`` must pass the cap; the seed of
-    ``dd._cone_rays`` then finds whether they span R^n.  ``_from_lattice``
-    coarsens to the smallest lattice, so any common scale gives the same
-    body."""
+    common scale keeps their lexicographic order), and ``dd._cone_rays``
+    checks, in this order, that they number at least n + 1, that their facet
+    bound passes the cap, and from its seed that they span R^n.
+    ``_from_lattice`` coarsens to the smallest lattice, so any common scale
+    gives the same body."""
     ipts = sorted(set(points))
-    n = len(ipts[0])
-    if len(ipts) < n + 1:
-        raise DegenerateInput(f"points do not span R^{n}")
-    check_subset_cap(_max_facets(len(ipts), n), f"hull of {len(ipts)} points in R^{n}")
-    return _from_lattice(ipts, mult, _hull_facets_int(ipts, n))
+    return _from_lattice(ipts, mult, _hull_facets_int(ipts, len(ipts[0])))
 
 
 def support(K: Polytope, w) -> Rat:

@@ -9,6 +9,7 @@ in a hand-written file are tolerated and dropped.
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 from .generators import GenSpec
@@ -41,13 +42,14 @@ def _field(data: dict, key: str, what: str):
 
 
 def _integer(value, what: str) -> int:
-    """An int (not a bool) or an integer string, as an int; else ValueError."""
+    """An int (not a bool) or an integer string of ASCII digits with an
+    optional sign, as an int; else ValueError."""
     if isinstance(value, int) and not isinstance(value, bool):
         return value
-    if isinstance(value, str):
+    if isinstance(value, str) and re.fullmatch(r"[+-]?[0-9]+", value.strip()):
         try:
             return int(value)
-        except ValueError:
+        except ValueError:  # more digits than Python converts
             pass
     raise ValueError(f"{what} must be an integer, not {json.dumps(value)}")
 

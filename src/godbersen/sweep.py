@@ -16,7 +16,7 @@ import random
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .errors import GodbersenError, TheoremViolation
+from .errors import CombinatorialBlowup, GodbersenError, TheoremViolation
 from .generators import GenSpec, generate
 from .geometry import Polytope
 from .halfspaces import anchor_unique
@@ -73,19 +73,25 @@ def _random_direction(rng: random.Random, dim: int) -> tuple[int, ...]:
 def check_body(body_id: str, spec: GenSpec) -> tuple[list[SweepRow], list[str]]:
     """All per-body checks; returns (rows, observations).
 
-    Recoverable generation failures become a single error row; violated
+    Recoverable generation failures, and a later kernel run that the size
+    cap refuses (the Cayley polytope's), become a single error row; violated
     theorems propagate, prefixed with the body id and spec.
     """
     try:
         body = generate(spec)
     except GodbersenError as err:
-        row = SweepRow(body_id, spec.dim, 0, 0, None, 0, False, False, False,
-                       f"{type(err).__name__}: {err}")
-        return [row], []
+        return [_error_row(body_id, spec, err)], []
     try:
         return _check_generated(body_id, spec, body)
+    except CombinatorialBlowup as err:
+        return [_error_row(body_id, spec, err)], []
     except TheoremViolation as err:
         raise TheoremViolation(f"{body_id} {spec}: {err}") from err
+
+
+def _error_row(body_id: str, spec: GenSpec, err: GodbersenError) -> SweepRow:
+    return SweepRow(body_id, spec.dim, 0, 0, None, 0, False, False, False,
+                    f"{type(err).__name__}: {err}")
 
 
 def _check_generated(body_id: str, spec: GenSpec,

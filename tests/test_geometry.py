@@ -156,9 +156,10 @@ class TestBuildHull:
 
     def test_subset_cap_raises_before_enumerating(self, monkeypatch):
         # by the upper bound theorem the hull of 120 points in R^6 may have
-        # 266,800 facets, over the default cap of 200,000: no step runs
+        # 266,800 facets, over the default cap of 200,000: the kernel's
+        # guard refuses it before the seed, so no elimination runs
         monkeypatch.delenv("GODBERSEN_SUBSET_CAP", raising=False)
-        monkeypatch.setattr(dd, "_cone_rays", lambda rows: pytest.fail("kernel ran"))
+        monkeypatch.setattr(dd, "_seed_rays", lambda rows: pytest.fail("kernel ran"))
         with pytest.raises(CombinatorialBlowup,
                            match=r"hull of 120 points in R\^6: 266800 possible facets exceed"
                                  r".*GODBERSEN_SUBSET_CAP"):
@@ -1473,6 +1474,13 @@ class TestConeRays:
         monkeypatch.setenv("GODBERSEN_SUBSET_CAP", "3")
         with pytest.raises(CombinatorialBlowup, match=r"hull of 4 points in R\^2"):
             build_hull(collinear)
+        # fewer than k rows raise before the cap is read: the upper bound
+        # theorem has no count for fewer than n + 1 points
+        monkeypatch.setenv("GODBERSEN_SUBSET_CAP", "0")
+        with pytest.raises(DegenerateInput, match=r"^points do not span R\^2$"):
+            build_hull([(0, 0)])
+        with pytest.raises(DegenerateInput, match=r"^points do not span R\^4$"):
+            _cone_rays([(0, 0, 0, 0, 1), (1, 0, 0, 0, 1)])
 
     def test_recipe_cayley_facets_match_the_sum(self):
         # the mixed Cayley facets against the facets of K + L, hulled from

@@ -8,6 +8,8 @@ from types import SimpleNamespace
 import pytest
 
 from godbersen import (
+    CombinatorialBlowup,
+    DegenerateInput,
     DimensionMismatch,
     FeasibilityResult,
     GenSpec,
@@ -34,11 +36,12 @@ from godbersen import (
     unit_cube,
 )
 from godbersen import halfspaces
+from godbersen.dd import _cone_rays, _max_facets
 from godbersen.halfspaces import HalfSpace, _farkas_infeasible, _feasible_rows
 from godbersen.linalg import scale_to_integers
 from godbersen.rationals import as_rat
 from tests.conftest import as_vector, count_fractions, int_det, int_rank, lattice_grid_bodies
-from tests.test_geometry import TRIANGLE, dot, random_polytope
+from tests.test_geometry import TRIANGLE, cayley_rows, dot, random_polytope
 
 CENTERED_SQUARE = [(F(-1, 2), F(-1, 2)), (F(1, 2), F(-1, 2)),
                    (F(-1, 2), F(1, 2)), (F(1, 2), F(1, 2))]
@@ -323,13 +326,21 @@ class TestHelly:
             helly_audit(s)
 
     def test_cap(self, monkeypatch):
-        # x <= 1..9 and x >= 10 among 18 rows in R^3: 3,060 subsets, above
-        # the cap, which no longer bounds the audit.  The filter drops each
-        # upper bound but the last, so the witness is x <= 9 and x >= 10.
-        monkeypatch.setenv("GODBERSEN_SUBSET_CAP", "10")
+        # x <= 1..9 and x >= 10 among 18 rows in R^3: 3,060 subsets, which
+        # the audit does not enumerate.  Its kernel runs read the cap: the
+        # full system's cone, 18 rows and the t-row on the two pivot
+        # columns, may have _max_facets(19, 2) = 19 rays.  Under a cap that
+        # admits it, the filter drops each upper bound but the last, so the
+        # witness is x <= 9 and x >= 10.
         rows = [((1, 0, 0), i) for i in range(1, 10)]
         rows += [((0, 1, 0), i) for i in range(1, 9)] + [((-1, 0, 0), -10)]
         s = make_system(3, rows)
+        monkeypatch.setenv("GODBERSEN_SUBSET_CAP", "10")
+        with pytest.raises(CombinatorialBlowup,
+                           match=r"^hull of 19 points in R\^2: 19 possible facets exceed "
+                                 r"the cap of 10;"):
+            helly_audit(s)
+        monkeypatch.setenv("GODBERSEN_SUBSET_CAP", "19")
         certified = []
         farkas = halfspaces._farkas_infeasible
 
@@ -342,11 +353,18 @@ class TestHelly:
         assert certified == [(8, 17)]
 
     def test_cap_env_override(self, monkeypatch):
-        # neither an infeasible nor a feasible system reads the cap
-        monkeypatch.setenv("GODBERSEN_SUBSET_CAP", "1")
+        # an infeasible and a feasible system both read the cap: 4 rows and
+        # the t-row in R^3 may have _max_facets(5, 2) = 5 rays
         s = make_system(2, [((1, 0), 0), ((0, 1), 1), ((-1, 0), -1), ((0, -1), 0)])
-        assert not helly_audit(s)
         box = make_system(2, [((1, 0), 1), ((0, 1), 1), ((-1, 0), 0), ((0, -1), 0)])
+        monkeypatch.setenv("GODBERSEN_SUBSET_CAP", "1")
+        for system in (s, box):
+            with pytest.raises(CombinatorialBlowup,
+                               match=r"^hull of 5 points in R\^2: 5 possible facets "
+                                     r"exceed the cap of 1;"):
+                helly_audit(system)
+        monkeypatch.setenv("GODBERSEN_SUBSET_CAP", "5")
+        assert not helly_audit(s)
         assert helly_audit(box)
         monkeypatch.setenv("GODBERSEN_SUBSET_CAP", "100000")
         assert not helly_audit(s)
@@ -969,6 +987,70 @@ def _random_unimodular(rng, n):
     return mat
 
 
+def prefix_ray_ratios(rows) -> list:
+    """rays / _max_facets(p, k - 1) for every prefix of p rows that spans
+    R^k, k the rows' length: the size guard's premise is that none exceeds
+    1."""
+    k = len(rows[0])
+    ratios = []
+    for p in range(k, len(rows) + 1):
+        try:
+            rays = _cone_rays(rows[:p])
+        except DegenerateInput:
+            continue
+        ratios.append(F(len(rays), _max_facets(p, k - 1)))
+    return ratios
+
+
+class TestConeSizeGuard:
+    """``dd._cone_rays`` refuses a run whose cone of M rows in R^k may have
+    more than the cap's ``_max_facets(M, k - 1)`` rays, whatever its
+    caller."""
+
+    def test_every_prefix_cone_is_under_the_bound(self, monkeypatch, corpus):
+        # the premise: each intermediate cone of a run has at most the
+        # upper bound theorem's count of rays for the rows cut so far.
+        # Cayley polytopes of (K, -K), and the homogenized rows that
+        # _feasible_rows hands the kernel for anchor systems and for random
+        # systems with reversed-row pairs, which can make the cone flat
+        bodies = [body for _, body in corpus]
+        inputs = [cayley_rows(body, reflect(body)) for body in bodies]
+        cone_rays = halfspaces._cone_rays
+        monkeypatch.setattr(halfspaces, "_cone_rays",
+                            lambda rows: inputs.append(rows) or cone_rays(rows))
+        for body in bodies:
+            feasibility(ak_system(body))
+        rng = random.Random(43)
+        for _ in range(300):
+            n = rng.randint(2, 4)
+            rows = []
+            for _ in range(rng.randint(n + 1, n + 5)):
+                w = tuple(rng.randint(-3, 3) for _ in range(n))
+                if any(w):
+                    b = rng.randint(-4, 4)
+                    rows.append((w, b))
+                    if rng.random() < 0.4:
+                        rows.append((tuple(-c for c in w), rng.randint(-1, 1) - b))
+            _feasible_rows(rows, n)
+        ratios = [r for rows in inputs if len(rows[0]) > 1
+                  for r in prefix_ray_ratios(rows)]
+        # 300 Cayley polytopes, 300 anchor systems and 300 random systems;
+        # the seed cone, k rays for k rows, attains the bound
+        assert len(inputs) == 900 and len(ratios) == 5223
+        assert max(ratios) == 1
+
+    def test_a_cone_on_the_line_is_not_checked(self, monkeypatch):
+        # all-zero normals leave no pivot column, so the cone lies on the t
+        # axis (k = 1), where the upper bound theorem has no count: a cap of
+        # 0 refuses neither run
+        monkeypatch.setenv("GODBERSEN_SUBSET_CAP", "0")
+        assert _cone_rays([(-1,), (0,), (-1,)]) == [((1,), 0b010)]
+        assert _feasible_rows([((0, 0), 1), ((0, 0), 0)], 2) == ([0, 0], 1, False)
+        assert _feasible_rows([((0, 0), -1)], 2) is None
+        with pytest.raises(CombinatorialBlowup, match=r"^hull of 3 points in R\^1"):
+            _cone_rays([(-1, 0), (0, -1), (1, 1)])
+
+
 class TestFeasibleRowsMetamorphic:
     """Changes of the rows that keep the region, or map it one to one, keep
     ``feasible`` and ``unique``, and every witness is a vertex."""
@@ -1050,9 +1132,12 @@ class TestFourierMotzkinGuard:
 
     def test_subset_cap_comes_before_the_kernel(self, monkeypatch):
         # the first dim-5 anchor system plus the reverse of its first row,
-        # moved past it: 21 rows, infeasible, 54,264 subsets.  The audit
-        # reads no cap: the full-system run and one filter run per row cut
-        # it to the row and its reverse, and one certificate settles those.
+        # moved past it: 21 rows, infeasible, 54,264 subsets, which the
+        # audit does not enumerate.  Its kernel runs read the cap, and pass
+        # it: the full system's cone, 21 rows and the t-row in R^6, may have
+        # _max_facets(22, 5) = 342 rays.  The full-system run and one filter
+        # run per row cut it to the row and its reverse, and one certificate
+        # settles those.
         rows = [(h.normal, h.rhs)
                 for h in ak_system(generate(FM_REFUSED_SPECS[1])).halfspaces]
         w, b = rows[0]

@@ -1,12 +1,15 @@
 """The import boundary of the two kernels: the double description kernel
 (``dd``) and the pulling fan (``fan``) stand on ``linalg`` and ``errors``
-alone, so a checker of their output can be held to importing neither."""
+alone, so a checker of their output can be held to importing neither.  The
+size policy is the double description kernel's alone: no other module
+reads the cap or the facet bound."""
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "godbersen"
 CALLERS = {"geometry", "halfspaces", "mixedvol", "sections", "inclusion"}
+SIZE_POLICY = {"check_subset_cap", "_max_facets"}
 
 
 def package_imports(tree) -> set[str]:
@@ -62,3 +65,34 @@ def test_import_guard_sees_each_kind():
                      "    from .inclusion import tightness_profile\n")
     assert package_imports(tree) == {"linalg", "sections", "geometry", "mixedvol",
                                      "inclusion"}
+
+
+def size_policy_uses(tree) -> set[str]:
+    """The names of ``SIZE_POLICY`` that a module's source imports, calls or
+    otherwise reads, by name or as an attribute."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            found.update(a.name for a in node.names)
+        elif isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+    return found & SIZE_POLICY
+
+
+def test_only_dd_holds_the_size_policy():
+    # the guard sits at the kernel's entry, so every run is checked and no
+    # caller keeps a check of its own
+    for path in SRC.glob("*.py"):
+        if path.stem != "dd":
+            assert not size_policy_uses(ast.parse(path.read_text())), path.stem
+    assert size_policy_uses(ast.parse((SRC / "dd.py").read_text())) == SIZE_POLICY
+
+
+def test_size_policy_guard_sees_each_kind():
+    tree = ast.parse("from .dd import _max_facets\n"
+                     "def f(rows):\n"
+                     "    dd.check_subset_cap(1, 'x')\n")
+    assert size_policy_uses(tree) == SIZE_POLICY
+    assert not size_policy_uses(ast.parse("from .dd import _cone_rays\n"))

@@ -12,7 +12,7 @@ from godbersen import (
     make_system,
     unit_cube,
 )
-from godbersen import cli
+from godbersen import cli, dd
 from godbersen.cli import main
 from godbersen.rationals import format_rational
 from godbersen.polyio import (
@@ -200,7 +200,8 @@ class TestCli:
     def test_helly_feasible_system_above_the_subset_cap(self, tmp_path, capsys,
                                                          monkeypatch):
         # 36 rows in R^5, 1,947,792 subsets: a feasible system is settled by
-        # its vertex, so the cap, which bounds the search, does not refuse it
+        # its vertex, and its one kernel run, 36 rows and the t-row in R^6,
+        # may have _max_facets(37, 5) = 1,122 rays, under the cap
         monkeypatch.delenv("GODBERSEN_SUBSET_CAP", raising=False)
         system = ak_system(generate(GenSpec("random_hull", 5, vertex_count=10,
                                             seed=1, denominator_bound=2)))
@@ -216,7 +217,8 @@ class TestCli:
                                                            monkeypatch):
         # the 36 rows above plus the reverse of the first, moved past it:
         # 2,324,784 subsets, infeasible, and settled by the two conflicting
-        # rows, with no cap read
+        # rows; its largest kernel run, 37 rows and the t-row in R^6, may
+        # have _max_facets(38, 5) = 1,190 rays, under the cap
         monkeypatch.delenv("GODBERSEN_SUBSET_CAP", raising=False)
         system = ak_system(generate(GenSpec("random_hull", 5, vertex_count=10,
                                             seed=1, denominator_bound=2)))
@@ -349,10 +351,51 @@ class TestCli:
         assert report["volume"] == "1"
         assert all(e["mixed"] == "1" for e in report["entries"])
 
+    def test_verify_refuses_the_5_cube_cayley_run_under_a_low_cap(
+            self, tmp_path, capsys, monkeypatch):
+        # the hull of its 32 vertices in R^5 may have 812 facets, under a cap
+        # of 1000; the Cayley polytope of (K, -K), 64 points in R^6, may have
+        # 37,760, over it: the kernel refuses that run before its seed, so
+        # the hull's seed is the only one
+        monkeypatch.delenv("GODBERSEN_SUBSET_CAP", raising=False)
+        out = tmp_path / "cube.json"
+        assert main(["gen", "--kind", "cube", "--dim", "5", "--out", str(out)]) == 0
+        capsys.readouterr()
+        monkeypatch.setenv("GODBERSEN_SUBSET_CAP", "1000")
+        seeds = []
+        seed_rays = dd._seed_rays
+        monkeypatch.setattr(dd, "_seed_rays", lambda rows: seeds.append(len(rows))
+                            or seed_rays(rows))
+        assert main(["verify", "--input", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: hull of 64 points in R^6: 37760 possible facets exceed the cap "
+            "of 1000; raise GODBERSEN_SUBSET_CAP\n")
+        assert seeds == [32]
+
+    def test_helly_refused_before_any_seed_under_a_low_cap(
+            self, tmp_path, capsys, monkeypatch):
+        # the triangle's anchor system: 3 rows and the t-row in R^3 may have
+        # _max_facets(4, 2) = 4 rays
+        path = tmp_path / "sys.json"
+        path.write_text(json.dumps(_system_dict(TRIANGLE_ANCHOR_ROWS)))
+        monkeypatch.setenv("GODBERSEN_SUBSET_CAP", "3")
+        monkeypatch.setattr(dd, "_seed_rays", lambda rows: pytest.fail("kernel ran"))
+        assert main(["helly", "--input", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: hull of 4 points in R^2: 4 possible facets exceed the cap of 3; "
+            "raise GODBERSEN_SUBSET_CAP\n")
+
     @pytest.mark.parametrize("command, dim", [
-        ("verify", True), ("verify", False), ("verify", 1.0), ("helly", True)])
+        ("verify", True), ("verify", False), ("verify", 1.0), ("helly", True),
+        ("verify", "\u0662"), ("verify", "1_0"), ("helly", "\u0661")])
     def test_non_integer_dim_is_an_error(self, tmp_path, capsys, command, dim):
-        # a bool is an int in Python; {"dim": true} once loaded as dim 1
+        # a bool is an int in Python; {"dim": true} once loaded as dim 1.
+        # int() reads other scripts' digits and underscores, which the
+        # format does not admit: "\u0662" once loaded a triangle
         path = tmp_path / "in.json"
         if command == "helly":
             data = {"dim": dim, "rows": [{"w": ["1"], "beta": "1"}]}
@@ -498,9 +541,11 @@ class TestCli:
         ("vertex_count", 6.0), ("vertex_count", False),
         ("denominator_bound", 2.5), ("denominator_bound", True),
         ("denominator_bound", None),
+        ("dim", "\u0662"), ("vertex_count", "1_0"), ("seed", "\u0665"),
     ])
     def test_sweep_rejects_non_integer_field(self, tmp_path, capsys, key, value):
-        # a float is not truncated and a bool is not read as 0 or 1
+        # a float is not truncated and a bool is not read as 0 or 1; nor is
+        # a string read with int()'s other scripts' digits or underscores
         row = {"kind": "random_hull", "dim": 2, "vertex_count": 6, "seed": 5,
                "denominator_bound": 2}
         row[key] = value
@@ -511,6 +556,26 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:") and key in err and "Traceback" not in err
         assert not out.exists()
+
+    def test_sweep_keeps_going_past_a_refused_cayley_run(self, tmp_path, capsys,
+                                                         monkeypatch):
+        # under a cap of 1000 the 5-cube's hull (bound 812) is built, but the
+        # Cayley run of its report (bound 37,760) is refused: the cube gets
+        # one error row, as a refused generation does, and the sweep goes on
+        monkeypatch.setenv("GODBERSEN_SUBSET_CAP", "1000")
+        spec = tmp_path / "specs.json"
+        spec.write_text(json.dumps([{"kind": "simplex", "dim": 2},
+                                    {"kind": "cube", "dim": 5}]))
+        out = tmp_path / "out.csv"
+        assert main(["sweep", "--spec", str(spec), "--out", str(out)]) == 0
+        assert capsys.readouterr().out.endswith(
+            "bodies=2 rows=2 errors=1 observations=0 violations=0\n")
+        lines = out.read_text().splitlines()[2:]
+        assert [line.split(",")[:4] for line in lines] == [
+            ["0000-simplex-n2", "2", "3", "1"], ["0001-cube-n5", "5", "0", "0"]]
+        assert lines[1].endswith(
+            ",,0,false,false,false,CombinatorialBlowup: hull of 64 points in R^6: "
+            "37760 possible facets exceed the cap of 1000; raise GODBERSEN_SUBSET_CAP")
 
     def test_sweep_jobs_match_serial(self, tmp_path, capsys):
         spec = tmp_path / "specs.json"
