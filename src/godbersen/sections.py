@@ -18,26 +18,28 @@ the level T, for vertex heights H_0..H_n, is a spline in the heights
 where term_g is minus the residue at x = g of (T - x)^n / prod_j (H_j - x).
 A height met once gives the single term (T - g)^n / prod_h (h - g); a
 height tied r times gives r terms in (T - g)^n .. (T - g)^(n-r+1), whose
-integer coefficients come from the first r Taylor coefficients of the
-product over the other heights (``_level_terms``).  So F needs no
-recursion, and its terms depend on the level they sit at, not on the
-interval: the terms of every simplex are summed level by level, as the
-r-entry lists of integer numerators that ``_level_terms`` gives, over one lcm
-denominator, and each level's sum c_l (T - g)^(n-l), l < r, is added in
-powers of T by the binomial rows C(n-l, k) c_l (-g)^(n-l-k), O(r n) steps
-for the level.  Piece i is the prefix sum of the levels through
-``levels[i]``: an integer accumulator A_i(T) over one positive
-denominator, den, shared by every piece, which is the cumulative volume
-itself on the piece,
-V(t) = A_i(M t) / den on the integer levels T = M t, so
-s = M A_i'(M t) / den.  The terms of the top level are never needed.
-The integral, the moment and the slice-root concavity test are integer
-computations on that form, each reduced to one Fraction at the end.  The
-root test maps each piece to [0, 1] and settles it by the signs of integer
-Bernstein coefficients, of s (positive inside) and of the Brunn form
-(nonpositive), sufficient certificates; the Sturm sign tests of
-``polynomials`` decide any piece a certificate leaves open.  The
-rational coefficients of s (``pieces``) and its values are made on demand.
+integer coefficients are complete homogeneous symmetric sums of the
+cofactors p0 / (h - g), p0 = prod_h (h - g), over the other heights
+(Macdonald, *Symmetric Functions and Hall Polynomials*, I.2;
+``_level_terms``).  So F needs no recursion, and its terms depend on the
+level they sit at, not on the interval: the r-entry lists of integer
+numerators that ``_level_terms`` gives are weighted by their simplex's
+volume and added in one flat sum per height over one lcm denominator, and
+each height's sum c_l (T - g)^(n-l), l < r, is added in powers of T by the
+binomial rows C(n-l, k) c_l (-g)^(n-l-k), O(r n) steps for the level.
+Piece i is the prefix sum of the levels through ``levels[i]``: an integer
+accumulator A_i(T) over one positive denominator, den, shared by every
+piece, which is the cumulative volume itself on the piece, V(t) = A_i(M t) /
+den on the integer levels T = M t, so s = M A_i'(M t) / den.  The terms of
+the top level are never needed.  The integral, the moment and the
+slice-root concavity test are integer computations on that form, each
+reduced to one Fraction at the end.  The root test maps each piece to
+[0, 1] and settles it by the signs of integer Bernstein coefficients, of s
+(positive inside) and of the Brunn form (nonpositive), sufficient
+certificates; the Sturm sign tests of ``polynomials`` decide any piece a
+certificate leaves open, and a Brunn form that is identically zero (every
+piece at n = 2, and cones) needs neither.  The rational coefficients of s
+(``pieces``) and its values are made on demand.
 """
 
 from __future__ import annotations
@@ -142,8 +144,9 @@ class SectionProfile:
         certified when its Bernstein coefficients are >= 0 and not all 0
         (``_bernstein_positive``), else decided by Sturm
         (``positive_between``).  Then k r r'' - (k-1) r'^2 = h^2 P(lo + h u)
-        (``_brunn_form``) is <= 0 on [0, 1] when its Bernstein coefficients
-        are (``_bernstein_nonpositive``).  Both certificates are sufficient,
+        (``_brunn_form``) is <= 0 on [0, 1] when it is identically 0, which
+        needs no test, or when its Bernstein coefficients are
+        (``_bernstein_nonpositive``).  Both certificates are sufficient,
         not necessary, so a piece they leave open goes to the complete Sturm
         tests on (0, 1): a double root of P touching 0 still passes
         ``nonpositive_between``.  At an interior level the pieces, over
@@ -162,7 +165,7 @@ class SectionProfile:
             if not (_bernstein_positive(r) or positive_between(r, 0, 1)):
                 return False
             p = _brunn_form(r, k)
-            if not (_bernstein_nonpositive(p) or nonpositive_between(p, 0, 1)):
+            if p and not (_bernstein_nonpositive(p) or nonpositive_between(p, 0, 1)):
                 return False
             ends.append((h, r[0] if r else 0, r[1] if len(r) > 1 else 0,
                          sum(r), sum(j * c for j, c in enumerate(r))))
@@ -176,10 +179,10 @@ class SectionProfile:
         return self.breakpoints[0], self.breakpoints[-1]
 
 
-def _taylor_shift(p: list[int], g: int) -> list[int]:
-    """The coefficients of p(x + g), low degree first, by the n(n+1)/2
-    in-place steps of Horner's shift."""
-    c, d = list(p), len(p) - 1
+def _taylor_shift(c: list[int], g: int) -> list[int]:
+    """Shift c, low degree first, to the coefficients of c(x + g) in place,
+    by the n(n+1)/2 steps of Horner's shift, and return it."""
+    d = len(c) - 1
     for i in range(d):
         for j in range(d - 1, i - 1, -1):
             c[j] += g * c[j + 1]
@@ -247,11 +250,13 @@ def _level_terms(hs: list[int], top) -> list[tuple[int, tuple[int, ...], int]]:
     sum of term_g(T) over the heights g < T, and the terms of all heights sum
     to 1 (a divided difference of (T - x)_+^n, a spline in the heights).
     term_g is minus the residue at x = g of (T - x)^n / prod_j (H_j - x).  For
-    a height of multiplicity 1 that is (T - g)^n / p0, p0 = prod_h (h - g) over
-    the other heights.  A height tied r > 1 times has r terms: with P(e) =
-    prod_h (h - g - e), so p0 = P(0), and the integers E_0 = 1, E_m =
-    -sum_{k=1..m} P_k E_(m-k) p0^(k-1) (so 1 / P = sum_m E_m e^m / p0^(m+1)),
-    c[l] = (-1)^(r+1+l) C(n, l) E_(r-1-l) p0^l over den = p0^r.
+    a height of multiplicity 1 that is (T - g)^n / p0, p0 = prod_x x over the
+    gaps x = h - g to the other heights.  A height tied r > 1 times has r
+    terms: 1 / prod_x (x - e) = sum_m E_m e^m / p0^(m+1), where E_m is the
+    complete homogeneous symmetric sum h_m of the integer cofactors p0 / x,
+    and c[l] = (-1)^(r+1+l) C(n, l) E_(r-1-l) p0^l over den = p0^r.  E is
+    built one gap at a time, as the product of the series 1 / (1 - (p0 / x)
+    e) truncated after e^(r-1).
     """
     n = len(hs) - 1
     out = []
@@ -264,23 +269,14 @@ def _level_terms(hs: list[int], top) -> list[tuple[int, tuple[int, ...], int]]:
         if r == 1:
             out.append((g, (1,), p0))
             continue
-        poly = [1] + [0] * (r - 1)  # P up to e^(r-1)
+        e = [1] + [0] * (r - 1)
         for x in gaps:
-            poly = [x * a - b for a, b in zip(poly, [0] + poly)]
-        e = [1]
-        for m in range(1, r):
-            e.append(-sum(poly[k] * e[m - k] * p0 ** (k - 1) for k in range(1, m + 1)))
+            y = p0 // x
+            for m in range(1, r):
+                e[m] += y * e[m - 1]
         out.append((g, tuple((-1) ** (r + 1 + l) * comb(n, l) * e[r - 1 - l] * p0 ** l
                              for l in range(r)), p0 ** r))
     return out
-
-
-def _add_scaled(into: list[int], f: int, terms) -> None:
-    """into += f terms, entry by entry, padding ``into`` with zeros."""
-    if len(into) < len(terms):
-        into += [0] * (len(terms) - len(into))
-    for l, b in enumerate(terms):
-        into[l] += f * b
 
 
 def section_profile(K: Polytope, w) -> SectionProfile:
@@ -305,30 +301,32 @@ def section_profile(K: Polytope, w) -> SectionProfile:
     level_scale = m * K._int_scale
     heights = [_idot(iw, p) for p in K._int_vertices]
     levels = sorted(set(heights))
-    index = {h: i for i, h in enumerate(levels)}
 
-    # The level terms of every simplex, weighted by its integer volume and
-    # summed per level and denominator: entry l of a sum is the numerator of
-    # (T - g)^(n - l).  No piece reaches past the top level, so its terms are
-    # never made.
-    groups: list[dict[int, list[int]]] = [{} for _ in levels[:-1]]
-    for s, vol in zip(K._simplices, K._fan_volumes):
-        for g, c, d in _level_terms([heights[i] for i in s], levels[-1]):
-            _add_scaled(groups[index[g]].setdefault(d, []), vol, c)
+    # The level terms of every simplex, weighted by its integer volume, over
+    # den, the lcm of all the terms' denominators, and summed per height:
+    # entry l of a sum is the numerator of (T - g)^(n - l).  No piece reaches
+    # past the top level, so its terms are never made.
+    terms = [(g, d, vol, c) for s, vol in zip(K._simplices, K._fan_volumes)
+             for g, c, d in _level_terms([heights[i] for i in s], levels[-1])]
+    den = lcm(*{d for _, d, _, _ in terms})
+    sums = {g: [0] * (n + 1) for g in levels[:-1]}
+    for g, d, vol, c in terms:
+        f, level = den // d * vol, sums[g]
+        for l, b in enumerate(c):
+            level[l] += f * b
 
-    # Over den, the lcm of all the terms' denominators, each level's sum
-    # c_l (T - g)^(n - l) is added in powers of T by binomial rows, and piece
-    # i is the prefix sum of the levels through levels[i]: V(t) = A_i(M t) /
-    # (den n! m_v^n) on the piece, so s(t) = M A_i'(M t) / (den n! m_v^n).
-    den = lcm(*(d for group in groups for d in group))
+    # Each height's sum c_l (T - g)^(n - l) is added in powers of T by
+    # binomial rows, skipping the zero entries past its largest tie, and
+    # piece i is the prefix sum of the levels through levels[i]: V(t) =
+    # A_i(M t) / (den n! m_v^n) on the piece, so s(t) = M A_i'(M t) /
+    # (den n! m_v^n).
     rows = _binomial_rows(n)
     acc = [0] * (n + 1)
     accumulators = []
-    for g, group in zip(levels, groups):
-        level: list[int] = []
-        for d, nums in group.items():
-            _add_scaled(level, den // d, nums)
+    for g, level in sums.items():
         for l, c in enumerate(level):
+            if not c:
+                continue
             # c (T - g)^(n-l) = sum over k of C(n-l, k) c (-g)^(n-l-k) T^k
             row = rows[n - l]
             for k in range(n - l, -1, -1):

@@ -80,17 +80,18 @@ def check_body(body_id: str, spec: GenSpec) -> tuple[list[SweepRow], list[str]]:
     try:
         body = generate(spec)
     except GodbersenError as err:
-        return [_error_row(body_id, spec, err)], []
+        return [_error_row(body_id, spec, err, 0)], []
     try:
         return _check_generated(body_id, spec, body)
     except CombinatorialBlowup as err:
-        return [_error_row(body_id, spec, err)], []
+        return [_error_row(body_id, spec, err, len(body._int_vertices))], []
     except TheoremViolation as err:
         raise TheoremViolation(f"{body_id} {spec}: {err}") from err
 
 
-def _error_row(body_id: str, spec: GenSpec, err: GodbersenError) -> SweepRow:
-    return SweepRow(body_id, spec.dim, 0, 0, None, 0, False, False, False,
+def _error_row(body_id: str, spec: GenSpec, err: GodbersenError,
+               vertex_count: int) -> SweepRow:
+    return SweepRow(body_id, spec.dim, vertex_count, 0, None, 0, False, False, False,
                     f"{type(err).__name__}: {err}")
 
 

@@ -1034,9 +1034,10 @@ class TestConeSizeGuard:
             _feasible_rows(rows, n)
         ratios = [r for rows in inputs if len(rows[0]) > 1
                   for r in prefix_ray_ratios(rows)]
-        # 300 Cayley polytopes, 300 anchor systems and 300 random systems;
-        # the seed cone, k rays for k rows, attains the bound
-        assert len(inputs) == 900 and len(ratios) == 5223
+        # 300 Cayley polytopes, 300 anchor systems and 300 random systems,
+        # three of which repeat a row that reaches the kernel once; the seed
+        # cone, k rays for k rows, attains the bound
+        assert len(inputs) == 900 and len(ratios) == 5221
         assert max(ratios) == 1
 
     def test_a_cone_on_the_line_is_not_checked(self, monkeypatch):
@@ -1049,6 +1050,25 @@ class TestConeSizeGuard:
         assert _feasible_rows([((0, 0), -1)], 2) is None
         with pytest.raises(CombinatorialBlowup, match=r"^hull of 3 points in R\^1"):
             _cone_rays([(-1, 0), (0, -1), (1, 1)])
+
+    def test_repeated_rows_reach_the_kernel_once(self, monkeypatch):
+        # x_i <= 1 in R^4 and 629 copies of -(x_1 + .. + x_4) <= 1: counted
+        # with its copies the cone of 634 rows may have 200,027 rays, over
+        # the default cap; its 5 distinct rows and the t-row are under it
+        monkeypatch.delenv("GODBERSEN_SUBSET_CAP", raising=False)
+        assert _max_facets(634, 4) > 200_000
+        rows = [(tuple(int(i == j) for j in range(4)), 1) for i in range(4)]
+        s = make_system(4, rows + [((-1, -1, -1, -1), 1)] * 629)
+        sizes = []
+        cone_rays = halfspaces._cone_rays
+        monkeypatch.setattr(halfspaces, "_cone_rays",
+                            lambda rows: sizes.append(len(rows)) or cone_rays(rows))
+        result = feasibility(s)
+        assert result.feasible and not result.unique
+        assert all(sum(c * x for c, x in zip(h.normal, result.witness)) <= h.rhs
+                   for h in s.halfspaces)
+        assert helly_audit(s)
+        assert sizes == [6, 6]
 
 
 class TestFeasibleRowsMetamorphic:

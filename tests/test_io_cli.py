@@ -561,7 +561,7 @@ class TestCli:
                                                          monkeypatch):
         # under a cap of 1000 the 5-cube's hull (bound 812) is built, but the
         # Cayley run of its report (bound 37,760) is refused: the cube gets
-        # one error row, as a refused generation does, and the sweep goes on
+        # one error row with its 32 vertices, and the sweep goes on
         monkeypatch.setenv("GODBERSEN_SUBSET_CAP", "1000")
         spec = tmp_path / "specs.json"
         spec.write_text(json.dumps([{"kind": "simplex", "dim": 2},
@@ -572,10 +572,26 @@ class TestCli:
             "bodies=2 rows=2 errors=1 observations=0 violations=0\n")
         lines = out.read_text().splitlines()[2:]
         assert [line.split(",")[:4] for line in lines] == [
-            ["0000-simplex-n2", "2", "3", "1"], ["0001-cube-n5", "5", "0", "0"]]
+            ["0000-simplex-n2", "2", "3", "1"], ["0001-cube-n5", "5", "32", "0"]]
         assert lines[1].endswith(
             ",,0,false,false,false,CombinatorialBlowup: hull of 64 points in R^6: "
             "37760 possible facets exceed the cap of 1000; raise GODBERSEN_SUBSET_CAP")
+
+    def test_sweep_row_of_a_refused_generation_has_no_vertices(
+            self, tmp_path, capsys, monkeypatch):
+        # under the same cap the 6-cube's hull (bound 37,760) is refused, so
+        # no body is built and its error row counts 0 vertices
+        monkeypatch.setenv("GODBERSEN_SUBSET_CAP", "1000")
+        spec = tmp_path / "specs.json"
+        spec.write_text(json.dumps([{"kind": "cube", "dim": 6}]))
+        out = tmp_path / "out.csv"
+        assert main(["sweep", "--spec", str(spec), "--out", str(out)]) == 0
+        assert capsys.readouterr().out.endswith(
+            "bodies=1 rows=1 errors=1 observations=0 violations=0\n")
+        assert out.read_text().splitlines()[2:] == [
+            "0000-cube-n6,6,0,0,,0,false,false,false,CombinatorialBlowup: hull of "
+            "64 points in R^6: 37760 possible facets exceed the cap of 1000; "
+            "raise GODBERSEN_SUBSET_CAP"]
 
     def test_sweep_jobs_match_serial(self, tmp_path, capsys):
         spec = tmp_path / "specs.json"

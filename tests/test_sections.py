@@ -209,6 +209,54 @@ def test_level_terms_partition_of_unity():
             assert trim(total) == [common], hs
 
 
+# The series inversion that the complete homogeneous sums replaced, kept as
+# the oracle of ``_level_terms``: the truncated product P(e) = prod_x (x - e)
+# over the gaps x, and 1 / P by the recursion on its coefficients.
+
+def inversion_level_terms(hs, top):
+    """``_level_terms`` with E_0 = 1, E_m = -sum_{k=1..m} P_k E_(m-k)
+    p0^(k-1), so that 1 / P = sum_m E_m e^m / p0^(m+1)."""
+    n = len(hs) - 1
+    out = []
+    for g in set(hs):
+        if g >= top:
+            continue
+        gaps = [h - g for h in hs if h != g]
+        p0 = prod(gaps)
+        r = n + 1 - len(gaps)
+        if r == 1:
+            out.append((g, (1,), p0))
+            continue
+        poly = [1] + [0] * (r - 1)  # P up to e^(r-1)
+        for x in gaps:
+            poly = [x * a - b for a, b in zip(poly, [0] + poly)]
+        e = [1]
+        for m in range(1, r):
+            e.append(-sum(poly[k] * e[m - k] * p0 ** (k - 1) for k in range(1, m + 1)))
+        out.append((g, tuple((-1) ** (r + 1 + l) * comb(n, l) * e[r - 1 - l] * p0 ** l
+                             for l in range(r)), p0 ** r))
+    return out
+
+
+def test_level_terms_match_the_inversion_oracle():
+    # term by term, with the top level's terms: tied heights in dims 1-6,
+    # and every fan simplex of the profiles check_body would build on the
+    # lattice-grid stratum, where ties reach every multiplicity below n + 1
+    rng = random.Random(44)
+    cases = [_tied_heights(rng, n) for n in range(1, 7) for _ in range(30)]
+    for body in lattice_grid_bodies(7, 40):
+        k0 = center_at_centroid(body)
+        for K, w in [(k0, f.normal) for f in k0.facets] + [
+                (body, _random_direction(rng, body.dim)) for _ in range(5)]:
+            (iw,), _ = scale_to_integers([w])
+            heights = [_idot(iw, p) for p in K._int_vertices]
+            cases += [[heights[i] for i in s] for s in K._simplices]
+    for hs in cases:
+        assert _level_terms(hs, max(hs) + 1) == inversion_level_terms(hs, max(hs) + 1), hs
+    ties = Counter((len(hs) - 1, max(Counter(hs).values())) for hs in cases)
+    assert all(ties[n, r] for n in (2, 3, 4) for r in range(2, n + 1)), ties
+
+
 def test_level_terms_match_cut_fraction():
     # sum_{g < T} term_g(T) is the share of the simplex below T, with heights
     # tied on either side of T and multiplicities up to n, in dims 1-6
@@ -677,6 +725,14 @@ def test_integer_direction_is_used_as_it_is(monkeypatch):
 # The Sturm-only rule that decided slice-root concavity before the Bernstein
 # certificates went ahead of it, kept as the oracle of ``root_concave``.
 
+def brunn_p(q, k):
+    """P = k q q'' - (k-1) q'^2 in T, by the products of the polynomial
+    ring."""
+    dq = derivative(q)
+    return add(mul([k * c for c in q], derivative(dq)),
+               mul([(1 - k) * c for c in dq], dq))
+
+
 def sturm_root_concave(prof) -> bool:
     """q > 0 on every piece (lo, hi), by no root there and a positive value
     at the midpoint; P = k q q'' - (k-1) q'^2 in T by
@@ -687,10 +743,7 @@ def sturm_root_concave(prof) -> bool:
     for q, lo, hi in zip(qs, prof.levels, prof.levels[1:]):
         if roots_between(trim(q), lo, hi) or evaluate(q, F(lo + hi, 2)) <= 0:
             return False
-        dq = derivative(q)
-        p = add(mul([k * c for c in q], derivative(dq)),
-                mul([(1 - k) * c for c in dq], dq))
-        if not nonpositive_between(p, lo, hi):
+        if not nonpositive_between(brunn_p(q, k), lo, hi):
             return False
     for i, level in enumerate(prof.levels[1:-1]):
         left, right = qs[i], qs[i + 1]
@@ -906,7 +959,9 @@ def test_root_concave_agrees_with_sturm_rule_on_hand_made_profiles(monkeypatch):
 def test_root_concave_agrees_with_sturm_rule_on_bodies(monkeypatch, corpus):
     # every profile check_body builds on the corpus, and the dim-5/6 recipe
     # bodies along their facet normals and seeded directions: all concave,
-    # every piece settled by the certificate, none sent to Sturm
+    # every piece with a Brunn form not identically zero settled by the
+    # certificate, none sent to Sturm; a zero form (every dim-2 piece, and
+    # cones) needs neither
     rng = random.Random(45)
     pairs = [pair for spec, body in corpus for pair in check_body_profiles(spec, body)]
     for body in _recipe_bodies():
@@ -920,7 +975,10 @@ def test_root_concave_agrees_with_sturm_rule_on_bodies(monkeypatch, corpus):
         assert prof.root_concave() and sturm_root_concave(prof)
     assert len(profiles) > 4000
     pieces = sum(len(prof.levels) - 1 for prof in profiles)
-    assert counts == {("certificate", True): pieces}
+    nonzero = sum(1 for prof in profiles for acc in prof.accumulators
+                  if trim(brunn_p(derivative(acc), len(prof.direction) - 1)))
+    assert 0 < nonzero < pieces
+    assert counts == {("certificate", True): nonzero}
     assert counts["sturm", True] + counts["sturm", False] == 0
     # s > 0 inside every piece is certified too: no piece reaches Sturm
     assert positivity == {("certificate", True): pieces}
