@@ -57,7 +57,7 @@ from .errors import (
 from .dd import _cone_rays
 from .geometry import Polytope, _idot
 from .inclusion import TightnessProfile, tightness_profile
-from .linalg import _echelon, _with_identity, scale_to_integers
+from .linalg import _echelon, _with_identity, primitive, scale_to_integers
 from .rationals import Point
 
 
@@ -142,11 +142,13 @@ def _feasible_rows(rows: Sequence[_Row], n: int) -> tuple[list[int], int, bool] 
     first such vertex as the integers x / t, x 0 off the pivot columns,
     checked as w . x <= b t on every row; a failure is a kernel bug and
     raises TheoremViolation.  A row with w = 0 becomes a multiple of the row
-    t >= 0 and needs no filter.  A repeated row cuts nothing, so it goes to
-    the kernel once, whose size guard counts the rows it is given.
+    t >= 0 and needs no filter.  Each cone row is divided by the gcd of its
+    entries, which changes no ray, so a row repeated at any positive scale
+    goes to the kernel once, whose size guard counts the rows it is given.
     """
     _, piv, _ = _echelon([w for w, _ in rows])
-    cone = list(dict.fromkeys(tuple(w[c] for c in piv) + (-b,) for w, b in rows))
+    cone = list(dict.fromkeys(primitive(tuple(w[c] for c in piv) + (-b,))
+                              for w, b in rows))
     rays = [ray for ray, _ in _cone_rays(cone + [(0,) * len(piv) + (-1,)])]
     ray = next((r for r in rays if r[-1] > 0), None)
     if ray is None:

@@ -24,22 +24,22 @@ cofactors p0 / (h - g), p0 = prod_h (h - g), over the other heights
 ``_level_terms``).  So F needs no recursion, and its terms depend on the
 level they sit at, not on the interval: the r-entry lists of integer
 numerators that ``_level_terms`` gives are weighted by their simplex's
-volume and added in one flat sum per height over one lcm denominator, and
-each height's sum c_l (T - g)^(n-l), l < r, is added in powers of T by the
-binomial rows C(n-l, k) c_l (-g)^(n-l-k), O(r n) steps for the level.
-Piece i is the prefix sum of the levels through ``levels[i]``: an integer
-accumulator A_i(T) over one positive denominator, den, shared by every
-piece, which is the cumulative volume itself on the piece, V(t) = A_i(M t) /
-den on the integer levels T = M t, so s = M A_i'(M t) / den.  The terms of
-the top level are never needed.  The integral, the moment and the
-slice-root concavity test are integer computations on that form, each
-reduced to one Fraction at the end.  The root test maps each piece to
-[0, 1] and settles it by the signs of integer Bernstein coefficients, of s
-(positive inside) and of the Brunn form (nonpositive), sufficient
-certificates; the Sturm sign tests of ``polynomials`` decide any piece a
-certificate leaves open, and a Brunn form that is identically zero (every
-piece at n = 2, and cones) needs neither.  The rational coefficients of s
-(``pieces``) and its values are made on demand.
+volume and added in one flat sum per height over one lcm denominator, den.
+That sum, the numerators d_k of (T - g)^k, is the profile's level form:
+the cumulative volume on piece i is V(t) = A_i(M t) / den on the integer
+levels T = M t, A_i the sum of the level sums through ``levels[i]``, so
+s = M A_i'(M t) / den.  The terms of the top level are never needed, and
+no profile is expanded in powers of T: V is kept in the truncated power
+form of a spline, sum d_k (T - g)_+^k (de Boor, ch. IX).  The integral and
+the moment follow from the level sums by one integration by parts, each
+reduced to one Fraction at the end.  The root test carries A' from level to
+level by one Taylor shift of the gap, maps each piece to [0, 1] and settles
+it by the signs of integer Bernstein coefficients, of s (positive inside)
+and of the Brunn form (nonpositive), sufficient certificates; the Sturm
+sign tests of ``polynomials`` decide any piece a certificate leaves open,
+and a Brunn form that is identically zero (every piece at n = 2, and cones)
+needs neither.  The power form (``accumulators``), the rational
+coefficients of s (``pieces``) and its values are made on demand.
 """
 
 from __future__ import annotations
@@ -54,28 +54,44 @@ from .errors import DimensionMismatch, ZeroDirection
 from .geometry import Polytope, _idot
 from .linalg import scale_to_integers
 from .polynomials import (
-    derivative, evaluate, nonpositive_between, positive_between, trim)
+    evaluate, nonpositive_between, positive_between, trim)
 from .rationals import Rat, Vector, as_rat
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, kw_only=True)
 class SectionProfile:
     """Piecewise polynomial slice-measure profile along a fixed direction.
 
     Piece i lies between the integer levels T = ``levels[i]`` and
-    ``levels[i + 1]`` of T = M t, M = ``level_scale``.  It is stored as the
-    integer accumulator A_i = ``accumulators[i]`` (low degree first) over the
-    positive integer ``denominator`` that every piece shares: the cumulative
-    volume on the piece is V(t) = A_i(M t) / den, so s(t) = M A_i'(M t) / den.
-    Two profiles are equal when their directions, breakpoints and rational
-    pieces are.
+    ``levels[i + 1]`` of T = M t, M = ``level_scale``.  In level form,
+    ``level_sums[j]`` holds the integer numerators d_k of (T - g)^k, low
+    degree first, for the level g = ``levels[j]`` below the top, over the
+    positive ``denominator`` that every level shares.  On piece i the
+    cumulative volume is V(t) = A_i(M t) / den, A_i(T) the sum of d_k (T -
+    g)^k over the levels through ``levels[i]``, so s(t) = M A_i'(M t) / den;
+    ``accumulators`` holds the A_i in powers of T.  Two profiles are equal
+    when their directions, breakpoints and rational pieces are.
     """
 
     direction: Vector
     level_scale: int
     levels: tuple[int, ...]
-    accumulators: tuple[tuple[int, ...], ...]
+    level_sums: tuple[tuple[int, ...], ...]
     denominator: int
+
+    @cached_property
+    def accumulators(self) -> tuple[tuple[int, ...], ...]:
+        """A_i in powers of T, low degree first and trimmed: each level's
+        d_k (T - g)^k added by the binomial rows C(k, j) d_k (-g)^(k-j), and
+        A_i the prefix sum of the levels through ``levels[i]``."""
+        acc, out = [0] * max(map(len, self.level_sums)), []
+        for g, d in zip(self.levels, self.level_sums):
+            for k, c in enumerate(d):
+                for j in range(k, -1, -1):
+                    acc[j] += comb(k, j) * c
+                    c *= -g
+            out.append(tuple(trim(acc)))
+        return tuple(out)
 
     @cached_property
     def breakpoints(self) -> tuple[Fraction, ...]:
@@ -111,25 +127,32 @@ class SectionProfile:
         i = min(i, len(self.pieces) - 1)
         return evaluate(self.pieces[i], x)
 
-    def _spans(self):
-        """(A_i, lo_i, hi_i) for every piece."""
-        return zip(self.accumulators, self.levels, self.levels[1:])
-
     def integral(self) -> Fraction:
-        """Integral of s over its support; equals the body volume.  A piece
-        contributes (A(hi) - A(lo)) / den."""
-        total = sum(c * (hi ** k - lo ** k)
-                    for acc, lo, hi in self._spans() for k, c in enumerate(acc))
+        """Integral of s over its support; equals the body volume.  The
+        level g adds A's growth from g to the top, sum over k >= 1 of
+        d_k x^k for x = top - g; a d_0, a jump of A, no body makes and s
+        does not see."""
+        top, total = self.levels[-1], 0
+        for g, d in zip(self.levels, self.level_sums):
+            x, s = top - g, 0
+            for c in d[:0:-1]:
+                s = (s + c) * x
+            total += s
         return Fraction(total, self.denominator)
 
     def moment(self) -> Fraction:
-        """Integral of t * s(t) over the support.  A piece contributes
-        (1 / (M den)) integral T A'(T) dT, the power sum
-        sum_k k c_k (hi^(k+1) - lo^(k+1)) / (k+1), taken times the lcm of
-        1..d+1 for the top degree d so that every term is an integer."""
-        big = lcm(*range(1, max(map(len, self.accumulators)) + 1))
-        total = sum(big // (k + 1) * k * c * (hi ** (k + 1) - lo ** (k + 1))
-                    for acc, lo, hi in self._spans() for k, c in enumerate(acc))
+        """Integral of t * s(t) over the support, that of T A'(T) dT over
+        M den.  By parts the level g adds, for x = top - g, the sum over
+        k >= 1 of d_k (top x^k - x^(k+1) / (k+1)), taken times big, the lcm
+        of 1..d+1 for the top degree d, so that every term is an integer."""
+        top = self.levels[-1]
+        big = lcm(*range(1, max(map(len, self.level_sums)) + 1))
+        lead, total = big * top, 0
+        for g, d in zip(self.levels, self.level_sums):
+            x, s = top - g, 0
+            for k in range(len(d) - 1, 0, -1):
+                s = (s + d[k] * (lead - big // (k + 1) * x)) * x
+            total += s
         return Fraction(total, big * self.level_scale * self.denominator)
 
     def root_concave(self) -> bool:
@@ -137,9 +160,11 @@ class SectionProfile:
 
         On a piece q = A' is a positive multiple of s in T, and where q > 0
         the root has second derivative q^(1/k - 2) P / k^2 (up to a positive
-        factor) with P = k q q'' - (k-1) q'^2, so P <= 0 on the open piece.
-        P vanishes identically for n = 2 and for cones.  The piece [lo, hi]
-        is taken in u = (T - lo) / h, h = hi - lo, as r(u) = q(lo + h u).
+        factor) with P = k q q'' - (k-1) q'^2, so P <= 0 on the open piece;
+        P vanishes identically for n = 2 and for cones.  q is carried in
+        u = T - lo: each level adds j d_j to the coefficient of u^(j-1), and
+        each piece but the last shifts q by its gap h = hi - lo.  The piece
+        is taken in u / h as r(u) = q(lo + h u), r_j = q_j h^j.
         The root is smooth only where s > 0, so r must be > 0 on (0, 1):
         certified when its Bernstein coefficients are >= 0 and not all 0
         (``_bernstein_positive``), else decided by Sturm
@@ -154,14 +179,14 @@ class SectionProfile:
         q-(T) = q+(T) > 0, and bend down, q-'(T) >= q+'(T); r gives q at the
         ends of its piece as r(0) and r(1), and h q' there as r'(0) and r'(1).
         """
-        k = len(self.direction) - 1
+        k, top = len(self.direction) - 1, self.levels[-1]
+        q = [0] * (max(map(len, self.level_sums)) - 1)
         ends = []
-        for acc, lo, hi in self._spans():
+        for d, lo, hi in zip(self.level_sums, self.levels, self.levels[1:]):
+            for j in range(1, len(d)):
+                q[j - 1] += j * d[j]
             h = hi - lo
-            r, power = _taylor_shift(derivative(acc), lo), 1
-            for j in range(1, len(r)):
-                power *= h
-                r[j] *= power
+            r = [c * h ** j for j, c in enumerate(trim(q))]
             if not (_bernstein_positive(r) or positive_between(r, 0, 1)):
                 return False
             p = _brunn_form(r, k)
@@ -169,6 +194,8 @@ class SectionProfile:
                 return False
             ends.append((h, r[0] if r else 0, r[1] if len(r) > 1 else 0,
                          sum(r), sum(j * c for j, c in enumerate(r))))
+            if hi != top:
+                _taylor_shift(q, h)
         for (h, _, _, value, slope), (h_next, value_next, slope_next, _, _) in \
                 zip(ends, ends[1:]):
             if value <= 0 or value != value_next or slope * h_next < slope_next * h:
@@ -233,12 +260,6 @@ def _bernstein_positive(r: list[int]) -> bool:
     ``_bernstein_nonpositive``."""
     b = _taylor_shift(r[::-1], 1)
     return bool(b) and min(b) >= 0 and max(b) > 0
-
-
-@cache
-def _binomial_rows(n: int) -> tuple[tuple[int, ...], ...]:
-    """Row j, j = 0..n, holds C(j, k) for k = 0..j."""
-    return tuple(tuple(comb(j, k) for k in range(j + 1)) for j in range(n + 1))
 
 
 def _level_terms(hs: list[int], top) -> list[tuple[int, tuple[int, ...], int]]:
@@ -315,23 +336,8 @@ def section_profile(K: Polytope, w) -> SectionProfile:
         for l, b in enumerate(c):
             level[l] += f * b
 
-    # Each height's sum c_l (T - g)^(n - l) is added in powers of T by
-    # binomial rows, skipping the zero entries past its largest tie, and
-    # piece i is the prefix sum of the levels through levels[i]: V(t) =
-    # A_i(M t) / (den n! m_v^n) on the piece, so s(t) = M A_i'(M t) /
-    # (den n! m_v^n).
-    rows = _binomial_rows(n)
-    acc = [0] * (n + 1)
-    accumulators = []
-    for g, level in sums.items():
-        for l, c in enumerate(level):
-            if not c:
-                continue
-            # c (T - g)^(n-l) = sum over k of C(n-l, k) c (-g)^(n-l-k) T^k
-            row = rows[n - l]
-            for k in range(n - l, -1, -1):
-                acc[k] += row[k] * c
-                c *= -g
-        accumulators.append(tuple(trim(acc)))
-    return SectionProfile(v, level_scale, tuple(levels), tuple(accumulators),
-                          den * factorial(n) * K._int_scale ** n)
+    # Each height's sum, reversed, holds the numerators of (T - g)^k: the
+    # level form, with V(t) = A_i(M t) / (den n! m_v^n) on piece i.
+    return SectionProfile(direction=v, level_scale=level_scale, levels=tuple(levels),
+                          level_sums=tuple(tuple(c[::-1]) for c in sums.values()),
+                          denominator=den * factorial(n) * K._int_scale ** n)

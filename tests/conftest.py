@@ -27,6 +27,7 @@ from godbersen import (
     GenSpec,
     GodbersenReport,
     Polytope,
+    SectionProfile,
     TightnessProfile,
     ak_feasibility,
     build_hull,
@@ -40,7 +41,7 @@ from godbersen import (
     tightness_profile,
     translate,
 )
-from godbersen import dd, fan, geometry
+from godbersen import dd, fan, geometry, sections
 from godbersen.linalg import _echelon
 from godbersen.rationals import as_rat
 
@@ -120,6 +121,23 @@ def includes(outer: Polytope, inner: Polytope) -> bool:
     m_in, m_out = inner._int_scale, outer._int_scale
     return all(geometry._idot(f.normal, p) * m_out <= f._offset_num * m_in
                for f in outer.facets for p in inner._int_vertices)
+
+
+def power_form_profile(direction, level_scale, levels, accumulators,
+                       denominator) -> SectionProfile:
+    """A ``SectionProfile`` from its power form: piece i's accumulator A_i in
+    powers of T (low degree first) on ``levels``, over ``denominator``.  The
+    level sum of levels[i] is A_i - A_(i-1) in powers of T - levels[i], by a
+    Taylor shift; a cumulative volume that jumps at a level gives it d_0 != 0."""
+    size = max(map(len, accumulators))
+    prev, sums = [0] * size, []
+    for g, acc in zip(levels, accumulators):
+        acc = list(acc) + [0] * (size - len(acc))
+        sums.append(tuple(sections._taylor_shift([a - b for a, b in zip(acc, prev)], g)))
+        prev = acc
+    return SectionProfile(direction=direction, level_scale=level_scale,
+                          levels=tuple(levels), level_sums=tuple(sums),
+                          denominator=denominator)
 
 
 def simplex_int_volume(pts, simplex, d: int) -> int:

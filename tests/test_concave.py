@@ -38,7 +38,8 @@ from godbersen.mixedvol import MixedVolumeProfile
 from godbersen.polynomials import mul
 from godbersen.rationals import as_rat
 from tests.conftest import (
-    as_vector, brunn_minkowski_pairs, count_fractions, minkowski_sum)
+    as_vector, brunn_minkowski_pairs, count_fractions, minkowski_sum,
+    power_form_profile)
 from tests.test_geometry import TRIANGLE, SQUARE, random_polytope
 from tests.test_polynomials import definite_integral, power
 
@@ -504,8 +505,8 @@ def dip_profile() -> SectionProfile:
     integer level): s = 1, except on (10, 11) where s = 2T^2 - 42T + 221
     dips to 1/2 and back.  The pieces meet at value 1 with concave kinks, so
     only the sign of P on the middle piece gives the dip away."""
-    return SectionProfile((F(1), F(0), F(0)), 1, (0, 10, 11, 32),
-                          ((0, 3), (0, 663, -63, 2), (0, 3)), 3)
+    return power_form_profile((F(1), F(0), F(0)), 1, (0, 10, 11, 32),
+                              ((0, 3), (0, 663, -63, 2), (0, 3)), 3)
 
 
 class TestSliceRootConcavity:
@@ -546,22 +547,23 @@ class TestSliceRootConcavity:
     def test_exponent_of_the_root_matters(self):
         # s = 1 + T^2 on [1, 3] in dim 3: sqrt(s) is convex, though log(s)
         # is concave there, so a test of the wrong root would pass it
-        prof = SectionProfile((F(1), F(0), F(0)), 1, (1, 3), ((0, 3, 0, 1),), 3)
+        prof = power_form_profile((F(1), F(0), F(0)), 1, (1, 3), ((0, 3, 0, 1),),
+                                  3)
         assert prof.value(F(2)) == 5
         assert not prof.root_concave() and not float_root_concavity(prof)
 
     def test_breakpoint_checks(self):
         # a convex kink: s = 1 then 1 + (T - 10)
-        kink = SectionProfile((F(1), F(0), F(0)), 1, (0, 10, 20),
-                              ((0, 2), (0, -18, 1)), 2)
+        kink = power_form_profile((F(1), F(0), F(0)), 1, (0, 10, 20),
+                                  ((0, 2), (0, -18, 1)), 2)
         assert kink.value(F(15)) == 6 and not kink.root_concave()
         # a jump: s = 1 then 2
-        jump = SectionProfile((F(1), F(0), F(0)), 1, (0, 10, 20),
-                              ((0, 1), (0, 2)), 1)
+        jump = power_form_profile((F(1), F(0), F(0)), 1, (0, 10, 20),
+                                  ((0, 1), (0, 2)), 1)
         assert not jump.root_concave()
         # a concave kink at a positive common value passes
-        tent = SectionProfile((F(1), F(0)), 1, (0, 10, 20),
-                              ((0, 1, 1), (0, 41, -1)), 1)
+        tent = power_form_profile((F(1), F(0)), 1, (0, 10, 20),
+                                  ((0, 1, 1), (0, 41, -1)), 1)
         assert tent.root_concave() and float_root_concavity(tent)
 
 

@@ -1035,9 +1035,10 @@ class TestConeSizeGuard:
         ratios = [r for rows in inputs if len(rows[0]) > 1
                   for r in prefix_ray_ratios(rows)]
         # 300 Cayley polytopes, 300 anchor systems and 300 random systems,
-        # three of which repeat a row that reaches the kernel once; the seed
-        # cone, k rays for k rows, attains the bound
-        assert len(inputs) == 900 and len(ratios) == 5221
+        # three of which repeat a row and three a row at another scale, each
+        # of which reaches the kernel once; the seed cone, k rays for k rows,
+        # attains the bound
+        assert len(inputs) == 900 and len(ratios) == 5219
         assert max(ratios) == 1
 
     def test_a_cone_on_the_line_is_not_checked(self, monkeypatch):
@@ -1069,6 +1070,23 @@ class TestConeSizeGuard:
                    for h in s.halfspaces)
         assert helly_audit(s)
         assert sizes == [6, 6]
+
+    def test_scaled_copies_reach_the_kernel_once(self, monkeypatch):
+        # x_i <= 1 in R^4 and -k (x_1 + .. + x_4) <= k for k = 1..629: one
+        # halfspace at 629 scales, each cone row divided by its gcd, so the
+        # kernel sees the 5 distinct halfspaces and the t-row
+        monkeypatch.delenv("GODBERSEN_SUBSET_CAP", raising=False)
+        rows = [(tuple(int(i == j) for j in range(4)), 1) for i in range(4)]
+        s = make_system(4, rows + [((-k, -k, -k, -k), k) for k in range(1, 630)])
+        sizes = []
+        cone_rays = halfspaces._cone_rays
+        monkeypatch.setattr(halfspaces, "_cone_rays",
+                            lambda rows: sizes.append(len(rows)) or cone_rays(rows))
+        result = feasibility(s)
+        assert result.feasible and not result.unique
+        assert result == feasibility(make_system(4, rows + [((-1, -1, -1, -1), 1)]))
+        assert helly_audit(s)
+        assert sizes == [6, 6, 6]
 
 
 class TestFeasibleRowsMetamorphic:

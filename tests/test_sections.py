@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 from collections import Counter
@@ -28,7 +29,7 @@ from godbersen.sections import SectionProfile, _level_terms
 from godbersen.sweep import ROOT_CONCAVITY_DIRECTIONS, _random_direction
 from tests.conftest import (
     as_vector, corpus_specs, count_fractions, edges, lattice_grid_bodies,
-    simplex_int_volume)
+    power_form_profile, simplex_int_volume)
 from tests.test_concave import dip_profile
 from tests.test_geometry import dot, random_polytope
 from tests.test_polynomials import antiderivative
@@ -361,8 +362,8 @@ def _recursion_profile(K, w):
             for k, c in enumerate(poly):
                 acc[k] += vol * (den // d) * c
         accumulators.append(tuple(trim(acc)))
-    return SectionProfile(v, m * K._int_scale, tuple(levels), tuple(accumulators),
-                          den * factorial(K.dim) * K._int_scale ** K.dim)
+    return power_form_profile(v, m * K._int_scale, tuple(levels), tuple(accumulators),
+                              den * factorial(K.dim) * K._int_scale ** K.dim)
 
 
 def _recipe_bodies():
@@ -561,7 +562,7 @@ def test_accumulator_is_the_cumulative_volume():
             fan = [(F(vol, factorial(dim) * body._int_scale ** dim),
                     [dot(prof.direction, body.vertices[i]) for i in s])
                    for s, vol in zip(body._simplices, body._fan_volumes)]
-            for acc, lo, hi in prof._spans():
+            for acc, lo, hi in zip(prof.accumulators, lv, lv[1:]):
                 t = F(lo + hi, 2 * m)
                 assert F(evaluate(acc, m * t), den) == sum(
                     vol * _cut_fraction([h - t for h in hs]) for vol, hs in fan)
@@ -580,13 +581,25 @@ def test_integer_form_and_rational_equality():
     # the same profile on the levels T' = 2 T: A'(T') = 3 * 4 A(T' / 2)
     # over 3 * 4 den, for accumulators of degree <= 2
     assert all(len(acc) <= 3 for acc in prof.accumulators)
-    same = type(prof)(prof.direction, 2 * m, tuple(2 * h for h in prof.levels),
-                      tuple(tuple(3 * 2 ** (2 - k) * c for k, c in enumerate(acc))
-                            for acc in prof.accumulators),
-                      12 * den)
+    same = power_form_profile(
+        prof.direction, 2 * m, tuple(2 * h for h in prof.levels),
+        tuple(tuple(3 * 2 ** (2 - k) * c for k, c in enumerate(acc))
+              for acc in prof.accumulators),
+        12 * den)
     assert same == prof and hash(same) == hash(prof)
     assert same.integral() == prof.integral() == 2
     assert same.moment() == prof.moment()
+
+
+def test_fields_are_keyword_only():
+    # the fourth field once held the accumulators; a caller that still
+    # passes the fields by position is refused, not read as level sums
+    prof = section_profile(build_hull([(0, 0), (2, 0), (0, 2)]), (1, 0))
+    fields = {f.name: getattr(prof, f.name) for f in dataclasses.fields(prof)}
+    assert list(fields)[3] == "level_sums"
+    with pytest.raises(TypeError):
+        SectionProfile(*fields.values())
+    assert SectionProfile(**fields) == prof
 
 
 # The one-term levels of ``section_profile`` and the tied ones, each on a
@@ -804,8 +817,8 @@ def double_root_profile() -> SectionProfile:
     so q = s and P = 4 q q'' - 3 q'^2 = -9600 (2T - 1)^2, which touches 0 at
     T = 1/2.  The root is concave, but P's Bernstein coefficients are -9600,
     9600 and -9600, so the certificate cannot settle the piece."""
-    return SectionProfile((F(1),) + (F(0),) * 4, 1, (0, 1),
-                          ((0, 5, 20, -40, 40, -16),), 1)
+    return power_form_profile((F(1),) + (F(0),) * 4, 1, (0, 1),
+                              ((0, 5, 20, -40, 40, -16),), 1)
 
 
 def test_brunn_form_is_the_scaled_p():
@@ -858,9 +871,9 @@ def test_bernstein_positive_coefficients():
 @pytest.mark.parametrize("prof", [
     # dim 4, s = (1 - 3T)^2 on [0, 1]: P = -162 (T - 1/3)^2 <= 0, but the
     # root |1 - 3T|^(2/3) has a cusp where s touches 0 at T = 1/3
-    SectionProfile((F(1), F(0), F(0), F(0)), 1, (0, 1), ((0, 1, -3, 3),), 1),
+    power_form_profile((F(1), F(0), F(0), F(0)), 1, (0, 1), ((0, 1, -3, 3),), 1),
     # dim 3, s = 1 - 2T on [0, 1]: P = -4 <= 0, and s < 0 past T = 1/2
-    SectionProfile((F(1), F(0), F(0)), 1, (0, 1), ((0, 1, -1),), 1),
+    power_form_profile((F(1), F(0), F(0)), 1, (0, 1), ((0, 1, -1),), 1),
 ], ids=["touches-zero", "negative-at-an-end"])
 def test_root_concave_needs_s_positive_inside(monkeypatch, prof):
     # the Brunn form alone passes both; the s > 0 test refuses them by Sturm
@@ -883,7 +896,7 @@ def test_double_root_passes_by_sturm_alone(monkeypatch):
 
 @pytest.mark.parametrize("prof", [
     dip_profile(),
-    SectionProfile((F(1), F(0), F(0)), 1, (1, 3), ((0, 3, 0, 1),), 3),
+    power_form_profile((F(1), F(0), F(0)), 1, (1, 3), ((0, 3, 0, 1),), 3),
 ], ids=["dip", "exponent"])
 def test_convex_pieces_fail_both_routes(monkeypatch, prof):
     # dip_profile and the profile of test_exponent_of_the_root_matters have
@@ -928,9 +941,9 @@ def _random_route_profiles(rng):
             q1 = add(q1, [rng.randint(-3, 3) for _ in range(n)])
         g = [rng.randint(-3, 3) for _ in range(rng.randint(1, n - 1))]
         q2 = add(q1, mul([-level, 1], g))
-        out.append(SectionProfile((F(1),) + (F(0),) * (n - 1), 1, (lo, level, hi),
-                                  (_integer_antiderivative(q1, n),
-                                   _integer_antiderivative(q2, n)), 1))
+        out.append(power_form_profile((F(1),) + (F(0),) * (n - 1), 1, (lo, level, hi),
+                                      (_integer_antiderivative(q1, n),
+                                       _integer_antiderivative(q2, n)), 1))
     for _ in range(200):
         n = rng.choice((5, 7))
         t = rng.randint(-5, 5)
@@ -940,8 +953,8 @@ def _random_route_profiles(rng):
                 [a * c for c in _shifted_power(t, n - 1)])
         if rng.random() < 0.5:
             q = add(q, [0] * (n - 2) + [rng.randint(-2, 2)])
-        out.append(SectionProfile((F(1),) + (F(0),) * (n - 1), 1, (lo, hi),
-                                  (_integer_antiderivative(q, n),), 1))
+        out.append(power_form_profile((F(1),) + (F(0),) * (n - 1), 1, (lo, hi),
+                                      (_integer_antiderivative(q, n),), 1))
     return out
 
 
@@ -982,3 +995,131 @@ def test_root_concave_agrees_with_sturm_rule_on_bodies(monkeypatch, corpus):
     assert counts["sturm", True] + counts["sturm", False] == 0
     # s > 0 inside every piece is certified too: no piece reaches Sturm
     assert positivity == {("certificate", True): pieces}
+
+
+# The power-form routes that the level form replaced, kept as the oracles of
+# ``integral``, ``moment`` and ``root_concave``: each reads the accumulators
+# A_i in powers of T, piece by piece.
+
+def _power_spans(prof):
+    return zip(prof.accumulators, prof.levels, prof.levels[1:])
+
+
+def power_integral(prof) -> F:
+    """A piece contributes (A(hi) - A(lo)) / den."""
+    total = sum(c * (hi ** k - lo ** k)
+                for acc, lo, hi in _power_spans(prof) for k, c in enumerate(acc))
+    return F(total, prof.denominator)
+
+
+def power_moment(prof) -> F:
+    """A piece contributes (1 / (M den)) integral T A'(T) dT, the power sum
+    sum_k k c_k (hi^(k+1) - lo^(k+1)) / (k+1)."""
+    big = lcm(*range(1, max(map(len, prof.accumulators)) + 1))
+    total = sum(big // (k + 1) * k * c * (hi ** (k + 1) - lo ** (k + 1))
+                for acc, lo, hi in _power_spans(prof) for k, c in enumerate(acc))
+    return F(total, big * prof.level_scale * prof.denominator)
+
+
+def power_root_concave(prof) -> bool:
+    """``root_concave`` with each piece's A' Taylor-shifted to its own lower
+    level from powers of T, through the same certificates and Sturm tests."""
+    k = len(prof.direction) - 1
+    ends = []
+    for acc, lo, hi in _power_spans(prof):
+        h = hi - lo
+        r = [c * h ** j for j, c in
+             enumerate(sections._taylor_shift(derivative(acc), lo))]
+        if not (sections._bernstein_positive(r) or sections.positive_between(r, 0, 1)):
+            return False
+        p = sections._brunn_form(r, k)
+        if p and not (sections._bernstein_nonpositive(p)
+                      or sections.nonpositive_between(p, 0, 1)):
+            return False
+        ends.append((h, r[0] if r else 0, r[1] if len(r) > 1 else 0,
+                     sum(r), sum(j * c for j, c in enumerate(r))))
+    for (h, _, _, value, slope), (h_next, value_next, slope_next, _, _) in \
+            zip(ends, ends[1:]):
+        if value <= 0 or value != value_next or slope * h_next < slope_next * h:
+            return False
+    return True
+
+
+def assert_power_form_routes(monkeypatch, prof):
+    """The level-form integral, moment and root verdict equal the power-form
+    ones, and the certificates see the same r on every piece."""
+    seen = []
+    positive = sections._bernstein_positive
+    monkeypatch.setattr(sections, "_bernstein_positive",
+                        lambda r: seen.append(list(r)) or positive(r))
+    verdict = prof.root_concave()
+    level_rs, seen[:] = seen[:], []
+    assert verdict == power_root_concave(prof), prof
+    assert level_rs == seen, prof
+    assert prof.integral() == power_integral(prof), prof
+    assert prof.moment() == power_moment(prof), prof
+    monkeypatch.setattr(sections, "_bernstein_positive", positive)
+
+
+def test_level_form_routes_match_power_form_oracles(monkeypatch, corpus):
+    # every profile check_body builds on the corpus, the dim-5/6 recipe
+    # bodies and the lattice-grid stratum: the centered body along each
+    # facet normal and the body along five seeded directions.  No body's
+    # cumulative volume jumps, so every level's d_0 is 0
+    rng = random.Random(52)
+    pairs = [pair for spec, body in corpus for pair in check_body_profiles(spec, body)]
+    for body in _recipe_bodies() + lattice_grid_bodies(7, 40):
+        k0 = center_at_centroid(body)
+        pairs += [(k0, f.normal) for f in k0.facets]
+        pairs += [(body, _random_direction(rng, body.dim)) for _ in range(5)]
+    for K, w in pairs:
+        prof = section_profile(K, w)
+        assert all(d[0] == 0 for d in prof.level_sums), (K, w)
+        assert_power_form_routes(monkeypatch, prof)
+    assert len(pairs) > 4000
+
+
+def test_level_form_routes_match_power_form_oracles_with_jumps(monkeypatch):
+    # hand-made profiles whose levels carry a jump d_0 != 0, which no body
+    # makes: s, and so every route, does not see it
+    rng = random.Random(53)
+    profiles = _random_route_profiles(random.Random(49))[::4] + [
+        dip_profile(), double_root_profile()]
+    jumps = 0
+    for prof in profiles:
+        sums = tuple((d[0] + rng.randint(-9, 9),) + d[1:] for d in prof.level_sums)
+        jumped = SectionProfile(direction=prof.direction, level_scale=prof.level_scale,
+                                levels=prof.levels, level_sums=sums,
+                                denominator=prof.denominator)
+        jumps += any(d[0] for d in sums)
+        assert jumped.pieces == prof.pieces
+        assert_power_form_routes(monkeypatch, jumped)
+        assert (jumped.integral(), jumped.moment(), jumped.root_concave()) == \
+            (prof.integral(), prof.moment(), prof.root_concave())
+    assert jumps > 100
+
+
+def test_reflected_direction_mirrors_the_profile(corpus):
+    # s_(-w)(t) = s_w(-t) on the corpus and the lattice-grid stratum, for w
+    # each facet normal of the centered body and five seeded directions:
+    # the breakpoints negated and reversed, the pieces and values mirrored,
+    # the moment negated, the integral and the root verdict equal
+    rng = random.Random(54)
+    pairs = 0
+    for body in [body for _, body in corpus] + lattice_grid_bodies(8, 20):
+        k0 = center_at_centroid(body)
+        for K, w in [(k0, f.normal) for f in k0.facets] + [
+                (body, _random_direction(rng, body.dim)) for _ in range(5)]:
+            prof, mirror = section_profile(K, w), section_profile(K, tuple(-c for c in w))
+            bp = prof.breakpoints
+            assert mirror.levels == tuple(-h for h in reversed(prof.levels))
+            assert mirror.breakpoints == tuple(-t for t in reversed(bp))
+            assert mirror.pieces == tuple(tuple((-1) ** k * c for k, c in enumerate(piece))
+                                          for piece in reversed(prof.pieces))
+            for t in bp + tuple((a + b) / 2 for a, b in zip(bp, bp[1:])):
+                assert mirror.value(-t) == prof.value(t)
+            assert mirror.moment() == -prof.moment()
+            assert mirror.integral() == prof.integral()
+            assert mirror.root_concave() == prof.root_concave()
+            pairs += 1
+    assert pairs > 3000
