@@ -23,7 +23,7 @@ before the seed (``check_subset_cap``).
 from __future__ import annotations
 
 import os
-from math import comb, gcd
+from math import comb
 from operator import mul
 
 from .errors import CombinatorialBlowup, DegenerateInput
@@ -171,11 +171,11 @@ def _hull_facets_int(pts: list[tuple[int, ...]], d: int):
 
     The facet w . x <= b is the extreme ray (w, -b) of the cone
     {y : (p, 1) . y <= 0 for every point p}, and the points on it are the
-    rows tight on that ray; the normal is made coprime.  Points that do not
-    affinely span R^d raise DegenerateInput.
+    rows tight on that ray.  The kernel's rays are primitive, and w . p = b
+    at each of the d or more points p on the facet, so gcd(w) divides
+    gcd(w, b) = 1: the normal is coprime as it comes.  The facets come in
+    the kernel's ray order; ``geometry._from_lattice`` sorts them.  Points
+    that do not affinely span R^d raise DegenerateInput.
     """
-    facets = []
-    for ray, tight in _cone_rays([p + (1,) for p in pts]):
-        g = gcd(*ray[:d])
-        facets.append((tuple(c // g for c in ray[:d]), -ray[d] // g, _ids(tight)))
-    return sorted(facets)
+    return [(ray[:d], -ray[d], _ids(tight))
+            for ray, tight in _cone_rays([p + (1,) for p in pts])]

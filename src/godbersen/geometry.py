@@ -156,8 +156,9 @@ def _from_lattice(ipts: list[tuple[int, ...]], mult: int, raw_facets) -> Polytop
     ``raw_facets`` holds (normal, offset on the lattice, ids of the points on
     the facet).  The points are distinct and include every vertex of their
     hull, so a point is a vertex iff its (at least n) facets share no other
-    point; the others are dropped, the facet ids remapped and the lattice
-    coarsened to the smallest one holding the vertices.  Facets that leave
+    point; the others are dropped, the facet ids remapped, the facets sorted
+    (the one sort of a hull's facets) and the lattice coarsened to the
+    smallest one holding the vertices.  Facets that leave
     fewer than n + 1 vertices, or a facet with fewer than n, close no
     polytope and raise DegenerateInput.  So do facets that break Minkowski's
     relation, sum_F mu_F w_F = 0 for the scaled measures mu_F (the facets'

@@ -57,6 +57,8 @@ class MixedVolumeProfile:
     unit: int
 
     def __post_init__(self):
+        if len(self.raw) != self.n + 1 or self.unit <= 0:
+            raise ValueError("mixed volume profile needs n + 1 entries over a positive unit")
         g = gcd(self.unit, *self.raw)
         object.__setattr__(self, "raw", tuple(r // g for r in self.raw))
         object.__setattr__(self, "unit", self.unit // g)

@@ -137,14 +137,13 @@ def _odd_part(p: list[int]) -> list[int]:
     dp = derivative(p)
     a = _gcd(p, dp)
     b, c = _exact_div(p, a), _exact_div(dp, a)
-    d = add(c, [-x for x in derivative(b)])
     odd, multiplicity = [1], 1
     while len(b) > 1:
+        d = add(c, [-x for x in derivative(b)])
         a = _gcd(b, d)
         if multiplicity % 2:
             odd = mul(odd, a)
         b, c = _exact_div(b, a), _exact_div(d, a)
-        d = add(c, [-x for x in derivative(b)])
         multiplicity += 1
     return odd
 

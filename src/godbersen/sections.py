@@ -49,6 +49,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from math import comb, factorial, lcm, prod
+from operator import ge
 
 from .errors import DimensionMismatch, ZeroDirection
 from .geometry import Polytope, _idot
@@ -78,6 +79,12 @@ class SectionProfile:
     levels: tuple[int, ...]
     level_sums: tuple[tuple[int, ...], ...]
     denominator: int
+
+    def __post_init__(self):
+        if (not 0 < len(self.level_sums) == len(self.levels) - 1 or self.denominator <= 0
+                or any(map(ge, self.levels, self.levels[1:]))):
+            raise ValueError("a section profile needs two or more strictly increasing "
+                             "levels, one level sum per piece and a positive denominator")
 
     @cached_property
     def accumulators(self) -> tuple[tuple[int, ...], ...]:
@@ -123,8 +130,7 @@ class SectionProfile:
         bp = self.breakpoints
         if x < bp[0] or x > bp[-1]:
             return Fraction(0)
-        i = bisect.bisect_right(bp, x) - 1
-        i = min(i, len(self.pieces) - 1)
+        i = min(bisect.bisect_right(bp, x) - 1, len(self.pieces) - 1)
         return evaluate(self.pieces[i], x)
 
     def integral(self) -> Fraction:

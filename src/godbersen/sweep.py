@@ -1,10 +1,12 @@
 """Corpus sweeps: run every check over generated bodies and emit a CSV.
 
-One row per (body, j).  Proven statements are asserted, Brunn's principle
-(slice-root concavity along seeded directions) among them; a body that raises
-TheoremViolation is counted and left out, and the sweep goes on.  Ratios for
-middle j (the open cases) are reported, and an exceedance there is recorded
-as an observation without failing the run.
+One row per (body, j).  Each body runs the stages of ``_stages`` in order:
+generate, report, tightness, moments, brunn (slice-root concavity along
+seeded directions) and rows.  Proven statements are asserted; a body that
+raises TheoremViolation is counted and left out, with a message
+``<body_id> <spec>: <stage>: <message>`` naming the stage, and the sweep
+goes on.  Ratios for middle j (the open cases) are reported, and an
+exceedance there is recorded as an observation without failing the run.
 Output is fully deterministic: identical specs produce byte-identical CSV,
 whatever the worker count, because rows are sorted before writing.
 """
@@ -18,7 +20,6 @@ from pathlib import Path
 
 from .errors import CombinatorialBlowup, GodbersenError, TheoremViolation
 from .generators import GenSpec, generate
-from .geometry import Polytope
 from .halfspaces import anchor_unique
 from .inclusion import _centered_tightness, center_at_centroid, directional_moment
 from .concave import slice_root_concavity
@@ -71,75 +72,76 @@ def _random_direction(rng: random.Random, dim: int) -> tuple[int, ...]:
 
 
 def check_body(body_id: str, spec: GenSpec) -> tuple[list[SweepRow], list[str]]:
-    """All per-body checks; returns (rows, observations).
+    """All per-body checks, the stages of ``_stages`` in order; returns
+    (rows, observations).
 
-    Recoverable generation failures, and a later kernel run that the size
-    cap refuses (the Cayley polytope's), become a single error row; violated
-    theorems propagate, prefixed with the body id and spec.
+    One handler covers every stage and knows which one ran.  A violated
+    theorem propagates as ``<body_id> <spec>: <stage>: <message>``.  Any
+    other error of this package in the generate stage, and a later kernel
+    run that the size cap refuses (the Cayley polytope's), become a single
+    error row, with vertex count 0 and with the body's vertex count.
     """
+    stages = _stages(body_id, spec)
+    # the first next() stops at the first yield, so every handler sees
+    # stage and body bound
     try:
-        body = generate(spec)
-    except GodbersenError as err:
-        return [_error_row(body_id, spec, err, 0)], []
-    try:
-        return _check_generated(body_id, spec, body)
-    except CombinatorialBlowup as err:
-        return [_error_row(body_id, spec, err, len(body._int_vertices))], []
+        while True:
+            stage, body = next(stages)
+    except StopIteration as done:
+        return done.value
     except TheoremViolation as err:
-        raise TheoremViolation(f"{body_id} {spec}: {err}") from err
+        raise TheoremViolation(f"{body_id} {spec}: {stage}: {err}") from err
+    except GodbersenError as err:
+        if body is not None and not isinstance(err, CombinatorialBlowup):
+            raise
+        count = 0 if body is None else len(body._int_vertices)
+        return [SweepRow(body_id, spec.dim, count, 0, None, 0, False, False, False,
+                         f"{type(err).__name__}: {err}")], []
 
 
-def _error_row(body_id: str, spec: GenSpec, err: GodbersenError,
-               vertex_count: int) -> SweepRow:
-    return SweepRow(body_id, spec.dim, vertex_count, 0, None, 0, False, False, False,
-                    f"{type(err).__name__}: {err}")
-
-
-def _check_generated(body_id: str, spec: GenSpec,
-                     body: Polytope) -> tuple[list[SweepRow], list[str]]:
-    observations: list[str] = []
+def _stages(body_id: str, spec: GenSpec):
+    """Yield each stage's name, with the body once generated, before running
+    it; return (rows, observations) after the last."""
+    yield "generate", None
+    body = generate(spec)
+    yield "report", body
     report = godbersen_report(body)
     # One pass over the centered body's facets gives the tight count, and the
     # count the anchor's uniqueness: n + 1 tight rows exactly on a simplex.
     # It raises on any failed row, and on a row whose tightness disagrees
     # with its facet's vertex count, so returning at all proves -K0 in nK0.
+    yield "tightness", body
     k0 = center_at_centroid(body)
     tight = _centered_tightness(k0)
     ak_unique = anchor_unique(tight)
     # The centered body's moment vanishes by the centroid's definition.
     # Translation keeps the facet normals, so the centered body's facets give
     # the same directions.
+    yield "moments", body
     if any(directional_moment(k0, f.normal, center=False) for f in k0.facets):
         raise TheoremViolation("the centered body has a nonzero moment")
-
+    yield "brunn", body
     rng = random.Random(spec.seed ^ 0x5EED5EED)
     for _ in range(ROOT_CONCAVITY_DIRECTIONS):
         direction = _random_direction(rng, body.dim)
         if not slice_root_concavity(body, direction):
-            raise TheoremViolation(
-                f"section root not concave along {direction}")
-
-    for entry in report.entries:
-        if entry.ratio > 1 and entry.j not in (1, report.n - 1):
-            observations.append(
-                f"OBSERVATION {body_id}: ratio {entry.ratio} > 1 at middle "
-                f"j={entry.j} (open case, not asserted)")
-
-    rows = [
-        SweepRow(body_id, body.dim, len(body._int_vertices), e.j, e.ratio,
-                 tight.tight_count, ak_unique, moment_zero=True, inclusion_ok=True)
-        for e in report.entries
-    ]
-    return rows, observations
+            raise TheoremViolation(f"section root not concave along {direction}")
+    yield "rows", body
+    observations = [
+        f"OBSERVATION {body_id}: ratio {e.ratio} > 1 at middle j={e.j} "
+        "(open case, not asserted)"
+        for e in report.entries if e.ratio > 1 and e.j not in (1, report.n - 1)]
+    return [SweepRow(body_id, body.dim, len(body._int_vertices), e.j, e.ratio,
+                     tight.tight_count, ak_unique, moment_zero=True, inclusion_ok=True)
+            for e in report.entries], observations
 
 
 def _worker(item: tuple[str, GenSpec]):
     """check_body's rows and observations, and a violation's message or ""."""
     try:
-        rows, observations = check_body(*item)
+        return (*check_body(*item), "")
     except TheoremViolation as err:
         return [], [], str(err)
-    return rows, observations, ""
 
 
 def sweep(specs: list[GenSpec], out, jobs: int = 1,
@@ -192,8 +194,7 @@ def sweep(specs: list[GenSpec], out, jobs: int = 1,
                 _bool(r.inclusion_ok), r.error,
             ]
             if floats:
-                record.append(
-                    f"{float(r.ratio):.17g}" if r.ratio is not None else "")
+                record.append("" if r.ratio is None else f"{float(r.ratio):.17g}")
             writer.writerow(record)
 
     errors = sum(1 for r in rows if r.error)

@@ -357,6 +357,18 @@ class TestProfileIdentities:
                 assert again.coeffs == prof.coeffs
         assert mixedvol.MixedVolumeProfile(2, (2, 4, 3), 4).coeffs == (F(1, 2), 1, F(3, 4))
 
+    @pytest.mark.parametrize("raw, unit", [((2, 4), 4), ((2, 4, 3, 1), 4),
+                                           ((2, 4, 3), 0), ((2, 4, 3), -4)])
+    def test_shape_is_checked_at_construction(self, raw, unit):
+        with pytest.raises(ValueError, match="mixed volume profile"):
+            mixedvol.MixedVolumeProfile(2, raw, unit)
+
+    def test_every_corpus_profile_builds(self, corpus):
+        # the shape check refuses none of the profiles the sweep builds
+        for _, body in corpus:
+            prof = mv_profile(body, reflect(body))
+            assert len(prof.raw) == body.dim + 1 and prof.unit > 0
+
     def test_equal_profiles_compare_equal(self):
         a = mixedvol.MixedVolumeProfile(2, (2, 4, 3), 4)
         b = mixedvol.MixedVolumeProfile(2, (4, 8, 6), 8)

@@ -602,6 +602,30 @@ def test_fields_are_keyword_only():
     assert SectionProfile(**fields) == prof
 
 
+def test_shape_is_checked_at_construction():
+    # two pieces on the levels 0, 1, 2 need two level sums; with one, the
+    # profile once built, read value("3/2") = 1 off piece 0 outside its
+    # interval and gave integral() = 2
+    fields = dict(direction=(1, 0), level_scale=1, levels=(0, 1, 2),
+                  level_sums=((0, 1), (0, -1)), denominator=1)
+    prof = SectionProfile(**fields)
+    assert (prof.value("1/2"), prof.value("3/2"), prof.integral()) == (1, 0, 1)
+    for change in ({"level_sums": ((0, 1),)}, {"level_sums": ((0, 1),) * 3},
+                   {"levels": (0, 2, 1)}, {"levels": (0, 1, 1)},
+                   {"levels": (0,), "level_sums": ()}, {"levels": (), "level_sums": ()},
+                   {"denominator": 0}, {"denominator": -1}):
+        with pytest.raises(ValueError, match="section profile"):
+            SectionProfile(**{**fields, **change})
+
+
+def test_every_corpus_profile_builds():
+    # the shape check refuses none of the profiles check_body builds
+    profiles = [section_profile(body, w) for spec in corpus_specs()
+                for body, w in check_body_profiles(spec)]
+    assert len(profiles) > 3000
+    assert all(len(p.level_sums) == len(p.levels) - 1 for p in profiles)
+
+
 # The one-term levels of ``section_profile`` and the tied ones, each on a
 # hand case against the cut-volume recursion.
 

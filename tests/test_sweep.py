@@ -12,7 +12,8 @@ import pytest
 
 from godbersen import GenSpec, inclusion
 from godbersen.cli import main
-from godbersen.errors import TheoremViolation
+from godbersen.errors import (
+    CombinatorialBlowup, DegenerateInput, TheoremViolation, ZeroDirection)
 from godbersen.polyio import polytope_from_dict
 from tests.conftest import corpus_specs
 from tests.test_concave import dip_profile
@@ -55,7 +56,7 @@ def test_violation_names_the_body(tmp_path, monkeypatch, capsys):
     spec = GenSpec("simplex", 2, seed=7)
     with pytest.raises(TheoremViolation) as info:
         sweep_module.check_body("0003-simplex-n2", spec)
-    assert str(info.value) == f"0003-simplex-n2 {spec}: forced on a facet normal"
+    assert str(info.value) == f"0003-simplex-n2 {spec}: tightness: forced on a facet normal"
     assert isinstance(info.value.__cause__, TheoremViolation)
 
     specs = tmp_path / "specs.json"
@@ -102,8 +103,8 @@ def test_root_concavity_failure_is_a_violation(tmp_path, monkeypatch, capsys):
     spec = GenSpec("cube", 3)
     with pytest.raises(TheoremViolation) as info:
         sweep_module.check_body("0001-cube-n3", spec)
-    assert str(info.value).startswith(f"0001-cube-n3 {spec}: section root not "
-                                      "concave along (")
+    assert str(info.value).startswith(f"0001-cube-n3 {spec}: brunn: section root "
+                                      "not concave along (")
 
     specs = tmp_path / "specs.json"
     specs.write_text(json.dumps([{"kind": "cube", "dim": 2},
@@ -118,6 +119,103 @@ def test_root_concavity_failure_is_a_violation(tmp_path, monkeypatch, capsys):
     repro = json.loads((tmp_path / "x.csv.violation-0001-cube-n3.json").read_text())
     assert "section root not concave" in repro["message"]
     assert polytope_from_dict(repro) == sweep_module.generate(spec)
+
+
+# each stage of check_body, in order, and the function it calls as sweep names
+# it; a stage's first call of that function comes only after its name
+STAGE_CALLS = {"generate": "generate", "report": "godbersen_report",
+               "tightness": "_centered_tightness", "moments": "directional_moment",
+               "brunn": "slice_root_concavity", "rows": "SweepRow"}
+
+
+def test_each_stage_runs_once_in_order(monkeypatch):
+    spec = corpus_specs()[130]  # a dim-3 random hull
+    healthy = sweep_module.check_body("0130-random_hull-n3", spec)
+    log = []
+    stages = sweep_module._stages
+
+    def spying_stages(*args):
+        inner = stages(*args)
+        try:
+            while True:
+                stage, body = next(inner)
+                log.append(stage)
+                yield stage, body
+        except StopIteration as done:
+            return done.value
+
+    def spy(name, real):
+        def called(*args, **kwargs):
+            log.append(name + "()")
+            return real(*args, **kwargs)
+        return called
+
+    monkeypatch.setattr(sweep_module, "_stages", spying_stages)
+    for name in STAGE_CALLS.values():
+        monkeypatch.setattr(sweep_module, name, spy(name, getattr(sweep_module, name)))
+    assert sweep_module.check_body("0130-random_hull-n3", spec) == healthy
+    # the moments, brunn and rows stages call theirs more than once
+    runs = [x for i, x in enumerate(log) if i == 0 or log[i - 1] != x]
+    assert runs == [x for stage, name in STAGE_CALLS.items() for x in (stage, name + "()")]
+
+
+@pytest.mark.parametrize("stage", STAGE_CALLS)
+def test_forced_violation_names_its_stage(stage, tmp_path, monkeypatch, capsys):
+    name = STAGE_CALLS[stage]
+    real = getattr(sweep_module, name)
+    calls = []
+
+    def forced(*args, **kwargs):
+        # only the stage's first call fails, so the reproducer's second
+        # generate builds the body
+        calls.append(args)
+        if len(calls) == 1:
+            raise TheoremViolation(f"forced in {name}")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sweep_module, name, forced)
+    spec = GenSpec("simplex", 3)
+    message = f"0000-simplex-n3 {spec}: {stage}: forced in {name}"
+    with pytest.raises(TheoremViolation) as info:
+        sweep_module.check_body("0000-simplex-n3", spec)
+    assert str(info.value) == message
+
+    calls.clear()
+    specs = tmp_path / "specs.json"
+    specs.write_text(json.dumps([asdict(spec)]))
+    out = tmp_path / "x.csv"
+    assert main(["sweep", "--spec", str(specs), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"THEOREM VIOLATION: {message}\n"
+    repro = json.loads((tmp_path / "x.csv.violation-0000-simplex-n3.json").read_text())
+    assert repro["message"] == message
+    assert polytope_from_dict(repro) == sweep_module.generate(spec)
+
+
+@pytest.mark.parametrize("name, error, vertex_count", [
+    ("generate", DegenerateInput, 0), ("generate", CombinatorialBlowup, 0),
+    ("godbersen_report", CombinatorialBlowup, 3), ("slice_root_concavity", CombinatorialBlowup, 3)])
+def test_error_row_by_stage(monkeypatch, name, error, vertex_count):
+    # any package error in the generate stage, and a refused kernel run after
+    # it, give one error row; the row counts the body's vertices once it is made
+    def refused(*args, **kwargs):
+        raise error("forced")
+
+    monkeypatch.setattr(sweep_module, name, refused)
+    assert sweep_module.check_body("0000-simplex-n2", GenSpec("simplex", 2)) == (
+        [sweep_module.SweepRow("0000-simplex-n2", 2, vertex_count, 0, None, 0, False,
+                               False, False, f"{error.__name__}: forced")], [])
+
+
+@pytest.mark.parametrize("name, error", [
+    ("generate", RuntimeError), ("godbersen_report", DegenerateInput),
+    ("directional_moment", ZeroDirection)])
+def test_other_errors_propagate(monkeypatch, name, error):
+    def failing(*args, **kwargs):
+        raise error("forced")
+
+    monkeypatch.setattr(sweep_module, name, failing)
+    with pytest.raises(error, match="^forced$"):
+        sweep_module.check_body("0000-simplex-n2", GenSpec("simplex", 2))
 
 
 def test_floats_csv_digest(tmp_path):
