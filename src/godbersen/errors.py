@@ -22,7 +22,13 @@ class DimensionMismatch(GodbersenError):
 
 
 class TheoremViolation(GodbersenError):
-    """An exactly-proven statement failed; this always indicates a bug."""
+    """An exactly-proven statement failed; this always indicates a bug.
+
+    A sweep's violation names the ``stage`` it failed in and carries the
+    ``body`` once built; both are None otherwise."""
+
+    stage = None
+    body = None
 
 
 class LemmaViolation(GodbersenError):

@@ -13,7 +13,10 @@ when a pivot falls in the I block, so a hull takes no rank of its points on
 its own.  The fan simplices' determinants come from the same kernel:
 ``fan._pulling_fan`` reduces each face's lowest row against the pivot rows
 its faces above it share, and finishes a simplex's rows in one ``_echelon``
-pass that continues that elimination from its last pivot (``prev``).
+pass that continues that elimination from its last pivot (``prev``).  A
+body's fan takes n x n determinants in R^n, and so does the fan of a
+Cayley polytope in R^(n+1), whose simplices' rows are taken against two
+apices, one at each end (``fan._cayley_mixed_volumes``).
 No normal of a span is formed.
 
 ``scale_to_integers`` is the package's one API edge: every public entry that
@@ -62,7 +65,7 @@ def primitive(vec) -> tuple[int, ...]:
     g = gcd(*vec)
     if g <= 1:
         return tuple(vec)
-    return tuple(c // g for c in vec)
+    return tuple([c // g for c in vec])
 
 
 def _echelon(rows, prev: int = 1) -> tuple[list[list[int]], list[int], int]:

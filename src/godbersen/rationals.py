@@ -34,8 +34,28 @@ def parse_rational(text: str) -> Rat:
 
 
 def format_rational(x: Rat) -> str:
-    """Lowest-terms string, ``"p/q"`` or ``"k"``."""
-    return str(Fraction(x))
+    """Lowest-terms string, ``"p/q"`` or ``"k"``, of any size: a numerator
+    or denominator past the interpreter's limit on integer string conversion
+    is written in pieces (``_decimal``), so the limit is left as it is."""
+    x = Fraction(x)
+    try:
+        return str(x)
+    except ValueError:
+        text = _decimal(x.numerator)
+        return text if x.denominator == 1 else f"{text}/{_decimal(x.denominator)}"
+
+
+def _decimal(k: int) -> str:
+    """The decimal digits of k, split in halves at a power of ten until each
+    piece has fewer than 600 digits, under the least limit the interpreter
+    allows (640)."""
+    if k < 0:
+        return "-" + _decimal(-k)
+    if k.bit_length() < 1990:
+        return str(k)
+    half = k.bit_length() * 3 // 20  # about half of its log10(2) ~ 0.301 digits per bit
+    high, low = divmod(k, 10 ** half)
+    return _decimal(high) + _decimal(low).zfill(half)
 
 
 def as_rat(x) -> Rat:

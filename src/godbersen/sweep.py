@@ -76,7 +76,9 @@ def check_body(body_id: str, spec: GenSpec) -> tuple[list[SweepRow], list[str]]:
     (rows, observations).
 
     One handler covers every stage and knows which one ran.  A violated
-    theorem propagates as ``<body_id> <spec>: <stage>: <message>``.  Any
+    theorem propagates as ``<body_id> <spec>: <stage>: <message>``, with its
+    ``stage`` and ``body`` (None in the generate stage) set, so that its
+    reproducer needs no second build.  Any
     other error of this package in the generate stage, and a later kernel
     run that the size cap refuses (the Cayley polytope's), become a single
     error row, with vertex count 0 and with the body's vertex count.
@@ -90,7 +92,9 @@ def check_body(body_id: str, spec: GenSpec) -> tuple[list[SweepRow], list[str]]:
     except StopIteration as done:
         return done.value
     except TheoremViolation as err:
-        raise TheoremViolation(f"{body_id} {spec}: {stage}: {err}") from err
+        violation = TheoremViolation(f"{body_id} {spec}: {stage}: {err}")
+        violation.stage, violation.body = stage, body
+        raise violation from err
     except GodbersenError as err:
         if body is not None and not isinstance(err, CombinatorialBlowup):
             raise
@@ -137,11 +141,17 @@ def _stages(body_id: str, spec: GenSpec):
 
 
 def _worker(item: tuple[str, GenSpec]):
-    """check_body's rows and observations, and a violation's message or ""."""
+    """check_body's rows and observations, and a violation's reproducer or
+    None: id, spec, stage and message, and the body's vertices once built."""
     try:
-        return (*check_body(*item), "")
+        return (*check_body(*item), None)
     except TheoremViolation as err:
-        return [], [], str(err)
+        body_id, spec = item
+        repro = {"body_id": body_id, "spec": asdict(spec), "stage": err.stage,
+                 "message": str(err)}
+        if err.body is not None:
+            repro.update(polytope_to_dict(err.body))
+        return [], [], repro
 
 
 def sweep(specs: list[GenSpec], out, jobs: int = 1,
@@ -151,8 +161,9 @@ def sweep(specs: list[GenSpec], out, jobs: int = 1,
     Bodies are processed independently (optionally in parallel); rows are
     sorted by (body_id, j) before writing so output never depends on worker
     scheduling.  A violating body leaves ``<out>.violation-<body_id>.json``
-    (id, spec, message and vertices; it loads as a polytope file).  ``jobs``
-    below 1 raises ValueError.
+    (id, spec, stage, message and the vertices of the body the stages built,
+    so it loads as a polytope file; a body that failed to build has no
+    vertices there).  ``jobs`` below 1 raises ValueError.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, not {jobs}")
@@ -171,14 +182,12 @@ def sweep(specs: list[GenSpec], out, jobs: int = 1,
     rows: list[SweepRow] = []
     observations: list[str] = []
     violations: list[str] = []
-    for (body_id, spec), (body_rows, body_obs, message) in zip(items, results):
+    for body_rows, body_obs, repro in results:
         rows.extend(body_rows)
         observations.extend(body_obs)
-        if message:
-            violations.append(message)
-            save_json(f"{path}.violation-{body_id}.json",
-                      {"body_id": body_id, "spec": asdict(spec), "message": message,
-                       **polytope_to_dict(generate(spec))})
+        if repro is not None:
+            violations.append(repro["message"])
+            save_json(f"{path}.violation-{repro['body_id']}.json", repro)
     rows.sort(key=lambda r: (r.body_id, r.j))
 
     columns = list(COLUMNS) + (["ratio_float"] if floats else [])

@@ -1,7 +1,7 @@
 """Shared corpora, and the Minkowski sum, face lattice, frozenset and
-row-by-row chain pulling fans, per-simplex determinant, integer determinant
-and rank, vertex inclusion test and Fraction vector kept as references, and
-a counter of the Fractions made.
+row-by-row chain pulling fans, single-apex Cayley fan, per-simplex
+determinant, integer determinant and rank, vertex inclusion test and
+Fraction vector kept as references, and a counter of the Fractions made.
 
 The acceptance corpus is 300 seeded random polytopes (100 each in dimensions
 2, 3, 4; 80 generic hulls plus 20 origin-symmetric per dimension).  Heavy
@@ -16,6 +16,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
 
@@ -210,6 +211,27 @@ def chain_pulling_fan(face: int, cands, rows, chain=(), above: int = 0):
             facets.append(g)
     return [s for g in facets if not g & low
             for s in chain_pulling_fan(g, facets, rows, chain, above)]
+
+
+def single_apex_mixed_volumes(K, L) -> tuple[tuple[int, ...], int]:
+    """(raw, unit) of ``fan._cayley_mixed_volumes`` by the route it took
+    before it coned each facet from a second apex: vertex 0 of the Cayley
+    polytope is coned over the pulling triangulation of every facet that
+    misses it, each simplex's (n+1) x (n+1) determinant counts toward m_j
+    for its j + 1 vertices at the L end, and the unit is n! m^(n+1)."""
+    n = K.dim
+    m, ps, qs = fan._common_lattice(K, L)
+    vk = len(ps)
+    pts = [p + (0,) for p in ps] + [q + (m,) for q in qs]
+    faces = [tight for _, tight in dd._cone_rays([p + (1,) for p in pts])]
+    rows = fan._relative_rows(pts, 0)
+    raw = [0] * (n + 1)
+    for face in faces:
+        if face & 1:
+            continue
+        for s, v in fan._pulling_fan(face, faces, rows):
+            raw[(s >> vk).bit_count() - 1] += v
+    return tuple(raw), factorial(n) * m ** (n + 1)
 
 
 def face_lattice(body) -> list[dict[tuple[int, ...], tuple[int, ...]]]:

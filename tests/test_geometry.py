@@ -12,6 +12,7 @@ from godbersen import (
     DegenerateInput,
     DimensionMismatch,
     GenSpec,
+    MixedVolumeProfile,
     SingularMatrix,
     ZeroDirection,
     build_hull,
@@ -44,6 +45,7 @@ from tests.conftest import (
     minkowski_sum,
     package_modules,
     simplex_int_volume,
+    single_apex_mixed_volumes,
 )
 from tests.test_linalg import (
     cofactor_adjugate,
@@ -942,6 +944,12 @@ def fan_families(corpus):
     return families
 
 
+def prism(body):
+    """body x [0, 1]: its facets other than the two ends are prisms over the
+    body's facets, and no prism is a simplex."""
+    return build_hull([v + (z,) for v in body.vertices for z in (0, 1)])
+
+
 def lowest_off(face: int) -> int:
     """The lowest vertex id not in the bitmask ``face``."""
     return next(i for i in range(face.bit_length() + 1) if not face >> i & 1)
@@ -983,16 +991,48 @@ class TestPullingFan:
         # the bodies' fans call it through geometry's own import of it
         for module in (fan, geometry):
             monkeypatch.setattr(module, "_pulling_fan", checked)
-        bodies = ([generate(spec) for spec in corpus_specs()] + recipe_bodies()
-                  + lattice_grid_bodies(40, 10)
+        corpus = [generate(spec) for spec in corpus_specs()]
+        # the prisms bring faces that are not simplices below the Cayley
+        # fans' top level, where n-entry rows leave few of them
+        bodies = (corpus + recipe_bodies() + lattice_grid_bodies(40, 10)
                   + [make(n) for make in (standard_simplex, unit_cube, cross_polytope)
-                     for n in (2, 3, 4, 5)])
+                     for n in (2, 3, 4, 5)]
+                  + [prism(body) for body in corpus[::20]])
         for body, nxt in zip(bodies, bodies[1:] + bodies[:1]):
             fan._cayley_mixed_volumes(body, reflect(body))
             if nxt.dim == body.dim:
                 fan._cayley_mixed_volumes(body, nxt)
         assert kinds[True, True] > 1000 and kinds[False, True] > 1000
         assert kinds[True, False] > 10000 and kinds[False, False] > 1000
+
+    def test_cayley_fan_matches_the_single_apex_oracle(self, corpus, monkeypatch):
+        # coned from each facet's lowest L-end vertex, the fan's n x n
+        # determinants over n! m^n give the profile of the single-apex
+        # route's (n+1) x (n+1) ones over n! m^(n+1), for (K, -K) and
+        # (K, next body); no elimination is wider than n
+        echelon = fan._echelon
+        widths = set()
+
+        def recording(rows, prev=1):
+            widths.add((len(rows), len(rows[0])))
+            return echelon(rows, prev)
+
+        bodies = ([body for _, body in corpus] + recipe_bodies()
+                  + lattice_grid_bodies(40, 10)
+                  + [make(n) for make in (standard_simplex, unit_cube, cross_polytope)
+                     for n in (2, 3, 4, 5)])
+        pairs = 0
+        for body, nxt in zip(bodies, bodies[1:] + bodies[:1]):
+            for K, L in [(body, reflect(body))] + [(body, nxt)] * (nxt.dim == body.dim):
+                n = K.dim
+                monkeypatch.setattr(fan, "_echelon", recording)
+                got = MixedVolumeProfile(n, *fan._cayley_mixed_volumes(K, L))
+                monkeypatch.setattr(fan, "_echelon", echelon)
+                assert got == MixedVolumeProfile(n, *single_apex_mixed_volumes(K, L))
+                assert all(k == w <= n for k, w in widths)
+                widths.clear()
+                pairs += 1
+        assert pairs > 650
 
     def test_any_apex_off_the_face(self, corpus):
         # the fan of a facet does not depend on its apex, and from every

@@ -124,6 +124,21 @@ class TestCli:
         assert [e["j"] for e in report["entries"]] == [1]
         assert main(["verify", "--input", str(path), "--j", "5"]) == 1
 
+    def test_verify_writes_results_past_the_conversion_limit(self, tmp_path, capsys):
+        # a 3-simplex with 3,001-digit coordinates has a 9,001-digit volume,
+        # more digits than str() converts by default; it is written whole
+        big = "1" + "0" * 2999 + "1"  # N = 10^3000 + 1
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"dim": 3, "vertices": [
+            ["0", "0", "0"], [big, "0", "0"], ["0", big, "0"], ["0", "0", big]]}))
+        assert main(["verify", "--input", str(path)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        cube = "1" + ("0" * 2999 + "3") * 2 + "0" * 2999 + "1"  # N^3
+        assert report["volume"] == cube + "/6"
+        assert [(e["j"], e["mixed"], e["ratio"]) for e in report["entries"]] == [
+            (1, cube + "/2", "1"), (2, cube + "/2", "1")]
+        assert report["is_simplex"]
+
     def test_ak(self, tmp_path, capsys):
         path = self._write_body(tmp_path, TRIANGLE)
         assert main(["ak", "--input", str(path)]) == 0

@@ -1,4 +1,5 @@
 import ast
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -36,6 +37,30 @@ def test_round_trip_is_lowest_terms(p, q):
     # writers emit lowest terms: re-rendering is a fixed point
     assert format_rational(parse_rational(text)) == text
     assert "/" not in text or Fraction(text).denominator > 1
+
+
+@pytest.mark.parametrize("x, text", [
+    # past the 4,300 digits that str() converts by default
+    (10 ** 5000 + 7, "1" + "0" * 4999 + "7"),
+    (Fraction(-(10 ** 9000) - 1, 3), "-1" + "0" * 8999 + "1/3"),
+    (Fraction(1, 2 * 10 ** 4400), "1/2" + "0" * 4400),
+    (Fraction(10 ** 640 - 1, 2 * 10 ** 4700), "9" * 640 + "/2" + "0" * 4700),
+], ids=["int", "numerator", "denominator", "both"])
+def test_formats_integers_past_the_conversion_limit(x, text):
+    # written in pieces, with the interpreter's limit left as it is
+    limit = sys.get_int_max_str_digits()
+    assert format_rational(x) == text
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_formats_under_the_least_conversion_limit():
+    # the pieces stay under the least limit the interpreter accepts
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)
+        assert format_rational(Fraction(-(10 ** 3000) - 3, 7)) == "-1" + "0" * 2999 + "3/7"
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_as_rat_refuses_floats():

@@ -166,8 +166,7 @@ def test_forced_violation_names_its_stage(stage, tmp_path, monkeypatch, capsys):
     calls = []
 
     def forced(*args, **kwargs):
-        # only the stage's first call fails, so the reproducer's second
-        # generate builds the body
+        # only the stage's first call fails
         calls.append(args)
         if len(calls) == 1:
             raise TheoremViolation(f"forced in {name}")
@@ -187,8 +186,45 @@ def test_forced_violation_names_its_stage(stage, tmp_path, monkeypatch, capsys):
     assert main(["sweep", "--spec", str(specs), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"THEOREM VIOLATION: {message}\n"
     repro = json.loads((tmp_path / "x.csv.violation-0000-simplex-n3.json").read_text())
-    assert repro["message"] == message
-    assert polytope_from_dict(repro) == sweep_module.generate(spec)
+    assert repro["message"] == message and repro["stage"] == stage
+    if stage == "generate":
+        # no body was built, so the reproducer names it and holds no vertices
+        assert repro == {"body_id": "0000-simplex-n3", "spec": asdict(spec),
+                         "stage": stage, "message": message}
+    else:
+        assert polytope_from_dict(repro) == sweep_module.generate(spec)
+
+
+def test_generate_violation_keeps_the_csv_and_summary(tmp_path, monkeypatch, capsys):
+    # a violation while building a body leaves a reproducer without vertices
+    # and does not build the body again, so the other bodies' rows and the
+    # summary are still written
+    generate = sweep_module.generate
+    built = []
+
+    def failing(spec):
+        built.append(spec)
+        if spec.dim == 3:
+            raise TheoremViolation("forced in generate")
+        return generate(spec)
+
+    monkeypatch.setattr(sweep_module, "generate", failing)
+    specs = tmp_path / "specs.json"
+    specs.write_text(json.dumps([{"kind": "cube", "dim": 2},
+                                 {"kind": "simplex", "dim": 3}]))
+    out = tmp_path / "x.csv"
+    assert main(["sweep", "--spec", str(specs), "--out", str(out)]) == 2
+    assert [s.dim for s in built] == [2, 3]
+    captured = capsys.readouterr()
+    spec = built[1]
+    message = f"0001-simplex-n3 {spec}: generate: forced in generate"
+    assert captured.err == f"THEOREM VIOLATION: {message}\n"
+    assert "bodies=2" in captured.out and "violations=1" in captured.out
+    lines = out.read_text().splitlines()
+    assert [line.split(",")[0] for line in lines[2:]] == ["0000-cube-n2"]
+    repro = json.loads((tmp_path / "x.csv.violation-0001-simplex-n3.json").read_text())
+    assert repro == {"body_id": "0001-simplex-n3", "spec": asdict(spec),
+                     "stage": "generate", "message": message}
 
 
 @pytest.mark.parametrize("name, error, vertex_count", [
