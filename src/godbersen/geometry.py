@@ -21,15 +21,14 @@ Pfetsch, Comput. Geom. 23, 2002).  So a point is a vertex iff its facets
 share no other point.  Each facet's pulling triangulation, coned from a
 vertex off it, gives the facet's measure (cone volume = measure * height /
 n); the cones from vertex 0 give the fan, volume and centroid.
-An invertible affine map keeps the incidence, so ``transform`` relabels its
-source's facets and fan instead of rebuilding them.  A homothety x -> lam x
-+ t keeps more: each normal up to the sign of lam, and the order of the
-vertices and facets, reversed when lam < 0.  So ``translate``, ``scale`` and
-``reflect`` go through ``_homothety``, which takes no adjugate and sorts
-nothing; ``transform`` maps by a general A.  ``_homothety`` takes lam and t
-as integers over one denominator, so ``translate`` and ``scale`` read their
-input first, and centering at the centroid passes the integers the body
-holds.
+``transform`` builds an affine image by the same kernels, as the hull of
+the mapped vertices.  A homothety x -> lam x + t keeps the incidence and
+more: each normal up to the sign of lam, and the order of the vertices and
+facets, reversed when lam < 0.  So ``translate``, ``scale`` and ``reflect``
+go through ``_homothety``, which relabels K's facets and fan and sorts
+nothing.  ``_homothety`` takes lam and t as integers over one denominator,
+so ``translate`` and ``scale`` read their input first, and centering at the
+centroid passes the integers the body holds.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ from operator import and_, mul
 from .dd import _hull_facets_int, _ids
 from .errors import DegenerateInput, DimensionMismatch, SingularMatrix, ZeroDirection
 from .fan import _pulling_fan, _relative_rows
-from .linalg import adjugate, scale_to_integers
+from .linalg import _echelon, scale_to_integers
 from .rationals import Point, Rat
 
 
@@ -275,23 +274,14 @@ def support(K: Polytope, w) -> Rat:
 def transform(K: Polytope, mat=None, shift=None) -> Polytope:
     """Image of K under x -> A x + t for invertible rational A.
 
-    An invertible affine map keeps the vertex-facet incidence, so the image
-    carries over K's facets and fan, relabelled by the sorted image vertices,
-    its facets sorted by their mapped normals.
     With A = Ai / a and t = ti / a over one positive integer a, the vertex
-    p / m maps to (Ai p + m ti) / (a m).  A normal w maps to the coprime part
-    u / g of u = sign(det Ai) adj(Ai)^T w, a positive multiple of A^-T w, and
-    its scaled measure to mu g / a^(n-1), with the gcd of g and a^(n-1)
-    divided out.  The centroid c_num / c_den maps to
-    (Ai c_num + c_den ti) / (a c_den).  The image's lattice points are
-    (Ai p + m ti) / c, c the gcd of their entries and a m, so a fan simplex's
-    integer volume v maps to v |det Ai| / c^n, an exact division.  det Ai
-    and adj(Ai) come together from one elimination (``adjugate``), which
-    rejects a singular Ai before any other work.  A and t are read by one
-    ``scale_to_integers`` call, before their shapes are checked, so integer
-    entries make no Fraction.  ``translate``, ``scale`` and ``reflect`` take
-    the shorter route of ``_homothety``, which the tests check against this
-    one.
+    p / m maps to (Ai p + m ti) / (a m), and the image is the hull of these
+    lattice points (``_lattice_hull``), built by the kernels that build every
+    body.  A and t are read by one ``scale_to_integers`` call, before their
+    shapes are checked, so integer entries make no Fraction.  One elimination
+    of Ai's n rows refuses a singular Ai (fewer than n pivots) before any
+    hull work.  ``translate``, ``scale`` and ``reflect`` take the shorter
+    route of ``_homothety``.
     """
     n = K.dim
     if mat is None:
@@ -301,42 +291,16 @@ def transform(K: Polytope, mat=None, shift=None) -> Polytope:
         raise DimensionMismatch("matrix shape does not match the body")
     if len(ti) != n:
         raise DimensionMismatch("translation length does not match the body")
-    try:
-        d, adj = adjugate(ai)
-    except SingularMatrix:
-        raise SingularMatrix("transform matrix is singular") from None
-
+    if len(_echelon(ai)[1]) < n:
+        raise SingularMatrix("transform matrix is singular")
     m = K._int_scale
-    mapped = [tuple(_idot(r, p) + m * s for r, s in zip(ai, ti)) for p in K._int_vertices]
-    common = gcd(a * m, *(c for q in mapped for c in q))
-    mult = a * m // common
-    order = sorted(range(len(mapped)), key=mapped.__getitem__)
-    new = {old: k for k, old in enumerate(order)}
-    ipts = [tuple(c // common for c in mapped[i]) for i in order]
-    sign = 1 if d > 0 else -1
-    cols = list(zip(*adj))
-    grow = a ** (n - 1)
-    facets = []
-    for f in K.facets:
-        u = [sign * _idot(col, f.normal) for col in cols]
-        g = gcd(*u)
-        w = tuple(c // g for c in u)
-        vids = tuple(sorted(new[i] for i in f.vertex_ids))
-        h = gcd(g, grow)  # a translation has g = a^(n-1): the measure stays put
-        facets.append(Facet(w, _idot(w, ipts[vids[0]]), mult, f._measure_num * (g // h),
-                            f._measure_den * (grow // h), vids))
-    facets.sort(key=lambda f: f.normal)
-    den = K._centroid_den
-    return Polytope(n, ipts, mult, tuple(facets),
-                    tuple(tuple(new[i] for i in s) for s in K._simplices),
-                    tuple(v * abs(d) // common ** n for v in K._fan_volumes),
-                    *_reduced(tuple(_idot(r, K._centroid_num) + den * s
-                                    for r, s in zip(ai, ti)), a * den))
+    return _lattice_hull([tuple(_idot(r, p) + m * s for r, s in zip(ai, ti))
+                          for p in K._int_vertices], a * m)
 
 
 def _homothety(K: Polytope, l: int, ti: tuple[int, ...], a: int) -> Polytope:
     """``transform`` of K with A = lam I for a nonzero rational lam, by
-    relabelling alone: no adjugate, no gcd per normal and no sort.
+    relabelling K's facets and fan: no hull, no gcd per normal and no sort.
 
     It reads no input: lam = l / a and t = ti / a come as integers over one
     positive integer a, as ``translate`` and ``scale`` read them.  The
@@ -348,9 +312,9 @@ def _homothety(K: Polytope, l: int, ti: tuple[int, ...], a: int) -> Polytope:
     so a normal w maps to sign(l) w, the offset b / m to
     sign(l) (l b + m w . ti) / c on the image's lattice, and the scaled
     measure to mu |l|^(n-1) / a^(n-1), with the gcd of the two powers divided
-    out as ``transform`` does.  A fan volume v maps to v |l|^n / c^n, the
-    centroid c_num / c_den to (l c_num + c_den ti) / (a c_den).  A shift of
-    the wrong length and l = 0 raise ``transform``'s errors.
+    out.  A fan volume v maps to v |l|^n / c^n, the centroid c_num / c_den
+    to (l c_num + c_den ti) / (a c_den).  A shift of the wrong length and
+    l = 0 raise ``transform``'s errors.
     """
     n = K.dim
     if len(ti) != n:

@@ -1,22 +1,22 @@
 """Exact linear algebra on integer and rational matrices.
 
-Every rank, determinant and adjugate runs on Bareiss's fraction-free
-elimination of integer rows, whose every entry is an integer minor of the
-input, so each division is exact (Bareiss 1968).  Here it is one kernel,
-``_echelon``.  An adjugate is one such pass over [A | I] and an integer
-back-substitution (``_back_substitute``); no minor is taken on its own.  The
-facet kernel ``dd._cone_rays`` seeds from one pass too: on its transposed
-rows followed by I, the pivot columns pick the first linearly independent
-rows B, and the back-substitution gives the rows of adj(B)^T up to sign, the
-first rays.  The same pass decides the span: the rows fail to span exactly
-when a pivot falls in the I block, so a hull takes no rank of its points on
-its own.  The fan simplices' determinants come from the same kernel:
-``fan._pulling_fan`` reduces each face's lowest row against the pivot rows
-its faces above it share, and finishes a simplex's rows in one ``_echelon``
-pass that continues that elimination from its last pivot (``prev``).  A
-body's fan takes n x n determinants in R^n, and so does the fan of a
-Cayley polytope in R^(n+1), whose simplices' rows are taken against two
-apices, one at each end (``fan._cayley_mixed_volumes``).
+Every rank and determinant runs on Bareiss's fraction-free elimination of
+integer rows, whose every entry is an integer minor of the input, so each
+division is exact (Bareiss 1968).  Here it is one kernel, ``_echelon``; no
+minor is taken on its own.  ``geometry.transform`` refuses a singular matrix
+by the pivots of one pass over its rows.  The facet kernel
+``dd._cone_rays`` seeds from one pass too: on its transposed rows followed
+by I, the pivot columns pick the first linearly independent rows B, and an
+integer back-substitution (``_back_substitute``) gives the rows of adj(B)^T
+up to sign, the first rays.  The same pass decides the span: the rows fail
+to span exactly when a pivot falls in the I block, so a hull takes no rank
+of its points on its own.  The fan simplices' determinants come from the
+same kernel: ``fan._pulling_fan`` reduces each face's lowest row against the
+pivot rows its faces above it share, and finishes a simplex's rows in one
+``_echelon`` pass that continues that elimination from its last pivot
+(``prev``).  A body's fan takes n x n determinants in R^n, and so does the
+fan of a Cayley polytope in R^(n+1), whose simplices' rows are taken against
+two apices, one at each end (``fan._cayley_mixed_volumes``).
 No normal of a span is formed.
 
 ``scale_to_integers`` is the package's one API edge: every public entry that
@@ -34,7 +34,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import SingularMatrix
 from .rationals import as_rat
 
 
@@ -140,20 +139,3 @@ def _back_substitute(a, pivots: list[int], start: int) -> tuple[int, list[list[i
         x[i] = [u // p for u in acc]
     return d, x
 
-
-def adjugate(rows) -> tuple[int, list[list[int]]]:
-    """(det A, adj A) of a square nonsingular integer matrix A, so that
-    adj(A) A = det(A) I.
-
-    One Bareiss pass over [A | I] and one back-substitution: with D the last
-    pivot and s the sign of the row swaps, det A = s D and adj A = s D A^-1.
-    A singular matrix raises SingularMatrix.
-    """
-    n = len(rows)
-    a, pivots, sign = _echelon(_with_identity(rows))
-    if pivots != list(range(n)):
-        raise SingularMatrix("matrix is singular")
-    d, x = _back_substitute(a, pivots, n)
-    if sign < 0:
-        x = [[-c for c in r] for r in x]
-    return sign * d, x

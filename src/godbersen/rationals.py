@@ -27,10 +27,14 @@ _RAT_RE = re.compile(r"^[+-]?\d+(/\d*[1-9]\d*)?$", re.ASCII)
 def parse_rational(text: str) -> Rat:
     """Parse ``"p/q"`` or ``"k"`` in ASCII digits; decimals, exponents, a
     zero denominator, other scripts' digits and anything that is not a string
-    (a JSON number, say) raise ValueError."""
+    (a JSON number, say) raise ValueError.  A numerator or denominator past
+    the interpreter's limit on integer string conversion is read in pieces
+    (``_integer``), so whatever ``format_rational`` writes reads back."""
     if not isinstance(text, str) or not _RAT_RE.match(text.strip()):
         raise ValueError(f"not a rational literal: {text!r}")
-    return Fraction(text.strip())
+    num, _, den = text.strip().partition("/")
+    sign = -1 if num[0] == "-" else 1
+    return Fraction(sign * _integer(num.lstrip("+-")), _integer(den or "1"))
 
 
 def format_rational(x: Rat) -> str:
@@ -56,6 +60,15 @@ def _decimal(k: int) -> str:
     half = k.bit_length() * 3 // 20  # about half of its log10(2) ~ 0.301 digits per bit
     high, low = divmod(k, 10 ** half)
     return _decimal(high) + _decimal(low).zfill(half)
+
+
+def _integer(digits: str) -> int:
+    """The int of a string of decimal digits, split in halves until each
+    piece has fewer than 600 digits: the inverse of ``_decimal``."""
+    if len(digits) < 600:
+        return int(digits)
+    half = len(digits) // 2
+    return _integer(digits[:-half]) * 10 ** half + _integer(digits[-half:])
 
 
 def as_rat(x) -> Rat:

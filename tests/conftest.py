@@ -1,6 +1,6 @@
 """Shared corpora, and the Minkowski sum, face lattice, frozenset and
 row-by-row chain pulling fans, single-apex Cayley fan, per-simplex
-determinant, integer determinant and rank, vertex inclusion test and
+determinant, integer determinant, rank and adjugate, vertex inclusion test and
 Fraction vector kept as references, and a counter of the Fractions made.
 
 The acceptance corpus is 300 seeded random polytopes (100 each in dimensions
@@ -43,7 +43,8 @@ from godbersen import (
     translate,
 )
 from godbersen import dd, fan, geometry, sections
-from godbersen.linalg import _echelon
+from godbersen.errors import SingularMatrix
+from godbersen.linalg import _back_substitute, _echelon, _with_identity
 from godbersen.rationals import as_rat
 
 
@@ -111,6 +112,25 @@ def int_rank(rows) -> int:
     """Rank of an integer matrix: the pivot count of one Bareiss pass.  The
     hull's seed elimination decides the span itself."""
     return len(_echelon(rows)[1])
+
+
+def adjugate(rows) -> tuple[int, list[list[int]]]:
+    """(det A, adj A) of a square nonsingular integer matrix A, so that
+    adj(A) A = det(A) I.
+
+    One Bareiss pass over [A | I] and one back-substitution, the two steps of
+    the double description kernel's seed: with D the last pivot and s the
+    sign of the row swaps, det A = s D and adj A = s D A^-1.  A singular
+    matrix raises SingularMatrix.
+    """
+    n = len(rows)
+    a, pivots, sign = _echelon(_with_identity(rows))
+    if pivots != list(range(n)):
+        raise SingularMatrix("matrix is singular")
+    d, x = _back_substitute(a, pivots, n)
+    if sign < 0:
+        x = [[-c for c in r] for r in x]
+    return sign * d, x
 
 
 def includes(outer: Polytope, inner: Polytope) -> bool:

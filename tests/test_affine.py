@@ -5,6 +5,11 @@ image centroid and facets map to facets, so the Godbersen ratios, the tight
 count, the anchor's uniqueness and the simplex flag are all unchanged.  The
 property runs over corpus bodies with A = -I, A = -2I, unimodular and
 rational A.
+
+Two cheap identities of mixed volumes hold the Cayley fan to account on
+pairs of bodies: m_j(K, tL) = t^j m_j(K, L) for t > 0 (``scale``), and
+m_j(AK + s, AL + s') = |det A| m_j(K, L) (``transform``, whose images get a
+hull kernel run and a fan of their own; Schneider, *Convex Bodies*, ch. 5).
 """
 
 from fractions import Fraction as F
@@ -17,6 +22,8 @@ from godbersen import (
     anchor_unique,
     generate,
     godbersen_report,
+    mv_profile,
+    scale,
     tightness_profile,
     transform,
 )
@@ -93,3 +100,37 @@ def test_reflections_keep_invariants():
             shift = tuple(F(k, 3) for k in range(spec.dim))
             image = transform(_body(spec), scalar(spec.dim, c), shift)
             assert invariants(image) == _body_invariants(spec)
+
+
+@lru_cache(maxsize=None)
+def _profile(spec_k, spec_l):
+    return mv_profile(_body(spec_k), _body(spec_l)).coeffs
+
+
+@st.composite
+def body_pairs(draw):
+    """Two corpus specs of one dimension, possibly the same."""
+    spec_k = draw(st.sampled_from(SPECS))
+    spec_l = draw(st.sampled_from([s for s in SPECS if s.dim == spec_k.dim]))
+    return spec_k, spec_l
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(body_pairs(), st.builds(F, st.integers(1, 9), st.integers(1, 9)))
+def test_mixed_volumes_scale_by_powers_of_t(pair, t):
+    # m_j(K, tL) = t^j m_j(K, L) for t > 0
+    spec_k, spec_l = pair
+    coeffs = mv_profile(_body(spec_k), scale(_body(spec_l), t)).coeffs
+    assert coeffs == tuple(t ** j * m for j, m in enumerate(_profile(spec_k, spec_l)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.data())
+def test_mixed_volumes_scale_by_the_determinant(data):
+    # m_j(AK + s, AL + s') = |det A| m_j(K, L): both images are rebuilt
+    spec_k, spec_l = data.draw(body_pairs())
+    mat, shift = data.draw(affine_maps(spec_k.dim))
+    _, other = data.draw(affine_maps(spec_k.dim))
+    coeffs = mv_profile(transform(_body(spec_k), mat, shift),
+                        transform(_body(spec_l), mat, other)).coeffs
+    assert coeffs == tuple(abs(det(mat)) * m for m in _profile(spec_k, spec_l))

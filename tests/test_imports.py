@@ -2,7 +2,10 @@
 (``dd``) and the pulling fan (``fan``) stand on ``linalg`` and ``errors``
 alone, so a checker of their output can be held to importing neither.  The
 size policy is the double description kernel's alone: no other module
-reads the cap or the facet bound."""
+reads the cap or the facet bound.  A body has one construction route: the
+hull kernel's assembly (``geometry._from_lattice``), and ``_homothety``,
+which relabels its source's facets and fan; no other code calls the
+``Polytope`` constructor, and no module keeps an adjugate of its own."""
 
 import ast
 from pathlib import Path
@@ -96,3 +99,58 @@ def test_size_policy_guard_sees_each_kind():
                      "    dd.check_subset_cap(1, 'x')\n")
     assert size_policy_uses(tree) == SIZE_POLICY
     assert not size_policy_uses(ast.parse("from .dd import _cone_rays\n"))
+
+
+def constructor_calls(tree) -> list[str]:
+    """The enclosing function (``<module>`` at the top level) of every call
+    of the ``Polytope`` constructor, by name or as an attribute."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                if (isinstance(func, ast.Name) and func.id == "Polytope"
+                        or isinstance(func, ast.Attribute) and func.attr == "Polytope"):
+                    found.append(scope)
+            inner = (child.name if isinstance(child, (ast.FunctionDef, ast.ClassDef))
+                     else scope)
+            visit(child, inner)
+
+    visit(tree, "<module>")
+    return found
+
+
+def defined_or_imported(tree) -> set[str]:
+    """The names a module's source defines as functions or classes, or
+    imports."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            found.update(a.name.split(".")[-1] for a in node.names)
+    return found
+
+
+def test_bodies_have_one_construction_route():
+    calls = {}
+    for path in SRC.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        assert "adjugate" not in defined_or_imported(tree), path.stem
+        calls[path.stem] = sorted(set(constructor_calls(tree)))
+    assert {name: scopes for name, scopes in calls.items() if scopes} == \
+        {"geometry": ["_from_lattice", "_homothety"]}
+
+
+def test_construction_guard_sees_each_kind():
+    tree = ast.parse("from .geometry import Polytope\n"
+                     "from .linalg import adjugate\n"
+                     "P = Polytope(2, [], 1, (), (), (), (), 1)\n"
+                     "def transform(K):\n"
+                     "    def image():\n"
+                     "        return geometry.Polytope(K.dim)\n"
+                     "    return image()\n")
+    assert constructor_calls(tree) == ["<module>", "image"]
+    assert {"Polytope", "adjugate", "transform"} <= defined_or_imported(tree)
+    assert not constructor_calls(ast.parse("Polytope\nx = polytope(1)\n"))

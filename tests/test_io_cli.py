@@ -54,6 +54,12 @@ class TestPolytopeFormat:
         again = polytope_from_dict(polytope_to_dict(body))
         assert again == body
 
+    def test_round_trip_past_the_conversion_limit(self):
+        # the writer emits 4,401-digit coordinates in pieces; the reader
+        # reads them in pieces
+        body = build_hull([(0, 0), (10 ** 4400, 0), (0, 10 ** 4400)])
+        assert polytope_from_dict(polytope_to_dict(body)) == body
+
     def test_writer_emits_lowest_terms(self):
         body = build_hull([(F(2, 4), 0), (1, 0), (0, 1)])
         data = polytope_to_dict(body)

@@ -17,11 +17,10 @@ from godbersen import (
 from godbersen.errors import SingularMatrix
 from godbersen.linalg import (
     _echelon,
-    adjugate,
     primitive,
     scale_to_integers,
 )
-from tests.conftest import count_fractions, int_det, int_rank
+from tests.conftest import adjugate, count_fractions, int_det, int_rank
 
 
 # A rational determinant, solve and affine rank on the Bareiss kernel.  The
@@ -191,9 +190,10 @@ def test_kernel_matches_fraction_oracles():
     assert singular > 100
 
 
-# The adjugate as k^2 cofactor determinants, one Bareiss elimination each:
-# the route that ``adjugate``'s single elimination of [A | I] replaced, kept
-# as its oracle.
+# The adjugate as k^2 cofactor determinants, one Bareiss elimination each,
+# is the oracle of ``adjugate``'s single elimination of [A | I] and
+# back-substitution: the two steps, ``_echelon`` and ``_back_substitute``,
+# that seed the double description kernel.
 
 def cofactor_adjugate(rows) -> list[list[int]]:
     """adj(A)[i][j] = (-1)^(i+j) det of A without row j and column i."""

@@ -50,6 +50,7 @@ def test_formats_integers_past_the_conversion_limit(x, text):
     # written in pieces, with the interpreter's limit left as it is
     limit = sys.get_int_max_str_digits()
     assert format_rational(x) == text
+    assert parse_rational(text) == x
     assert sys.get_int_max_str_digits() == limit
 
 
@@ -59,6 +60,21 @@ def test_formats_under_the_least_conversion_limit():
     try:
         sys.set_int_max_str_digits(640)
         assert format_rational(Fraction(-(10 ** 3000) - 3, 7)) == "-1" + "0" * 2999 + "3/7"
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_parses_past_the_conversion_limit():
+    # a 4,401-digit numerator and denominator, read in pieces under the
+    # default limit and under the least one the interpreter accepts
+    x = Fraction(-(10 ** 4400) - 3, 7 * 10 ** 4400 + 1)
+    text = "-1" + "0" * 4399 + "3/7" + "0" * 4399 + "1"
+    limit = sys.get_int_max_str_digits()
+    try:
+        for least in (limit, 640):
+            sys.set_int_max_str_digits(least)
+            assert parse_rational(text) == x
+            assert parse_rational("+" + text[1:].replace("/", "/000")) == -x
     finally:
         sys.set_int_max_str_digits(limit)
 
