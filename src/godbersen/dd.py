@@ -17,7 +17,8 @@ is built; a feasibility question runs it on its homogenized rows.
 
 The kernel also owns the size policy: every run, whoever calls it, checks
 the upper bound theorem's count of its rays against ``GODBERSEN_SUBSET_CAP``
-before the seed (``check_subset_cap``).
+before the seed (``check_subset_cap``).  The generators of fixed kinds ask it
+the same question (``check_hull_size``) before they make their points.
 """
 
 from __future__ import annotations
@@ -52,6 +53,12 @@ def _max_facets(v: int, n: int) -> int:
     """The most facets a polytope in R^n with v >= n + 1 vertices can have:
     those of the cyclic polytope (McMullen's upper bound theorem, 1970)."""
     return comb(v - (n + 1) // 2, n // 2) + comb(v - n // 2 - 1, (n + 1) // 2 - 1)
+
+
+def check_hull_size(v: int, n: int) -> None:
+    """``check_subset_cap`` for the hull of v >= n + 1 points in R^n, which
+    has at most ``_max_facets(v, n)`` facets."""
+    check_subset_cap(_max_facets(v, n), f"hull of {v} points in R^{n}")
 
 
 def _ids(mask: int) -> tuple[int, ...]:
@@ -129,7 +136,7 @@ def _cone_rays(rows) -> list[tuple[tuple[int, ...], int]]:
     if m < k:
         raise DegenerateInput(f"points do not span R^{k - 1}")
     if k > 1:
-        check_subset_cap(_max_facets(m, k - 1), f"hull of {m} points in R^{k - 1}")
+        check_hull_size(m, k - 1)
     seed, rays = _seed_rays(rows)
     full = sum(1 << i for i in seed)
     tights = [full ^ (1 << i) for i in seed]

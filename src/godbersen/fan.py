@@ -4,13 +4,9 @@ integer determinants, and the mixed volumes of a Cayley polytope's fan.
 The facets of a face are its maximal proper intersections with facets
 (``_facets_of``), so a face's pulling triangulation needs no hull beyond
 the facets.  The fan kernel, ``_pulling_fan``, recurses on the vertex
-bitmasks of the faces and carries one fraction-free elimination down the
-recursion: each face that is not a simplex reduces only its lowest vertex
-row against its ancestors' pivot rows (Bareiss's step) and passes it down
-as a pivot row; a face that is a simplex reduces all its rows against them
-and finishes them in one ``linalg._echelon`` pass from the chain's last
-pivot, whose last pivot is the simplex's determinant up to sign.  No
-determinant is taken on its own.
+bitmasks of the faces, coning each from its lowest vertex (De Loera, Rambau
+and Santos, *Triangulations*, 2010), and takes each simplex's determinant,
+up to sign, as the last pivot of one ``linalg._echelon`` pass over its rows.
 
 The Cayley polytope of K and L in R^(n+1) is coned twice: from its vertex 0
 at the K end over the facets that miss it, and each such cone from the
@@ -32,23 +28,6 @@ from .errors import DegenerateInput
 from .linalg import _echelon
 
 
-def _chain_reduced(rs, chain) -> tuple[list[list[int]], int]:
-    """(the rows rs reduced against the pivot rows ``chain``, its last pivot).
-
-    Each pivot row t_j with pivot column c_j takes a row r to
-    (p_j r - r[c_j] t_j) / p_(j-1), exact by Sylvester's identity (Bareiss
-    1968), and column c_j then leaves the row.
-    """
-    prev = 1
-    for c, t in chain:
-        p = t[c]
-        rs = [[(p * x - r[c] * y) // prev for x, y in zip(r, t)] for r in rs]
-        for r in rs:
-            del r[c]
-        prev = p
-    return rs, prev
-
-
 def _facets_of(face: int, cands) -> list[int]:
     """The facets of a face, as bitmasks: its inclusion-maximal proper
     intersections with ``cands``, bitmasks whose intersections with it
@@ -66,7 +45,7 @@ def _facets_of(face: int, cands) -> list[int]:
     return facets
 
 
-def _pulling_fan(face: int, cands, rows, chain=(), above: int = 0) -> list[tuple[int, int]]:
+def _pulling_fan(face: int, cands, rows, above: int = 0) -> list[tuple[int, int]]:
     """Pulling triangulation of a face coned from an apex, as (simplex, |det|)
     pairs: the bitmask of each simplex's vertices other than the apex, and
     the |det| of their rows.
@@ -75,39 +54,32 @@ def _pulling_fan(face: int, cands, rows, chain=(), above: int = 0) -> list[tuple
     ``_facets_of(face, cands)``.  The face is coned from its lowest id over
     the facets that miss it, each triangulated with the facets alone as
     candidates, since every facet of a facet g is g n h for another facet h.
+    ``above`` holds the ids it was coned from, its ancestors' lowest ids.
 
     ``rows[i]`` is vertex i's row: vertex i minus the apex for a body's fan, so
     that |det| is the simplex's integer volume on the lattice (the Cayley
-    fan's rows are in ``_cayley_mixed_volumes``).  Each level reduces only
-    its lowest row against the pivot rows ``chain`` of its ancestors
-    (``_chain_reduced``) and adds it to the chain, its pivot column the
-    row's first nonzero entry.  A face with as many vertices as its rows
-    have entries left is a simplex, and so is a single vertex (on facets
-    that close a polytope it has one entry left).  A simplex is its own
-    triangulation: all its rows are reduced against the chain and finished
-    in one ``_echelon`` pass that continues the elimination from the
-    chain's last pivot, so that pass's last pivot is +-det of the simplex.
-    ``above`` holds the ancestors' ids.  A simplex whose rows leave a pivot
-    short, or a face whose lowest row reduces to zero, raises
+    fan's rows are in ``_cayley_mixed_volumes``).  A face is a simplex when
+    it and the ids above it number as many as a row has entries, and so is a
+    single vertex (on facets that close a polytope the two agree).  A simplex
+    is its own triangulation: one ``_echelon`` pass over the rows of its ids
+    and those above it has the simplex's +-det as its last pivot.  A simplex
+    whose rows leave a pivot short, or a face that yields no simplex, raises
     DegenerateInput.
     """
     low = face & -face
-    k = face.bit_count()
-    if k == len(rows[0]) - len(chain) or face == low:
-        a, pivots, _ = _echelon(*_chain_reduced(
-            [rows[i] for i in range(face.bit_length()) if face >> i & 1], chain))
+    s = above | face
+    k = s.bit_count()
+    if k == len(rows[0]) or face == low:
+        a, pivots, _ = _echelon([rows[i] for i in range(s.bit_length()) if s >> i & 1])
         if len(pivots) < k:
             raise DegenerateInput("fan simplex is degenerate")
-        return [(above | face, abs(a[-1][pivots[-1]]))]
-    r = _chain_reduced([rows[low.bit_length() - 1]], chain)[0][0]
-    c = next((j for j, x in enumerate(r) if x), None)
-    if c is None:
-        raise DegenerateInput("fan simplex is degenerate")
-    above |= low
-    chain += ((c, r),)
+        return [(s, abs(a[-1][pivots[-1]]))]
     facets = _facets_of(face, cands)
-    return [s for g in facets if not g & low
-            for s in _pulling_fan(g, facets, rows, chain, above)]
+    cones = [c for g in facets if not g & low
+             for c in _pulling_fan(g, facets, rows, above | low)]
+    if not cones:
+        raise DegenerateInput("fan simplex is degenerate")
+    return cones
 
 
 def _relative_rows(pts, apex: int) -> list[tuple[int, ...]]:

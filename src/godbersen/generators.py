@@ -13,6 +13,7 @@ import random
 from dataclasses import dataclass
 from math import lcm
 
+from .dd import check_hull_size
 from .errors import DegenerateInput
 from .geometry import Polytope, _lattice_hull
 
@@ -59,17 +60,23 @@ class GenSpec:
             raise ValueError("denominator bound must be positive")
 
 
+# Each fixed kind knows its vertex count, so it passes the kernel's size
+# check before it makes a point: 2^n points of a 30-cube are never made.
+
 def standard_simplex(n: int) -> Polytope:
+    check_hull_size(n + 1, n)
     pts = [(0,) * n] + [tuple(int(i == j) for i in range(n)) for j in range(n)]
     return _lattice_hull(pts, 1)
 
 
 def unit_cube(n: int) -> Polytope:
+    check_hull_size(2 ** n, n)
     return _lattice_hull([tuple((mask >> i) & 1 for i in range(n))
                           for mask in range(2 ** n)], 1)
 
 
 def cross_polytope(n: int) -> Polytope:
+    check_hull_size(2 * n, n)
     return _lattice_hull([tuple(s * (i == j) for i in range(n))
                           for j in range(n) for s in (1, -1)], 1)
 

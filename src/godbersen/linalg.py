@@ -11,13 +11,11 @@ integer back-substitution (``_back_substitute``) gives the rows of adj(B)^T
 up to sign, the first rays.  The same pass decides the span: the rows fail
 to span exactly when a pivot falls in the I block, so a hull takes no rank
 of its points on its own.  The fan simplices' determinants come from the
-same kernel: ``fan._pulling_fan`` reduces each face's lowest row against the
-pivot rows its faces above it share, and finishes a simplex's rows in one
-``_echelon`` pass that continues that elimination from its last pivot
-(``prev``).  A body's fan takes n x n determinants in R^n, and so does the
-fan of a Cayley polytope in R^(n+1), whose simplices' rows are taken against
-two apices, one at each end (``fan._cayley_mixed_volumes``).
-No normal of a span is formed.
+same kernel: ``fan._pulling_fan`` takes each simplex's as the last pivot, up
+to sign, of one ``_echelon`` pass over its rows.  A body's fan takes n x n
+determinants in R^n, and so does the fan of a Cayley polytope in R^(n+1),
+whose simplices' rows are taken against two apices, one at each end
+(``fan._cayley_mixed_volumes``).  No normal of a span is formed.
 
 ``scale_to_integers`` is the package's one API edge: every public entry that
 takes coordinates from outside (``build_hull``, ``support``, ``transform``,
@@ -67,22 +65,20 @@ def primitive(vec) -> tuple[int, ...]:
     return tuple([c // g for c in vec])
 
 
-def _echelon(rows, prev: int = 1) -> tuple[list[list[int]], list[int], int]:
+def _echelon(rows) -> tuple[list[list[int]], list[int], int]:
     """Bareiss row echelon form of an integer matrix.
 
     Returns (rows, pivot columns, sign of the row swaps).  A column with no
     nonzero entry at or below the current row is skipped.  After the k-th
     pivot, every entry below it is a (k+1)-minor of the input, so the
     division by the previous pivot is exact; the last pivot of a square
-    nonsingular matrix is its determinant up to the sign.  ``prev`` is the
-    last pivot of an elimination already begun, whose remaining rows these
-    are: the pass continues it, and its last pivot is the whole one's.
+    nonsingular matrix is its determinant up to the sign.
     """
     a = [list(r) for r in rows]
     m = len(a)
     width = len(a[0]) if a else 0
     pivots: list[int] = []
-    sign = 1
+    sign = prev = 1
     r = 0
     for c in range(width):
         if r == m:

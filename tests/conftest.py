@@ -173,7 +173,7 @@ def simplex_int_volume(pts, simplex, d: int) -> int:
 def frozenset_pulling_fan(face: frozenset, cands) -> list[tuple[int, ...]]:
     """Pulling triangulation of a face, as vertex-id tuples, on vertex-id
     frozensets: the route ``fan._pulling_fan`` took before it worked on
-    bitmasks and carried the elimination.
+    bitmasks.
 
     ``cands`` are sets whose intersections with ``face`` include its facets.
     Its facets are the inclusion-maximal proper intersections: scanned by
@@ -198,11 +198,12 @@ def frozenset_pulling_fan(face: frozenset, cands) -> list[tuple[int, ...]]:
 
 
 def chain_pulling_fan(face: int, cands, rows, chain=(), above: int = 0):
-    """The pulling fan of ``fan._pulling_fan``, with its signature and
-    (simplex, |det|) pairs, by the route it took before a simplex face was
-    finished in one elimination pass: every level, simplex faces included,
-    reduces its lowest row against the chain one Bareiss step at a time,
-    and a simplex recurses once per vertex down to its last row."""
+    """The pulling fan of ``fan._pulling_fan(face, cands, rows)``, as its
+    (simplex, |det|) pairs, by a route that carries one elimination down the
+    recursion: every level, simplex faces included, reduces its lowest row
+    against its ancestors' pivot rows ``chain`` one Bareiss step at a time
+    and adds it to them, and a simplex recurses once per vertex down to its
+    last row, whose pivot is +-det."""
     low = face & -face
     r = rows[low.bit_length() - 1]
     prev = 1
@@ -329,6 +330,15 @@ def lattice_grid_bodies(seed: int, per_dim: int) -> list[Polytope]:
                 continue
             made += 1
     return bodies
+
+
+def profile_pairs(bodies) -> list[tuple[Polytope, Polytope]]:
+    """Each body with its reflection, and with the next body (the first after
+    the last) when the two share a dimension."""
+    pairs = []
+    for body, nxt in zip(bodies, bodies[1:] + bodies[:1]):
+        pairs += [(body, reflect(body))] + [(body, nxt)] * (nxt.dim == body.dim)
+    return pairs
 
 
 def brunn_minkowski_pairs(corpus):

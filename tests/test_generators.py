@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from godbersen import (
+    CombinatorialBlowup,
     DegenerateInput,
     GenSpec,
     build_hull,
@@ -12,6 +13,7 @@ from godbersen import (
     standard_simplex,
     unit_cube,
 )
+from godbersen import dd, generators
 from tests.conftest import corpus_specs, count_fractions
 
 
@@ -78,6 +80,36 @@ def test_fixed_kinds_reject_a_denominator_bound(kind):
         with pytest.raises(ValueError, match=f"^{kind} takes no denominator_bound"):
             GenSpec(kind, 3, denominator_bound=bound)
     assert generate(GenSpec(kind, 3, denominator_bound=1)) == generate(GenSpec(kind, 3))
+
+
+@pytest.mark.parametrize("kind, vertices", [("simplex", 5), ("cube", 16),
+                                             ("cross_polytope", 8)])
+def test_fixed_kinds_check_the_cap_before_making_a_point(kind, vertices, monkeypatch):
+    # a fixed kind knows its vertex count, so a cap one under its facet bound
+    # refuses it before any point is made, with the kernel's own message
+    spec = GenSpec(kind, 4)
+    points = generate(spec).vertices
+    assert len(points) == vertices
+    bound = dd._max_facets(vertices, 4)
+    hull = generators._lattice_hull
+    built = []
+
+    def spy(pts, mult):
+        built.append(len(pts))
+        return hull(pts, mult)
+
+    monkeypatch.setattr(generators, "_lattice_hull", spy)
+    monkeypatch.setenv("GODBERSEN_SUBSET_CAP", str(bound - 1))
+    with pytest.raises(CombinatorialBlowup) as kernel:
+        build_hull(points)
+    with pytest.raises(CombinatorialBlowup) as refused:
+        generate(spec)
+    assert str(refused.value) == str(kernel.value) == (
+        f"hull of {vertices} points in R^4: {bound} possible facets exceed the "
+        f"cap of {bound - 1}; raise GODBERSEN_SUBSET_CAP")
+    assert built == []
+    monkeypatch.setenv("GODBERSEN_SUBSET_CAP", str(bound))
+    assert generate(spec).vertices == points and built == [vertices]
 
 
 @pytest.mark.parametrize("kind", ["random_hull", "random_symmetric"])

@@ -44,6 +44,7 @@ from tests.conftest import (
     lattice_grid_bodies,
     minkowski_sum,
     package_modules,
+    profile_pairs,
     simplex_int_volume,
     single_apex_mixed_volumes,
 )
@@ -985,16 +986,17 @@ class TestPullingFan:
         assert len(families) > 180 and simplices > 5000
 
     def test_matches_the_chain_oracle_on_every_call(self, monkeypatch):
-        # every call, top-level and nested, made while building the bodies
-        # and their Cayley fans returns the row-by-row chain's pairs in its
-        # order, simplices under faces that are not simplices included
+        # every top-level call made while building the bodies and their
+        # Cayley fans returns the row-by-row chain's pairs in its order; the
+        # nested calls reach simplices under faces that are not simplices
         kernel = fan._pulling_fan
         kinds = Counter()
 
-        def checked(face, cands, rows, chain=(), above=0):
-            got = kernel(face, cands, rows, chain, above)
-            assert got == chain_pulling_fan(face, cands, rows, chain, above)
-            kinds[face.bit_count() == len(rows[0]) - len(chain), bool(chain)] += 1
+        def checked(face, cands, rows, above=0):
+            got = kernel(face, cands, rows, above)
+            if not above:
+                assert got == chain_pulling_fan(face, cands, rows)
+            kinds[(above | face).bit_count() == len(rows[0]), bool(above)] += 1
             return got
 
         # the bodies' fans call it through geometry's own import of it
@@ -1022,26 +1024,24 @@ class TestPullingFan:
         echelon = fan._echelon
         widths = set()
 
-        def recording(rows, prev=1):
+        def recording(rows):
             widths.add((len(rows), len(rows[0])))
-            return echelon(rows, prev)
+            return echelon(rows)
 
         bodies = ([body for _, body in corpus] + recipe_bodies()
                   + lattice_grid_bodies(40, 10)
                   + [make(n) for make in (standard_simplex, unit_cube, cross_polytope)
                      for n in (2, 3, 4, 5)])
-        pairs = 0
-        for body, nxt in zip(bodies, bodies[1:] + bodies[:1]):
-            for K, L in [(body, reflect(body))] + [(body, nxt)] * (nxt.dim == body.dim):
-                n = K.dim
-                monkeypatch.setattr(fan, "_echelon", recording)
-                got = MixedVolumeProfile(n, *fan._cayley_mixed_volumes(K, L))
-                monkeypatch.setattr(fan, "_echelon", echelon)
-                assert got == MixedVolumeProfile(n, *single_apex_mixed_volumes(K, L))
-                assert all(k == w <= n for k, w in widths)
-                widths.clear()
-                pairs += 1
-        assert pairs > 650
+        pairs = profile_pairs(bodies)
+        for K, L in pairs:
+            n = K.dim
+            monkeypatch.setattr(fan, "_echelon", recording)
+            got = MixedVolumeProfile(n, *fan._cayley_mixed_volumes(K, L))
+            monkeypatch.setattr(fan, "_echelon", echelon)
+            assert got == MixedVolumeProfile(n, *single_apex_mixed_volumes(K, L))
+            assert all(k == w <= n for k, w in widths)
+            widths.clear()
+        assert len(pairs) > 650
 
     def test_any_apex_off_the_face(self, corpus):
         # the fan of a facet does not depend on its apex, and from every

@@ -291,46 +291,6 @@ def test_int_det_matches_permutation_expansion():
         assert det(m) == expected
 
 
-def bordered_minors(mat, j):
-    """The rows that j Bareiss steps leave below the first j rows of a square
-    ``mat``: by Sylvester's identity, entry (i, k) is the determinant of the
-    leading j x j block bordered by row i and column k, for i, k >= j."""
-    n = len(mat)
-    return [[int_det([[mat[a][b] for b in (*range(j), k)] for a in (*range(j), i)])
-             for k in range(j, n)] for i in range(j, n)]
-
-
-def last_pivot(rows, prev=1):
-    """The last pivot of ``_echelon(rows, prev)`` times its swap sign."""
-    a, pivots, sign = _echelon(rows, prev)
-    return sign * a[len(pivots) - 1][pivots[-1]]
-
-
-def test_echelon_continues_an_elimination_from_its_last_pivot():
-    # eliminating a prefix, by its bordered minors, and continuing from its
-    # last pivot gives the whole elimination's last pivot: det, by sign
-    rng = random.Random(40)
-    swapped = 0
-    for n in (2, 3, 4, 5, 6):
-        for _ in range(12):
-            mat = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
-            j = rng.randrange(1, n)
-            if rng.random() < 0.5:
-                # row j's leading j + 1 entries add rows 0 and 1 (row 0 twice
-                # when j = 1), so the leading (j + 1)-minor is 0 and the
-                # continued pass must swap a row in for its first pivot
-                mat[j][:j + 1] = [x + y for x, y in zip(mat[0], mat[j > 1][:j + 1])]
-            full = int_det(mat)
-            prefix = int_det([row[:j] for row in mat[:j]])
-            if not full or not prefix:
-                continue
-            rows = bordered_minors(mat, j)
-            assert last_pivot(rows, prefix) == full == last_pivot(mat)
-            assert last_pivot(mat, 1) == last_pivot(mat)
-            swapped += _echelon(rows, prefix)[2] < 0
-    assert swapped >= 5
-
-
 def test_rank():
     assert int_rank([[1, 0], [0, 1]]) == 2
     assert int_rank([[1, 2], [2, 4], [3, 6]]) == 1

@@ -1,11 +1,14 @@
-"""Time the Cayley polytope's DD and fan per input class:
+"""Time the Cayley polytope's DD and fan, and the body fans, per input class:
 python3 tools/cayley_times.py [--bodies N] [--repeat R] [--large]
 
 For each class of inputs it prints the mean process-time milliseconds per
 pair (K, L) of the double description run (``dd._cone_rays`` on the Cayley
 polytope's cone rows), of the whole ``fan._cayley_mixed_volumes`` call, and
-of the fan, their difference.  Each pair is timed ``--repeat`` times and the
-best run kept.  The classes are:
+of the fan, their difference.  It also prints the mean milliseconds per body
+(each K and L of the class once) of its assembly from its hull's facets,
+made beforehand: ``geometry._from_lattice``, whose work is mostly the fan of
+every facet.  Each pair and body is timed ``--repeat`` times and the best
+run kept.  The classes are:
 
 - the benchmark's corpus recipes (``perfbench/workloads.py``, seed 0), the
   first ``--bodies`` bodies of dims 2, 3 and 4, each paired with its
@@ -14,7 +17,7 @@ best run kept.  The classes are:
   and 2, paired with their reflection: dim 5 and 6 at V = 8, dim 7 at
   V = 10 and dim 8 at V = 11, and with ``--large`` dim 8 at V = 14 (about
   a second per run);
-- the 4- and 5-cubes with their reflection.
+- the 4- and 5-cubes and cross-polytopes, each with its reflection.
 
 Standard library only; it reads ``perfbench/workloads.py`` and changes
 nothing there.
@@ -30,9 +33,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-from godbersen import GenSpec, generate, reflect, unit_cube  # noqa: E402
-from godbersen.dd import _cone_rays  # noqa: E402
+from godbersen import GenSpec, cross_polytope, generate, reflect, unit_cube  # noqa: E402
+from godbersen.dd import _cone_rays, _hull_facets_int  # noqa: E402
 from godbersen.fan import _cayley_mixed_volumes, _common_lattice  # noqa: E402
+from godbersen.geometry import _from_lattice  # noqa: E402
 from workloads import body_spec  # noqa: E402
 
 
@@ -62,6 +66,18 @@ def time_pairs(pairs, repeat: int) -> tuple[float, float]:
     return dd / len(pairs), total / len(pairs)
 
 
+def time_bodies(pairs, repeat: int) -> float:
+    """Mean best-of-``repeat`` ms per body of the pairs of its assembly from
+    its hull's facets."""
+    bodies = {id(body): body for pair in pairs for body in pair}.values()
+    total = 0.0
+    for body in bodies:
+        pts = body._int_vertices
+        facets = _hull_facets_int(pts, body.dim)
+        total += best_ms(lambda: _from_lattice(pts, body._int_scale, facets), repeat)
+    return total / len(bodies)
+
+
 def classes(bodies: int, large: bool):
     """(name, pairs) for every input class."""
     for dim in (2, 3, 4):
@@ -73,9 +89,10 @@ def classes(bodies: int, large: bool):
         made = [generate(GenSpec("random_hull", dim, count, seed=seed, denominator_bound=2))
                 for seed in (1, 2)]
         yield f"d{dim} V={count} (K,-K)", [(K, reflect(K)) for K in made]
-    for dim in (4, 5):
-        cube = unit_cube(dim)
-        yield f"{dim}-cube (K,-K)", [(cube, reflect(cube))]
+    for make, name in ((unit_cube, "cube"), (cross_polytope, "cross-polytope")):
+        for dim in (4, 5):
+            body = make(dim)
+            yield f"{dim}-{name} (K,-K)", [(body, reflect(body))]
 
 
 def main(argv=None) -> int:
@@ -89,10 +106,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.bodies < 1 or args.repeat < 1:
         parser.error("--bodies and --repeat must be at least 1")
-    print(f"{'input':<22} {'pairs':>5} {'DD ms':>9} {'fan ms':>9} {'DD+fan ms':>10}")
+    print(f"{'input':<24} {'pairs':>5} {'DD ms':>9} {'fan ms':>9} {'DD+fan ms':>10} "
+          f"{'body ms':>9}")
     for name, pairs in classes(args.bodies, args.large):
         dd, total = time_pairs(pairs, args.repeat)
-        print(f"{name:<22} {len(pairs):>5} {dd:>9.3f} {total - dd:>9.3f} {total:>10.3f}")
+        body = time_bodies(pairs, args.repeat)
+        print(f"{name:<24} {len(pairs):>5} {dd:>9.3f} {total - dd:>9.3f} {total:>10.3f} "
+              f"{body:>9.3f}")
     return 0
 
 
