@@ -4,9 +4,14 @@ Subcommands:
   gen     write a generated polytope to a JSON file
   verify  Godbersen report for one body (JSON on stdout)
   ak      anchor point of one body, with uniqueness
-  helly   subset audit of a halfspace-system file
+  helly   whether every subsystem of at most dim+1 rows of a halfspace-system
+          file is feasible, which by Helly's theorem is the full system's
+          feasibility: one verdict, printed under both of its keys
   moment  directional moment of one body
   sweep   run the corpus checks described in a spec file, write CSV
+
+Integer flags (--dim, --vertices, --seed, --denominator-bound, --j, --jobs)
+are read as a file's integer fields are: ASCII digits with an optional sign.
 
 Exit codes: 0 on success (including reported-but-unproven observations),
 1 on usage/input errors, 2 when an exactly-proven statement fails.
@@ -18,9 +23,10 @@ import argparse
 import json
 import sys
 
+from . import polyio
 from .errors import GodbersenError, TheoremViolation
 from .generators import KINDS, GenSpec, generate
-from .halfspaces import ak_feasibility, feasibility, helly_audit
+from .halfspaces import ak_feasibility, helly_audit
 from .inclusion import directional_moment
 from .mixedvol import godbersen_report
 from .polyio import (
@@ -34,6 +40,14 @@ from .polyio import (
 )
 from .rationals import format_rational, parse_rational
 from .sweep import sweep
+
+
+def integer(text: str) -> int:
+    """An integer flag, read by the rule of a file's integer fields
+    (``polyio``): ASCII digits with an optional sign.  Python's ``int``
+    reads "1_0" and "٢"; here they are usage errors, which argparse words
+    as "invalid integer value", after this function's name."""
+    return polyio._integer(text, "an integer flag")
 
 
 def _load_body(path):
@@ -77,16 +91,12 @@ def _cmd_ak(args) -> int:
 
 def _cmd_helly(args) -> int:
     system = system_from_dict(load_json(args.input))
+    # the audit is the full system's feasibility (Helly's theorem): True at
+    # the full system's checked vertex, False only at a certified infeasible
+    # subsystem of at most dim+1 rows
     ok = helly_audit(system)
-    # a non-vacuous audit is the full system's feasibility (Helly's
-    # theorem): it returns True at the full system's checked vertex and
-    # False only at a certified infeasible subsystem of at most dim+1 rows,
-    # so only a vacuous one needs its own run
-    vacuous = len(system.halfspaces) <= system.dim
-    print(json.dumps({
-        "all_subsystems_feasible": ok,
-        "full_system_feasible": feasibility(system).feasible if vacuous else ok,
-    }, indent=2))
+    print(json.dumps({"all_subsystems_feasible": ok, "full_system_feasible": ok},
+                     indent=2))
     return 0
 
 
@@ -135,16 +145,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a polytope and write it as JSON")
     p.add_argument("--kind", required=True, choices=KINDS)
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--vertices", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--denominator-bound", type=int, default=1)
+    p.add_argument("--dim", type=integer, required=True)
+    p.add_argument("--vertices", type=integer, default=None)
+    p.add_argument("--seed", type=integer, default=0)
+    p.add_argument("--denominator-bound", type=integer, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("verify", help="Godbersen report for one polytope file")
     p.add_argument("--input", required=True)
-    p.add_argument("--j", type=int, default=None)
+    p.add_argument("--j", type=integer, default=None)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("ak", help="anchor point of one polytope file")
@@ -165,8 +175,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="run all checks over a spec file")
     p.add_argument("--spec", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--jobs", type=integer, default=1)
+    p.add_argument("--seed", type=integer, default=0,
                    help="base seed for spec rows that do not fix one")
     p.add_argument("--floats", action="store_true",
                    help="append decimal-approximation columns")

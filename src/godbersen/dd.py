@@ -37,15 +37,25 @@ DEFAULT_SUBSET_CAP = 200_000
 def check_subset_cap(total: int, what: str) -> None:
     """Raise CombinatorialBlowup, naming ``what``, before a ``_cone_rays``
     run that may have ``total`` rays (the facets of a hull) above the cap
-    (``GODBERSEN_SUBSET_CAP``, default 200000)."""
+    (``GODBERSEN_SUBSET_CAP``, default 200000).  A count past Python's limit
+    on integer string conversion is written by its size, "about 10^k" for
+    the k with 10^k <= total < 10^(k+1), found in integers: since log10 2 >
+    3/10, k starts at or below it."""
     raw = os.environ.get(SUBSET_CAP_ENV, DEFAULT_SUBSET_CAP)
     try:
         cap = int(raw)
     except ValueError:
         raise ValueError(f"{SUBSET_CAP_ENV} must be an integer, not {raw!r}") from None
     if total > cap:
+        try:
+            count = str(total)
+        except ValueError:  # more digits than Python converts
+            k = (total.bit_length() - 1) * 3 // 10
+            while 10 ** (k + 1) <= total:
+                k += 1
+            count = f"about 10^{k}"
         raise CombinatorialBlowup(
-            f"{what}: {total} possible facets exceed the cap of {cap}; "
+            f"{what}: {count} possible facets exceed the cap of {cap}; "
             f"raise {SUBSET_CAP_ENV}")
 
 

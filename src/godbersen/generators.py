@@ -63,20 +63,28 @@ class GenSpec:
 # Each fixed kind knows its vertex count, so it passes the kernel's size
 # check before it makes a point: 2^n points of a 30-cube are never made.
 
+def _check_fixed(n: int, v: int) -> None:
+    """Refuse a fixed kind's n < 1, then ask the kernel's size check about
+    its v points in R^n."""
+    if n < 1:
+        raise ValueError(f"a fixed kind needs dimension n >= 1, not {n}")
+    check_hull_size(v, n)
+
+
 def standard_simplex(n: int) -> Polytope:
-    check_hull_size(n + 1, n)
+    _check_fixed(n, n + 1)
     pts = [(0,) * n] + [tuple(int(i == j) for i in range(n)) for j in range(n)]
     return _lattice_hull(pts, 1)
 
 
 def unit_cube(n: int) -> Polytope:
-    check_hull_size(2 ** n, n)
+    _check_fixed(n, 2 ** n)
     return _lattice_hull([tuple((mask >> i) & 1 for i in range(n))
                           for mask in range(2 ** n)], 1)
 
 
 def cross_polytope(n: int) -> Polytope:
-    check_hull_size(2 * n, n)
+    _check_fixed(n, 2 * n)
     return _lattice_hull([tuple(s * (i == j) for i in range(n))
                           for j in range(n) for s in (1, -1)], 1)
 

@@ -238,20 +238,18 @@ def _farkas_infeasible(rows: Sequence[_Row], subset: tuple[int, ...]) -> bool | 
 
 
 def helly_audit(system: System) -> bool:
-    """True iff every (dim+1)-subset of halfspaces is feasible.
+    """True iff every subsystem of at most dim+1 halfspaces is feasible.
 
-    Vacuously true when there are fewer than dim+1 halfspaces.  Otherwise
-    ``_feasible_rows`` decides the full system on its integer rows as they
-    are.  A feasible system ends there: its checked vertex
-    lies in every subsystem.  An infeasible one is cut down by a deletion
-    filter, one ``_feasible_rows`` run per row, to an irreducible infeasible
+    By Helly's theorem that is the full system's feasibility, whatever its
+    row count, and ``_feasible_rows`` decides the full system on its integer
+    rows as they are.  A feasible system ends there: its checked vertex lies
+    in every subsystem.  An infeasible one is cut down by a deletion filter,
+    one ``_feasible_rows`` run per row, to an irreducible infeasible
     subsystem.  Helly's theorem bounds it by dim+1 rows and
     ``_farkas_infeasible`` must certify it; either failing raises.
     """
     n = system.dim
     rows = system.halfspaces
-    if len(rows) < n + 1:
-        return True
     if _feasible_rows(rows, n) is not None:
         return True
     kept = list(range(len(rows)))

@@ -180,17 +180,22 @@ class SectionProfile:
         (``_bernstein_nonpositive``).  Both certificates are sufficient,
         not necessary, so a piece they leave open goes to the complete Sturm
         tests on (0, 1): a double root of P touching 0 still passes
-        ``nonpositive_between``.  At an interior level the pieces, over
-        their one denominator, must meet at a positive value,
-        q-(T) = q+(T) > 0, and bend down, q-'(T) >= q+'(T); r gives q at the
-        ends of its piece as r(0) and r(1), and h q' there as r'(0) and r'(1).
+        ``nonpositive_between``.  At an interior level g the pieces, over
+        their one denominator, must meet at a positive value and bend down,
+        q-(g) = q+(g) > 0 and q-'(g) >= q+'(g).  The level adds d_1 to q and
+        2 d_2 to q' there (the jumps of A's derivatives in the truncated
+        power form), so that holds iff d_1 = 0, d_2 <= 0 and q, carried past
+        the level, is positive at u = 0; a junction is read off before the
+        piece above it is certified.
         """
         k, top = len(self.direction) - 1, self.levels[-1]
         q = [0] * (max(map(len, self.level_sums)) - 1)
-        ends = []
-        for d, lo, hi in zip(self.level_sums, self.levels, self.levels[1:]):
+        spans = zip(self.level_sums, self.levels, self.levels[1:])
+        for i, (d, lo, hi) in enumerate(spans):
             for j in range(1, len(d)):
                 q[j - 1] += j * d[j]
+            if i and (any(d[1:2]) or max(d[2:3], default=0) > 0 or q[0] <= 0):
+                return False
             h = hi - lo
             r = [c * h ** j for j, c in enumerate(trim(q))]
             if not (_bernstein_positive(r) or positive_between(r, 0, 1)):
@@ -198,14 +203,8 @@ class SectionProfile:
             p = _brunn_form(r, k)
             if p and not (_bernstein_nonpositive(p) or nonpositive_between(p, 0, 1)):
                 return False
-            ends.append((h, r[0] if r else 0, r[1] if len(r) > 1 else 0,
-                         sum(r), sum(j * c for j, c in enumerate(r))))
             if hi != top:
                 _taylor_shift(q, h)
-        for (h, _, _, value, slope), (h_next, value_next, slope_next, _, _) in \
-                zip(ends, ends[1:]):
-            if value <= 0 or value != value_next or slope * h_next < slope_next * h:
-                return False
         return True
 
     def support_interval(self) -> tuple[Rat, Rat]:

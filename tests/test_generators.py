@@ -82,6 +82,18 @@ def test_fixed_kinds_reject_a_denominator_bound(kind):
     assert generate(GenSpec(kind, 3, denominator_bound=1)) == generate(GenSpec(kind, 3))
 
 
+@pytest.mark.parametrize("make", [standard_simplex, unit_cube, cross_polytope])
+@pytest.mark.parametrize("n", [0, -1])
+def test_fixed_kinds_refuse_n_below_one(make, n, monkeypatch):
+    # one typed refusal naming n, before the size check: math.comb's own
+    # ValueError, or at n = -1 the cube's 2^-1, used to escape untyped
+    monkeypatch.setattr(generators, "check_hull_size",
+                        lambda v, n: pytest.fail("size check ran"))
+    with pytest.raises(ValueError) as refused:
+        make(n)
+    assert str(refused.value) == f"a fixed kind needs dimension n >= 1, not {n}"
+
+
 @pytest.mark.parametrize("kind, vertices", [("simplex", 5), ("cube", 16),
                                              ("cross_polytope", 8)])
 def test_fixed_kinds_check_the_cap_before_making_a_point(kind, vertices, monkeypatch):

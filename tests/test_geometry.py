@@ -168,6 +168,17 @@ class TestBuildHull:
                                  r".*GODBERSEN_SUBSET_CAP"):
             build_hull(moment_curve(120, 6))
 
+    def test_a_count_past_the_conversion_limit_is_written_by_its_size(self, monkeypatch):
+        # the hull of 40,000 points in R^20000 may have a count of 8,291
+        # digits, more than str() converts: the refusal names its size
+        # rather than failing while it is formatted
+        monkeypatch.delenv("GODBERSEN_SUBSET_CAP", raising=False)
+        with pytest.raises(CombinatorialBlowup) as refused:
+            dd.check_hull_size(40000, 20000)
+        assert str(refused.value) == (
+            "hull of 40000 points in R^20000: about 10^8290 possible facets exceed "
+            "the cap of 200000; raise GODBERSEN_SUBSET_CAP")
+
     def test_moment_curve_builds(self, monkeypatch):
         # its C(108, 3) = 204,156 triples once exceeded the cap; the points
         # are in general position, so the hull is simplicial with 2 V - 4

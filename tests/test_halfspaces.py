@@ -272,9 +272,18 @@ class TestHelly:
                             ((0, 1), 0), ((0, -1), -1)])
         assert not helly_audit(s)
 
-    def test_vacuous_below_dim_plus_one(self):
-        s = make_system(2, [((1, 0), 0), ((-1, 0), -1)])
-        assert helly_audit(s)  # fewer than n+1 rows: vacuously true
+    def test_below_dim_plus_one_rows_is_the_full_system(self, monkeypatch):
+        # fewer than n+1 rows are decided as any system is: x <= 0, x >= 1
+        # in R^2 is infeasible, and both rows make its certified witness
+        certified = []
+        farkas = halfspaces._farkas_infeasible
+        monkeypatch.setattr(halfspaces, "_farkas_infeasible",
+                            lambda rows, subset: certified.append(subset)
+                            or farkas(rows, subset))
+        assert not helly_audit(make_system(2, [((1, 0), 0), ((-1, 0), -1)]))
+        assert certified == [(0, 1)]
+        assert helly_audit(make_system(2, [((1, 0), 1), ((-1, 0), -1)]))
+        assert helly_audit(make_system(3, [((1, 2, 3), -5)]))
 
     def test_matches_full_feasibility(self):
         rng = random.Random(34)
@@ -615,12 +624,14 @@ class TestFarkasCertificate:
 
 
 def _oracle_helly(system) -> bool:
-    """The audit's old route: every (n+1)-subset decided from scratch, by
-    its Fraction-rhs cofactors or, when rank-deficient, by Fourier-Motzkin,
-    with no full-system run first."""
+    """The audit's old route: every subset of min(m, n+1) of the m rows
+    decided from scratch, by its Fraction-rhs cofactors or, when
+    rank-deficient or shorter than n+1 rows, by Fourier-Motzkin, with no
+    full-system run first."""
     n = system.dim
-    for subset in combinations(range(len(system.halfspaces)), n + 1):
-        infeasible = _oracle_farkas(system, subset)
+    size = min(len(system.halfspaces), n + 1)
+    for subset in combinations(range(len(system.halfspaces)), size):
+        infeasible = _oracle_farkas(system, subset) if size == n + 1 else None
         if infeasible is None:
             sub = halfspaces.System(n, tuple(system.halfspaces[i] for i in subset))
             infeasible = not oracle_fm_feasible(sub).feasible
@@ -646,13 +657,13 @@ class TestHellyAgainstSubsetOracle:
             assert helly_audit(system) and _oracle_helly(system)
 
     def test_random_rational_systems(self):
-        seen = [0, 0]
+        # both verdicts on systems of at least n+1 rows and on shorter ones
+        seen, short = [0, 0], [0, 0]
         for system in _oracle_reference_systems():
             verdict = helly_audit(system)
             assert verdict == _oracle_helly(system)
-            if len(system.halfspaces) > system.dim:
-                seen[verdict] += 1
-        assert min(seen) > 300, seen
+            (seen if len(system.halfspaces) > system.dim else short)[verdict] += 1
+        assert min(seen) > 300 and min(short) > 30, (seen, short)
 
 
 def _with_conflicting_rows(system):

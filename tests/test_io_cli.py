@@ -1,7 +1,11 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from godbersen import (
     GenSpec,
@@ -12,8 +16,10 @@ from godbersen import (
     make_system,
     unit_cube,
 )
-from godbersen import cli, dd
+from godbersen import cli, dd, generators
 from godbersen.cli import main
+from godbersen.errors import GodbersenError
+from godbersen.generators import KINDS
 from godbersen.rationals import format_rational
 from godbersen.polyio import (
     polytope_from_dict,
@@ -185,8 +191,8 @@ class TestCli:
     @pytest.mark.parametrize("rows, verdicts", [
         ([(["1", "0"], "1"), (["0", "1"], "1"), (["-1", "-1"], "0")], ("true", "true")),
         ([(["1", "0"], "0"), (["-1", "0"], "-1"), (["0", "1"], "0")], ("false", "false")),
-        # fewer than n+1 rows: vacuous audit, infeasible system
-        ([(["1", "0"], "0"), (["-1", "0"], "-1")], ("true", "false")),
+        # fewer than n+1 rows, infeasible: decided as any system is
+        ([(["1", "0"], "0"), (["-1", "0"], "-1")], ("false", "false")),
         # rank 2 in R^3: no Farkas certificate, the fallback finds it infeasible
         ([(["1", "0", "0"], "0"), (["-1", "0", "0"], "-1"),
           (["0", "1", "0"], "0"), (["0", "-1", "0"], "0")], ("false", "false")),
@@ -394,6 +400,21 @@ class TestCli:
             "error: hull of 64 points in R^6: 37760 possible facets exceed the cap "
             "of 1000; raise GODBERSEN_SUBSET_CAP\n")
         assert seeds == [32]
+
+    def test_gen_refuses_a_count_past_the_conversion_limit(self, tmp_path, capsys,
+                                                           monkeypatch):
+        # the 20000-cross-polytope's facet bound has 8,291 digits; the cap's
+        # message names its size, and no point is made
+        monkeypatch.delenv("GODBERSEN_SUBSET_CAP", raising=False)
+        monkeypatch.setattr(generators, "_lattice_hull",
+                            lambda pts, mult: pytest.fail("points were made"))
+        out = tmp_path / "x.json"
+        assert main(["gen", "--kind", "cross_polytope", "--dim", "20000",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: hull of 40000 points in R^20000: about 10^8290 possible facets "
+            "exceed the cap of 200000; raise GODBERSEN_SUBSET_CAP\n")
+        assert not out.exists()
 
     def test_helly_refused_before_any_seed_under_a_low_cap(
             self, tmp_path, capsys, monkeypatch):
@@ -639,6 +660,46 @@ class TestCli:
         assert err.startswith("error:") and "--jobs" in err and "Traceback" not in err
         assert not out.exists()
 
+    def _flag_argv(self, tmp_path, command, flag, value, name="out"):
+        """A ``command`` line that runs with the integer ``flag`` at ``value``
+        and writes to ``name`` under ``tmp_path``."""
+        out = str(tmp_path / name)
+        if command == "verify":
+            return ["verify", "--input", str(self._write_body(tmp_path, TRIANGLE)),
+                    flag, value]
+        if command == "gen":
+            flags = {"--dim": "2", "--vertices": "6", "--seed": "3",
+                     "--denominator-bound": "1", flag: value}
+            return ["gen", "--kind", "random_hull", *sum(flags.items(), ()), "--out", out]
+        spec = tmp_path / "specs.json"
+        spec.write_text(json.dumps([{"kind": "random_hull", "dim": 2, "vertex_count": 5}]))
+        flags = {"--jobs": "1", "--seed": "0", flag: value}
+        return ["sweep", "--spec", str(spec), *sum(flags.items(), ()), "--out", out]
+
+    @pytest.mark.parametrize("command, flag, signed", [
+        ("gen", "--dim", "+3"), ("gen", "--vertices", "+7"), ("gen", "--seed", "-5"),
+        ("gen", "--denominator-bound", "+2"), ("verify", "--j", "+1"),
+        ("sweep", "--jobs", "+1"), ("sweep", "--seed", "-4")])
+    def test_integer_flags_are_read_as_file_fields(self, tmp_path, capsys, command,
+                                                   flag, signed):
+        # one rule for every integer field: "1_0" and "٢", which int()
+        # reads, are usage errors (exit 1, one usage line); a sign is read
+        for value in ("1_0", "\u0662"):
+            with pytest.raises(SystemExit) as stop:
+                main(self._flag_argv(tmp_path, command, flag, value))
+            assert stop.value.code == 1
+            err = capsys.readouterr().err
+            assert err.count("usage:") == 1 and "Traceback" not in err
+            assert err.endswith(f"error: argument {flag}: invalid integer value: "
+                                f"'{value}'\n")
+        outputs = []
+        for value, name in ((signed, "a"), (str(int(signed)), "b")):
+            assert main(self._flag_argv(tmp_path, command, flag, value, name)) == 0
+            written = tmp_path / name
+            outputs.append((capsys.readouterr().out.replace(str(written), "OUT"),
+                            written.read_bytes() if written.exists() else None))
+        assert outputs[0] == outputs[1]
+
     def test_theorem_violation_exits_2(self, tmp_path, monkeypatch, capsys):
         # the proven statements cannot fail on real inputs, so force one to
         # pin down the exit-code contract
@@ -726,3 +787,168 @@ def test_spec_rows_are_read_by_polyio():
         specs_from_dict([rows[0], {**rows[1], "size": 2}], 0)
     # the wire formats' field checks stay in polyio
     assert not {"_checked", "_field", "_integer"} & set(vars(cli))
+
+
+# No reader or command shows a traceback: arbitrary JSON values and near-miss
+# files (wrong shapes, JSON numbers and bools, "1_0", "٢", zero and
+# negative dims, mismatched lengths) and near-miss integer flags exit 0, 1 or
+# 2.  Dims stay at most 4 with at most 10 points, so every run is small.
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-10, 10)
+    | st.floats(-10, 10, allow_nan=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["dim", "vertices", "rows", "w", "beta", "specs",
+                                       "kind", "x"]), inner, max_size=3),
+    max_leaves=10)
+RATIONALS = st.integers(-3, 3).map(str) | st.sampled_from(["1/2", "-3/4", "4/2"])
+NEAR_INTEGERS = st.sampled_from(
+    [0, -1, "0", "-2", "1_0", "٢", "", "x", True, 2.0, None, [2]])
+NEAR_RATIONALS = st.sampled_from(["1/0", "0.5", "1_0", "٢", "", 1, True, None, [1]])
+INTEGER_FLAGS = st.sampled_from(["1", "+1", "2", "0", "-1", "1_0", "٢", "x", ""])
+
+
+def _spoiled(draw, data: dict, lists: str, inner: str | None = None):
+    """``data`` as drawn, or with one near miss: its dim, or a value of one
+    entry of ``data[lists]`` (of its ``inner`` list, if given) replaced, the
+    entry shortened or lengthened, or replaced by an arbitrary value."""
+    if draw(st.booleans()):
+        return data
+    how = draw(st.sampled_from(["dim", "value", "length", "entry"]))
+    entries = data[lists]
+    if how == "dim":
+        data["dim"] = draw(NEAR_INTEGERS)
+    elif entries:
+        i = draw(st.integers(0, len(entries) - 1))
+        if how == "entry":
+            entries[i] = draw(JSON_VALUES)
+            return data
+        target = entries[i] if inner is None else entries[i][inner]
+        if how == "value":
+            target[draw(st.integers(0, len(target) - 1))] = draw(NEAR_RATIONALS)
+        elif len(target) > 1 and draw(st.booleans()):
+            target.pop()
+        else:
+            target.append("1")
+    return data
+
+
+@st.composite
+def polytope_files(draw):
+    """An arbitrary JSON value, or a polytope file of at most 10 points in
+    R^1 to R^4, perhaps with one near miss."""
+    if not draw(st.integers(0, 2)):
+        return draw(JSON_VALUES)
+    n = draw(st.integers(1, 4))
+    points = draw(st.lists(st.lists(RATIONALS, min_size=n, max_size=n),
+                           min_size=n + 1, max_size=10))
+    return _spoiled(draw, {"dim": n, "vertices": points}, "vertices")
+
+
+@st.composite
+def system_files(draw):
+    """An arbitrary JSON value, or a system file of at most 6 rows in R^1 to
+    R^4, perhaps with one near miss."""
+    if not draw(st.integers(0, 2)):
+        return draw(JSON_VALUES)
+    n = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.fixed_dictionaries({
+        "w": st.lists(RATIONALS, min_size=n, max_size=n), "beta": RATIONALS}),
+        min_size=1, max_size=6))
+    return _spoiled(draw, {"dim": n, "rows": rows}, "rows", "w")
+
+
+@st.composite
+def spec_files(draw):
+    """An arbitrary JSON value, or a spec list of at most 3 rows in dims 2
+    to 4 drawing at most 10 points, one field perhaps a near miss."""
+    if not draw(st.integers(0, 2)):
+        return draw(JSON_VALUES)
+    rows = []
+    for _ in range(draw(st.integers(0, 3))):
+        kind, dim = draw(st.sampled_from(KINDS)), draw(st.integers(2, 4))
+        row = {"kind": kind, "dim": dim, "seed": draw(st.integers(-3, 3))}
+        if kind.startswith("random"):
+            row["vertex_count"] = draw(st.integers(dim + 1, 5))
+        rows.append(row)
+    if rows and draw(st.booleans()):
+        key = draw(st.sampled_from(["kind", "dim", "vertex_count", "seed",
+                                    "denominator_bound", "size"]))
+        rows[-1][key] = draw(NEAR_INTEGERS | st.just("sphere"))
+    return {"specs": rows} if draw(st.booleans()) else rows
+
+
+def _run_cli(argv) -> int:
+    """``main(argv)``'s exit code, its usage errors included, with no
+    traceback on stderr."""
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as stop:
+            code = stop.code
+    assert code in (0, 1, 2) and "Traceback" not in err.getvalue(), (argv, err.getvalue())
+    return code
+
+
+def _write(path, data) -> str:
+    path.write_text(data if isinstance(data, str) else json.dumps(data))
+    return str(path)
+
+
+FUZZ = settings(max_examples=60, deadline=None, derandomize=True,
+                suppress_health_check=[HealthCheck.too_slow])
+
+
+@settings(FUZZ, max_examples=120)
+@given(data=polytope_files() | st.sampled_from(["", "{", "[1,", "null"]),
+       command=st.sampled_from(["verify", "ak", "moment"]),
+       j=st.just([]) | INTEGER_FLAGS.map(lambda j: ["--j", j]),
+       w=st.sampled_from(["fit"] * 4 + ["1,0", "1/2,1,0", "0,0", "1_0,1", "x"]))
+def test_polytope_commands_show_no_traceback(tmp_path_factory, data, command, j, w):
+    # "fit" is a direction of the file's dim, when that is a positive int
+    dim = data.get("dim") if isinstance(data, dict) else None
+    if w == "fit":
+        w = ",".join(["-1"] + ["1/2"] * (dim - 1)) if type(dim) is int and dim > 0 else "1"
+    path = _write(tmp_path_factory.mktemp("fuzz") / "body.json", data)
+    extra = {"verify": j, "ak": [], "moment": ["--w", w]}[command]
+    code = _run_cli([command, "--input", path] + extra)
+    try:
+        body = polytope_from_dict(data)
+    except (GodbersenError, ValueError):
+        return
+    assert code == 0 or command != "ak"
+    assert polytope_from_dict(polytope_to_dict(body)) == body
+
+
+@FUZZ
+@given(data=system_files())
+def test_helly_shows_no_traceback(tmp_path_factory, data):
+    path = _write(tmp_path_factory.mktemp("fuzz") / "system.json", data)
+    _run_cli(["helly", "--input", path])
+
+
+@FUZZ
+@given(data=spec_files(), jobs=st.just([]) | INTEGER_FLAGS.map(lambda v: ["--jobs", v]),
+       seed=st.just([]) | INTEGER_FLAGS.map(lambda v: ["--seed", v]))
+def test_sweep_shows_no_traceback(tmp_path_factory, data, jobs, seed):
+    tmp = tmp_path_factory.mktemp("fuzz")
+    path = _write(tmp / "specs.json", data)
+    _run_cli(["sweep", "--spec", path, "--out", str(tmp / "out.csv"), *jobs, *seed])
+
+
+@FUZZ
+@given(kind=st.sampled_from(list(KINDS) + ["sphere"]),
+       flags=st.fixed_dictionaries(
+           {"--dim": st.sampled_from(["2", "+3", "4", "0", "-1", "1_0", "٢", "x"]),
+            "--seed": INTEGER_FLAGS},
+           optional={"--vertices": st.sampled_from(["5", "+6", "0", "1_0"]),
+                     "--denominator-bound": INTEGER_FLAGS}))
+def test_gen_integer_flags_show_no_traceback(tmp_path_factory, kind, flags):
+    out = tmp_path_factory.mktemp("fuzz") / "body.json"
+    argv = ["gen", "--kind", kind, "--out", str(out)]
+    for flag, value in flags.items():
+        argv += [flag, value]
+    if _run_cli(argv) == 0:
+        data = json.loads(out.read_text())
+        assert polytope_to_dict(polytope_from_dict(data)) == data

@@ -22,11 +22,13 @@ from godbersen import (
     mv_profile,
     reflect,
     scale,
+    section_profile,
     standard_simplex,
     support,
     translate,
     unit_cube,
 )
+from godbersen.polynomials import trim
 from tests.conftest import (
     count_fractions,
     lattice_grid_bodies,
@@ -224,6 +226,41 @@ class TestVandermondeOracle:
         assert_matches_oracle([(body, reflect(body)),
                                (square_times_octahedron(),
                                 reflect(square_times_octahedron()))])
+
+
+def cayley_section_matches_profile(K, L) -> bool:
+    """Whether the section profile of C = conv(K x {0} u L x {1}) along the
+    last axis is one piece on [0, 1], the volume of the slice (1 - t) K + t L:
+    sum_j C(n, j) (1 - t)^(n-j) t^j m_j, with the m_j of ``mv_profile``."""
+    n = K.dim
+    m = mv_profile(K, L).coeffs
+    cayley = build_hull([p + (0,) for p in K.vertices] + [q + (1,) for q in L.vertices])
+    prof = section_profile(cayley, (0,) * n + (1,))
+    # (1 - t)^(n-j) t^j holds t^i with the sign and count of t^(i-j)
+    expected = [sum(comb(n, j) * m[j] * comb(n - j, i - j) * (-1) ** (i - j)
+                    for j in range(i + 1)) for i in range(n + 1)]
+    return prof.breakpoints == (0, 1) and prof.pieces == (tuple(trim(expected)),)
+
+
+class TestCayleySection:
+    """The section kernel and the Cayley fan's type rule on one polytope:
+    the mixed-volume profile is the Cayley polytope's section profile."""
+
+    def test_corpus_pairs(self, corpus):
+        bodies = [body for _, body in corpus[1::2]]
+        pairs = profile_pairs(bodies)
+        assert len(pairs) > 290
+        for K, L in pairs:
+            assert cayley_section_matches_profile(K, L), (K, L)
+
+    def test_recipe_bodies_and_lattice_grid_stratum(self):
+        # the dim-5 and dim-6 recipe bodies of the section tests
+        recipes = [generate(GenSpec("random_hull", dim, vertex_count=8, seed=seed,
+                                    denominator_bound=2))
+                   for dim in (5, 6) for seed in (1, 2, 3)]
+        pairs = profile_pairs(recipes) + profile_pairs(lattice_grid_bodies(41, 12))
+        for K, L in pairs:
+            assert cayley_section_matches_profile(K, L), (K, L)
 
 
 class TestGodbersenReport:

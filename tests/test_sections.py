@@ -1047,25 +1047,29 @@ def power_moment(prof) -> F:
 
 def power_root_concave(prof) -> bool:
     """``root_concave`` with each piece's A' Taylor-shifted to its own lower
-    level from powers of T, through the same certificates and Sturm tests."""
+    level from powers of T, through the same certificates and Sturm tests.
+    Each junction is tested by value and slope, before the piece above it
+    is certified: the pieces below and above must meet at a positive value,
+    sum(r) = r_next(0), and bend down, the slope sum(j r_j) / h of the piece
+    below at least r_next_1 / h_next."""
     k = len(prof.direction) - 1
-    ends = []
+    below = None
     for acc, lo, hi in _power_spans(prof):
         h = hi - lo
         r = [c * h ** j for j, c in
              enumerate(sections._taylor_shift(derivative(acc), lo))]
+        if below is not None:
+            h_below, value, slope = below
+            if (value <= 0 or value != (r[0] if r else 0)
+                    or slope * h < (r[1] if len(r) > 1 else 0) * h_below):
+                return False
         if not (sections._bernstein_positive(r) or sections.positive_between(r, 0, 1)):
             return False
         p = sections._brunn_form(r, k)
         if p and not (sections._bernstein_nonpositive(p)
                       or sections.nonpositive_between(p, 0, 1)):
             return False
-        ends.append((h, r[0] if r else 0, r[1] if len(r) > 1 else 0,
-                     sum(r), sum(j * c for j, c in enumerate(r))))
-    for (h, _, _, value, slope), (h_next, value_next, slope_next, _, _) in \
-            zip(ends, ends[1:]):
-        if value <= 0 or value != value_next or slope * h_next < slope_next * h:
-            return False
+        below = h, sum(r), sum(j * c for j, c in enumerate(r))
     return True
 
 
@@ -1121,6 +1125,42 @@ def test_level_form_routes_match_power_form_oracles_with_jumps(monkeypatch):
         assert (jumped.integral(), jumped.moment(), jumped.root_concave()) == \
             (prof.integral(), prof.moment(), prof.root_concave())
     assert jumps > 100
+
+
+def _perturbed_junctions(rng, prof):
+    """``prof`` with d_1 or d_2 of one interior level moved, which s sees
+    only at that level: a step of s, or a kink of either sign."""
+    interior = [i for i in range(1, len(prof.level_sums)) if len(prof.level_sums[i]) > 2]
+    if not interior:
+        return None
+    sums = [list(d) for d in prof.level_sums]
+    d = sums[rng.choice(interior)]
+    j = rng.choice((1, 2, 2))
+    d[j] += rng.choice((-1, 1)) * max(1, abs(d[j]) // rng.randint(1, 20))
+    return SectionProfile(direction=prof.direction, level_scale=prof.level_scale,
+                          levels=prof.levels, level_sums=tuple(map(tuple, sums)),
+                          denominator=prof.denominator)
+
+
+def test_junction_rule_matches_value_and_slope_oracles(corpus):
+    # a junction is read off its level sum (d_1 = 0, d_2 <= 0, q > 0 there);
+    # the power-form and Sturm oracles test it by q's value and slope on
+    # both sides.  Corpus profiles with one level's d_1 or d_2 moved take
+    # both verdicts; s = T^2 on [-1, 1] at n = 4 has a concave root on each
+    # piece and a cusp where the pieces meet at 0, which only q > 0 refuses
+    rng = random.Random(55)
+    profiles = [section_profile(K, w) for spec, body in corpus[::6]
+                for K, w in check_body_profiles(spec, body)]
+    moved = [_perturbed_junctions(rng, prof) for prof in profiles]
+    cusp = power_form_profile((F(1),) + (F(0),) * 3, 1, (-1, 0, 1),
+                              (_integer_antiderivative([0, 0, 1], 4),) * 2, 1)
+    verdicts = Counter()
+    for prof in [prof for prof in moved if prof] + [cusp]:
+        verdict = prof.root_concave()
+        assert verdict == power_root_concave(prof) == sturm_root_concave(prof), prof
+        verdicts[verdict] += 1
+    assert not cusp.root_concave() and not any(cusp.level_sums[1])
+    assert min(verdicts[True], verdicts[False]) > 50, verdicts
 
 
 def test_reflected_direction_mirrors_the_profile(corpus):
