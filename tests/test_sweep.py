@@ -10,12 +10,12 @@ from pathlib import Path
 
 import pytest
 
-from godbersen import GenSpec, inclusion
+from godbersen import GenSpec, build_hull, inclusion
 from godbersen.cli import main
 from godbersen.errors import (
     CombinatorialBlowup, DegenerateInput, TheoremViolation, ZeroDirection)
 from godbersen.polyio import polytope_from_dict
-from tests.conftest import corpus_specs
+from tests.conftest import corpus_specs, int_rank
 from tests.test_concave import dip_profile
 
 # the package re-exports a function named sweep, so reach the module through
@@ -89,6 +89,47 @@ def test_nonzero_moment_is_a_violation(monkeypatch):
     spec = GenSpec("cube", 2)
     with pytest.raises(TheoremViolation, match="nonzero moment"):
         sweep_module.check_body("0000-cube-n2", spec)
+
+
+def test_moments_reach_past_dependent_leading_normals(monkeypatch):
+    # a prism over a hexagon whose first three facet normals, in facet order,
+    # all lie in the plane z = 0; a moment that is nonzero only off that plane
+    # must still be found, so the directions are independent, not the first n
+    hexagon = [(1, -2), (0, -1), (0, 1), (1, 2), (3, 2), (3, -2)]
+    prism = build_hull([(x, y, z) for x, y in hexagon for z in (0, 1)])
+    k0 = inclusion.center_at_centroid(prism)
+    assert int_rank([f.normal for f in k0.facets[:3]]) == 2
+    monkeypatch.setattr(sweep_module, "generate", lambda spec: prism)
+    monkeypatch.setattr(sweep_module, "directional_moment",
+                        lambda K, w, center: Fraction(w[2]))
+    with pytest.raises(TheoremViolation, match="nonzero moment"):
+        sweep_module.check_body("0000-cube-n3", GenSpec("cube", 3))
+
+
+@pytest.mark.parametrize("index", [0, 100, 200])
+def test_moments_take_the_first_independent_facet_normals(monkeypatch, index):
+    # one corpus body of each dim 2-4: one moment per dimension, along the
+    # first facet normals of K0, in facet order, that raise the rank
+    spec = corpus_specs()[index]
+    moment = sweep_module.directional_moment
+    calls = []
+
+    def recording(K, w, center):
+        calls.append((K, w))
+        return moment(K, w, center=center)
+
+    monkeypatch.setattr(sweep_module, "directional_moment", recording)
+    sweep_module.check_body(f"{index:04d}-random_hull-n{spec.dim}", spec)
+    assert len(calls) == spec.dim
+    k0 = calls[0][0]
+    assert k0 == inclusion.center_at_centroid(sweep_module.generate(spec))
+    assert all(K is k0 for K, _ in calls)
+    chosen = []
+    for f in k0.facets:
+        if int_rank(chosen + [f.normal]) > len(chosen):
+            chosen.append(f.normal)
+    assert [w for _, w in calls] == chosen
+    assert len(chosen) == spec.dim < len(k0.facets)
 
 
 def test_root_concavity_failure_is_a_violation(tmp_path, monkeypatch, capsys):
