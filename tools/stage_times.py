@@ -1,5 +1,5 @@
 """Time each stage of the sweep's per-body checks, per input class:
-python3 tools/stage_times.py [--bodies N] [--repeat R] [--tree PATH]
+python3 tools/stage_times.py [--tree PATH]
 
 It drives ``sweep._stages`` with ``next()``, as ``check_body`` does, and
 charges the process time between two yields to the stage the first one
@@ -8,12 +8,12 @@ so the stage names and their order come from the tree under test.  For
 each class of inputs it prints the mean milliseconds per body of every
 stage, beside the class's mean vertex count V and facet count F, then the
 sum of the stages and the mean ``check_body`` time of the same bodies.  Each
-body runs ``--repeat`` times through the stages and as many times through
+body runs ``REPEAT`` times through the stages and as many times through
 ``check_body``, alternately; the fastest run of each is kept, so the two
 totals should agree within a few percent.  The classes are:
 
 - the benchmark's corpus recipes (``perfbench/workloads.py``, seed 0), the
-  first ``--bodies`` bodies of dims 2, 3 and 4;
+  first ``BODIES`` bodies of dims 2, 3 and 4;
 - a mid class: ``random_hull`` bodies with denominator bound 2 at dim 3
   from 20 and 40 drawn points, dim 4 from 12 and 20 and dim 5 from 12,
   seeds 1-3 each;
@@ -33,18 +33,20 @@ import sys
 import time
 from pathlib import Path
 
+BODIES = 50
+REPEAT = 5
 MID = [(3, 20), (3, 40), (4, 12), (4, 20), (5, 12)]
 RECIPES = [(5, 8), (6, 8)]
 SEEDS = (1, 2, 3)
 
 
-def classes(bodies: int):
+def classes():
     """(name, specs) for every input class."""
     from godbersen import GenSpec
     from workloads import body_spec
 
     for dim in (2, 3, 4):
-        yield f"corpus d{dim}", [body_spec(dim, i, 0) for i in range(bodies)]
+        yield f"corpus d{dim}", [body_spec(dim, i, 0) for i in range(BODIES)]
     for label, sizes in (("mid", MID), ("recipe", RECIPES)):
         for dim, count in sizes:
             yield f"{label} d{dim} N={count}", [
@@ -71,13 +73,13 @@ def stage_ms(spec) -> tuple[dict[str, float], object]:
     return times, body
 
 
-def time_body(spec, repeat: int) -> tuple[dict[str, float], float, object]:
-    """The fastest of ``repeat`` stage runs, the fastest of as many
+def time_body(spec) -> tuple[dict[str, float], float, object]:
+    """The fastest of ``REPEAT`` stage runs, the fastest of as many
     ``check_body`` runs in ms, and the body."""
     from godbersen.sweep import check_body
 
     best, whole = None, float("inf")
-    for _ in range(repeat):
+    for _ in range(REPEAT):
         times, body = stage_ms(spec)
         if best is None or sum(times.values()) < sum(best.values()):
             best = times
@@ -89,23 +91,17 @@ def time_body(spec, repeat: int) -> tuple[dict[str, float], float, object]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--bodies", type=int, default=50,
-                        help="corpus bodies per dimension (default 50)")
-    parser.add_argument("--repeat", type=int, default=5,
-                        help="runs per body, the fastest kept (default 5)")
     parser.add_argument("--tree", type=Path, default=Path(__file__).resolve().parent.parent,
                         help="checkout whose src and perfbench to time")
     args = parser.parse_args(argv)
-    if args.bodies < 1 or args.repeat < 1:
-        parser.error("--bodies and --repeat must be at least 1")
     sys.path[:0] = [str(args.tree / "src"), str(args.tree / "perfbench")]
 
     header = None
-    for name, specs in classes(args.bodies):
+    for name, specs in classes():
         totals: dict[str, float] = {}
         whole = vertices = facets = 0.0
         for spec in specs:
-            times, body_ms, body = time_body(spec, args.repeat)
+            times, body_ms, body = time_body(spec)
             for stage, ms in times.items():
                 totals[stage] = totals.get(stage, 0.0) + ms
             whole += body_ms
