@@ -1,11 +1,13 @@
 """Corpus sweeps: run every check over generated bodies and emit a CSV.
 
 One row per (body, j).  Each body runs the stages of ``_stages`` in order:
-generate, report, tightness, moments, brunn (slice-root concavity along
-seeded directions) and rows.  Proven statements are asserted; a body that
-raises TheoremViolation is counted and left out, with a message
-``<body_id> <spec>: <stage>: <message>`` naming the stage, and the sweep
-goes on.  Ratios for middle j (the open cases) are reported, and an
+generate, report, tightness, moments (the centered body's vanishing moment),
+brunn (slice-root concavity along five seeded directions) and rows.  The
+moments and brunn stages read one set of section profiles of the centered
+body, taken along the seeded directions.  Proven statements are asserted; a
+body that raises TheoremViolation is counted and left out, with a message
+``<body_id> <spec>: <stage>: <message>`` naming the stage, and the sweep goes
+on.  Ratios for middle j (the open cases) are reported, and an
 exceedance there is recorded as an observation without failing the run.
 Output is fully deterministic: identical specs produce byte-identical CSV,
 whatever the worker count, because rows are sorted before writing.
@@ -21,12 +23,12 @@ from pathlib import Path
 from .errors import CombinatorialBlowup, GodbersenError, TheoremViolation
 from .generators import GenSpec, generate
 from .halfspaces import anchor_unique
-from .inclusion import _centered_tightness, center_at_centroid, directional_moment
-from .concave import slice_root_concavity
+from .inclusion import _centered_tightness, center_at_centroid
 from .linalg import _echelon
 from .mixedvol import godbersen_report
 from .polyio import polytope_to_dict, save_json
 from .rationals import Rat, format_rational
+from .sections import section_profile
 
 CSV_VERSION = "godbersen-sweep-v1"
 COLUMNS = ("body_id", "n", "vertex_count", "j", "ratio", "tight_count",
@@ -66,10 +68,8 @@ def _bool(x: bool) -> str:
 
 
 def _random_direction(rng: random.Random, dim: int) -> tuple[int, ...]:
-    while True:
-        v = tuple(rng.randint(-5, 5) for _ in range(dim))
-        if any(c != 0 for c in v):
-            return v
+    v = tuple(rng.randint(-5, 5) for _ in range(dim))
+    return v if any(v) else _random_direction(rng, dim)
 
 
 def check_body(body_id: str, spec: GenSpec) -> tuple[list[SweepRow], list[str]]:
@@ -119,21 +119,27 @@ def _stages(body_id: str, spec: GenSpec):
     k0 = center_at_centroid(body)
     tight = _centered_tightness(k0)
     ak_unique = anchor_unique(tight)
-    # The centered body's moment vanishes by the centroid's definition.  The
-    # moment along u is u . (integral of x over K0), linear in u, so it is
-    # decided along the first n linearly independent facet normals, in facet
-    # order: the pivot columns of one echelon pass over the normals as
-    # columns.  Translation keeps the facet normals, so these are K's too.
+    # One set of section profiles of K0, along the five seeded directions,
+    # decides two statements.  The centered body's moment vanishes by the
+    # centroid's definition; the moment along u is u . (integral of x over
+    # K0), linear in u, so it is decided along the n pivot columns of one
+    # echelon pass over the seeded directions, then K0's facet normals in
+    # facet order.  Only a pivot on a facet normal, where the directions do
+    # not span (always at n >= 6), needs a profile of its own.
     yield "moments", body
-    normals = [f.normal for f in k0.facets]
-    _, basis, _ = _echelon(list(zip(*normals)))
-    if any(directional_moment(k0, normals[c], center=False) for c in basis):
-        raise TheoremViolation("the centered body has a nonzero moment")
-    yield "brunn", body
     rng = random.Random(spec.seed ^ 0x5EED5EED)
-    for _ in range(ROOT_CONCAVITY_DIRECTIONS):
-        direction = _random_direction(rng, body.dim)
-        if not slice_root_concavity(body, direction):
+    columns = [_random_direction(rng, body.dim) for _ in range(ROOT_CONCAVITY_DIRECTIONS)]
+    profiles = [section_profile(k0, u) for u in columns]
+    columns += [f.normal for f in k0.facets]
+    _, basis, _ = _echelon(list(zip(*columns)))
+    if any((profiles[c] if c < len(profiles) else section_profile(k0, columns[c])).moment()
+           for c in basis):
+        raise TheoremViolation("the centered body has a nonzero moment")
+    # Brunn's principle: a translation shifts every level and keeps each
+    # concavity verdict, so K0's profiles decide it for K.
+    yield "brunn", body
+    for direction, profile in zip(columns, profiles):
+        if not profile.root_concave():
             raise TheoremViolation(f"section root not concave along {direction}")
     yield "rows", body
     observations = [

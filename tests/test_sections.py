@@ -390,10 +390,11 @@ def test_high_dimensional_profiles_match_recursion_oracle():
 
 
 def check_body_profiles(spec, body=None):
-    """(body, direction) for every profile check_body builds: the centered
-    body along each of its facet normals, and the body along the
-    root-concavity directions of its spec.  ``body`` is generated from
-    ``spec`` unless given."""
+    """(body, direction) for the profiles check_body built while it took a
+    moment along every facet normal and Brunn's test on the body itself: the
+    centered body along each of its facet normals, and the body along the
+    root-concavity directions of its spec.  The digests below pin this set;
+    ``body`` is generated from ``spec`` unless given."""
     if body is None:
         body = generate(spec)
     k0 = center_at_centroid(body)
@@ -401,6 +402,27 @@ def check_body_profiles(spec, body=None):
     return [(k0, f.normal) for f in k0.facets] + [
         (body, _random_direction(rng, body.dim))
         for _ in range(ROOT_CONCAVITY_DIRECTIONS)]
+
+
+def test_translation_shifts_the_seeded_profiles(corpus):
+    # check_body reads Brunn's principle for K off the profiles of its
+    # centered translate K0 = K - c along the seeded directions: along u the
+    # translation shifts every level by u . c and keeps the integral and the
+    # concavity verdict.  K's own moment is Vol(K) (u . c), the identity that
+    # makes K0's vanish.
+    for spec, body in corpus[::10]:
+        k0 = center_at_centroid(body)
+        rng = random.Random(spec.seed ^ 0x5EED5EED)
+        for _ in range(ROOT_CONCAVITY_DIRECTIONS):
+            u = _random_direction(rng, body.dim)
+            prof, centered = section_profile(body, u), section_profile(k0, u)
+            shift = F(_idot(u, body._centroid_num), body._centroid_den)
+            assert centered.breakpoints == tuple(t - shift for t in prof.breakpoints)
+            assert prof.integral() == centered.integral() == body.volume
+            assert prof.root_concave() == centered.root_concave()
+            assert prof.moment() * body._centroid_den == \
+                body.volume * _idot(u, body._centroid_num)
+            assert centered.moment() == 0
 
 
 def test_profile_matches_reference_on_corpus_sample():

@@ -2,6 +2,7 @@ import concurrent.futures
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from dataclasses import asdict
@@ -15,13 +16,13 @@ from godbersen.cli import main
 from godbersen.errors import (
     CombinatorialBlowup, DegenerateInput, TheoremViolation, ZeroDirection)
 from godbersen.polyio import polytope_from_dict
+from godbersen.sections import SectionProfile
 from tests.conftest import corpus_specs, int_rank
 from tests.test_concave import dip_profile
 
 # the package re-exports a function named sweep, so reach the module through
 # sys.modules
 sweep_module = sys.modules["godbersen.sweep"]
-concave_module = sys.modules["godbersen.concave"]
 
 # sha256 of the `sweep --floats` CSV over every 10th corpus body (30 bodies),
 # recorded before slice-root concavity became an exact test.
@@ -40,7 +41,7 @@ def test_centers_once_for_the_moments(monkeypatch):
     monkeypatch.setattr(sweep_module, "center_at_centroid", counting_center)
     spec = GenSpec("random_hull", 3, 7, seed=30_001, denominator_bound=3)
     sweep_module.check_body("0000-random_hull-n3", spec)
-    # one centering shared by the tightness profile and all facet moments
+    # one centering shared by the tightness profile and every section profile
     assert len(calls) == 1
 
 
@@ -84,24 +85,67 @@ def test_violation_names_the_body(tmp_path, monkeypatch, capsys):
 def test_nonzero_moment_is_a_violation(monkeypatch):
     # the centered body's moment vanishes by the centroid's definition, so a
     # nonzero one is a bug, not a CSV flag
-    monkeypatch.setattr(sweep_module, "directional_moment",
-                        lambda K, w, center: Fraction(1, 7))
+    monkeypatch.setattr(SectionProfile, "moment", lambda self: Fraction(1, 7))
     spec = GenSpec("cube", 2)
     with pytest.raises(TheoremViolation, match="nonzero moment"):
         sweep_module.check_body("0000-cube-n2", spec)
 
 
+def seeded_directions(spec):
+    """The five directions check_body draws for ``spec``, in order."""
+    rng = random.Random(spec.seed ^ 0x5EED5EED)
+    return [sweep_module._random_direction(rng, spec.dim)
+            for _ in range(sweep_module.ROOT_CONCAVITY_DIRECTIONS)]
+
+
+def record_profiles(monkeypatch):
+    """Spy on check_body's centering, section profiles and moments: returns
+    the list of centered bodies, of (body, direction) per profile built, and
+    of the direction of each moment taken."""
+    centered, built, moments = [], [], []
+    center, profile, moment = (sweep_module.center_at_centroid,
+                               sweep_module.section_profile, SectionProfile.moment)
+
+    def centering(K):
+        centered.append(center(K))
+        return centered[-1]
+
+    def building(K, w):
+        built.append((K, w))
+        return profile(K, w)
+
+    def taking(self):
+        moments.append(self.direction)
+        return moment(self)
+
+    monkeypatch.setattr(sweep_module, "center_at_centroid", centering)
+    monkeypatch.setattr(sweep_module, "section_profile", building)
+    monkeypatch.setattr(SectionProfile, "moment", taking)
+    return centered, built, moments
+
+
+def first_independent(columns):
+    """The columns, in order, that raise the rank of those before them."""
+    chosen = []
+    for w in columns:
+        if int_rank(chosen + [w]) > len(chosen):
+            chosen.append(w)
+    return chosen
+
+
 def test_moments_reach_past_dependent_leading_normals(monkeypatch):
-    # a prism over a hexagon whose first three facet normals, in facet order,
-    # all lie in the plane z = 0; a moment that is nonzero only off that plane
-    # must still be found, so the directions are independent, not the first n
+    # the seeded directions all lie in the plane z = 0, and so do the first
+    # three facet normals, in facet order, of a prism over a hexagon; a
+    # moment that is nonzero only off that plane must still be found, so the
+    # seeded directions are completed by a facet normal that leaves the plane
     hexagon = [(1, -2), (0, -1), (0, 1), (1, 2), (3, 2), (3, -2)]
     prism = build_hull([(x, y, z) for x, y in hexagon for z in (0, 1)])
     k0 = inclusion.center_at_centroid(prism)
     assert int_rank([f.normal for f in k0.facets[:3]]) == 2
+    planar = iter([(1, 0, 0), (0, 1, 0), (1, 1, 0), (2, -1, 0), (-3, 5, 0)])
     monkeypatch.setattr(sweep_module, "generate", lambda spec: prism)
-    monkeypatch.setattr(sweep_module, "directional_moment",
-                        lambda K, w, center: Fraction(w[2]))
+    monkeypatch.setattr(sweep_module, "_random_direction", lambda rng, dim: next(planar))
+    monkeypatch.setattr(SectionProfile, "moment", lambda self: Fraction(self.direction[2]))
     with pytest.raises(TheoremViolation, match="nonzero moment"):
         sweep_module.check_body("0000-cube-n3", GenSpec("cube", 3))
 
@@ -109,38 +153,75 @@ def test_moments_reach_past_dependent_leading_normals(monkeypatch):
 @pytest.mark.parametrize("index", [0, 100, 200])
 def test_moments_take_the_first_independent_facet_normals(monkeypatch, index):
     # one corpus body of each dim 2-4: one moment per dimension, along the
-    # first facet normals of K0, in facet order, that raise the rank
+    # first of the seeded directions, then of K0's facet normals in facet
+    # order, that raise the rank; the five seeded directions span, so no
+    # facet normal gets a profile
     spec = corpus_specs()[index]
-    moment = sweep_module.directional_moment
-    calls = []
-
-    def recording(K, w, center):
-        calls.append((K, w))
-        return moment(K, w, center=center)
-
-    monkeypatch.setattr(sweep_module, "directional_moment", recording)
+    centered, built, moments = record_profiles(monkeypatch)
     sweep_module.check_body(f"{index:04d}-random_hull-n{spec.dim}", spec)
-    assert len(calls) == spec.dim
-    k0 = calls[0][0]
+    [k0] = centered
     assert k0 == inclusion.center_at_centroid(sweep_module.generate(spec))
-    assert all(K is k0 for K, _ in calls)
-    chosen = []
-    for f in k0.facets:
-        if int_rank(chosen + [f.normal]) > len(chosen):
-            chosen.append(f.normal)
-    assert [w for _, w in calls] == chosen
-    assert len(chosen) == spec.dim < len(k0.facets)
+    seeded = seeded_directions(spec)
+    assert [w for _, w in built] == seeded and all(K is k0 for K, _ in built)
+    assert moments == first_independent(seeded + [f.normal for f in k0.facets])
+    assert len(moments) == spec.dim
+
+
+def test_moments_complete_the_seeded_directions_by_a_facet_normal(monkeypatch):
+    # five directions cannot span R^6: the profiles are the five seeded ones
+    # and one along the first facet normal of K0 that raises their rank
+    spec = GenSpec("random_hull", 6, 8, seed=1, denominator_bound=2)
+    centered, built, moments = record_profiles(monkeypatch)
+    sweep_module.check_body("0000-random_hull-n6", spec)
+    [k0] = centered
+    seeded = seeded_directions(spec)
+    basis = first_independent(seeded + [f.normal for f in k0.facets])
+    assert basis[:5] == seeded and basis[5] in [f.normal for f in k0.facets]
+    assert built == [(k0, w) for w in basis] and all(K is k0 for K, _ in built)
+    assert moments == basis
+
+
+def test_corpus_bodies_build_five_profiles_on_k0(monkeypatch):
+    # at dims 2-4 the five seeded directions always span, so every corpus
+    # body builds exactly their five profiles, all on K0, and none along a
+    # facet normal
+    centered, built, _ = record_profiles(monkeypatch)
+    for i, spec in enumerate(corpus_specs()):
+        centered.clear()
+        built.clear()
+        sweep_module.check_body(f"{i:04d}-{spec.kind}-n{spec.dim}", spec)
+        [k0] = centered
+        assert [w for _, w in built] == seeded_directions(spec), spec
+        assert all(K is k0 for K, _ in built), spec
+
+
+def test_brunn_reads_every_seeded_profile(monkeypatch):
+    # Brunn's test runs on all five seeded profiles, not only on the n that
+    # decide the moment: a root that fails only along the last direction is
+    # a violation named by that direction
+    spec = corpus_specs()[0]
+    last = seeded_directions(spec)[-1]
+    concave = SectionProfile.root_concave
+    monkeypatch.setattr(SectionProfile, "root_concave",
+                        lambda self: self.direction != last and concave(self))
+    with pytest.raises(TheoremViolation) as info:
+        sweep_module.check_body("0000-random_hull-n2", spec)
+    assert str(info.value).endswith(f": brunn: section root not concave along {last}")
 
 
 def test_root_concavity_failure_is_a_violation(tmp_path, monkeypatch, capsys):
     # every dim-3 section profile is replaced by one whose root dips between
-    # the old float sampler's points
-    profile = concave_module.section_profile
+    # the old float sampler's points; it stands in for K0's sections, so its
+    # moment is taken as theirs, zero
+    profile, moment = sweep_module.section_profile, SectionProfile.moment
+    dip = dip_profile()
 
     def dipping(K, w):
-        return dip_profile() if K.dim == 3 else profile(K, w)
+        return dip if K.dim == 3 else profile(K, w)
 
-    monkeypatch.setattr(concave_module, "section_profile", dipping)
+    monkeypatch.setattr(sweep_module, "section_profile", dipping)
+    monkeypatch.setattr(SectionProfile, "moment",
+                        lambda self: Fraction(0) if self is dip else moment(self))
     spec = GenSpec("cube", 3)
     with pytest.raises(TheoremViolation) as info:
         sweep_module.check_body("0001-cube-n3", spec)
@@ -162,11 +243,15 @@ def test_root_concavity_failure_is_a_violation(tmp_path, monkeypatch, capsys):
     assert polytope_from_dict(repro) == sweep_module.generate(spec)
 
 
-# each stage of check_body, in order, and the function it calls as sweep names
-# it; a stage's first call of that function comes only after its name
-STAGE_CALLS = {"generate": "generate", "report": "godbersen_report",
-               "tightness": "_centered_tightness", "moments": "directional_moment",
-               "brunn": "slice_root_concavity", "rows": "SweepRow"}
+# each stage of check_body, in order, and the function it calls, as (owner,
+# name): a name in sweep's namespace, or the section profile's Brunn test; a
+# stage's first call of that function comes only after its name
+STAGE_CALLS = {"generate": (sweep_module, "generate"),
+               "report": (sweep_module, "godbersen_report"),
+               "tightness": (sweep_module, "_centered_tightness"),
+               "moments": (sweep_module, "section_profile"),
+               "brunn": (SectionProfile, "root_concave"),
+               "rows": (sweep_module, "SweepRow")}
 
 
 def test_each_stage_runs_once_in_order(monkeypatch):
@@ -192,18 +277,19 @@ def test_each_stage_runs_once_in_order(monkeypatch):
         return called
 
     monkeypatch.setattr(sweep_module, "_stages", spying_stages)
-    for name in STAGE_CALLS.values():
-        monkeypatch.setattr(sweep_module, name, spy(name, getattr(sweep_module, name)))
+    for owner, name in STAGE_CALLS.values():
+        monkeypatch.setattr(owner, name, spy(name, getattr(owner, name)))
     assert sweep_module.check_body("0130-random_hull-n3", spec) == healthy
     # the moments, brunn and rows stages call theirs more than once
     runs = [x for i, x in enumerate(log) if i == 0 or log[i - 1] != x]
-    assert runs == [x for stage, name in STAGE_CALLS.items() for x in (stage, name + "()")]
+    assert runs == [x for stage, (_, name) in STAGE_CALLS.items()
+                    for x in (stage, name + "()")]
 
 
 @pytest.mark.parametrize("stage", STAGE_CALLS)
 def test_forced_violation_names_its_stage(stage, tmp_path, monkeypatch, capsys):
-    name = STAGE_CALLS[stage]
-    real = getattr(sweep_module, name)
+    owner, name = STAGE_CALLS[stage]
+    real = getattr(owner, name)
     calls = []
 
     def forced(*args, **kwargs):
@@ -213,7 +299,7 @@ def test_forced_violation_names_its_stage(stage, tmp_path, monkeypatch, capsys):
             raise TheoremViolation(f"forced in {name}")
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(sweep_module, name, forced)
+    monkeypatch.setattr(owner, name, forced)
     spec = GenSpec("simplex", 3)
     message = f"0000-simplex-n3 {spec}: {stage}: forced in {name}"
     with pytest.raises(TheoremViolation) as info:
@@ -270,7 +356,7 @@ def test_generate_violation_keeps_the_csv_and_summary(tmp_path, monkeypatch, cap
 
 @pytest.mark.parametrize("name, error, vertex_count", [
     ("generate", DegenerateInput, 0), ("generate", CombinatorialBlowup, 0),
-    ("godbersen_report", CombinatorialBlowup, 3), ("slice_root_concavity", CombinatorialBlowup, 3)])
+    ("godbersen_report", CombinatorialBlowup, 3), ("section_profile", CombinatorialBlowup, 3)])
 def test_error_row_by_stage(monkeypatch, name, error, vertex_count):
     # any package error in the generate stage, and a refused kernel run after
     # it, give one error row; the row counts the body's vertices once it is made
@@ -285,7 +371,7 @@ def test_error_row_by_stage(monkeypatch, name, error, vertex_count):
 
 @pytest.mark.parametrize("name, error", [
     ("generate", RuntimeError), ("godbersen_report", DegenerateInput),
-    ("directional_moment", ZeroDirection)])
+    ("section_profile", ZeroDirection)])
 def test_other_errors_propagate(monkeypatch, name, error):
     def failing(*args, **kwargs):
         raise error("forced")
